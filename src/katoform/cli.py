@@ -332,8 +332,10 @@ def _run_form_bounds(cfg, ctx):
         raise ContractViolation("form_boundedness", str(exc)) from exc
 
     curve = []
+    # r* = 0 when the Green potential C_0 already meets the target
+    centre = r_star if r_star > 0.0 else 1.0
     for mult in (0.25, 0.5, 1.0, 2.0, 4.0):
-        r = r_star * mult
+        r = centre * mult
         c = resolvent_constant(pot, r, probes)
         curve.append((r, c, 1e-6 * max(abs(c), 1.0)))
     curve.sort()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -36,6 +37,7 @@ POINT_TOL = 1e-12
 _TAIL_LOG = 45.0
 
 
+@lru_cache(maxsize=None)
 def sphere_area(m: int) -> float:
     """Surface measure of the unit sphere S^{m-1} in R^m (2, 2 pi, 4 pi, ...)."""
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
@@ -208,24 +210,35 @@ def _h2_kernel_scalar(t: float, d: float) -> float:
         p(tau, d) = sqrt(2) (4 pi tau)^{-3/2} e^{-tau/4}
                     integral_d^inf s e^{-s^2/(4 tau)} / sqrt(cosh s - cosh d) ds,
     so in the Delta/2 convention the prefactor becomes
-    sqrt(2) (2 pi t)^{-3/2} e^{-t/8}.  The substitution s = d + u^2 removes
-    the inverse-square-root endpoint; the difference of coshes is evaluated
-    through the product identity to avoid cancellation near the endpoint.
+    sqrt(2) (2 pi t)^{-3/2} e^{-t/8}.
     """
     coef = math.sqrt(2.0) * (2.0 * math.pi * t) ** -1.5 * math.exp(-t / 8.0)
     s_max = d + math.sqrt(2.0 * t * _TAIL_LOG) + t
+    return coef * _h2_millson(lambda s, shift: s * math.exp(shift - s * s / (2.0 * t)),
+                              d, s_max)
+
+
+def _h2_millson(f, d: float, s_max: float, shift: float = 0.0) -> float:
+    """e^shift integral_d^s_max f(s) / sqrt(cosh s - cosh d) ds, the H^2 Millson transform.
+
+    ``f(s, shift)`` returns f(s) e^shift, so a caller can fold an exponential
+    growth factor into f's own exponent.  The substitution s = d + u^2
+    removes the inverse-square-root endpoint, and the difference of coshes
+    is written as 2 e^x (e^{-x} sinh x) sinh(u^2/2), x = d + u^2/2, so it
+    neither cancels near the endpoint nor overflows at large d.
+    """
     u_max = math.sqrt(s_max - d)
 
     def integrand(u):
-        s = d + u * u
-        # cosh s - cosh d = 2 sinh(d + u^2/2) sinh(u^2/2)
-        gap = 2.0 * math.sinh(d + 0.5 * u * u) * math.sinh(0.5 * u * u)
+        half = 0.5 * u * u
+        x = d + half
+        gap = -math.expm1(-2.0 * x) * math.sinh(half)
         if gap <= 0.0:
             return 0.0
-        return s * math.exp(-s * s / (2.0 * t)) * 2.0 * u / math.sqrt(gap)
+        return f(d + u * u, shift - 0.5 * x) * 2.0 * u / math.sqrt(gap)
 
     val, _ = quad_piece(integrand, 0.0, u_max, rel=1e-8)
-    return coef * val
+    return val
 
 
 def heat_kernel(space: ModelSpace, t: float, x, y) -> float:

@@ -10,26 +10,41 @@ to the Kato class exactly when eta(t) -> 0 as t -> 0, and the two are
 sandwiched by (1 - e^{-rt}) C_r <= eta(t) <= e^{rt} C_r.  Whenever some
 C_r < 1, the potential is a relative form perturbation of -Delta/2 with
 bound C_r and offset r*C_r, which is what form_bound_constants returns.
+On transient spaces (R^m with m >= 3, H^2, H^3) r = 0 is allowed: C_0 is
+the sup of the Green potential of |v|.
 
-Suprema are approximated by maxima over caller-supplied probe points; for
-the radial potentials handled here the singular center is the maximizer,
-and the probe list must contain a representative of every singular radius.
+Each "sup" is a max over the caller-supplied probe points, which must
+include a point at every singular radius of v; the returned argmax says
+which probe attained it.
 
-The angular part of the off-center spatial integrals has closed forms in
-dimensions 2 and 3 (Gaussian sphere means, modified Bessel in the plane),
-so only the radial direction is integrated adaptively.  Divergent
-integrals are classified by the quadrature layer and reported as +inf, at
-the eta level for time divergences; per-time averages that exist are
-returned as finite numbers.
+By Fubini both functionals are one spatial integral of |v| against a
+radial kernel, K_t = integral_0^t p_s ds for eta and the resolvent kernel
+G_r = integral_0^inf e^{-rs} p_s ds for C_r, and both kernels have closed
+forms: incomplete gamma / exp1 / erfc on R^m, modified Bessel K for G_r,
+erfc pairs and e^{-k rho} / (2 pi sinh rho) on H^3, and the Millson
+transform of the same closed-form time integrals on H^2.  For a probe at
+distance b from the centre of v the integral is a radial one against the
+sphere mean of the kernel, which is the kernel itself at b = 0, a
+reflection pair on R^1, a closed-form chord integral on R^3 and H^3, and
+the kernel at max(w, b) for the (harmonic) Green kernel G_0.  The radial
+tail is summed over doubling windows; divergent integrals are classified
+and reported as +inf.
+
+Probes off the centre of R^2, R^m (m >= 4) and H^2 have no such sphere
+mean, so there eta and C_r (r > 0) take the nested route: time or Laplace
+quadrature outside, the spatial average F(s) inside.  The nested route is
+also the oracle the tests compare the kernel route against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.special import i0e
+from scipy.optimize import brentq
+from scipy.special import erfc, erfcx, exp1, gammaincc, i0e, kve
 
 from .errors import DomainError, NotFormBoundedError
 from .geometry import (
@@ -37,13 +52,16 @@ from .geometry import (
     HYPERBOLIC,
     ModelSpace,
     distance,
+    h_kernel,
     kernel_tail_radius,
     sphere_area,
 )
-from .geometry import _h2_kernel_scalar  # slow path, plane only
+from .geometry import _TAIL_LOG, _h2_kernel_scalar, _h2_millson
 from .potentials import Potential
 from .quadrature import (
+    DIVERGENCE_CAP,
     OUTER_REL,
+    SPATIAL_REL,
     laplace_integral,
     polar_angle_rule,
     radial_integral,
@@ -51,6 +69,9 @@ from .quadrature import (
 )
 
 _INNER_REL_BUDGET = 1e-7  # folded into reported errors for nested quadrature
+
+# Probes closer than this to the centre of v are treated as the centre.
+_CENTRE = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +173,9 @@ def _average_b(v: Potential, b: float, s: float):
 
     breakpoints = set(v.singular_radii)
     if b > 0.0:
-        breakpoints.add(b)  # kernel peak
+        # the kernel peak and the inner end of its support: a peak much
+        # narrower than [0, b] would otherwise fall between QUADPACK's nodes
+        breakpoints.update((b, 2.0 * b - r_hi))
     val, err = radial_integral(integrand, r_hi, singular=sorted(breakpoints))
     return val, err
 
@@ -192,7 +215,11 @@ def heat_potential_average(v: Potential, x, s: float) -> float:
     return float(val)
 
 
-def _eta_b(v: Potential, b: float, t: float):
+# ---------------------------------------------------------------------------
+# the nested route: time or Laplace quadrature over F(s) = _average_b, for
+# probes without a closed-form sphere mean and as the tests' oracle
+
+def _nested_eta_b(v: Potential, b: float, t: float):
     def F(s):
         val, _ = _average_b(v, b, s)
         return val
@@ -203,26 +230,7 @@ def _eta_b(v: Potential, b: float, t: float):
     return val, err + _INNER_REL_BUDGET * abs(val)
 
 
-def kato_eta(v: Potential, t: float, probes):
-    """Small-time functional eta(t) as a max over probes.
-
-    Returns (value, probe) where probe attains the maximum.  The value is
-    +inf when the time integral diverges at some probe.
-    """
-    if t <= 0.0:
-        raise DomainError("time horizon must be positive")
-    dists = _probe_distances(v, probes)
-    best, best_idx = -math.inf, 0
-    for i, b in enumerate(dists):
-        val, _ = _eta_b(v, b, t)
-        if val > best:
-            best, best_idx = val, i
-        if math.isinf(best):
-            break
-    return float(best), probes[best_idx]
-
-
-def _resolvent_b(v: Potential, b: float, r: float):
+def _nested_resolvent_b(v: Potential, b: float, r: float):
     def F(s):
         val, _ = _average_b(v, b, s)
         return val
@@ -233,18 +241,310 @@ def _resolvent_b(v: Potential, b: float, r: float):
     return val, err + _INNER_REL_BUDGET * abs(val)
 
 
-def resolvent_constant(v: Potential, r: float, probes) -> float:
-    """Resolvent-smoothed constant C_r as a max over probes; +inf if divergent."""
-    if r <= 0.0:
-        raise DomainError("resolvent parameter must be positive")
-    dists = _probe_distances(v, probes)
-    best = -math.inf
-    for b in dists:
-        val, _ = _resolvent_b(v, b, r)
-        best = max(best, val)
+# ---------------------------------------------------------------------------
+# the kernel route: one radial integral against K_t or G_r
+
+@dataclass(frozen=True)
+class _Kernel:
+    """A radial kernel k(rho) with what the kernel route needs to integrate it.
+
+    Values come scaled by e^shift so the caller can fold the hyperbolic
+    ring growth e^{(m-1) w} into the kernel's own decaying exponent.
+    """
+
+    # (rho, shift) -> k(rho) e^shift, rho > 0
+    radial: Callable[[float, float], float]
+    # distance beyond which ring * k is negligible; inf when it does not decay
+    reach: float
+    # (lo, h, shift) -> e^shift integral_lo^{lo+h} k(rho) S(rho) d rho, in dimension 3
+    chord: Callable[[float, float, float], float] | None = None
+    # k is harmonic off its pole, so every sphere mean is k(max(w, b))
+    harmonic: bool = False
+
+
+def _split_S(hyperbolic: bool, rho: float):
+    """S(rho) as (scaled, exponent): (rho, 0) on R^m, (e^{-rho} sinh rho, rho) on H^m."""
+    if hyperbolic:
+        return -0.5 * math.expm1(-2.0 * rho), rho
+    return rho, 0.0
+
+
+def _erfc_pair(rho: float, t: float, c: float, sign: float = 1.0, shift: float = 0.0) -> float:
+    """e^shift [e^{c rho} erfc((rho + c t)/sqrt(2t)) + sign e^{-c rho} erfc((rho - c t)/sqrt(2t))].
+
+    Written through erfcx both terms carry the factor exp(-(rho^2/t + c^2 t)/2),
+    so e^{c rho} erfc(...) neither overflows nor underflows early.
+    """
+    sigma = math.sqrt(2.0 * t)
+    gauss = math.exp(shift - 0.5 * (rho * rho / t + c * c * t))
+    x_minus = (rho - c * t) / sigma
+    if x_minus >= 0.0:
+        minus = erfcx(x_minus) * gauss
+    else:
+        minus = math.exp(shift - c * rho) * erfc(x_minus)
+    return erfcx((rho + c * t) / sigma) * gauss + sign * minus
+
+
+def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
+    """K_t(rho) = integral_0^t p_s(rho) ds."""
+    m = space.dim
+    hyperbolic = space.kind == HYPERBOLIC
+    sigma = math.sqrt(2.0 * t)
+    reach = kernel_tail_radius(space, t)
+    if m == 3:
+        # K_t S = pair / (4 pi), c = 0 on R^3 (where pair = 2 erfc) and c = 1 on H^3
+        c = 1.0 if hyperbolic else 0.0
+        short = 1e-3 * min(sigma, 1.0)
+
+        def kernel_S(rho, shift):
+            return _erfc_pair(rho, t, c, shift=shift) / (4.0 * math.pi)
+
+        def radial(rho, shift):
+            scaled, exponent = _split_S(hyperbolic, rho)
+            return kernel_S(rho, shift - exponent) / scaled
+
+        def antiderivative(rho, shift):
+            if hyperbolic:
+                return _erfc_pair(rho, t, 1.0, -1.0, shift) / (4.0 * math.pi)
+            # integral erfc(x) dx = x erfc(x) - e^{-x^2}/sqrt(pi)
+            x = rho / sigma
+            return sigma * math.exp(shift - x * x) * (x * erfcx(x) - 1.0 / math.sqrt(math.pi)) \
+                / (2.0 * math.pi)
+
+        def chord(lo, h, shift):
+            if h < short:
+                # the antiderivative difference would cancel; two-point Gauss instead
+                mid, off = lo + 0.5 * h, h / (2.0 * math.sqrt(3.0))
+                return 0.5 * h * (kernel_S(mid - off, shift) + kernel_S(mid + off, shift))
+            return antiderivative(lo + h, shift) - antiderivative(lo, shift)
+
+        return _Kernel(radial, reach, chord)
+    if hyperbolic:
+        # Millson transform of the closed-form time integral (c = 1/2 on H^2)
+        def millson(rho, shift):
+            return math.sqrt(2.0) * _h2_millson(
+                lambda s, sh: _erfc_pair(s, t, 0.5, shift=sh) / (4.0 * math.pi),
+                rho, rho + math.sqrt(2.0 * t * _TAIL_LOG) + t, shift)
+
+        return _Kernel(millson, reach)
+    if m == 1:
+        def line(rho, shift):
+            x = rho / sigma
+            return math.exp(shift - x * x) * (math.sqrt(2.0 * t / math.pi) - rho * erfcx(x))
+
+        return _Kernel(line, reach)
+    if m == 2:
+        return _Kernel(lambda rho, shift: exp1(rho * rho / (2.0 * t)) / (2.0 * math.pi), reach)
+    a = m / 2.0 - 1.0
+    coef = math.gamma(a) / (2.0 * math.pi ** (m / 2.0))
+    return _Kernel(lambda rho, shift: coef * rho ** (2 - m) * gammaincc(a, rho * rho / (2.0 * t)),
+                   reach)
+
+
+def _green_kernel(space: ModelSpace, r: float) -> _Kernel:
+    """G_r(rho) = integral_0^inf e^{-rs} p_s(rho) ds, the kernel of (r - Delta/2)^{-1}.
+
+    With c = (m - 1)/2 on H^m and 0 on R^m it decays like e^{-k rho},
+    k = sqrt(2r + c^2), against a ring area growing like e^{2c rho}.
+    """
+    m = space.dim
+    hyperbolic = space.kind == HYPERBOLIC
+    c = (m - 1) / 2.0 if hyperbolic else 0.0
+    k = math.sqrt(2.0 * r + c * c)
+    reach = _TAIL_LOG / (k - c) if k > c else math.inf
+    harmonic = r == 0.0
+    if m == 3:
+        def radial(rho, shift):
+            scaled, exponent = _split_S(hyperbolic, rho)
+            return math.exp(shift - exponent - k * rho) / (2.0 * math.pi * scaled)
+
+        def chord(lo, h, shift):
+            return math.exp(shift - k * lo) * -math.expm1(-k * h) / (2.0 * math.pi * k)
+
+        return _Kernel(radial, reach, chord, harmonic)
+    if hyperbolic:
+        if harmonic:
+            # log coth(rho/2) / pi with y = 2 / (e^rho - 1)
+            def green(rho, shift):
+                y = 2.0 * math.exp(-rho) / -math.expm1(-rho)
+                ratio = math.log1p(y) / y if y > 0.0 else 1.0
+                return ratio * 2.0 * math.exp(shift - rho) / -math.expm1(-rho) / math.pi
+
+            return _Kernel(green, reach, harmonic=True)
+
+        def millson(rho, shift):
+            return math.sqrt(2.0) * _h2_millson(
+                lambda s, sh: math.exp(sh - k * s) / (2.0 * math.pi),
+                rho, rho + _TAIL_LOG / (k + c), shift)
+
+        return _Kernel(millson, reach)
+    if m == 1:
+        return _Kernel(lambda rho, shift: math.exp(-k * rho) / k, reach)
+    nu = m / 2.0 - 1.0
+    if harmonic:
+        coef = math.gamma(nu) / (2.0 * math.pi ** (m / 2.0))
+        return _Kernel(lambda rho, shift: coef * rho ** (2 - m), reach, harmonic=True)
+    coef = 2.0 * (2.0 * math.pi) ** (-m / 2.0)
+    return _Kernel(
+        lambda rho, shift: coef * (rho / k) ** -nu * kve(nu, k * rho) * math.exp(-k * rho),
+        reach)
+
+
+def _has_sphere_mean(space: ModelSpace, b: float) -> bool:
+    """Whether the kernel route serves a probe at distance b (r > 0)."""
+    return b <= _CENTRE or space.dim in (1, 3)
+
+
+def _fubini_b(v: Potential, b: float, kernel: _Kernel):
+    """(value, error) of integral |v(y)| k(d(x, y)) vol(dy) for a probe at distance b.
+
+    In polar coordinates about the centre of v this is the radial integral
+    of |v(w)| ring(w) times the mean of k over the sphere of radius w.
+    """
+    space = v.space
+    m = space.dim
+    hyperbolic = space.kind == HYPERBOLIC
+    area = sphere_area(m)
+    radial = kernel.radial
+    if b <= _CENTRE or kernel.harmonic:
+        def ring_mean(w):
+            scaled, exponent = _split_S(hyperbolic, w)
+            return area * scaled ** (m - 1) * radial(max(w, b), (m - 1) * exponent)
+    elif m == 1:
+        def ring_mean(w):
+            return radial(abs(w - b), 0.0) + radial(w + b, 0.0)
+    else:
+        # ring(w) chord / (2 S(w) S(b)) = 2 pi S(w) chord / S(b); the chord
+        # runs from |w - b| to w + b, its length taken exactly as 2 min(w, b)
+        chord = kernel.chord
+        s_b = math.sinh(b) if hyperbolic else b
+
+        def ring_mean(w):
+            scaled, exponent = _split_S(hyperbolic, w)
+            return 2.0 * math.pi * scaled * chord(abs(w - b), 2.0 * min(w, b), exponent) / s_b
+
+    abs_scalar = _abs_scalar_fn(v)
+
+    def integrand(w):
+        if w == 0.0 and m > 1:
+            return 0.0
+        vw = abs_scalar(w)
+        if vw == 0.0:
+            return 0.0
+        if not math.isfinite(vw):
+            return math.inf
+        return vw * ring_mean(w)
+
+    breakpoints = set(v.singular_radii)
+    if b > _CENTRE:
+        breakpoints.add(b)
+    return _radial_tail(integrand, kernel.reach + b, sorted(breakpoints))
+
+
+_TAIL_WINDOWS = 64
+_FLAT_WINDOWS = 8
+
+
+def _radial_tail(integrand, reach: float, breakpoints):
+    """(value, error) of integral_0^inf integrand over doubling windows.
+
+    A head up to min(reach, a scale of the breakpoints) comes first, so a
+    compactly supported potential is never lost in one wide QUADPACK call.
+    The sum stops at the first window that is negligible against a nonzero
+    total, or at any negligible window past the reach.  Windows past the
+    reach (every window, for a kernel that does not decay) that stop
+    shrinking, or a total past DIVERGENCE_CAP, classify the integral as
+    divergent: (+inf, +inf).
+    """
+    def segment(lo, hi):
+        return radial_integral(lambda u: integrand(lo + u), hi - lo,
+                               singular=[p - lo for p in breakpoints if lo < p < hi])
+
+    head = min(reach, max(1.0, 2.0 * max(breakpoints, default=0.0)))
+    total, err = segment(0.0, head)
+    lo, prev, flat = head, 0.0, 0
+    for _ in range(_TAIL_WINDOWS):
+        if math.isinf(total) or abs(total) > DIVERGENCE_CAP:
+            return math.inf, math.inf
+        window, window_err = segment(lo, 2.0 * lo)
+        total += window
+        err += window_err
+        past = lo >= reach
+        lo *= 2.0
+        if abs(window) <= SPATIAL_REL * abs(total) and (past or total != 0.0):
+            return total, err + abs(window)
+        if past or math.isinf(reach):
+            flat = flat + 1 if 0.0 < abs(window) and abs(window) >= 0.96 * abs(prev) else 0
+            if flat >= _FLAT_WINDOWS:
+                return math.inf, math.inf
+        prev = window
+    if total == 0.0:
+        return 0.0, err
+    return math.inf, math.inf
+
+
+def _eta_b(v: Potential, b: float, t: float):
+    if _has_sphere_mean(v.space, b):
+        return _fubini_b(v, b, _heat_kernel(v.space, t))
+    return _nested_eta_b(v, b, t)
+
+
+def _resolvent_b(v: Potential, b: float, r: float):
+    if r == 0.0 or _has_sphere_mean(v.space, b):
+        return _fubini_b(v, b, _green_kernel(v.space, r))
+    return _nested_resolvent_b(v, b, r)
+
+
+def _max_over_probes(fn, dists):
+    """(value, error, argmax index) of fn(b) -> (value, error) over the probe distances.
+
+    Stops at the first +inf, which no later probe can exceed.
+    """
+    best, best_err, best_i = -math.inf, math.inf, 0
+    for i, b in enumerate(dists):
+        val, err = fn(b)
+        if val > best:
+            best, best_err, best_i = val, err, i
         if math.isinf(best):
             break
-    return float(best)
+    return float(best), best_err, best_i
+
+
+def _check_resolvent_parameter(space: ModelSpace, r: float) -> None:
+    if r < 0.0:
+        raise DomainError("resolvent parameter must be nonnegative")
+    if r == 0.0 and not _transient(space):
+        raise DomainError("C_0 needs a transient space (R^m with m >= 3, H^2 or H^3)")
+
+
+def _transient(space: ModelSpace) -> bool:
+    return space.kind == HYPERBOLIC or space.dim >= 3
+
+
+# ---------------------------------------------------------------------------
+# the functionals
+
+def kato_eta(v: Potential, t: float, probes):
+    """Small-time functional eta(t) as a max over probes.
+
+    Returns (value, probe) where probe attains the maximum.  The value is
+    +inf when the integral diverges at some probe.
+    """
+    if t <= 0.0:
+        raise DomainError("time horizon must be positive")
+    dists = _probe_distances(v, probes)
+    best, _, best_idx = _max_over_probes(lambda b: _eta_b(v, b, t), dists)
+    return best, probes[best_idx]
+
+
+def resolvent_constant(v: Potential, r: float, probes) -> float:
+    """Resolvent-smoothed constant C_r as a max over probes; +inf if divergent.
+
+    r = 0 gives the Green potential C_0 on transient spaces.
+    """
+    _check_resolvent_parameter(v.space, r)
+    dists = _probe_distances(v, probes)
+    return _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)[0]
 
 
 @dataclass
@@ -275,16 +575,10 @@ def sandwich_check(v: Potential, r: float, t: float, probes) -> SandwichResult:
     The slack is twice the combined quadrature error estimate of the three
     quantities involved.
     """
+    _check_resolvent_parameter(v.space, r)
     dists = _probe_distances(v, probes)
-    eta_val, eta_err = -math.inf, 0.0
-    cr_val, cr_err = -math.inf, 0.0
-    for b in dists:
-        ev, ee = _eta_b(v, b, t)
-        if ev > eta_val:
-            eta_val, eta_err = ev, ee
-        cv, ce = _resolvent_b(v, b, r)
-        if cv > cr_val:
-            cr_val, cr_err = cv, ce
+    eta_val, eta_err, _ = _max_over_probes(lambda b: _eta_b(v, b, t), dists)
+    cr_val, cr_err, _ = _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)
     if math.isinf(eta_val) or math.isinf(cr_val):
         raise DomainError("sandwich check needs finite eta and C_r")
     lower = -math.expm1(-r * t) * cr_val
@@ -314,9 +608,8 @@ def analytic_kato_functional(v: Potential, radius: float, probes) -> float:
 
     from .geometry import law_of_cosines
 
-    best = -math.inf
-    for b in dists:
-        if b <= 1e-14:
+    def at(b):
+        if b <= _CENTRE:
             def integrand(w):
                 ring = _ring_scalar(space, w)
                 if ring == 0.0:
@@ -324,12 +617,11 @@ def analytic_kato_functional(v: Potential, radius: float, probes) -> float:
                 vw = abs_scalar(w)
                 if not math.isfinite(vw):
                     return math.inf
-                return vw * ring * _h_weight(m, w)
+                return vw * ring * h_kernel(m, w)
 
             breakpoints = sorted(set(v.singular_radii))
         else:
             def integrand(rho):
-                hw = _h_weight(m, rho)
                 ring_ratio = _ring_scalar(space, rho) / sphere_area(m)
                 if ring_ratio == 0.0:
                     return 0.0
@@ -337,21 +629,14 @@ def analytic_kato_functional(v: Potential, radius: float, probes) -> float:
                 v_vals = np.abs(np.asarray(v.radial(w_vals), dtype=float))
                 if not np.all(np.isfinite(v_vals)):
                     return math.inf
-                return hw * ring_ratio * angle_front * float(np.dot(weights, v_vals))
+                return h_kernel(m, rho) * ring_ratio * angle_front * \
+                    float(np.dot(weights, v_vals))
 
             breakpoints = sorted({abs(b - ws) for ws in v.singular_radii} |
                                  {b + ws for ws in v.singular_radii})
-        val, _ = radial_integral(integrand, radius, singular=breakpoints)
-        best = max(best, val)
-    return float(best)
+        return radial_integral(integrand, radius, singular=breakpoints)
 
-
-def _h_weight(m: int, r: float) -> float:
-    if r <= 0.0:
-        return math.inf
-    if m == 2:
-        return math.log(1.0 / r)
-    return r ** (2 - m)
+    return _max_over_probes(at, dists)[0]
 
 
 def lp_kato_classify(p: float, m: int) -> str:
@@ -370,29 +655,30 @@ def lp_kato_classify(p: float, m: int) -> str:
 
 
 _R_SEARCH_CAP = 1e12
-_R_SEARCH_FLOOR = 1e-9
 
 
 def form_bound_constants(v: Potential, probes, target_c1: float):
     """Smallest r with C_r <= target_c1, returned as (r, C1, C2 = r*C1).
 
     The pair certifies the form bound q_|v|(u) <= C1 q(u) + C2 |u|^2 against
-    the kinetic form q of -Delta/2.  Raises NotFormBoundedError when no r
-    below 1e12 achieves the target (including divergent C_r).
+    the kinetic form q of -Delta/2.  On transient spaces the Green potential
+    C_0 comes first: when C_0 <= target_c1 the answer is (0, C_0, 0).
+    Otherwise C_r decreases continuously in r from C_0 (or +inf) to 0, so
+    the crossing C_r = target_c1 is bracketed by factors of 4 from r = 1
+    and located by Brent's method on log r.  Raises NotFormBoundedError
+    when no r below 1e12 achieves the target (including divergent C_r).
     """
     if not (0.0 < target_c1 < 1.0):
         raise DomainError("target_c1 must lie in (0, 1)")
     dists = _probe_distances(v, probes)
 
     def c_of(r):
-        best = -math.inf
-        for b in dists:
-            val, _ = _resolvent_b(v, b, r)
-            best = max(best, val)
-            if math.isinf(best):
-                break
-        return best
+        return _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)[0]
 
+    if _transient(v.space):
+        c0 = c_of(0.0)
+        if c0 <= target_c1:
+            return 0.0, c0, 0.0
     r = 1.0
     c = c_of(r)
     if math.isinf(c):
@@ -401,40 +687,24 @@ def form_bound_constants(v: Potential, probes, target_c1: float):
     if c <= 1e-300:
         return 1.0, 0.0, 0.0
     if c <= target_c1:
-        # Walk down to bracket the crossing from below.
-        r_hi, c_hi = r, c
-        while r > _R_SEARCH_FLOOR:
-            r *= 0.25
+        # C_r grows to C_0 > target_c1 (or without bound) as r -> 0
+        while c <= target_c1:
+            r_hi, r = r, 0.25 * r
             c = c_of(r)
-            if c > target_c1:
-                break
-            r_hi, c_hi = r, c
-        else:
-            return r_hi, c_hi, r_hi * c_hi
         r_lo = r
     else:
-        r_lo = r
-        while True:
-            r *= 4.0
+        while c > target_c1:
+            r_lo, r = r, 4.0 * r
             if r > _R_SEARCH_CAP:
                 raise NotFormBoundedError(
                     f"no r below {_R_SEARCH_CAP:.0e} achieves C_r <= {target_c1}")
             c = c_of(r)
-            if c <= target_c1:
-                r_hi, c_hi = r, c
-                break
-            r_lo = r
-    # Bisection on log r for the crossing C_r = target_c1.
-    for _ in range(40):
-        if r_hi / r_lo <= 1.0 + 1e-7:
-            break
-        mid = math.sqrt(r_lo * r_hi)
-        c_mid = c_of(mid)
-        if c_mid <= target_c1:
-            r_hi, c_hi = mid, c_mid
-        else:
-            r_lo = mid
-    return r_hi, c_hi, r_hi * c_hi
+        r_hi = r
+    x = brentq(lambda x: c_of(math.exp(x)) - target_c1, math.log(r_lo), math.log(r_hi),
+               xtol=1e-12)
+    r = math.exp(x)
+    c = c_of(r)
+    return r, c, r * c
 
 
 @dataclass
@@ -491,7 +761,7 @@ def _local_l1(v: Potential, b: float, radius: float = 1.0) -> float:
 
     from .geometry import law_of_cosines
 
-    if b <= 1e-14:
+    if b <= _CENTRE:
         def integrand(w):
             ring = _ring_scalar(space, w)
             if ring == 0.0:
@@ -537,25 +807,12 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
     eta_rows = []
     argmax_idx = 0
     for t in t_grid:
-        best, best_err, best_i = -math.inf, math.inf, 0
-        for i, b in enumerate(dists):
-            val, err = _eta_b(v, b, t)
-            if val > best:
-                best, best_err, best_i = val, err, i
-            if math.isinf(best):
-                break
+        best, best_err, argmax_idx = _max_over_probes(lambda b: _eta_b(v, b, t), dists)
         eta_rows.append((t, best, best_err))
-        argmax_idx = best_i
 
     resolvent_rows = []
     for r in sorted(float(r) for r in r_grid):
-        best, best_err = -math.inf, math.inf
-        for b in dists:
-            val, err = _resolvent_b(v, b, r)
-            if val > best:
-                best, best_err = val, err
-            if math.isinf(best):
-                break
+        best, best_err, _ = _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)
         resolvent_rows.append((r, best, best_err))
 
     any_inf = any(math.isinf(row[1]) for row in eta_rows)

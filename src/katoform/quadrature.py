@@ -48,6 +48,11 @@ def quad_piece(f, a, b, rel=SPATIAL_REL, abs_floor=1e-15, points=None, limit=200
     out = quad(f, a, b, epsabs=abs_floor, epsrel=rel, limit=limit,
                points=usable_points, full_output=1)
     value, abserr = out[0], out[1]
+    if len(out) > 3 and "divergent" in out[3]:
+        # QUADPACK's ier = 5: its extrapolation may have produced the finite
+        # analytic continuation of a divergent power singularity
+        raise QuadratureError(f"quadrature on [{a}, {b}] looks divergent ({out[3]})",
+                              achieved_error=abserr)
     if not math.isfinite(value):
         raise QuadratureError("integrand produced a non-finite value", achieved_error=abserr)
     if abserr > max(abs_floor * 10.0, 0.05 * abs(value), 1e-13):

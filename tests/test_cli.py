@@ -194,6 +194,23 @@ def test_form_bounds_rejects_inverse_square(tmp_path, capsys):
     assert "form_boundedness" in capsys.readouterr().err
 
 
+def test_form_bounds_green_potential_bump(tmp_path):
+    # C_0 = 1/3 meets the target, so r* = 0 and the curve samples r = 0.25..4
+    cfg = {
+        "command": "form-bounds",
+        "space": {"bundled": "euclidean_m3"},
+        "potential": {"bundled": "bump_r3"},
+        "seed": 0,
+    }
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    klmn = load_report(out)["results"]["klmn"]
+    assert klmn["r"]["value"] == 0.0
+    assert klmn["c1"]["value"] == pytest.approx(1.0 / 3.0, rel=1e-9)
+    rows = (out / "resolvent.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.25, 0.5, 1.0, 2.0, 4.0]
+
+
 # ---------------------------------------------------------------------------
 # option precedence and reference mode
 

@@ -13,14 +13,20 @@ Frozen reference values (all derived independently of the implementation):
   * analytic functional, m = 3 Coulomb at the origin, radius rho: 4 pi rho.
   * analytic functional, m = 2, v = 1, radius 1/2:
       2 pi (ln(2)/8 + 1/16) = 0.9370956042746247.
+  * Green potential of the unit bump (1 - r^2)^2 on R^3 at the origin:
+      C_0 = 2 integral_0^1 w (1 - w^2)^2 dw = 1/3.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import erf
 
+from katoform import kato
 from katoform.errors import DomainError, NotFormBoundedError
 from katoform.geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace, geodesic_point
 from katoform.kato import (analytic_kato_functional, form_bound_constants,
@@ -33,6 +39,7 @@ from katoform.potentials import (bump, constant, coulomb, inverse_power,
 E1 = ModelSpace(EUCLIDEAN, 1)
 E2 = ModelSpace(EUCLIDEAN, 2)
 E3 = ModelSpace(EUCLIDEAN, 3)
+H2 = ModelSpace(HYPERBOLIC, 2)
 H3 = ModelSpace(HYPERBOLIC, 3)
 
 COULOMB = coulomb(E3)
@@ -133,6 +140,17 @@ def test_resolvent_constant_constant_potential():
     assert resolvent_constant(v, 8.0, ORIGIN3) == pytest.approx(0.5, rel=1e-8)
 
 
+def test_resolvent_constant_at_r_zero():
+    # C_0 is the Green potential: finite for the bump, divergent for Coulomb
+    assert resolvent_constant(bump(E3), 0.0, ORIGIN3) == pytest.approx(1.0 / 3.0, rel=1e-9)
+    assert resolvent_constant(COULOMB, 0.0, ORIGIN3) == math.inf
+    with pytest.raises(DomainError):
+        resolvent_constant(COULOMB, -1.0, ORIGIN3)
+    for space in (E1, E2):
+        with pytest.raises(DomainError):
+            resolvent_constant(constant(space, 1.0), 0.0, [space.origin()])
+
+
 def test_eta_rejects_bad_time():
     with pytest.raises(DomainError):
         kato_eta(COULOMB, 0.0, ORIGIN3)
@@ -222,6 +240,13 @@ def test_form_bounds_unattainable():
         form_bound_constants(inverse_square(E3), ORIGIN3, target_c1=0.5)
 
 
+def test_form_bounds_green_potential_meets_target():
+    # C_0 = 1/3 <= 1/2, so no positive r is needed
+    r, c1, c2 = form_bound_constants(bump(E3), ORIGIN3, 0.5)
+    assert r == 0.0 and c2 == 0.0
+    assert c1 == pytest.approx(1.0 / 3.0, rel=1e-9)
+
+
 def test_form_bounds_trivial_potential():
     r, c1, c2 = form_bound_constants(constant(E3, 0.0), ORIGIN3, 0.5)
     assert c1 == 0.0 and c2 == 0.0
@@ -275,3 +300,69 @@ def test_probes_must_cover_singularities():
     # all probes far from the origin leave the Coulomb singularity uncovered
     with pytest.raises(DomainError):
         kato_eta(COULOMB, 0.01, [np.array([3.0, 0.0, 0.0])])
+
+
+# ---------------------------------------------------------------------------
+# the kernel route against the nested time-and-space route
+
+@pytest.mark.parametrize("space", [E3, H3], ids=["R3", "H3"])
+@pytest.mark.parametrize("make", [coulomb, bump, lambda sp: constant(sp, 2.0)],
+                         ids=["coulomb", "bump", "constant"])
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_kernel_route_matches_nested(space, make, b):
+    v = make(space)
+    eta, _ = kato._eta_b(v, b, 0.01)
+    assert eta == pytest.approx(kato._nested_eta_b(v, b, 0.01)[0], rel=1e-7)
+    c_r, _ = kato._resolvent_b(v, b, 2.0)
+    assert c_r == pytest.approx(kato._nested_resolvent_b(v, b, 2.0)[0], rel=1e-7)
+
+
+def test_kernel_route_matches_nested_h2_origin():
+    v = coulomb(H2)
+    eta, _ = kato._eta_b(v, 0.0, 0.01)
+    assert eta == pytest.approx(kato._nested_eta_b(v, 0.0, 0.01)[0], rel=1e-7)
+    c_r, _ = kato._resolvent_b(v, 0.0, 8.0)
+    assert c_r == pytest.approx(kato._nested_resolvent_b(v, 0.0, 8.0)[0], rel=1e-7)
+
+
+def _coulomb_eta_offcentre(t, b):
+    # integral_0^t erf(b / sqrt(2s)) / b ds with s = u^2, which removes the
+    # s^(-1/2) endpoint; erf(x)/x -> 2/sqrt(pi) as x -> 0
+    def integrand(u):
+        if u == 0.0:
+            return 0.0
+        x = b / (math.sqrt(2.0) * u)
+        ratio = erf(x) / x if x > 1e-8 else 2.0 / math.sqrt(math.pi)
+        return 2.0 * u * ratio / (math.sqrt(2.0) * u)
+
+    # the average drops from 2/sqrt(pi) to 0 across u ~ b: split at b 2^k
+    root = math.sqrt(t)
+    cuts = [0.0] + [b * 2.0 ** k for k in range(64) if b * 2.0 ** k < root] + [root]
+    val = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        val += quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return val
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.floats(min_value=1e-4, max_value=1.0),
+       b=st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+def test_coulomb_eta_offcentre_closed_form(t, b):
+    eta, _ = kato._eta_b(COULOMB, b, t)
+    assert eta == pytest.approx(_coulomb_eta_offcentre(t, b), rel=1e-9)
+
+
+# every (space, probe) pair either route serves, except H^2 off the centre,
+# whose nested route takes minutes
+CONSTANT_CASES = [(ModelSpace(EUCLIDEAN, m), b) for m in (1, 2, 3, 4) for b in (0.0, 0.5)] + \
+    [(H3, 0.0), (H3, 0.5), (H2, 0.0)]
+
+
+@pytest.mark.parametrize("space,b", CONSTANT_CASES,
+                         ids=[f"{sp.kind[0]}{sp.dim}-b{b}" for sp, b in CONSTANT_CASES])
+def test_constant_potential_on_every_route(space, b):
+    c = 2.5
+    probe = geodesic_point(space, b)
+    v = constant(space, c)
+    assert kato_eta(v, 0.1, [probe])[0] == pytest.approx(c * 0.1, rel=1e-8)
+    assert resolvent_constant(v, 2.0, [probe]) == pytest.approx(c / 2.0, rel=1e-8)
