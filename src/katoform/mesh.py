@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshError
 
@@ -110,20 +112,12 @@ class BundleMesh:
         N = self.n_vertices
         if N == 1:
             return
-        adj = [[] for _ in range(N)]
-        for a, b in zip(self.edge_u, self.edge_v):
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = np.zeros(N, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        if not seen.all():
+        # CSR rows straight from the edge list (edge u -> v in row u): on small
+        # meshes scipy's COO conversion would cost about as much again
+        order = np.argsort(self.edge_u)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_u, minlength=N))))
+        adj = sp.csr_array((np.ones(self.n_edges), self.edge_v[order], indptr), shape=(N, N))
+        if connected_components(adj, directed=False, return_labels=False) > 1:
             raise MeshError("graph is disconnected")
 
     # -- transport access ---------------------------------------------------
@@ -254,46 +248,30 @@ def grid_mesh_2d(half_width: float, spacing: float, b_field: float = 0.0,
         raise MeshError("grid width must be an integral number of spacings")
     side = K + 1
     xs = -L + a * np.arange(side)
-    pos = np.array([(x, y) for y in xs for x in xs])  # row-major in y
     N = side * side
+    # vertex j * side + i sits at (xs[i], xs[j]): row-major in y
+    gx, gy = np.meshgrid(xs, xs)
+    pos = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    vid = np.arange(N)
+    i, j = vid % side, vid // side
+    dirichlet = dirichlet_boundary & ((i == 0) | (i == K) | (j == 0) | (j == K))
 
-    def vid(i, j):  # i: x index, j: y index
-        return j * side + i
-
-    dirichlet = np.zeros(N, dtype=bool)
-    if dirichlet_boundary:
-        for i in range(side):
-            for j in (0, K):
-                dirichlet[vid(i, j)] = True
-                dirichlet[vid(j, i)] = True
-
-    eu, ev, ew, mats = [], [], [], []
-
-    def add_edge(i0, j0, i1, j1):
-        u, v = vid(i0, j0), vid(i1, j1)
-        p, q = pos[u], pos[v]
-        mid = 0.5 * (p + q)
-        # A . dl along v -> u, so U maps the v-fiber into the u-fiber
-        ax, ay = -0.5 * b_field * mid[1], 0.5 * b_field * mid[0]
-        line = ax * (p[0] - q[0]) + ay * (p[1] - q[1])
-        eu.append(u)
-        ev.append(v)
-        ew.append(1.0)
-        mats.append(np.array([[np.exp(-1j * line)]], dtype=complex))
-
-    for j in range(side):
-        for i in range(side):
-            if i + 1 <= K:
-                add_edge(i, j, i + 1, j)
-            if j + 1 <= K:
-                add_edge(i, j, i, j + 1)
+    # each vertex in turn emits its +x edge, then its +y edge
+    ok = np.stack([i < K, j < K], axis=1)
+    eu = np.broadcast_to(vid[:, None], ok.shape)[ok]
+    ev = np.stack([vid + 1, vid + side], axis=1)[ok]
+    p, q = pos[eu], pos[ev]
+    mid = 0.5 * (p + q)
+    # A . dl along v -> u, so U maps the v-fiber into the u-fiber
+    ax, ay = -0.5 * b_field * mid[:, 1], 0.5 * b_field * mid[:, 0]
+    line = ax * (p[:, 0] - q[:, 0]) + ay * (p[:, 1] - q[:, 1])
 
     return BundleMesh(
         fiber_dim=1,
         mu=np.full(N, a * a),
         dirichlet=dirichlet,
-        edge_u=eu, edge_v=ev, edge_w=ew,
-        transports=np.array(mats),
+        edge_u=eu, edge_v=ev, edge_w=np.ones(eu.size),
+        transports=np.exp(-1j * line)[:, None, None],
         positions=pos,
         name="grid2d",
         metadata={"half_width": L, "spacing": a, "b_field": b_field,
@@ -344,10 +322,8 @@ def gauge_transform(mesh: BundleMesh, gauges) -> BundleMesh:
     n = mesh.fiber_dim
     if gauges.shape != (mesh.n_vertices, n, n):
         raise MeshError("need one gauge unitary per vertex")
-    new_t = np.empty_like(mesh.transports)
-    for e in range(mesh.n_edges):
-        u, v = mesh.edge_u[e], mesh.edge_v[e]
-        new_t[e] = gauges[u] @ mesh.transports[e] @ gauges[v].conj().T
+    new_t = np.einsum("eij,ejk,elk->eil", gauges[mesh.edge_u], mesh.transports,
+                      gauges[mesh.edge_v].conj())
     return BundleMesh(
         fiber_dim=n, mu=mesh.mu.copy(), dirichlet=mesh.dirichlet.copy(),
         edge_u=mesh.edge_u.copy(), edge_v=mesh.edge_v.copy(),

@@ -13,6 +13,15 @@ Quadratic forms are reported against the mu-weighted inner product, which
 is where the kinetic form (1/2) sum_e w ||f_u - U f_v||^2, the potential
 form sum_u mu_u <V_u f_u, f_u>, and the Kato and domination inequalities
 all live.
+
+Every matrix comes from one assembly, ``_assemble``, which broadcasts the
+edge arrays against the fiber indices and lays out the diagonal, transport
+and potential blocks of A as one set of COO triplets.  The section forms
+(``quad_form``, ``kato_inequality_gap``) never build a matrix: each is one
+einsum over the edge transports and a dot with the edge weights, for one
+section (N, n) or a stack (S, N, n).  Spectra are dense up to 1200 degrees
+of freedom and shift-invert Lanczos about a shift below the Gershgorin
+bound beyond that.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .mesh import BundleMesh
 _DENSE_EIG_LIMIT = 1200
 _DENSE_EXPM_LIMIT = 400
 _HERMITIAN_TOL = 1e-10
+_SHIFT_MARGIN = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -43,45 +53,64 @@ def _interior_index(mesh: BundleMesh):
     return idx, slot
 
 
-def _stiffness(mesh: BundleMesh, scalar: bool) -> sp.csr_matrix:
-    """Hermitian PSD matrix K with f^* K f = kinetic form, interior DOFs."""
+def _block_coo(n: int, block_rows, block_cols, blocks):
+    """COO entries of the n x n ``blocks`` placed at the given block positions.
+
+    Degree of freedom i of interior slot s is s * n + i; exact zeros are
+    left out of the sparsity pattern.
+    """
+    fiber = np.arange(n)
+    rows = np.broadcast_to(block_rows[:, None, None] * n + fiber[None, :, None], blocks.shape)
+    cols = np.broadcast_to(block_cols[:, None, None] * n + fiber[None, None, :], blocks.shape)
+    keep = blocks != 0.0
+    return rows[keep], cols[keep], blocks[keep]
+
+
+def _assemble(mesh: BundleMesh, scalar: bool = False, V=None):
+    """Hermitian A = M^{-1/2} K M^{-1/2} (+ V blocks) and sqrt(mu) per DOF.
+
+    K is the stiffness matrix of the kinetic form on interior DOFs: each
+    edge adds w/2 to the diagonal blocks of its interior endpoints and, when
+    both are interior, -w/2 U and -w/2 U^H off the diagonal.  All blocks are
+    laid out in one broadcast pass over the edge arrays; the potential
+    blocks V_u (already in the symmetrized picture, since the potential
+    form carries the weight mu) join the same COO triplets.
+    """
     n = 1 if scalar else mesh.fiber_dim
     idx, slot = _interior_index(mesh)
     dim = idx.size * n
-    rows, cols, vals = [], [], []
-
-    def add_block(su, sv, mat):
-        base_u, base_v = su * n, sv * n
-        for i in range(n):
-            for j in range(n):
-                z = mat[i, j]
-                if z != 0.0:
-                    rows.append(base_u + i)
-                    cols.append(base_v + j)
-                    vals.append(z)
-
-    eye = np.eye(n, dtype=complex)
-    for e in range(mesh.n_edges):
-        u, v = int(mesh.edge_u[e]), int(mesh.edge_v[e])
-        half_w = 0.5 * float(mesh.edge_w[e])
-        su, sv = slot[u], slot[v]
-        U = eye if scalar else mesh.transports[e]
-        if su >= 0:
-            add_block(su, su, half_w * eye)
-        if sv >= 0:
-            add_block(sv, sv, half_w * eye)
-        if su >= 0 and sv >= 0:
-            add_block(su, sv, -half_w * U)
-            add_block(sv, su, -half_w * U.conj().T)
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    K.sum_duplicates()
-    return K
+    half_w = 0.5 * mesh.edge_w
+    degree = (np.bincount(mesh.edge_u, half_w, mesh.n_vertices)
+              + np.bincount(mesh.edge_v, half_w, mesh.n_vertices))
+    su, sv = slot[mesh.edge_u], slot[mesh.edge_v]
+    inner = (su >= 0) & (sv >= 0)
+    U = np.ones((mesh.n_edges, 1, 1), dtype=complex) if scalar else mesh.transports
+    off = -half_w[inner, None, None] * U[inner]
+    root = np.repeat(np.sqrt(mesh.mu[idx]), n)
+    diag = np.arange(dim)
+    parts = [(diag, diag, np.repeat(degree[idx], n).astype(complex)),
+             _block_coo(n, su[inner], sv[inner], off),
+             _block_coo(n, sv[inner], su[inner], off.conj().transpose(0, 2, 1))]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    vals = vals / root[rows] / root[cols]
+    if V is not None:
+        if scalar:
+            raise MeshError("potentials attach to the bundle picture")
+        slots = np.arange(idx.size)
+        pr, pc, pv = _block_coo(n, slots, slots, _as_matrix_field(mesh, V)[idx])
+        rows, cols, vals = (np.concatenate(x) for x in ((rows, pr), (cols, pc), (vals, pv)))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+    A.sum_duplicates()
+    return A, root
 
 
-def _mu_dofs(mesh: BundleMesh, scalar: bool) -> np.ndarray:
-    n = 1 if scalar else mesh.fiber_dim
-    idx, _ = _interior_index(mesh)
-    return np.repeat(mesh.mu[idx], n)
+def _laplacian(mesh: BundleMesh, scalar: bool, symmetrized: bool) -> sp.csr_matrix:
+    A, root = _assemble(mesh, scalar=scalar)
+    if not symmetrized:
+        # the generator L = M^{-1} K = M^{-1/2} A M^{1/2}, entry by entry
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        A.data *= root[A.indices] / root[rows]
+    return A
 
 
 def bochner_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_matrix:
@@ -91,22 +120,12 @@ def bochner_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_mat
     ``symmetrized=True`` the unitarily equivalent Hermitian form
     M^{-1/2} K M^{-1/2} is returned instead.  Spectra agree.
     """
-    K = _stiffness(mesh, scalar=False)
-    mu = _mu_dofs(mesh, scalar=False)
-    if symmetrized:
-        root = 1.0 / np.sqrt(mu)
-        return sp.csr_matrix(sp.diags(root) @ K @ sp.diags(root))
-    return sp.csr_matrix(sp.diags(1.0 / mu) @ K)
+    return _laplacian(mesh, scalar=False, symmetrized=symmetrized)
 
 
 def scalar_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_matrix:
     """Same operator with the fibers and transports forgotten (functions)."""
-    K = _stiffness(mesh, scalar=True)
-    mu = _mu_dofs(mesh, scalar=True)
-    if symmetrized:
-        root = 1.0 / np.sqrt(mu)
-        return sp.csr_matrix(sp.diags(root) @ K @ sp.diags(root))
-    return sp.csr_matrix(sp.diags(1.0 / mu) @ K)
+    return _laplacian(mesh, scalar=True, symmetrized=symmetrized)
 
 
 def diagonal_potential(mesh: BundleMesh, values) -> np.ndarray:
@@ -132,13 +151,6 @@ def _as_matrix_field(mesh: BundleMesh, V) -> np.ndarray:
     if herm_defect > _HERMITIAN_TOL:
         raise MeshError(f"potential field is not Hermitian (defect {herm_defect:.2e})")
     return V
-
-
-def _potential_blockdiag(mesh: BundleMesh, V) -> sp.csr_matrix:
-    V = _as_matrix_field(mesh, V)
-    idx, _ = _interior_index(mesh)
-    blocks = [V[i] for i in idx]
-    return sp.csr_matrix(sp.block_diag(blocks, format="csr", dtype=complex))
 
 
 def _restrict(mesh: BundleMesh, f, scalar: bool = False) -> np.ndarray:
@@ -167,12 +179,29 @@ def _unstack(mesh: BundleMesh, vec, scalar: bool = False) -> np.ndarray:
 
 @dataclass
 class FormValue:
-    kinetic: float
-    potential: float
+    kinetic: float | np.ndarray      # arrays of length S for a section stack
+    potential: float | np.ndarray
 
     @property
     def total(self) -> float:
         return self.kinetic + self.potential
+
+
+def _sections(mesh: BundleMesh, f) -> np.ndarray:
+    """Validated (S, N, n) copy of one section or a stack, zero on Dirichlet."""
+    N, n = mesh.n_vertices, mesh.fiber_dim
+    f = np.asarray(f, dtype=complex)
+    if f.shape == (N,) and n == 1:
+        f = f[:, None]
+    if f.ndim not in (2, 3) or f.shape[-2:] != (N, n):
+        raise MeshError(f"section must have shape ({N}, {n}) or (S, {N}, {n})")
+    return np.where(mesh.dirichlet[:, None], 0.0, f.reshape(-1, N, n))
+
+
+def _edge_energies(mesh: BundleMesh, f: np.ndarray) -> np.ndarray:
+    """(S, E) squared norms ||f_u - U_e f_v||^2 of a section stack."""
+    diff = f[:, mesh.edge_u] - np.einsum("eij,sej->sei", mesh.transports, f[:, mesh.edge_v])
+    return np.sum(diff.real ** 2 + diff.imag ** 2, axis=2)
 
 
 def quad_form(mesh: BundleMesh, f, V=None) -> FormValue:
@@ -180,28 +209,21 @@ def quad_form(mesh: BundleMesh, f, V=None) -> FormValue:
 
     kinetic = (1/2) sum_e w_e ||f_u - U_e f_v||^2,
     potential = sum_u mu_u <V_u f_u, f_u>.
+
+    ``f`` is one (N, n) section, or an (S, N, n) stack for which both
+    fields come back as length-S arrays.
     """
-    n = mesh.fiber_dim
-    f = np.asarray(f, dtype=complex)
-    if f.shape == (mesh.n_vertices,) and n == 1:
-        f = f[:, None]
-    if f.shape != (mesh.n_vertices, n):
-        raise MeshError(f"section must have shape ({mesh.n_vertices}, {n})")
-    f = f.copy()
-    f[mesh.dirichlet] = 0.0
-    kinetic = 0.0
-    for e in range(mesh.n_edges):
-        u, v = mesh.edge_u[e], mesh.edge_v[e]
-        diff = f[u] - mesh.transports[e] @ f[v]
-        kinetic += 0.5 * mesh.edge_w[e] * float(np.real(np.vdot(diff, diff)))
-    potential = 0.0
+    g = _sections(mesh, f)
+    kinetic = 0.5 * (_edge_energies(mesh, g) @ mesh.edge_w)
+    potential = np.zeros(g.shape[0])
     if V is not None:
-        V = _as_matrix_field(mesh, V)
-        for u in range(mesh.n_vertices):
-            if mesh.dirichlet[u]:
-                continue
-            potential += mesh.mu[u] * float(np.real(np.vdot(f[u], V[u] @ f[u])))
-    return FormValue(kinetic=kinetic, potential=potential)
+        idx = np.flatnonzero(mesh.interior)
+        V = _as_matrix_field(mesh, V)[idx]
+        gi = g[:, idx]
+        potential = np.einsum("sui,uij,suj->su", gi.conj(), V, gi).real @ mesh.mu[idx]
+    if np.ndim(f) == 3:
+        return FormValue(kinetic=kinetic, potential=potential)
+    return FormValue(kinetic=float(kinetic[0]), potential=float(potential[0]))
 
 
 def fiber_split(V) -> tuple[np.ndarray, np.ndarray]:
@@ -222,29 +244,18 @@ def fiber_split(V) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def kato_inequality_gap(mesh: BundleMesh, f) -> float:
+def kato_inequality_gap(mesh: BundleMesh, f) -> float | np.ndarray:
     """Kinetic energy of the section minus that of its pointwise norm.
 
     The discrete Kato inequality says this is nonnegative: taking |f|
     vertexwise can only lower the energy, by the reverse triangle
-    inequality on every edge.
+    inequality on every edge.  A stack (S, N, n) gives one gap per section.
     """
-    n = mesh.fiber_dim
-    f = np.asarray(f, dtype=complex)
-    if f.shape == (mesh.n_vertices,) and n == 1:
-        f = f[:, None]
-    if f.shape != (mesh.n_vertices, n):
-        raise MeshError(f"section must have shape ({mesh.n_vertices}, {n})")
-    f = f.copy()
-    f[mesh.dirichlet] = 0.0
-    norms = np.linalg.norm(f, axis=1)
-    bundle = quad_form(mesh, f).kinetic
-    scalar = 0.0
-    for e in range(mesh.n_edges):
-        u, v = mesh.edge_u[e], mesh.edge_v[e]
-        d = norms[u] - norms[v]
-        scalar += 0.5 * mesh.edge_w[e] * d * d
-    return bundle - scalar
+    g = _sections(mesh, f)
+    norms = np.linalg.norm(g, axis=2)
+    d = norms[:, mesh.edge_u] - norms[:, mesh.edge_v]
+    gap = 0.5 * ((_edge_energies(mesh, g) - d * d) @ mesh.edge_w)
+    return gap if np.ndim(f) == 3 else float(gap[0])
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +281,9 @@ def semigroup_evolve(mesh: BundleMesh, f, t: float, V=None,
     """
     if t < 0:
         raise MeshError("time must be nonnegative")
-    K = _stiffness(mesh, scalar=scalar)
-    mu = _mu_dofs(mesh, scalar=scalar)
-    root = np.sqrt(mu)
-    A = sp.diags(1.0 / root) @ K @ sp.diags(1.0 / root)
-    if V is not None:
-        if scalar:
-            raise MeshError("potentials attach to the bundle picture")
-        A = A + _potential_blockdiag(mesh, V)
+    A, root = _assemble(mesh, scalar=scalar, V=V)
     g = _restrict(mesh, f, scalar=scalar) * root
-    out = _semigroup_apply(sp.csr_matrix(A), t, g) / root
+    out = _semigroup_apply(A, t, g) / root
     return _unstack(mesh, out, scalar=scalar)
 
 
@@ -291,12 +295,7 @@ def semigroup_domination_gap(mesh: BundleMesh, f, t: float) -> float:
     """
     evolved = semigroup_evolve(mesh, f, t)
     norms_after = np.linalg.norm(evolved, axis=1)
-    f = np.asarray(f, dtype=complex)
-    if f.shape == (mesh.n_vertices,) and mesh.fiber_dim == 1:
-        f = f[:, None]
-    f = f.copy()
-    f[mesh.dirichlet] = 0.0
-    start_norms = np.linalg.norm(f, axis=1)
+    start_norms = np.linalg.norm(_sections(mesh, f)[0], axis=1)
     scalar_after = semigroup_evolve(mesh, start_norms, t, scalar=True).real[:, 0]
     interior = mesh.interior
     return float(np.min(scalar_after[interior] - norms_after[interior]))
@@ -316,26 +315,21 @@ class SpectrumResult:
         return float(self.eigenvalues[0])
 
 
-def _hamiltonian(mesh: BundleMesh, V=None) -> sp.csr_matrix:
-    K = _stiffness(mesh, scalar=False)
-    mu = _mu_dofs(mesh, scalar=False)
-    root = 1.0 / np.sqrt(mu)
-    A = sp.diags(root) @ K @ sp.diags(root)
-    if V is not None:
-        A = A + _potential_blockdiag(mesh, V)
-    return sp.csr_matrix(A)
-
-
 def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> SpectrumResult:
     """Eigenvalues of H(V) = H(0) + V (ascending), with solver residuals.
 
-    Dense Hermitian solve up to 1200 degrees of freedom, Lanczos for the
-    k lowest beyond that.  Residuals are ||H x - lambda x||_2 for the
-    returned pairs; a residual above 1e-8 * scale raises ConvergenceError.
+    Dense Hermitian solve up to 1200 degrees of freedom.  Beyond that, with
+    k given, shift-invert Lanczos finds the k lowest: the shift sits below
+    the Gershgorin lower bound of A by 1e-4 * scale, so A - sigma I is
+    positive definite and its sparse LU exists even when A has a kernel or
+    V is negative, and the k eigenvalues nearest the shift are the k
+    lowest.  Residuals are ||H x - lambda x||_2 for the returned pairs; a
+    residual above 1e-8 * scale raises ConvergenceError.
     """
-    A = _hamiltonian(mesh, V)
+    A, _ = _assemble(mesh, V=V)
     dim = A.shape[0]
-    scale = max(1.0, float(abs(A).max()))
+    absA = abs(A)
+    scale = max(1.0, float(absA.max()))
     if k is None or dim <= _DENSE_EIG_LIMIT or k >= dim - 1:
         dense = A.toarray()
         lam, Q = np.linalg.eigh(dense)
@@ -344,14 +338,18 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
         res = np.linalg.norm(dense @ Q - Q * lam[None, :], axis=0)
         method = "dense"
     else:
+        diag = A.diagonal().real
+        radius = np.asarray(absA.sum(axis=1)).ravel() - np.abs(diag)
+        sigma = float(np.min(diag - radius)) - _SHIFT_MARGIN * scale
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
-            lam, Q = spla.eigsh(A, k=k, which="SA", v0=v0, maxiter=max(2000, 40 * dim))
+            lam, Q = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+                                maxiter=max(2000, 40 * dim))
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError("Lanczos did not converge",
                                    residual=math.inf) from exc
-        order = np.argsort(lam)
-        lam, Q = lam[order], Q[:, order]
+        order = np.argsort(lam.real)
+        lam, Q = lam.real[order], Q[:, order]
         res = np.linalg.norm(A @ Q - Q * lam[None, :], axis=0)
         method = "lanczos"
     worst = float(res.max()) if res.size else 0.0
@@ -373,8 +371,12 @@ def klmn_optimal_c1(mesh: BundleMesh, V2, c2: float) -> float:
     lam_min_field = np.linalg.eigvalsh(V2).min() if V2.size else 0.0
     if lam_min_field < -1e-10:
         raise MeshError("V2 must be positive semidefinite")
-    A = _hamiltonian(mesh, None).toarray()
-    B = (_potential_blockdiag(mesh, V2) - c2 * sp.identity(A.shape[0])).toarray()
+    A = _assemble(mesh)[0].toarray()
+    slots = np.arange(np.count_nonzero(mesh.interior))
+    rows, cols, vals = _block_coo(mesh.fiber_dim, slots, slots, V2[mesh.interior])
+    B = np.zeros_like(A)
+    B[rows, cols] = vals
+    B -= c2 * np.eye(A.shape[0])
     lam, Q = np.linalg.eigh(A)
     lam_max = float(lam[-1]) if lam.size else 0.0
     cut = max(1e-12 * max(lam_max, 1.0), 1e-14)
@@ -437,9 +439,7 @@ def form_limit_check(mesh: BundleMesh, f, t_grid, V=None,
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0 or t_grid[0] <= 0:
         raise MeshError("t_grid must be positive")
-    A = _hamiltonian(mesh, V)
-    mu = _mu_dofs(mesh, scalar=False)
-    root = np.sqrt(mu)
+    A, root = _assemble(mesh, V=V)
     g = _restrict(mesh, f) * root
     q_exact = float(np.real(np.vdot(g, A @ g)))
     quotients = np.empty_like(t_grid)

@@ -67,6 +67,49 @@ def test_grid_zero_field_trivial_transport():
     assert np.allclose(mesh.transports, np.eye(1), atol=1e-15)
 
 
+def loop_grid(L, a, b_field, dirichlet_boundary):
+    """The square grid vertex by vertex and edge by edge, as first written."""
+    K = int(round(2.0 * L / a))
+    side = K + 1
+    xs = -L + a * np.arange(side)
+    pos = np.array([(x, y) for y in xs for x in xs])
+    dirichlet = np.zeros(side * side, dtype=bool)
+    if dirichlet_boundary:
+        for i in range(side):
+            for j in (0, K):
+                dirichlet[j * side + i] = True
+                dirichlet[i * side + j] = True
+    eu, ev, mats = [], [], []
+    for j in range(side):
+        for i in range(side):
+            for i1, j1 in ((i + 1, j), (i, j + 1)):
+                if i1 > K or j1 > K:
+                    continue
+                u, v = j * side + i, j1 * side + i1
+                p, q = pos[u], pos[v]
+                mid = 0.5 * (p + q)
+                ax, ay = -0.5 * b_field * mid[1], 0.5 * b_field * mid[0]
+                line = ax * (p[0] - q[0]) + ay * (p[1] - q[1])
+                eu.append(u)
+                ev.append(v)
+                mats.append(np.array([[np.exp(-1j * line)]], dtype=complex))
+    return pos, dirichlet, np.array(eu), np.array(ev), np.array(mats)
+
+
+@pytest.mark.parametrize("L, a, b_field, dirichlet_boundary",
+                         [(1.0, 0.25, 1.3, True), (2.4, 0.1, 1.0, True),
+                          (1.5, 0.5, -0.7, False), (0.5, 0.5, 0.0, True)])
+def test_grid_mesh_matches_loop_construction(L, a, b_field, dirichlet_boundary):
+    mesh = grid_mesh_2d(L, a, b_field=b_field, dirichlet_boundary=dirichlet_boundary)
+    pos, dirichlet, eu, ev, mats = loop_grid(L, a, b_field, dirichlet_boundary)
+    assert np.array_equal(mesh.positions, pos)
+    assert np.array_equal(mesh.dirichlet, dirichlet)
+    assert np.array_equal(mesh.edge_u, eu) and np.array_equal(mesh.edge_v, ev)
+    assert np.array_equal(mesh.edge_w, np.ones(len(eu)))
+    # bit for bit, signed zeros included
+    assert mesh.transports.tobytes() == mats.tobytes()
+
+
 def test_random_bundle_mesh_properties():
     mesh = random_bundle_mesh(15, fiber_dim=2, seed=3, dirichlet_count=2)
     assert mesh.n_vertices == 15
@@ -176,6 +219,17 @@ def test_gauge_transform_preserves_kinetic_form():
     a = quad_form(mesh, f)
     b = quad_form(gauged, gf)
     assert a.kinetic == pytest.approx(b.kinetic, rel=1e-12)
+
+
+def test_gauge_transform_matches_edge_loop():
+    mesh = random_bundle_mesh(12, fiber_dim=3, seed=21, dirichlet_count=1)
+    rng = np.random.default_rng(9)
+    gauges = np.array([haar_unitary(3, rng) for _ in range(12)])
+    got = gauge_transform(mesh, gauges).transports
+    for e in range(mesh.n_edges):
+        u, v = mesh.edge_u[e], mesh.edge_v[e]
+        want = gauges[u] @ mesh.transports[e] @ gauges[v].conj().T
+        assert np.allclose(got[e], want, rtol=0.0, atol=1e-15)
 
 
 def test_gauge_transform_changes_nothing_observable():

@@ -1,0 +1,111 @@
+"""Hypothesis properties of the bundle operators on random meshes.
+
+The per-edge loops below evaluate the kinetic form and the Kato gap one
+edge at a time, the way they were first written; they are the oracle for
+the edge-array passes in ``katoform.operators``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from katoform.mesh import gauge_transform, haar_unitary, random_bundle_mesh
+from katoform.operators import (_assemble, _restrict, form_sum_spectrum,
+                                kato_inequality_gap, quad_form,
+                                semigroup_domination_gap)
+
+STACK = 3
+
+
+def loop_kinetic(mesh, f):
+    f = np.where(mesh.dirichlet[:, None], 0.0, f)
+    total = 0.0
+    for e in range(mesh.n_edges):
+        u, v = mesh.edge_u[e], mesh.edge_v[e]
+        diff = f[u] - mesh.transports[e] @ f[v]
+        total += 0.5 * mesh.edge_w[e] * float(np.real(np.vdot(diff, diff)))
+    return total
+
+
+def loop_kato_gap(mesh, f):
+    f = np.where(mesh.dirichlet[:, None], 0.0, f)
+    norms = np.linalg.norm(f, axis=1)
+    scalar = 0.0
+    for e in range(mesh.n_edges):
+        d = norms[mesh.edge_u[e]] - norms[mesh.edge_v[e]]
+        scalar += 0.5 * mesh.edge_w[e] * d * d
+    return loop_kinetic(mesh, f) - scalar
+
+
+@st.composite
+def meshes(draw):
+    """(mesh, rng): 2-30 vertices, fibre 1-3, 0-2 Dirichlet vertices."""
+    n_vertices = draw(st.integers(2, 30))
+    mesh = random_bundle_mesh(n_vertices, fiber_dim=draw(st.integers(1, 3)),
+                              seed=draw(st.integers(0, 2 ** 31 - 1)),
+                              dirichlet_count=min(draw(st.integers(0, 2)), n_vertices - 1))
+    return mesh, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def sections(mesh, rng, count=STACK):
+    shape = (count, mesh.n_vertices, mesh.fiber_dim)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@given(meshes())
+def test_kinetic_form_matches_assembly_and_loop(case):
+    mesh, rng = case
+    A, root = _assemble(mesh)
+    for f in sections(mesh, rng):
+        kinetic = quad_form(mesh, f).kinetic
+        g = _restrict(mesh, f) * root
+        assert kinetic == pytest.approx(float(np.real(np.vdot(g, A @ g))), rel=1e-12)
+        assert kinetic == pytest.approx(loop_kinetic(mesh, f), rel=1e-12)
+
+
+@given(meshes())
+def test_kato_gap_nonnegative_and_matches_loop(case):
+    mesh, rng = case
+    for f in sections(mesh, rng):
+        scale = max(1.0, loop_kinetic(mesh, f))
+        gap = kato_inequality_gap(mesh, f)
+        assert gap >= -1e-12 * scale
+        assert abs(gap - loop_kato_gap(mesh, f)) <= 1e-12 * scale
+
+
+@settings(max_examples=50)
+@given(meshes())
+def test_kinetic_form_and_spectrum_gauge_invariant(case):
+    mesh, rng = case
+    gauges = np.array([haar_unitary(mesh.fiber_dim, rng) for _ in range(mesh.n_vertices)])
+    moved = gauge_transform(mesh, gauges)
+    f = sections(mesh, rng, 1)[0]
+    assert quad_form(moved, np.einsum("uij,uj->ui", gauges, f)).kinetic == pytest.approx(
+        quad_form(mesh, f).kinetic, rel=1e-12)
+    a = form_sum_spectrum(mesh).eigenvalues
+    b = form_sum_spectrum(moved).eigenvalues
+    assert np.allclose(a, b, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(a).max())))
+
+
+@settings(max_examples=50)
+@given(meshes(), st.sampled_from([0.1, 1.0, 10.0]))
+def test_semigroup_domination(case, t):
+    mesh, rng = case
+    assert semigroup_domination_gap(mesh, sections(mesh, rng, 1)[0], t) >= -1e-10
+
+
+@given(meshes())
+def test_stacked_call_equals_single_calls(case):
+    mesh, rng = case
+    fs = sections(mesh, rng)
+    V = rng.standard_normal(mesh.n_vertices)
+    stacked = quad_form(mesh, fs, V=V)
+    singles = [quad_form(mesh, f, V=V) for f in fs]
+    gaps = kato_inequality_gap(mesh, fs)
+    assert stacked.kinetic.shape == stacked.potential.shape == gaps.shape == (STACK,)
+    np.testing.assert_allclose(stacked.kinetic, [s.kinetic for s in singles], rtol=1e-14)
+    np.testing.assert_allclose(stacked.potential, [s.potential for s in singles],
+                               rtol=1e-14, atol=1e-14 * np.abs(V).max())
+    np.testing.assert_allclose(gaps, [kato_inequality_gap(mesh, f) for f in fs],
+                               rtol=0.0, atol=1e-14 * float(stacked.kinetic.max()))

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg as sla
 
 from katoform.errors import KernelHandlingError, MeshError
-from katoform.mesh import (BundleMesh, cycle_mesh, gauge_transform,
+from katoform.mesh import (BundleMesh, cycle_mesh, gauge_transform, grid_mesh_2d,
                            haar_unitary, interval_mesh, random_bundle_mesh)
 from katoform.operators import (bochner_laplacian, fiber_split,
                                 form_limit_check, form_sum_spectrum,
@@ -99,6 +99,29 @@ def test_sparse_path_matches_dense():
     dense = form_sum_spectrum(mesh)
     part = form_sum_spectrum(mesh, k=5)
     assert np.allclose(part.eigenvalues, dense.eigenvalues[:5], atol=1e-9)
+
+
+def test_lanczos_route_matches_dense_with_negative_potential():
+    # 37 x 37 Peierls grid: 35^2 = 1225 interior DOF, above the dense cutoff
+    mesh = grid_mesh_2d(1.8, 0.1, b_field=1.0)
+    V = -20.0 * np.exp(-np.sum(mesh.positions ** 2, axis=1))
+    part = form_sum_spectrum(mesh, V=V, k=6)
+    dense = form_sum_spectrum(mesh, V=V)
+    assert part.method == "lanczos" and dense.method == "dense"
+    assert part.lowest < 0.0
+    assert np.allclose(part.eigenvalues, dense.eigenvalues[:6], rtol=0.0, atol=1e-9)
+
+
+def test_lanczos_route_with_singular_operator():
+    # no Dirichlet vertices and no field: the constants span the kernel of
+    # A, and the shift below the Gershgorin bound keeps A - sigma I definite
+    mesh = grid_mesh_2d(1.7, 0.1, dirichlet_boundary=False)
+    assert mesh.n_vertices == 1225
+    part = form_sum_spectrum(mesh, k=5)
+    dense = form_sum_spectrum(mesh)
+    assert part.method == "lanczos"
+    assert abs(part.lowest) < 1e-9
+    assert np.allclose(part.eigenvalues, dense.eigenvalues[:5], rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
