@@ -11,15 +11,31 @@ the exponential map, an O(h) weak approximation.  Killing regions (a
 geodesic ball, or a Euclidean half-space) stop a path at the first step
 that lands outside; the exit step is recorded as the lifetime.
 
-Streams are counter-based (Philox) keyed by (seed, worker index), so a
-given configuration always reproduces the same numbers, and splitting the
-path budget across workers changes the stream assignment but never
-introduces order dependence; worker count 1 is the reference layout.
+Streams are counter-based (Philox) keyed by (seed, worker index).  Worker
+w draws a contiguous block of the path indices, worker 0's first; this is
+the reference layout.  Each batch carries the index of its first path
+there (``PathBatch.first``), the estimators write per-path values into
+those slots and reduce the whole array in index order, so the numbers
+depend only on the configuration, that is on (seed, workers), never on
+thread timing.
+
+With two or more workers the streams run in parallel on
+min(workers, usable CPUs) producer threads: Philox draws and the large
+ufuncs release the interpreter lock.  Producers only draw, integrate the
+increments and run the killing scan; potentials and user callbacks run on
+the caller's thread.  sample_paths hands out batches round-robin across
+the workers.  A batch holds about 2**17 path nodes (at most 1024 paths),
+so its arrays stay near cache size; draws are path-major within a stream,
+so the batch size never changes the numbers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -28,7 +44,9 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace
 
-_BATCH = 1024
+_MAX_BATCH = 1024
+_NODE_BUDGET = 2 ** 17
+_QUEUE_DEPTH = 2
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +223,16 @@ class PathBatch:
     positions has shape (B, S+1, ambient); alive[b, k] says the path was
     still inside the region at step k (alive[:, 0] is True by config
     validation).  exit_step[b] is the first dead index, or S+1 if the path
-    survived the whole horizon.
+    survived the whole horizon.  first is the index of the batch's first
+    path in the reference layout, so the batch holds paths
+    [first, first + B) of the configuration's n_paths.
     """
 
     times: np.ndarray
     positions: np.ndarray
     alive: np.ndarray
     exit_step: np.ndarray
+    first: int
 
 
 def _worker_counts(n_paths: int, workers: int) -> list[int]:
@@ -222,6 +243,18 @@ def _worker_counts(n_paths: int, workers: int) -> list[int]:
 def _worker_rng(seed: int, worker: int) -> np.random.Generator:
     key = np.array([seed % (2 ** 64), worker], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _batch_size(n_steps: int) -> int:
+    """Paths per batch: about _NODE_BUDGET path nodes, at most _MAX_BATCH paths."""
+    return min(_MAX_BATCH, max(1, _NODE_BUDGET // (n_steps + 1)))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _hyperbolic_step(points: np.ndarray, incr: np.ndarray) -> np.ndarray:
@@ -247,48 +280,121 @@ def _hyperbolic_step(points: np.ndarray, incr: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
-    """Stream batches of Brownian paths for the given configuration.
+def _killing_scan(domain: KillingRegion | None, space: ModelSpace,
+                  positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alive and exit_step of a (B, S+1, ambient) block of paths."""
+    B, nodes = positions.shape[:2]
+    if domain is None:
+        return np.ones((B, nodes), dtype=bool), np.full(B, nodes, dtype=int)
+    inside = domain.inside(space, positions.reshape(-1, positions.shape[-1]))
+    inside = inside.reshape(B, nodes)
+    # the start is inside (PathConfig checks it); the scan starts at step 1
+    inside[:, 0] = True
+    alive = np.logical_and.accumulate(inside, axis=1)
+    exit_step = np.where(alive[:, -1], nodes, np.argmin(alive, axis=1))
+    return alive, exit_step
 
-    Batches arrive in a fixed order (workers outside, fixed-size blocks
-    inside), so any order-respecting reduction is reproducible.
+
+def _worker_batches(config: PathConfig, worker: int, count: int,
+                    first: int) -> Iterator[PathBatch]:
+    """The batches of one worker's stream: paths [first, first + count).
+
+    Draws are path-major, so the batch size never changes the numbers.
+    Only draws, array arithmetic and the killing scan run here, never a
+    potential or a user callback: this runs on a producer thread.
     """
     space = config.space
-    m = space.dim
     S = config.n_steps
     h = config.step
     sqrt_h = math.sqrt(h)
     start = np.asarray(config.start, dtype=float)
     times = h * np.arange(S + 1)
-    for worker, count in enumerate(_worker_counts(config.n_paths, config.workers)):
-        if count == 0:
-            continue
-        rng = _worker_rng(config.seed, worker)
-        done = 0
-        while done < count:
-            B = min(_BATCH, count - done)
-            done += B
-            pos = np.empty((B, S + 1, start.size))
-            pos[:, 0] = start
-            increments = rng.standard_normal((B, S, m)) * sqrt_h
-            if space.kind == EUCLIDEAN:
-                np.cumsum(increments, axis=1, out=increments)
-                pos[:, 1:] = start[None, None, :] + increments
-            else:
-                cur = np.broadcast_to(start, (B, start.size)).copy()
-                for k in range(S):
-                    cur = _hyperbolic_step(cur, increments[:, k])
-                    pos[:, k + 1] = cur
-            alive = np.ones((B, S + 1), dtype=bool)
-            exit_step = np.full(B, S + 1, dtype=int)
-            if config.domain is not None:
-                for k in range(1, S + 1):
-                    inside = config.domain.inside(space, pos[:, k])
-                    dead_now = alive[:, k - 1] & ~inside
-                    exit_step[dead_now] = k
-                    alive[:, k] = alive[:, k - 1] & inside
-            yield PathBatch(times=times, positions=pos, alive=alive,
-                            exit_step=exit_step)
+    size = _batch_size(S)
+    rng = _worker_rng(config.seed, worker)
+    for lo in range(0, count, size):
+        B = min(size, count - lo)
+        pos = np.empty((B, S + 1, start.size))
+        pos[:, 0] = start
+        increments = rng.standard_normal((B, S, space.dim))
+        increments *= sqrt_h
+        if space.kind == EUCLIDEAN:
+            np.cumsum(increments, axis=1, out=pos[:, 1:])
+            if np.any(start):
+                pos[:, 1:] += start
+        else:
+            cur = np.broadcast_to(start, (B, start.size)).copy()
+            for k in range(S):
+                cur = _hyperbolic_step(cur, increments[:, k])
+                pos[:, k + 1] = cur
+        alive, exit_step = _killing_scan(config.domain, space, pos)
+        yield PathBatch(times=times, positions=pos, alive=alive,
+                        exit_step=exit_step, first=first + lo)
+
+
+def _put(q: queue.Queue, item, stop: threading.Event) -> bool:
+    """Put item on q, giving up (False) once stop is set."""
+    while not stop.is_set():
+        try:
+            q.put(item, timeout=0.05)
+            return True
+        except queue.Full:
+            pass
+    return False
+
+
+def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
+    """Stream batches of Brownian paths for the given configuration.
+
+    Worker w's Philox stream covers a contiguous block of the reference
+    layout, and each batch's ``first`` says where it sits there.  Batches
+    arrive round-robin across the workers (batch 0 of every worker, then
+    batch 1, ...), an order fixed by the configuration alone.  With two or
+    more workers and CPUs the streams run on min(workers, usable CPUs)
+    producer threads, each feeding the caller through a queue of depth
+    _QUEUE_DEPTH; otherwise the same streams run inline.  Closing the
+    generator, or an exception in the caller's loop, stops and joins
+    every producer; a producer's exception is raised here.
+    """
+    counts = _worker_counts(config.n_paths, config.workers)
+    firsts = np.cumsum([0] + counts[:-1]).tolist()
+    size = _batch_size(config.n_steps)
+    workers = [w for w, count in enumerate(counts) if count]
+    streams = {w: _worker_batches(config, w, counts[w], firsts[w]) for w in workers}
+    order = [w for r in range(-(-max(counts) // size))
+             for w in workers if r * size < counts[w]]
+    n_threads = min(len(workers), _usable_cpus())
+    if n_threads <= 1:
+        for w in order:
+            yield next(streams[w])
+        return
+
+    owner = {w: i % n_threads for i, w in enumerate(workers)}
+    queues = [queue.Queue(maxsize=_QUEUE_DEPTH) for _ in range(n_threads)]
+    stop = threading.Event()
+
+    def produce(t: int) -> None:
+        try:
+            for w in order:
+                if owner[w] == t and not _put(queues[t], next(streams[w]), stop):
+                    return
+        except BaseException as exc:  # re-raised on the caller's thread
+            _put(queues[t], exc, stop)
+
+    threads = [threading.Thread(target=produce, args=(t,), daemon=True,
+                                name=f"katoform-paths-{t}")
+               for t in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    try:
+        for w in order:
+            item = queues[owner[w]].get()
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +419,12 @@ def _finish(values: np.ndarray, config: PathConfig, n_effective: int,
 
 def _radial_distances(space: ModelSpace, flat_pos: np.ndarray) -> np.ndarray:
     if space.kind == EUCLIDEAN:
-        return np.linalg.norm(flat_pos, axis=-1)
-    return np.arccosh(np.maximum(flat_pos[..., 0], 1.0))
+        # sqrt(x0*x0 + x1*x1 + ...), summed in np.linalg.norm's order
+        r = flat_pos[:, 0] * flat_pos[:, 0]
+        for i in range(1, flat_pos.shape[1]):
+            r += flat_pos[:, i] * flat_pos[:, i]
+        return np.sqrt(r, out=r)
+    return np.arccosh(np.maximum(flat_pos[:, 0], 1.0))
 
 
 def mc_kato_integral(v, config: PathConfig) -> Estimate:
@@ -332,35 +442,41 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
     h = config.step
     cap = 1.0 / h
     S = config.n_steps
+    wts = np.ones(S + 1)
+    wts[0] = wts[-1] = 0.5
     all_vals = np.empty(config.n_paths)
     cap_events = 0
     max_seen = 0.0
-    filled = 0
-    for batch in sample_paths(config):
-        B = batch.positions.shape[0]
-        r = _radial_distances(config.space, batch.positions.reshape(-1, batch.positions.shape[-1]))
-        g = np.asarray(v.abs_radial(r), dtype=float).reshape(B, S + 1)
-        bad = ~np.isfinite(g) | (g > cap)
-        start_bad = bad[:, 0]
-        if np.any(start_bad):
-            g[start_bad, 0] = np.minimum(g[start_bad, 1], cap)
-            bad[start_bad, 0] = False
-        cap_events += int(bad.sum())
-        g = np.where(bad, cap, g)
-        max_seen = max(max_seen, float(g.max(initial=0.0)))
-        # trapezoid weights, truncated at the exit step
-        wts = np.ones(S + 1)
-        wts[0] = wts[-1] = 0.5
-        live = np.arange(S + 1)[None, :] < batch.exit_step[:, None]
-        trunc = np.where(live, g, 0.0)
-        # paths killed before the horizon end with a full-weight last node
-        ends = np.minimum(batch.exit_step, S + 1) - 1
-        w_matrix = np.where(live, wts[None, :], 0.0)
-        short = ends < S
-        w_matrix[short, ends[short]] = 0.5
-        vals = h * np.einsum("bk,bk->b", trunc, w_matrix)
-        all_vals[filled:filled + B] = vals
-        filled += B
+    with closing(sample_paths(config)) as batches:
+        for batch in batches:
+            B = batch.positions.shape[0]
+            r = _radial_distances(config.space,
+                                  batch.positions.reshape(-1, batch.positions.shape[-1]))
+            g = np.asarray(v.abs_radial(r), dtype=float).reshape(B, S + 1)
+            bad = ~np.isfinite(g) | (g > cap)
+            start_bad = bad[:, 0]
+            if np.any(start_bad):
+                g[start_bad, 0] = np.minimum(g[start_bad, 1], cap)
+                bad[start_bad, 0] = False
+            n_bad = int(np.count_nonzero(bad))
+            if n_bad:
+                cap_events += n_bad
+                g[bad] = cap
+            if not v.singular_radii:
+                max_seen = max(max_seen, float(g.max(initial=0.0)))
+            if config.domain is None:
+                vals = np.einsum("bk,k->b", g, wts)
+            else:
+                # trapezoid weights, truncated at the exit step
+                live = np.arange(S + 1)[None, :] < batch.exit_step[:, None]
+                trunc = np.where(live, g, 0.0)
+                # paths killed before the horizon end with a full-weight last node
+                ends = np.minimum(batch.exit_step, S + 1) - 1
+                w_matrix = np.where(live, wts[None, :], 0.0)
+                short = ends < S
+                w_matrix[short, ends[short]] = 0.5
+                vals = np.einsum("bk,bk->b", trunc, w_matrix)
+            all_vals[batch.first:batch.first + B] = h * vals
     if v.singular_radii:
         bias = 2.0 * math.sqrt(h)
     else:
@@ -375,17 +491,15 @@ def mc_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
     f receives a (B, ambient) block of endpoints and must return (B,)
     values; killed paths contribute zero.
     """
-    vals = []
+    values = np.zeros(config.n_paths, dtype=complex)
     survivors = 0
-    for batch in sample_paths(config):
-        endpoint = batch.positions[:, -1]
-        alive = batch.alive[:, -1]
-        out = np.zeros(endpoint.shape[0], dtype=complex)
-        if np.any(alive):
-            out[alive] = np.asarray(f(endpoint[alive]))
-        survivors += int(alive.sum())
-        vals.append(out)
-    values = np.concatenate(vals)
+    with closing(sample_paths(config)) as batches:
+        for batch in batches:
+            alive = batch.alive[:, -1]
+            if np.any(alive):
+                out = values[batch.first:batch.first + alive.size]
+                out[alive] = np.asarray(f(batch.positions[alive, -1]))
+            survivors += int(alive.sum())
     if np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
     return _finish(values, config, n_effective=survivors)
@@ -418,32 +532,28 @@ def mc_covariant_semigroup(psi: Callable, A: Callable, config: PathConfig) -> Es
     """
     if config.space.kind != EUCLIDEAN:
         raise DomainError("transport phases are implemented over Euclidean space")
-    vals = []
-    scalar_vals = []
+    values = np.zeros(config.n_paths, dtype=complex)
+    scalars = np.zeros(config.n_paths)
     survivors = 0
-    for batch in sample_paths(config):
-        pos = batch.positions
-        mids = 0.5 * (pos[:, 1:] + pos[:, :-1])
-        incs = pos[:, 1:] - pos[:, :-1]
-        B, S = incs.shape[0], incs.shape[1]
-        a_vals = np.asarray(A(mids.reshape(-1, pos.shape[-1])), dtype=float)
-        seg = np.einsum("ki,ki->k", a_vals, incs.reshape(-1, pos.shape[-1]))
-        # only steps before the exit contribute to the accumulated phase
-        live_steps = np.arange(1, S + 1)[None, :] < batch.exit_step[:, None]
-        angles = (seg.reshape(B, S) * live_steps).sum(axis=1)
-        endpoint = pos[:, -1]
-        alive = batch.alive[:, -1]
-        out = np.zeros(B, dtype=complex)
-        sc = np.zeros(B)
-        if np.any(alive):
-            psi_vals = np.asarray(psi(endpoint[alive]), dtype=complex)
-            out[alive] = np.exp(1j * angles[alive]) * psi_vals
-            sc[alive] = np.abs(psi_vals)
-        survivors += int(alive.sum())
-        vals.append(out)
-        scalar_vals.append(sc)
-    values = np.concatenate(vals)
-    scalars = np.concatenate(scalar_vals)
+    with closing(sample_paths(config)) as batches:
+        for batch in batches:
+            pos = batch.positions
+            mids = 0.5 * (pos[:, 1:] + pos[:, :-1])
+            incs = pos[:, 1:] - pos[:, :-1]
+            B, S = incs.shape[0], incs.shape[1]
+            a_vals = np.asarray(A(mids.reshape(-1, pos.shape[-1])), dtype=float)
+            seg = np.einsum("ki,ki->k", a_vals, incs.reshape(-1, pos.shape[-1])).reshape(B, S)
+            if config.domain is not None:
+                # only steps before the exit contribute to the accumulated phase
+                seg *= np.arange(1, S + 1)[None, :] < batch.exit_step[:, None]
+            angles = seg.sum(axis=1)
+            alive = batch.alive[:, -1]
+            if np.any(alive):
+                psi_vals = np.asarray(psi(pos[alive, -1]), dtype=complex)
+                span = slice(batch.first, batch.first + B)
+                values[span][alive] = np.exp(1j * angles[alive]) * psi_vals
+                scalars[span][alive] = np.abs(psi_vals)
+            survivors += int(alive.sum())
     est = _finish(values, config, n_effective=survivors)
     n = config.n_paths
     s_mean = scalars.sum() / n

@@ -306,10 +306,20 @@ def cycle_mesh(k: int, theta: float = 0.0) -> BundleMesh:
 
 def haar_unitary(n: int, rng) -> np.ndarray:
     """Haar-distributed U(n) sample (QR of a complex Gaussian, phase-fixed)."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_block(1, n, rng)[0]
+
+
+def _haar_block(count: int, n: int, rng) -> np.ndarray:
+    """count Haar U(n) samples with one batched QR and phase fix.
+
+    Sample k takes the real then the imaginary part of its Gaussian from
+    the stream, as consecutive single draws would, so the samples do not
+    depend on count.
+    """
+    g = rng.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def gauge_transform(mesh: BundleMesh, gauges) -> BundleMesh:
@@ -372,7 +382,7 @@ def random_bundle_mesh(n_vertices: int, fiber_dim: int = 2, seed: int = 0,
     E = len(eu)
     mu = rng.uniform(mu_range[0], mu_range[1], size=n_vertices)
     w = rng.uniform(w_range[0], w_range[1], size=E)
-    mats = np.array([haar_unitary(fiber_dim, rng) for _ in range(E)])
+    mats = _haar_block(E, fiber_dim, rng)
     dirichlet = np.zeros(n_vertices, dtype=bool)
     if dirichlet_count > 0:
         if dirichlet_count >= n_vertices:

@@ -12,10 +12,13 @@ Frozen references:
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from katoform import feynman_kac as fk
 from katoform.errors import ConfigError, DomainError
 from katoform.feynman_kac import (Estimate, KillingRegion, PathConfig,
                                   mc_covariant_semigroup, mc_heat_expectation,
@@ -134,6 +137,186 @@ def test_hyperbolic_second_moment_vs_quadrature():
         lambda p: np.arccosh(np.maximum(p[:, 0], 1.0)) ** 2, cfg)
     tol = 3.0 * est.std_error + 2.0 / 256.0   # O(step) walk bias
     assert abs(est.value - moment) <= tol
+
+
+# ---------------------------------------------------------------------------
+# worker streams: layout, threads, lifecycle
+
+def threaded(monkeypatch, cpus):
+    """Make the sampler see ``cpus`` usable CPUs (1 runs every stream inline)."""
+    monkeypatch.setattr(fk, "_usable_cpus", lambda: cpus)
+
+
+def all_estimates(cfg):
+    """Every Estimate field of the three estimators on one configuration."""
+    ball = KillingRegion(kind="ball", radius=0.5)
+    killed = PathConfig(**{**vars(cfg), "domain": ball})
+    plane = PathConfig(**{**vars(cfg), "space": E2, "start": (0.1, 0.0)})
+
+    def gauss(p):
+        return np.exp(-np.sum(p * p, axis=1))
+
+    def A(p):
+        return np.stack([-p[:, 1], p[:, 0]], axis=1)
+
+    ests = [mc_kato_integral(coulomb(E3), cfg), mc_kato_integral(coulomb(E3), killed),
+            mc_heat_expectation(lambda p: p[:, 0] + 1j * p[:, 1], killed),
+            mc_covariant_semigroup(gauss, A, plane)]
+    return [vars(e) for e in ests]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_batches_tile_the_reference_layout(monkeypatch, workers, cpus):
+    threaded(monkeypatch, cpus)
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 4000)      # 39 paths per batch
+    cfg = econf(n_paths=1001, workers=workers)
+    spans = sorted((b.first, b.positions.shape[0]) for b in sample_paths(cfg))
+    assert spans[0][0] == 0
+    for (lo, size), (nxt, _) in zip(spans, spans[1:]):
+        assert lo + size == nxt
+    assert spans[-1][0] + spans[-1][1] == cfg.n_paths
+
+
+def test_batch_order_does_not_depend_on_threads(monkeypatch):
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 4000)
+    cfg = econf(n_paths=1001, workers=3)
+    orders = []
+    for cpus in (1, 2, 3):
+        threaded(monkeypatch, cpus)
+        orders.append([b.first for b in sample_paths(cfg)])
+    assert orders[0] == orders[1] == orders[2]
+    # round-robin: the first batch of each worker comes first
+    assert orders[0][:3] == [0, 334, 668]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_threaded_estimates_equal_inline(monkeypatch, workers):
+    cfg = econf(workers=workers)
+    threaded(monkeypatch, 1)
+    inline = all_estimates(cfg)
+    threaded(monkeypatch, 2)
+    assert all_estimates(cfg) == inline
+
+
+def test_batch_size_does_not_change_estimates(monkeypatch):
+    cfg = econf(workers=2)
+    default = all_estimates(cfg)
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 600)       # 5 paths per batch
+    assert all_estimates(cfg) == default
+
+
+def test_more_threads_than_cores_under_fast_switching(monkeypatch):
+    cfg = econf(workers=7)
+    threaded(monkeypatch, 1)
+    inline = all_estimates(cfg)
+    threaded(monkeypatch, 6)
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 1000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert all_estimates(cfg) == inline
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_thread_count_capped_by_cpus():
+    baseline = threading.active_count()
+    cfg = econf(n_paths=1000, workers=500)
+    peak = baseline
+    for _ in sample_paths(cfg):
+        peak = max(peak, threading.active_count())
+    assert peak <= baseline + fk._usable_cpus()
+    assert threading.active_count() == baseline
+
+
+def test_closing_early_joins_producers(monkeypatch):
+    threaded(monkeypatch, 2)
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 2000)
+    baseline = threading.active_count()
+    batches = sample_paths(econf(workers=2))
+    next(batches)
+    assert threading.active_count() == baseline + 2
+    batches.close()
+    assert threading.active_count() == baseline
+
+
+def test_caller_error_joins_producers(monkeypatch):
+    threaded(monkeypatch, 2)
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 2000)
+    pot = coulomb(E3)
+    calls = []
+    radial = pot.abs_radial
+
+    def abs_radial(r):
+        calls.append(threading.get_ident())
+        if len(calls) == 3:
+            raise RuntimeError("potential failed on the third batch")
+        return radial(r)
+
+    monkeypatch.setattr(pot, "abs_radial", abs_radial)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="third batch"):
+        mc_kato_integral(pot, econf(workers=2))
+    assert threading.active_count() == baseline
+    # potentials run on the caller's thread only
+    assert set(calls) == {threading.get_ident()}
+
+
+def test_producer_error_reaches_caller(monkeypatch):
+    threaded(monkeypatch, 2)
+
+    def broken(points, incr):
+        raise FloatingPointError("step failed")
+
+    monkeypatch.setattr(fk, "_hyperbolic_step", broken)
+    cfg = PathConfig(space=H3, start=(1.0, 0.0, 0.0, 0.0), horizon=0.1,
+                     step=1e-3, n_paths=400, seed=2, workers=2)
+    baseline = threading.active_count()
+    outcome = []
+
+    def run():
+        try:
+            mc_kato_integral(coulomb(H3), cfg)
+        except FloatingPointError as exc:
+            outcome.append(exc)
+
+    guard = threading.Thread(target=run, daemon=True)
+    guard.start()
+    guard.join(timeout=60.0)
+    assert not guard.is_alive()
+    assert len(outcome) == 1 and str(outcome[0]) == "step failed"
+    assert threading.active_count() == baseline
+
+
+def loop_killing_scan(domain, space, positions):
+    """Reference: the per-step scan, one node column at a time."""
+    B, nodes = positions.shape[:2]
+    alive = np.ones((B, nodes), dtype=bool)
+    exit_step = np.full(B, nodes, dtype=int)
+    for k in range(1, nodes):
+        inside = domain.inside(space, positions[:, k])
+        dead_now = alive[:, k - 1] & ~inside
+        exit_step[dead_now] = k
+        alive[:, k] = alive[:, k - 1] & inside
+    return alive, exit_step
+
+
+@pytest.mark.parametrize("space,start,domain", [
+    (E3, (0.1, 0.0, -0.2), KillingRegion(kind="ball", radius=0.5)),
+    (E2, (0.0, 0.0), KillingRegion(kind="halfspace", normal=(0.6, 0.8), offset=0.3)),
+    (H3, (math.cosh(0.3), 0.0, math.sinh(0.3), 0.0), KillingRegion(kind="ball", radius=0.6)),
+])
+def test_killing_scan_matches_step_loop(space, start, domain):
+    cfg = PathConfig(space=space, start=start, horizon=0.2, step=2e-3,
+                     n_paths=600, seed=13, workers=2, domain=domain)
+    survivors = 0
+    for batch in sample_paths(cfg):
+        alive, exit_step = loop_killing_scan(domain, space, batch.positions)
+        assert np.array_equal(batch.alive, alive)
+        assert np.array_equal(batch.exit_step, exit_step)
+        survivors += int(alive[:, -1].sum())
+    assert 0 < survivors < cfg.n_paths
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from katoform import mesh as mesh_mod
 from katoform.errors import MeshError
 from katoform.mesh import (BundleMesh, cycle_mesh, gauge_transform,
                            grid_mesh_2d, haar_unitary, interval_mesh,
@@ -129,6 +130,39 @@ def test_haar_unitary():
     rng = np.random.default_rng(0)
     U = haar_unitary(3, rng)
     assert np.allclose(U.conj().T @ U, np.eye(3), atol=1e-12)
+
+
+def loop_haar(count, n, rng):
+    """Reference: one QR of a complex Gaussian per sample, phase-fixed."""
+    out = []
+    for _ in range(count):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        out.append(q * (d / np.abs(d)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_haar_samples_match_loop(n):
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(mesh_mod._haar_block(25, n, rng), loop_haar(25, n, ref_rng))
+        assert np.array_equal(haar_unitary(n, rng), loop_haar(1, n, ref_rng)[0])
+        # the stream is left where the loop leaves it
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_bundle_mesh_transports_match_loop(monkeypatch, n):
+    batched = [random_bundle_mesh(14 + seed, fiber_dim=n, seed=seed, dirichlet_count=1)
+               for seed in range(10)]
+    monkeypatch.setattr(mesh_mod, "_haar_block", loop_haar)
+    for seed, mesh in enumerate(batched):
+        ref = random_bundle_mesh(14 + seed, fiber_dim=n, seed=seed, dirichlet_count=1)
+        assert np.array_equal(mesh.transports, ref.transports)
+        assert np.array_equal(mesh.dirichlet, ref.dirichlet)
+        assert np.array_equal(mesh.edge_w, ref.edge_w)
 
 
 # ---------------------------------------------------------------------------
