@@ -344,14 +344,7 @@ def _run_form_bounds(cfg, ctx):
     reports.dump_csv(os.path.join(ctx.out_dir, "plot_resolvent.csv"),
                      ("x", "y"), [(r, c) for (r, c, _e) in curve])
 
-    results = {
-        "target_c1": target,
-        "klmn": {
-            "r": reports.pnum(r_star, 1e-7 * r_star, "quadrature"),
-            "c1": reports.pnum(c1, 1e-6 * max(c1, 1.0), "quadrature"),
-            "c2": reports.pnum(c2, 1e-6 * max(c2, 1.0), "quadrature"),
-        },
-    }
+    results = {"target_c1": target, "klmn": reports.klmn_json(r_star, c1, c2)}
     checks = [("c1_within_target", c1 <= target * (1.0 + 1e-6),
                f"C1 {c1:.6g} vs target {target:.6g} at r {r_star:.6g}")]
     return results, checks

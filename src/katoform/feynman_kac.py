@@ -19,14 +19,15 @@ those slots and reduce the whole array in index order, so the numbers
 depend only on the configuration, that is on (seed, workers), never on
 thread timing.
 
-With two or more workers the streams run in parallel on
-min(workers, usable CPUs) producer threads: Philox draws and the large
-ufuncs release the interpreter lock.  Producers only draw, integrate the
-increments and run the killing scan; potentials and user callbacks run on
-the caller's thread.  sample_paths hands out batches round-robin across
-the workers.  A batch holds about 2**17 path nodes (at most 1024 paths),
-so its arrays stay near cache size; draws are path-major within a stream,
-so the batch size never changes the numbers.
+The streams run on min(workers, usable CPUs) producer threads, one
+thread for a single worker or CPU, so drawing overlaps the estimator's
+work: Philox draws and the large ufuncs release the interpreter lock.
+Producers only draw, integrate the increments and run the killing scan;
+potentials and user callbacks run on the caller's thread.  sample_paths
+hands out batches round-robin across the workers.  A batch holds about
+2**17 path nodes (at most 1024 paths), so its arrays stay near cache
+size; draws are path-major within a stream, so the batch size never
+changes the numbers.
 """
 
 from __future__ import annotations
@@ -348,12 +349,12 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
     Worker w's Philox stream covers a contiguous block of the reference
     layout, and each batch's ``first`` says where it sits there.  Batches
     arrive round-robin across the workers (batch 0 of every worker, then
-    batch 1, ...), an order fixed by the configuration alone.  With two or
-    more workers and CPUs the streams run on min(workers, usable CPUs)
-    producer threads, each feeding the caller through a queue of depth
-    _QUEUE_DEPTH; otherwise the same streams run inline.  Closing the
-    generator, or an exception in the caller's loop, stops and joins
-    every producer; a producer's exception is raised here.
+    batch 1, ...), an order fixed by the configuration alone.  The streams
+    run on min(workers, usable CPUs) producer threads, one for a single
+    worker or CPU, each feeding the caller through a queue of depth
+    _QUEUE_DEPTH.  Closing the generator, or an exception in the caller's
+    loop, stops and joins every producer; a producer's exception is raised
+    here.
     """
     counts = _worker_counts(config.n_paths, config.workers)
     firsts = np.cumsum([0] + counts[:-1]).tolist()
@@ -363,11 +364,6 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
     order = [w for r in range(-(-max(counts) // size))
              for w in workers if r * size < counts[w]]
     n_threads = min(len(workers), _usable_cpus())
-    if n_threads <= 1:
-        for w in order:
-            yield next(streams[w])
-        return
-
     owner = {w: i % n_threads for i, w in enumerate(workers)}
     queues = [queue.Queue(maxsize=_QUEUE_DEPTH) for _ in range(n_threads)]
     stop = threading.Event()
@@ -555,14 +551,11 @@ def mc_covariant_semigroup(psi: Callable, A: Callable, config: PathConfig) -> Es
                 scalars[span][alive] = np.abs(psi_vals)
             survivors += int(alive.sum())
     est = _finish(values, config, n_effective=survivors)
-    n = config.n_paths
-    s_mean = scalars.sum() / n
-    s_var = ((scalars - s_mean) ** 2).sum() / max(n - 1, 1)
-    s_se = math.sqrt(s_var / n)
-    combined = 3.0 * (est.std_error + s_se)
+    scalar = _finish(scalars, config, n_effective=survivors)
+    combined = 3.0 * (est.std_error + scalar.std_error)
     est.extras = {
-        "scalar_value": float(s_mean),
-        "scalar_std_error": float(s_se),
-        "domination_ok": bool(abs(est.value) <= s_mean + combined),
+        "scalar_value": scalar.value,
+        "scalar_std_error": scalar.std_error,
+        "domination_ok": bool(abs(est.value) <= scalar.value + combined),
     }
     return est

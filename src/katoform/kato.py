@@ -53,7 +53,9 @@ from .geometry import (
     ModelSpace,
     distance,
     h_kernel,
+    heat_kernel_radial,
     kernel_tail_radius,
+    law_of_cosines,
     sphere_area,
 )
 from .geometry import _TAIL_LOG, _h2_kernel_scalar, _h2_millson
@@ -122,8 +124,6 @@ def _sphere_mean_kernel(space: ModelSpace, s: float, w: float, b: float) -> floa
             math.exp(-(w - b) * (w - b) / (2.0 * s))
     if space.kind == EUCLIDEAN and m == 1:
         return 0.5 * (_kernel_scalar(space, s, abs(w - b)) + _kernel_scalar(space, s, w + b))
-    if space.kind == EUCLIDEAN:
-        return _sphere_mean_rule(space, s, w, b)
     return _sphere_mean_rule(space, s, w, b)
 
 
@@ -131,16 +131,8 @@ def _sphere_mean_rule(space: ModelSpace, s: float, w: float, b: float) -> float:
     # Generic angular rule; adequate unless the kernel is much narrower than
     # the angular node spacing (small s with large w*b), which the closed
     # forms above avoid for every bundled case.
-    from .geometry import law_of_cosines
-
     theta, weights = polar_angle_rule(space.dim, 96)
-    rho = law_of_cosines(space, w, b, theta)
-    if space.kind == HYPERBOLIC and space.dim == 2:
-        vals = np.array([_h2_kernel_scalar(s, float(r)) for r in rho])
-    else:
-        from .geometry import heat_kernel_radial
-
-        vals = heat_kernel_radial(space, s, rho)
+    vals = heat_kernel_radial(space, s, law_of_cosines(space, w, b, theta))
     total_angle = float(np.sum(weights))
     return float(np.dot(weights, vals)) / total_angle
 
@@ -153,23 +145,15 @@ def _average_b(v: Potential, b: float, s: float):
     space = v.space
     abs_scalar = _abs_scalar_fn(v)
     r_hi = kernel_tail_radius(space, s, extra=b)
-    m = space.dim
 
-    if m == 1 and space.kind == EUCLIDEAN:
-        def integrand(w):
-            vw = abs_scalar(w)
-            if not math.isfinite(vw):
-                return math.inf
-            return vw * (_kernel_scalar(space, s, abs(w - b)) + _kernel_scalar(space, s, w + b))
-    else:
-        def integrand(w):
-            ring = _ring_scalar(space, w)
-            if ring == 0.0:
-                return 0.0
-            vw = abs_scalar(w)
-            if not math.isfinite(vw):
-                return math.inf
-            return vw * ring * _sphere_mean_kernel(space, s, w, b)
+    def integrand(w):
+        ring = _ring_scalar(space, w)
+        if ring == 0.0:
+            return 0.0
+        vw = abs_scalar(w)
+        if not math.isfinite(vw):
+            return math.inf
+        return vw * ring * _sphere_mean_kernel(space, s, w, b)
 
     breakpoints = set(v.singular_radii)
     if b > 0.0:
@@ -219,26 +203,20 @@ def heat_potential_average(v: Potential, x, s: float) -> float:
 # the nested route: time or Laplace quadrature over F(s) = _average_b, for
 # probes without a closed-form sphere mean and as the tests' oracle
 
-def _nested_eta_b(v: Potential, b: float, t: float):
-    def F(s):
-        val, _ = _average_b(v, b, s)
-        return val
-
-    val, err, diverged = sqrt_substitution_integral(F, t, rel=OUTER_REL)
+def _nested_b(v: Potential, b: float, outer, x: float):
+    """(value, error) of outer(F, x) over F(s) = _average_b, with the inner budget added."""
+    val, err, diverged = outer(lambda s: _average_b(v, b, s)[0], x, rel=OUTER_REL)
     if diverged:
         return math.inf, math.inf
     return val, err + _INNER_REL_BUDGET * abs(val)
+
+
+def _nested_eta_b(v: Potential, b: float, t: float):
+    return _nested_b(v, b, sqrt_substitution_integral, t)
 
 
 def _nested_resolvent_b(v: Potential, b: float, r: float):
-    def F(s):
-        val, _ = _average_b(v, b, s)
-        return val
-
-    val, err, diverged = laplace_integral(F, r, rel=OUTER_REL)
-    if diverged:
-        return math.inf, math.inf
-    return val, err + _INNER_REL_BUDGET * abs(val)
+    return _nested_b(v, b, laplace_integral, r)
 
 
 # ---------------------------------------------------------------------------
@@ -602,41 +580,60 @@ def analytic_kato_functional(v: Potential, radius: float, probes) -> float:
     if m == 2 and radius >= 1.0:
         raise DomainError("log weight needs radius < 1")
     dists = _probe_distances(v, probes)
+    return _max_over_probes(lambda b: _ball_integral(v, b, radius, lambda rho: h_kernel(m, rho)),
+                            dists)[0]
+
+
+def _ball_integral(v: Potential, b: float, radius: float, weight):
+    """(value, error) of integral_{B_radius(x)} |v(y)| weight(d(x, y)) dvol, x at distance b.
+
+    On R^1 the ball is the segment at signed offsets u - radius, u in
+    [0, 2 radius].  At the centre of v it is one radial integral; off the
+    centre a polar rule about the probe, the angular rule carrying |v| at
+    the law-of-cosines distance.
+    """
+    space = v.space
+    m = space.dim
     abs_scalar = _abs_scalar_fn(v)
-    theta, weights = polar_angle_rule(m, 96)
-    angle_front = sphere_area(m - 1)
+    if m == 1:
+        def integrand(u):
+            vw = abs_scalar(abs(b + u - radius))
+            return vw * weight(abs(u - radius)) if math.isfinite(vw) else math.inf
 
-    from .geometry import law_of_cosines
+        # shift so the singular radii map onto breakpoints
+        breaks = sorted({radius - b + ws for ws in v.singular_radii} |
+                        {radius - b - ws for ws in v.singular_radii})
+        return radial_integral(integrand, 2.0 * radius,
+                               singular=[p for p in breaks if 0 < p < 2 * radius])
 
-    def at(b):
-        if b <= _CENTRE:
-            def integrand(w):
-                ring = _ring_scalar(space, w)
-                if ring == 0.0:
-                    return 0.0
-                vw = abs_scalar(w)
-                if not math.isfinite(vw):
-                    return math.inf
-                return vw * ring * h_kernel(m, w)
+    if b <= _CENTRE:
+        def integrand(w):
+            ring = _ring_scalar(space, w)
+            if ring == 0.0:
+                return 0.0
+            vw = abs_scalar(w)
+            if not math.isfinite(vw):
+                return math.inf
+            return vw * ring * weight(w)
 
-            breakpoints = sorted(set(v.singular_radii))
-        else:
-            def integrand(rho):
-                ring_ratio = _ring_scalar(space, rho) / sphere_area(m)
-                if ring_ratio == 0.0:
-                    return 0.0
-                w_vals = law_of_cosines(space, rho, b, theta)
-                v_vals = np.abs(np.asarray(v.radial(w_vals), dtype=float))
-                if not np.all(np.isfinite(v_vals)):
-                    return math.inf
-                return h_kernel(m, rho) * ring_ratio * angle_front * \
-                    float(np.dot(weights, v_vals))
+        breaks = sorted(set(v.singular_radii))
+    else:
+        theta, weights = polar_angle_rule(m, 96)
+        angle_front = sphere_area(m - 1)
 
-            breakpoints = sorted({abs(b - ws) for ws in v.singular_radii} |
-                                 {b + ws for ws in v.singular_radii})
-        return radial_integral(integrand, radius, singular=breakpoints)
+        def integrand(rho):
+            ring_ratio = _ring_scalar(space, rho) / sphere_area(m)
+            if ring_ratio == 0.0:
+                return 0.0
+            w_vals = law_of_cosines(space, rho, b, theta)
+            v_vals = np.abs(np.asarray(v.radial(w_vals), dtype=float))
+            if not np.all(np.isfinite(v_vals)):
+                return math.inf
+            return weight(rho) * ring_ratio * angle_front * float(np.dot(weights, v_vals))
 
-    return _max_over_probes(at, dists)[0]
+        breaks = sorted({abs(b - ws) for ws in v.singular_radii} |
+                        {b + ws for ws in v.singular_radii})
+    return radial_integral(integrand, radius, singular=breaks)
 
 
 def lp_kato_classify(p: float, m: int) -> str:
@@ -739,54 +736,6 @@ class KatoReport:
         }
 
 
-def _local_l1(v: Potential, b: float, radius: float = 1.0) -> float:
-    """integral of |v| over the geodesic ball of the given radius at distance b."""
-    space = v.space
-    m = space.dim
-    abs_scalar = _abs_scalar_fn(v)
-    if m == 1 and space.kind == EUCLIDEAN:
-        def integrand(u):
-            vw = abs_scalar(abs(b + u - radius))
-            return vw if math.isfinite(vw) else math.inf
-
-        # shift so the singular radii map onto breakpoints
-        breaks = sorted({radius - b + ws for ws in v.singular_radii} |
-                        {radius - b - ws for ws in v.singular_radii})
-        val, _ = radial_integral(integrand, 2.0 * radius,
-                                 singular=[p for p in breaks if 0 < p < 2 * radius])
-        return val
-
-    theta, weights = polar_angle_rule(m, 96)
-    angle_front = sphere_area(m - 1)
-
-    from .geometry import law_of_cosines
-
-    if b <= _CENTRE:
-        def integrand(w):
-            ring = _ring_scalar(space, w)
-            if ring == 0.0:
-                return 0.0
-            vw = abs_scalar(w)
-            return vw * ring if math.isfinite(vw) else math.inf
-
-        breaks = sorted(set(v.singular_radii))
-    else:
-        def integrand(rho):
-            ring_ratio = _ring_scalar(space, rho) / sphere_area(m)
-            if ring_ratio == 0.0:
-                return 0.0
-            w_vals = law_of_cosines(space, rho, b, theta)
-            v_vals = np.abs(np.asarray(v.radial(w_vals), dtype=float))
-            if not np.all(np.isfinite(v_vals)):
-                return math.inf
-            return ring_ratio * angle_front * float(np.dot(weights, v_vals))
-
-        breaks = sorted({abs(b - ws) for ws in v.singular_radii} |
-                        {b + ws for ws in v.singular_radii})
-    val, _ = radial_integral(integrand, radius, singular=breaks)
-    return val
-
-
 def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoReport:
     """Full membership study: eta grid, resolvent grid, verdict, form bound.
 
@@ -802,7 +751,8 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
         raise DomainError("t_grid must be positive")
     dists = _probe_distances(v, probes)
 
-    integrable = all(math.isfinite(_local_l1(v, b)) for b in dists)
+    integrable = all(math.isfinite(_ball_integral(v, b, 1.0, lambda rho: 1.0)[0])
+                     for b in dists)
 
     eta_rows = []
     argmax_idx = 0

@@ -110,19 +110,13 @@ def dyadic_endpoint_integral(f, a, b, rel=OUTER_REL, max_levels=54):
                 flat_run = 0
             if abs(v) <= rel * scale and ratio < 0.9:
                 tail = abs(v) * ratio / (1.0 - ratio)
-                return total + _signed_tail(v, ratio), err + tail, False
+                return total + v * ratio / (1.0 - ratio), err + tail, False
         prev = v
     # Ran out of levels. If the last pieces were still flat the integral is
     # divergent; otherwise return what we have with an honest error bump.
     if prev is not None and abs(prev) > rel * max(abs(total), _TINY) * 100.0:
         return math.inf, math.inf, True
     return total, err + (abs(prev) if prev is not None else 0.0), False
-
-
-def _signed_tail(last_piece, ratio):
-    if ratio >= 1.0:
-        return 0.0
-    return last_piece * ratio / (1.0 - ratio)
 
 
 def sqrt_substitution_integral(F, upper, rel=OUTER_REL, max_levels=54):

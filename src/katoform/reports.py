@@ -121,10 +121,14 @@ def kato_report_json(report) -> dict:
     if report.fit_exponent is not None:
         out["fit_exponent"] = pnum(report.fit_exponent, 0.05, "quadrature")
     if report.klmn is not None:
-        r, c1, c2 = report.klmn
-        out["klmn"] = {
-            "r": pnum(r, 1e-7 * r, "quadrature"),
-            "c1": pnum(c1, 1e-6 * max(c1, 1.0), "quadrature"),
-            "c2": pnum(c2, 1e-6 * max(c2, 1.0), "quadrature"),
-        }
+        out["klmn"] = klmn_json(*report.klmn)
     return out
+
+
+def klmn_json(r, c1, c2) -> dict:
+    """The KLMN triple (r, C1, C2 = r*C1) with provenance-wrapped values."""
+    return {
+        "r": pnum(r, 1e-7 * r, "quadrature"),
+        "c1": pnum(c1, 1e-6 * max(c1, 1.0), "quadrature"),
+        "c2": pnum(c2, 1e-6 * max(c2, 1.0), "quadrature"),
+    }

@@ -143,7 +143,7 @@ def test_hyperbolic_second_moment_vs_quadrature():
 # worker streams: layout, threads, lifecycle
 
 def threaded(monkeypatch, cpus):
-    """Make the sampler see ``cpus`` usable CPUs (1 runs every stream inline)."""
+    """Make the sampler see ``cpus`` usable CPUs (1 runs every stream on one thread)."""
     monkeypatch.setattr(fk, "_usable_cpus", lambda: cpus)
 
 
@@ -237,6 +237,18 @@ def test_closing_early_joins_producers(monkeypatch):
     batches = sample_paths(econf(workers=2))
     next(batches)
     assert threading.active_count() == baseline + 2
+    batches.close()
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_single_worker_draws_on_one_producer(monkeypatch, cpus):
+    threaded(monkeypatch, cpus)
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 2000)
+    baseline = threading.active_count()
+    batches = sample_paths(econf(workers=1))
+    next(batches)
+    assert threading.active_count() == baseline + 1
     batches.close()
     assert threading.active_count() == baseline
 
