@@ -20,8 +20,17 @@ and potential blocks of A as one set of COO triplets.  The section forms
 (``quad_form``, ``kato_inequality_gap``) never build a matrix: each is one
 einsum over the edge transports and a dot with the edge weights, for one
 section (N, n) or a stack (S, N, n).  Spectra are dense up to 1200 degrees
-of freedom and shift-invert Lanczos about a shift below the Gershgorin
-bound beyond that.
+of freedom, in real arithmetic when A has no imaginary part, and
+shift-invert Lanczos about a shift below the Gershgorin bound beyond that.
+
+The KLMN constant is the top eigenvalue of the pencil B x = lambda A x with
+B = blockdiag(V2) - C2 I.  The mesh is connected and its edge weights are
+positive, so a section of zero kinetic energy is parallel along every
+edge, and one Dirichlet vertex, where it vanishes, makes it zero: A is
+positive definite on every mesh with a Dirichlet vertex.  There the pencil
+is solved sparsely, by Lanczos in generalized mode with its residual
+checked; on Dirichlet-free meshes A can have a kernel, which a dense Schur
+reduction handles.
 """
 
 from __future__ import annotations
@@ -318,12 +327,12 @@ class SpectrumResult:
 def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> SpectrumResult:
     """Eigenvalues of H(V) = H(0) + V (ascending), with solver residuals.
 
-    Dense Hermitian solve up to 1200 degrees of freedom.  Beyond that, with
-    k given, shift-invert Lanczos finds the k lowest: the shift sits below
-    the Gershgorin lower bound of A by 1e-4 * scale, so A - sigma I is
-    positive definite and its sparse LU exists even when A has a kernel or
-    V is negative, and the k eigenvalues nearest the shift are the k
-    lowest.  Residuals are ||H x - lambda x||_2 for the returned pairs; a
+    Dense Hermitian solve up to 1200 degrees of freedom, in real arithmetic
+    when A has no imaginary part.  Beyond that, with k given, shift-invert
+    Lanczos finds the k lowest: the shift sits below the Gershgorin lower
+    bound of A by 1e-4 * scale, so A - sigma I is positive definite and its
+    sparse LU exists even when A has a kernel or V is negative, and the k
+    eigenvalues nearest the shift are the k lowest.  Residuals are ||H x - lambda x||_2 for the returned pairs; a
     residual above 1e-8 * scale raises ConvergenceError.
     """
     A, _ = _assemble(mesh, V=V)
@@ -332,7 +341,7 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
     scale = max(1.0, float(absA.max()))
     if k is None or dim <= _DENSE_EIG_LIMIT or k >= dim - 1:
         dense = A.toarray()
-        lam, Q = np.linalg.eigh(dense)
+        lam, Q = np.linalg.eigh(dense if np.any(dense.imag) else dense.real)
         if k is not None:
             lam, Q = lam[:k], Q[:, :k]
         res = np.linalg.norm(dense @ Q - Q * lam[None, :], axis=0)
@@ -362,31 +371,71 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
 def klmn_optimal_c1(mesh: BundleMesh, V2, c2: float) -> float:
     """Smallest C1 with potential form <= C1 * kinetic + C2 * mass.
 
-    Solves the generalized problem max spec(V2 - C2, A) on the range of
-    the kinetic matrix A; zero modes of A are handled by Schur reduction
-    and must see a nonpositive potential block, otherwise no finite C1
-    exists and KernelHandlingError is raised.
+    C1 is the top eigenvalue of the pencil B x = lambda A x, clipped at 0,
+    with A the kinetic matrix and B = blockdiag(V2) - C2 I on interior
+    DOFs.  A section of zero kinetic energy is parallel along every edge of
+    the connected, positively weighted mesh, so one Dirichlet vertex makes
+    it zero and A positive definite.  Such meshes take the sparse route:
+    C1 = 0 outright when every V2 block is <= C2 (then B <= 0), otherwise
+    one Lanczos solve of the pencil in generalized mode, in real arithmetic
+    when A and B are real, whose residual ||B x - lambda A x||_2 at the
+    unit vector x must stay below 1e-8 * scale or ConvergenceError is
+    raised.  Dirichlet-free meshes, where A can have a kernel, and pencils
+    of at most two DOFs (too small for ARPACK) take the dense route,
+    ``_klmn_dense``.
     """
     V2 = _as_matrix_field(mesh, V2)
-    lam_min_field = np.linalg.eigvalsh(V2).min() if V2.size else 0.0
-    if lam_min_field < -1e-10:
+    lam_field = np.linalg.eigvalsh(V2)
+    if lam_field.min() < -1e-10:
         raise MeshError("V2 must be positive semidefinite")
-    A = _assemble(mesh)[0].toarray()
+    A = _assemble(mesh)[0]
+    dim = A.shape[0]
     slots = np.arange(np.count_nonzero(mesh.interior))
     rows, cols, vals = _block_coo(mesh.fiber_dim, slots, slots, V2[mesh.interior])
-    B = np.zeros_like(A)
-    B[rows, cols] = vals
-    B -= c2 * np.eye(A.shape[0])
+    B = (sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+         - c2 * sp.identity(dim, dtype=complex, format="csr"))
+    if mesh.dirichlet.any() and dim > 2:
+        if lam_field[mesh.interior].max() <= c2:
+            return 0.0      # B <= 0 and A > 0: the whole pencil is <= 0
+        return _klmn_pencil(A, B)
+    return _klmn_dense(A.toarray(), B.toarray())
+
+
+def _klmn_pencil(A: sp.csr_matrix, B: sp.csr_matrix) -> float:
+    """Top eigenvalue of B x = lambda A x, for A > 0 and B not <= 0."""
+    if not (np.any(A.data.imag) or np.any(B.data.imag)):
+        A, B = A.real.copy(), B.real.copy()   # contiguous data for SuperLU
+    # a seeded start vector: reproducible, and with no symmetry of the
+    # mesh to hide the top eigenvector from the Krylov space
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    try:
+        lam, X = spla.eigsh(B, k=1, M=A, which="LA", v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError("pencil Lanczos did not converge",
+                               residual=math.inf) from exc
+    top, x = float(lam[0]), X[:, 0] / np.linalg.norm(X[:, 0])
+    res = float(np.linalg.norm(B @ x - top * (A @ x)))
+    scale = max(1.0, float(abs(B).max()), abs(top) * float(abs(A).max()))
+    if not res <= 1e-8 * scale:
+        raise ConvergenceError(f"pencil eigenpair residual {res:.2e} too large",
+                               residual=res)
+    return top
+
+
+def _klmn_dense(A: np.ndarray, B: np.ndarray) -> float:
+    """Dense route of ``klmn_optimal_c1`` for Hermitian A >= 0 and B.
+
+    Solves max spec(B, A) on the range of A.  Zero modes of A are handled
+    by Schur reduction and must see a nonpositive B block, otherwise no
+    finite C1 exists and KernelHandlingError is raised; with no zero modes
+    the Schur term is an exact zero matrix.
+    """
     lam, Q = np.linalg.eigh(A)
     lam_max = float(lam[-1]) if lam.size else 0.0
     cut = max(1e-12 * max(lam_max, 1.0), 1e-14)
     ker = lam <= cut
     Q0, Qp = Q[:, ker], Q[:, ~ker]
     lam_p = lam[~ker]
-    if Q0.shape[1] == 0:
-        W = (Qp.conj().T @ B @ Qp) / np.sqrt(lam_p)[None, :] / np.sqrt(lam_p)[:, None]
-        top = float(np.linalg.eigvalsh(W)[-1]) if W.size else 0.0
-        return max(0.0, top)
     K00 = Q0.conj().T @ B @ Q0
     K0p = Q0.conj().T @ B @ Qp
     ker_eigs = np.linalg.eigvalsh(K00)

@@ -327,21 +327,27 @@ def test_kernel_route_matches_nested_h2_origin():
 
 def _coulomb_eta_offcentre(t, b):
     # integral_0^t erf(b / sqrt(2s)) / b ds with s = u^2, which removes the
-    # s^(-1/2) endpoint; erf(x)/x -> 2/sqrt(pi) as x -> 0
-    def integrand(u):
-        if u == 0.0:
-            return 0.0
-        x = b / (math.sqrt(2.0) * u)
+    # s^(-1/2) endpoint: the integrand is sqrt(2) erf(x) / x at
+    # x = b / (sqrt(2) u), and erf(x)/x -> 2/sqrt(pi) as x -> 0
+    def integrand(x):
         ratio = erf(x) / x if x > 1e-8 else 2.0 / math.sqrt(math.pi)
-        return 2.0 * u * ratio / (math.sqrt(2.0) * u)
+        return math.sqrt(2.0) * ratio
 
-    # the average drops from 2/sqrt(pi) to 0 across u ~ b: split at b 2^k
+    def piece(f, lo, hi):
+        return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    # the average drops from 2/sqrt(pi) to 0 across u ~ b: split at b 2^k.
+    # Below the last split the pieces run in v = u / b, so that a subnormal
+    # b never enters the integrand
     root = math.sqrt(t)
-    cuts = [0.0] + [b * 2.0 ** k for k in range(64) if b * 2.0 ** k < root] + [root]
+    splits = [2.0 ** k for k in range(64) if b * 2.0 ** k < root]
     val = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val += quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    return val
+    for lo, hi in zip([0.0] + splits[:-1], splits):
+        val += b * piece(lambda v: integrand(1.0 / (math.sqrt(2.0) * v)) if v else 0.0,
+                         lo, hi)
+    last = b * splits[-1] if splits else 0.0
+    return val + piece(lambda u: integrand(b / (math.sqrt(2.0) * u)) if u else 0.0,
+                       last, root)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,17 +2,21 @@
 
 The per-edge loops below evaluate the kinetic form and the Kato gap one
 edge at a time, the way they were first written; they are the oracle for
-the edge-array passes in ``katoform.operators``.
+the edge-array passes in ``katoform.operators``.  The dense Schur route of
+the KLMN pencil is the oracle for its sparse route.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from katoform import operators
 from katoform.mesh import gauge_transform, haar_unitary, random_bundle_mesh
-from katoform.operators import (_assemble, _restrict, form_sum_spectrum,
-                                kato_inequality_gap, quad_form,
+from katoform.operators import (_assemble, _klmn_dense, _restrict,
+                                form_sum_spectrum, kato_inequality_gap,
+                                klmn_optimal_c1, quad_form,
                                 semigroup_domination_gap)
 
 STACK = 3
@@ -39,12 +43,13 @@ def loop_kato_gap(mesh, f):
 
 
 @st.composite
-def meshes(draw):
-    """(mesh, rng): 2-30 vertices, fibre 1-3, 0-2 Dirichlet vertices."""
+def meshes(draw, min_dirichlet=0):
+    """(mesh, rng): 2-30 vertices, fibre 1-3, ``min_dirichlet``-2 Dirichlet vertices."""
     n_vertices = draw(st.integers(2, 30))
     mesh = random_bundle_mesh(n_vertices, fiber_dim=draw(st.integers(1, 3)),
                               seed=draw(st.integers(0, 2 ** 31 - 1)),
-                              dirichlet_count=min(draw(st.integers(0, 2)), n_vertices - 1))
+                              dirichlet_count=min(draw(st.integers(min_dirichlet, 2)),
+                                                  n_vertices - 1))
     return mesh, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
 
@@ -109,3 +114,41 @@ def test_stacked_call_equals_single_calls(case):
                                rtol=1e-14, atol=1e-14 * np.abs(V).max())
     np.testing.assert_allclose(gaps, [kato_inequality_gap(mesh, f) for f in fs],
                                rtol=0.0, atol=1e-14 * float(stacked.kinetic.max()))
+
+
+def psd_field(mesh, rng):
+    """Random PSD blocks G G^H, one per vertex."""
+    shape = (mesh.n_vertices, mesh.fiber_dim, mesh.fiber_dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.einsum("uij,ukj->uik", g, g.conj())
+
+
+def dense_pencil(mesh, v2, c2):
+    """Dense A and B = blockdiag(V2) - C2 I on interior DOFs, built apart."""
+    A = _assemble(mesh)[0].toarray()
+    B = sla.block_diag(*v2[mesh.interior]) - c2 * np.eye(A.shape[0])
+    return A, B
+
+
+@settings(max_examples=60)
+@given(meshes(min_dirichlet=1), st.floats(0.1, 3.0))
+def test_klmn_pencil_matches_dense_schur(case, c2):
+    mesh, rng = case
+    v2 = psd_field(mesh, rng)
+    want = _klmn_dense(*dense_pencil(mesh, v2, c2))
+    assert klmn_optimal_c1(mesh, v2, c2) == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+
+def test_dirichlet_free_klmn_takes_dense_route(monkeypatch):
+    # random Haar transports leave A without a kernel, but with no Dirichlet
+    # vertex nothing certifies that, so the pencil route must not run
+    mesh = random_bundle_mesh(12, fiber_dim=2, seed=4)
+    v2 = psd_field(mesh, np.random.default_rng(4))
+    want = _klmn_dense(*dense_pencil(mesh, v2, 0.5))
+
+    def no_pencil(A, B):
+        raise AssertionError("pencil route on a Dirichlet-free mesh")
+
+    monkeypatch.setattr(operators, "_klmn_pencil", no_pencil)
+    assert want > 0.0
+    assert klmn_optimal_c1(mesh, v2, 0.5) == want

@@ -15,11 +15,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from katoform.errors import KernelHandlingError, MeshError
+from katoform import bundled
+from katoform.errors import ConvergenceError, KernelHandlingError, MeshError
 from katoform.mesh import (BundleMesh, cycle_mesh, gauge_transform, grid_mesh_2d,
                            haar_unitary, interval_mesh, random_bundle_mesh)
-from katoform.operators import (bochner_laplacian, fiber_split,
+from katoform.operators import (_assemble, bochner_laplacian, fiber_split,
                                 form_limit_check, form_sum_spectrum,
                                 kato_inequality_gap, klmn_optimal_c1,
                                 quad_form, scalar_laplacian,
@@ -122,6 +125,33 @@ def test_lanczos_route_with_singular_operator():
     assert part.method == "lanczos"
     assert abs(part.lowest) < 1e-9
     assert np.allclose(part.eigenvalues, dense.eigenvalues[:5], rtol=0.0, atol=1e-9)
+
+
+def test_real_operator_solves_in_real_arithmetic(monkeypatch):
+    # the Coulomb interval carries no phase, so its dense solve runs on the
+    # real part; a flux cycle keeps the complex solve and complex eigenvectors
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        lam, Q = eigh(a, *args, **kwargs)
+        seen.append(Q.dtype)
+        return lam, Q
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    mesh, values = bundled.coulomb_interval_system()
+    spec = form_sum_spectrum(mesh, V=values)
+    dense = _assemble(mesh, V=values)[0].toarray()
+    forced = np.linalg.eigvalsh(dense)      # complex128 input, complex solver
+    scale = max(1.0, float(np.abs(dense).max()))
+    assert dense.dtype == np.complex128 and spec.method == "dense"
+    assert seen == [np.float64]
+    np.testing.assert_allclose(spec.eigenvalues, forced, rtol=0.0, atol=1e-12 * scale)
+    assert float(spec.residuals.max()) < 1e-8 * scale
+
+    flux = form_sum_spectrum(cycle_mesh(7, theta=0.7))
+    assert seen[-1] == np.complex128
+    assert float(flux.residuals.max()) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +350,49 @@ def test_klmn_certifies_lower_bound():
     lowest = form_sum_spectrum(mesh, V=vals).lowest
     if c1 <= 1.0:
         assert lowest >= -c2 - 1e-10
+
+
+def _perturbed_vector(eigsh):
+    def wrapped(*args, **kwargs):
+        lam, X = eigsh(*args, **kwargs)
+        return lam, X * (1.0 + 1e-6 * np.random.default_rng(0).standard_normal(X.shape))
+    return wrapped
+
+
+def _no_convergence(eigsh):
+    def wrapped(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+    return wrapped
+
+
+@pytest.mark.parametrize("fault", [_perturbed_vector, _no_convergence])
+def test_klmn_pencil_raises_on_bad_eigenpair(monkeypatch, fault):
+    mesh, values = bundled.coulomb_interval_system()
+    v2 = np.maximum(-values, 0.0)
+    assert klmn_optimal_c1(mesh, v2, 4.0) > 0.0
+    monkeypatch.setattr(spla, "eigsh", fault(spla.eigsh))
+    with pytest.raises(ConvergenceError):
+        klmn_optimal_c1(mesh, v2, 4.0)
+
+
+def test_klmn_pencil_on_large_peierls_grid(monkeypatch):
+    # 121 x 121 Peierls grid, 14,161 interior DOF, solved without forming a
+    # dense matrix; with V2 = a constant, C1 = max(0, (a - C2) / lambda_0)
+    mesh = grid_mesh_2d(3.0, 0.05, b_field=1.0)
+
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("dense matrix formed")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        monkeypatch.setattr(cls, "toarray", no_dense)
+        monkeypatch.setattr(cls, "todense", no_dense)
+    with pytest.raises(AssertionError):
+        bochner_laplacian(two_vertex()).toarray()
+    lam0 = form_sum_spectrum(mesh, k=1).lowest
+    c2 = 1.0
+    for a in (3.0, 0.5):
+        c1 = klmn_optimal_c1(mesh, np.full(mesh.n_vertices, a), c2)
+        assert c1 == pytest.approx(max(0.0, (a - c2) / lam0), rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
