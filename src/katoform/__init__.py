@@ -4,9 +4,10 @@ The package has four computational layers plus a batch front end:
 
 * ``geometry``: constant-curvature model spaces, heat kernels (Delta/2
   normalization), ball-volume profiles.
-* ``kato``: heat-kernel potential averages, the small-time functional
-  eta(t), resolvent-smoothed constants C_r, membership verdicts, and the
-  relative form-bound pair (C1, C2) they induce.
+* ``kato``: the small-time functional eta(t) and the resolvent-smoothed
+  constants C_r, each one integral against a closed-form radial kernel,
+  membership verdicts, and the relative form-bound pair (C1, C2) they
+  induce.
 * ``mesh`` / ``operators``: weighted graphs carrying unitary edge
   transports, the covariant and scalar graph Laplacians, quadratic forms,
   pointwise kinetic comparison and semigroup domination checks, optimal
@@ -36,7 +37,6 @@ from .kato import (
     KatoReport,
     analytic_kato_functional,
     form_bound_constants,
-    heat_potential_average,
     kato_eta,
     kato_verdict,
     lp_kato_classify,
@@ -82,7 +82,7 @@ __all__ = [
     "heat_kernel", "heat_kernel_radial", "heat_mass", "model_ball_volume",
     "sphere_area", "h_kernel", "chapman_kolmogorov_residual",
     "Potential", "coulomb", "inverse_square", "constant", "bump", "tabulated",
-    "KatoReport", "heat_potential_average", "kato_eta", "resolvent_constant",
+    "KatoReport", "kato_eta", "resolvent_constant",
     "sandwich_check", "analytic_kato_functional", "lp_kato_classify",
     "form_bound_constants", "kato_verdict",
     "BundleMesh", "interval_mesh", "grid_mesh_2d", "cycle_mesh",

@@ -34,7 +34,7 @@ from jsonschema import Draft202012Validator
 from . import bundled, reports
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      InvalidPointError, KernelHandlingError, MeshError,
-                     NotFormBoundedError, QuadratureError)
+                     MonotonicityError, NotFormBoundedError, QuadratureError)
 from .feynman_kac import (KillingRegion, PathConfig, mc_covariant_semigroup,
                           mc_heat_expectation, mc_kato_integral)
 from .geometry import EUCLIDEAN, ModelSpace
@@ -295,7 +295,7 @@ def _run_kato_test(cfg, ctx):
 
     try:
         report = kato_verdict(pot, t_grid, probes, r_grid=r_grid)
-    except RuntimeError as exc:
+    except MonotonicityError as exc:
         raise ContractViolation("eta_monotonicity", str(exc)) from exc
 
     reports.write_eta_csv(ctx.out_dir, report)
@@ -455,7 +455,7 @@ def _run_check_inequalities(cfg, ctx):
         defect_tol = max(float(tol.get("form_limit_defect", 1e-8)),
                          t_grid[0] * lam_max * lam_max)
         f = next(_random_sections(mesh, 1, rng))
-        lim = form_limit_check(mesh, f, t_grid, tol=defect_tol)
+        lim = form_limit_check(mesh, f, t_grid)
         results["form_limit"] = {
             "times": t_grid,
             "quotients": [reports.pnum(q, defect_tol, "eigensolve")

@@ -20,6 +20,10 @@ class QuadratureError(RuntimeError):
         self.achieved_error = achieved_error
 
 
+class MonotonicityError(QuadratureError):
+    """A tabulated functional moved the wrong way by more than its quadrature error."""
+
+
 class ConvergenceError(RuntimeError):
     """An iterative solver stopped before reaching its tolerance.
 

@@ -26,14 +26,15 @@ transform of the same closed-form time integrals on H^2.  For a probe at
 distance b from the centre of v the integral is a radial one against the
 sphere mean of the kernel, which is the kernel itself at b = 0, a
 reflection pair on R^1, a closed-form chord integral on R^3 and H^3, and
-the kernel at max(w, b) for the (harmonic) Green kernel G_0.  The radial
-tail is summed over doubling windows; divergent integrals are classified
-and reported as +inf.
+the kernel at max(w, b) for the (harmonic) Green kernel G_0.  Everywhere
+else (off the centre of R^2, R^m with m >= 4 and H^2) the sphere mean is
+one QAWS integral over the distance to the probe, whose error estimate
+joins the reported one.  The radial tail is summed over doubling windows;
+divergent integrals are classified and reported as +inf.
 
-Probes off the centre of R^2, R^m (m >= 4) and H^2 have no such sphere
-mean, so there eta and C_r (r > 0) take the nested route: time or Laplace
-quadrature outside, the spatial average F(s) inside.  The nested route is
-also the oracle the tests compare the kernel route against.
+Every probe takes this one kernel route.  The nested time-and-space
+quadrature (an outer time or Laplace integral of the spatial average
+F(s)) survives only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -44,124 +45,41 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import erfc, erfcx, exp1, gammaincc, i0e, kve
+from scipy.special import erfc, erfcx, exp1, gammaincc, kve
 
-from .errors import DomainError, NotFormBoundedError
+from .errors import DomainError, MonotonicityError, NotFormBoundedError
 from .geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
     ModelSpace,
     distance,
     h_kernel,
-    heat_kernel_radial,
     kernel_tail_radius,
     law_of_cosines,
     sphere_area,
 )
-from .geometry import _TAIL_LOG, _h2_kernel_scalar, _h2_millson
+from .geometry import _TAIL_LOG, _h2_millson
 from .potentials import Potential
 from .quadrature import (
     DIVERGENCE_CAP,
-    OUTER_REL,
     SPATIAL_REL,
-    laplace_integral,
+    algebraic_weight_integral,
     polar_angle_rule,
     radial_integral,
-    sqrt_substitution_integral,
 )
-
-_INNER_REL_BUDGET = 1e-7  # folded into reported errors for nested quadrature
 
 # Probes closer than this to the centre of v are treated as the centre.
 _CENTRE = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# scalar kernel helpers (hot loop: plain math, no array overhead)
-
-def _kernel_scalar(space: ModelSpace, s: float, w: float) -> float:
-    m = space.dim
-    if space.kind == EUCLIDEAN:
-        return (2.0 * math.pi * s) ** (-m / 2.0) * math.exp(-w * w / (2.0 * s))
-    if m == 3:
-        if w < 1e-6:
-            factor = 1.0 - w * w / 6.0
-        else:
-            factor = w / math.sinh(w)
-        return (2.0 * math.pi * s) ** -1.5 * factor * math.exp(-s / 2.0 - w * w / (2.0 * s))
-    return _h2_kernel_scalar(s, w)
-
+# scalar helpers
 
 def _ring_scalar(space: ModelSpace, w: float) -> float:
     m = space.dim
     if space.kind == EUCLIDEAN:
         return sphere_area(m) * w ** (m - 1)
     return sphere_area(m) * math.sinh(w) ** (m - 1)
-
-
-def _sphere_mean_kernel(space: ModelSpace, s: float, w: float, b: float) -> float:
-    """Mean of p_s over the geodesic sphere of radius w, seen from distance b.
-
-    Closed forms in dimension 3 (both curvatures) and the Euclidean plane;
-    the hyperbolic plane falls back to an angular rule over the quadrature
-    kernel, which is supported but slow.
-    """
-    if b <= 1e-14 or w <= 1e-14:
-        return _kernel_scalar(space, s, max(w, b))
-    m = space.dim
-    if m == 3:
-        z = w * b / s
-        gap = -math.expm1(-2.0 * z) / (2.0 * z) if z > 1e-12 else 1.0
-        gauss = math.exp(-(w - b) * (w - b) / (2.0 * s)) * gap
-        if space.kind == EUCLIDEAN:
-            return (2.0 * math.pi * s) ** -1.5 * gauss
-        # hyperbolic correction: sinh-weighted chord substitution
-        return (2.0 * math.pi * s) ** -1.5 * math.exp(-s / 2.0) * \
-            (w * b / (math.sinh(w) * math.sinh(b))) * gauss
-    if space.kind == EUCLIDEAN and m == 2:
-        z = w * b / s
-        return (2.0 * math.pi * s) ** -1.0 * i0e(z) * \
-            math.exp(-(w - b) * (w - b) / (2.0 * s))
-    if space.kind == EUCLIDEAN and m == 1:
-        return 0.5 * (_kernel_scalar(space, s, abs(w - b)) + _kernel_scalar(space, s, w + b))
-    return _sphere_mean_rule(space, s, w, b)
-
-
-def _sphere_mean_rule(space: ModelSpace, s: float, w: float, b: float) -> float:
-    # Generic angular rule; adequate unless the kernel is much narrower than
-    # the angular node spacing (small s with large w*b), which the closed
-    # forms above avoid for every bundled case.
-    theta, weights = polar_angle_rule(space.dim, 96)
-    vals = heat_kernel_radial(space, s, law_of_cosines(space, w, b, theta))
-    total_angle = float(np.sum(weights))
-    return float(np.dot(weights, vals)) / total_angle
-
-
-# ---------------------------------------------------------------------------
-# spatial averages
-
-def _average_b(v: Potential, b: float, s: float):
-    """(value, error) of integral p_s(x, .) |v| dvol for a probe at distance b."""
-    space = v.space
-    abs_scalar = _abs_scalar_fn(v)
-    r_hi = kernel_tail_radius(space, s, extra=b)
-
-    def integrand(w):
-        ring = _ring_scalar(space, w)
-        if ring == 0.0:
-            return 0.0
-        vw = abs_scalar(w)
-        if not math.isfinite(vw):
-            return math.inf
-        return vw * ring * _sphere_mean_kernel(space, s, w, b)
-
-    breakpoints = set(v.singular_radii)
-    if b > 0.0:
-        # the kernel peak and the inner end of its support: a peak much
-        # narrower than [0, b] would otherwise fall between QUADPACK's nodes
-        breakpoints.update((b, 2.0 * b - r_hi))
-    val, err = radial_integral(integrand, r_hi, singular=sorted(breakpoints))
-    return val, err
 
 
 def _abs_scalar_fn(v: Potential):
@@ -190,35 +108,6 @@ def _probe_distances(v: Potential, probes) -> list[float]:
     return dists
 
 
-def heat_potential_average(v: Potential, x, s: float) -> float:
-    """integral p_s(x, y) |v(y)| vol(dy); +inf when the integral diverges."""
-    if s <= 0.0:
-        raise DomainError("time must be positive")
-    b = distance(v.space, v.space.origin(), v.space.validate_point(x))
-    val, _ = _average_b(v, b, s)
-    return float(val)
-
-
-# ---------------------------------------------------------------------------
-# the nested route: time or Laplace quadrature over F(s) = _average_b, for
-# probes without a closed-form sphere mean and as the tests' oracle
-
-def _nested_b(v: Potential, b: float, outer, x: float):
-    """(value, error) of outer(F, x) over F(s) = _average_b, with the inner budget added."""
-    val, err, diverged = outer(lambda s: _average_b(v, b, s)[0], x, rel=OUTER_REL)
-    if diverged:
-        return math.inf, math.inf
-    return val, err + _INNER_REL_BUDGET * abs(val)
-
-
-def _nested_eta_b(v: Potential, b: float, t: float):
-    return _nested_b(v, b, sqrt_substitution_integral, t)
-
-
-def _nested_resolvent_b(v: Potential, b: float, r: float):
-    return _nested_b(v, b, laplace_integral, r)
-
-
 # ---------------------------------------------------------------------------
 # the kernel route: one radial integral against K_t or G_r
 
@@ -234,7 +123,8 @@ class _Kernel:
     radial: Callable[[float, float], float]
     # distance beyond which ring * k is negligible; inf when it does not decay
     reach: float
-    # (lo, h, shift) -> e^shift integral_lo^{lo+h} k(rho) S(rho) d rho, in dimension 3
+    # (lo, h, shift) -> e^shift integral_lo^{lo+h} k(rho) S(rho) d rho, in dimension 3;
+    # without it an off-centre probe takes the generic sphere mean
     chord: Callable[[float, float, float], float] | None = None
     # k is harmonic off its pole, so every sphere mean is k(max(w, b))
     harmonic: bool = False
@@ -368,22 +258,20 @@ def _green_kernel(space: ModelSpace, r: float) -> _Kernel:
         reach)
 
 
-def _has_sphere_mean(space: ModelSpace, b: float) -> bool:
-    """Whether the kernel route serves a probe at distance b (r > 0)."""
-    return b <= _CENTRE or space.dim in (1, 3)
-
-
 def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     """(value, error) of integral |v(y)| k(d(x, y)) vol(dy) for a probe at distance b.
 
     In polar coordinates about the centre of v this is the radial integral
-    of |v(w)| ring(w) times the mean of k over the sphere of radius w.
+    of |v(w)| ring(w) times the mean of k over the sphere of radius w.  A
+    kernel without a chord form takes the generic sphere mean, whose
+    largest relative error joins the reported one.
     """
     space = v.space
     m = space.dim
     hyperbolic = space.kind == HYPERBOLIC
     area = sphere_area(m)
     radial = kernel.radial
+    inner_rel = 0.0
     if b <= _CENTRE or kernel.harmonic:
         def ring_mean(w):
             scaled, exponent = _split_S(hyperbolic, w)
@@ -391,7 +279,7 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     elif m == 1:
         def ring_mean(w):
             return radial(abs(w - b), 0.0) + radial(w + b, 0.0)
-    else:
+    elif kernel.chord is not None:
         # ring(w) chord / (2 S(w) S(b)) = 2 pi S(w) chord / S(b); the chord
         # runs from |w - b| to w + b, its length taken exactly as 2 min(w, b)
         chord = kernel.chord
@@ -400,6 +288,13 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
         def ring_mean(w):
             scaled, exponent = _split_S(hyperbolic, w)
             return 2.0 * math.pi * scaled * chord(abs(w - b), 2.0 * min(w, b), exponent) / s_b
+    else:
+        def ring_mean(w):
+            nonlocal inner_rel
+            val, err = _sphere_mean(radial, hyperbolic, m, w, b)
+            if val > 0.0:
+                inner_rel = max(inner_rel, err / val)
+            return val
 
     abs_scalar = _abs_scalar_fn(v)
 
@@ -416,7 +311,47 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     breakpoints = set(v.singular_radii)
     if b > _CENTRE:
         breakpoints.add(b)
-    return _radial_tail(integrand, kernel.reach + b, sorted(breakpoints))
+    val, err = _radial_tail(integrand, kernel.reach + b, sorted(breakpoints))
+    if inner_rel > 0.0 and math.isfinite(val):
+        err += inner_rel * val
+    return val, err
+
+
+def _sphere_mean(radial, hyperbolic: bool, m: int, w: float, b: float):
+    """(value, error) of ring(w) times the mean of k over the sphere of radius w.
+
+    The probe sits at distance b from the sphere's centre.  With S(x) = x
+    on R^m and sinh x on H^m, trading the polar angle for the distance rho
+    to the probe, rho in [a, top] = [|w - b|, w + b], turns
+    sin^{m-2} theta d theta into S(rho) P(rho)^alpha d rho / (S(w) S(b))^{m-2},
+    where alpha = (m - 3)/2 and
+    P = 4 S((rho + a)/2) S((rho - a)/2) S((top + rho)/2) S((top - rho)/2)
+    is (S(w) S(b) sin theta)^2.  QAWS carries the factors (rho - a)^alpha
+    (top - rho)^alpha of P; every e^x growth of a sinh goes into the
+    kernel's shift, which sums to c (rho + w - b) with c = (m - 1)/2 on H^m.
+    """
+    # at w = b the pole of k would sit on the end rho = 0; the mean is
+    # continuous in w, so one ulp off b stands in for it
+    a = abs(w - b) or math.ulp(b)
+    top = w + b
+    alpha = 0.5 * (m - 3)
+    c = 0.5 * (m - 1) if hyperbolic else 0.0
+
+    def half(x):
+        return _split_S(hyperbolic, 0.5 * x)[0]
+
+    def edge(d):
+        # 2 S(d/2) / d, scaled: 1 on R^m
+        return -math.expm1(-d) / d if hyperbolic and d > 0.0 else 1.0
+
+    def f(rho):
+        rest = half(rho + a) * half(top + rho) * edge(rho - a) * edge(top - rho)
+        return radial(rho, c * (rho + w - b)) * _split_S(hyperbolic, rho)[0] * rest ** alpha
+
+    s_w, s_b = _split_S(hyperbolic, w)[0], _split_S(hyperbolic, b)[0]
+    front = sphere_area(m - 1) * s_w ** (m - 1) / (s_w * s_b) ** (m - 2)
+    val, err = algebraic_weight_integral(f, a, top, alpha)
+    return front * val, front * err
 
 
 _TAIL_WINDOWS = 64
@@ -462,15 +397,11 @@ def _radial_tail(integrand, reach: float, breakpoints):
 
 
 def _eta_b(v: Potential, b: float, t: float):
-    if _has_sphere_mean(v.space, b):
-        return _fubini_b(v, b, _heat_kernel(v.space, t))
-    return _nested_eta_b(v, b, t)
+    return _fubini_b(v, b, _heat_kernel(v.space, t))
 
 
 def _resolvent_b(v: Potential, b: float, r: float):
-    if r == 0.0 or _has_sphere_mean(v.space, b):
-        return _fubini_b(v, b, _green_kernel(v.space, r))
-    return _nested_resolvent_b(v, b, r)
+    return _fubini_b(v, b, _green_kernel(v.space, r))
 
 
 def _max_over_probes(fn, dists):
@@ -803,8 +734,8 @@ def _check_report_monotonicity(report: KatoReport) -> None:
     rows = [r for r in report.eta_grid if math.isfinite(r[1])]
     for (t0, e0, err0), (t1, e1, err1) in zip(rows[:-1], rows[1:]):
         if e0 > e1 + 10.0 * (err0 + err1) + 1e-12:
-            raise RuntimeError(f"eta grid lost monotonicity between t={t0} and t={t1}")
+            raise MonotonicityError(f"eta grid lost monotonicity between t={t0} and t={t1}")
     rows = [r for r in report.resolvent_grid if math.isfinite(r[1])]
     for (r0, c0, err0), (r1, c1, err1) in zip(rows[:-1], rows[1:]):
         if c1 > c0 + 10.0 * (err0 + err1) + 1e-12:
-            raise RuntimeError(f"resolvent grid lost monotonicity between r={r0} and r={r1}")
+            raise MonotonicityError(f"resolvent grid lost monotonicity between r={r0} and r={r1}")

@@ -477,8 +477,7 @@ class FormLimitResult:
         return math.isfinite(self.defect)
 
 
-def form_limit_check(mesh: BundleMesh, f, t_grid, V=None,
-                     tol: float = 1e-8) -> FormLimitResult:
+def form_limit_check(mesh: BundleMesh, f, t_grid, V=None) -> FormLimitResult:
     """Difference quotients <f, (I - e^{-tH}) f>_mu / t against the form value.
 
     As t decreases to 0 the quotient increases to q(f) = <H f, f>_mu for

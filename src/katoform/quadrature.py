@@ -1,13 +1,13 @@
 """Quadrature helpers shared by the geometry and Kato-functional layers.
 
-scipy's QUADPACK does the adaptive Gauss-Kronrod work on finite intervals.
+scipy's QUADPACK does the adaptive work on finite intervals: Gauss-Kronrod
+for smooth pieces and QAWS for integrands with algebraic endpoint weights.
 On top of that this module adds the pieces those routines do not provide:
-dyadic refinement towards integrable endpoint singularities (with the
-s = u^2 substitution that flattens 1/sqrt(s) endpoints), divergence
-classification for integrals that have no finite value, and truncated
-Laplace transforms.  Every helper returns an error estimate alongside the
-value; divergent integrals come back as +inf with ``diverged=True`` rather
-than raising, because the calling layer reports them as a flag.
+dyadic refinement towards integrable endpoint singularities and divergence
+classification for integrals that have no finite value.  Every helper
+returns an error estimate alongside the value; divergent integrals come
+back as +inf (with ``diverged=True`` from the dyadic scheme) rather than
+raising, because the calling layer reports them as a flag.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import QuadratureError
+from .errors import ConvergenceError, QuadratureError
 
-# Relative targets: spatial integrals are the inner loop, time/Laplace
-# integrals the outer one, so the inner target sits one order tighter.
+# Relative targets: every radial integral aims at SPATIAL_REL, one order
+# tighter than the OUTER_REL accuracy reported values are held to.
 SPATIAL_REL = 1e-8
 OUTER_REL = 1e-7
 
@@ -119,62 +119,24 @@ def dyadic_endpoint_integral(f, a, b, rel=OUTER_REL, max_levels=54):
     return total, err + (abs(prev) if prev is not None else 0.0), False
 
 
-def sqrt_substitution_integral(F, upper, rel=OUTER_REL, max_levels=54):
-    """Integrate F on (0, upper] when F may blow up at 0 like a power.
+def algebraic_weight_integral(f, a, b, alpha):
+    """integral_a^b f(x) (x - a)^alpha (b - x)^alpha dx by QUADPACK's QAWS (alpha > -1).
 
-    Substitutes s = u^2 so an s^{-1/2} endpoint becomes a bounded integrand,
-    then applies the dyadic endpoint scheme in u.  Returns
-    (value, error_estimate, diverged).
+    Returns (value, error_estimate).  f must be finite on [a, b], both ends
+    included.  The target sits two orders below SPATIAL_REL, so a radial
+    integral over such values sees no noise from them.  An estimate above
+    SPATIAL_REL times the value, or a non-finite value, raises
+    ConvergenceError: the integrand is bounded by construction, so a miss
+    is a solver failure and never a divergence.
     """
-    if upper <= 0.0:
-        return 0.0, 0.0, False
-    root = math.sqrt(upper)
-
-    def g(u):
-        return 2.0 * u * F(u * u)
-
-    return dyadic_endpoint_integral(g, 0.0, root, rel=rel, max_levels=max_levels)
-
-
-def laplace_integral(F, r, rel=OUTER_REL, max_up_levels=48):
-    """Compute integral_0^inf exp(-r s) F(s) ds.
-
-    The near-zero part uses the sqrt substitution (F may have an integrable
-    singularity at 0); the tail is summed over doubling windows until the
-    exponential decay makes further windows negligible.  Returns
-    (value, error_estimate, diverged).
-    """
-    if r <= 0.0:
-        raise ValueError("laplace_integral needs r > 0")
-
-    def damped(s):
-        return math.exp(-r * s) * F(s)
-
-    s_break = 1.0 / r
-    head, head_err, diverged = sqrt_substitution_integral(damped, s_break, rel=rel)
-    if diverged:
-        return math.inf, math.inf, True
-    total = head
-    err = head_err
-    lo = s_break
-    for _ in range(max_up_levels):
-        hi = 2.0 * lo
-        try:
-            v, e = quad_piece(damped, lo, hi, rel=rel)
-        except QuadratureError as exc:
-            raise QuadratureError("Laplace tail window failed", achieved_error=exc.achieved_error)
-        total += v
-        err += e
-        if abs(total) > DIVERGENCE_CAP:
-            return math.inf, math.inf, True
-        # exp(-r s) has dropped by exp(-r lo) across this window; once the
-        # window contribution is below the target the remaining tail is
-        # smaller than the window by a factor exp(-r lo) < e^{-1}.
-        if abs(v) <= rel * max(abs(total), _TINY):
-            err += abs(v)
-            return total, err, False
-        lo = hi
-    return total, err + abs(v), False
+    out = quad(f, a, b, weight="alg", wvar=(alpha, alpha), epsabs=0.0,
+               epsrel=1e-2 * SPATIAL_REL, limit=200, full_output=1)
+    value, abserr = out[0], out[1]
+    if not math.isfinite(value) or abserr > SPATIAL_REL * abs(value):
+        raise ConvergenceError(
+            f"weighted quadrature on [{a}, {b}] missed its tolerance "
+            f"(err {abserr:.3e}, value {value:.6e})", residual=abserr)
+    return value, abserr
 
 
 def radial_integral(g, hi, singular=(), rel=SPATIAL_REL):

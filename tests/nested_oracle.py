@@ -1,0 +1,194 @@
+"""The nested time-and-space route, kept as an oracle for the kernel route.
+
+By Fubini eta(t) and C_r are also a time (or Laplace) integral of the
+spatial average F(s) = integral p_s(x, y) |v(y)| vol(dy).  This module
+computes them that way: F(s) by a radial integral against the sphere
+mean of the heat kernel p_s, the outer integral by the dyadic endpoint
+scheme under s = u^2 (which flattens the s^{-1/2} endpoint) and, for
+C_r, doubling windows of the Laplace tail.  It shares none of the kernel
+route's closed forms K_t and G_r, which is what makes it an oracle; it is
+also orders of magnitude slower, which is why it lives here.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.special import i0e
+
+from katoform.errors import DomainError, QuadratureError
+from katoform.geometry import (EUCLIDEAN, ModelSpace, _h2_kernel_scalar, distance,
+                               heat_kernel_radial, kernel_tail_radius, law_of_cosines)
+from katoform.kato import _abs_scalar_fn, _ring_scalar
+from katoform.potentials import Potential
+from katoform.quadrature import (DIVERGENCE_CAP, OUTER_REL, _TINY, dyadic_endpoint_integral,
+                                 polar_angle_rule, quad_piece, radial_integral)
+
+_INNER_REL_BUDGET = 1e-7  # folded into reported errors for nested quadrature
+
+
+# ---------------------------------------------------------------------------
+# outer integrals in time
+
+def sqrt_substitution_integral(F, upper, rel=OUTER_REL, max_levels=54):
+    """Integrate F on (0, upper] when F may blow up at 0 like a power.
+
+    Substitutes s = u^2 so an s^{-1/2} endpoint becomes a bounded integrand,
+    then applies the dyadic endpoint scheme in u.  Returns
+    (value, error_estimate, diverged).
+    """
+    if upper <= 0.0:
+        return 0.0, 0.0, False
+    root = math.sqrt(upper)
+
+    def g(u):
+        return 2.0 * u * F(u * u)
+
+    return dyadic_endpoint_integral(g, 0.0, root, rel=rel, max_levels=max_levels)
+
+
+def laplace_integral(F, r, rel=OUTER_REL, max_up_levels=48):
+    """Compute integral_0^inf exp(-r s) F(s) ds.
+
+    The near-zero part uses the sqrt substitution (F may have an integrable
+    singularity at 0); the tail is summed over doubling windows until the
+    exponential decay makes further windows negligible.  Returns
+    (value, error_estimate, diverged).
+    """
+    if r <= 0.0:
+        raise ValueError("laplace_integral needs r > 0")
+
+    def damped(s):
+        return math.exp(-r * s) * F(s)
+
+    s_break = 1.0 / r
+    head, head_err, diverged = sqrt_substitution_integral(damped, s_break, rel=rel)
+    if diverged:
+        return math.inf, math.inf, True
+    total = head
+    err = head_err
+    lo = s_break
+    for _ in range(max_up_levels):
+        hi = 2.0 * lo
+        try:
+            v, e = quad_piece(damped, lo, hi, rel=rel)
+        except QuadratureError as exc:
+            raise QuadratureError("Laplace tail window failed", achieved_error=exc.achieved_error)
+        total += v
+        err += e
+        if abs(total) > DIVERGENCE_CAP:
+            return math.inf, math.inf, True
+        # exp(-r s) has dropped by exp(-r lo) across this window; once the
+        # window contribution is below the target the remaining tail is
+        # smaller than the window by a factor exp(-r lo) < e^{-1}.
+        if abs(v) <= rel * max(abs(total), _TINY):
+            err += abs(v)
+            return total, err, False
+        lo = hi
+    return total, err + abs(v), False
+
+
+# ---------------------------------------------------------------------------
+# the spatial average F(s)
+
+def _kernel_scalar(space: ModelSpace, s: float, w: float) -> float:
+    m = space.dim
+    if space.kind == EUCLIDEAN:
+        return (2.0 * math.pi * s) ** (-m / 2.0) * math.exp(-w * w / (2.0 * s))
+    if m == 3:
+        if w < 1e-6:
+            factor = 1.0 - w * w / 6.0
+        else:
+            factor = w / math.sinh(w)
+        return (2.0 * math.pi * s) ** -1.5 * factor * math.exp(-s / 2.0 - w * w / (2.0 * s))
+    return _h2_kernel_scalar(s, w)
+
+
+def _sphere_mean_kernel(space: ModelSpace, s: float, w: float, b: float) -> float:
+    """Mean of p_s over the geodesic sphere of radius w, seen from distance b.
+
+    Closed forms in dimension 3 (both curvatures) and the Euclidean plane;
+    the other spaces fall back to an angular rule over the heat kernel,
+    which is supported but slow.
+    """
+    if b <= 1e-14 or w <= 1e-14:
+        return _kernel_scalar(space, s, max(w, b))
+    m = space.dim
+    if m == 3:
+        z = w * b / s
+        gap = -math.expm1(-2.0 * z) / (2.0 * z) if z > 1e-12 else 1.0
+        gauss = math.exp(-(w - b) * (w - b) / (2.0 * s)) * gap
+        if space.kind == EUCLIDEAN:
+            return (2.0 * math.pi * s) ** -1.5 * gauss
+        # hyperbolic correction: sinh-weighted chord substitution
+        return (2.0 * math.pi * s) ** -1.5 * math.exp(-s / 2.0) * \
+            (w * b / (math.sinh(w) * math.sinh(b))) * gauss
+    if space.kind == EUCLIDEAN and m == 2:
+        z = w * b / s
+        return (2.0 * math.pi * s) ** -1.0 * i0e(z) * \
+            math.exp(-(w - b) * (w - b) / (2.0 * s))
+    if space.kind == EUCLIDEAN and m == 1:
+        return 0.5 * (_kernel_scalar(space, s, abs(w - b)) + _kernel_scalar(space, s, w + b))
+    return _sphere_mean_rule(space, s, w, b)
+
+
+def _sphere_mean_rule(space: ModelSpace, s: float, w: float, b: float) -> float:
+    # Generic angular rule; adequate unless the kernel is much narrower than
+    # the angular node spacing (small s with large w*b)
+    theta, weights = polar_angle_rule(space.dim, 96)
+    vals = heat_kernel_radial(space, s, law_of_cosines(space, w, b, theta))
+    total_angle = float(np.sum(weights))
+    return float(np.dot(weights, vals)) / total_angle
+
+
+def average_b(v: Potential, b: float, s: float):
+    """(value, error) of integral p_s(x, .) |v| dvol for a probe at distance b."""
+    space = v.space
+    abs_scalar = _abs_scalar_fn(v)
+    r_hi = kernel_tail_radius(space, s, extra=b)
+
+    def integrand(w):
+        ring = _ring_scalar(space, w)
+        if ring == 0.0:
+            return 0.0
+        vw = abs_scalar(w)
+        if not math.isfinite(vw):
+            return math.inf
+        return vw * ring * _sphere_mean_kernel(space, s, w, b)
+
+    breakpoints = set(v.singular_radii)
+    if b > 0.0:
+        # the kernel peak and the inner end of its support: a peak much
+        # narrower than [0, b] would otherwise fall between QUADPACK's nodes
+        breakpoints.update((b, 2.0 * b - r_hi))
+    return radial_integral(integrand, r_hi, singular=sorted(breakpoints))
+
+
+def heat_potential_average(v: Potential, x, s: float) -> float:
+    """integral p_s(x, y) |v(y)| vol(dy); +inf when the integral diverges."""
+    if s <= 0.0:
+        raise DomainError("time must be positive")
+    b = distance(v.space, v.space.origin(), v.space.validate_point(x))
+    return float(average_b(v, b, s)[0])
+
+
+# ---------------------------------------------------------------------------
+# the functionals at one probe
+
+def _nested_b(v: Potential, b: float, outer, x: float):
+    """(value, error) of outer(F, x) over F(s) = average_b, with the inner budget added."""
+    val, err, diverged = outer(lambda s: average_b(v, b, s)[0], x, rel=OUTER_REL)
+    if diverged:
+        return math.inf, math.inf
+    return val, err + _INNER_REL_BUDGET * abs(val)
+
+
+def nested_eta_b(v: Potential, b: float, t: float):
+    """(value, error) of integral_0^t F(s) ds for a probe at distance b."""
+    return _nested_b(v, b, sqrt_substitution_integral, t)
+
+
+def nested_resolvent_b(v: Potential, b: float, r: float):
+    """(value, error) of integral_0^inf e^{-rs} F(s) ds for a probe at distance b (r > 0)."""
+    return _nested_b(v, b, laplace_integral, r)

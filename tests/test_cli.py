@@ -14,7 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from katoform import bundled, cli
+from katoform import bundled, cli, kato
+from katoform.errors import ConvergenceError
 from katoform.reports import PROVENANCES
 
 
@@ -209,6 +210,35 @@ def test_form_bounds_green_potential_bump(tmp_path):
     assert klmn["c1"]["value"] == pytest.approx(1.0 / 3.0, rel=1e-9)
     rows = (out / "resolvent.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[0]) for row in rows] == [0.25, 0.5, 1.0, 2.0, 4.0]
+
+
+KATO_CFG = {
+    "command": "kato-test",
+    "space": {"bundled": "euclidean_m3"},
+    "potential": {"bundled": "coulomb_r3"},
+    "t_grid": [1e-4, 1e-3, 1e-2, 1e-1],
+    "seed": 0,
+}
+
+
+def test_kato_solver_failure_is_a_convergence_violation(tmp_path, capsys, monkeypatch):
+    # a ConvergenceError is a RuntimeError, but not a monotonicity failure
+    def fail(v, b, t):
+        raise ConvergenceError("inner quadrature missed its tolerance")
+
+    monkeypatch.setattr(kato, "_eta_b", fail)
+    code, _ = run_cli(tmp_path, KATO_CFG)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "contract violation: convergence" in err
+    assert "eta_monotonicity" not in err
+
+
+def test_kato_decreasing_eta_is_a_monotonicity_violation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(kato, "_eta_b", lambda v, b, t: (1.0 / t, 0.0))
+    code, _ = run_cli(tmp_path, KATO_CFG)
+    assert code == 1
+    assert "contract violation: eta_monotonicity" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

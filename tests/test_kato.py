@@ -17,6 +17,7 @@ Frozen reference values (all derived independently of the implementation):
       C_0 = 2 integral_0^1 w (1 - w^2)^2 dw = 1/3.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,18 +28,20 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from katoform import kato
-from katoform.errors import DomainError, NotFormBoundedError
+from katoform.errors import ConvergenceError, DomainError, NotFormBoundedError
 from katoform.geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace, geodesic_point
 from katoform.kato import (analytic_kato_functional, form_bound_constants,
-                           heat_potential_average, kato_eta, kato_verdict,
-                           lp_kato_classify, resolvent_constant,
-                           sandwich_check)
+                           kato_eta, kato_verdict, lp_kato_classify,
+                           resolvent_constant, sandwich_check)
 from katoform.potentials import (bump, constant, coulomb, inverse_power,
                                  inverse_square)
+from katoform.quadrature import algebraic_weight_integral
+from nested_oracle import heat_potential_average, nested_eta_b, nested_resolvent_b
 
 E1 = ModelSpace(EUCLIDEAN, 1)
 E2 = ModelSpace(EUCLIDEAN, 2)
 E3 = ModelSpace(EUCLIDEAN, 3)
+E4 = ModelSpace(EUCLIDEAN, 4)
 H2 = ModelSpace(HYPERBOLIC, 2)
 H3 = ModelSpace(HYPERBOLIC, 3)
 
@@ -47,7 +50,7 @@ ORIGIN3 = [E3.origin()]
 
 
 # ---------------------------------------------------------------------------
-# heat-kernel averages
+# heat-kernel averages, the inner integral of the nested oracle
 
 def test_coulomb_average_at_origin():
     for s in (1e-4, 1e-2, 1.0):
@@ -305,24 +308,49 @@ def test_probes_must_cover_singularities():
 # ---------------------------------------------------------------------------
 # the kernel route against the nested time-and-space route
 
-@pytest.mark.parametrize("space", [E3, H3], ids=["R3", "H3"])
+@pytest.mark.parametrize("space", [E3, H3, E2], ids=["R3", "H3", "R2"])
 @pytest.mark.parametrize("make", [coulomb, bump, lambda sp: constant(sp, 2.0)],
                          ids=["coulomb", "bump", "constant"])
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_kernel_route_matches_nested(space, make, b):
     v = make(space)
     eta, _ = kato._eta_b(v, b, 0.01)
-    assert eta == pytest.approx(kato._nested_eta_b(v, b, 0.01)[0], rel=1e-7)
+    assert eta == pytest.approx(nested_eta_b(v, b, 0.01)[0], rel=1e-7)
     c_r, _ = kato._resolvent_b(v, b, 2.0)
-    assert c_r == pytest.approx(kato._nested_resolvent_b(v, b, 2.0)[0], rel=1e-7)
+    assert c_r == pytest.approx(nested_resolvent_b(v, b, 2.0)[0], rel=1e-7)
 
 
 def test_kernel_route_matches_nested_h2_origin():
     v = coulomb(H2)
     eta, _ = kato._eta_b(v, 0.0, 0.01)
-    assert eta == pytest.approx(kato._nested_eta_b(v, 0.0, 0.01)[0], rel=1e-7)
+    assert eta == pytest.approx(nested_eta_b(v, 0.0, 0.01)[0], rel=1e-7)
     c_r, _ = kato._resolvent_b(v, 0.0, 8.0)
-    assert c_r == pytest.approx(kato._nested_resolvent_b(v, 0.0, 8.0)[0], rel=1e-7)
+    assert c_r == pytest.approx(nested_resolvent_b(v, 0.0, 8.0)[0], rel=1e-7)
+
+
+def test_kernel_route_matches_nested_r4_offcentre():
+    v = coulomb(E4)
+    eta, _ = kato._eta_b(v, 0.5, 0.01)
+    assert eta == pytest.approx(nested_eta_b(v, 0.5, 0.01)[0], rel=1e-7)
+    c_r, _ = kato._resolvent_b(v, 0.5, 2.0)
+    assert c_r == pytest.approx(nested_resolvent_b(v, 0.5, 2.0)[0], rel=1e-7)
+
+
+# the generic sphere mean also holds in dimension 3, where it must agree
+# with the chord forms; on H^3 this pins its hyperbolic Jacobian
+@pytest.mark.parametrize("space", [E3, H3], ids=["R3", "H3"])
+@pytest.mark.parametrize("make", [coulomb, bump], ids=["coulomb", "bump"])
+@pytest.mark.parametrize("kernel", [lambda sp: kato._heat_kernel(sp, 1e-2),
+                                    lambda sp: kato._heat_kernel(sp, 1e-4),
+                                    lambda sp: kato._green_kernel(sp, 8.0)],
+                         ids=["K-1e-2", "K-1e-4", "G-8"])
+def test_generic_sphere_mean_matches_chords(space, make, kernel):
+    v, k = make(space), kernel(space)
+    assert k.chord is not None
+    chord, _ = kato._fubini_b(v, 0.5, k)
+    generic, err = kato._fubini_b(v, 0.5, dataclasses.replace(k, chord=None))
+    assert generic == pytest.approx(chord, rel=1e-12)
+    assert 0.0 < err < 1e-7 * generic
 
 
 def _coulomb_eta_offcentre(t, b):
@@ -358,10 +386,31 @@ def test_coulomb_eta_offcentre_closed_form(t, b):
     assert eta == pytest.approx(_coulomb_eta_offcentre(t, b), rel=1e-9)
 
 
-# every (space, probe) pair either route serves, except H^2 off the centre,
-# whose nested route takes minutes
+def test_algebraic_weight_integral():
+    # integral_0^1 x^{-1/2} (1 - x)^{-1/2} dx = pi, and with f = x it is pi/2
+    val, err = algebraic_weight_integral(lambda x: 1.0, 0.0, 1.0, -0.5)
+    assert val == pytest.approx(math.pi, rel=1e-13) and err < 1e-10
+    assert algebraic_weight_integral(lambda x: x, 0.0, 1.0, -0.5)[0] == \
+        pytest.approx(0.5 * math.pi, rel=1e-13)
+    with pytest.raises(ConvergenceError):
+        algebraic_weight_integral(lambda x: math.sin(1e7 * x), 0.0, 1.0, -0.5)
+    with pytest.raises(ConvergenceError):
+        algebraic_weight_integral(lambda x: math.nan, 0.0, 1.0, 0.0)
+
+
+def test_inner_failure_is_not_divergence(monkeypatch):
+    # radial_integral reads a QuadratureError as divergence; a failed sphere
+    # mean must surface as a solver failure instead of eta = +inf
+    def fail(f, a, b, alpha):
+        raise ConvergenceError("inner quadrature missed its tolerance")
+
+    monkeypatch.setattr(kato, "algebraic_weight_integral", fail)
+    with pytest.raises(ConvergenceError):
+        kato_eta(coulomb(E2), 0.01, [E2.origin(), geodesic_point(E2, 0.5)])
+
+
 CONSTANT_CASES = [(ModelSpace(EUCLIDEAN, m), b) for m in (1, 2, 3, 4) for b in (0.0, 0.5)] + \
-    [(H3, 0.0), (H3, 0.5), (H2, 0.0)]
+    [(H3, 0.0), (H3, 0.5), (H2, 0.0), (H2, 0.5)]
 
 
 @pytest.mark.parametrize("space,b", CONSTANT_CASES,
@@ -372,3 +421,13 @@ def test_constant_potential_on_every_route(space, b):
     v = constant(space, c)
     assert kato_eta(v, 0.1, [probe])[0] == pytest.approx(c * 0.1, rel=1e-8)
     assert resolvent_constant(v, 2.0, [probe]) == pytest.approx(c / 2.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("space", [H2, E4], ids=["H2", "R4"])
+def test_constant_potential_small_r_offcentre(space):
+    # G_r reaches out to rho ~ 1/r, where the H^2 ring and kernel factors
+    # overflow and underflow unless their exponents cancel in the shift
+    c, r = 2.5, 1e-3
+    v = constant(space, c)
+    assert resolvent_constant(v, r, [geodesic_point(space, 0.5)]) == \
+        pytest.approx(c / r, rel=1e-8)
