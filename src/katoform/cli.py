@@ -34,7 +34,8 @@ from jsonschema import Draft202012Validator
 from . import bundled, reports
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      InvalidPointError, KernelHandlingError, MeshError,
-                     MonotonicityError, NotFormBoundedError, QuadratureError)
+                     MonotonicityError, NotFormBoundedError, QuadratureError,
+                     UndecidedError)
 from .feynman_kac import (KillingRegion, PathConfig, mc_covariant_semigroup,
                           mc_heat_expectation, mc_kato_integral)
 from .geometry import EUCLIDEAN, ModelSpace
@@ -649,6 +650,8 @@ def _run(args) -> int:
         return _fail(1, f"contract violation: kernel_reduction: {exc}")
     except ConvergenceError as exc:
         return _fail(1, f"contract violation: convergence: {exc}")
+    except UndecidedError as exc:
+        return _fail(1, f"contract violation: divergence_undecided: {exc}")
     except QuadratureError as exc:
         return _fail(1, f"contract violation: quadrature_accuracy: {exc}")
 

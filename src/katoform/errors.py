@@ -24,6 +24,13 @@ class MonotonicityError(QuadratureError):
     """A tabulated functional moved the wrong way by more than its quadrature error."""
 
 
+class UndecidedError(QuadratureError):
+    """Condensation windows at a singular radius settled on neither convergence nor divergence.
+
+    It never means divergence: callers report the quantity as undecided.
+    """
+
+
 class ConvergenceError(RuntimeError):
     """An iterative solver stopped before reaching its tolerance.
 

@@ -29,12 +29,19 @@ reflection pair on R^1, a closed-form chord integral on R^3 and H^3, and
 the kernel at max(w, b) for the (harmonic) Green kernel G_0.  Everywhere
 else (off the centre of R^2, R^m with m >= 4 and H^2) the sphere mean is
 one QAWS integral over the distance to the probe, whose error estimate
-joins the reported one.  The radial tail is summed over doubling windows;
-divergent integrals are classified and reported as +inf.
+joins the reported one.
 
 Every probe takes this one kernel route.  The nested time-and-space
 quadrature (an outer time or Laplace integral of the spatial average
-F(s)) survives only as the tests' oracle.
+F(s)) survives only as the tests' oracle.  Divergence is decided before
+anything is integrated: quadrature.radial_integral classifies each
+singular radius of v (radius 0 included) by its condensation windows, so
+a divergent functional is +inf after a few dozen evaluations of |v|, and
+the doubling windows of the radial tail are read by the same classifier,
+whose settled decay adds the unread tail to value and error.  Probe
+distances and window starts are plain breakpoints.  An integral the
+windows cannot decide raises UndecidedError; kato_verdict reports it as
+'inconclusive' with a reason, never as divergence.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc, erfcx, exp1, gammaincc, kve
 
-from .errors import DomainError, MonotonicityError, NotFormBoundedError
+from .errors import DomainError, MonotonicityError, NotFormBoundedError, UndecidedError
 from .geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -64,6 +71,7 @@ from .quadrature import (
     DIVERGENCE_CAP,
     SPATIAL_REL,
     algebraic_weight_integral,
+    classify_windows,
     polar_angle_rule,
     radial_integral,
 )
@@ -308,10 +316,8 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
             return math.inf
         return vw * ring_mean(w)
 
-    breakpoints = set(v.singular_radii)
-    if b > _CENTRE:
-        breakpoints.add(b)
-    val, err = _radial_tail(integrand, kernel.reach + b, sorted(breakpoints))
+    val, err = _radial_tail(integrand, kernel.reach + b, v.singular_radii,
+                            [b] if b > _CENTRE else [])
     if inner_rel > 0.0 and math.isfinite(val):
         err += inner_rel * val
     return val, err
@@ -355,27 +361,30 @@ def _sphere_mean(radial, hyperbolic: bool, m: int, w: float, b: float):
 
 
 _TAIL_WINDOWS = 64
-_FLAT_WINDOWS = 8
 
 
-def _radial_tail(integrand, reach: float, breakpoints):
+def _radial_tail(integrand, reach: float, singular, points):
     """(value, error) of integral_0^inf integrand over doubling windows.
 
     A head up to min(reach, a scale of the breakpoints) comes first, so a
     compactly supported potential is never lost in one wide QUADPACK call.
-    The sum stops at the first window that is negligible against a nonzero
-    total, or at any negligible window past the reach.  Windows past the
-    reach (every window, for a kernel that does not decay) that stop
-    shrinking, or a total past DIVERGENCE_CAP, classify the integral as
-    divergent: (+inf, +inf).
+    The singular radii are classified wherever they fall; the points (probe
+    distances) and the window starts are plain breakpoints.  The sum stops
+    at the first window that is negligible against a nonzero total, or at
+    any negligible window past the reach.  Windows past the reach (every
+    window, for a kernel that does not decay) are also read by
+    classify_windows: a settled decay adds its tail to the value and the
+    error, a divergent reading or a total past DIVERGENCE_CAP gives
+    (+inf, +inf), and windows that run out undecided raise UndecidedError.
     """
     def segment(lo, hi):
         return radial_integral(lambda u: integrand(lo + u), hi - lo,
-                               singular=[p - lo for p in breakpoints if lo < p < hi])
+                               singular=[p - lo for p in singular if lo <= p <= hi],
+                               points=[p - lo for p in points if lo < p < hi])
 
-    head = min(reach, max(1.0, 2.0 * max(breakpoints, default=0.0)))
+    head = min(reach, max(1.0, 2.0 * max((*singular, *points), default=0.0)))
     total, err = segment(0.0, head)
-    lo, prev, flat = head, 0.0, 0
+    lo, read = head, []
     for _ in range(_TAIL_WINDOWS):
         if math.isinf(total) or abs(total) > DIVERGENCE_CAP:
             return math.inf, math.inf
@@ -387,13 +396,15 @@ def _radial_tail(integrand, reach: float, breakpoints):
         if abs(window) <= SPATIAL_REL * abs(total) and (past or total != 0.0):
             return total, err + abs(window)
         if past or math.isinf(reach):
-            flat = flat + 1 if 0.0 < abs(window) and abs(window) >= 0.96 * abs(prev) else 0
-            if flat >= _FLAT_WINDOWS:
-                return math.inf, math.inf
-        prev = window
+            read.append(window)
+            outcome = classify_windows(read)
+            if outcome is not None:
+                tail = outcome.tail(abs(window))
+                return total + math.copysign(tail, window), err + tail
     if total == 0.0:
         return 0.0, err
-    return math.inf, math.inf
+    raise UndecidedError(f"the radial tail decides nothing after {_TAIL_WINDOWS} windows",
+                         achieved_error=math.inf)
 
 
 def _eta_b(v: Potential, b: float, t: float):
@@ -534,8 +545,7 @@ def _ball_integral(v: Potential, b: float, radius: float, weight):
         # shift so the singular radii map onto breakpoints
         breaks = sorted({radius - b + ws for ws in v.singular_radii} |
                         {radius - b - ws for ws in v.singular_radii})
-        return radial_integral(integrand, 2.0 * radius,
-                               singular=[p for p in breaks if 0 < p < 2 * radius])
+        return radial_integral(integrand, 2.0 * radius, singular=breaks)
 
     if b <= _CENTRE:
         def integrand(w):
@@ -641,6 +651,8 @@ class KatoReport:
 
     Grids carry (parameter, value, error_estimate) triples; the klmn field
     is the (r, C1, C2) triple when a form bound with C1 < 1 was found.
+    ``reason`` says why a quantity is missing: a row whose integral the
+    condensation windows could not decide carries nan and names it there.
     """
 
     eta_grid: list = field(default_factory=list)
@@ -650,12 +662,13 @@ class KatoReport:
     fit_exponent: float | None = None
     argmax_probe_index: int = 0
     locally_integrable: bool = True
+    reason: str | None = None
 
     def to_json_dict(self) -> dict:
         def triple(row):
             return {"parameter": row[0], "value": row[1], "error": row[2]}
 
-        return {
+        out = {
             "eta_grid": [triple(r) for r in self.eta_grid],
             "resolvent_grid": [triple(r) for r in self.resolvent_grid],
             "verdict": self.verdict,
@@ -665,6 +678,9 @@ class KatoReport:
             "argmax_probe_index": self.argmax_probe_index,
             "locally_integrable": self.locally_integrable,
         }
+        if self.reason is not None:
+            out["reason"] = self.reason
+        return out
 
 
 def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoReport:
@@ -673,7 +689,10 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
     The verdict is 'nonmember' when eta diverges or |v| fails a local
     integrability spot check, 'member' when the power-law fit through the
     three smallest times has exponent above 0.05 (so the extrapolated
-    t -> 0 limit vanishes), and 'inconclusive' otherwise.
+    t -> 0 limit vanishes), and 'inconclusive' otherwise.  An integral the
+    condensation windows cannot decide (UndecidedError) is never read as
+    divergence: its row holds nan, ``reason`` names it, and unless another
+    row diverges the verdict is 'inconclusive'.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 4:
@@ -681,24 +700,39 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
     if t_grid[0] <= 0.0:
         raise DomainError("t_grid must be positive")
     dists = _probe_distances(v, probes)
+    undecided = []
 
-    integrable = all(math.isfinite(_ball_integral(v, b, 1.0, lambda rho: 1.0)[0])
-                     for b in dists)
+    def decided(what, compute, missing):
+        try:
+            return compute()
+        except UndecidedError as exc:
+            undecided.append(f"{what}: {exc}")
+            return missing
+
+    integrable = decided(
+        "local integrability",
+        lambda: all(math.isfinite(_ball_integral(v, b, 1.0, lambda rho: 1.0)[0])
+                    for b in dists),
+        True)
 
     eta_rows = []
     argmax_idx = 0
     for t in t_grid:
-        best, best_err, argmax_idx = _max_over_probes(lambda b: _eta_b(v, b, t), dists)
+        best, best_err, argmax_idx = decided(
+            f"eta({t!r})", lambda: _max_over_probes(lambda b: _eta_b(v, b, t), dists),
+            (math.nan, math.nan, argmax_idx))
         eta_rows.append((t, best, best_err))
 
     resolvent_rows = []
     for r in sorted(float(r) for r in r_grid):
-        best, best_err, _ = _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)
+        best, best_err, _ = decided(
+            f"C_{r!r}", lambda: _max_over_probes(lambda b: _resolvent_b(v, b, r), dists),
+            (math.nan, math.nan, 0))
         resolvent_rows.append((r, best, best_err))
 
     any_inf = any(math.isinf(row[1]) for row in eta_rows)
     fit_b = None
-    if not any_inf:
+    if not any_inf and not undecided:
         smallest = eta_rows[:3]
         if all(row[1] > 0.0 for row in smallest):
             logs_t = np.log([row[0] for row in smallest])
@@ -717,7 +751,7 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
     klmn = None
     if verdict == "member":
         try:
-            klmn = form_bound_constants(v, probes, 0.5)
+            klmn = decided("form bound", lambda: form_bound_constants(v, probes, 0.5), None)
         except NotFormBoundedError:
             klmn = None
 
@@ -725,7 +759,9 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
                         verdict=verdict, klmn=klmn,
                         fit_exponent=None if fit_b is None or math.isinf(fit_b) else fit_b,
                         argmax_probe_index=argmax_idx,
-                        locally_integrable=integrable)
+                        locally_integrable=integrable,
+                        reason="; ".join(f"divergence_undecided: {u}" for u in undecided)
+                        or None)
     _check_report_monotonicity(report)
     return report
 

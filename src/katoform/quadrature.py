@@ -2,23 +2,35 @@
 
 scipy's QUADPACK does the adaptive work on finite intervals: Gauss-Kronrod
 for smooth pieces and QAWS for integrands with algebraic endpoint weights.
-On top of that this module adds the pieces those routines do not provide:
-dyadic refinement towards integrable endpoint singularities and divergence
-classification for integrals that have no finite value.  Every helper
-returns an error estimate alongside the value; divergent integrals come
-back as +inf (with ``diverged=True`` from the dyadic scheme) rather than
-raising, because the calling layer reports them as a flag.
+On top of that this module adds what those routines do not provide:
+divergence classification and dyadic refinement at singular radii.
+
+A radial integral is classified before it is integrated.  At every declared
+singular radius the dyadic windows c_k (integrals over distances
+[L 2^-k-1, L 2^-k] from the radius, each by a fixed 8-point Gauss-Legendre
+rule) are read until their decay is decided (Cauchy condensation: the
+integral converges with sum c_k).  Geometric decay leaves the value to a
+single QUADPACK call; windows that stop shrinking, grow, or fit
+c_k ~ k^-gamma with gamma <= 1 mean divergence, returned as +inf without
+any adaptive call; gamma > 1 adds the fitted tail to value and error; and
+windows that decide nothing raise UndecidedError, which no caller reads as
+divergence.  Every helper returns an error estimate alongside the value;
+divergent integrals come back as +inf (with ``diverged=True`` from the
+dyadic scheme) rather than raising, because the calling layer reports them
+as a flag.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import zeta
 
-from .errors import ConvergenceError, QuadratureError
+from .errors import ConvergenceError, QuadratureError, UndecidedError
 
 # Relative targets: every radial integral aims at SPATIAL_REL, one order
 # tighter than the OUTER_REL accuracy reported values are held to.
@@ -72,8 +84,10 @@ def dyadic_endpoint_integral(f, a, b, rel=OUTER_REL, max_levels=54):
     smooth piece with quad_piece.  Contributions from a convergent integrable
     singularity decay geometrically, so the loop stops once the running piece
     is below the relative target and the geometric tail is added to the error
-    estimate.  Non-decaying contributions (log divergence) or a running total
-    past DIVERGENCE_CAP classify the integral as divergent.
+    estimate.  It does not classify divergence: radial_integral calls it
+    only on sides its windows found convergent, and a failed piece, a
+    running total past DIVERGENCE_CAP or pieces still large after
+    max_levels come back as diverged.
 
     Returns (value, error_estimate, diverged).
     """
@@ -83,7 +97,6 @@ def dyadic_endpoint_integral(f, a, b, rel=OUTER_REL, max_levels=54):
     total = 0.0
     err = 0.0
     prev = None
-    flat_run = 0
     for k in range(max_levels):
         hi = a + length / 2.0 ** k
         lo = a + length / 2.0 ** (k + 1)
@@ -102,12 +115,6 @@ def dyadic_endpoint_integral(f, a, b, rel=OUTER_REL, max_levels=54):
             return math.inf, math.inf, True
         if prev is not None and abs(prev) > 0.0:
             ratio = abs(v) / abs(prev)
-            if ratio >= 0.96:
-                flat_run += 1
-                if flat_run >= 8:
-                    return math.inf, math.inf, True
-            else:
-                flat_run = 0
             if abs(v) <= rel * scale and ratio < 0.9:
                 tail = abs(v) * ratio / (1.0 - ratio)
                 return total + v * ratio / (1.0 - ratio), err + tail, False
@@ -139,35 +146,64 @@ def algebraic_weight_integral(f, a, b, alpha):
     return value, abserr
 
 
-def radial_integral(g, hi, singular=(), rel=SPATIAL_REL):
-    """Integrate g over [0, hi] with listed interior/endpoint singular radii.
+def radial_integral(g, hi, singular=(), *, points=()):
+    """Integrate g over [0, hi]; ``singular`` lists the declared singular radii.
 
-    Tries a single QUADPACK call with breakpoints first; when that stalls,
-    falls back to segment-wise dyadic refinement towards each singular
-    radius, which also classifies genuinely divergent integrals.  Returns
-    (value, error_estimate); a divergent integral returns (+inf, +inf).
+    Each declared radius s in [0, hi] is classified on each side before any
+    adaptive call, by condensation windows (classify_windows).  A divergent
+    side returns (+inf, +inf) at once.  When every side decays
+    geometrically, one QUADPACK call with every radius and every entry of
+    ``points`` (plain breakpoints such as probe distances, never
+    classified) as breakpoints gives the value; when that stalls, segment-wise
+    dyadic refinement takes over.  A side that decays like a power of the
+    window index k^{-gamma}, gamma > 1, is the adaptive integral down to its
+    last window plus the fitted tail, which also enters the error.  A side
+    the windows cannot decide raises UndecidedError.  Returns
+    (value, error_estimate).
     """
     if hi <= 0.0:
         return 0.0, 0.0
-    pts = sorted({float(p) for p in singular if 0.0 < p < hi})
-    try:
-        return quad_piece(g, 0.0, hi, rel=rel, points=pts if pts else None)
-    except QuadratureError:
-        pass
-    # Segment endpoints: 0, each singular radius, hi. 0 is always treated as
-    # potentially singular (ring volume factors vanish there, potentials may
-    # blow up).
+    declared = {float(p) for p in singular if 0.0 <= p <= hi}
+    pts = sorted({float(p) for p in (*singular, *points) if 0.0 < p < hi})
     breaks = [0.0] + pts + [hi]
+    slow = {}
+    for i, s in enumerate(breaks):
+        if s not in declared:
+            continue
+        for side in (-1, 1):
+            if (i == 0 and side < 0) or (i == len(breaks) - 1 and side > 0):
+                continue
+            half = 0.5 * abs(breaks[i + side] - s)
+            outcome, near, last = _condense_side(g, s, side * half)
+            if outcome.kind == DIVERGENT:
+                return math.inf, math.inf
+            if outcome.kind == POWER:
+                tail = math.copysign(outcome.tail(abs(last)), last)
+                slow[(s, side)] = _power_side(g, s, side * half, near, tail)
+    if not slow:
+        try:
+            return quad_piece(g, 0.0, hi, points=pts if pts else None)
+        except QuadratureError:
+            pass
+    # Segment-wise: 0, each radius and point, hi.  An endpoint not classified
+    # as a slow side is refined dyadically; 0 is always treated as possibly
+    # singular (ring volume factors vanish there, potentials may blow up).
     total = 0.0
     err = 0.0
     for left, right in zip(breaks[:-1], breaks[1:]):
         mid = 0.5 * (left + right)
-        v1, e1, d1 = dyadic_endpoint_integral(g, left, mid, rel=rel)
-        if d1:
-            return math.inf, math.inf
-        v2, e2, d2 = _dyadic_towards_right(g, mid, right, rel)
-        if d2:
-            return math.inf, math.inf
+        if (left, 1) in slow:
+            v1, e1 = slow[(left, 1)]
+        else:
+            v1, e1, d1 = dyadic_endpoint_integral(g, left, mid, rel=SPATIAL_REL)
+            if d1:
+                return math.inf, math.inf
+        if (right, -1) in slow:
+            v2, e2 = slow[(right, -1)]
+        else:
+            v2, e2, d2 = _dyadic_towards_right(g, mid, right, SPATIAL_REL)
+            if d2:
+                return math.inf, math.inf
         total += v1 + v2
         err += e1 + e2
     return total, err
@@ -179,6 +215,145 @@ def _dyadic_towards_right(g, a, b, rel):
         return g(a + b - s)
 
     return dyadic_endpoint_integral(reflected, a, b, rel=rel)
+
+
+# ---------------------------------------------------------------------------
+# condensation: classify an integral from its dyadic windows
+
+GEOMETRIC, POWER, DIVERGENT = "geometric", "power", "divergent"
+
+# Windows are read with the 8-point Gauss-Legendre rule on [-1, 1], as
+# (node, weight) pairs for +-node; spelled out so that reading a window makes
+# no eigensolver call (whose first call grows the process by about 1 MB).
+_WINDOW_RULE = ((0.18343464249564978, 0.36268378337836166),
+                (0.525532409916329, 0.3137066458778869),
+                (0.7966664774136267, 0.22238103445337443),
+                (0.9602898564975362, 0.10122853629037706))
+# At a singular radius the first window sits this many halvings below the
+# side length, where the integrand has its asymptotic form unless its own
+# scale is smaller still.
+_FIRST_WINDOW = 16
+# the deepest window at radius 0; at s > 0 windows stay 2^-32 s away from s,
+# so node positions keep about 7 digits relative to the window
+_LAST_WINDOW = 64
+_SHELL_DIGITS = 32
+# |log c_k / c_{k+1}| at most this for three ratios: the windows stopped shrinking
+_FLAT = 1e-3
+# the slope of 1/log(c_k / c_{k+1}) in k is 1/gamma for c_k ~ k^-gamma and 0 for
+# a geometric sequence; it counts as settled when two successive slopes agree
+# to this absolute plus relative tolerance
+_SETTLE_ABS, _SETTLE_REL = 0.01, 0.05
+_GEOMETRIC_SLOPE = 0.02
+# gamma above 1.25 converges, below 1.02 diverges; in between reading goes on
+_CONVERGENT_SLOPE, _DIVERGENT_SLOPE = 0.8, 0.98
+
+
+@dataclass(frozen=True)
+class Condensation:
+    """How windows c_k of an integral decay, and the sum of the unread ones.
+
+    ``ratio`` is the settled c_{k+1}/c_k of a geometric sequence; ``gamma``
+    and ``index`` describe c_k ~ n_k^-gamma with n_k the last window's
+    effective index.
+    """
+
+    kind: str
+    ratio: float = 0.0
+    gamma: float = math.inf
+    index: float = 0.0
+
+    def tail(self, last: float) -> float:
+        """Sum of the model's windows after one of size ``last`` (+inf when they diverge)."""
+        if self.kind == GEOMETRIC:
+            return last * self.ratio / (1.0 - self.ratio)
+        if self.kind == POWER:
+            return last * self.index ** self.gamma * zeta(self.gamma, self.index + 1.0)
+        return math.inf
+
+
+def classify_windows(windows):
+    """Classify the sum of windows c_0, c_1, ... from its last four terms.
+
+    Cauchy condensation: the integral over dyadic windows converges with
+    the sum of their integrals c_k.  With l_k = log(c_k / c_{k+1}), a
+    geometric sequence has l_k constant and c_k ~ k^-gamma has l_k close to
+    gamma / k, so the slope of 1/l_k in k reads 0 and 1/gamma.  Returns a
+    Condensation once the slopes agree, or once three ratios are within
+    0.1% of 1 (DIVERGENT), and None while the terms say nothing yet
+    (a zero term, a sign change of l, or slopes that still move).
+    """
+    c = [abs(x) for x in windows[-4:]]
+    if any(not math.isfinite(x) for x in c):
+        return Condensation(DIVERGENT)
+    if len(c) < 4 or min(c) == 0.0:
+        return None
+    logs = [math.log(a / b) for a, b in zip(c[:-1], c[1:])]
+    if all(abs(x) <= _FLAT for x in logs):
+        return Condensation(DIVERGENT)
+    if not (all(x > 0.0 for x in logs) or all(x < 0.0 for x in logs)):
+        return None
+    slopes = [1.0 / b - 1.0 / a for a, b in zip(logs[:-1], logs[1:])]
+    if abs(slopes[1] - slopes[0]) > _SETTLE_ABS + _SETTLE_REL * max(map(abs, slopes)):
+        return None
+    if logs[-1] < 0.0:
+        return Condensation(DIVERGENT)
+    slope = 0.5 * (slopes[0] + slopes[1])
+    if slope <= _GEOMETRIC_SLOPE:
+        return Condensation(GEOMETRIC, ratio=math.exp(-logs[-1]))
+    if slope >= _DIVERGENT_SLOPE:
+        return Condensation(DIVERGENT)
+    if slope <= _CONVERGENT_SLOPE:
+        gamma = 1.0 / slope
+        return Condensation(POWER, gamma=gamma, index=gamma / logs[-1] + 0.5)
+    return None
+
+
+def _window_rule(g, a, b):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * math.fsum(w * (g(mid - half * x) + g(mid + half * x)) for x, w in _WINDOW_RULE)
+
+
+def _condense_side(g, s, length):
+    """Classify g on the side of s towards s + length from its windows.
+
+    Window k covers distances [|length| 2^-k-1, |length| 2^-k] from s.
+    Returns (Condensation, inner distance of the last window read, that
+    window's |integral|); raises UndecidedError when the windows run out
+    first.
+    """
+    size = abs(length)
+    deepest = _LAST_WINDOW
+    if s > 0.0:
+        deepest = min(deepest, math.floor(math.log2(size / s)) + _SHELL_DIGITS - 1)
+    windows = []
+    near = size
+    for k in range(max(0, min(_FIRST_WINDOW, deepest - 12)), deepest + 1):
+        near, far = size * 2.0 ** (-k - 1), size * 2.0 ** -k
+        if length > 0.0:
+            windows.append(_window_rule(g, s + near, s + far))
+        else:
+            windows.append(_window_rule(g, s - far, s - near))
+        outcome = classify_windows(windows)
+        if outcome is not None:
+            return outcome, near, windows[-1]
+    if windows and max(map(abs, windows[-4:])) == 0.0:
+        return Condensation(GEOMETRIC), near, 0.0
+    raise UndecidedError(
+        f"windows at radius {s} ({'above' if length > 0 else 'below'}) decide "
+        f"nothing after {len(windows)} windows", achieved_error=math.inf)
+
+
+def _power_side(g, s, length, near, tail):
+    """(value, error) of g over the side of s whose windows decay like k^-gamma.
+
+    QUADPACK covers the side down to the last window read; the model tail
+    beyond it is added to the value and, as its own error bound, to the error.
+    """
+    if length > 0.0:
+        value, err = quad_piece(g, s + near, s + length)
+    else:
+        value, err = quad_piece(g, s + length, s - near)
+    return value + tail, err + abs(tail)
 
 
 @lru_cache(maxsize=32)

@@ -122,6 +122,8 @@ def kato_report_json(report) -> dict:
         out["fit_exponent"] = pnum(report.fit_exponent, 0.05, "quadrature")
     if report.klmn is not None:
         out["klmn"] = klmn_json(*report.klmn)
+    if report.reason is not None:
+        out["reason"] = report.reason
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from katoform import bundled, cli, kato
-from katoform.errors import ConvergenceError
+from katoform.errors import ConvergenceError, UndecidedError
 from katoform.reports import PROVENANCES
 
 
@@ -232,6 +232,31 @@ def test_kato_solver_failure_is_a_convergence_violation(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "contract violation: convergence" in err
     assert "eta_monotonicity" not in err
+
+
+def undecided(*args):
+    raise UndecidedError("windows at radius 0.0 (above) decide nothing after 49 windows")
+
+
+def test_kato_undecided_eta_is_an_inconclusive_report(tmp_path, monkeypatch):
+    real = kato._eta_b
+    monkeypatch.setattr(kato, "_eta_b", lambda v, b, t: undecided() if t < 1e-2 else real(v, b, t))
+    code, out = run_cli(tmp_path, KATO_CFG)
+    assert code == 0
+    res = load_report(out)["results"]["kato"]
+    assert res["verdict"] == "inconclusive"
+    assert res["reason"].startswith("divergence_undecided: eta(0.0001)")
+    assert [row["eta"]["value"] for row in res["eta_grid"]][:2] == ["nan", "nan"]
+
+
+def test_form_bounds_undecided_is_a_contract_violation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(kato, "_resolvent_b", undecided)
+    cfg = bundled_config("form_bounds_coulomb")
+    code, _ = run_cli(tmp_path, cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "contract violation: divergence_undecided" in err
+    assert "quadrature_accuracy" not in err
 
 
 def test_kato_decreasing_eta_is_a_monotonicity_violation(tmp_path, capsys, monkeypatch):

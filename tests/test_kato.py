@@ -33,7 +33,7 @@ from katoform.geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace, geodesic_point
 from katoform.kato import (analytic_kato_functional, form_bound_constants,
                            kato_eta, kato_verdict, lp_kato_classify,
                            resolvent_constant, sandwich_check)
-from katoform.potentials import (bump, constant, coulomb, inverse_power,
+from katoform.potentials import (Potential, bump, constant, coulomb, inverse_power,
                                  inverse_square)
 from katoform.quadrature import algebraic_weight_integral
 from nested_oracle import heat_potential_average, nested_eta_b, nested_resolvent_b
@@ -431,3 +431,101 @@ def test_constant_potential_small_r_offcentre(space):
     v = constant(space, c)
     assert resolvent_constant(v, r, [geodesic_point(space, 0.5)]) == \
         pytest.approx(c / r, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# condensation at the kato level: slow divergences, slow tails, budgets
+
+CUT = math.exp(-1.0)
+
+
+def log_sq(gamma):
+    """|v| = 1/(r^2 log^gamma(1/r)) below 1/e, flat e^2 up to r = 2, 0 beyond.
+
+    In the Kato class of R^3 iff gamma > 1 (Aizenman-Simon: integral_0 r |v| dr < inf).
+    """
+    def scalar(w):
+        if w == 0.0:
+            return math.inf
+        if w < CUT:
+            return 1.0 / (w * w * math.log(1.0 / w) ** gamma)
+        return math.e ** 2 if w < 2.0 else 0.0
+
+    return Potential(space=E3, radial=np.vectorize(scalar, otypes=[float]),
+                     singular_radii=(0.0,), name="log_sq", radial_scalar=scalar)
+
+
+def ball_weight(rho):
+    return 1.0 / rho
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_log_sq_slow_divergence_is_found(gamma):
+    v = log_sq(gamma)
+    for t in (1e-6, 1e-3):
+        assert kato_eta(v, t, ORIGIN3)[0] == math.inf
+    for radius in (1e-1, 1e-6):
+        assert analytic_kato_functional(v, radius, ORIGIN3) == math.inf
+    rep = kato_verdict(v, T_GRID, ORIGIN3)
+    assert rep.verdict == "nonmember" and rep.reason is None
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+def test_log_sq_member_small_ball_closed_form(gamma):
+    # the small-ball functional at the centre is 4 pi (log 1/a)^{1-gamma} / (gamma - 1)
+    v = log_sq(gamma)
+    for radius in (1e-1, 1e-6):
+        want = 4.0 * math.pi * math.log(1.0 / radius) ** (1.0 - gamma) / (gamma - 1.0)
+        value, err = kato._ball_integral(v, 0.0, radius, ball_weight)
+        assert abs(value - want) <= err
+        assert analytic_kato_functional(v, radius, ORIGIN3) == value
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_log_sq_member_verdict(gamma):
+    rep = kato_verdict(log_sq(gamma), T_GRID, ORIGIN3)
+    assert rep.verdict == "member" and rep.reason is None
+    assert all(math.isfinite(row[1]) for row in rep.eta_grid)
+
+
+def test_undecided_integral_makes_the_verdict_inconclusive():
+    # gamma = 1.15 lies between the divergent and the convergent margins
+    rep = kato_verdict(log_sq(1.15), T_GRID, ORIGIN3)
+    assert rep.verdict == "inconclusive"
+    assert rep.reason.startswith("divergence_undecided")
+    assert all(math.isnan(row[1]) for row in rep.eta_grid)
+    assert rep.to_json_dict()["reason"] == rep.reason
+    assert "reason" not in kato_verdict(COULOMB, T_GRID, ORIGIN3).to_json_dict()
+
+
+def decaying(p):
+    return Potential(space=E3, radial=lambda r: (1.0 + np.asarray(r, dtype=float)) ** -p,
+                     name="decaying", radial_scalar=lambda w: (1.0 + w) ** -p)
+
+
+@pytest.mark.parametrize("p", [2.2, 2.5, 3.0])
+def test_green_potential_of_slow_tail(p):
+    # C_0 of (1 + |x|)^{-p} at the centre of R^3 is 2 integral w (1 + w)^{-p} dw
+    value, err = kato._resolvent_b(decaying(p), 0.0, 0.0)
+    assert abs(value - 2.0 / ((p - 2.0) * (p - 1.0))) <= err
+
+
+def counted_scalar_calls(v, run):
+    calls = [0]
+    scalar = v.radial_scalar
+
+    def counting(w):
+        calls[0] += 1
+        return scalar(w)
+
+    v.radial_scalar = counting
+    run(v)
+    return calls[0]
+
+
+@pytest.mark.parametrize("make,budget", [(inverse_square, 1000), (coulomb, 3400)],
+                         ids=["inverse_square", "coulomb"])
+def test_verdict_evaluation_budget(make, budget):
+    # a divergent integral is classified without running QUADPACK to its limit
+    calls = counted_scalar_calls(make(E3), lambda v: kato_verdict(v, T_GRID, ORIGIN3))
+    assert calls <= budget
