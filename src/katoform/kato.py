@@ -37,9 +37,10 @@ F(s)) survives only as the tests' oracle.  Divergence is decided before
 anything is integrated: quadrature.radial_integral classifies each
 singular radius of v (radius 0 included) by its condensation windows, so
 a divergent functional is +inf after a few dozen evaluations of |v|, and
-the doubling windows of the radial tail are read by the same classifier,
-whose settled decay adds the unread tail to value and error.  Probe
-distances and window starts are plain breakpoints.  An integral the
+the doubling windows of the radial tail are read by the same classifier:
+they are summed until one is negligible, and a settled decay adds the
+unread tail to value and error.  Probe distances and window starts are
+plain breakpoints.  An integral the
 windows cannot decide raises UndecidedError; kato_verdict reports it as
 'inconclusive' with a reason, never as divergence.
 """
@@ -69,6 +70,7 @@ from .geometry import _TAIL_LOG, _h2_millson
 from .potentials import Potential
 from .quadrature import (
     DIVERGENCE_CAP,
+    DIVERGENT,
     SPATIAL_REL,
     algebraic_weight_integral,
     classify_windows,
@@ -373,9 +375,11 @@ def _radial_tail(integrand, reach: float, singular, points):
     at the first window that is negligible against a nonzero total, or at
     any negligible window past the reach.  Windows past the reach (every
     window, for a kernel that does not decay) are also read by
-    classify_windows: a settled decay adds its tail to the value and the
-    error, a divergent reading or a total past DIVERGENCE_CAP gives
-    (+inf, +inf), and windows that run out undecided raise UndecidedError.
+    classify_windows: a divergent reading or a total past DIVERGENCE_CAP
+    gives (+inf, +inf) at once.  Where the sum stops or the windows run out,
+    the last settled decay adds its tail beyond the last window to the value
+    and the error; windows that run out with none settled raise
+    UndecidedError.
     """
     def segment(lo, hi):
         return radial_integral(lambda u: integrand(lo + u), hi - lo,
@@ -384,7 +388,7 @@ def _radial_tail(integrand, reach: float, singular, points):
 
     head = min(reach, max(1.0, 2.0 * max((*singular, *points), default=0.0)))
     total, err = segment(0.0, head)
-    lo, read = head, []
+    lo, read, settled = head, [], None
     for _ in range(_TAIL_WINDOWS):
         if math.isinf(total) or abs(total) > DIVERGENCE_CAP:
             return math.inf, math.inf
@@ -393,16 +397,23 @@ def _radial_tail(integrand, reach: float, singular, points):
         err += window_err
         past = lo >= reach
         lo *= 2.0
-        if abs(window) <= SPATIAL_REL * abs(total) and (past or total != 0.0):
-            return total, err + abs(window)
-        if past or math.isinf(reach):
+        tracked = past or math.isinf(reach)
+        if tracked:
             read.append(window)
-            outcome = classify_windows(read)
-            if outcome is not None:
-                tail = outcome.tail(abs(window))
-                return total + math.copysign(tail, window), err + tail
-    if total == 0.0:
-        return 0.0, err
+        if abs(window) <= SPATIAL_REL * abs(total) and (past or total != 0.0):
+            if settled is None:
+                return total, err + abs(window)
+            break
+        if tracked:
+            settled = classify_windows(read) or settled
+            if settled is not None and settled.kind == DIVERGENT:
+                return math.inf, math.inf
+    else:
+        if total == 0.0:
+            return 0.0, err
+    if settled is not None:
+        tail = settled.tail(abs(read[-1]))
+        return total + math.copysign(tail, read[-1]), err + tail
     raise UndecidedError(f"the radial tail decides nothing after {_TAIL_WINDOWS} windows",
                          achieved_error=math.inf)
 

@@ -155,16 +155,22 @@ def radial_integral(g, hi, singular=(), *, points=()):
     geometrically, one QUADPACK call with every radius and every entry of
     ``points`` (plain breakpoints such as probe distances, never
     classified) as breakpoints gives the value; when that stalls, segment-wise
-    dyadic refinement takes over.  A side that decays like a power of the
-    window index k^{-gamma}, gamma > 1, is the adaptive integral down to its
-    last window plus the fitted tail, which also enters the error.  A side
-    the windows cannot decide raises UndecidedError.  Returns
-    (value, error_estimate).
+    dyadic refinement takes over.  A point within s 2^-22 of a declared
+    radius s is merged into it, so a probe placed at the radius up to
+    rounding leaves the radius its windows.  A side that decays like a power
+    of the window index k^{-gamma}, gamma > 1, is the adaptive integral out
+    from its first window plus the windows read plus the fitted tail, which
+    also enters the error.  A side the windows cannot decide raises
+    UndecidedError.  Returns (value, error_estimate).
     """
     if hi <= 0.0:
         return 0.0, 0.0
     declared = {float(p) for p in singular if 0.0 <= p <= hi}
-    pts = sorted({float(p) for p in (*singular, *points) if 0.0 < p < hi})
+    # a point closer to a declared radius than its deepest windows' reach is
+    # merged into it, so each side keeps at least nine windows to read
+    plain = {float(p) for p in points
+             if not any(abs(p - s) < s * 2.0 ** -_MERGE_DIGITS for s in declared)}
+    pts = sorted(p for p in declared | plain if 0.0 < p < hi)
     breaks = [0.0] + pts + [hi]
     slow = {}
     for i, s in enumerate(breaks):
@@ -174,12 +180,11 @@ def radial_integral(g, hi, singular=(), *, points=()):
             if (i == 0 and side < 0) or (i == len(breaks) - 1 and side > 0):
                 continue
             half = 0.5 * abs(breaks[i + side] - s)
-            outcome, near, last = _condense_side(g, s, side * half)
+            outcome, far, read = _condense_side(g, s, side * half)
             if outcome.kind == DIVERGENT:
                 return math.inf, math.inf
             if outcome.kind == POWER:
-                tail = math.copysign(outcome.tail(abs(last)), last)
-                slow[(s, side)] = _power_side(g, s, side * half, near, tail)
+                slow[(s, side)] = _power_side(g, s, side * half, far, read, outcome)
     if not slow:
         try:
             return quad_piece(g, 0.0, hi, points=pts if pts else None)
@@ -237,6 +242,7 @@ _FIRST_WINDOW = 16
 # so node positions keep about 7 digits relative to the window
 _LAST_WINDOW = 64
 _SHELL_DIGITS = 32
+_MERGE_DIGITS = _SHELL_DIGITS - 10
 # |log c_k / c_{k+1}| at most this for three ratios: the windows stopped shrinking
 _FLAT = 1e-3
 # the slope of 1/log(c_k / c_{k+1}) in k is 1/gamma for c_k ~ k^-gamma and 0 for
@@ -317,17 +323,17 @@ def _condense_side(g, s, length):
     """Classify g on the side of s towards s + length from its windows.
 
     Window k covers distances [|length| 2^-k-1, |length| 2^-k] from s.
-    Returns (Condensation, inner distance of the last window read, that
-    window's |integral|); raises UndecidedError when the windows run out
-    first.
+    Returns (Condensation, outer distance of the first window read, the
+    signed window integrals in reading order); raises UndecidedError when
+    the windows run out first.
     """
     size = abs(length)
     deepest = _LAST_WINDOW
     if s > 0.0:
         deepest = min(deepest, math.floor(math.log2(size / s)) + _SHELL_DIGITS - 1)
+    first = max(0, min(_FIRST_WINDOW, deepest - 12))
     windows = []
-    near = size
-    for k in range(max(0, min(_FIRST_WINDOW, deepest - 12)), deepest + 1):
+    for k in range(first, deepest + 1):
         near, far = size * 2.0 ** (-k - 1), size * 2.0 ** -k
         if length > 0.0:
             windows.append(_window_rule(g, s + near, s + far))
@@ -335,25 +341,30 @@ def _condense_side(g, s, length):
             windows.append(_window_rule(g, s - far, s - near))
         outcome = classify_windows(windows)
         if outcome is not None:
-            return outcome, near, windows[-1]
+            return outcome, size * 2.0 ** -first, windows
     if windows and max(map(abs, windows[-4:])) == 0.0:
-        return Condensation(GEOMETRIC), near, 0.0
+        return Condensation(GEOMETRIC), size * 2.0 ** -first, windows
     raise UndecidedError(
         f"windows at radius {s} ({'above' if length > 0 else 'below'}) decide "
         f"nothing after {len(windows)} windows", achieved_error=math.inf)
 
 
-def _power_side(g, s, length, near, tail):
+def _power_side(g, s, length, far, windows, outcome):
     """(value, error) of g over the side of s whose windows decay like k^-gamma.
 
-    QUADPACK covers the side down to the last window read; the model tail
-    beyond it is added to the value and, as its own error bound, to the error.
+    QUADPACK covers the side out from the first window read (at distance
+    ``far`` from s); the windows read and the model tail beyond the last one
+    make up the rest.  The tail is its own error bound; the fixed-rule
+    windows are charged SPATIAL_REL of their size.
     """
     if length > 0.0:
-        value, err = quad_piece(g, s + near, s + length)
+        value, err = quad_piece(g, s + far, s + length)
     else:
-        value, err = quad_piece(g, s + length, s - near)
-    return value + tail, err + abs(tail)
+        value, err = quad_piece(g, s + length, s - far)
+    tail = math.copysign(outcome.tail(abs(windows[-1])), windows[-1])
+    read = math.fsum(windows)
+    return (value + read + tail,
+            err + SPATIAL_REL * math.fsum(map(abs, windows)) + abs(tail))
 
 
 @lru_cache(maxsize=32)

@@ -507,7 +507,23 @@ def decaying(p):
 def test_green_potential_of_slow_tail(p):
     # C_0 of (1 + |x|)^{-p} at the centre of R^3 is 2 integral w (1 + w)^{-p} dw
     value, err = kato._resolvent_b(decaying(p), 0.0, 0.0)
-    assert abs(value - 2.0 / ((p - 2.0) * (p - 1.0))) <= err
+    exact = 2.0 / ((p - 2.0) * (p - 1.0))
+    assert abs(value - exact) <= min(err, 1e-7 * exact)
+
+
+def shell_potential(beta):
+    # |r - 1/2|^beta on R^3, declared singular at r = 1/2
+    return Potential(space=E3, radial=lambda r: np.abs(np.asarray(r, dtype=float) - 0.5) ** beta,
+                     singular_radii=(0.5,), name="shell",
+                     radial_scalar=lambda w: abs(w - 0.5) ** beta)
+
+
+def test_probe_beside_a_singular_radius():
+    # a probe one rounding away from the declared radius is merged into it
+    v = shell_potential(-0.5)
+    at = kato_eta(v, 0.01, [geodesic_point(E3, 0.5)])[0]
+    beside = kato_eta(v, 0.01, [geodesic_point(E3, 0.5 * (1.0 + 1e-12))])[0]
+    assert math.isfinite(at) and beside == pytest.approx(at, rel=1e-9)
 
 
 def counted_scalar_calls(v, run):

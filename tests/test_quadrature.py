@@ -102,6 +102,13 @@ def test_plain_points_are_not_classified():
     assert min(abs(w - 0.5) for w in calls) > 1e-3
 
 
+@pytest.mark.parametrize("offset", [1e-12, -1e-12, 1e-16])
+def test_plain_point_beside_a_declared_radius(offset):
+    # a breakpoint one rounding away from the shell leaves it its windows
+    got = radial_integral(shell(-0.5), 1.0, singular=[0.5], points=[0.5 * (1.0 + offset)])
+    assert within_error(got, 2.0 ** 0.5 / 0.5)
+
+
 def test_classify_windows_sequences():
     assert classify_windows([1.0, 0.5, 0.25]) is None
     geometric = classify_windows([0.5 ** k for k in range(4)])
