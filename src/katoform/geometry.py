@@ -12,7 +12,11 @@ transition density of the diffusion generated by Delta/2, i.e.
     (e^{t Delta / 2} f)(x) = integral p_t(x, y) f(y) vol(dy).
 
 Concretely p_t(d) = (2 pi t)^{-m/2} exp(-d^2 / (2t)) on R^m, with the
-standard hyperbolic corrections on H^2 and H^3.
+standard closed form on H^3.  H^2 has none: its kernel is McKean's single
+integral, a Millson transform (_h2_millson) that the Kato layer also uses
+for K_t and G_r.  The transform is evaluated in numpy on fixed
+Gauss-Legendre panels, for a whole array of distances at once, with an
+error estimate from a lower-order rule.
 """
 
 from __future__ import annotations
@@ -22,10 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, InvalidPointError, QuadratureError
-from .quadrature import SPATIAL_REL, polar_angle_rule, quad_piece
+from .quadrature import SPATIAL_REL, panel_integral, polar_angle_rule, quad_piece
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
@@ -179,9 +182,10 @@ def kernel_tail_radius(space: ModelSpace, t: float, extra: float = 0.0) -> float
 def heat_kernel_radial(space: ModelSpace, t: float, d):
     """Heat kernel p_t at geodesic distance d (vectorized in d).
 
-    Closed forms on R^m and H^3; on H^2 the standard single-integral
-    representation is evaluated by adaptive quadrature (relative tolerance
-    1e-8 per point).
+    Closed forms on R^m and H^3.  On H^2 McKean's single-integral formula
+    is one Millson transform for all of d at once (_h2_millson); below
+    1e-8 min(sqrt t, 1) the kernel, even and smooth in d, is its value
+    there to rounding, which keeps the transform's d > 0.
     """
     if t <= 0.0:
         raise DomainError("time must be positive")
@@ -197,74 +201,70 @@ def heat_kernel_radial(space: ModelSpace, t: float, d):
         safe = np.where(small, 1.0, d)
         factor = np.where(small, 1.0 - d * d / 6.0, safe / np.sinh(safe))
         return (2.0 * math.pi * t) ** -1.5 * factor * np.exp(-t / 2.0 - d * d / (2.0 * t))
-    out = np.vectorize(lambda rr: _h2_kernel_scalar(t, float(rr)))(d)
-    if np.ndim(d) == 0:
-        return float(out)
-    return out
-
-
-def _h2_kernel_scalar(t: float, d: float) -> float:
-    """H^2 heat kernel via the Millson-type integral, Delta/2 normalization.
-
-    With tau = t/2 the Delta-convention formula reads
-        p(tau, d) = sqrt(2) (4 pi tau)^{-3/2} e^{-tau/4}
-                    integral_d^inf s e^{-s^2/(4 tau)} / sqrt(cosh s - cosh d) ds,
-    so in the Delta/2 convention the prefactor becomes
-    sqrt(2) (2 pi t)^{-3/2} e^{-t/8}.
-    """
+    # With tau = t/2 the Delta-convention formula reads
+    #     p(tau, d) = sqrt(2) (4 pi tau)^{-3/2} e^{-tau/4}
+    #                 integral_d^inf s e^{-s^2/(4 tau)} / sqrt(cosh s - cosh d) ds,
+    # so in the Delta/2 convention the prefactor is sqrt(2) (2 pi t)^{-3/2} e^{-t/8}.
     coef = math.sqrt(2.0) * (2.0 * math.pi * t) ** -1.5 * math.exp(-t / 8.0)
-    s_max = d + math.sqrt(2.0 * t * _TAIL_LOG) + t
-    return coef * _h2_millson(lambda s, shift: s * math.exp(shift - s * s / (2.0 * t)),
-                              d, s_max)
+    near = np.maximum(d, 1e-8 * min(math.sqrt(t), 1.0))
+    out = coef * _h2_millson(lambda s, shift: s * np.exp(shift - s * s / (2.0 * t)),
+                             near, np.sqrt(near * near + 2.0 * t * _TAIL_LOG))[0]
+    return out.reshape(d.shape) if d.ndim else float(out)
 
 
-def _h2_millson(f, d: float, s_max: float, shift: float = 0.0) -> float:
-    """e^shift integral_d^s_max f(s) / sqrt(cosh s - cosh d) ds, the H^2 Millson transform.
+# Initial tau-panel width of the Millson transform, a factor of about e^3 in
+# s = d cosh 2 tau: each value of an H^2 Coulomb kato_verdict then meets its
+# target in the first round
+_TAU_PANEL = 1.5
+# relative rounding allowance of a Millson transform's value
+_ROUNDING = 1e-12
 
-    ``f(s, shift)`` returns f(s) e^shift, so a caller can fold an exponential
-    growth factor into f's own exponent.  The substitution s = d + u^2
-    removes the inverse-square-root endpoint, and the difference of coshes
-    is written as 2 e^x (e^{-x} sinh x) sinh(u^2/2), x = d + u^2/2, so it
-    neither cancels near the endpoint nor overflows at large d.
+
+def _h2_millson(f, d, s_max, shift: float = 0.0):
+    """(value, error) of e^shift integral_d^s_max f(s) / sqrt(cosh s - cosh d) ds, d > 0.
+
+    The H^2 Millson transform, vectorized over d and s_max (same shape;
+    floats in and out for scalars).  ``f(s, shift)`` takes arrays and
+    returns f(s) e^shift, so a caller can fold an exponential growth factor
+    into f's own exponent.  The substitution s = d + u^2,
+    u = sqrt(2d) sinh tau, that is s = d cosh 2 tau, turns it into
+
+        4 sqrt(2) integral_0^T f(s, shift - s/2) sqrt(x q / (E(x) E(q))) d tau,
+
+    with q = d sinh^2 tau, x = d + q = d cosh^2 tau, s = x + q and
+    E(y) = 1 - e^{-2y}, since cosh s - cosh d = 2 sinh x sinh q =
+    e^s E(x) E(q) / 2.  The integrand is analytic in tau for every d > 0:
+    the inverse-square-root endpoint and, for the kernels with a pole, the
+    pole as d -> 0 both go into the Jacobian, and nothing overflows at
+    large s.  T grows like log(1/d) / 2; with tau = T v every d shares the
+    panels in v (panel_integral, 1e-8 relative), which start about
+    _TAU_PANEL wide in tau for the largest T.  The error adds _ROUNDING of
+    the value: an exponential's relative rounding error is about its
+    argument (at most 745) times 2.2e-16.
     """
-    u_max = math.sqrt(s_max - d)
+    d, s_max = np.asarray(d, dtype=float), np.asarray(s_max, dtype=float)
+    top = np.arcsinh(np.sqrt((s_max - d) / (2.0 * d)))
+    near, span = d[..., None, None], top[..., None, None]
 
-    def integrand(u):
-        half = 0.5 * u * u
-        x = d + half
-        gap = -math.expm1(-2.0 * x) * math.sinh(half)
-        if gap <= 0.0:
-            return 0.0
-        return f(d + u * u, shift - 0.5 * x) * 2.0 * u / math.sqrt(gap)
+    def integrand(v):
+        q = near * np.sinh(span * v) ** 2
+        x = near + q
+        s = x + q
+        twice = -2.0 * q
+        return f(s, shift - 0.5 * s) * np.sqrt(
+            x * q / (np.expm1(twice) * np.expm1(twice - 2.0 * near)))
 
-    val, _ = quad_piece(integrand, 0.0, u_max, rel=1e-8)
-    return val
+    val, err = panel_integral(integrand, int(top.max() // _TAU_PANEL) + 1)
+    val = 4.0 * math.sqrt(2.0) * top * val
+    err = 4.0 * math.sqrt(2.0) * top * err + _ROUNDING * np.abs(val)
+    if d.ndim == 0:
+        return float(val), float(err)
+    return val, err
 
 
 def heat_kernel(space: ModelSpace, t: float, x, y) -> float:
     """Heat kernel p_t(x, y); symmetric and positive."""
     return float(heat_kernel_radial(space, t, distance(space, x, y)))
-
-
-def radial_kernel_profile(space: ModelSpace, t: float, r_max: float, n_nodes: int = 1400):
-    """Vectorized callable r -> p_t(r) on [0, r_max].
-
-    Closed-form spaces evaluate directly.  On H^2 each kernel value costs a
-    quadrature, so a cubic-spline interpolant over a dense radial grid is
-    built once and reused; interpolation error is far below the kernel
-    tolerances at this node density.
-    """
-    if space.kind == EUCLIDEAN or space.dim == 3:
-        return lambda r: heat_kernel_radial(space, t, r)
-    nodes = np.linspace(0.0, r_max, n_nodes)
-    values = np.array([_h2_kernel_scalar(t, float(r)) for r in nodes])
-    spline = CubicSpline(nodes, values)
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= r_max, spline(np.clip(r, 0.0, r_max)), 0.0)
-
-    return profile
 
 
 def heat_mass(space: ModelSpace, t: float, x=None) -> float:
@@ -277,10 +277,9 @@ def heat_mass(space: ModelSpace, t: float, x=None) -> float:
     if x is not None:
         space.validate_point(x)
     r_max = kernel_tail_radius(space, t)
-    profile = radial_kernel_profile(space, t, r_max)
 
     def integrand(r):
-        return float(profile(r)) * float(ring_area(space, r))
+        return float(heat_kernel_radial(space, t, r)) * float(ring_area(space, r))
 
     val, err = quad_piece(integrand, 0.0, r_max, rel=SPATIAL_REL)
     if err > 1e-8:
@@ -315,15 +314,13 @@ def chapman_kolmogorov_residual(space: ModelSpace, s: float, t: float, x, y) -> 
         return abs(direct - val)
 
     r_max = kernel_tail_radius(space, t) + d + kernel_tail_radius(space, s)
-    profile_t = radial_kernel_profile(space, t, r_max)
-    profile_s = radial_kernel_profile(space, s, r_max)
     theta, weights = polar_angle_rule(space.dim)
     prefactor = sphere_area(space.dim - 1)
 
     def integrand(rho):
         other = law_of_cosines(space, rho, d, theta)
-        angular = float(np.dot(weights, profile_s(other)))
-        return float(profile_t(rho)) * float(ring_area(space, rho)) * angular * \
+        angular = float(np.dot(weights, heat_kernel_radial(space, s, other)))
+        return float(heat_kernel_radial(space, t, rho)) * float(ring_area(space, rho)) * angular * \
             prefactor / sphere_area(space.dim)
 
     # ring_area already contains the full sphere factor; the polar reduction

@@ -21,8 +21,10 @@ By Fubini both functionals are one spatial integral of |v| against a
 radial kernel, K_t = integral_0^t p_s ds for eta and the resolvent kernel
 G_r = integral_0^inf e^{-rs} p_s ds for C_r, and both kernels have closed
 forms: incomplete gamma / exp1 / erfc on R^m, modified Bessel K for G_r,
-erfc pairs and e^{-k rho} / (2 pi sinh rho) on H^3, and the Millson
-transform of the same closed-form time integrals on H^2.  For a probe at
+erfc pairs and e^{-k rho} / (2 pi sinh rho) on H^3.  On H^2 each value is
+the Millson transform of the same closed-form time integrals
+(geometry._h2_millson, Gauss-Legendre panels in numpy, no QUADPACK call),
+and its largest relative error joins the reported one.  For a probe at
 distance b from the centre of v the integral is a radial one against the
 sphere mean of the kernel, which is the kernel itself at b = 0, a
 reflection pair on R^1, a closed-form chord integral on R^3 and H^3, and
@@ -69,6 +71,7 @@ from .geometry import (
 from .geometry import _TAIL_LOG, _h2_millson
 from .potentials import Potential
 from .quadrature import (
+    _TINY,
     DIVERGENCE_CAP,
     DIVERGENT,
     SPATIAL_REL,
@@ -129,8 +132,8 @@ class _Kernel:
     ring growth e^{(m-1) w} into the kernel's own decaying exponent.
     """
 
-    # (rho, shift) -> k(rho) e^shift, rho > 0
-    radial: Callable[[float, float], float]
+    # (rho, shift) -> k(rho) e^shift, rho > 0; None when only a transform gives k
+    radial: Callable[[float, float], float] | None
     # distance beyond which ring * k is negligible; inf when it does not decay
     reach: float
     # (lo, h, shift) -> e^shift integral_lo^{lo+h} k(rho) S(rho) d rho, in dimension 3;
@@ -138,6 +141,8 @@ class _Kernel:
     chord: Callable[[float, float, float], float] | None = None
     # k is harmonic off its pole, so every sphere mean is k(max(w, b))
     harmonic: bool = False
+    # (rho, shift) -> (k(rho) e^shift, error) where k has no closed form (H^2)
+    transform: Callable[[float, float], tuple[float, float]] | None = None
 
 
 def _split_S(hyperbolic: bool, rho: float):
@@ -161,6 +166,25 @@ def _erfc_pair(rho: float, t: float, c: float, sign: float = 1.0, shift: float =
     else:
         minus = math.exp(shift - c * rho) * erfc(x_minus)
     return erfcx((rho + c * t) / sigma) * gauss + sign * minus
+
+
+# Longest time of the H^2 kernel K_t: see _erfc_pair_array
+_H2_MAX_T = 4000.0
+
+
+def _erfc_pair_array(rho, t: float, c: float, shift):
+    """_erfc_pair with sign +1 on arrays of rho >= 0, both terms through erfcx.
+
+    Both terms share the Gaussian e^{shift - rho^2/(2t) - c^2 t/2}.  The
+    second erfcx argument is at least -c sqrt(t/2), so that erfcx stays
+    below 2 e^{c^2 t/2}, and where it is large (rho near 0) the Gaussian is
+    near e^{shift - c^2 t/2}: both are normal numbers while c^2 t/2 is well
+    below 709, which _H2_MAX_T keeps (c = 1/2 on H^2).
+    """
+    sigma = math.sqrt(2.0 * t)
+    x = rho / sigma
+    return (erfcx(x + c * t / sigma) + erfcx(x - c * t / sigma)) * \
+        np.exp(shift - x * x) * math.exp(-0.5 * c * c * t)
 
 
 def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
@@ -198,13 +222,17 @@ def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
 
         return _Kernel(radial, reach, chord)
     if hyperbolic:
-        # Millson transform of the closed-form time integral (c = 1/2 on H^2)
-        def millson(rho, shift):
-            return math.sqrt(2.0) * _h2_millson(
-                lambda s, sh: _erfc_pair(s, t, 0.5, shift=sh) / (4.0 * math.pi),
-                rho, rho + math.sqrt(2.0 * t * _TAIL_LOG) + t, shift)
+        # Millson transform of the closed-form time integral (c = 1/2 on H^2),
+        # cut where its Gaussian has fallen by e^{-_TAIL_LOG}
+        if t > _H2_MAX_T:
+            raise DomainError(f"the H^2 kernel K_t is implemented for t <= {_H2_MAX_T:g}")
 
-        return _Kernel(millson, reach)
+        def millson(rho, shift):
+            val, err = _h2_millson(lambda s, sh: _erfc_pair_array(s, t, 0.5, sh) / (4.0 * math.pi),
+                                   rho, math.sqrt(rho * rho + 2.0 * t * _TAIL_LOG), shift)
+            return math.sqrt(2.0) * val, math.sqrt(2.0) * err
+
+        return _Kernel(None, reach, transform=millson)
     if m == 1:
         def line(rho, shift):
             x = rho / sigma
@@ -251,11 +279,11 @@ def _green_kernel(space: ModelSpace, r: float) -> _Kernel:
             return _Kernel(green, reach, harmonic=True)
 
         def millson(rho, shift):
-            return math.sqrt(2.0) * _h2_millson(
-                lambda s, sh: math.exp(sh - k * s) / (2.0 * math.pi),
-                rho, rho + _TAIL_LOG / (k + c), shift)
+            val, err = _h2_millson(lambda s, sh: np.exp(sh - k * s) / (2.0 * math.pi),
+                                   rho, rho + _TAIL_LOG / (k + c), shift)
+            return math.sqrt(2.0) * val, math.sqrt(2.0) * err
 
-        return _Kernel(millson, reach)
+        return _Kernel(None, reach, transform=millson)
     if m == 1:
         return _Kernel(lambda rho, shift: math.exp(-k * rho) / k, reach)
     nu = m / 2.0 - 1.0
@@ -273,15 +301,25 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
 
     In polar coordinates about the centre of v this is the radial integral
     of |v(w)| ring(w) times the mean of k over the sphere of radius w.  A
-    kernel without a chord form takes the generic sphere mean, whose
-    largest relative error joins the reported one.
+    kernel without a chord form takes the generic sphere mean.  The
+    largest relative error of a sphere mean and that of a kernel transform
+    join the reported one.
     """
     space = v.space
     m = space.dim
     hyperbolic = space.kind == HYPERBOLIC
     area = sphere_area(m)
     radial = kernel.radial
-    inner_rel = 0.0
+    inner_rel = kernel_rel = 0.0
+    if kernel.transform is not None:
+        # below _TINY / SPATIAL_REL a transform meets only the absolute floor
+        # _TINY, and its relative error says nothing about the integral
+        def radial(rho, shift):
+            nonlocal kernel_rel
+            val, err = kernel.transform(rho, shift)
+            kernel_rel = max(kernel_rel, err / max(val, _TINY / SPATIAL_REL))
+            return val
+
     if b <= _CENTRE or kernel.harmonic:
         def ring_mean(w):
             scaled, exponent = _split_S(hyperbolic, w)
@@ -320,8 +358,8 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
 
     val, err = _radial_tail(integrand, kernel.reach + b, v.singular_radii,
                             [b] if b > _CENTRE else [])
-    if inner_rel > 0.0 and math.isfinite(val):
-        err += inner_rel * val
+    if inner_rel + kernel_rel > 0.0 and math.isfinite(val):
+        err += (inner_rel + kernel_rel) * val
     return val, err
 
 

@@ -367,6 +367,98 @@ def _power_side(g, s, length, far, windows, outcome):
             err + SPATIAL_REL * math.fsum(map(abs, windows)) + abs(tail))
 
 
+# ---------------------------------------------------------------------------
+# fixed-rule panels, every node of every panel in one array call
+
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for j in range(2, n + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return cur, n * (x * cur - prev) / (x * x - 1.0)
+
+
+def _legendre_rule(n):
+    """Gauss-Legendre nodes and weights on [-1, 1] by Newton's method on P_n.
+
+    Built from the recurrence rather than by leggauss, so that importing
+    makes no eigensolver call (whose first call grows the process by about
+    1 MB).  From the Chebyshev-like first guesses six steps reach rounding.
+    """
+    x = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    dp = _legendre(n, x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+# On a panel the 32-point rule gives the value and its difference from the
+# 16-point rule the error estimate: the two node sets side by side, and one
+# weight column for the value and one for the difference
+_PANEL_HIGH = _legendre_rule(32)
+_PANEL_LOW = _legendre_rule(16)
+_PANEL_NODES = np.concatenate((_PANEL_HIGH[0], _PANEL_LOW[0]))
+_PANEL_WEIGHTS = np.zeros((_PANEL_NODES.size, 2))
+_PANEL_WEIGHTS[:32, 0] = _PANEL_WEIGHTS[:32, 1] = _PANEL_HIGH[1]
+_PANEL_WEIGHTS[32:, 1] = -_PANEL_LOW[1]
+# bisection rounds after the first; a panel still open after them is kept
+# with its error estimate, which the caller then reports
+_PANEL_ROUNDS = 12
+_HALVES = np.array([-1.0, 1.0])
+
+
+def panel_integral(F, panels: int):
+    """(values, errors) of integral_0^1 F on Gauss-Legendre panels, for a batch of integrands.
+
+    F(x) gets the nodes x of every open panel, shape (P, 48), and returns
+    the integrands there with any leading batch shape, (..., P, 48): every
+    node of every panel of every integrand in one array call per round.
+    The first round has ``panels`` equal panels.  An integral is done when
+    its summed error estimate is at most SPATIAL_REL times its value (plus
+    _TINY).  Otherwise each panel on which some unfinished integral's
+    estimate exceeds that integral's target times the panel's width is
+    bisected for the next round, and the others are kept.  The batch shares
+    its panels, so each is as fine as its hardest integrand needs there.
+    Panels still open after _PANEL_ROUNDS rounds, or whose estimate is not a
+    number, are kept with their estimate, so the error can exceed the
+    target but is never dropped.  Returns arrays of the batch shape.
+    """
+    mid, half, nodes = _first_panels(panels)
+    values = errors = 0.0
+    for depth in range(_PANEL_ROUNDS + 1):
+        rules = (F(nodes) @ _PANEL_WEIGHTS) * half[:, None]
+        err = np.abs(rules[..., 1])
+        total = values + rules[..., 0].sum(axis=-1)
+        error = errors + err.sum(axis=-1)
+        target = SPATIAL_REL * np.abs(total) + _TINY
+        missed = error > target
+        if depth < _PANEL_ROUNDS and missed.any():
+            split = (missed[..., None] & (err > target[..., None] * (2.0 * half)))
+            split = split.reshape(-1, half.size).any(axis=0)
+            if split.any():
+                keep = ~split
+                values = values + rules[..., keep, 0].sum(axis=-1)
+                errors = errors + err[..., keep].sum(axis=-1)
+                mid, half = mid[split], 0.5 * half[split]
+                mid = (mid[:, None] + half[:, None] * _HALVES).ravel()
+                half = np.repeat(half, 2)
+                nodes = mid[:, None] + half[:, None] * _PANEL_NODES
+                continue
+        return total, error
+
+
+@lru_cache(maxsize=64)
+def _first_panels(panels: int):
+    """Centres, half-widths and nodes of ``panels`` equal panels on [0, 1] (read-only)."""
+    half = np.full(panels, 0.5 / panels)
+    mid = (2.0 * np.arange(panels) + 1.0) * half
+    out = mid, half, mid[:, None] + half[:, None] * _PANEL_NODES
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=32)
 def gauss_legendre(n):
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.special import i0e
 
 from katoform.errors import DomainError, QuadratureError
-from katoform.geometry import (EUCLIDEAN, ModelSpace, _h2_kernel_scalar, distance,
-                               heat_kernel_radial, kernel_tail_radius, law_of_cosines)
+from katoform.geometry import (_TAIL_LOG, EUCLIDEAN, ModelSpace, distance, heat_kernel_radial,
+                               kernel_tail_radius, law_of_cosines)
 from katoform.kato import _abs_scalar_fn, _ring_scalar
 from katoform.potentials import Potential
 from katoform.quadrature import (DIVERGENCE_CAP, OUTER_REL, _TINY, dyadic_endpoint_integral,
@@ -90,6 +90,45 @@ def laplace_integral(F, r, rel=OUTER_REL, max_up_levels=48):
 
 
 # ---------------------------------------------------------------------------
+# the H^2 kernel by one adaptive QUADPACK call per value
+
+def h2_millson_quad(f, d: float, s_max: float, shift: float = 0.0, rel: float = 1e-8):
+    """(value, error) of e^shift integral_d^s_max f(s) / sqrt(cosh s - cosh d) ds by QUADPACK.
+
+    The H^2 Millson transform the library evaluates on fixed panels, here
+    with scalar ``f(s, shift)`` (returning f(s) e^shift) and no absolute
+    floor, so values far below 1 converge too.  The substitution
+    s = d + u^2 removes the inverse-square-root endpoint, and the
+    difference of coshes is written as 2 e^x (e^{-x} sinh x) sinh(u^2/2),
+    x = d + u^2/2, so it neither cancels near the endpoint nor overflows at
+    large d.  Near u = 0 the integrand varies on the scale sqrt(2d), which
+    is a breakpoint.
+    """
+    u_max = math.sqrt(s_max - d)
+
+    def integrand(u):
+        half = 0.5 * u * u
+        x = d + half
+        gap = -math.expm1(-2.0 * x) * math.sinh(half)
+        if gap <= 0.0:
+            return 0.0
+        return f(d + u * u, shift - 0.5 * x) * 2.0 * u / math.sqrt(gap)
+
+    return quad_piece(integrand, 0.0, u_max, rel=rel, abs_floor=0.0, points=[math.sqrt(2.0 * d)])
+
+
+def h2_kernel_scalar(t: float, d: float, rel: float = 1e-8) -> float:
+    """H^2 heat kernel p_t(d) (Delta/2 normalization) by h2_millson_quad.
+
+    Cut at d + sqrt(2 t _TAIL_LOG) + t, past the library's cut.
+    """
+    coef = math.sqrt(2.0) * (2.0 * math.pi * t) ** -1.5 * math.exp(-t / 8.0)
+    s_max = d + math.sqrt(2.0 * t * _TAIL_LOG) + t
+    return coef * h2_millson_quad(lambda s, shift: s * math.exp(shift - s * s / (2.0 * t)),
+                                  d, s_max, rel=rel)[0]
+
+
+# ---------------------------------------------------------------------------
 # the spatial average F(s)
 
 def _kernel_scalar(space: ModelSpace, s: float, w: float) -> float:
@@ -102,7 +141,7 @@ def _kernel_scalar(space: ModelSpace, s: float, w: float) -> float:
         else:
             factor = w / math.sinh(w)
         return (2.0 * math.pi * s) ** -1.5 * factor * math.exp(-s / 2.0 - w * w / (2.0 * s))
-    return _h2_kernel_scalar(s, w)
+    return h2_kernel_scalar(s, w)
 
 
 def _sphere_mean_kernel(space: ModelSpace, s: float, w: float, b: float) -> float:

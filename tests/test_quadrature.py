@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katoform.errors import UndecidedError
-from katoform.quadrature import _WINDOW_RULE, classify_windows, radial_integral
+from katoform.quadrature import (_PANEL_ROUNDS, _WINDOW_RULE, _legendre_rule, classify_windows,
+                                 panel_integral, radial_integral)
 
 CUT = math.exp(-1.0)
 
@@ -129,3 +130,63 @@ def test_window_rule_is_gauss_legendre():
     x, w = np.polynomial.legendre.leggauss(8)
     assert np.allclose([node for node, _ in _WINDOW_RULE], x[4:], rtol=0.0, atol=1e-15)
     assert np.allclose([weight for _, weight in _WINDOW_RULE], w[4:], rtol=0.0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre panels
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_legendre_rule_is_gauss(n):
+    x, w = _legendre_rule(n)
+    assert np.allclose(np.sort(x), np.polynomial.legendre.leggauss(n)[0], rtol=0.0, atol=2e-16)
+    # exact for every degree below 2n: integral_-1^1 x^k dx = 2/(k+1) for even k
+    for k in range(2 * n):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert math.fsum(w * x ** k) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+def test_panel_integral_batch_in_one_round():
+    rates = np.array([-50.0, -1.0, 3.0, 30.0])
+    calls = [0]
+
+    def F(x):
+        calls[0] += 1
+        return np.exp(rates[:, None, None] * x)
+
+    values, errors = panel_integral(F, 2)
+    want = np.expm1(rates) / rates
+    assert values.shape == errors.shape == (4,)
+    assert np.all(np.abs(values - want) <= errors + 1e-15 * np.abs(want))
+    assert np.all(errors <= 1e-8 * np.abs(want))
+    assert calls[0] == 1
+
+
+def test_panel_integral_bisects_near_a_branch_point():
+    # sqrt(x + a) has its branch point a = 1e-4 to the left of 0
+    a = 1e-4
+    calls = [0]
+
+    def F(x):
+        calls[0] += 1
+        return np.sqrt(x + a)
+
+    value, err = panel_integral(F, 1)
+    want = 2.0 / 3.0 * ((1.0 + a) ** 1.5 - a ** 1.5)
+    assert abs(value - want) <= err <= 1e-8 * want
+    assert calls[0] > 1
+
+
+def test_panel_integral_reports_what_it_cannot_reach():
+    # sqrt|x - 1/3| has a branch point inside: the panel holding it keeps
+    # missing, and after the last round the error says so
+    calls = [0]
+
+    def F(x):
+        calls[0] += 1
+        return np.sqrt(np.abs(x - 1.0 / 3.0))
+
+    value, err = panel_integral(F, 1)
+    want = 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
+    assert calls[0] == _PANEL_ROUNDS + 1
+    assert err > 1e-8 * value
+    assert abs(value - want) <= err
