@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidPointError, QuadratureError
-from .quadrature import SPATIAL_REL, panel_integral, polar_angle_rule, quad_piece
+from .errors import ConvergenceError, DomainError, InvalidPointError, QuadratureError
+from .quadrature import SPATIAL_REL, panel_integral, quad_piece
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
@@ -151,19 +151,128 @@ def ring_area(space: ModelSpace, r):
     return sphere_area(m) * np.sinh(r) ** (m - 1)
 
 
+def _split_S(hyperbolic: bool, rho):
+    """S(rho) as (scaled, exponent): (rho, 0) on R^m, (e^{-rho} sinh rho, rho) on H^m.
+
+    numpy on an array of rho, math on a float: the faster there, and with
+    the bits the centre and chord routes' reports keep (numpy's exp and
+    expm1 differ from math's in the last place).
+    """
+    if hyperbolic:
+        expm1 = np.expm1 if isinstance(rho, np.ndarray) else math.expm1
+        return -0.5 * expm1(-2.0 * rho), rho
+    return rho, 0.0
+
+
+# Past a + b = 2 _LOG_FAR the hyperbolic law of cosines takes asinh(z) as log(2z)
+_LOG_FAR = 350.0
+
+
 def law_of_cosines(space: ModelSpace, a, b, theta):
     """Third side of a geodesic triangle with sides a, b and angle theta.
 
-    Vectorized over any of the arguments.
+    Vectorized over any of the arguments.  The half-angle forms
+
+        d^2 = (a - b)^2 + 4 a b sin^2(theta/2),
+        cosh d - 1 = 2 sinh^2((a - b)/2) + 2 sinh a sinh b sin^2(theta/2)
+
+    keep the relative precision of a small d.  On H^m, sinh^2(d/2) is taken
+    as e^{a+b} y with every factor of y at most 1, so that no sinh overflows
+    at large a + b.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    c = np.cos(theta)
+    half = np.sin(0.5 * np.asarray(theta, dtype=float)) ** 2
     if space.kind == EUCLIDEAN:
-        sq = a * a + b * b - 2.0 * a * b * c
-        return np.sqrt(np.maximum(sq, 0.0))
-    arg = np.cosh(a) * np.cosh(b) - np.sinh(a) * np.sinh(b) * c
-    return np.arccosh(np.maximum(arg, 1.0))
+        return np.sqrt((a - b) ** 2 + 4.0 * a * b * half)
+    y = 0.25 * (np.expm1(-np.abs(a - b)) ** 2 * np.exp(-2.0 * np.minimum(a, b))
+                + np.expm1(-2.0 * a) * np.expm1(-2.0 * b) * half)
+    h = 0.5 * (a + b)
+    # d = 2 asinh(e^h sqrt(y)); past h = _LOG_FAR that is 2h + log(4y) to
+    # rounding (both branches are evaluated, so neither may overflow or take log 0)
+    near = 2.0 * np.arcsinh(np.exp(np.minimum(h, _LOG_FAR)) * np.sqrt(y))
+    far = 2.0 * h + np.log(4.0 * np.maximum(y, 1e-300))
+    return np.where(h < _LOG_FAR, near, far)
+
+
+# theta - theta_0 grows like u^_GRADE from a graded end theta_0: at w = b on
+# R^2 and H^2 a kernel's log pole then leaves the panel rule 2e-13 relative
+# off, where u^3 leaves 1.5e-10 with the same nodes
+_GRADE = 4
+# initial panels of quadrature.panel_integral on each graded piece
+_THETA_PANELS = 4
+
+
+def sphere_mean(space: ModelSpace, f, w: float, b: float, singular=()):
+    """(value, error) of ring(w) times the mean of f(d(x, .)) over the sphere of radius w.
+
+    x sits at distance b from the sphere's centre.  On R^1 the sphere is
+    the two points at distances |w - b| and w + b.  Otherwise, with the
+    polar angle theta about the direction of x, the distance is
+    law_of_cosines(w, b, theta) and, with S(w) = w on R^m and sinh w on H^m,
+
+        ring(w) mean = area(S^{m-2}) S(w)^{m-1} integral_0^pi f(d) sin^{m-2} theta d theta.
+
+    ``f(rho, shift)`` takes an array of distances rho and returns
+    f(rho) e^shift; on H^m the growth e^{(m-1) w} of S(w)^{m-1} arrives as
+    the shift, so f can cancel it against its own decay.  The polar angle
+    is cut into pieces at every angle where d crosses a distance in
+    ``singular``; the near point theta = 0 (where a pole of f sits when
+    w = b) and both sides of every crossing are approached as u^_GRADE in
+    the variable u of quadrature.panel_integral, which takes every node of
+    every piece in one array call per round.  A non-finite result raises
+    ConvergenceError: f is finite at every node, so that is a solver
+    failure and never a divergence.
+    """
+    m = space.dim
+    hyperbolic = space.kind == HYPERBOLIC
+    gap = abs(w - b)
+    if m == 1:
+        return float(np.sum(f(np.array([gap, w + b]), 0.0))), 0.0
+    cuts = [0.0]
+    for s in sorted(set(singular)):
+        if gap < s < w + b:
+            # sin^2(theta/2) from the half-angle law of cosines at d = s
+            if hyperbolic:
+                ratio = math.sinh(0.5 * (s + gap)) * math.sinh(0.5 * (s - gap)) / \
+                    (math.sinh(w) * math.sinh(b))
+            else:
+                ratio = (s + gap) * (s - gap) / (4.0 * w * b)
+            cuts.append(2.0 * math.asin(math.sqrt(min(ratio, 1.0))))
+    cuts.append(math.pi)
+    # theta = start + length v^_GRADE on each piece: a segment between two
+    # cuts is two pieces graded toward its ends, the last one (up to pi)
+    # one piece graded toward its start
+    starts, lengths = [], []
+    for lo, hi in zip(cuts[:-2], cuts[1:-1]):
+        starts += [lo, hi]
+        lengths += [0.5 * (hi - lo), -0.5 * (hi - lo)]
+    starts.append(cuts[-2])
+    lengths.append(math.pi - cuts[-2])
+    starts, lengths = np.array(starts), np.array(lengths)
+    pieces = starts.size
+    scaled, exponent = _split_S(hyperbolic, w)
+
+    def integrand(x):
+        j = np.minimum((x * pieces).astype(int), pieces - 1)
+        v = x * pieces - j
+        theta = starts[j] + lengths[j] * v ** _GRADE
+        jacobian = _GRADE * pieces * np.abs(lengths[j]) * v ** (_GRADE - 1)
+        d = law_of_cosines(space, w, b, theta)
+        for s in singular:
+            # a node whose distance rounds onto a singular one (the grading
+            # puts nodes closer to a crossing than d can resolve) is moved
+            # one rounding off it, where f is finite
+            d[d == s] = np.nextafter(s, math.inf)
+        return f(d, (m - 1) * exponent) * jacobian * np.sin(theta) ** (m - 2)
+
+    val, err = panel_integral(integrand, _THETA_PANELS * pieces)
+    front = sphere_area(m - 1) * scaled ** (m - 1)
+    val, err = front * float(val), front * float(err)
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise ConvergenceError(f"the sphere mean at w = {w}, b = {b} is not finite",
+                               residual=err)
+    return val, err
 
 
 def kernel_tail_radius(space: ModelSpace, t: float, extra: float = 0.0) -> float:
@@ -291,8 +400,8 @@ def chapman_kolmogorov_residual(space: ModelSpace, s: float, t: float, x, y) -> 
     """| p_{t+s}(x,y) - integral p_t(x,z) p_s(z,y) vol(dz) |.
 
     The convolution is reduced to polar coordinates around x: the radial
-    integral is adaptive, the angular one uses a fixed high-order rule on
-    the smooth factor.  For m = 1 the convolution is a single line integral.
+    integral is adaptive, and at each radius rho the ring times the mean of
+    p_s(., y) over the sphere of radius rho is one sphere_mean.
     """
     if s <= 0.0 or t <= 0.0:
         raise DomainError("times must be positive")
@@ -301,30 +410,14 @@ def chapman_kolmogorov_residual(space: ModelSpace, s: float, t: float, x, y) -> 
     d = distance(space, x, y)
     direct = float(heat_kernel_radial(space, t + s, d))
 
-    if space.dim == 1:
-        # z runs over the line; integrate around both base points.
-        reach = kernel_tail_radius(space, max(s, t), extra=d)
-
-        def integrand(z):
-            return float(heat_kernel_radial(space, t, abs(z))) * \
-                float(heat_kernel_radial(space, s, abs(z - d)))
-
-        val, _ = quad_piece(integrand, -reach, reach + d, rel=SPATIAL_REL,
-                            points=[0.0, d])
-        return abs(direct - val)
-
     r_max = kernel_tail_radius(space, t) + d + kernel_tail_radius(space, s)
-    theta, weights = polar_angle_rule(space.dim)
-    prefactor = sphere_area(space.dim - 1)
+
+    def kernel_s(rho, shift):
+        return heat_kernel_radial(space, s, rho) * math.exp(shift)
 
     def integrand(rho):
-        other = law_of_cosines(space, rho, d, theta)
-        angular = float(np.dot(weights, heat_kernel_radial(space, s, other)))
-        return float(heat_kernel_radial(space, t, rho)) * float(ring_area(space, rho)) * angular * \
-            prefactor / sphere_area(space.dim)
+        return float(heat_kernel_radial(space, t, rho)) * sphere_mean(space, kernel_s, rho, d)[0]
 
-    # ring_area already contains the full sphere factor; the polar reduction
-    # needs area(S^{m-2}) * sin^{m-2} instead, hence the ratio above.
     val, _ = quad_piece(integrand, 0.0, r_max, rel=SPATIAL_REL, points=[d])
     return abs(direct - val)
 

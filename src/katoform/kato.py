@@ -27,11 +27,10 @@ the Millson transform of the same closed-form time integrals
 and its largest relative error joins the reported one.  For a probe at
 distance b from the centre of v the integral is a radial one against the
 sphere mean of the kernel, which is the kernel itself at b = 0, a
-reflection pair on R^1, a closed-form chord integral on R^3 and H^3, and
-the kernel at max(w, b) for the (harmonic) Green kernel G_0.  Everywhere
-else (off the centre of R^2, R^m with m >= 4 and H^2) the sphere mean is
-one QAWS integral over the distance to the probe, whose error estimate
-joins the reported one.
+closed-form chord integral on R^3 and H^3, and the kernel at max(w, b) for
+the (harmonic) Green kernel G_0.  Everywhere else it is geometry.sphere_mean
+(a reflection pair on R^1, graded panels in the polar angle on R^2, R^m
+with m >= 4 and H^2), whose error estimate joins the reported one.
 
 Every probe takes this one kernel route.  The nested time-and-space
 quadrature (an outer time or Laplace integral of the spatial average
@@ -65,19 +64,17 @@ from .geometry import (
     distance,
     h_kernel,
     kernel_tail_radius,
-    law_of_cosines,
     sphere_area,
+    sphere_mean,
 )
-from .geometry import _TAIL_LOG, _h2_millson
+from .geometry import _TAIL_LOG, _h2_millson, _split_S
 from .potentials import Potential
 from .quadrature import (
     _TINY,
     DIVERGENCE_CAP,
     DIVERGENT,
     SPATIAL_REL,
-    algebraic_weight_integral,
     classify_windows,
-    polar_angle_rule,
     radial_integral,
 )
 
@@ -132,7 +129,8 @@ class _Kernel:
     ring growth e^{(m-1) w} into the kernel's own decaying exponent.
     """
 
-    # (rho, shift) -> k(rho) e^shift, rho > 0; None when only a transform gives k
+    # (rho, shift) -> k(rho) e^shift, rho > 0 a float or an array (the generic
+    # sphere mean passes arrays); None when only a transform gives k
     radial: Callable[[float, float], float] | None
     # distance beyond which ring * k is negligible; inf when it does not decay
     reach: float
@@ -141,15 +139,9 @@ class _Kernel:
     chord: Callable[[float, float, float], float] | None = None
     # k is harmonic off its pole, so every sphere mean is k(max(w, b))
     harmonic: bool = False
-    # (rho, shift) -> (k(rho) e^shift, error) where k has no closed form (H^2)
+    # (rho, shift) -> (k(rho) e^shift, error) where k has no closed form (H^2),
+    # rho a float or an array
     transform: Callable[[float, float], tuple[float, float]] | None = None
-
-
-def _split_S(hyperbolic: bool, rho: float):
-    """S(rho) as (scaled, exponent): (rho, 0) on R^m, (e^{-rho} sinh rho, rho) on H^m."""
-    if hyperbolic:
-        return -0.5 * math.expm1(-2.0 * rho), rho
-    return rho, 0.0
 
 
 def _erfc_pair(rho: float, t: float, c: float, sign: float = 1.0, shift: float = 0.0) -> float:
@@ -179,7 +171,8 @@ def _erfc_pair_array(rho, t: float, c: float, shift):
     second erfcx argument is at least -c sqrt(t/2), so that erfcx stays
     below 2 e^{c^2 t/2}, and where it is large (rho near 0) the Gaussian is
     near e^{shift - c^2 t/2}: both are normal numbers while c^2 t/2 is well
-    below 709, which _H2_MAX_T keeps (c = 1/2 on H^2).
+    below 709, which _H2_MAX_T keeps (c = 1/2 on H^2); H^3 (c = 1) passes
+    arrays only where a test forces the generic sphere mean, at small t.
     """
     sigma = math.sqrt(2.0 * t)
     x = rho / sigma
@@ -203,6 +196,9 @@ def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
 
         def radial(rho, shift):
             scaled, exponent = _split_S(hyperbolic, rho)
+            # numpy on the generic mean's arrays, math's bits on a float (see _split_S)
+            if isinstance(rho, np.ndarray):
+                return _erfc_pair_array(rho, t, c, shift - exponent) / (4.0 * math.pi * scaled)
             return kernel_S(rho, shift - exponent) / scaled
 
         def antiderivative(rho, shift):
@@ -229,14 +225,14 @@ def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
 
         def millson(rho, shift):
             val, err = _h2_millson(lambda s, sh: _erfc_pair_array(s, t, 0.5, sh) / (4.0 * math.pi),
-                                   rho, math.sqrt(rho * rho + 2.0 * t * _TAIL_LOG), shift)
+                                   rho, np.sqrt(rho * rho + 2.0 * t * _TAIL_LOG), shift)
             return math.sqrt(2.0) * val, math.sqrt(2.0) * err
 
         return _Kernel(None, reach, transform=millson)
     if m == 1:
         def line(rho, shift):
             x = rho / sigma
-            return math.exp(shift - x * x) * (math.sqrt(2.0 * t / math.pi) - rho * erfcx(x))
+            return np.exp(shift - x * x) * (math.sqrt(2.0 * t / math.pi) - rho * erfcx(x))
 
         return _Kernel(line, reach)
     if m == 2:
@@ -262,7 +258,9 @@ def _green_kernel(space: ModelSpace, r: float) -> _Kernel:
     if m == 3:
         def radial(rho, shift):
             scaled, exponent = _split_S(hyperbolic, rho)
-            return math.exp(shift - exponent - k * rho) / (2.0 * math.pi * scaled)
+            # numpy on the generic mean's arrays, math's bits on a float (see _split_S)
+            exp = np.exp if isinstance(rho, np.ndarray) else math.exp
+            return exp(shift - exponent - k * rho) / (2.0 * math.pi * scaled)
 
         def chord(lo, h, shift):
             return math.exp(shift - k * lo) * -math.expm1(-k * h) / (2.0 * math.pi * k)
@@ -285,14 +283,14 @@ def _green_kernel(space: ModelSpace, r: float) -> _Kernel:
 
         return _Kernel(None, reach, transform=millson)
     if m == 1:
-        return _Kernel(lambda rho, shift: math.exp(-k * rho) / k, reach)
+        return _Kernel(lambda rho, shift: np.exp(-k * rho) / k, reach)
     nu = m / 2.0 - 1.0
     if harmonic:
         coef = math.gamma(nu) / (2.0 * math.pi ** (m / 2.0))
         return _Kernel(lambda rho, shift: coef * rho ** (2 - m), reach, harmonic=True)
     coef = 2.0 * (2.0 * math.pi) ** (-m / 2.0)
     return _Kernel(
-        lambda rho, shift: coef * (rho / k) ** -nu * kve(nu, k * rho) * math.exp(-k * rho),
+        lambda rho, shift: coef * (rho / k) ** -nu * kve(nu, k * rho) * np.exp(-k * rho),
         reach)
 
 
@@ -310,23 +308,20 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     hyperbolic = space.kind == HYPERBOLIC
     area = sphere_area(m)
     radial = kernel.radial
+    # below _TINY / SPATIAL_REL a sphere mean or a transform meets only the
+    # absolute floor _TINY, and its relative error says nothing about the integral
     inner_rel = kernel_rel = 0.0
     if kernel.transform is not None:
-        # below _TINY / SPATIAL_REL a transform meets only the absolute floor
-        # _TINY, and its relative error says nothing about the integral
         def radial(rho, shift):
             nonlocal kernel_rel
             val, err = kernel.transform(rho, shift)
-            kernel_rel = max(kernel_rel, err / max(val, _TINY / SPATIAL_REL))
+            kernel_rel = max(kernel_rel, float((err / np.maximum(val, _TINY / SPATIAL_REL)).max()))
             return val
 
     if b <= _CENTRE or kernel.harmonic:
         def ring_mean(w):
             scaled, exponent = _split_S(hyperbolic, w)
             return area * scaled ** (m - 1) * radial(max(w, b), (m - 1) * exponent)
-    elif m == 1:
-        def ring_mean(w):
-            return radial(abs(w - b), 0.0) + radial(w + b, 0.0)
     elif kernel.chord is not None:
         # ring(w) chord / (2 S(w) S(b)) = 2 pi S(w) chord / S(b); the chord
         # runs from |w - b| to w + b, its length taken exactly as 2 min(w, b)
@@ -339,9 +334,8 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     else:
         def ring_mean(w):
             nonlocal inner_rel
-            val, err = _sphere_mean(radial, hyperbolic, m, w, b)
-            if val > 0.0:
-                inner_rel = max(inner_rel, err / val)
+            val, err = sphere_mean(space, radial, w, b)
+            inner_rel = max(inner_rel, err / max(val, _TINY / SPATIAL_REL))
             return val
 
     abs_scalar = _abs_scalar_fn(v)
@@ -361,43 +355,6 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     if inner_rel + kernel_rel > 0.0 and math.isfinite(val):
         err += (inner_rel + kernel_rel) * val
     return val, err
-
-
-def _sphere_mean(radial, hyperbolic: bool, m: int, w: float, b: float):
-    """(value, error) of ring(w) times the mean of k over the sphere of radius w.
-
-    The probe sits at distance b from the sphere's centre.  With S(x) = x
-    on R^m and sinh x on H^m, trading the polar angle for the distance rho
-    to the probe, rho in [a, top] = [|w - b|, w + b], turns
-    sin^{m-2} theta d theta into S(rho) P(rho)^alpha d rho / (S(w) S(b))^{m-2},
-    where alpha = (m - 3)/2 and
-    P = 4 S((rho + a)/2) S((rho - a)/2) S((top + rho)/2) S((top - rho)/2)
-    is (S(w) S(b) sin theta)^2.  QAWS carries the factors (rho - a)^alpha
-    (top - rho)^alpha of P; every e^x growth of a sinh goes into the
-    kernel's shift, which sums to c (rho + w - b) with c = (m - 1)/2 on H^m.
-    """
-    # at w = b the pole of k would sit on the end rho = 0; the mean is
-    # continuous in w, so one ulp off b stands in for it
-    a = abs(w - b) or math.ulp(b)
-    top = w + b
-    alpha = 0.5 * (m - 3)
-    c = 0.5 * (m - 1) if hyperbolic else 0.0
-
-    def half(x):
-        return _split_S(hyperbolic, 0.5 * x)[0]
-
-    def edge(d):
-        # 2 S(d/2) / d, scaled: 1 on R^m
-        return -math.expm1(-d) / d if hyperbolic and d > 0.0 else 1.0
-
-    def f(rho):
-        rest = half(rho + a) * half(top + rho) * edge(rho - a) * edge(top - rho)
-        return radial(rho, c * (rho + w - b)) * _split_S(hyperbolic, rho)[0] * rest ** alpha
-
-    s_w, s_b = _split_S(hyperbolic, w)[0], _split_S(hyperbolic, b)[0]
-    front = sphere_area(m - 1) * s_w ** (m - 1) / (s_w * s_b) ** (m - 2)
-    val, err = algebraic_weight_integral(f, a, top, alpha)
-    return front * val, front * err
 
 
 _TAIL_WINDOWS = 64
@@ -578,25 +535,15 @@ def analytic_kato_functional(v: Potential, radius: float, probes) -> float:
 def _ball_integral(v: Potential, b: float, radius: float, weight):
     """(value, error) of integral_{B_radius(x)} |v(y)| weight(d(x, y)) dvol, x at distance b.
 
-    On R^1 the ball is the segment at signed offsets u - radius, u in
-    [0, 2 radius].  At the centre of v it is one radial integral; off the
-    centre a polar rule about the probe, the angular rule carrying |v| at
-    the law-of-cosines distance.
+    At the centre of v it is one radial integral; off the centre a radial
+    integral about the probe of the weight times geometry.sphere_mean of
+    |v|, which declares v's singular radii.  The largest relative error of
+    a sphere mean joins the reported one.
     """
     space = v.space
-    m = space.dim
-    abs_scalar = _abs_scalar_fn(v)
-    if m == 1:
-        def integrand(u):
-            vw = abs_scalar(abs(b + u - radius))
-            return vw * weight(abs(u - radius)) if math.isfinite(vw) else math.inf
-
-        # shift so the singular radii map onto breakpoints
-        breaks = sorted({radius - b + ws for ws in v.singular_radii} |
-                        {radius - b - ws for ws in v.singular_radii})
-        return radial_integral(integrand, 2.0 * radius, singular=breaks)
-
     if b <= _CENTRE:
+        abs_scalar = _abs_scalar_fn(v)
+
         def integrand(w):
             ring = _ring_scalar(space, w)
             if ring == 0.0:
@@ -606,24 +553,25 @@ def _ball_integral(v: Potential, b: float, radius: float, weight):
                 return math.inf
             return vw * ring * weight(w)
 
-        breaks = sorted(set(v.singular_radii))
-    else:
-        theta, weights = polar_angle_rule(m, 96)
-        angle_front = sphere_area(m - 1)
+        return radial_integral(integrand, radius, singular=sorted(set(v.singular_radii)))
 
-        def integrand(rho):
-            ring_ratio = _ring_scalar(space, rho) / sphere_area(m)
-            if ring_ratio == 0.0:
-                return 0.0
-            w_vals = law_of_cosines(space, rho, b, theta)
-            v_vals = np.abs(np.asarray(v.radial(w_vals), dtype=float))
-            if not np.all(np.isfinite(v_vals)):
-                return math.inf
-            return weight(rho) * ring_ratio * angle_front * float(np.dot(weights, v_vals))
+    inner_rel = 0.0
 
-        breaks = sorted({abs(b - ws) for ws in v.singular_radii} |
-                        {b + ws for ws in v.singular_radii})
-    return radial_integral(integrand, radius, singular=breaks)
+    def abs_v(rho, shift):
+        return np.abs(np.asarray(v.radial(rho), dtype=float)) * math.exp(shift)
+
+    def integrand(rho):
+        nonlocal inner_rel
+        val, err = sphere_mean(space, abs_v, rho, b, v.singular_radii)
+        inner_rel = max(inner_rel, err / max(val, _TINY / SPATIAL_REL))
+        return weight(rho) * val
+
+    breaks = sorted({abs(b - ws) for ws in v.singular_radii} |
+                    {b + ws for ws in v.singular_radii})
+    val, err = radial_integral(integrand, radius, singular=breaks)
+    if math.isfinite(val):
+        err += inner_rel * val
+    return val, err
 
 
 def lp_kato_classify(p: float, m: int) -> str:

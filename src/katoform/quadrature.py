@@ -1,9 +1,9 @@
 """Quadrature helpers shared by the geometry and Kato-functional layers.
 
-scipy's QUADPACK does the adaptive work on finite intervals: Gauss-Kronrod
-for smooth pieces and QAWS for integrands with algebraic endpoint weights.
-On top of that this module adds what those routines do not provide:
-divergence classification and dyadic refinement at singular radii.
+scipy's QUADPACK does the adaptive Gauss-Kronrod work on finite intervals.
+On top of that this module adds what QUADPACK does not provide: divergence
+classification and dyadic refinement at singular radii, and Gauss-Legendre
+panels that take every node of a batch of integrands in one array call.
 
 A radial integral is classified before it is integrated.  At every declared
 singular radius the dyadic windows c_k (integrals over distances
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from .errors import ConvergenceError, QuadratureError, UndecidedError
+from .errors import QuadratureError, UndecidedError
 
 # Relative targets: every radial integral aims at SPATIAL_REL, one order
 # tighter than the OUTER_REL accuracy reported values are held to.
@@ -124,26 +124,6 @@ def dyadic_endpoint_integral(f, a, b, rel=OUTER_REL, max_levels=54):
     if prev is not None and abs(prev) > rel * max(abs(total), _TINY) * 100.0:
         return math.inf, math.inf, True
     return total, err + (abs(prev) if prev is not None else 0.0), False
-
-
-def algebraic_weight_integral(f, a, b, alpha):
-    """integral_a^b f(x) (x - a)^alpha (b - x)^alpha dx by QUADPACK's QAWS (alpha > -1).
-
-    Returns (value, error_estimate).  f must be finite on [a, b], both ends
-    included.  The target sits two orders below SPATIAL_REL, so a radial
-    integral over such values sees no noise from them.  An estimate above
-    SPATIAL_REL times the value, or a non-finite value, raises
-    ConvergenceError: the integrand is bounded by construction, so a miss
-    is a solver failure and never a divergence.
-    """
-    out = quad(f, a, b, weight="alg", wvar=(alpha, alpha), epsabs=0.0,
-               epsrel=1e-2 * SPATIAL_REL, limit=200, full_output=1)
-    value, abserr = out[0], out[1]
-    if not math.isfinite(value) or abserr > SPATIAL_REL * abs(value):
-        raise ConvergenceError(
-            f"weighted quadrature on [{a}, {b}] missed its tolerance "
-            f"(err {abserr:.3e}, value {value:.6e})", residual=abserr)
-    return value, abserr
 
 
 def radial_integral(g, hi, singular=(), *, points=()):
@@ -457,25 +437,3 @@ def _first_panels(panels: int):
     for a in out:
         a.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=32)
-def gauss_legendre(n):
-    """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-@lru_cache(maxsize=64)
-def polar_angle_rule(m, n_nodes=64):
-    """Nodes and weights for integral_0^pi f(theta) sin^{m-2}(theta) dtheta.
-
-    Used by polar-coordinate reductions on m-dimensional model spaces
-    (m >= 2).  The sin^{m-2} factor is folded into the weights.
-    """
-    if m < 2:
-        raise ValueError("polar angle rule needs dimension >= 2")
-    x, w = gauss_legendre(n_nodes)
-    theta = 0.5 * math.pi * (x + 1.0)
-    weights = 0.5 * math.pi * w * np.sin(theta) ** (m - 2)
-    return theta, weights

@@ -8,22 +8,30 @@ scheme under s = u^2 (which flattens the s^{-1/2} endpoint) and, for
 C_r, doubling windows of the Laplace tail.  It shares none of the kernel
 route's closed forms K_t and G_r, which is what makes it an oracle; it is
 also orders of magnitude slower, which is why it lives here.
+
+It also keeps the angular routes that geometry.sphere_mean replaced, as
+oracles for it: QUADPACK's QAWS over the distance to the probe
+(qaws_sphere_mean) and a fixed Gauss-Legendre rule in the polar angle
+(polar_angle_rule, behind _sphere_mean_rule).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import i0e
 
-from katoform.errors import DomainError, QuadratureError
-from katoform.geometry import (_TAIL_LOG, EUCLIDEAN, ModelSpace, distance, heat_kernel_radial,
-                               kernel_tail_radius, law_of_cosines)
+from katoform.errors import ConvergenceError, DomainError, QuadratureError
+from katoform.geometry import (_TAIL_LOG, EUCLIDEAN, ModelSpace, _split_S, distance,
+                               heat_kernel_radial, kernel_tail_radius, law_of_cosines,
+                               sphere_area)
 from katoform.kato import _abs_scalar_fn, _ring_scalar
 from katoform.potentials import Potential
-from katoform.quadrature import (DIVERGENCE_CAP, OUTER_REL, _TINY, dyadic_endpoint_integral,
-                                 polar_angle_rule, quad_piece, radial_integral)
+from katoform.quadrature import (DIVERGENCE_CAP, OUTER_REL, SPATIAL_REL, _TINY,
+                                 dyadic_endpoint_integral, quad_piece, radial_integral)
 
 _INNER_REL_BUDGET = 1e-7  # folded into reported errors for nested quadrature
 
@@ -126,6 +134,80 @@ def h2_kernel_scalar(t: float, d: float, rel: float = 1e-8) -> float:
     s_max = d + math.sqrt(2.0 * t * _TAIL_LOG) + t
     return coef * h2_millson_quad(lambda s, shift: s * math.exp(shift - s * s / (2.0 * t)),
                                   d, s_max, rel=rel)[0]
+
+
+# ---------------------------------------------------------------------------
+# the replaced angular routes: QAWS over the distance, a fixed polar rule
+
+def algebraic_weight_integral(f, a, b, alpha):
+    """integral_a^b f(x) (x - a)^alpha (b - x)^alpha dx by QUADPACK's QAWS (alpha > -1).
+
+    Returns (value, error_estimate).  f must be finite on [a, b], both ends
+    included.  The target sits two orders below SPATIAL_REL.  An estimate
+    above SPATIAL_REL times the value, or a non-finite value, raises
+    ConvergenceError: the integrand is bounded by construction, so a miss
+    is a solver failure and never a divergence.
+    """
+    out = quad(f, a, b, weight="alg", wvar=(alpha, alpha), epsabs=0.0,
+               epsrel=1e-2 * SPATIAL_REL, limit=200, full_output=1)
+    value, abserr = out[0], out[1]
+    if not math.isfinite(value) or abserr > SPATIAL_REL * abs(value):
+        raise ConvergenceError(
+            f"weighted quadrature on [{a}, {b}] missed its tolerance "
+            f"(err {abserr:.3e}, value {value:.6e})", residual=abserr)
+    return value, abserr
+
+
+def qaws_sphere_mean(radial, hyperbolic: bool, m: int, w: float, b: float):
+    """(value, error) of ring(w) times the mean of k over the sphere of radius w, by QAWS.
+
+    ``radial(rho, shift)`` takes a float.  The probe sits at distance b
+    from the sphere's centre.  With S(x) = x on R^m and sinh x on H^m,
+    trading the polar angle for the distance rho to the probe, rho in
+    [a, top] = [|w - b|, w + b], turns sin^{m-2} theta d theta into
+    S(rho) P(rho)^alpha d rho / (S(w) S(b))^{m-2}, where alpha = (m - 3)/2
+    and P = 4 S((rho + a)/2) S((rho - a)/2) S((top + rho)/2) S((top - rho)/2)
+    is (S(w) S(b) sin theta)^2.  QAWS carries the factors (rho - a)^alpha
+    (top - rho)^alpha of P; every e^x growth of a sinh goes into the
+    kernel's shift, which sums to c (rho + w - b) with c = (m - 1)/2 on H^m.
+    QAWS returns nan on a sphere so thin that [a, top] is a few roundings
+    wide.
+    """
+    # at w = b the pole of k would sit on the end rho = 0; the mean is
+    # continuous in w, so one ulp off b stands in for it
+    a = abs(w - b) or math.ulp(b)
+    top = w + b
+    alpha = 0.5 * (m - 3)
+    c = 0.5 * (m - 1) if hyperbolic else 0.0
+
+    def half(x):
+        return _split_S(hyperbolic, 0.5 * x)[0]
+
+    def edge(d):
+        # 2 S(d/2) / d, scaled: 1 on R^m
+        return -math.expm1(-d) / d if hyperbolic and d > 0.0 else 1.0
+
+    def f(rho):
+        rest = half(rho + a) * half(top + rho) * edge(rho - a) * edge(top - rho)
+        return radial(rho, c * (rho + w - b)) * _split_S(hyperbolic, rho)[0] * rest ** alpha
+
+    s_w, s_b = _split_S(hyperbolic, w)[0], _split_S(hyperbolic, b)[0]
+    front = sphere_area(m - 1) * s_w ** (m - 1) / (s_w * s_b) ** (m - 2)
+    val, err = algebraic_weight_integral(f, a, top, alpha)
+    return front * val, front * err
+
+
+@lru_cache(maxsize=64)
+def polar_angle_rule(m, n_nodes=64):
+    """Nodes and weights for integral_0^pi f(theta) sin^{m-2}(theta) dtheta (m >= 2).
+
+    Gauss-Legendre in theta, with the sin^{m-2} factor folded into the
+    weights; it has no error estimate of its own.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    theta = 0.5 * math.pi * (x + 1.0)
+    weights = 0.5 * math.pi * w * np.sin(theta) ** (m - 2)
+    return theta, weights
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,16 @@ def test_hyperbolic_law_of_cosines_against_direct_distance():
         distance(H2, x, y), abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [1e-9, 1e-6])
+def test_law_of_cosines_small_angle(theta):
+    # the cosine form loses every digit of d = 2 a sin(theta/2) here
+    a = 0.5
+    assert law_of_cosines(E2, a, a, theta) == pytest.approx(2.0 * a * math.sin(0.5 * theta),
+                                                            rel=1e-14)
+    assert law_of_cosines(H2, a, a, theta) == pytest.approx(
+        2.0 * math.asinh(math.sinh(a) * math.sin(0.5 * theta)), rel=1e-14)
+
+
 def test_euclidean_law_of_cosines():
     a, b, gamma = 2.0, 3.0, math.pi / 3.0
     expected = math.sqrt(a * a + b * b - 2 * a * b * math.cos(gamma))

@@ -14,7 +14,7 @@ import pytest
 
 from katoform import kato, quadrature
 from katoform.errors import DomainError
-from katoform.geometry import _TAIL_LOG, HYPERBOLIC, ModelSpace, heat_kernel_radial
+from katoform.geometry import _TAIL_LOG, HYPERBOLIC, ModelSpace, geodesic_point, heat_kernel_radial
 from katoform.potentials import coulomb
 from nested_oracle import h2_kernel_scalar, h2_millson_quad
 
@@ -116,6 +116,11 @@ def quadpack_calls(monkeypatch):
 
 def test_quadpack_budget_eta(quadpack_calls):
     kato.kato_eta(coulomb(H2), 0.01, [H2.origin()])
+    assert quadpack_calls[0] <= 10
+
+
+def test_quadpack_budget_eta_offcentre(quadpack_calls):
+    kato.kato_eta(coulomb(H2), 0.01, [H2.origin(), geodesic_point(H2, 0.5)])
     assert quadpack_calls[0] <= 10
 
 

@@ -27,16 +27,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
-from katoform import kato
+from katoform import geometry, kato
 from katoform.errors import ConvergenceError, DomainError, NotFormBoundedError
-from katoform.geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace, geodesic_point
+from katoform.geometry import (EUCLIDEAN, HYPERBOLIC, ModelSpace, geodesic_point, h_kernel,
+                               sphere_mean)
 from katoform.kato import (analytic_kato_functional, form_bound_constants,
                            kato_eta, kato_verdict, lp_kato_classify,
                            resolvent_constant, sandwich_check)
 from katoform.potentials import (Potential, bump, constant, coulomb, inverse_power,
                                  inverse_square)
-from katoform.quadrature import algebraic_weight_integral
-from nested_oracle import heat_potential_average, nested_eta_b, nested_resolvent_b
+from nested_oracle import (algebraic_weight_integral, heat_potential_average, nested_eta_b,
+                           nested_resolvent_b, qaws_sphere_mean)
 
 E1 = ModelSpace(EUCLIDEAN, 1)
 E2 = ModelSpace(EUCLIDEAN, 2)
@@ -353,6 +354,83 @@ def test_generic_sphere_mean_matches_chords(space, make, kernel):
     assert 0.0 < err < 1e-7 * generic
 
 
+@pytest.mark.parametrize("space", [E2, E3, E4, H2, H3], ids=["R2", "R3", "R4", "H2", "H3"])
+@pytest.mark.parametrize("kernel", [lambda sp: kato._heat_kernel(sp, 1e-4),
+                                    lambda sp: kato._heat_kernel(sp, 1e-2),
+                                    lambda sp: kato._green_kernel(sp, 8.0)],
+                         ids=["K-1e-4", "K-1e-2", "G-8"])
+@pytest.mark.parametrize("b", [1e-3, 0.5, 2.0])
+def test_sphere_mean_matches_qaws_and_chords(space, kernel, b):
+    k = kernel(space)
+    hyperbolic = space.kind == HYPERBOLIC
+    if k.radial is None:
+        def radial(rho, shift):
+            return k.transform(rho, shift)[0]
+    else:
+        radial = k.radial
+    assert sphere_mean(space, radial, 0.0, b) == (0.0, 0.0)
+    for w in sorted({*np.linspace(0.25, 3.0, 12), b}):
+        got, err = sphere_mean(space, radial, w, b)
+        assert err <= 1e-8 * got + 1e-300
+        want, _ = qaws_sphere_mean(radial, hyperbolic, space.dim, w, b)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+        if k.chord is not None:
+            scaled, exponent = geometry._split_S(hyperbolic, w)
+            s_b = math.sinh(b) if hyperbolic else b
+            chord = 2.0 * math.pi * scaled * k.chord(abs(w - b), 2.0 * min(w, b), exponent) / s_b
+            assert got == pytest.approx(chord, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("space", [E2, E4, H2], ids=["R2", "R4", "H2"])
+def test_offcentre_eta_at_small_t(space):
+    # the sphere of radius w ~ 1e-16 next to the probe once made the mean nan;
+    # for small t, eta(t) is about t v(b) = 2e-4
+    eta, err = kato._eta_b(coulomb(space), 0.5, 1e-4)
+    assert math.isfinite(eta) and math.isfinite(err)
+    assert eta == pytest.approx(2e-4, rel=1e-3)
+
+
+def test_offcentre_probe_verdict_at_small_t():
+    rep = kato_verdict(coulomb(E2), (1e-4, 1e-3, 1e-2, 1e-1),
+                       [E2.origin(), geodesic_point(E2, 0.5)])
+    assert rep.verdict == "member"
+
+
+# the sphere about the probe passes through the Coulomb pole at rho = b;
+# the true values come from iterated QUADPACK with a breakpoint there (R^2)
+# and from Gauss's law (R^3: the mean of 1/|y| over a sphere through 0)
+@pytest.mark.parametrize("space,want", [(E2, 2.2447017075301), (E3, math.pi)], ids=["R2", "R3"])
+def test_offcentre_ball_integral_covers_truth(space, want):
+    value, err = kato._ball_integral(coulomb(space), 0.5, 0.5,
+                                     lambda rho: h_kernel(space.dim, rho))
+    assert abs(value - want) <= err
+
+
+def test_ball_integral_on_the_line():
+    # |y|^{-1/2} over [b - 1, b + 1]: the sphere of radius rho about the probe
+    # is the two points b -+ rho
+    v = inverse_power(E1, power=0.5)
+    for b, want in ((0.0, 4.0), (0.5, 2.0 * (math.sqrt(0.5) + math.sqrt(1.5)))):
+        value, err = kato._ball_integral(v, b, 1.0, lambda rho: 1.0)
+        assert abs(value - want) <= err < 1e-7 * want
+
+
+def test_offcentre_ball_integral_at_a_shell():
+    # |r - 1/2|^{-1/2} on R^3 over the unit ball about a probe on the shell:
+    # every sphere about the probe crosses the shell at an interior angle.
+    # The truth integrates over spheres about the centre instead, each
+    # cut to its cap inside the ball, |v| taken in the variable
+    # |w - 1/2|^{1/2}
+    def cap(w):
+        return 4.0 * math.pi * w * w if w <= 0.5 else 2.0 * math.pi * w * (w + 0.75 - w * w)
+
+    want = sum(quad(lambda x: 2.0 * cap(0.5 + side * x * x), 0.0, top,
+                    epsabs=0.0, epsrel=1e-13)[0]
+               for side, top in ((-1.0, math.sqrt(0.5)), (1.0, 1.0)))
+    value, err = kato._ball_integral(shell_potential(-0.5), 0.5, 1.0, lambda rho: 1.0)
+    assert abs(value - want) <= err < 1e-6 * value
+
+
 def _coulomb_eta_offcentre(t, b):
     # integral_0^t erf(b / sqrt(2s)) / b ds with s = u^2, which removes the
     # s^(-1/2) endpoint: the integrand is sqrt(2) erf(x) / x at
@@ -399,12 +477,10 @@ def test_algebraic_weight_integral():
 
 
 def test_inner_failure_is_not_divergence(monkeypatch):
-    # radial_integral reads a QuadratureError as divergence; a failed sphere
-    # mean must surface as a solver failure instead of eta = +inf
-    def fail(f, a, b, alpha):
-        raise ConvergenceError("inner quadrature missed its tolerance")
-
-    monkeypatch.setattr(kato, "algebraic_weight_integral", fail)
+    # radial_integral reads a QuadratureError as divergence; a sphere mean
+    # whose integral comes back nan must surface as a solver failure
+    # instead of eta = +inf
+    monkeypatch.setattr(geometry, "panel_integral", lambda F, panels: (math.nan, math.nan))
     with pytest.raises(ConvergenceError):
         kato_eta(coulomb(E2), 0.01, [E2.origin(), geodesic_point(E2, 0.5)])
 
