@@ -39,7 +39,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
 from .feynman_kac import (KillingRegion, PathConfig, mc_covariant_semigroup,
                           mc_heat_expectation, mc_kato_integral)
 from .geometry import EUCLIDEAN, ModelSpace
-from .kato import form_bound_constants, kato_verdict, resolvent_constant, sandwich_check
+from .kato import _resolvent_with_error, form_bound_constants, kato_verdict, sandwich_check
 from .mesh import BundleMesh
 from .operators import (bochner_laplacian, form_limit_check, form_sum_spectrum,
                         kato_inequality_gap, quad_form, semigroup_domination_gap)
@@ -328,24 +328,24 @@ def _run_form_bounds(cfg, ctx):
     target = float(cfg.get("target_c1", 0.5))
 
     try:
-        r_star, c1, c2 = form_bound_constants(pot, probes, target)
+        bound = form_bound_constants(pot, probes, target)
     except NotFormBoundedError as exc:
         raise ContractViolation("form_boundedness", str(exc)) from exc
+    r_star, c1, _ = bound
 
     curve = []
     # r* = 0 when the Green potential C_0 already meets the target
     centre = r_star if r_star > 0.0 else 1.0
     for mult in (0.25, 0.5, 1.0, 2.0, 4.0):
         r = centre * mult
-        c = resolvent_constant(pot, r, probes)
-        curve.append((r, c, 1e-6 * max(abs(c), 1.0)))
+        curve.append((r, *_resolvent_with_error(pot, r, probes)))
     curve.sort()
     reports.dump_csv(os.path.join(ctx.out_dir, "resolvent.csv"),
                      ("r", "C_r", "err"), curve)
     reports.dump_csv(os.path.join(ctx.out_dir, "plot_resolvent.csv"),
                      ("x", "y"), [(r, c) for (r, c, _e) in curve])
 
-    results = {"target_c1": target, "klmn": reports.klmn_json(r_star, c1, c2)}
+    results = {"target_c1": target, "klmn": reports.klmn_json(bound)}
     checks = [("c1_within_target", c1 <= target * (1.0 + 1e-6),
                f"C1 {c1:.6g} vs target {target:.6g} at r {r_star:.6g}")]
     return results, checks

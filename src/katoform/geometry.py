@@ -154,9 +154,8 @@ def ring_area(space: ModelSpace, r):
 def _split_S(hyperbolic: bool, rho):
     """S(rho) as (scaled, exponent): (rho, 0) on R^m, (e^{-rho} sinh rho, rho) on H^m.
 
-    numpy on an array of rho, math on a float: the faster there, and with
-    the bits the centre and chord routes' reports keep (numpy's exp and
-    expm1 differ from math's in the last place).
+    numpy on an array of rho, math on a float (a sphere mean's radius),
+    which is faster there and keeps the results Python floats.
     """
     if hyperbolic:
         expm1 = np.expm1 if isinstance(rho, np.ndarray) else math.expm1
@@ -327,13 +326,16 @@ def heat_kernel_radial(space: ModelSpace, t: float, d):
 _TAU_PANEL = 1.5
 # relative rounding allowance of a Millson transform's value
 _ROUNDING = 1e-12
+# distances within this many binades share one panel_integral call: a call
+# gives every distance the tau-panel count of the largest T among them
+_TRANSFORM_BINADES = 2
 
 
 def _h2_millson(f, d, s_max, shift: float = 0.0):
     """(value, error) of e^shift integral_d^s_max f(s) / sqrt(cosh s - cosh d) ds, d > 0.
 
-    The H^2 Millson transform, vectorized over d and s_max (same shape;
-    floats in and out for scalars).  ``f(s, shift)`` takes arrays and
+    The H^2 Millson transform, vectorized over d, s_max and shift (one
+    shape; floats in and out for scalars).  ``f(s, shift)`` takes arrays and
     returns f(s) e^shift, so a caller can fold an exponential growth factor
     into f's own exponent.  The substitution s = d + u^2,
     u = sqrt(2d) sinh tau, that is s = d cosh 2 tau, turns it into
@@ -345,25 +347,31 @@ def _h2_millson(f, d, s_max, shift: float = 0.0):
     e^s E(x) E(q) / 2.  The integrand is analytic in tau for every d > 0:
     the inverse-square-root endpoint and, for the kernels with a pole, the
     pole as d -> 0 both go into the Jacobian, and nothing overflows at
-    large s.  T grows like log(1/d) / 2; with tau = T v every d shares the
-    panels in v (panel_integral, 1e-8 relative), which start about
-    _TAU_PANEL wide in tau for the largest T.  The error adds _ROUNDING of
-    the value: an exponential's relative rounding error is about its
-    argument (at most 745) times 2.2e-16.
+    large s.  T grows like log(1/d) / 2; with tau = T v the distances of
+    each group of _TRANSFORM_BINADES binades share the panels in v
+    (panel_integral, 1e-8 relative), which start about _TAU_PANEL wide in
+    tau for the group's largest T.  The error adds _ROUNDING of the value:
+    an exponential's relative rounding error is about its argument (at most
+    745) times 2.2e-16.
     """
     d, s_max = np.asarray(d, dtype=float), np.asarray(s_max, dtype=float)
     top = np.arcsinh(np.sqrt((s_max - d) / (2.0 * d)))
-    near, span = d[..., None, None], top[..., None, None]
+    shift = np.broadcast_to(np.asarray(shift, dtype=float), d.shape)
+    val, err = np.empty(d.shape), np.empty(d.shape)
+    group = np.frexp(d)[1] // _TRANSFORM_BINADES
+    for key in np.unique(group):
+        at = group == key
+        near, span, sh = (a[at][:, None, None] for a in (d, top, shift))
 
-    def integrand(v):
-        q = near * np.sinh(span * v) ** 2
-        x = near + q
-        s = x + q
-        twice = -2.0 * q
-        return f(s, shift - 0.5 * s) * np.sqrt(
-            x * q / (np.expm1(twice) * np.expm1(twice - 2.0 * near)))
+        def integrand(v, near=near, span=span, sh=sh):
+            q = near * np.sinh(span * v) ** 2
+            x = near + q
+            s = x + q
+            twice = -2.0 * q
+            return f(s, sh - 0.5 * s) * np.sqrt(
+                x * q / (np.expm1(twice) * np.expm1(twice - 2.0 * near)))
 
-    val, err = panel_integral(integrand, int(top.max() // _TAU_PANEL) + 1)
+        val[at], err[at] = panel_integral(integrand, int(top[at].max() // _TAU_PANEL) + 1)
     val = 4.0 * math.sqrt(2.0) * top * val
     err = 4.0 * math.sqrt(2.0) * top * err + _ROUNDING * np.abs(val)
     if d.ndim == 0:
@@ -478,16 +486,16 @@ def model_ball_volume(profile: VolumeProfile, r: float) -> float:
     return c * (-kappa) ** (-m / 2.0) * _int_sinh_pow(m - 1, r * math.sqrt(-kappa))
 
 
-def h_kernel(m: int, r: float) -> float:
-    """Radial weight h_m used by the analytic small-ball criterion.
+def h_kernel(m: int, r):
+    """Radial weight h_m used by the analytic small-ball criterion (vectorized in r).
 
     h_m(r) = r^{2-m} for m > 2 and log(1/r) for m = 2.  Dimension 1 has no
     such weight (the criterion degenerates to local integrability there).
     """
     if m == 1:
         raise DomainError("h_kernel is undefined for dimension 1")
-    if r <= 0.0:
+    radius = np.asarray(r, dtype=float)
+    if np.any(radius <= 0.0):
         raise DomainError("radius must be positive")
-    if m == 2:
-        return math.log(1.0 / r)
-    return r ** (2 - m)
+    out = np.log(1.0 / radius) if m == 2 else radius ** (2 - m)
+    return float(out) if radius.ndim == 0 else out

@@ -24,26 +24,24 @@ forms: incomplete gamma / exp1 / erfc on R^m, modified Bessel K for G_r,
 erfc pairs and e^{-k rho} / (2 pi sinh rho) on H^3.  On H^2 each value is
 the Millson transform of the same closed-form time integrals
 (geometry._h2_millson, Gauss-Legendre panels in numpy, no QUADPACK call),
-and its largest relative error joins the reported one.  For a probe at
-distance b from the centre of v the integral is a radial one against the
-sphere mean of the kernel, which is the kernel itself at b = 0, a
-closed-form chord integral on R^3 and H^3, and the kernel at max(w, b) for
-the (harmonic) Green kernel G_0.  Everywhere else it is geometry.sphere_mean
-(a reflection pair on R^1, graded panels in the polar angle on R^2, R^m
-with m >= 4 and H^2), whose error estimate joins the reported one.
+one call per few binades of distance, and its largest relative error
+joins the reported one.  For a probe at distance b from the centre of v
+the integral is a radial one against the sphere mean of the kernel, which
+is the kernel itself at b = 0, a closed-form chord integral on R^3 and
+H^3, and the kernel at max(w, b) for the (harmonic) Green kernel G_0.
+Everywhere else it is geometry.sphere_mean (a reflection pair on R^1,
+graded panels in the polar angle on R^2, R^m with m >= 4 and H^2), one
+call per radial node, whose error estimate joins the reported one.
 
-Every probe takes this one kernel route.  The nested time-and-space
-quadrature (an outer time or Laplace integral of the spatial average
-F(s)) survives only as the tests' oracle.  Divergence is decided before
-anything is integrated: quadrature.radial_integral classifies each
-singular radius of v (radius 0 included) by its condensation windows, so
-a divergent functional is +inf after a few dozen evaluations of |v|, and
-the doubling windows of the radial tail are read by the same classifier:
-they are summed until one is negligible, and a settled decay adds the
-unread tail to value and error.  Probe distances and window starts are
-plain breakpoints.  An integral the
-windows cannot decide raises UndecidedError; kato_verdict reports it as
-'inconclusive' with a reason, never as divergence.
+Every probe takes this one kernel route, and every radial integral is one
+quadrature.radial_integral on graded panels, whose integrand (|v|, the
+ring and the kernel mean) is one array call per round; the nested
+time-and-space quadrature is only the tests' oracle.  The condensation
+windows at each singular radius of v (radius 0 included) and the doubling
+windows of the radial tail are classified as they are read, so a divergent
+functional is +inf from its first round.  An integral the windows cannot
+decide raises UndecidedError; kato_verdict reports it as 'inconclusive'
+with a reason, never as divergence.
 """
 
 from __future__ import annotations
@@ -57,52 +55,17 @@ from scipy.optimize import brentq
 from scipy.special import erfc, erfcx, exp1, gammaincc, kve
 
 from .errors import DomainError, MonotonicityError, NotFormBoundedError, UndecidedError
-from .geometry import (
-    EUCLIDEAN,
-    HYPERBOLIC,
-    ModelSpace,
-    distance,
-    h_kernel,
-    kernel_tail_radius,
-    sphere_area,
-    sphere_mean,
-)
-from .geometry import _TAIL_LOG, _h2_millson, _split_S
+from .geometry import (_TAIL_LOG, HYPERBOLIC, ModelSpace, _h2_millson, _split_S, distance,
+                       h_kernel, kernel_tail_radius, ring_area, sphere_area, sphere_mean)
 from .potentials import Potential
-from .quadrature import (
-    _TINY,
-    DIVERGENCE_CAP,
-    DIVERGENT,
-    SPATIAL_REL,
-    classify_windows,
-    radial_integral,
-)
+from .quadrature import _TINY, SPATIAL_REL, radial_integral
 
 # Probes closer than this to the centre of v are treated as the centre.
 _CENTRE = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers
-
-def _ring_scalar(space: ModelSpace, w: float) -> float:
-    m = space.dim
-    if space.kind == EUCLIDEAN:
-        return sphere_area(m) * w ** (m - 1)
-    return sphere_area(m) * math.sinh(w) ** (m - 1)
-
-
-def _abs_scalar_fn(v: Potential):
-    sc = v.radial_scalar
-    if sc is not None:
-        return lambda w: abs(sc(w))
-    fn = v.radial
-
-    def abs_scalar(w: float) -> float:
-        return abs(float(fn(np.float64(w))))
-
-    return abs_scalar
-
+# probes
 
 def _probe_distances(v: Potential, probes) -> list[float]:
     if probes is None or len(probes) == 0:
@@ -129,55 +92,44 @@ class _Kernel:
     ring growth e^{(m-1) w} into the kernel's own decaying exponent.
     """
 
-    # (rho, shift) -> k(rho) e^shift, rho > 0 a float or an array (the generic
-    # sphere mean passes arrays); None when only a transform gives k
-    radial: Callable[[float, float], float] | None
+    # (rho, shift) -> k(rho) e^shift, vectorized in rho > 0 and shift; None
+    # when only a transform gives k
+    radial: Callable | None
     # distance beyond which ring * k is negligible; inf when it does not decay
     reach: float
-    # (lo, h, shift) -> e^shift integral_lo^{lo+h} k(rho) S(rho) d rho, in dimension 3;
-    # without it an off-centre probe takes the generic sphere mean
-    chord: Callable[[float, float, float], float] | None = None
+    # (lo, h, shift) -> e^shift integral_lo^{lo+h} k(rho) S(rho) d rho, vectorized,
+    # in dimension 3; without it an off-centre probe takes the generic sphere mean
+    chord: Callable | None = None
     # k is harmonic off its pole, so every sphere mean is k(max(w, b))
     harmonic: bool = False
     # (rho, shift) -> (k(rho) e^shift, error) where k has no closed form (H^2),
-    # rho a float or an array
-    transform: Callable[[float, float], tuple[float, float]] | None = None
+    # vectorized like radial
+    transform: Callable | None = None
 
 
-def _erfc_pair(rho: float, t: float, c: float, sign: float = 1.0, shift: float = 0.0) -> float:
+def _erfc_pair(rho, t: float, c: float, sign: float = 1.0, shift=0.0):
     """e^shift [e^{c rho} erfc((rho + c t)/sqrt(2t)) + sign e^{-c rho} erfc((rho - c t)/sqrt(2t))].
 
-    Written through erfcx both terms carry the factor exp(-(rho^2/t + c^2 t)/2),
-    so e^{c rho} erfc(...) neither overflows nor underflows early.
+    Vectorized in rho and shift.  Through erfcx both terms carry the factor
+    exp(-(rho^2/t + c^2 t)/2), so e^{c rho} erfc(...) neither overflows nor
+    underflows early; where erfcx would overflow (its argument below -25)
+    the second term is e^{shift - c rho} erfc(...) as it stands.
     """
     sigma = math.sqrt(2.0 * t)
-    gauss = math.exp(shift - 0.5 * (rho * rho / t + c * c * t))
+    gauss = np.exp(shift - 0.5 * (rho * rho / t + c * c * t))
+    if c == 0.0:
+        return (1.0 + sign) * erfcx(rho / sigma) * gauss
     x_minus = (rho - c * t) / sigma
-    if x_minus >= 0.0:
+    if np.min(x_minus) >= -25.0:
         minus = erfcx(x_minus) * gauss
     else:
-        minus = math.exp(shift - c * rho) * erfc(x_minus)
+        minus = np.where(x_minus >= -25.0, erfcx(np.maximum(x_minus, -25.0)) * gauss,
+                         np.exp(shift - c * rho) * erfc(np.minimum(x_minus, 0.0)))
     return erfcx((rho + c * t) / sigma) * gauss + sign * minus
 
 
-# Longest time of the H^2 kernel K_t: see _erfc_pair_array
+# Longest time of the H^2 kernel K_t: e^{-c^2 t/2} (c = 1/2) stays a normal number
 _H2_MAX_T = 4000.0
-
-
-def _erfc_pair_array(rho, t: float, c: float, shift):
-    """_erfc_pair with sign +1 on arrays of rho >= 0, both terms through erfcx.
-
-    Both terms share the Gaussian e^{shift - rho^2/(2t) - c^2 t/2}.  The
-    second erfcx argument is at least -c sqrt(t/2), so that erfcx stays
-    below 2 e^{c^2 t/2}, and where it is large (rho near 0) the Gaussian is
-    near e^{shift - c^2 t/2}: both are normal numbers while c^2 t/2 is well
-    below 709, which _H2_MAX_T keeps (c = 1/2 on H^2); H^3 (c = 1) passes
-    arrays only where a test forces the generic sphere mean, at small t.
-    """
-    sigma = math.sqrt(2.0 * t)
-    x = rho / sigma
-    return (erfcx(x + c * t / sigma) + erfcx(x - c * t / sigma)) * \
-        np.exp(shift - x * x) * math.exp(-0.5 * c * c * t)
 
 
 def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
@@ -196,9 +148,6 @@ def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
 
         def radial(rho, shift):
             scaled, exponent = _split_S(hyperbolic, rho)
-            # numpy on the generic mean's arrays, math's bits on a float (see _split_S)
-            if isinstance(rho, np.ndarray):
-                return _erfc_pair_array(rho, t, c, shift - exponent) / (4.0 * math.pi * scaled)
             return kernel_S(rho, shift - exponent) / scaled
 
         def antiderivative(rho, shift):
@@ -206,15 +155,15 @@ def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
                 return _erfc_pair(rho, t, 1.0, -1.0, shift) / (4.0 * math.pi)
             # integral erfc(x) dx = x erfc(x) - e^{-x^2}/sqrt(pi)
             x = rho / sigma
-            return sigma * math.exp(shift - x * x) * (x * erfcx(x) - 1.0 / math.sqrt(math.pi)) \
+            return sigma * np.exp(shift - x * x) * (x * erfcx(x) - 1.0 / math.sqrt(math.pi)) \
                 / (2.0 * math.pi)
 
         def chord(lo, h, shift):
-            if h < short:
-                # the antiderivative difference would cancel; two-point Gauss instead
-                mid, off = lo + 0.5 * h, h / (2.0 * math.sqrt(3.0))
-                return 0.5 * h * (kernel_S(mid - off, shift) + kernel_S(mid + off, shift))
-            return antiderivative(lo + h, shift) - antiderivative(lo, shift)
+            # below h = short the antiderivative difference would cancel: two-point Gauss there
+            mid, off = lo + 0.5 * h, h / (2.0 * math.sqrt(3.0))
+            gauss = 0.5 * h * (kernel_S(mid - off, shift) + kernel_S(mid + off, shift))
+            return np.where(h < short, gauss,
+                            antiderivative(lo + h, shift) - antiderivative(lo, shift))
 
         return _Kernel(radial, reach, chord)
     if hyperbolic:
@@ -224,7 +173,7 @@ def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
             raise DomainError(f"the H^2 kernel K_t is implemented for t <= {_H2_MAX_T:g}")
 
         def millson(rho, shift):
-            val, err = _h2_millson(lambda s, sh: _erfc_pair_array(s, t, 0.5, sh) / (4.0 * math.pi),
+            val, err = _h2_millson(lambda s, sh: _erfc_pair(s, t, 0.5, shift=sh) / (4.0 * math.pi),
                                    rho, np.sqrt(rho * rho + 2.0 * t * _TAIL_LOG), shift)
             return math.sqrt(2.0) * val, math.sqrt(2.0) * err
 
@@ -258,21 +207,20 @@ def _green_kernel(space: ModelSpace, r: float) -> _Kernel:
     if m == 3:
         def radial(rho, shift):
             scaled, exponent = _split_S(hyperbolic, rho)
-            # numpy on the generic mean's arrays, math's bits on a float (see _split_S)
-            exp = np.exp if isinstance(rho, np.ndarray) else math.exp
-            return exp(shift - exponent - k * rho) / (2.0 * math.pi * scaled)
+            return np.exp(shift - exponent - k * rho) / (2.0 * math.pi * scaled)
 
         def chord(lo, h, shift):
-            return math.exp(shift - k * lo) * -math.expm1(-k * h) / (2.0 * math.pi * k)
+            return np.exp(shift - k * lo) * -np.expm1(-k * h) / (2.0 * math.pi * k)
 
         return _Kernel(radial, reach, chord, harmonic)
     if hyperbolic:
         if harmonic:
             # log coth(rho/2) / pi with y = 2 / (e^rho - 1)
             def green(rho, shift):
-                y = 2.0 * math.exp(-rho) / -math.expm1(-rho)
-                ratio = math.log1p(y) / y if y > 0.0 else 1.0
-                return ratio * 2.0 * math.exp(shift - rho) / -math.expm1(-rho) / math.pi
+                gap = -np.expm1(-rho)
+                y = 2.0 * np.exp(-rho) / gap
+                ratio = np.where(y > 0.0, np.log1p(y) / np.maximum(y, _TINY), 1.0)
+                return ratio * 2.0 * np.exp(shift - rho) / gap / math.pi
 
             return _Kernel(green, reach, harmonic=True)
 
@@ -298,16 +246,13 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     """(value, error) of integral |v(y)| k(d(x, y)) vol(dy) for a probe at distance b.
 
     In polar coordinates about the centre of v this is the radial integral
-    of |v(w)| ring(w) times the mean of k over the sphere of radius w.  A
-    kernel without a chord form takes the generic sphere mean.  The
-    largest relative error of a sphere mean and that of a kernel transform
-    join the reported one.
+    of |v(w)| ring(w) times the mean of k over the sphere of radius w, one
+    array of w per round.  A kernel without a chord form takes the generic
+    sphere mean, one call per w.  The largest relative error of a sphere
+    mean and that of a kernel transform join the reported one.
     """
-    space = v.space
-    m = space.dim
-    hyperbolic = space.kind == HYPERBOLIC
-    area = sphere_area(m)
-    radial = kernel.radial
+    space, radial = v.space, kernel.radial
+    m, hyperbolic = space.dim, space.kind == HYPERBOLIC
     # below _TINY / SPATIAL_REL a sphere mean or a transform meets only the
     # absolute floor _TINY, and its relative error says nothing about the integral
     inner_rel = kernel_rel = 0.0
@@ -321,7 +266,8 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     if b <= _CENTRE or kernel.harmonic:
         def ring_mean(w):
             scaled, exponent = _split_S(hyperbolic, w)
-            return area * scaled ** (m - 1) * radial(max(w, b), (m - 1) * exponent)
+            ring = sphere_area(m) * scaled ** (m - 1)
+            return ring * radial(np.maximum(w, b), (m - 1) * exponent)
     elif kernel.chord is not None:
         # ring(w) chord / (2 S(w) S(b)) = 2 pi S(w) chord / S(b); the chord
         # runs from |w - b| to w + b, its length taken exactly as 2 min(w, b)
@@ -330,87 +276,47 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
 
         def ring_mean(w):
             scaled, exponent = _split_S(hyperbolic, w)
-            return 2.0 * math.pi * scaled * chord(abs(w - b), 2.0 * min(w, b), exponent) / s_b
+            return 2.0 * math.pi * scaled * chord(np.abs(w - b), 2.0 * np.minimum(w, b),
+                                                  exponent) / s_b
     else:
         def ring_mean(w):
             nonlocal inner_rel
-            val, err = sphere_mean(space, radial, w, b)
-            inner_rel = max(inner_rel, err / max(val, _TINY / SPATIAL_REL))
-            return val
-
-    abs_scalar = _abs_scalar_fn(v)
+            out, rel = _sphere_means(space, radial, w, b, ())
+            inner_rel = max(inner_rel, rel)
+            return out
 
     def integrand(w):
-        if w == 0.0 and m > 1:
-            return 0.0
-        vw = abs_scalar(w)
-        if vw == 0.0:
-            return 0.0
-        if not math.isfinite(vw):
-            return math.inf
-        return vw * ring_mean(w)
+        vw = v.abs_radial(w)
+        live = np.isfinite(vw) & (vw != 0.0)
+        if live.all():
+            return vw * ring_mean(w)
+        # |v| = +inf is a divergence whatever the kernel; |v| = 0 skips the kernel
+        out = np.where(np.isfinite(vw), 0.0, math.inf)
+        out[live] = vw[live] * ring_mean(w[live])
+        return out
 
-    val, err = _radial_tail(integrand, kernel.reach + b, v.singular_radii,
-                            [b] if b > _CENTRE else [])
-    if inner_rel + kernel_rel > 0.0 and math.isfinite(val):
-        err += (inner_rel + kernel_rel) * val
-    return val, err
+    # doubling windows from min(reach, a scale of the breakpoints), so that a
+    # compactly supported potential is never lost in one wide panel: plain
+    # breakpoints up to the reach, radial_integral's tail windows from the
+    # first one past it (from the first one, for a kernel that does not decay).
+    # At the centre the kernel's pole makes 0 a singular radius of the integrand
+    singular, points = ((0.0, *v.singular_radii), []) if b <= _CENTRE else (v.singular_radii, [b])
+    reach = kernel.reach + b
+    starts = [min(reach, max(1.0, 2.0 * max((*singular, *points))))]
+    while starts[-1] < reach < math.inf:
+        starts.append(2.0 * starts[-1])
+    val, err = radial_integral(integrand, math.inf, singular, points=points + starts)
+    return val, err + (inner_rel + kernel_rel) * val if math.isfinite(val) else err
 
 
-_TAIL_WINDOWS = 64
-
-
-def _radial_tail(integrand, reach: float, singular, points):
-    """(value, error) of integral_0^inf integrand over doubling windows.
-
-    A head up to min(reach, a scale of the breakpoints) comes first, so a
-    compactly supported potential is never lost in one wide QUADPACK call.
-    The singular radii are classified wherever they fall; the points (probe
-    distances) and the window starts are plain breakpoints.  The sum stops
-    at the first window that is negligible against a nonzero total, or at
-    any negligible window past the reach.  Windows past the reach (every
-    window, for a kernel that does not decay) are also read by
-    classify_windows: a divergent reading or a total past DIVERGENCE_CAP
-    gives (+inf, +inf) at once.  Where the sum stops or the windows run out,
-    the last settled decay adds its tail beyond the last window to the value
-    and the error; windows that run out with none settled raise
-    UndecidedError.
-    """
-    def segment(lo, hi):
-        return radial_integral(lambda u: integrand(lo + u), hi - lo,
-                               singular=[p - lo for p in singular if lo <= p <= hi],
-                               points=[p - lo for p in points if lo < p < hi])
-
-    head = min(reach, max(1.0, 2.0 * max((*singular, *points), default=0.0)))
-    total, err = segment(0.0, head)
-    lo, read, settled = head, [], None
-    for _ in range(_TAIL_WINDOWS):
-        if math.isinf(total) or abs(total) > DIVERGENCE_CAP:
-            return math.inf, math.inf
-        window, window_err = segment(lo, 2.0 * lo)
-        total += window
-        err += window_err
-        past = lo >= reach
-        lo *= 2.0
-        tracked = past or math.isinf(reach)
-        if tracked:
-            read.append(window)
-        if abs(window) <= SPATIAL_REL * abs(total) and (past or total != 0.0):
-            if settled is None:
-                return total, err + abs(window)
-            break
-        if tracked:
-            settled = classify_windows(read) or settled
-            if settled is not None and settled.kind == DIVERGENT:
-                return math.inf, math.inf
-    else:
-        if total == 0.0:
-            return 0.0, err
-    if settled is not None:
-        tail = settled.tail(abs(read[-1]))
-        return total + math.copysign(tail, read[-1]), err + tail
-    raise UndecidedError(f"the radial tail decides nothing after {_TAIL_WINDOWS} windows",
-                         achieved_error=math.inf)
+def _sphere_means(space: ModelSpace, f, w, b: float, singular):
+    """geometry.sphere_mean of f at each radius in w, and the largest relative error."""
+    out, rel = np.empty(w.size), 0.0
+    for i, wi in enumerate(w.tolist()):
+        out[i], err = sphere_mean(space, f, wi, b, singular)
+        # below _TINY / SPATIAL_REL a mean meets only the absolute floor _TINY
+        rel = max(rel, err / max(float(out[i]), _TINY / SPATIAL_REL))
+    return out, rel
 
 
 def _eta_b(v: Potential, b: float, t: float):
@@ -468,9 +374,14 @@ def resolvent_constant(v: Potential, r: float, probes) -> float:
 
     r = 0 gives the Green potential C_0 on transient spaces.
     """
+    return _resolvent_with_error(v, r, probes)[0]
+
+
+def _resolvent_with_error(v: Potential, r: float, probes):
+    """(C_r, its error estimate) as a max over probes."""
     _check_resolvent_parameter(v.space, r)
     dists = _probe_distances(v, probes)
-    return _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)[0]
+    return _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)[:2]
 
 
 @dataclass
@@ -535,25 +446,19 @@ def analytic_kato_functional(v: Potential, radius: float, probes) -> float:
 def _ball_integral(v: Potential, b: float, radius: float, weight):
     """(value, error) of integral_{B_radius(x)} |v(y)| weight(d(x, y)) dvol, x at distance b.
 
-    At the centre of v it is one radial integral; off the centre a radial
-    integral about the probe of the weight times geometry.sphere_mean of
-    |v|, which declares v's singular radii.  The largest relative error of
-    a sphere mean joins the reported one.
+    ``weight`` takes an array of distances.  At the centre of v it is one
+    radial integral; off the centre a radial integral about the probe of
+    the weight times geometry.sphere_mean of |v|, one call per radial node,
+    which declares v's singular radii.  The largest relative error of a
+    sphere mean joins the reported one.
     """
     space = v.space
     if b <= _CENTRE:
-        abs_scalar = _abs_scalar_fn(v)
-
         def integrand(w):
-            ring = _ring_scalar(space, w)
-            if ring == 0.0:
-                return 0.0
-            vw = abs_scalar(w)
-            if not math.isfinite(vw):
-                return math.inf
-            return vw * ring * weight(w)
+            vw = v.abs_radial(w)
+            return np.where(np.isfinite(vw), vw * ring_area(space, w) * weight(w), math.inf)
 
-        return radial_integral(integrand, radius, singular=sorted(set(v.singular_radii)))
+        return radial_integral(integrand, radius, singular=(0.0, *v.singular_radii))
 
     inner_rel = 0.0
 
@@ -562,16 +467,14 @@ def _ball_integral(v: Potential, b: float, radius: float, weight):
 
     def integrand(rho):
         nonlocal inner_rel
-        val, err = sphere_mean(space, abs_v, rho, b, v.singular_radii)
-        inner_rel = max(inner_rel, err / max(val, _TINY / SPATIAL_REL))
-        return weight(rho) * val
+        out, rel = _sphere_means(space, abs_v, rho, b, v.singular_radii)
+        inner_rel = max(inner_rel, rel)
+        return weight(rho) * out
 
     breaks = sorted({abs(b - ws) for ws in v.singular_radii} |
                     {b + ws for ws in v.singular_radii})
     val, err = radial_integral(integrand, radius, singular=breaks)
-    if math.isfinite(val):
-        err += inner_rel * val
-    return val, err
+    return val, err + inner_rel * val if math.isfinite(val) else err
 
 
 def lp_kato_classify(p: float, m: int) -> str:
@@ -590,6 +493,17 @@ def lp_kato_classify(p: float, m: int) -> str:
 
 
 _R_SEARCH_CAP = 1e12
+# Brent's method on log r ends within xtol + rtol |log r| of the crossing
+_BRENT_XTOL, _BRENT_RTOL = 1e-12, 4.0 * float(np.finfo(float).eps)
+
+
+class _FormBound(tuple):
+    """The plain triple (r, C1, C2), with the error estimates of the three as ``errors``."""
+
+    def __new__(cls, values, errors):
+        bound = super().__new__(cls, values)
+        bound.errors = tuple(errors)
+        return bound
 
 
 def form_bound_constants(v: Potential, probes, target_c1: float):
@@ -602,30 +516,33 @@ def form_bound_constants(v: Potential, probes, target_c1: float):
     the crossing C_r = target_c1 is bracketed by factors of 4 from r = 1
     and located by Brent's method on log r.  Raises NotFormBoundedError
     when no r below 1e12 achieves the target (including divergent C_r).
+    The triple carries its errors as ``errors``: r's is the width
+    r expm1(2 (xtol + rtol |log r|)) that Brent's tolerance leaves, C1's is
+    C_r's own at r, and C2's is r times that.
     """
     if not (0.0 < target_c1 < 1.0):
         raise DomainError("target_c1 must lie in (0, 1)")
     dists = _probe_distances(v, probes)
 
     def c_of(r):
-        return _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)[0]
+        return _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)[:2]
 
     if _transient(v.space):
-        c0 = c_of(0.0)
+        c0, c0_err = c_of(0.0)
         if c0 <= target_c1:
-            return 0.0, c0, 0.0
+            return _FormBound((0.0, c0, 0.0), (0.0, c0_err, 0.0))
     r = 1.0
-    c = c_of(r)
+    c, c_err = c_of(r)
     if math.isinf(c):
         raise NotFormBoundedError(
             "resolvent constant diverges; potential is not form-bounded this way")
     if c <= 1e-300:
-        return 1.0, 0.0, 0.0
+        return _FormBound((1.0, 0.0, 0.0), (0.0, c_err, c_err))
     if c <= target_c1:
         # C_r grows to C_0 > target_c1 (or without bound) as r -> 0
         while c <= target_c1:
             r_hi, r = r, 0.25 * r
-            c = c_of(r)
+            c = c_of(r)[0]
         r_lo = r
     else:
         while c > target_c1:
@@ -633,13 +550,14 @@ def form_bound_constants(v: Potential, probes, target_c1: float):
             if r > _R_SEARCH_CAP:
                 raise NotFormBoundedError(
                     f"no r below {_R_SEARCH_CAP:.0e} achieves C_r <= {target_c1}")
-            c = c_of(r)
+            c = c_of(r)[0]
         r_hi = r
-    x = brentq(lambda x: c_of(math.exp(x)) - target_c1, math.log(r_lo), math.log(r_hi),
-               xtol=1e-12)
+    x = brentq(lambda x: c_of(math.exp(x))[0] - target_c1, math.log(r_lo), math.log(r_hi),
+               xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
     r = math.exp(x)
-    c = c_of(r)
-    return r, c, r * c
+    c, c_err = c_of(r)
+    r_err = r * math.expm1(2.0 * (_BRENT_XTOL + _BRENT_RTOL * abs(x)))
+    return _FormBound((r, c, r * c), (r_err, c_err, r * c_err))
 
 
 @dataclass
@@ -647,7 +565,9 @@ class KatoReport:
     """Outcome of a membership study on one potential.
 
     Grids carry (parameter, value, error_estimate) triples; the klmn field
-    is the (r, C1, C2) triple when a form bound with C1 < 1 was found.
+    is the (r, C1, C2) triple of form_bound_constants, with its errors as
+    ``klmn.errors``, when a form bound with C1 < 1 was found.  The fit
+    exponent comes with the standard error of the least-squares slope.
     ``reason`` says why a quantity is missing: a row whose integral the
     condensation windows could not decide carries nan and names it there.
     """
@@ -657,6 +577,7 @@ class KatoReport:
     verdict: str = "inconclusive"
     klmn: tuple | None = None
     fit_exponent: float | None = None
+    fit_error: float | None = None
     argmax_probe_index: int = 0
     locally_integrable: bool = True
     reason: str | None = None
@@ -728,13 +649,12 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
         resolvent_rows.append((r, best, best_err))
 
     any_inf = any(math.isinf(row[1]) for row in eta_rows)
-    fit_b = None
+    fit_b = fit_err = None
     if not any_inf and not undecided:
         smallest = eta_rows[:3]
         if all(row[1] > 0.0 for row in smallest):
-            logs_t = np.log([row[0] for row in smallest])
-            logs_e = np.log([row[1] for row in smallest])
-            fit_b = float(np.polyfit(logs_t, logs_e, 1)[0])
+            fit_b, fit_err = _fitted_slope(np.log([row[0] for row in smallest]),
+                                           np.log([row[1] for row in smallest]))
         elif all(row[1] == 0.0 for row in eta_rows):
             fit_b = math.inf  # identically zero potential
 
@@ -755,12 +675,20 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
     report = KatoReport(eta_grid=eta_rows, resolvent_grid=resolvent_rows,
                         verdict=verdict, klmn=klmn,
                         fit_exponent=None if fit_b is None or math.isinf(fit_b) else fit_b,
+                        fit_error=fit_err,
                         argmax_probe_index=argmax_idx,
                         locally_integrable=integrable,
                         reason="; ".join(f"divergence_undecided: {u}" for u in undecided)
                         or None)
     _check_report_monotonicity(report)
     return report
+
+
+def _fitted_slope(x, y):
+    """Least-squares slope of y against x and the standard error of that slope."""
+    slope, intercept = np.polyfit(x, y, 1)
+    residual, spread = y - (slope * x + intercept), x - x.mean()
+    return float(slope), math.sqrt(residual @ residual / (x.size - 2) / (spread @ spread))
 
 
 def _check_report_monotonicity(report: KatoReport) -> None:

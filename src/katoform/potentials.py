@@ -1,8 +1,8 @@
 """Radial potentials on model spaces.
 
 A potential here is a radial profile v(r) around the space origin together
-with its list of singular radii, which the quadrature layer uses as
-breakpoints.  Constants and tabulated profiles are special cases of the
+with its list of singular radii, at which the quadrature layer reads
+condensation windows.  Constants and tabulated profiles are special cases of the
 same container.  Values may be signed; the Kato functionals always consume
 |v|, while the sign decomposition v = v_plus - v_minus feeds the form-bound
 machinery.
@@ -36,18 +36,11 @@ class Potential:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     sign_split: tuple | None = None
-    # optional float -> float twin of ``radial`` for scalar quadrature loops
-    radial_scalar: Callable[[float], float] | None = None
 
     def __post_init__(self):
         self.singular_radii = tuple(float(r) for r in self.singular_radii)
         if any(r < 0 for r in self.singular_radii):
             raise DomainError("singular radii must be nonnegative")
-        if self.radial_scalar is not None:
-            for p in (0.3, 1.1, 2.7):
-                a, b = float(self.radial_scalar(p)), float(self.radial(np.float64(p)))
-                if abs(a - b) > 1e-10 * (1.0 + abs(b)):
-                    raise DomainError("radial_scalar disagrees with radial")
         if self.sign_split is not None:
             v1, v2 = self.sign_split
             probe = np.array([0.3, 1.1, 2.7])
@@ -73,10 +66,8 @@ class Potential:
 
     def scaled(self, alpha: float) -> "Potential":
         fn = self.radial
-        sc = self.radial_scalar
         return replace(self, radial=lambda r: alpha * fn(r), name=f"{alpha}*{self.name}",
-                       sign_split=None,
-                       radial_scalar=None if sc is None else (lambda w: alpha * sc(w)))
+                       sign_split=None)
 
     def to_json_dict(self) -> dict:
         if self.name in _EXPR_BUILDERS:
@@ -91,8 +82,7 @@ def coulomb(space: ModelSpace, strength: float = 1.0) -> Potential:
     return Potential(space=space,
                      radial=lambda r: _safe_inverse_power(r, 1, s),
                      singular_radii=(0.0,), name="coulomb",
-                     params={"strength": s},
-                     radial_scalar=lambda w: s / w if w != 0.0 else _signed_inf(s))
+                     params={"strength": s})
 
 
 def inverse_square(space: ModelSpace, strength: float = 1.0) -> Potential:
@@ -101,8 +91,7 @@ def inverse_square(space: ModelSpace, strength: float = 1.0) -> Potential:
     return Potential(space=space,
                      radial=lambda r: _safe_inverse_power(r, 2, s),
                      singular_radii=(0.0,), name="inverse_square",
-                     params={"strength": s},
-                     radial_scalar=lambda w: s / (w * w) if w != 0.0 else _signed_inf(s))
+                     params={"strength": s})
 
 
 def inverse_power(space: ModelSpace, power: float, strength: float = 1.0) -> Potential:
@@ -111,16 +100,14 @@ def inverse_power(space: ModelSpace, power: float, strength: float = 1.0) -> Pot
     return Potential(space=space,
                      radial=lambda r: _safe_inverse_power(r, p, s),
                      singular_radii=(0.0,), name="inverse_power",
-                     params={"strength": s, "power": p},
-                     radial_scalar=lambda w: s / w ** p if w != 0.0 else _signed_inf(s))
+                     params={"strength": s, "power": p})
 
 
 def constant(space: ModelSpace, value: float) -> Potential:
     c = float(value)
     return Potential(space=space,
                      radial=lambda r: np.full_like(np.asarray(r, dtype=float), c),
-                     singular_radii=(), name="constant", params={"value": c},
-                     radial_scalar=lambda w: c)
+                     singular_radii=(), name="constant", params={"value": c})
 
 
 def bump(space: ModelSpace, amplitude: float = 1.0, radius: float = 1.0) -> Potential:
@@ -132,15 +119,8 @@ def bump(space: ModelSpace, amplitude: float = 1.0, radius: float = 1.0) -> Pote
         core = 1.0 - (r / rad) ** 2
         return np.where(r < rad, a * core * core, 0.0)
 
-    def profile_scalar(w):
-        if w >= rad:
-            return 0.0
-        core = 1.0 - (w / rad) ** 2
-        return a * core * core
-
     return Potential(space=space, radial=profile, singular_radii=(),
-                     name="bump", params={"amplitude": a, "radius": rad},
-                     radial_scalar=profile_scalar)
+                     name="bump", params={"amplitude": a, "radius": rad})
 
 
 def tabulated(space: ModelSpace, radii, values, interpolation: str = "linear") -> Potential:
@@ -168,12 +148,6 @@ def _safe_inverse_power(r, p, s):
     with np.errstate(divide="ignore"):
         out = s / np.power(r, p)
     return np.where(r == 0.0, np.sign(s) * np.inf, out)
-
-
-def _signed_inf(s):
-    if s == 0.0:
-        return 0.0
-    return np.inf if s > 0.0 else -np.inf
 
 
 _EXPR_BUILDERS = {

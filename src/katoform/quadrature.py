@@ -1,29 +1,34 @@
 """Quadrature helpers shared by the geometry and Kato-functional layers.
 
-scipy's QUADPACK does the adaptive Gauss-Kronrod work on finite intervals.
-On top of that this module adds what QUADPACK does not provide: divergence
-classification and dyadic refinement at singular radii, and Gauss-Legendre
-panels that take every node of a batch of integrands in one array call.
+radial_integral integrates an array integrand over [0, hi] on panels,
+calling it once per round on every node of every open panel.  At each
+declared singular radius s the panels on either side are the dyadic
+condensation windows: window k covers distances [L 2^-k-1, L 2^-k] from s,
+L half the distance to the next breakpoint.  Geometric grading of this kind
+converges exponentially for r^alpha singularities (Schwab, p- and hp-Finite
+Element Methods, 1998; Davis-Rabinowitz, Methods of Numerical Integration,
+1984).  Every other stretch between breakpoints is one panel.  Each panel
+takes the 15-point Kronrod rule, with the 7-point Gauss rule on its own
+nodes as error estimate, and one whose estimate misses its share of
+SPATIAL_REL of the total is bisected for the next round.
 
-A radial integral is classified before it is integrated.  At every declared
-singular radius the dyadic windows c_k (integrals over distances
-[L 2^-k-1, L 2^-k] from the radius, each by a fixed 8-point Gauss-Legendre
-rule) are read until their decay is decided (Cauchy condensation: the
-integral converges with sum c_k).  Geometric decay leaves the value to a
-single QUADPACK call; windows that stop shrinking, grow, or fit
-c_k ~ k^-gamma with gamma <= 1 mean divergence, returned as +inf without
-any adaptive call; gamma > 1 adds the fitted tail to value and error; and
-windows that decide nothing raise UndecidedError, which no caller reads as
-divergence.  Every helper returns an error estimate alongside the value;
-divergent integrals come back as +inf (with ``diverged=True`` from the
-dyadic scheme) rather than raising, because the calling layer reports them
-as a flag.
+The windows also decide convergence (Cauchy condensation: the integral
+converges with the sum of the window integrals c_k).  classify_windows
+reads them from window 16 on: windows that stop shrinking, grow, or fit
+c_k ~ k^-gamma with gamma <= 1 mean divergence, +inf at once; a geometric
+side is read until its extrapolated tail settles; gamma > 1 adds the
+fitted tail to value and error; and windows that decide nothing raise
+UndecidedError, which no caller reads as divergence.
+
+panel_integral takes 32/16 Gauss-Legendre panels on [0, 1] for a batch of
+smooth integrands; it serves the sphere mean and the H^2 Millson
+transform.  quad_piece, one QUADPACK call, serves geometry.heat_mass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,10 +37,8 @@ from scipy.special import zeta
 
 from .errors import QuadratureError, UndecidedError
 
-# Relative targets: every radial integral aims at SPATIAL_REL, one order
-# tighter than the OUTER_REL accuracy reported values are held to.
+# Relative target of every radial integral and panel batch
 SPATIAL_REL = 1e-8
-OUTER_REL = 1e-7
 
 # Values beyond this are treated as numerical blow-up of a divergent integral.
 DIVERGENCE_CAP = 1e12
@@ -44,21 +47,15 @@ _TINY = 1e-300
 
 
 def quad_piece(f, a, b, rel=SPATIAL_REL, abs_floor=1e-15, points=None, limit=200):
-    """Integrate f on the finite interval [a, b].
+    """(value, error) of f on the finite interval [a, b] by QUADPACK.
 
-    Returns (value, error_estimate).  Raises QuadratureError when QUADPACK
-    reports an error estimate worse than the requested tolerance by a wide
-    margin, which is the signal the dyadic fallbacks key on.
+    Raises QuadratureError when the estimate misses the tolerance by a wide
+    margin or the integral looks divergent.
     """
     if b <= a:
         return 0.0, 0.0
-    usable_points = None
-    if points:
-        usable_points = [p for p in points if a < p < b]
-        if not usable_points:
-            usable_points = None
     out = quad(f, a, b, epsabs=abs_floor, epsrel=rel, limit=limit,
-               points=usable_points, full_output=1)
+               points=[p for p in points or () if a < p < b] or None, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3 and "divergent" in out[3]:
         # QUADPACK's ier = 5: its extrapolation may have produced the finite
@@ -77,146 +74,14 @@ def quad_piece(f, a, b, rel=SPATIAL_REL, abs_floor=1e-15, points=None, limit=200
     return value, abserr
 
 
-def dyadic_endpoint_integral(f, a, b, rel=OUTER_REL, max_levels=54):
-    """Integrate f on (a, b] when f may be singular (or divergent) at a.
-
-    Splits [a, b] into dyadic pieces shrinking towards a, integrating each
-    smooth piece with quad_piece.  Contributions from a convergent integrable
-    singularity decay geometrically, so the loop stops once the running piece
-    is below the relative target and the geometric tail is added to the error
-    estimate.  It does not classify divergence: radial_integral calls it
-    only on sides its windows found convergent, and a failed piece, a
-    running total past DIVERGENCE_CAP or pieces still large after
-    max_levels come back as diverged.
-
-    Returns (value, error_estimate, diverged).
-    """
-    length = b - a
-    if length <= 0.0:
-        return 0.0, 0.0, False
-    total = 0.0
-    err = 0.0
-    prev = None
-    for k in range(max_levels):
-        hi = a + length / 2.0 ** k
-        lo = a + length / 2.0 ** (k + 1)
-        try:
-            v, e = quad_piece(f, lo, hi, rel=rel)
-        except QuadratureError:
-            # A single piece should be smooth; failure here means the
-            # integrand is misbehaving in the interior, treat as divergent.
-            return math.inf, math.inf, True
-        if not math.isfinite(v):
-            return math.inf, math.inf, True
-        total += v
-        err += e
-        scale = max(abs(total), _TINY)
-        if abs(total) > DIVERGENCE_CAP:
-            return math.inf, math.inf, True
-        if prev is not None and abs(prev) > 0.0:
-            ratio = abs(v) / abs(prev)
-            if abs(v) <= rel * scale and ratio < 0.9:
-                tail = abs(v) * ratio / (1.0 - ratio)
-                return total + v * ratio / (1.0 - ratio), err + tail, False
-        prev = v
-    # Ran out of levels. If the last pieces were still flat the integral is
-    # divergent; otherwise return what we have with an honest error bump.
-    if prev is not None and abs(prev) > rel * max(abs(total), _TINY) * 100.0:
-        return math.inf, math.inf, True
-    return total, err + (abs(prev) if prev is not None else 0.0), False
-
-
-def radial_integral(g, hi, singular=(), *, points=()):
-    """Integrate g over [0, hi]; ``singular`` lists the declared singular radii.
-
-    Each declared radius s in [0, hi] is classified on each side before any
-    adaptive call, by condensation windows (classify_windows).  A divergent
-    side returns (+inf, +inf) at once.  When every side decays
-    geometrically, one QUADPACK call with every radius and every entry of
-    ``points`` (plain breakpoints such as probe distances, never
-    classified) as breakpoints gives the value; when that stalls, segment-wise
-    dyadic refinement takes over.  A point within s 2^-22 of a declared
-    radius s is merged into it, so a probe placed at the radius up to
-    rounding leaves the radius its windows.  A side that decays like a power
-    of the window index k^{-gamma}, gamma > 1, is the adaptive integral out
-    from its first window plus the windows read plus the fitted tail, which
-    also enters the error.  A side the windows cannot decide raises
-    UndecidedError.  Returns (value, error_estimate).
-    """
-    if hi <= 0.0:
-        return 0.0, 0.0
-    declared = {float(p) for p in singular if 0.0 <= p <= hi}
-    # a point closer to a declared radius than its deepest windows' reach is
-    # merged into it, so each side keeps at least nine windows to read
-    plain = {float(p) for p in points
-             if not any(abs(p - s) < s * 2.0 ** -_MERGE_DIGITS for s in declared)}
-    pts = sorted(p for p in declared | plain if 0.0 < p < hi)
-    breaks = [0.0] + pts + [hi]
-    slow = {}
-    for i, s in enumerate(breaks):
-        if s not in declared:
-            continue
-        for side in (-1, 1):
-            if (i == 0 and side < 0) or (i == len(breaks) - 1 and side > 0):
-                continue
-            half = 0.5 * abs(breaks[i + side] - s)
-            outcome, far, read = _condense_side(g, s, side * half)
-            if outcome.kind == DIVERGENT:
-                return math.inf, math.inf
-            if outcome.kind == POWER:
-                slow[(s, side)] = _power_side(g, s, side * half, far, read, outcome)
-    if not slow:
-        try:
-            return quad_piece(g, 0.0, hi, points=pts if pts else None)
-        except QuadratureError:
-            pass
-    # Segment-wise: 0, each radius and point, hi.  An endpoint not classified
-    # as a slow side is refined dyadically; 0 is always treated as possibly
-    # singular (ring volume factors vanish there, potentials may blow up).
-    total = 0.0
-    err = 0.0
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (left + right)
-        if (left, 1) in slow:
-            v1, e1 = slow[(left, 1)]
-        else:
-            v1, e1, d1 = dyadic_endpoint_integral(g, left, mid, rel=SPATIAL_REL)
-            if d1:
-                return math.inf, math.inf
-        if (right, -1) in slow:
-            v2, e2 = slow[(right, -1)]
-        else:
-            v2, e2, d2 = _dyadic_towards_right(g, mid, right, SPATIAL_REL)
-            if d2:
-                return math.inf, math.inf
-        total += v1 + v2
-        err += e1 + e2
-    return total, err
-
-
-def _dyadic_towards_right(g, a, b, rel):
-    # Reflect so the possibly-singular endpoint b maps to the left end.
-    def reflected(s):
-        return g(a + b - s)
-
-    return dyadic_endpoint_integral(reflected, a, b, rel=rel)
-
-
 # ---------------------------------------------------------------------------
 # condensation: classify an integral from its dyadic windows
 
 GEOMETRIC, POWER, DIVERGENT = "geometric", "power", "divergent"
 
-# Windows are read with the 8-point Gauss-Legendre rule on [-1, 1], as
-# (node, weight) pairs for +-node; spelled out so that reading a window makes
-# no eigensolver call (whose first call grows the process by about 1 MB).
-_WINDOW_RULE = ((0.18343464249564978, 0.36268378337836166),
-                (0.525532409916329, 0.3137066458778869),
-                (0.7966664774136267, 0.22238103445337443),
-                (0.9602898564975362, 0.10122853629037706))
-# At a singular radius the first window sits this many halvings below the
-# side length, where the integrand has its asymptotic form unless its own
-# scale is smaller still.
+# At a singular radius the first window read sits this many halvings below
+# the side length, where the integrand has its asymptotic form unless its
+# own scale is smaller still.
 _FIRST_WINDOW = 16
 # the deepest window at radius 0; at s > 0 windows stay 2^-32 s away from s,
 # so node positions keep about 7 digits relative to the window
@@ -294,57 +159,29 @@ def classify_windows(windows):
     return None
 
 
-def _window_rule(g, a, b):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * math.fsum(w * (g(mid - half * x) + g(mid + half * x)) for x, w in _WINDOW_RULE)
+# ---------------------------------------------------------------------------
+# panel rules: nodes on [-1, 1] and a weight matrix whose first column gives
+# the value and whose second gives its difference from the embedded rule
+
+# Gauss-Kronrod 7/15 (QUADPACK's qk15), spelled out so that building it makes
+# no eigensolver call (whose first call grows the process by about 1 MB):
+# the Kronrod nodes x >= 0 with their weights, then the 7-point Gauss weights
+# at x_1, x_3, x_5 and 0
+_KRONROD = ((0.991455371120812639206854697526329, 0.022935322010529224963732008058970),
+            (0.949107912342758524526189684047851, 0.063092092629978553290700663189204),
+            (0.864864423359769072789712788640926, 0.104790010322250183839876322541518),
+            (0.741531185599394439863864773280788, 0.140653259715525918745189590510238),
+            (0.586087235467691130294144845693013, 0.169004726639267902826583426598550),
+            (0.405845151377397166906606412076961, 0.190350578064785409913256402421014),
+            (0.207784955007898467600689403773245, 0.204432940075298892414161999234649),
+            (0.0, 0.209482141084727828012999174891714))
+_GAUSS_7 = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
-def _condense_side(g, s, length):
-    """Classify g on the side of s towards s + length from its windows.
-
-    Window k covers distances [|length| 2^-k-1, |length| 2^-k] from s.
-    Returns (Condensation, outer distance of the first window read, the
-    signed window integrals in reading order); raises UndecidedError when
-    the windows run out first.
-    """
-    size = abs(length)
-    deepest = _LAST_WINDOW
-    if s > 0.0:
-        deepest = min(deepest, math.floor(math.log2(size / s)) + _SHELL_DIGITS - 1)
-    first = max(0, min(_FIRST_WINDOW, deepest - 12))
-    windows = []
-    for k in range(first, deepest + 1):
-        near, far = size * 2.0 ** (-k - 1), size * 2.0 ** -k
-        if length > 0.0:
-            windows.append(_window_rule(g, s + near, s + far))
-        else:
-            windows.append(_window_rule(g, s - far, s - near))
-        outcome = classify_windows(windows)
-        if outcome is not None:
-            return outcome, size * 2.0 ** -first, windows
-    if windows and max(map(abs, windows[-4:])) == 0.0:
-        return Condensation(GEOMETRIC), size * 2.0 ** -first, windows
-    raise UndecidedError(
-        f"windows at radius {s} ({'above' if length > 0 else 'below'}) decide "
-        f"nothing after {len(windows)} windows", achieved_error=math.inf)
-
-
-def _power_side(g, s, length, far, windows, outcome):
-    """(value, error) of g over the side of s whose windows decay like k^-gamma.
-
-    QUADPACK covers the side out from the first window read (at distance
-    ``far`` from s); the windows read and the model tail beyond the last one
-    make up the rest.  The tail is its own error bound; the fixed-rule
-    windows are charged SPATIAL_REL of their size.
-    """
-    if length > 0.0:
-        value, err = quad_piece(g, s + far, s + length)
-    else:
-        value, err = quad_piece(g, s + length, s - far)
-    tail = math.copysign(outcome.tail(abs(windows[-1])), windows[-1])
-    read = math.fsum(windows)
-    return (value + read + tail,
-            err + SPATIAL_REL * math.fsum(map(abs, windows)) + abs(tail))
+_KRONROD_NODES = np.array([-x for x, _ in _KRONROD[:-1]] + [x for x, _ in _KRONROD[::-1]])
+_KRONROD_WEIGHTS = np.array([(w, w) for _, w in (*_KRONROD[:-1], *_KRONROD[::-1])])
+_KRONROD_WEIGHTS[1::2, 1] -= _GAUSS_7 + _GAUSS_7[-2::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +274,259 @@ def _first_panels(panels: int):
     for a in out:
         a.flags.writeable = False
     return out
+
+
+# ---------------------------------------------------------------------------
+# graded panels: every radial integral
+
+# windows a round opens on a side still reading, past the first classified ones
+_MORE_WINDOWS = 8
+# the extrapolated tail's error is this many times its change over one window
+# (which it exceeds by 1.4 at most for c_k ~ 2^-k k, the log pole of H^2)
+_EXTRAPOLATION_SAFETY = 4.0
+# doubling windows read beyond the last breakpoint of an integral to +inf
+_TAIL_WINDOWS = 64
+# rounding allowance of a panel, relative to its |value| (QUADPACK's 50 eps)
+_ROUNDING = 50.0 * float(np.finfo(float).eps)
+# bisection stops at this many panels (QUADPACK's 200-subinterval limit in
+# evaluations), which an integrand whose own values miss the target reaches
+_PANEL_LIMIT = 300
+
+
+class _Side:
+    """The condensation windows of a declared radius s on its side towards s + length.
+
+    Window k covers distances [|length| 2^-k-1, |length| 2^-k] from s and is
+    one panel; its integral is slot ``base + k`` of the running sums.
+    """
+
+    def __init__(self, s, length, base):
+        deepest = _LAST_WINDOW
+        if s > 0.0:
+            deepest = min(deepest, math.floor(math.log2(abs(length) / s)) + _SHELL_DIGITS - 1)
+        self.s, self.length, self.base, self.deepest = s, length, base, deepest
+        self.first = max(0, min(_FIRST_WINDOW, deepest - 12))
+        self.opening = self.first + _MORE_WINDOWS
+        self.read, self.checked = 0, self.first + 3  # windows opened; next one classified at
+        self.outcome, self.at = None, 0              # and the window it was decided at
+        self.reading, self.tail, self.tail_err = True, 0.0, 0.0
+
+    def open(self, count):
+        """(centres, half-widths, slots) of the next ``count`` windows."""
+        k = np.arange(self.read, min(self.read + count, self.deepest + 1))
+        self.read += k.size
+        near = abs(self.length) * 0.5 ** (k + 1)
+        return self.s + math.copysign(1.5, self.length) * near, 0.5 * near, self.base + k
+
+    def settle(self, c, total, target):
+        """Windows to open next, from the window integrals c so far (DIVERGENT if they diverge)."""
+        while self.outcome is None and self.checked < self.read:
+            self.outcome = classify_windows(c[self.checked - 3:self.checked + 1])
+            self.at, self.checked = self.checked, self.checked + 1
+        kind = self.outcome.kind if self.outcome is not None else None
+        if kind == DIVERGENT:
+            return DIVERGENT
+        if kind == POWER:
+            # the model counts windows from the one it was fitted at
+            model = replace(self.outcome, index=self.outcome.index + self.read - 1 - self.at)
+            self.tail = math.copysign(model.tail(abs(c[-1])), c[-1])
+            self.tail_err, self.reading = abs(self.tail), False
+            return 0
+        if kind == GEOMETRIC and self._extrapolate(c, target):
+            return 0
+        if self.read <= self.deepest:
+            return _MORE_WINDOWS
+        self.reading = False
+        if max(map(abs, c[-4:]), default=0.0) > 0.0:
+            raise UndecidedError(
+                f"windows at radius {self.s} ({'above' if self.length > 0 else 'below'}) "
+                f"decide nothing after {self.read - self.first} windows",
+                achieved_error=math.inf)
+        return 0
+
+    def _extrapolate(self, c, target):
+        """Set the geometric tail beyond the last window and its error; True once it settles.
+
+        Each partial sum plus its Aitken tail c_K r / (1 - r), r = c_K / c_{K-1},
+        is accelerated once more by Aitken's Delta^2 over three successive
+        ones; the error is the change of that over one window, times
+        _EXTRAPOLATION_SAFETY.  It settles once the error is below a quarter
+        of the target or the windows run out; windows that stopped
+        shrinking leave it unsettled.
+        """
+        w = [abs(x) for x in c[-6:].tolist()]
+        self.tail = self.tail_err = 0.0
+        if len(w) < 6:
+            return False
+        if w[-1] > 0.0:
+            if min(w) <= 0.0 or any(b >= a for a, b in zip(w, w[1:])):
+                return False
+            partial, aitken = w[0], []
+            for a, b in zip(w, w[1:]):
+                partial += b
+                aitken.append(partial + b * b / (a - b))
+            twice = [s2 - (s2 - s1) ** 2 / (s2 - 2.0 * s1 + s0) if s2 - 2.0 * s1 + s0 else s2
+                     for s0, s1, s2 in zip(aitken, aitken[1:], aitken[2:])]
+            self.tail = math.copysign(twice[-1] - partial, c[-1])
+            self.tail_err = _EXTRAPOLATION_SAFETY * abs(twice[-1] - twice[-2])
+            if self.tail_err > 0.25 * target and self.read <= self.deepest:
+                return False
+        self.reading = False
+        return True
+
+
+class _Tail:
+    """Doubling windows [lo 2^j, lo 2^{j+1}] out to +inf, each one panel, from slot ``base``.
+
+    They are summed until one is negligible against the running total and
+    classified as they come: a divergent reading or a total past
+    DIVERGENCE_CAP is +inf.  Where the sum stops or the windows run out the
+    last settled decay adds its tail to value and error (else the last
+    window joins the error; windows that run out unsettled are undecided).
+    """
+
+    opening = 1
+
+    def __init__(self, lo, base):
+        self.lo, self.base, self.read = lo, base, 0
+        self.reading, self.tail, self.tail_err = True, 0.0, 0.0
+
+    def open(self, count):
+        j = np.arange(self.read, min(self.read + count, _TAIL_WINDOWS))
+        self.read += j.size
+        half = self.lo * 2.0 ** (j - 1)
+        return 3.0 * half, half, self.base + j
+
+    def settle(self, c, total, target):
+        running, settled = total - math.fsum(c), None
+        for j, window in enumerate(c):
+            running += window
+            if not abs(running) <= DIVERGENCE_CAP:
+                return DIVERGENT
+            if abs(window) <= SPATIAL_REL * abs(running):
+                break
+            settled = classify_windows(c[max(j - 3, 0):j + 1]) or settled
+            if settled is not None and settled.kind == DIVERGENT:
+                return DIVERGENT
+        else:
+            if self.read < _TAIL_WINDOWS:
+                return _MORE_WINDOWS
+            if settled is None and running != 0.0:
+                raise UndecidedError(f"the radial tail decides nothing after {_TAIL_WINDOWS} "
+                                     "windows", achieved_error=math.inf)
+        self.reading = False
+        if settled is not None:
+            self.tail = math.copysign(settled.tail(abs(c[-1])), c[-1])
+        self.tail_err = abs(self.tail) if settled is not None else abs(float(c[-1]))
+        return 0
+
+
+def radial_integral(g, hi, singular=(), *, points=()):
+    """(value, error) of integral_0^hi g; ``singular`` lists the declared singular radii.
+
+    g maps a 1-d array of radii to the integrand there.  Each declared
+    radius gets windows on each side out to half the distance to the next
+    breakpoint; every other stretch between 0, the radii, the ``points``
+    (plain breakpoints, never classified) and hi is one panel; with
+    hi = +inf the last stretch is _Tail's windows from the largest
+    breakpoint (at least 1).  A point within s 2^-22 of a radius s merges
+    into it.  Each round classifies the windows read (a divergent side or
+    a non-finite panel value returns (+inf, +inf); an undecidable one
+    raises UndecidedError), opens more where a side is still reading, and
+    bisects, up to _PANEL_ROUNDS times and largest first below
+    _PANEL_LIMIT panels, each panel whose estimate exceeds its equal share
+    of SPATIAL_REL |value|.  A half's estimate is at least half the change
+    its bisection made: at a kink the two embedded rules can agree by
+    accident, the two sides of a bisection do not.  The error sums the
+    estimates, the tails' errors and 50 eps of each panel's |value|.
+    """
+    if hi <= 0.0:
+        return 0.0, 0.0
+    declared = {float(p) for p in singular if 0.0 <= p <= hi}
+    # a point closer to a declared radius than its deepest windows' reach is
+    # merged into it, so each side keeps at least nine windows to read
+    plain = {float(p) for p in points
+             if not any(abs(p - s) < s * 2.0 ** -_MERGE_DIGITS for s in declared)}
+    pts = sorted(p for p in declared | plain if 0.0 < p < hi)
+    end = hi if math.isfinite(hi) else max([1.0, *pts])
+    breaks = [0.0] + [p for p in pts if p < end] + [end]
+    sides, lo, top, slots = [], [], [], 1
+    for left, right in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (left + right)
+        if left in declared:
+            sides.append(_Side(left, mid - left, slots))
+            slots += max(sides[-1].deepest + 1, 0)
+        if right in declared:
+            sides.append(_Side(right, mid - right, slots))
+            slots += max(sides[-1].deepest + 1, 0)
+        a, b = (mid if left in declared else left), (mid if right in declared else right)
+        if a < b:
+            lo.append(a)
+            top.append(b)
+    if not math.isfinite(hi):
+        sides.append(_Tail(end, slots))
+        slots += _TAIL_WINDOWS
+    return _graded(g, sides, slots, np.array(lo), np.array(top))
+
+
+def _graded(g, sides, slots, lo, top):
+    """radial_integral's rounds over the sides' windows and the plain panels [lo, top] (slot 0)."""
+    kept = np.zeros((2, slots))      # value and error of the panels no longer open, by slot
+    kept_panels, kept_size = 0, 0.0  # and their count and summed |value|
+    plain = np.zeros(lo.size, dtype=int)
+    # the open panels: centres, half-widths, slots and bisection depths
+    panels = _extend([0.5 * (lo + top), 0.5 * (top - lo), plain, plain],
+                     [side.open(side.opening) for side in sides])
+    parents = np.zeros(0)            # values of the panels whose halves open the list
+    while True:
+        mid, half, slot, depth = panels
+        nodes = mid[:, None] + half[:, None] * _KRONROD_NODES
+        f = np.asarray(g(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        rule = (f @ _KRONROD_WEIGHTS) * half[:, None]
+        if not np.isfinite(rule).all():
+            return math.inf, math.inf
+        est = kept[0] + np.bincount(slot, rule[:, 0], minlength=slots)
+        total = float(est.sum())
+        target = SPATIAL_REL * abs(total) + _TINY
+        more = []
+        for side in sides:
+            more.append(side.settle(est[side.base:side.base + side.read], total, target)
+                        if side.reading else 0)
+            if more[-1] == DIVERGENT:
+                return math.inf, math.inf
+        value = total + sum(side.tail for side in sides)
+        err, size = np.abs(rule[:, 1]), np.abs(rule[:, 0])
+        if parents.size:
+            change = np.abs(parents - rule[:2 * parents.size, 0].reshape(-1, 2).sum(axis=1))
+            err[:change.size * 2] = np.maximum(err[:change.size * 2], np.repeat(0.5 * change, 2))
+        error = float(kept[1].sum() + err.sum()) + sum(side.tail_err for side in sides) + \
+            _ROUNDING * (kept_size + float(size.sum()))
+        target = SPATIAL_REL * abs(value) + _TINY
+        if error <= target and not any(more):
+            return float(value), float(error)
+        cut = np.zeros(err.size, dtype=bool)
+        if error > target:
+            cut = (err > target / (kept_panels + err.size)) & (depth < _PANEL_ROUNDS)
+            # the largest estimates first, while the panel count has room
+            room = max(_PANEL_LIMIT - kept_panels - err.size, 0)
+            cut[np.argsort(np.where(cut, -err, np.inf))[room:]] = False
+        if not any(more) and not cut.any():
+            return float(value), float(error)
+        keep = ~cut
+        kept[0] += np.bincount(slot[keep], rule[keep, 0], minlength=slots)
+        kept[1] += np.bincount(slot[keep], err[keep], minlength=slots)
+        kept_panels += int(keep.sum())
+        kept_size += float(size[keep].sum())
+        halves, parents = 0.5 * half[cut], rule[cut, 0]
+        panels = [(mid[cut, None] + halves[:, None] * _HALVES).ravel(), np.repeat(halves, 2),
+                  np.repeat(slot[cut], 2), np.repeat(depth[cut] + 1, 2)]
+        panels = _extend(panels, [side.open(n) for side, n in zip(sides, more) if n])
+
+
+def _extend(panels, windows):
+    """The open panels with the sides' new windows (centres, half-widths, slots) appended."""
+    windows = [w for w in windows if w[0].size]
+    if not windows:
+        return panels
+    return [np.concatenate((column, *new)) for column, new in
+            zip(panels, zip(*[(*w, np.zeros(w[0].size, dtype=int)) for w in windows]))]

@@ -119,18 +119,15 @@ def kato_report_json(report) -> dict:
         "argmax_probe_index": report.argmax_probe_index,
     }
     if report.fit_exponent is not None:
-        out["fit_exponent"] = pnum(report.fit_exponent, 0.05, "quadrature")
+        out["fit_exponent"] = pnum(report.fit_exponent, report.fit_error, "quadrature")
     if report.klmn is not None:
-        out["klmn"] = klmn_json(*report.klmn)
+        out["klmn"] = klmn_json(report.klmn)
     if report.reason is not None:
         out["reason"] = report.reason
     return out
 
 
-def klmn_json(r, c1, c2) -> dict:
-    """The KLMN triple (r, C1, C2 = r*C1) with provenance-wrapped values."""
-    return {
-        "r": pnum(r, 1e-7 * r, "quadrature"),
-        "c1": pnum(c1, 1e-6 * max(c1, 1.0), "quadrature"),
-        "c2": pnum(c2, 1e-6 * max(c2, 1.0), "quadrature"),
-    }
+def klmn_json(bound) -> dict:
+    """The KLMN triple (r, C1, C2 = r*C1) of kato.form_bound_constants, each with its error."""
+    return {key: pnum(value, error, "quadrature")
+            for key, value, error in zip(("r", "c1", "c2"), bound, bound.errors)}

@@ -5,7 +5,34 @@ has a deadline, and examples are derived from each test's own source
 rather than from a random seed, which keeps a failure reproducible.
 """
 
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
 from hypothesis import settings
+
+from katoform import quadrature
+from katoform.potentials import Potential
 
 settings.register_profile("katoform", deadline=None, derandomize=True)
 settings.load_profile("katoform")
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts of QUADPACK calls and of |v| array calls (and the points they take)."""
+    counts = SimpleNamespace(quadpack=0, radial_calls=0, radial_points=0)
+    quad, abs_radial = quadrature.quad, Potential.abs_radial
+
+    def counted_quad(*args, **kwargs):
+        counts.quadpack += 1
+        return quad(*args, **kwargs)
+
+    def counted_abs_radial(self, r):
+        counts.radial_calls += 1
+        counts.radial_points += int(np.size(r))
+        return abs_radial(self, r)
+
+    monkeypatch.setattr(quadrature, "quad", counted_quad)
+    monkeypatch.setattr(Potential, "abs_radial", counted_abs_radial)
+    return counts

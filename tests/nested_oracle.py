@@ -12,7 +12,12 @@ also orders of magnitude slower, which is why it lives here.
 It also keeps the angular routes that geometry.sphere_mean replaced, as
 oracles for it: QUADPACK's QAWS over the distance to the probe
 (qaws_sphere_mean) and a fixed Gauss-Legendre rule in the polar angle
-(polar_angle_rule, behind _sphere_mean_rule).
+(polar_angle_rule, behind _sphere_mean_rule).  And it keeps the radial
+route that quadrature.radial_integral's graded panels replaced: one
+QUADPACK call per radial integral once the condensation windows have
+classified every declared radius (radial_integral here), with dyadic
+refinement where it stalls, and the kernel route's radial integral on it
+(quadpack_fubini_b), a scalar integrand per node.
 """
 
 from __future__ import annotations
@@ -24,16 +29,243 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import i0e
 
-from katoform.errors import ConvergenceError, DomainError, QuadratureError
-from katoform.geometry import (_TAIL_LOG, EUCLIDEAN, ModelSpace, _split_S, distance,
+from katoform.errors import ConvergenceError, DomainError, QuadratureError, UndecidedError
+from katoform.geometry import (_TAIL_LOG, EUCLIDEAN, HYPERBOLIC, ModelSpace, _split_S, distance,
                                heat_kernel_radial, kernel_tail_radius, law_of_cosines,
-                               sphere_area)
-from katoform.kato import _abs_scalar_fn, _ring_scalar
+                               ring_area, sphere_area, sphere_mean)
 from katoform.potentials import Potential
-from katoform.quadrature import (DIVERGENCE_CAP, OUTER_REL, SPATIAL_REL, _TINY,
-                                 dyadic_endpoint_integral, quad_piece, radial_integral)
+from katoform.quadrature import (_FIRST_WINDOW, _LAST_WINDOW, _MERGE_DIGITS, _SHELL_DIGITS,
+                                 _TINY, DIVERGENCE_CAP, DIVERGENT, GEOMETRIC, POWER,
+                                 SPATIAL_REL, Condensation, classify_windows, quad_piece)
 
+OUTER_REL = 1e-7  # relative target of the outer time integrals
 _INNER_REL_BUDGET = 1e-7  # folded into reported errors for nested quadrature
+
+
+# ---------------------------------------------------------------------------
+# the QUADPACK radial route: classify, then one adaptive call
+
+def dyadic_endpoint_integral(f, a, b, rel=OUTER_REL, max_levels=54):
+    """Integrate f on (a, b] when f may be singular (or divergent) at a.
+
+    Splits [a, b] into dyadic pieces shrinking towards a, integrating each
+    smooth piece with quad_piece.  Contributions from a convergent integrable
+    singularity decay geometrically, so the loop stops once the running piece
+    is below the relative target and the geometric tail is added to the error
+    estimate.  A failed piece, a running total past DIVERGENCE_CAP or pieces
+    still large after max_levels come back as diverged.
+
+    Returns (value, error_estimate, diverged).
+    """
+    length = b - a
+    if length <= 0.0:
+        return 0.0, 0.0, False
+    total = 0.0
+    err = 0.0
+    prev = None
+    for k in range(max_levels):
+        hi = a + length / 2.0 ** k
+        lo = a + length / 2.0 ** (k + 1)
+        try:
+            v, e = quad_piece(f, lo, hi, rel=rel)
+        except QuadratureError:
+            return math.inf, math.inf, True
+        total += v
+        err += e
+        scale = max(abs(total), _TINY)
+        if abs(total) > DIVERGENCE_CAP:
+            return math.inf, math.inf, True
+        if prev is not None and abs(prev) > 0.0:
+            ratio = abs(v) / abs(prev)
+            if abs(v) <= rel * scale and ratio < 0.9:
+                tail = abs(v) * ratio / (1.0 - ratio)
+                return total + v * ratio / (1.0 - ratio), err + tail, False
+        prev = v
+    if prev is not None and abs(prev) > rel * max(abs(total), _TINY) * 100.0:
+        return math.inf, math.inf, True
+    return total, err + (abs(prev) if prev is not None else 0.0), False
+
+
+_GAUSS_8 = np.polynomial.legendre.leggauss(8)
+
+
+def _window(g, a, b):
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * math.fsum(w * g(mid + half * x) for x, w in zip(*_GAUSS_8))
+
+
+def _condense_side(g, s, length):
+    """(Condensation, outer distance of the first window, window integrals) of one side of s."""
+    size = abs(length)
+    deepest = _LAST_WINDOW
+    if s > 0.0:
+        deepest = min(deepest, math.floor(math.log2(size / s)) + _SHELL_DIGITS - 1)
+    first = max(0, min(_FIRST_WINDOW, deepest - 12))
+    windows = []
+    for k in range(first, deepest + 1):
+        near, far = size * 2.0 ** (-k - 1), size * 2.0 ** -k
+        if length > 0.0:
+            windows.append(_window(g, s + near, s + far))
+        else:
+            windows.append(_window(g, s - far, s - near))
+        outcome = classify_windows(windows)
+        if outcome is not None:
+            return outcome, size * 2.0 ** -first, windows
+    if windows and max(map(abs, windows[-4:])) == 0.0:
+        return Condensation(GEOMETRIC), size * 2.0 ** -first, windows
+    raise UndecidedError(f"windows at radius {s} decide nothing", achieved_error=math.inf)
+
+
+def radial_integral(g, hi, singular=(), *, points=()):
+    """(value, error) of integral_0^hi g for a scalar g, by QUADPACK after classification.
+
+    Every declared radius is classified on each side by condensation
+    windows (8-point Gauss-Legendre each); a divergent side is +inf.  When
+    every side is geometric, one QUADPACK call with every radius and point
+    as a breakpoint gives the value, and where it stalls dyadic refinement
+    toward every breakpoint takes over.  A k^-gamma side is QUADPACK out
+    from its first window, plus the windows read, plus the fitted tail
+    (also the error).  Points within s 2^-22 of a radius s merge into it.
+    """
+    if hi <= 0.0:
+        return 0.0, 0.0
+    declared = {float(p) for p in singular if 0.0 <= p <= hi}
+    plain = {float(p) for p in points
+             if not any(abs(p - s) < s * 2.0 ** -_MERGE_DIGITS for s in declared)}
+    pts = sorted(p for p in declared | plain if 0.0 < p < hi)
+    breaks = [0.0] + pts + [hi]
+    slow = {}
+    for i, s in enumerate(breaks):
+        if s not in declared:
+            continue
+        for side in (-1, 1):
+            if (i == 0 and side < 0) or (i == len(breaks) - 1 and side > 0):
+                continue
+            half = 0.5 * abs(breaks[i + side] - s)
+            outcome, far, read = _condense_side(g, s, side * half)
+            if outcome.kind == DIVERGENT:
+                return math.inf, math.inf
+            if outcome.kind == POWER:
+                lo, top = (s + far, s + half) if side > 0 else (s - half, s - far)
+                value, err = quad_piece(g, lo, top)
+                tail = math.copysign(outcome.tail(abs(read[-1])), read[-1])
+                slow[(s, side)] = (value + math.fsum(read) + tail,
+                                   err + SPATIAL_REL * math.fsum(map(abs, read)) + abs(tail))
+    if not slow:
+        try:
+            return quad_piece(g, 0.0, hi, points=pts if pts else None)
+        except QuadratureError:
+            pass
+    total = err = 0.0
+    for left, right in zip(breaks[:-1], breaks[1:]):
+        mid = 0.5 * (left + right)
+        if (left, 1) in slow:
+            v1, e1 = slow[(left, 1)]
+        else:
+            v1, e1, d1 = dyadic_endpoint_integral(g, left, mid, rel=SPATIAL_REL)
+            if d1:
+                return math.inf, math.inf
+        if (right, -1) in slow:
+            v2, e2 = slow[(right, -1)]
+        else:
+            v2, e2, d2 = dyadic_endpoint_integral(lambda x: g(mid + right - x), mid, right,
+                                                  rel=SPATIAL_REL)
+            if d2:
+                return math.inf, math.inf
+        total += v1 + v2
+        err += e1 + e2
+    return total, err
+
+
+def quadpack_radial_tail(integrand, reach, singular, points, windows=64):
+    """(value, error) of integral_0^inf of a scalar integrand over doubling windows.
+
+    The head up to min(reach, a scale of the breakpoints) and then each
+    doubling window is one radial_integral; the sum stops at the first
+    window negligible against a nonzero total or at any negligible window
+    past the reach, and windows past the reach are classified: a divergent
+    reading or a total past DIVERGENCE_CAP is +inf, a settled decay adds
+    its tail to value and error.
+    """
+    def segment(lo, hi):
+        return radial_integral(lambda u: integrand(lo + u), hi - lo,
+                               singular=[p - lo for p in singular if lo <= p <= hi],
+                               points=[p - lo for p in points if lo < p < hi])
+
+    head = min(reach, max(1.0, 2.0 * max((*singular, *points), default=0.0)))
+    total, err = segment(0.0, head)
+    lo, read, settled = head, [], None
+    for _ in range(windows):
+        if math.isinf(total) or abs(total) > DIVERGENCE_CAP:
+            return math.inf, math.inf
+        window, window_err = segment(lo, 2.0 * lo)
+        total += window
+        err += window_err
+        past = lo >= reach
+        lo *= 2.0
+        tracked = past or math.isinf(reach)
+        if tracked:
+            read.append(window)
+        if abs(window) <= SPATIAL_REL * abs(total) and (past or total != 0.0):
+            if settled is None:
+                return total, err + abs(window)
+            break
+        if tracked:
+            settled = classify_windows(read) or settled
+            if settled is not None and settled.kind == DIVERGENT:
+                return math.inf, math.inf
+    else:
+        if total == 0.0:
+            return 0.0, err
+    if settled is not None:
+        tail = settled.tail(abs(read[-1]))
+        return total + math.copysign(tail, read[-1]), err + tail
+    raise UndecidedError("the radial tail decides nothing", achieved_error=math.inf)
+
+
+def _abs_scalar(v: Potential):
+    return lambda w: abs(float(v.radial(np.float64(w))))
+
+
+def quadpack_fubini_b(v: Potential, b: float, kernel):
+    """(value, error) of integral |v(y)| k(d(x, y)) vol(dy), x at distance b, scalar per node.
+
+    The kato route's radial integral against the sphere mean of the kernel
+    (itself at the centre, the chord form in dimension 3, else
+    geometry.sphere_mean), on quadpack_radial_tail instead of the graded
+    panels; kernel values are taken one distance at a time.
+    """
+    space = v.space
+    m = space.dim
+    hyperbolic = space.kind == HYPERBOLIC
+    abs_scalar = _abs_scalar(v)
+
+    def radial(rho, shift):
+        if kernel.transform is not None:
+            return kernel.transform(rho, shift)[0]
+        return kernel.radial(rho, shift)
+
+    def ring_mean(w):
+        scaled, exponent = _split_S(hyperbolic, w)
+        if b <= 1e-14 or kernel.harmonic:
+            ring = sphere_area(m) * scaled ** (m - 1)
+            return ring * float(radial(max(w, b), (m - 1) * exponent))
+        if kernel.chord is not None:
+            s_b = math.sinh(b) if hyperbolic else b
+            return 2.0 * math.pi * scaled * float(kernel.chord(abs(w - b), 2.0 * min(w, b),
+                                                               exponent)) / s_b
+        return sphere_mean(space, radial, w, b)[0]
+
+    def integrand(w):
+        vw = abs_scalar(w)
+        if vw == 0.0:
+            return 0.0
+        if not math.isfinite(vw):
+            return math.inf
+        return vw * ring_mean(w)
+
+    return quadpack_radial_tail(integrand, kernel.reach + b, v.singular_radii,
+                                [b] if b > 1e-14 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +498,11 @@ def _sphere_mean_rule(space: ModelSpace, s: float, w: float, b: float) -> float:
 def average_b(v: Potential, b: float, s: float):
     """(value, error) of integral p_s(x, .) |v| dvol for a probe at distance b."""
     space = v.space
-    abs_scalar = _abs_scalar_fn(v)
+    abs_scalar = _abs_scalar(v)
     r_hi = kernel_tail_radius(space, s, extra=b)
 
     def integrand(w):
-        ring = _ring_scalar(space, w)
+        ring = float(ring_area(space, w))
         if ring == 0.0:
             return 0.0
         vw = abs_scalar(w)

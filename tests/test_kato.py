@@ -520,15 +520,14 @@ def log_sq(gamma):
 
     In the Kato class of R^3 iff gamma > 1 (Aizenman-Simon: integral_0 r |v| dr < inf).
     """
-    def scalar(w):
-        if w == 0.0:
-            return math.inf
-        if w < CUT:
-            return 1.0 / (w * w * math.log(1.0 / w) ** gamma)
-        return math.e ** 2 if w < 2.0 else 0.0
+    def radial(r):
+        r = np.asarray(r, dtype=float)
+        near = np.minimum(np.where(r == 0.0, 0.5, r), 0.5)
+        core = 1.0 / (near * near * np.log(1.0 / near) ** gamma)
+        flat = np.where(r < 2.0, math.e ** 2, 0.0)
+        return np.where(r == 0.0, math.inf, np.where(r < CUT, core, flat))
 
-    return Potential(space=E3, radial=np.vectorize(scalar, otypes=[float]),
-                     singular_radii=(0.0,), name="log_sq", radial_scalar=scalar)
+    return Potential(space=E3, radial=radial, singular_radii=(0.0,), name="log_sq")
 
 
 def ball_weight(rho):
@@ -576,7 +575,7 @@ def test_undecided_integral_makes_the_verdict_inconclusive():
 
 def decaying(p):
     return Potential(space=E3, radial=lambda r: (1.0 + np.asarray(r, dtype=float)) ** -p,
-                     name="decaying", radial_scalar=lambda w: (1.0 + w) ** -p)
+                     name="decaying")
 
 
 @pytest.mark.parametrize("p", [2.2, 2.5, 3.0])
@@ -590,8 +589,7 @@ def test_green_potential_of_slow_tail(p):
 def shell_potential(beta):
     # |r - 1/2|^beta on R^3, declared singular at r = 1/2
     return Potential(space=E3, radial=lambda r: np.abs(np.asarray(r, dtype=float) - 0.5) ** beta,
-                     singular_radii=(0.5,), name="shell",
-                     radial_scalar=lambda w: abs(w - 0.5) ** beta)
+                     singular_radii=(0.5,), name="shell")
 
 
 def test_probe_beside_a_singular_radius():
@@ -602,22 +600,25 @@ def test_probe_beside_a_singular_radius():
     assert math.isfinite(at) and beside == pytest.approx(at, rel=1e-9)
 
 
-def counted_scalar_calls(v, run):
-    calls = [0]
-    scalar = v.radial_scalar
-
-    def counting(w):
-        calls[0] += 1
-        return scalar(w)
-
-    v.radial_scalar = counting
-    run(v)
-    return calls[0]
-
-
-@pytest.mark.parametrize("make,budget", [(inverse_square, 1000), (coulomb, 3400)],
+@pytest.mark.parametrize("make,calls,points", [(inverse_square, 10, 4000), (coulomb, 25, 11000)],
                          ids=["inverse_square", "coulomb"])
-def test_verdict_evaluation_budget(make, budget):
-    # a divergent integral is classified without running QUADPACK to its limit
-    calls = counted_scalar_calls(make(E3), lambda v: kato_verdict(v, T_GRID, ORIGIN3))
-    assert calls <= budget
+def test_verdict_evaluation_budget(make, calls, points, evaluations):
+    # a divergent integral is classified from its first round of windows
+    kato_verdict(make(E3), T_GRID, ORIGIN3)
+    assert evaluations.quadpack == 0
+    assert evaluations.radial_calls <= calls and evaluations.radial_points <= points
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: near a crossing of a strong shell singularity "
+                   "(|r - s|^beta, beta <= -0.9) the sphere mean cannot sample |d - s| below "
+                   "rounding and has no condensation tail there, so it misses by far more than "
+                   "its error; the off-centre ball integral built on it does too")
+def test_sphere_mean_across_a_strong_shell():
+    # |d - 1/2|^-0.9 over the sphere of radius 1/4 about a probe on the shell r = 1/2 of R^3:
+    # ring(w) mean = 2 pi (w / b) integral_{1/4}^{3/4} |d - 1/2|^-0.9 d dd
+    beta, w, b = -0.9, 0.25, 0.5
+    edge = 0.25
+    want = 2.0 * math.pi * w / b * (2.0 * 0.5 * edge ** (beta + 1) / (beta + 1))
+    value, err = sphere_mean(E3, lambda d, shift: np.abs(d - 0.5) ** beta * math.exp(shift),
+                             w, b, (0.5,))
+    assert abs(value - want) <= err

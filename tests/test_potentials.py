@@ -20,8 +20,9 @@ def test_coulomb_values_and_singularity():
     assert np.allclose(v.radial(r), [4.0, 2.0, 0.5])
     assert v.singular_radii == (0.0,)
     assert v.radial(np.array([0.0]))[0] == math.inf
-    assert v.radial_scalar(0.0) == math.inf
-    assert coulomb(E3, strength=-1.0).radial_scalar(0.0) == -math.inf
+    assert v.abs_radial(0.0) == math.inf
+    assert coulomb(E3, strength=-1.0).radial(0.0) == -math.inf
+    assert coulomb(E3, strength=-1.0).abs_radial(np.array([0.0, 2.0])).tolist() == [math.inf, 0.5]
 
 
 def test_inverse_power_and_square():
@@ -56,13 +57,8 @@ def test_scaled_keeps_structure():
     v = coulomb(E3).scaled(-0.5)
     assert v.radial(np.array([2.0]))[0] == pytest.approx(-0.25)
     assert v.singular_radii == (0.0,)
-    assert v.radial_scalar(2.0) == pytest.approx(-0.25)
-
-
-def test_radial_scalar_probe_validation():
-    with pytest.raises(DomainError):
-        Potential(space=E3, radial=lambda r: np.asarray(r) * 0.0 + 1.0,
-                  radial_scalar=lambda w: 2.0)
+    assert v.radial(2.0) == pytest.approx(-0.25)
+    assert v.abs_radial(2.0) == pytest.approx(0.25)
 
 
 def test_sign_split_validation():

@@ -1,4 +1,6 @@
-"""Condensation classification in radial_integral against closed forms.
+"""Graded panels and condensation classification in radial_integral against closed forms.
+
+Every integrand takes an array of radii, as radial_integral passes them.
 
 Frozen reference values:
 
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katoform.errors import UndecidedError
-from katoform.quadrature import (_PANEL_ROUNDS, _WINDOW_RULE, _legendre_rule, classify_windows,
-                                 panel_integral, radial_integral)
+from katoform.quadrature import (_GAUSS_7, _KRONROD, _KRONROD_NODES, _KRONROD_WEIGHTS,
+                                 _PANEL_ROUNDS, _legendre_rule, classify_windows, panel_integral,
+                                 radial_integral)
 
 CUT = math.exp(-1.0)
 
@@ -44,8 +47,8 @@ def test_power_at_declared_zero_diverges(beta):
 def shell(beta, below=True, above=True):
     # |w - 1/2|^beta on the chosen sides of the shell, 1 on the others
     def g(w):
-        side = below if w < 0.5 else above
-        return abs(w - 0.5) ** beta if side else 1.0
+        side = np.where(w < 0.5, below, above)
+        return np.where(side, np.abs(w - 0.5) ** beta, 1.0)
     return g
 
 
@@ -63,15 +66,13 @@ def test_shell_classified_on_both_sides():
 def test_shell_log_side_takes_the_fitted_tail(below):
     # 1 / (x log^2(1/x)) on one side of the shell: 1/log 2 there, 1/2 on the other
     def g(w):
-        x = abs(w - 0.5)
-        if (w < 0.5) == below:
-            return 1.0 / (x * math.log(1.0 / x) ** 2)
-        return 1.0
+        x = np.abs(w - 0.5)
+        return np.where((w < 0.5) == below, 1.0 / (x * np.log(1.0 / x) ** 2), 1.0)
     assert within_error(radial_integral(g, 1.0, singular=[0.5]), 1.0 / math.log(2.0) + 0.5)
 
 
 def log_sq_bare(gamma):
-    return radial_integral(lambda w: 1.0 / (w * math.log(1.0 / w) ** gamma), CUT,
+    return radial_integral(lambda w: 1.0 / (w * np.log(1.0 / w) ** gamma), CUT,
                            singular=[0.0])
 
 
@@ -100,7 +101,7 @@ def test_plain_points_are_not_classified():
         return 1.0 + w
 
     assert radial_integral(g, 1.0, points=[0.5])[0] == pytest.approx(1.5, rel=1e-14)
-    assert min(abs(w - 0.5) for w in calls) > 1e-3
+    assert np.min(np.abs(np.concatenate(calls) - 0.5)) > 1e-3
 
 
 @pytest.mark.parametrize("offset", [1e-12, -1e-12, 1e-16])
@@ -127,9 +128,19 @@ def test_classify_windows_sequences():
 
 
 def test_window_rule_is_gauss_legendre():
-    x, w = np.polynomial.legendre.leggauss(8)
-    assert np.allclose([node for node, _ in _WINDOW_RULE], x[4:], rtol=0.0, atol=1e-15)
-    assert np.allclose([weight for _, weight in _WINDOW_RULE], w[4:], rtol=0.0, atol=1e-15)
+    # the 7-point Gauss-Legendre rule embedded in the 15-point Kronrod rule
+    x, w = np.polynomial.legendre.leggauss(7)
+    nodes = [node for node, _ in _KRONROD[1::2]]
+    assert np.allclose(nodes, x[:2:-1], rtol=0.0, atol=1e-15)
+    assert np.allclose(_GAUSS_7, w[:2:-1], rtol=0.0, atol=1e-15)
+    # the Kronrod rule is exact to degree 22, the Gauss rule to degree 13: the
+    # second weight column (their difference) integrates x^k to 0 below 14
+    for k in range(23):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        value, diff = _KRONROD_WEIGHTS.T @ _KRONROD_NODES ** k
+        assert value == pytest.approx(want, rel=1e-14, abs=1e-15)
+        if k < 14:
+            assert abs(diff) < 1e-15
 
 
 # ---------------------------------------------------------------------------
