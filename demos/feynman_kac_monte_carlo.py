@@ -14,13 +14,14 @@ import numpy as np
 from katoform.feynman_kac import (KillingRegion, PathConfig,
                                   mc_covariant_semigroup, mc_heat_expectation,
                                   mc_kato_integral)
-from katoform.geometry import EUCLIDEAN, ModelSpace
+from katoform.geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace, geodesic_point
 from katoform.mesh import grid_mesh_2d
 from katoform.operators import semigroup_evolve
 from katoform.potentials import coulomb
 
 E2 = ModelSpace(EUCLIDEAN, 2)
 E3 = ModelSpace(EUCLIDEAN, 3)
+H3 = ModelSpace(HYPERBOLIC, 3)
 
 print("running Coulomb integral E int_0^t 1/|X_s| ds from the origin")
 cfg = PathConfig(space=E3, start=(0.0, 0.0, 0.0), horizon=0.01, step=1e-4,
@@ -41,6 +42,17 @@ est = mc_heat_expectation(lambda p: np.ones(p.shape[0]), cfg)
 print(f"  estimate {est.value:.5f} +/- {est.std_error:.5f} "
       f"({est.n_effective} of {cfg.n_paths} paths survive)")
 print(f"  eigenfunction series      {series:.5f}")
+
+print("\nE cosh d(x, B_t) on H^3 from a point x at distance 1 from the origin")
+# Delta cosh d = 3 cosh d on H^3, so the mean grows like exp(3t/2); the
+# Minkowski pairing with the start is cosh d
+x = geodesic_point(H3, 1.0)
+for t in (0.25, 0.5, 1.0):
+    cfg = PathConfig(space=H3, start=tuple(x), horizon=t, step=t / 64,
+                     n_paths=20000, seed=17)
+    est = mc_heat_expectation(lambda p: p[:, 0] * x[0] - p[:, 1:] @ x[1:], cfg)
+    print(f"  t = {t:4.2f}: estimate {est.value:.4f} +/- {est.std_error:.4f}, "
+          f"exp(3t/2) = {math.exp(1.5 * t):.4f}")
 
 print("\ncovariant semigroup, constant field B = 1, vs the Peierls mesh")
 mesh = grid_mesh_2d(2.4, 0.1, b_field=1.0)

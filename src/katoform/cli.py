@@ -160,6 +160,29 @@ _MESH = {"oneOf": [
 
 _POINT = _num_array(1)
 
+_DOMAIN = {"oneOf": [
+    {
+        "type": "object",
+        "properties": {
+            "kind": {"const": "ball"},
+            "radius": {"type": "number", "exclusiveMinimum": 0},
+            "center": _POINT,
+        },
+        "required": ["kind", "radius"],
+        "additionalProperties": False,
+    },
+    {
+        "type": "object",
+        "properties": {
+            "kind": {"const": "halfspace"},
+            "normal": _POINT,
+            "offset": {"type": "number"},
+        },
+        "required": ["kind", "normal"],
+        "additionalProperties": False,
+    },
+]}
+
 _COMMON = {
     "seed": {"type": "integer", "minimum": 0},
     "workers": {"type": "integer", "minimum": 1},
@@ -238,7 +261,7 @@ SCHEMAS = {
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
                 "step": {"type": "number", "exclusiveMinimum": 0},
                 "n_paths": {"type": "integer", "minimum": 100},
-                "domain": {"type": "object"},
+                "domain": _DOMAIN,
             },
             "required": ["space", "start", "horizon", "step", "n_paths"],
             "additionalProperties": False,

@@ -5,11 +5,12 @@ of the package from an entirely different direction: sampled Brownian
 motion.  The generator convention is Delta/2 throughout, i.e. coordinate
 increments have variance h per step of size h.
 
-Euclidean paths use exact Gaussian increments.  Hyperboloid paths take a
-geodesic step: a tangent Gaussian with covariance h * Id is mapped through
-the exponential map, an O(h) weak approximation.  Killing regions (a
-geodesic ball, or a Euclidean half-space) stop a path at the first step
-that lands outside; the exit step is recorded as the lifetime.
+Euclidean paths use exact Gaussian increments.  Hyperbolic paths are
+cumulative sums in upper-half-space coordinates (x, y): log y is exact in
+law, each x step takes the trapezoidal variance h (y_k^2 + y_{k+1}^2)/2,
+an O(h) weak approximation.  Killing regions (a geodesic ball, or a
+Euclidean half-space) stop a path at the first step that lands outside;
+the exit step is recorded as the lifetime.
 
 Streams are counter-based (Philox) keyed by (seed, worker index).  Worker
 w draws a contiguous block of the path indices, worker 0's first; this is
@@ -138,7 +139,17 @@ class PathConfig:
         self.space.validate_point(start)
         object.__setattr__(self, "start", tuple(float(x) for x in start))
         if self.domain is not None:
-            inside = self.domain.inside(self.space, np.asarray([self.start]))
+            region = self.domain
+            if region.kind == "ball" and region.center is not None:
+                self.space.validate_point(region.center)
+            elif region.kind == "halfspace":
+                if self.space.kind != EUCLIDEAN:
+                    raise ConfigError("halfspace regions are Euclidean only")
+                normal = np.asarray(region.normal, dtype=float)
+                if normal.shape != (self.space.dim,) or not np.any(normal):
+                    raise ConfigError("halfspace normal must be a nonzero "
+                                      f"vector of length {self.space.dim}")
+            inside = region.inside(self.space, np.asarray([self.start]))
             if not bool(inside[0]):
                 raise ConfigError("start point lies outside the killing region")
 
@@ -258,29 +269,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _hyperbolic_step(points: np.ndarray, incr: np.ndarray) -> np.ndarray:
-    """Geodesic step on the hyperboloid from tangent increments.
-
-    incr holds coordinates in an orthonormal tangent frame; the frame at
-    (x0, xv) maps u to (xv . u, u + (xv . u / (1 + x0)) xv), which is then
-    pushed through the exponential map.
-    """
-    x0 = points[:, 0]
-    xv = points[:, 1:]
-    dot = np.einsum("bi,bi->b", xv, incr)
-    tang0 = dot
-    tangv = incr + (dot / (1.0 + x0))[:, None] * xv
-    norm = np.sqrt(np.maximum(np.einsum("bi,bi->b", incr, incr), 1e-300))
-    ch, sh = np.cosh(norm), np.sinh(norm)
-    scale = sh / norm
-    out = np.empty_like(points)
-    out[:, 0] = ch * x0 + scale * tang0
-    out[:, 1:] = ch[:, None] * xv + scale[:, None] * tangv
-    # pin the points back onto the sheet against roundoff drift
-    out[:, 0] = np.sqrt(1.0 + np.einsum("bi,bi->b", out[:, 1:], out[:, 1:]))
-    return out
-
-
 def _killing_scan(domain: KillingRegion | None, space: ModelSpace,
                   positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """alive and exit_step of a (B, S+1, ambient) block of paths."""
@@ -307,7 +295,6 @@ def _worker_batches(config: PathConfig, worker: int, count: int,
     space = config.space
     S = config.n_steps
     h = config.step
-    sqrt_h = math.sqrt(h)
     start = np.asarray(config.start, dtype=float)
     times = h * np.arange(S + 1)
     size = _batch_size(S)
@@ -317,16 +304,38 @@ def _worker_batches(config: PathConfig, worker: int, count: int,
         pos = np.empty((B, S + 1, start.size))
         pos[:, 0] = start
         increments = rng.standard_normal((B, S, space.dim))
-        increments *= sqrt_h
+        increments *= math.sqrt(h)
         if space.kind == EUCLIDEAN:
             np.cumsum(increments, axis=1, out=pos[:, 1:])
             if np.any(start):
                 pos[:, 1:] += start
         else:
-            cur = np.broadcast_to(start, (B, start.size)).copy()
-            for k in range(S):
-                cur = _hyperbolic_step(cur, increments[:, k])
-                pos[:, k + 1] = cur
+            # chart x = X' y, y = 1/(X0 - Xm) = (X0 + Xm)/(1 + |X'|^2); the
+            # X0 column and the spent W_y column serve as scratch
+            y0 = (start[0] + start[-1]) / (1.0 + start[1:-1] @ start[1:-1])
+            y, x, x0 = pos[:, :, -1], pos[:, 1:, 1:-1], pos[:, 1:, 0]
+            y[:, 0] = 0.0
+            np.cumsum(increments[:, :, -1], axis=1, out=y[:, 1:])
+            y += math.log(y0) - 0.5 * (space.dim - 1) * times
+            np.exp(y, out=y)
+            sq = np.square(y, out=pos[:, :, 0])
+            scale = np.add(sq[:, :-1], sq[:, 1:], out=increments[:, :, -1])
+            scale *= 0.5
+            np.sqrt(scale, out=scale)
+            increments[:, :, :-1] *= scale[:, :, None]
+            np.cumsum(increments[:, :, :-1], axis=1, out=x)
+            x += y0 * start[1:-1]
+            # X' = x/y, X0 = ((|x|^2 + 1)/y + y)/2, Xm = X0 - 1/y
+            y = y[:, 1:]
+            np.einsum("bki,bki->bk", x, x, out=x0)
+            x /= y[:, :, None]
+            x0 += 1.0
+            x0 /= y
+            x0 += y
+            x0 *= 0.5
+            np.divide(1.0, y, out=y)
+            np.subtract(x0, y, out=y)
+            pos[:, 0] = start
         alive, exit_step = _killing_scan(config.domain, space, pos)
         yield PathBatch(times=times, positions=pos, alive=alive,
                         exit_step=exit_step, first=first + lo)

@@ -118,6 +118,28 @@ def test_unknown_bundled_name(tmp_path, capsys):
     assert "no_such_mesh" in capsys.readouterr().err
 
 
+E3_SPACE = {"kind": "euclidean", "dim": 3}
+H3_SPACE = {"kind": "hyperbolic", "dim": 3}
+
+
+@pytest.mark.parametrize("space,domain", [
+    (E3_SPACE, {"kind": "ball", "radius": "abc"}),
+    (E3_SPACE, {"kind": "halfspace", "normal": [1.0]}),
+    (E3_SPACE, {"kind": "ball", "radius": 1.0, "center": [0.1]}),
+    (H3_SPACE, {"kind": "halfspace", "normal": [1.0, 0.0, 0.0], "offset": 1.0}),
+], ids=["ball_radius_not_a_number", "halfspace_normal_too_short",
+        "ball_center_too_short", "halfspace_on_h3"])
+def test_fk_mc_malformed_domain(tmp_path, capsys, space, domain):
+    start = [0.0] * 3 if space is E3_SPACE else [1.0, 0.0, 0.0, 0.0]
+    cfg = {"command": "fk-mc", "estimator": "survival",
+           "path": {"space": space, "start": start, "horizon": 0.01,
+                    "step": 0.001, "n_paths": 100, "domain": domain}}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit code 0: a passing run, report and table layout
 

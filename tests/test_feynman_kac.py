@@ -1,14 +1,19 @@
 """Path-sampling estimators against closed forms and quadrature oracles.
 
 The sampler is exact in law on Euclidean spaces (independent Gaussian
-increments), so moment tests carry only statistical error.  The hyperboloid
-walk and the killing scan are O(step) weak approximations; their tests
-carry an explicit step envelope on top of 3 sigma.
+increments), so moment tests carry only statistical error.  Hyperbolic
+paths are exact in the upper-half-space height and take the trapezoidal
+variance for the other coordinates; they and the killing scan are O(step)
+weak approximations, so their tests carry an explicit step envelope on
+top of 3 sigma.
 
 Frozen references:
   * Coulomb running integral from the origin: 2 sqrt(2 t / pi).
   * survival in the unit ball at t = 0.1 against the Dirichlet eigenfunction
     series 2 sum_n (-1)^(n+1) exp(-n^2 pi^2 t / 2) = 0.96599...
+  * E cosh d(x, B_t) = exp(m t / 2) on H^m, since Delta cosh d = m cosh d.
+  * on H^3 from the origin d(o, B_t) has the law of |W_t + t e| in R^3
+    (Rogers and Pitman, Ann. Probab. 9, 1981).
 """
 
 import math
@@ -17,21 +22,23 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from katoform import feynman_kac as fk
-from katoform.errors import ConfigError, DomainError
+from katoform.errors import ConfigError, DomainError, InvalidPointError
 from katoform.feynman_kac import (Estimate, KillingRegion, PathConfig,
                                   mc_covariant_semigroup, mc_heat_expectation,
                                   mc_kato_integral, sample_paths,
                                   transport_phase)
 from katoform.geometry import (EUCLIDEAN, HYPERBOLIC, ModelSpace,
-                               heat_kernel_radial, ring_area)
+                               geodesic_point, heat_kernel_radial, ring_area)
 from katoform.potentials import constant, coulomb, inverse_power
 from katoform.quadrature import radial_integral
 
 E1 = ModelSpace(EUCLIDEAN, 1)
 E2 = ModelSpace(EUCLIDEAN, 2)
 E3 = ModelSpace(EUCLIDEAN, 3)
+H2 = ModelSpace(HYPERBOLIC, 2)
 H3 = ModelSpace(HYPERBOLIC, 3)
 
 
@@ -40,6 +47,10 @@ def econf(**kw):
                 n_paths=1000, seed=5)
     base.update(kw)
     return PathConfig(**base)
+
+
+def hconf(**kw):
+    return econf(space=H3, start=(1.0, 0.0, 0.0, 0.0), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +68,21 @@ def test_pathconfig_validation():
     with pytest.raises(ConfigError):
         econf(start=(5.0, 0.0, 0.0),
               domain=KillingRegion(kind="ball", radius=1.0))
+    # regions the space cannot hold
+    with pytest.raises(InvalidPointError):   # would broadcast to (0.1, 0.1, 0.1)
+        econf(domain=KillingRegion(kind="ball", radius=1.0, center=(0.1,)))
+    with pytest.raises(InvalidPointError):   # off the hyperboloid sheet
+        hconf(domain=KillingRegion(kind="ball", radius=1.0,
+                                   center=(1.0, 0.5, 0.0, 0.0)))
+    with pytest.raises(ConfigError, match="length 3"):
+        econf(domain=KillingRegion(kind="halfspace", normal=(1.0,), offset=1.0))
+    with pytest.raises(ConfigError, match="nonzero"):
+        econf(domain=KillingRegion(kind="halfspace", normal=(0.0, 0.0, 0.0),
+                                   offset=1.0))
+    with pytest.raises(ConfigError, match="Euclidean only"):
+        hconf(domain=KillingRegion(kind="halfspace", normal=(1.0, 0.0, 0.0),
+                                   offset=1.0))
+    econf(domain=KillingRegion(kind="ball", radius=1.0, center=(0.1, 0.0, 0.0)))
 
 
 def test_pathconfig_json_round_trip():
@@ -139,6 +165,36 @@ def test_hyperbolic_second_moment_vs_quadrature():
     assert abs(est.value - moment) <= tol
 
 
+def hyperbolic_endpoints(space, start, seed):
+    """Endpoints of 20k paths at t = 0.5, step 1/128, and their config."""
+    cfg = PathConfig(space=space, start=tuple(start), horizon=0.5,
+                     step=1.0 / 128.0, n_paths=20000, seed=seed, workers=2)
+    return np.concatenate([b.positions[:, -1] for b in sample_paths(cfg)]), cfg
+
+
+@pytest.mark.parametrize("space", [H2, H3], ids=["H2", "H3"])
+@pytest.mark.parametrize("distance", [0.0, 2.0])
+def test_hyperbolic_cosh_distance_mean(space, distance):
+    direction = np.arange(1.0, space.dim + 1.0)
+    start = geodesic_point(space, distance, direction)
+    ends, cfg = hyperbolic_endpoints(space, start, seed=21)
+    # cosh d(start, B_t) is the Minkowski pairing with the start
+    cosh_d = ends[:, 0] * start[0] - ends[:, 1:] @ start[1:]
+    exact = math.exp(space.dim * cfg.horizon / 2.0)
+    se = cosh_d.std(ddof=1) / math.sqrt(cosh_d.size)
+    tol = 3.0 * se + cfg.step * exact         # O(step) trapezoid bias
+    assert abs(cosh_d.mean() - exact) <= tol
+
+
+def test_h3_distance_law_rogers_pitman():
+    ends, cfg = hyperbolic_endpoints(H3, H3.origin(), seed=23)
+    d = np.arccosh(np.maximum(ends[:, 0], 1.0))
+    t = cfg.horizon
+    w = np.random.default_rng(29).normal(0.0, math.sqrt(t), (cfg.n_paths, 3))
+    w[:, 0] += t
+    assert ks_2samp(d, np.linalg.norm(w, axis=1)).pvalue > 0.01
+
+
 # ---------------------------------------------------------------------------
 # worker streams: layout, threads, lifecycle
 
@@ -159,7 +215,8 @@ def all_estimates(cfg):
     def A(p):
         return np.stack([-p[:, 1], p[:, 0]], axis=1)
 
-    ests = [mc_kato_integral(coulomb(E3), cfg), mc_kato_integral(coulomb(E3), killed),
+    pot = coulomb(cfg.space)
+    ests = [mc_kato_integral(pot, cfg), mc_kato_integral(pot, killed),
             mc_heat_expectation(lambda p: p[:, 0] + 1j * p[:, 1], killed),
             mc_covariant_semigroup(gauss, A, plane)]
     return [vars(e) for e in ests]
@@ -192,18 +249,19 @@ def test_batch_order_does_not_depend_on_threads(monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_threaded_estimates_equal_inline(monkeypatch, workers):
-    cfg = econf(workers=workers)
-    threaded(monkeypatch, 1)
-    inline = all_estimates(cfg)
-    threaded(monkeypatch, 2)
-    assert all_estimates(cfg) == inline
+    for cfg in (econf(workers=workers), hconf(workers=workers)):
+        threaded(monkeypatch, 1)
+        inline = all_estimates(cfg)
+        threaded(monkeypatch, 2)
+        assert all_estimates(cfg) == inline
 
 
 def test_batch_size_does_not_change_estimates(monkeypatch):
-    cfg = econf(workers=2)
-    default = all_estimates(cfg)
-    monkeypatch.setattr(fk, "_NODE_BUDGET", 600)       # 5 paths per batch
-    assert all_estimates(cfg) == default
+    for cfg in (econf(workers=2), hconf(workers=2)):
+        default = all_estimates(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(fk, "_NODE_BUDGET", 600)     # 5 paths per batch
+            assert all_estimates(cfg) == default
 
 
 def test_more_threads_than_cores_under_fast_switching(monkeypatch):
@@ -278,10 +336,10 @@ def test_caller_error_joins_producers(monkeypatch):
 def test_producer_error_reaches_caller(monkeypatch):
     threaded(monkeypatch, 2)
 
-    def broken(points, incr):
-        raise FloatingPointError("step failed")
+    def broken(domain, space, positions):
+        raise FloatingPointError("scan failed")
 
-    monkeypatch.setattr(fk, "_hyperbolic_step", broken)
+    monkeypatch.setattr(fk, "_killing_scan", broken)
     cfg = PathConfig(space=H3, start=(1.0, 0.0, 0.0, 0.0), horizon=0.1,
                      step=1e-3, n_paths=400, seed=2, workers=2)
     baseline = threading.active_count()
@@ -297,7 +355,7 @@ def test_producer_error_reaches_caller(monkeypatch):
     guard.start()
     guard.join(timeout=60.0)
     assert not guard.is_alive()
-    assert len(outcome) == 1 and str(outcome[0]) == "step failed"
+    assert len(outcome) == 1 and str(outcome[0]) == "scan failed"
     assert threading.active_count() == baseline
 
 
