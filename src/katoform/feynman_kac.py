@@ -29,6 +29,13 @@ hands out batches round-robin across the workers.  A batch holds about
 2**17 path nodes (at most 1024 paths), so its arrays stay near cache
 size; draws are path-major within a stream, so the batch size never
 changes the numbers.
+
+Batches are written into a pool that sample_paths allocates once on the
+caller's thread: two position buffers and one draw buffer per producer
+thread, 3 x threads batch buffers whatever the number of workers, and
+no freed batch lingers in a producer thread's malloc arena.  A batch's
+arrays are valid until the next batch is requested, when its
+position buffer goes back to its producer; copy what you keep.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace
 
 _MAX_BATCH = 1024
 _NODE_BUDGET = 2 ** 17
-_QUEUE_DEPTH = 2
+_SCAN_NODES = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +278,20 @@ def _usable_cpus() -> int:
 
 def _killing_scan(domain: KillingRegion | None, space: ModelSpace,
                   positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """alive and exit_step of a (B, S+1, ambient) block of paths."""
+    """alive and exit_step of a (B, S+1, ambient) block of paths.
+
+    The region test runs on row chunks of at most _SCAN_NODES nodes, so
+    its temporaries stay small whatever the batch size.
+    """
     B, nodes = positions.shape[:2]
     if domain is None:
         return np.ones((B, nodes), dtype=bool), np.full(B, nodes, dtype=int)
-    inside = domain.inside(space, positions.reshape(-1, positions.shape[-1]))
-    inside = inside.reshape(B, nodes)
+    inside = np.empty((B, nodes), dtype=bool)
+    rows = max(1, _SCAN_NODES // nodes)
+    for lo in range(0, B, rows):
+        chunk = positions[lo:lo + rows]
+        inside[lo:lo + rows] = domain.inside(
+            space, chunk.reshape(-1, chunk.shape[-1])).reshape(-1, nodes)
     # the start is inside (PathConfig checks it); the scan starts at step 1
     inside[:, 0] = True
     alive = np.logical_and.accumulate(inside, axis=1)
@@ -284,72 +299,57 @@ def _killing_scan(domain: KillingRegion | None, space: ModelSpace,
     return alive, exit_step
 
 
-def _worker_batches(config: PathConfig, worker: int, count: int,
-                    first: int) -> Iterator[PathBatch]:
-    """The batches of one worker's stream: paths [first, first + count).
+def _sample_batch(config: PathConfig, rng: np.random.Generator, pos: np.ndarray,
+                  increments: np.ndarray, first: int) -> PathBatch:
+    """Draw the next pos.shape[0] paths of a stream into pos.
 
-    Draws are path-major, so the batch size never changes the numbers.
-    Only draws, array arithmetic and the killing scan run here, never a
-    potential or a user callback: this runs on a producer thread.
+    increments is the (B, S, dim) draw buffer, overwritten.  Draws are
+    path-major, so the batch size never changes the numbers.  Only draws,
+    array arithmetic and the killing scan run here, never a potential or a
+    user callback: this runs on a producer thread.
     """
     space = config.space
     S = config.n_steps
     h = config.step
     start = np.asarray(config.start, dtype=float)
     times = h * np.arange(S + 1)
-    size = _batch_size(S)
-    rng = _worker_rng(config.seed, worker)
-    for lo in range(0, count, size):
-        B = min(size, count - lo)
-        pos = np.empty((B, S + 1, start.size))
+    pos[:, 0] = start
+    rng.standard_normal(increments.shape, out=increments)
+    increments *= math.sqrt(h)
+    if space.kind == EUCLIDEAN:
+        np.cumsum(increments, axis=1, out=pos[:, 1:])
+        if np.any(start):
+            pos[:, 1:] += start
+    else:
+        # chart x = X' y, y = 1/(X0 - Xm) = (X0 + Xm)/(1 + |X'|^2); the
+        # X0 column and the spent W_y column serve as scratch
+        y0 = (start[0] + start[-1]) / (1.0 + start[1:-1] @ start[1:-1])
+        y, x, x0 = pos[:, :, -1], pos[:, 1:, 1:-1], pos[:, 1:, 0]
+        y[:, 0] = 0.0
+        np.cumsum(increments[:, :, -1], axis=1, out=y[:, 1:])
+        y += math.log(y0) - 0.5 * (space.dim - 1) * times
+        np.exp(y, out=y)
+        sq = np.square(y, out=pos[:, :, 0])
+        scale = np.add(sq[:, :-1], sq[:, 1:], out=increments[:, :, -1])
+        scale *= 0.5
+        np.sqrt(scale, out=scale)
+        increments[:, :, :-1] *= scale[:, :, None]
+        np.cumsum(increments[:, :, :-1], axis=1, out=x)
+        x += y0 * start[1:-1]
+        # X' = x/y, X0 = ((|x|^2 + 1)/y + y)/2, Xm = X0 - 1/y
+        y = y[:, 1:]
+        np.einsum("bki,bki->bk", x, x, out=x0)
+        x /= y[:, :, None]
+        x0 += 1.0
+        x0 /= y
+        x0 += y
+        x0 *= 0.5
+        np.divide(1.0, y, out=y)
+        np.subtract(x0, y, out=y)
         pos[:, 0] = start
-        increments = rng.standard_normal((B, S, space.dim))
-        increments *= math.sqrt(h)
-        if space.kind == EUCLIDEAN:
-            np.cumsum(increments, axis=1, out=pos[:, 1:])
-            if np.any(start):
-                pos[:, 1:] += start
-        else:
-            # chart x = X' y, y = 1/(X0 - Xm) = (X0 + Xm)/(1 + |X'|^2); the
-            # X0 column and the spent W_y column serve as scratch
-            y0 = (start[0] + start[-1]) / (1.0 + start[1:-1] @ start[1:-1])
-            y, x, x0 = pos[:, :, -1], pos[:, 1:, 1:-1], pos[:, 1:, 0]
-            y[:, 0] = 0.0
-            np.cumsum(increments[:, :, -1], axis=1, out=y[:, 1:])
-            y += math.log(y0) - 0.5 * (space.dim - 1) * times
-            np.exp(y, out=y)
-            sq = np.square(y, out=pos[:, :, 0])
-            scale = np.add(sq[:, :-1], sq[:, 1:], out=increments[:, :, -1])
-            scale *= 0.5
-            np.sqrt(scale, out=scale)
-            increments[:, :, :-1] *= scale[:, :, None]
-            np.cumsum(increments[:, :, :-1], axis=1, out=x)
-            x += y0 * start[1:-1]
-            # X' = x/y, X0 = ((|x|^2 + 1)/y + y)/2, Xm = X0 - 1/y
-            y = y[:, 1:]
-            np.einsum("bki,bki->bk", x, x, out=x0)
-            x /= y[:, :, None]
-            x0 += 1.0
-            x0 /= y
-            x0 += y
-            x0 *= 0.5
-            np.divide(1.0, y, out=y)
-            np.subtract(x0, y, out=y)
-            pos[:, 0] = start
-        alive, exit_step = _killing_scan(config.domain, space, pos)
-        yield PathBatch(times=times, positions=pos, alive=alive,
-                        exit_step=exit_step, first=first + lo)
-
-
-def _put(q: queue.Queue, item, stop: threading.Event) -> bool:
-    """Put item on q, giving up (False) once stop is set."""
-    while not stop.is_set():
-        try:
-            q.put(item, timeout=0.05)
-            return True
-        except queue.Full:
-            pass
-    return False
+    alive, exit_step = _killing_scan(config.domain, space, pos)
+    return PathBatch(times=times, positions=pos, alive=alive,
+                     exit_step=exit_step, first=first)
 
 
 def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
@@ -360,30 +360,51 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
     arrive round-robin across the workers (batch 0 of every worker, then
     batch 1, ...), an order fixed by the configuration alone.  The streams
     run on min(workers, usable CPUs) producer threads, one for a single
-    worker or CPU, each feeding the caller through a queue of depth
-    _QUEUE_DEPTH.  Closing the generator, or an exception in the caller's
-    loop, stops and joins every producer; a producer's exception is raised
-    here.
+    worker or CPU.
+
+    Each producer thread owns two position buffers and one draw buffer,
+    allocated here once, on the caller's thread: 3 x threads batch buffers
+    whatever ``workers`` is.  A batch's arrays are valid until the next
+    batch is requested, which hands its position buffer back to its
+    producer; copy what you keep.  A producer waits for a free buffer,
+    which is the back-pressure.  Closing the generator, or an exception in
+    the caller's loop, stops and joins every producer; a producer's
+    exception is raised here.
     """
     counts = _worker_counts(config.n_paths, config.workers)
     firsts = np.cumsum([0] + counts[:-1]).tolist()
     size = _batch_size(config.n_steps)
     workers = [w for w, count in enumerate(counts) if count]
-    streams = {w: _worker_batches(config, w, counts[w], firsts[w]) for w in workers}
-    order = [w for r in range(-(-max(counts) // size))
-             for w in workers if r * size < counts[w]]
+    plan = [(w, lo) for lo in range(0, max(counts), size)
+            for w in workers if lo < counts[w]]
     n_threads = min(len(workers), _usable_cpus())
     owner = {w: i % n_threads for i, w in enumerate(workers)}
-    queues = [queue.Queue(maxsize=_QUEUE_DEPTH) for _ in range(n_threads)]
+    rows = min(size, max(counts))
+    nodes, ambient = config.n_steps + 1, len(config.start)
+    free = [queue.SimpleQueue() for _ in range(n_threads)]
+    filled = [queue.SimpleQueue() for _ in range(n_threads)]
+    draws = [np.empty((rows, nodes - 1, config.space.dim)) for _ in range(n_threads)]
+    for t in range(n_threads):
+        for _ in range(2):
+            free[t].put(np.empty((rows, nodes, ambient)))
     stop = threading.Event()
 
     def produce(t: int) -> None:
+        rngs = {}
         try:
-            for w in order:
-                if owner[w] == t and not _put(queues[t], next(streams[w]), stop):
+            for w, lo in plan:
+                if owner[w] != t:
+                    continue
+                pos = free[t].get()
+                if stop.is_set():
                     return
+                if w not in rngs:
+                    rngs[w] = _worker_rng(config.seed, w)
+                B = min(size, counts[w] - lo)
+                filled[t].put((pos, _sample_batch(config, rngs[w], pos[:B],
+                                                  draws[t][:B], firsts[w] + lo)))
         except BaseException as exc:  # re-raised on the caller's thread
-            _put(queues[t], exc, stop)
+            filled[t].put((None, exc))
 
     threads = [threading.Thread(target=produce, args=(t,), daemon=True,
                                 name=f"katoform-paths-{t}")
@@ -391,14 +412,16 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
     for thread in threads:
         thread.start()
     try:
-        for w in order:
-            item = queues[owner[w]].get()
-            if isinstance(item, BaseException):
+        for w, _ in plan:
+            pos, item = filled[owner[w]].get()
+            if pos is None:
                 raise item
             yield item
+            free[owner[w]].put(pos)
     finally:
         stop.set()
-        for thread in threads:
+        for t, thread in enumerate(threads):
+            free[t].put(None)     # wakes a producer waiting for a buffer
             thread.join()
 
 
@@ -475,7 +498,8 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
                 # trapezoid weights, truncated at the exit step
                 live = np.arange(S + 1)[None, :] < batch.exit_step[:, None]
                 trunc = np.where(live, g, 0.0)
-                # paths killed before the horizon end with a full-weight last node
+                # a path killed before the horizon gives its last live node the
+                # trapezoid half weight: one killed at step 1 keeps h * g_0 / 2
                 ends = np.minimum(batch.exit_step, S + 1) - 1
                 w_matrix = np.where(live, wts[None, :], 0.0)
                 short = ends < S

@@ -340,8 +340,8 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
     absA = abs(A)
     scale = max(1.0, float(absA.max()))
     if k is None or dim <= _DENSE_EIG_LIMIT or k >= dim - 1:
-        dense = A.toarray()
-        lam, Q = np.linalg.eigh(dense if np.any(dense.imag) else dense.real)
+        dense = (A if np.any(A.data.imag) else A.real).toarray()
+        lam, Q = np.linalg.eigh(dense)
         if k is not None:
             lam, Q = lam[:k], Q[:, :k]
         res = np.linalg.norm(dense @ Q - Q * lam[None, :], axis=0)

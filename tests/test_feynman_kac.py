@@ -19,6 +19,7 @@ Frozen references:
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,7 +170,8 @@ def hyperbolic_endpoints(space, start, seed):
     """Endpoints of 20k paths at t = 0.5, step 1/128, and their config."""
     cfg = PathConfig(space=space, start=tuple(start), horizon=0.5,
                      step=1.0 / 128.0, n_paths=20000, seed=seed, workers=2)
-    return np.concatenate([b.positions[:, -1] for b in sample_paths(cfg)]), cfg
+    # a batch's buffers are reused once the next batch is requested
+    return np.concatenate([b.positions[:, -1].copy() for b in sample_paths(cfg)]), cfg
 
 
 @pytest.mark.parametrize("space", [H2, H3], ids=["H2", "H3"])
@@ -387,6 +389,74 @@ def test_killing_scan_matches_step_loop(space, start, domain):
         assert np.array_equal(batch.exit_step, exit_step)
         survivors += int(alive[:, -1].sum())
     assert 0 < survivors < cfg.n_paths
+
+
+# ---------------------------------------------------------------------------
+# the batch pool: 2 position buffers and 1 draw buffer per producer thread
+
+def test_pool_keeps_the_estimates():
+    """Literals recorded with a fresh allocation per batch, compared exactly."""
+    kato = mc_kato_integral(coulomb(E3), econf(start=(0.1, 0.0, -0.2), workers=2))
+    assert (kato.value, kato.std_error) == (0.524359109296196, 0.005986429016069668)
+    ball = KillingRegion(kind="ball", radius=1.0)
+    heat = mc_heat_expectation(lambda p: p[:, 0], hconf(workers=2, domain=ball))
+    assert (heat.value, heat.std_error) == (0.8334576964639766, 0.017973433111592482)
+    cov = mc_covariant_semigroup(lambda p: np.exp(-np.sum(p * p, axis=1)),
+                                 lambda p: np.stack([-p[:, 1], p[:, 0]], axis=1),
+                                 econf(space=E2, start=(0.1, 0.0), workers=2))
+    assert (cov.value, cov.std_error) == (
+        0.6985466826787804 - 0.0020716151808224986j, 0.008027173803755585)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 500])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_batches_reuse_two_buffers_per_thread(monkeypatch, workers, cpus):
+    threaded(monkeypatch, cpus)
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 4000)      # 39 paths per batch
+    cfg = econf(n_paths=1000, workers=workers)
+    buffers = []
+    for batch in sample_paths(cfg):
+        if not any(np.shares_memory(batch.positions, buf) for buf in buffers):
+            buffers.append(batch.positions)
+    assert len(buffers) <= 2 * min(workers, cpus)
+
+
+def traced_peak(run) -> int:
+    """Peak traced bytes while run() runs; numpy reports its buffers on every thread."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case,cpus", [("kato_e3", 2), ("kato_e3", 1),
+                                       ("survival_h3", 2)])
+def test_traced_memory_is_bounded_by_the_pool(monkeypatch, case, cpus):
+    threaded(monkeypatch, cpus)
+    if case == "kato_e3":
+        cfg = PathConfig(space=E3, start=(0.0, 0.0, 0.0), horizon=0.1, step=1e-4,
+                         n_paths=4000, seed=3, workers=2)
+        # radii, values and the potential's own temporaries: 4-5 floats a node
+        temporaries = 2
+
+        def run():
+            mc_kato_integral(coulomb(E3), cfg)
+    else:
+        cfg = PathConfig(space=H3, start=tuple(H3.origin()), horizon=0.1, step=1e-4,
+                         n_paths=4000, seed=3, workers=2,
+                         domain=KillingRegion(kind="ball", radius=1.0))
+        # alive masks in flight and one killing-scan chunk per thread
+        temporaries = 1
+
+        def run():
+            mc_heat_expectation(lambda p: np.ones(p.shape[0]), cfg)
+    B, S = fk._batch_size(cfg.n_steps), cfg.n_steps
+    positions = 8 * B * (S + 1) * len(cfg.start)
+    draws = 8 * B * S * cfg.space.dim
+    pool = min(cfg.workers, cpus) * (2 * positions + draws)
+    assert traced_peak(run) <= pool + temporaries * positions
 
 
 # ---------------------------------------------------------------------------
