@@ -14,9 +14,11 @@ transition density of the diffusion generated by Delta/2, i.e.
 Concretely p_t(d) = (2 pi t)^{-m/2} exp(-d^2 / (2t)) on R^m, with the
 standard closed form on H^3.  H^2 has none: its kernel is McKean's single
 integral, a Millson transform (_h2_millson) that the Kato layer also uses
-for K_t and G_r.  The transform is evaluated in numpy on fixed
-Gauss-Legendre panels, for a whole array of distances at once, with an
-error estimate from a lower-order rule.
+for K_t and G_r.  The transform is evaluated in numpy on the 7/15
+Gauss-Kronrod panels of quadrature.panel_integral, for a whole array of
+distances at once, with the embedded Gauss rule as error estimate.  The
+self-tests heat_mass and chapman_kolmogorov_residual integrate in radius
+with quadrature.radial_integral on the same rule; no QUADPACK call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidPointError, QuadratureError
-from .quadrature import SPATIAL_REL, panel_integral, quad_piece
+from .quadrature import _TINY, SPATIAL_REL, panel_integral, radial_integral
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
@@ -194,12 +196,15 @@ def law_of_cosines(space: ModelSpace, a, b, theta):
     return np.where(h < _LOG_FAR, near, far)
 
 
-# theta - theta_0 grows like u^_GRADE from a graded end theta_0: at w = b on
-# R^2 and H^2 a kernel's log pole then leaves the panel rule 2e-13 relative
-# off, where u^3 leaves 1.5e-10 with the same nodes
+# theta - theta_0 grows like u^_GRADE from a graded end theta_0: at w = b = 0.5
+# on R^2 the log pole of K_0.01 then leaves the first round of _THETA_PANELS
+# panels 4e-12 relative off, where u^3 leaves 1.7e-10 with the same nodes
 _GRADE = 4
-# initial panels of quadrature.panel_integral on each graded piece
-_THETA_PANELS = 4
+# initial panels of quadrature.panel_integral on each graded piece: every
+# sphere mean of an off-centre Coulomb eta(0.01) at b = 0.5 on R^2 and H^2
+# then meets its target in the first round (146 of 480 do not with 4 panels;
+# on R^4, 42 of 480 do not, against 429)
+_THETA_PANELS = 8
 
 
 def sphere_mean(space: ModelSpace, f, w: float, b: float, singular=()):
@@ -274,6 +279,16 @@ def sphere_mean(space: ModelSpace, f, w: float, b: float, singular=()):
     return val, err
 
 
+def _sphere_means(space: ModelSpace, f, w, b: float, singular):
+    """sphere_mean of f at each radius in the array w, and the largest relative error."""
+    out, rel = np.empty(w.size), 0.0
+    for i, wi in enumerate(w.tolist()):
+        out[i], err = sphere_mean(space, f, wi, b, singular)
+        # below _TINY / SPATIAL_REL a mean meets only the absolute floor _TINY
+        rel = max(rel, err / max(float(out[i]), _TINY / SPATIAL_REL))
+    return out, rel
+
+
 def kernel_tail_radius(space: ModelSpace, t: float, extra: float = 0.0) -> float:
     """Radius beyond which the heat kernel's radial mass is negligible.
 
@@ -320,10 +335,15 @@ def heat_kernel_radial(space: ModelSpace, t: float, d):
     return out.reshape(d.shape) if d.ndim else float(out)
 
 
-# Initial tau-panel width of the Millson transform, a factor of about e^3 in
-# s = d cosh 2 tau: each value of an H^2 Coulomb kato_verdict then meets its
-# target in the first round
-_TAU_PANEL = 1.5
+# A Millson transform starts from one panel per _TAU_PANEL of tau (a factor
+# of about e^2 in s = d cosh 2 tau) plus _HEAD_PANELS: where d >> sqrt t,
+# T is below 1 and the kernel falls by e^-_TAIL_LOG across [0, T], more than
+# one 15-point panel resolves.  Each transform of an H^2 Coulomb
+# kato_verdict, of C_8 and of the off-centre eta(0.01) and C_8 at b = 0.5
+# then meets its target in the first round; with 0.75 wide panels and one
+# more, 953 of the 961 transforms of that eta(0.01) take another round
+_TAU_PANEL = 1.0
+_HEAD_PANELS = 4
 # relative rounding allowance of a Millson transform's value
 _ROUNDING = 1e-12
 # distances within this many binades share one panel_integral call: a call
@@ -348,9 +368,10 @@ def _h2_millson(f, d, s_max, shift: float = 0.0):
     the inverse-square-root endpoint and, for the kernels with a pole, the
     pole as d -> 0 both go into the Jacobian, and nothing overflows at
     large s.  T grows like log(1/d) / 2; with tau = T v the distances of
-    each group of _TRANSFORM_BINADES binades share the panels in v
-    (panel_integral, 1e-8 relative), which start about _TAU_PANEL wide in
-    tau for the group's largest T.  The error adds _ROUNDING of the value:
+    each group of _TRANSFORM_BINADES binades share the Gauss-Kronrod panels
+    in v (panel_integral, 1e-8 relative), which start at most _TAU_PANEL
+    wide in tau for the group's largest T, and at least _HEAD_PANELS to a
+    transform.  The error adds _ROUNDING of the value:
     an exponential's relative rounding error is about its argument (at most
     745) times 2.2e-16.
     """
@@ -371,7 +392,8 @@ def _h2_millson(f, d, s_max, shift: float = 0.0):
             return f(s, sh - 0.5 * s) * np.sqrt(
                 x * q / (np.expm1(twice) * np.expm1(twice - 2.0 * near)))
 
-        val[at], err[at] = panel_integral(integrand, int(top[at].max() // _TAU_PANEL) + 1)
+        panels = int(top[at].max() // _TAU_PANEL) + _HEAD_PANELS
+        val[at], err[at] = panel_integral(integrand, panels)
     val = 4.0 * math.sqrt(2.0) * top * val
     err = 4.0 * math.sqrt(2.0) * top * err + _ROUNDING * np.abs(val)
     if d.ndim == 0:
@@ -389,17 +411,18 @@ def heat_mass(space: ModelSpace, t: float, x=None) -> float:
 
     Equals 1 on these stochastically complete spaces; computing it rather
     than asserting it is the point, since it exercises the kernel and the
-    cutoff machinery end to end.
+    cutoff machinery end to end.  The kernel times the ring area is one
+    array integrand of quadrature.radial_integral.
     """
     if x is not None:
         space.validate_point(x)
     r_max = kernel_tail_radius(space, t)
 
     def integrand(r):
-        return float(heat_kernel_radial(space, t, r)) * float(ring_area(space, r))
+        return heat_kernel_radial(space, t, r) * ring_area(space, r)
 
-    val, err = quad_piece(integrand, 0.0, r_max, rel=SPATIAL_REL)
-    if err > 1e-8:
+    val, err = radial_integral(integrand, r_max)
+    if not err <= 1e-8:
         raise QuadratureError("heat mass quadrature did not converge", achieved_error=err)
     return val
 
@@ -408,8 +431,9 @@ def chapman_kolmogorov_residual(space: ModelSpace, s: float, t: float, x, y) -> 
     """| p_{t+s}(x,y) - integral p_t(x,z) p_s(z,y) vol(dz) |.
 
     The convolution is reduced to polar coordinates around x: the radial
-    integral is adaptive, and at each radius rho the ring times the mean of
-    p_s(., y) over the sphere of radius rho is one sphere_mean.
+    integral is one quadrature.radial_integral with a breakpoint at d(x, y),
+    and at each of its radii rho the ring times the mean of p_s(., y) over
+    the sphere of radius rho is one sphere_mean (_sphere_means).
     """
     if s <= 0.0 or t <= 0.0:
         raise DomainError("times must be positive")
@@ -424,9 +448,9 @@ def chapman_kolmogorov_residual(space: ModelSpace, s: float, t: float, x, y) -> 
         return heat_kernel_radial(space, s, rho) * math.exp(shift)
 
     def integrand(rho):
-        return float(heat_kernel_radial(space, t, rho)) * sphere_mean(space, kernel_s, rho, d)[0]
+        return heat_kernel_radial(space, t, rho) * _sphere_means(space, kernel_s, rho, d, ())[0]
 
-    val, _ = quad_piece(integrand, 0.0, r_max, rel=SPATIAL_REL, points=[d])
+    val, _ = radial_integral(integrand, r_max, points=[d])
     return abs(direct - val)
 
 

@@ -23,7 +23,7 @@ G_r = integral_0^inf e^{-rs} p_s ds for C_r, and both kernels have closed
 forms: incomplete gamma / exp1 / erfc on R^m, modified Bessel K for G_r,
 erfc pairs and e^{-k rho} / (2 pi sinh rho) on H^3.  On H^2 each value is
 the Millson transform of the same closed-form time integrals
-(geometry._h2_millson, Gauss-Legendre panels in numpy, no QUADPACK call),
+(geometry._h2_millson, Gauss-Kronrod panels in numpy, no QUADPACK call),
 one call per few binades of distance, and its largest relative error
 joins the reported one.  For a probe at distance b from the centre of v
 the integral is a radial one against the sphere mean of the kernel, which
@@ -55,8 +55,8 @@ from scipy.optimize import brentq
 from scipy.special import erfc, erfcx, exp1, gammaincc, kve
 
 from .errors import DomainError, MonotonicityError, NotFormBoundedError, UndecidedError
-from .geometry import (_TAIL_LOG, HYPERBOLIC, ModelSpace, _h2_millson, _split_S, distance,
-                       h_kernel, kernel_tail_radius, ring_area, sphere_area, sphere_mean)
+from .geometry import (_TAIL_LOG, HYPERBOLIC, ModelSpace, _h2_millson, _sphere_means, _split_S,
+                       distance, h_kernel, kernel_tail_radius, ring_area, sphere_area)
 from .potentials import Potential
 from .quadrature import _TINY, SPATIAL_REL, radial_integral
 
@@ -307,16 +307,6 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
         starts.append(2.0 * starts[-1])
     val, err = radial_integral(integrand, math.inf, singular, points=points + starts)
     return val, err + (inner_rel + kernel_rel) * val if math.isfinite(val) else err
-
-
-def _sphere_means(space: ModelSpace, f, w, b: float, singular):
-    """geometry.sphere_mean of f at each radius in w, and the largest relative error."""
-    out, rel = np.empty(w.size), 0.0
-    for i, wi in enumerate(w.tolist()):
-        out[i], err = sphere_mean(space, f, wi, b, singular)
-        # below _TINY / SPATIAL_REL a mean meets only the absolute floor _TINY
-        rel = max(rel, err / max(float(out[i]), _TINY / SPATIAL_REL))
-    return out, rel
 
 
 def _eta_b(v: Potential, b: float, t: float):

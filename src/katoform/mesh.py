@@ -183,9 +183,11 @@ class BundleMesh:
                 mat = np.array([[complex(cell[0], cell[1]) for cell in row]
                                 for row in U], dtype=complex)
                 mats.append(mat)
-        except (KeyError, TypeError, IndexError) as exc:
+            mats = np.array(mats, dtype=complex) if mats else np.zeros((0, n, n), complex)
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            # ValueError: numpy's inhomogeneous shape, from ragged rows of a
+            # transport or from transports of different shapes
             raise MeshError(f"malformed mesh JSON: {exc}") from exc
-        mats = np.array(mats, dtype=complex) if mats else np.zeros((0, n, n), complex)
         return cls(fiber_dim=n, mu=mu, dirichlet=dirichlet,
                    edge_u=eu, edge_v=ev, edge_w=ew, transports=mats)
 

@@ -173,7 +173,8 @@ def potential_from_json(space: ModelSpace, obj: dict) -> Potential:
         pot = _EXPR_BUILDERS[expr](space, spec.get("params", {}))
         declared = spec.get("singularities")
         if declared is not None:
-            pot.singular_radii = tuple(float(x) for x in declared)
+            # through __post_init__, which validates the declared radii
+            pot = replace(pot, singular_radii=tuple(declared))
         return pot
     if "tabulated" in obj:
         spec = obj["tabulated"]

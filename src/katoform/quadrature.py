@@ -20,9 +20,10 @@ side is read until its extrapolated tail settles; gamma > 1 adds the
 fitted tail to value and error; and windows that decide nothing raise
 UndecidedError, which no caller reads as divergence.
 
-panel_integral takes 32/16 Gauss-Legendre panels on [0, 1] for a batch of
-smooth integrands; it serves the sphere mean and the H^2 Millson
-transform.  quad_piece, one QUADPACK call, serves geometry.heat_mass.
+panel_integral takes the same 7/15 panels on [0, 1] for a batch of smooth
+integrands; it serves the sphere mean and the H^2 Millson transform.
+These two adaptive routines on one rule, spelled out below rather than
+computed, are every integral of the package; neither calls QUADPACK.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import zeta
 
-from .errors import QuadratureError, UndecidedError
+from .errors import UndecidedError
 
 # Relative target of every radial integral and panel batch
 SPATIAL_REL = 1e-8
@@ -44,34 +44,6 @@ SPATIAL_REL = 1e-8
 DIVERGENCE_CAP = 1e12
 
 _TINY = 1e-300
-
-
-def quad_piece(f, a, b, rel=SPATIAL_REL, abs_floor=1e-15, points=None, limit=200):
-    """(value, error) of f on the finite interval [a, b] by QUADPACK.
-
-    Raises QuadratureError when the estimate misses the tolerance by a wide
-    margin or the integral looks divergent.
-    """
-    if b <= a:
-        return 0.0, 0.0
-    out = quad(f, a, b, epsabs=abs_floor, epsrel=rel, limit=limit,
-               points=[p for p in points or () if a < p < b] or None, full_output=1)
-    value, abserr = out[0], out[1]
-    if len(out) > 3 and "divergent" in out[3]:
-        # QUADPACK's ier = 5: its extrapolation may have produced the finite
-        # analytic continuation of a divergent power singularity
-        raise QuadratureError(f"quadrature on [{a}, {b}] looks divergent ({out[3]})",
-                              achieved_error=abserr)
-    if not math.isfinite(value):
-        raise QuadratureError("integrand produced a non-finite value", achieved_error=abserr)
-    if abserr > max(abs_floor * 10.0, 0.05 * abs(value), 1e-13):
-        # Large reported error relative to the value: either a genuinely hard
-        # singularity or a divergent integral. The caller decides which.
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] stalled (err {abserr:.3e}, value {value:.6e})",
-            achieved_error=abserr,
-        )
-    return value, abserr
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +150,6 @@ _KRONROD = ((0.991455371120812639206854697526329, 0.0229353220105292249637320080
 _GAUSS_7 = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
             0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
-
 _KRONROD_NODES = np.array([-x for x, _ in _KRONROD[:-1]] + [x for x, _ in _KRONROD[::-1]])
 _KRONROD_WEIGHTS = np.array([(w, w) for _, w in (*_KRONROD[:-1], *_KRONROD[::-1])])
 _KRONROD_WEIGHTS[1::2, 1] -= _GAUSS_7 + _GAUSS_7[-2::-1]
@@ -187,38 +158,6 @@ _KRONROD_WEIGHTS[1::2, 1] -= _GAUSS_7 + _GAUSS_7[-2::-1]
 # ---------------------------------------------------------------------------
 # fixed-rule panels, every node of every panel in one array call
 
-def _legendre(n, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    prev, cur = np.ones_like(x), x
-    for j in range(2, n + 1):
-        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
-    return cur, n * (x * cur - prev) / (x * x - 1.0)
-
-
-def _legendre_rule(n):
-    """Gauss-Legendre nodes and weights on [-1, 1] by Newton's method on P_n.
-
-    Built from the recurrence rather than by leggauss, so that importing
-    makes no eigensolver call (whose first call grows the process by about
-    1 MB).  From the Chebyshev-like first guesses six steps reach rounding.
-    """
-    x = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(6):
-        p, dp = _legendre(n, x)
-        x = x - p / dp
-    dp = _legendre(n, x)[1]
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-# On a panel the 32-point rule gives the value and its difference from the
-# 16-point rule the error estimate: the two node sets side by side, and one
-# weight column for the value and one for the difference
-_PANEL_HIGH = _legendre_rule(32)
-_PANEL_LOW = _legendre_rule(16)
-_PANEL_NODES = np.concatenate((_PANEL_HIGH[0], _PANEL_LOW[0]))
-_PANEL_WEIGHTS = np.zeros((_PANEL_NODES.size, 2))
-_PANEL_WEIGHTS[:32, 0] = _PANEL_WEIGHTS[:32, 1] = _PANEL_HIGH[1]
-_PANEL_WEIGHTS[32:, 1] = -_PANEL_LOW[1]
 # bisection rounds after the first; a panel still open after them is kept
 # with its error estimate, which the caller then reports
 _PANEL_ROUNDS = 12
@@ -226,16 +165,18 @@ _HALVES = np.array([-1.0, 1.0])
 
 
 def panel_integral(F, panels: int):
-    """(values, errors) of integral_0^1 F on Gauss-Legendre panels, for a batch of integrands.
+    """(values, errors) of integral_0^1 F on Gauss-Kronrod panels, for a batch of integrands.
 
-    F(x) gets the nodes x of every open panel, shape (P, 48), and returns
-    the integrands there with any leading batch shape, (..., P, 48): every
-    node of every panel of every integrand in one array call per round.
-    The first round has ``panels`` equal panels.  An integral is done when
-    its summed error estimate is at most SPATIAL_REL times its value (plus
-    _TINY).  Otherwise each panel on which some unfinished integral's
-    estimate exceeds that integral's target times the panel's width is
-    bisected for the next round, and the others are kept.  The batch shares
+    F(x) gets the 15 Kronrod nodes x of every open panel, shape (P, 15),
+    and returns the integrands there with any leading batch shape,
+    (..., P, 15): every node of every panel of every integrand in one array
+    call per round.  Each panel's error estimate is the difference from the
+    embedded 7-point Gauss rule, as in radial_integral.  The first round
+    has ``panels`` equal panels.  An integral is done when its summed error
+    estimate is at most SPATIAL_REL times its value (plus _TINY).
+    Otherwise each panel on which some unfinished integral's estimate
+    exceeds that integral's target times the panel's width is bisected for
+    the next round, and the others are kept.  The batch shares
     its panels, so each is as fine as its hardest integrand needs there.
     Panels still open after _PANEL_ROUNDS rounds, or whose estimate is not a
     number, are kept with their estimate, so the error can exceed the
@@ -244,7 +185,7 @@ def panel_integral(F, panels: int):
     mid, half, nodes = _first_panels(panels)
     values = errors = 0.0
     for depth in range(_PANEL_ROUNDS + 1):
-        rules = (F(nodes) @ _PANEL_WEIGHTS) * half[:, None]
+        rules = (F(nodes) @ _KRONROD_WEIGHTS) * half[:, None]
         err = np.abs(rules[..., 1])
         total = values + rules[..., 0].sum(axis=-1)
         error = errors + err.sum(axis=-1)
@@ -260,7 +201,7 @@ def panel_integral(F, panels: int):
                 mid, half = mid[split], 0.5 * half[split]
                 mid = (mid[:, None] + half[:, None] * _HALVES).ravel()
                 half = np.repeat(half, 2)
-                nodes = mid[:, None] + half[:, None] * _PANEL_NODES
+                nodes = mid[:, None] + half[:, None] * _KRONROD_NODES
                 continue
         return total, error
 
@@ -270,7 +211,7 @@ def _first_panels(panels: int):
     """Centres, half-widths and nodes of ``panels`` equal panels on [0, 1] (read-only)."""
     half = np.full(panels, 0.5 / panels)
     mid = (2.0 * np.arange(panels) + 1.0) * half
-    out = mid, half, mid[:, None] + half[:, None] * _PANEL_NODES
+    out = mid, half, mid[:, None] + half[:, None] * _KRONROD_NODES
     for a in out:
         a.flags.writeable = False
     return out

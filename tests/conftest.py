@@ -5,13 +5,14 @@ has a deadline, and examples are derived from each test's own source
 rather than from a random seed, which keeps a failure reproducible.
 """
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import settings
 
-from katoform import quadrature
 from katoform.potentials import Potential
 
 settings.register_profile("katoform", deadline=None, derandomize=True)
@@ -20,9 +21,13 @@ settings.load_profile("katoform")
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts of QUADPACK calls and of |v| array calls (and the points they take)."""
+    """Counts of QUADPACK calls and of |v| array calls (and the points they take).
+
+    A QUADPACK call is one of scipy.integrate.quad, made through scipy or
+    through any name a katoform module binds to it.
+    """
     counts = SimpleNamespace(quadpack=0, radial_calls=0, radial_points=0)
-    quad, abs_radial = quadrature.quad, Potential.abs_radial
+    quad, abs_radial = scipy.integrate.quad, Potential.abs_radial
 
     def counted_quad(*args, **kwargs):
         counts.quadpack += 1
@@ -33,6 +38,11 @@ def evaluations(monkeypatch):
         counts.radial_points += int(np.size(r))
         return abs_radial(self, r)
 
-    monkeypatch.setattr(quadrature, "quad", counted_quad)
+    monkeypatch.setattr(scipy.integrate, "quad", counted_quad)
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "katoform":
+            for attr, value in list(vars(module).items()):
+                if value is quad:
+                    monkeypatch.setattr(module, attr, counted_quad)
     monkeypatch.setattr(Potential, "abs_radial", counted_abs_radial)
     return counts

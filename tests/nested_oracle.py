@@ -17,7 +17,8 @@ route that quadrature.radial_integral's graded panels replaced: one
 QUADPACK call per radial integral once the condensation windows have
 classified every declared radius (radial_integral here), with dyadic
 refinement where it stalls, and the kernel route's radial integral on it
-(quadpack_fubini_b), a scalar integrand per node.
+(quadpack_fubini_b), a scalar integrand per node.  Every QUADPACK call
+of the package's tests is made here, through quad_piece or quad.
 """
 
 from __future__ import annotations
@@ -36,10 +37,38 @@ from katoform.geometry import (_TAIL_LOG, EUCLIDEAN, HYPERBOLIC, ModelSpace, _sp
 from katoform.potentials import Potential
 from katoform.quadrature import (_FIRST_WINDOW, _LAST_WINDOW, _MERGE_DIGITS, _SHELL_DIGITS,
                                  _TINY, DIVERGENCE_CAP, DIVERGENT, GEOMETRIC, POWER,
-                                 SPATIAL_REL, Condensation, classify_windows, quad_piece)
+                                 SPATIAL_REL, Condensation, classify_windows)
 
 OUTER_REL = 1e-7  # relative target of the outer time integrals
 _INNER_REL_BUDGET = 1e-7  # folded into reported errors for nested quadrature
+
+
+def quad_piece(f, a, b, rel=SPATIAL_REL, abs_floor=1e-15, points=None, limit=200):
+    """(value, error) of f on the finite interval [a, b] by QUADPACK.
+
+    Raises QuadratureError when the estimate misses the tolerance by a wide
+    margin or the integral looks divergent.
+    """
+    if b <= a:
+        return 0.0, 0.0
+    out = quad(f, a, b, epsabs=abs_floor, epsrel=rel, limit=limit,
+               points=[p for p in points or () if a < p < b] or None, full_output=1)
+    value, abserr = out[0], out[1]
+    if len(out) > 3 and "divergent" in out[3]:
+        # QUADPACK's ier = 5: its extrapolation may have produced the finite
+        # analytic continuation of a divergent power singularity
+        raise QuadratureError(f"quadrature on [{a}, {b}] looks divergent ({out[3]})",
+                              achieved_error=abserr)
+    if not math.isfinite(value):
+        raise QuadratureError("integrand produced a non-finite value", achieved_error=abserr)
+    if abserr > max(abs_floor * 10.0, 0.05 * abs(value), 1e-13):
+        # Large reported error relative to the value: either a genuinely hard
+        # singularity or a divergent integral. The caller decides which.
+        raise QuadratureError(
+            f"quadrature on [{a}, {b}] stalled (err {abserr:.3e}, value {value:.6e})",
+            achieved_error=abserr,
+        )
+    return value, abserr
 
 
 # ---------------------------------------------------------------------------

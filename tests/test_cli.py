@@ -140,6 +140,32 @@ def test_fk_mc_malformed_domain(tmp_path, capsys, space, domain):
     assert not (out / "report.json").exists()
 
 
+def test_fk_mc_negative_declared_singularity(tmp_path, capsys):
+    cfg = {"command": "fk-mc", "estimator": "kato-integral",
+           "path": {"space": E3_SPACE, "start": [0.2, 0.0, 0.0], "horizon": 0.01,
+                    "step": 0.001, "n_paths": 100},
+           "potential": {"radial": {"expr": "bump", "params": {"radius": 1.0},
+                                    "singularities": [-1.0]}}}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("transports", [
+    [[[[1, 0], [0, 0]], [[0, 0]]]],
+    [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]],
+], ids=["ragged_rows", "shapes_differ"])
+def test_spectrum_inhomogeneous_transports(tmp_path, capsys, transports):
+    verts = [{"mu": 1.0} for _ in range(len(transports) + 1)]
+    edges = [{"u": j, "v": j + 1, "w": 1.0, "U": U} for j, U in enumerate(transports)]
+    cfg = dict(SPECTRUM_CFG, k=1, mesh={"fiber_dim": 2, "vertices": verts, "edges": edges})
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert "invalid config: malformed mesh JSON" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit code 0: a passing run, report and table layout
 

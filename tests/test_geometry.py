@@ -169,6 +169,20 @@ def test_chapman_kolmogorov_h2_spot():
     assert chapman_kolmogorov_residual(H2, 0.4, 0.6, H2.origin(), y) < 1e-5
 
 
+# the self-tests integrate on the package's own panels: no QUADPACK call
+@pytest.mark.parametrize("space", [E1, E3, H2, H3])
+def test_quadpack_budget_heat_mass(space, evaluations):
+    assert abs(heat_mass(space, 0.5) - 1.0) < 1e-6
+    assert evaluations.quadpack == 0
+
+
+@pytest.mark.parametrize("space", [E3, H2])
+def test_quadpack_budget_chapman_kolmogorov(space, evaluations):
+    y = geodesic_point(space, 0.8)
+    assert chapman_kolmogorov_residual(space, 0.4, 0.6, space.origin(), y) < 1e-5
+    assert evaluations.quadpack == 0
+
+
 def test_kernel_rejects_bad_time():
     with pytest.raises(DomainError):
         heat_kernel_radial(E3, 0.0, np.array([1.0]))

@@ -243,6 +243,17 @@ def test_json_rejects_malformed():
         BundleMesh.from_json_dict({"fiber_dim": 1, "vertices": []})
 
 
+@pytest.mark.parametrize("transports", [
+    [[[[1, 0], [0, 0]], [[0, 0]]]],
+    [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]],
+], ids=["ragged_rows", "shapes_differ"])
+def test_json_rejects_inhomogeneous_transports(transports):
+    verts = [{"mu": 1.0} for _ in range(len(transports) + 1)]
+    edges = [{"u": j, "v": j + 1, "w": 1.0, "U": U} for j, U in enumerate(transports)]
+    with pytest.raises(MeshError):
+        BundleMesh.from_json_dict({"fiber_dim": 2, "vertices": verts, "edges": edges})
+
+
 def test_gauge_transform_preserves_kinetic_form():
     mesh = random_bundle_mesh(8, fiber_dim=2, seed=11)
     rng = np.random.default_rng(2)

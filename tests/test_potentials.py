@@ -102,6 +102,15 @@ def test_json_tabulated_and_errors():
         potential_from_json(E3, {"nonsense": 1})
 
 
+def test_json_declared_singularities_are_validated():
+    obj = {"radial": {"expr": "bump", "params": {"amplitude": 1.0, "radius": 1.0},
+                      "singularities": [-1.0]}}
+    with pytest.raises(DomainError):
+        potential_from_json(E3, obj)
+    obj["radial"]["singularities"] = [0.5]
+    assert potential_from_json(E3, obj).singular_radii == (0.5,)
+
+
 def test_negative_singular_radius_rejected():
     with pytest.raises(DomainError):
         Potential(space=E3, radial=lambda r: np.asarray(r) * 0.0,
