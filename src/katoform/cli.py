@@ -15,7 +15,10 @@ variable, then the config file, then the built-in default.
 
 Exit status: 0 on success, 1 when a computation violates one of its named
 invariants (the invariant is printed to stderr), 2 when the configuration is
-invalid (schema diagnostics on stderr).  Reference mode pins workers to 1;
+invalid (schema diagnostics on stderr).  Invalid includes a non-finite
+number anywhere in the file (NaN, Infinity, or a literal that overflows a
+float) and potential params that the named expression does not take, or
+takes with the wrong type.  Reference mode pins workers to 1;
 a repeated reference run with the same config and seed writes a
 byte-identical report.json.  Reports never contain timestamps or paths.
 """
@@ -36,8 +39,8 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      InvalidPointError, KernelHandlingError, MeshError,
                      MonotonicityError, NotFormBoundedError, QuadratureError,
                      UndecidedError)
-from .feynman_kac import (KillingRegion, PathConfig, mc_covariant_semigroup,
-                          mc_heat_expectation, mc_kato_integral)
+from .feynman_kac import (PathConfig, mc_covariant_semigroup, mc_heat_expectation,
+                          mc_kato_integral)
 from .geometry import EUCLIDEAN, ModelSpace
 from .kato import _resolvent_with_error, form_bound_constants, kato_verdict, sandwich_check
 from .mesh import BundleMesh
@@ -322,8 +325,9 @@ def _run_kato_test(cfg, ctx):
     except MonotonicityError as exc:
         raise ContractViolation("eta_monotonicity", str(exc)) from exc
 
-    reports.write_eta_csv(ctx.out_dir, report)
-    reports.write_resolvent_csv(ctx.out_dir, report)
+    reports.write_table(ctx.out_dir, "eta", ("t", "eta", "err"), report.eta_grid)
+    reports.write_table(ctx.out_dir, "resolvent", ("r", "C_r", "err"),
+                        report.resolvent_grid)
 
     results = {"kato": reports.kato_report_json(report)}
     checks = [("eta_monotonicity", True,
@@ -350,10 +354,7 @@ def _run_form_bounds(cfg, ctx):
     probes = _probes(cfg, space)
     target = float(cfg.get("target_c1", 0.5))
 
-    try:
-        bound = form_bound_constants(pot, probes, target)
-    except NotFormBoundedError as exc:
-        raise ContractViolation("form_boundedness", str(exc)) from exc
+    bound = form_bound_constants(pot, probes, target)
     r_star, c1, _ = bound
 
     curve = []
@@ -363,10 +364,7 @@ def _run_form_bounds(cfg, ctx):
         r = centre * mult
         curve.append((r, *_resolvent_with_error(pot, r, probes)))
     curve.sort()
-    reports.dump_csv(os.path.join(ctx.out_dir, "resolvent.csv"),
-                     ("r", "C_r", "err"), curve)
-    reports.dump_csv(os.path.join(ctx.out_dir, "plot_resolvent.csv"),
-                     ("x", "y"), [(r, c) for (r, c, _e) in curve])
+    reports.write_table(ctx.out_dir, "resolvent", ("r", "C_r", "err"), curve)
 
     results = {"target_c1": target, "klmn": reports.klmn_json(bound)}
     checks = [("c1_within_target", c1 <= target * (1.0 + 1e-6),
@@ -414,7 +412,9 @@ def _run_spectrum(cfg, ctx):
     except ConvergenceError as exc:
         raise ContractViolation("eigensolver_convergence", str(exc)) from exc
 
-    reports.write_spectrum_csv(ctx.out_dir, spec)
+    reports.write_table(ctx.out_dir, "spectrum", ("index", "eigenvalue", "residual"),
+                        [(i, float(lam), float(res)) for i, (lam, res) in
+                         enumerate(zip(spec.eigenvalues, spec.residuals))])
     scale = max(1.0, float(np.max(np.abs(spec.eigenvalues), initial=0.0)))
     max_res = float(np.max(spec.residuals, initial=0.0))
     results = {
@@ -495,24 +495,11 @@ def _run_check_inequalities(cfg, ctx):
     return results, checks
 
 
-def _build_path_config(cfg, ctx) -> PathConfig:
-    p = cfg["path"]
-    space = _build_space(p["space"])
-    domain = p.get("domain")
-    return PathConfig(
-        space=space,
-        start=tuple(float(x) for x in p["start"]),
-        horizon=float(p["horizon"]),
-        step=float(p["step"]),
-        n_paths=int(p["n_paths"]),
-        seed=ctx.seed,
-        workers=ctx.workers,
-        domain=None if domain is None else KillingRegion.from_json_dict(domain),
-    )
-
-
 def _run_fk_mc(cfg, ctx):
-    pcfg = _build_path_config(cfg, ctx)
+    path = dict(cfg["path"], seed=ctx.seed, workers=ctx.workers)
+    if "bundled" in path["space"]:
+        path["space"] = bundled.get_space(path["space"]["bundled"]).to_json_dict()
+    pcfg = PathConfig.from_json_dict(path)
     estimator = cfg["estimator"]
     checks = []
 
@@ -548,7 +535,7 @@ def _run_fk_mc(cfg, ctx):
                        f"|value| {abs(est.value):.6g} vs scalar "
                        f"{est.extras['scalar_value']:.6g}"))
 
-    results = {"estimator": estimator, "estimate": est.to_json_dict(),
+    results = {"estimator": estimator, "estimate": reports.estimate_json(est),
                "n_steps": pcfg.n_steps}
     return results, checks
 
@@ -630,6 +617,14 @@ def _schema_diagnostics(command, cfg) -> list[str]:
     return lines
 
 
+def _finite(literal: str):
+    """A JSON number literal as an int or a float; NaN, Infinity and overflows are rejected."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"{literal:.40} is not a finite number")
+    return int(literal) if literal.lstrip("-").isdigit() else value
+
+
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
@@ -642,7 +637,8 @@ def _run(args) -> int:
                         f"(or {ENV_PREFIX}CONFIG)")
     try:
         with open(cfg_path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_int=_finite,
+                            parse_constant=_finite)
     except OSError as exc:
         return _fail(2, f"invalid config: cannot read {cfg_path}: {exc}")
     except json.JSONDecodeError as exc:

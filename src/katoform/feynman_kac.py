@@ -106,10 +106,11 @@ class KillingRegion:
     def from_json_dict(cls, obj: dict) -> "KillingRegion":
         kind = obj.get("kind")
         if kind == "ball":
-            if "radius" not in obj or obj["radius"] <= 0:
-                raise ConfigError("ball region needs a positive radius")
+            radius = float(obj.get("radius", 0.0))
+            if not 0.0 < radius < math.inf:
+                raise ConfigError("ball region needs a positive finite radius")
             center = obj.get("center")
-            return cls(kind="ball", radius=float(obj["radius"]),
+            return cls(kind="ball", radius=radius,
                        center=None if center is None else tuple(center))
         if kind == "halfspace":
             if "normal" not in obj:
@@ -131,9 +132,9 @@ class PathConfig:
     domain: KillingRegion | None = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-        if self.step <= 0 or self.step > self.horizon / 10:
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite")
+        if not 0.0 < self.step <= self.horizon / 10:
             raise ConfigError("step must be positive and at most horizon/10")
         ratio = self.horizon / self.step
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
@@ -153,8 +154,9 @@ class PathConfig:
                 if self.space.kind != EUCLIDEAN:
                     raise ConfigError("halfspace regions are Euclidean only")
                 normal = np.asarray(region.normal, dtype=float)
-                if normal.shape != (self.space.dim,) or not np.any(normal):
-                    raise ConfigError("halfspace normal must be a nonzero "
+                if normal.shape != (self.space.dim,) or not np.any(normal) \
+                        or not np.all(np.isfinite(normal)):
+                    raise ConfigError("halfspace normal must be a finite nonzero "
                                       f"vector of length {self.space.dim}")
             inside = region.inside(self.space, np.asarray([self.start]))
             if not bool(inside[0]):
@@ -211,25 +213,6 @@ class Estimate:
     cap_events: int = 0
     bias_bound: float | None = None
     extras: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        if isinstance(self.value, complex):
-            val = {"re": self.value.real, "im": self.value.imag}
-        else:
-            val = float(self.value)
-        out = {
-            "value": val,
-            "std_error": float(self.std_error),
-            "n_effective": int(self.n_effective),
-            "n_paths": int(self.n_paths),
-            "step": float(self.step),
-            "cap_events": int(self.cap_events),
-            "provenance": "monte_carlo",
-        }
-        if self.bias_bound is not None:
-            out["bias_bound"] = float(self.bias_bound)
-        out.update({k: v for k, v in self.extras.items()})
-        return out
 
 
 # ---------------------------------------------------------------------------

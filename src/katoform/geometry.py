@@ -87,14 +87,16 @@ class ModelSpace:
     def validate_point(self, x) -> np.ndarray:
         """Return x as an ndarray, checking the model constraint.
 
-        Euclidean points are any vector of length m.  Hyperbolic points must
-        satisfy x_0^2 - |x_rest|^2 = 1 (to POINT_TOL, relative to x_0^2) with
-        x_0 > 0.
+        Euclidean points are any finite vector of length m.  Hyperbolic
+        points must satisfy x_0^2 - |x_rest|^2 = 1 (to POINT_TOL, relative
+        to x_0^2) with x_0 > 0.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dim,):
             raise InvalidPointError(
                 f"point has shape {x.shape}, expected ({self.ambient_dim},)")
+        if not np.all(np.isfinite(x)):
+            raise InvalidPointError("point has a non-finite coordinate")
         if self.kind == HYPERBOLIC:
             q = x[0] * x[0] - float(np.dot(x[1:], x[1:]))
             if x[0] <= 0.0 or abs(q - 1.0) > POINT_TOL * max(1.0, x[0] * x[0]):

@@ -332,9 +332,14 @@ def _max_over_probes(fn, dists):
     return float(best), best_err, best_i
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError("time horizon must be positive and finite")
+
+
 def _check_resolvent_parameter(space: ModelSpace, r: float) -> None:
-    if r < 0.0:
-        raise DomainError("resolvent parameter must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise DomainError("resolvent parameter must be finite and nonnegative")
     if r == 0.0 and not _transient(space):
         raise DomainError("C_0 needs a transient space (R^m with m >= 3, H^2 or H^3)")
 
@@ -352,8 +357,7 @@ def kato_eta(v: Potential, t: float, probes):
     Returns (value, probe) where probe attains the maximum.  The value is
     +inf when the integral diverges at some probe.
     """
-    if t <= 0.0:
-        raise DomainError("time horizon must be positive")
+    _check_time(t)
     dists = _probe_distances(v, probes)
     best, _, best_idx = _max_over_probes(lambda b: _eta_b(v, b, t), dists)
     return best, probes[best_idx]
@@ -403,14 +407,19 @@ def sandwich_check(v: Potential, r: float, t: float, probes) -> SandwichResult:
     quantities involved.
     """
     _check_resolvent_parameter(v.space, r)
+    _check_time(t)
+    try:
+        growth = math.exp(r * t)
+    except OverflowError:
+        raise DomainError(f"e^(r t) overflows at r t = {r * t:.6g}") from None
     dists = _probe_distances(v, probes)
     eta_val, eta_err, _ = _max_over_probes(lambda b: _eta_b(v, b, t), dists)
     cr_val, cr_err, _ = _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)
     if math.isinf(eta_val) or math.isinf(cr_val):
         raise DomainError("sandwich check needs finite eta and C_r")
     lower = -math.expm1(-r * t) * cr_val
-    upper = math.exp(r * t) * cr_val
-    slack = 2.0 * (eta_err + math.exp(r * t) * cr_err)
+    upper = growth * cr_val
+    slack = 2.0 * (eta_err + growth * cr_err)
     return SandwichResult(r=r, t=t, lower=lower, eta=eta_val, upper=upper, slack=slack)
 
 
@@ -572,24 +581,6 @@ class KatoReport:
     locally_integrable: bool = True
     reason: str | None = None
 
-    def to_json_dict(self) -> dict:
-        def triple(row):
-            return {"parameter": row[0], "value": row[1], "error": row[2]}
-
-        out = {
-            "eta_grid": [triple(r) for r in self.eta_grid],
-            "resolvent_grid": [triple(r) for r in self.resolvent_grid],
-            "verdict": self.verdict,
-            "klmn": None if self.klmn is None else
-                {"r": self.klmn[0], "c1": self.klmn[1], "c2": self.klmn[2]},
-            "fit_exponent": self.fit_exponent,
-            "argmax_probe_index": self.argmax_probe_index,
-            "locally_integrable": self.locally_integrable,
-        }
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
-
 
 def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoReport:
     """Full membership study: eta grid, resolvent grid, verdict, form bound.
@@ -605,8 +596,11 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 4:
         raise DomainError("t_grid needs at least 4 points")
-    if t_grid[0] <= 0.0:
-        raise DomainError("t_grid must be positive")
+    for t in t_grid:
+        _check_time(t)
+    r_grid = sorted(float(r) for r in r_grid)
+    for r in r_grid:
+        _check_resolvent_parameter(v.space, r)
     dists = _probe_distances(v, probes)
     undecided = []
 
@@ -632,7 +626,7 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
         eta_rows.append((t, best, best_err))
 
     resolvent_rows = []
-    for r in sorted(float(r) for r in r_grid):
+    for r in r_grid:
         best, best_err, _ = decided(
             f"C_{r!r}", lambda: _max_over_probes(lambda b: _resolvent_b(v, b, r), dists),
             (math.nan, math.nan, 0))

@@ -98,7 +98,7 @@ class BundleMesh:
             eye = np.eye(n)
             gram = np.einsum("eij,ekj->eik", self.transports, self.transports.conj())
             defect = np.max(np.abs(gram - eye[None]))
-            if defect > _UNITARY_TOL:
+            if not defect <= _UNITARY_TOL:  # a nan defect fails too
                 raise MeshError(f"edge transport fails unitarity by {defect:.3e}")
         if not np.any(self.interior):
             raise MeshError("mesh needs at least one non-Dirichlet vertex")

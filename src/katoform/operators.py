@@ -288,8 +288,8 @@ def semigroup_evolve(mesh: BundleMesh, f, t: float, V=None,
     The evolution runs in the symmetrized picture and is mapped back, so
     the result is the mu-space semigroup applied to f.
     """
-    if t < 0:
-        raise MeshError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise MeshError("time must be nonnegative and finite")
     A, root = _assemble(mesh, scalar=scalar, V=V)
     g = _restrict(mesh, f, scalar=scalar) * root
     out = _semigroup_apply(A, t, g) / root

@@ -129,6 +129,8 @@ def tabulated(space: ModelSpace, radii, values, interpolation: str = "linear") -
     values = np.asarray(values, dtype=float)
     if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
         raise DomainError("tabulated potential needs matching 1-d radii/values")
+    if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(values))):
+        raise DomainError("tabulated radii and values must be finite")
     if np.any(np.diff(radii) <= 0):
         raise DomainError("tabulated radii must be strictly increasing")
     if interpolation != "linear":
@@ -170,7 +172,12 @@ def potential_from_json(space: ModelSpace, obj: dict) -> Potential:
         expr = spec["expr"]
         if expr not in _EXPR_BUILDERS:
             raise DomainError(f"unknown radial expression {expr!r}")
-        pot = _EXPR_BUILDERS[expr](space, spec.get("params", {}))
+        try:
+            pot = _EXPR_BUILDERS[expr](space, spec.get("params", {}))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"bad params for radial expression {expr!r}: {exc}") from exc
+        if not np.all(np.isfinite(list(pot.params.values()))):
+            raise DomainError(f"params of radial expression {expr!r} must be finite")
         declared = spec.get("singularities")
         if declared is not None:
             # through __post_init__, which validates the declared radii

@@ -7,7 +7,9 @@ shortest round-trip formatting; non-finite values are encoded as strings
 because strict JSON has no spelling for them.
 
 Every computed number is wrapped by pnum() with an error estimate and a
-provenance tag saying which engine produced it.
+provenance tag saying which engine produced it.  This is the one module
+that knows the output format: the report forms of the result objects and
+the table-plus-plot CSV pair live here and nowhere else.
 """
 
 from __future__ import annotations
@@ -84,27 +86,11 @@ def dump_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
-def write_eta_csv(out_dir: str, report) -> None:
-    dump_csv(os.path.join(out_dir, "eta.csv"), ("t", "eta", "err"),
-             [(t, v, e) for (t, v, e) in report.eta_grid])
-    dump_csv(os.path.join(out_dir, "plot_eta.csv"), ("x", "y"),
-             [(t, v) for (t, v, _e) in report.eta_grid])
-
-
-def write_resolvent_csv(out_dir: str, report) -> None:
-    dump_csv(os.path.join(out_dir, "resolvent.csv"), ("r", "C_r", "err"),
-             [(r, v, e) for (r, v, e) in report.resolvent_grid])
-    dump_csv(os.path.join(out_dir, "plot_resolvent.csv"), ("x", "y"),
-             [(r, v) for (r, v, _e) in report.resolvent_grid])
-
-
-def write_spectrum_csv(out_dir: str, spectrum) -> None:
-    rows = [(i, float(lam), float(res)) for i, (lam, res) in
-            enumerate(zip(spectrum.eigenvalues, spectrum.residuals))]
-    dump_csv(os.path.join(out_dir, "spectrum.csv"),
-             ("index", "eigenvalue", "residual"), rows)
-    dump_csv(os.path.join(out_dir, "plot_spectrum.csv"), ("x", "y"),
-             [(i, lam) for (i, lam, _r) in rows])
+def write_table(out_dir: str, stem: str, header, rows) -> None:
+    """<stem>.csv with the given columns, and plot_<stem>.csv with the first two as x, y."""
+    dump_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
+    dump_csv(os.path.join(out_dir, f"plot_{stem}.csv"), ("x", "y"),
+             [row[:2] for row in rows])
 
 
 def kato_report_json(report) -> dict:
@@ -131,3 +117,24 @@ def klmn_json(bound) -> dict:
     """The KLMN triple (r, C1, C2 = r*C1) of kato.form_bound_constants, each with its error."""
     return {key: pnum(value, error, "quadrature")
             for key, value, error in zip(("r", "c1", "c2"), bound, bound.errors)}
+
+
+def estimate_json(est) -> dict:
+    """A feynman_kac.Estimate with its run accounting and extras for report.json."""
+    if isinstance(est.value, complex):
+        val = {"re": est.value.real, "im": est.value.imag}
+    else:
+        val = float(est.value)
+    out = {
+        "value": val,
+        "std_error": float(est.std_error),
+        "n_effective": int(est.n_effective),
+        "n_paths": int(est.n_paths),
+        "step": float(est.step),
+        "cap_events": int(est.cap_events),
+        "provenance": "monte_carlo",
+    }
+    if est.bias_bound is not None:
+        out["bias_bound"] = float(est.bias_bound)
+    out.update(est.extras)
+    return out

@@ -83,6 +83,27 @@ def test_malformed_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "float_overflow", "int_overflow"])
+def test_non_finite_number_rejected_at_load(tmp_path, capsys, literal):
+    # json.load reads these as nan, +-inf or an int no float holds; JSON has no such numbers
+    path = tmp_path / "cfg.json"
+    path.write_text('{"command": "spectrum", "mesh": {"bundled": "flux_cycle_3"}, '
+                    f'"potential_values": [0.0, {literal}, 0.0]}}')
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"invalid config: {literal[:40]} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_potential_params_rejected(tmp_path, capsys):
+    cfg = {"command": "kato-test", "space": E3_SPACE, "t_grid": [1e-3, 1e-2, 1e-1, 1.0],
+           "potential": {"radial": {"expr": "coulomb", "params": {"nonsense": 1}}}}
+    code, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert "invalid config: bad params for radial expression 'coulomb'" in capsys.readouterr().err
+
+
 def test_empty_config(tmp_path, capsys):
     code, _ = run_cli(tmp_path, {})
     assert code == 2

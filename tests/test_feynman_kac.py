@@ -35,6 +35,7 @@ from katoform.geometry import (EUCLIDEAN, HYPERBOLIC, ModelSpace,
                                geodesic_point, heat_kernel_radial, ring_area)
 from katoform.potentials import constant, coulomb, inverse_power
 from katoform.quadrature import radial_integral
+from katoform.reports import estimate_json
 
 E1 = ModelSpace(EUCLIDEAN, 1)
 E2 = ModelSpace(EUCLIDEAN, 2)
@@ -86,6 +87,18 @@ def test_pathconfig_validation():
     econf(domain=KillingRegion(kind="ball", radius=1.0, center=(0.1, 0.0, 0.0)))
 
 
+@pytest.mark.parametrize("field,bad", [("horizon", math.nan), ("horizon", math.inf),
+                                       ("step", math.nan)])
+def test_pathconfig_rejects_non_finite_times(field, bad):
+    with pytest.raises(ConfigError):
+        econf(**{field: bad})
+
+
+def test_pathconfig_rejects_non_finite_halfspace_normal():
+    with pytest.raises(ConfigError, match="finite nonzero"):
+        econf(domain=KillingRegion(kind="halfspace", normal=(math.nan, 0.0, 0.0)))
+
+
 def test_pathconfig_json_round_trip():
     cfg = econf(domain=KillingRegion(kind="ball", radius=2.0))
     clone = PathConfig.from_json_dict(cfg.to_json_dict())
@@ -104,6 +117,12 @@ def test_killing_region_json():
         KillingRegion.from_json_dict({"kind": "ball"})
     with pytest.raises(ConfigError):
         KillingRegion.from_json_dict({"kind": "torus"})
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_killing_region_json_rejects_non_finite_radius(radius):
+    with pytest.raises(ConfigError, match="positive finite radius"):
+        KillingRegion.from_json_dict({"kind": "ball", "radius": radius})
 
 
 def test_hyperbolic_ball_region():
@@ -503,7 +522,7 @@ def test_space_mismatch_rejected():
 def test_estimate_json_provenance():
     est = Estimate(value=1.0, std_error=0.1, n_effective=100, n_paths=100,
                    step=0.01)
-    obj = est.to_json_dict()
+    obj = estimate_json(est)
     assert obj["provenance"] == "monte_carlo"
     assert obj["value"] == 1.0
 

@@ -37,6 +37,15 @@ def test_origin_and_validation():
         H2.validate_point(np.array([1.0, 0.5, 0.0]))  # not on the sheet
 
 
+@pytest.mark.parametrize("space", [E2, H2], ids=["E2", "H2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_point_rejects_non_finite(space, bad):
+    x = space.origin()
+    x[-1] = bad
+    with pytest.raises(InvalidPointError, match="non-finite"):
+        space.validate_point(x)
+
+
 def test_unsupported_spaces_rejected():
     with pytest.raises(DomainError):
         ModelSpace("hyperbolic", 1)

@@ -36,6 +36,7 @@ from katoform.kato import (analytic_kato_functional, form_bound_constants,
                            resolvent_constant, sandwich_check)
 from katoform.potentials import (Potential, bump, constant, coulomb, inverse_power,
                                  inverse_square)
+from katoform.reports import kato_report_json
 from nested_oracle import (algebraic_weight_integral, heat_potential_average, nested_eta_b,
                            nested_resolvent_b, qaws_sphere_mean)
 
@@ -293,9 +294,28 @@ def test_verdict_needs_four_times():
         kato_verdict(COULOMB, [0.1, 0.2], ORIGIN3)
 
 
+@pytest.mark.parametrize("space,r_grid", [(E3, (-1.0, 8.0)), (E3, (math.nan,)),
+                                          (E3, (math.inf,)), (E1, (0.0,)), (E2, (0.0, 1.0))],
+                         ids=["negative", "nan", "inf", "r0_on_R1", "r0_on_R2"])
+def test_verdict_validates_r_grid(space, r_grid):
+    # r = 0 on a recurrent space would report C_0 = inf rather than fail
+    with pytest.raises(DomainError, match="resolvent parameter|transient"):
+        kato_verdict(constant(space, 1.0), T_GRID, [space.origin()], r_grid=r_grid)
+
+
+def test_sandwich_rejects_an_overflowing_envelope():
+    with pytest.raises(DomainError, match="overflows"):
+        sandwich_check(bump(E3), 1e5, 0.01, ORIGIN3)
+
+
+def test_verdict_rejects_non_finite_times():
+    with pytest.raises(DomainError, match="finite"):
+        kato_verdict(COULOMB, T_GRID[:3] + [math.nan], ORIGIN3)
+
+
 def test_report_json_shape():
     rep = kato_verdict(constant(E3, 1.0), T_GRID, ORIGIN3)
-    obj = rep.to_json_dict()
+    obj = kato_report_json(rep)
     assert len(obj["eta_grid"]) == len(T_GRID)
     assert obj["verdict"] == "member"
 
@@ -569,8 +589,8 @@ def test_undecided_integral_makes_the_verdict_inconclusive():
     assert rep.verdict == "inconclusive"
     assert rep.reason.startswith("divergence_undecided")
     assert all(math.isnan(row[1]) for row in rep.eta_grid)
-    assert rep.to_json_dict()["reason"] == rep.reason
-    assert "reason" not in kato_verdict(COULOMB, T_GRID, ORIGIN3).to_json_dict()
+    assert kato_report_json(rep)["reason"] == rep.reason
+    assert "reason" not in kato_report_json(kato_verdict(COULOMB, T_GRID, ORIGIN3))
 
 
 def decaying(p):

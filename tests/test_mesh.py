@@ -180,6 +180,12 @@ def test_rejects_non_unitary_transport():
         two_vertex(U=np.array([[2.0 + 0j]]))
 
 
+def test_rejects_nan_transport():
+    # a nan unitarity defect compares false against any tolerance
+    with pytest.raises(MeshError, match="unitarity"):
+        two_vertex(U=np.array([[complex(math.nan, 0.0)]]))
+
+
 def test_rejects_self_loop_and_duplicates():
     with pytest.raises(MeshError):
         BundleMesh(fiber_dim=1, mu=[1.0, 1.0], dirichlet=[False, False],

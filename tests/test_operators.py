@@ -324,6 +324,12 @@ def test_klmn_rejects_negative_v2():
         klmn_optimal_c1(mesh, np.array([-1.0, 0.0]), 0.5)
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_semigroup_evolve_rejects_bad_time(t):
+    with pytest.raises(MeshError, match="nonnegative and finite"):
+        semigroup_evolve(two_vertex(), np.ones((2, 1)), t)
+
+
 def test_klmn_kernel_obstruction():
     # constant vector spans ker(A); a potential exceeding C2 there cannot
     # be compensated by any multiple of the form

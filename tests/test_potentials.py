@@ -102,6 +102,22 @@ def test_json_tabulated_and_errors():
         potential_from_json(E3, {"nonsense": 1})
 
 
+@pytest.mark.parametrize("params", [{"nonsense": 1}, {"strength": "x"}, {"strength": {}},
+                                    {"strength": math.nan}, {"strength": math.inf}],
+                         ids=["unknown", "string", "object", "nan", "inf"])
+def test_json_bad_params_are_domain_errors(params):
+    with pytest.raises(DomainError, match="params"):
+        potential_from_json(E3, {"radial": {"expr": "coulomb", "params": params}})
+
+
+@pytest.mark.parametrize("field", ["radii", "values"])
+def test_tabulated_rejects_non_finite(field):
+    table = {"radii": [0.0, 1.0, 2.0], "values": [1.0, 0.5, 0.0]}
+    table[field][1] = math.nan
+    with pytest.raises(DomainError, match="finite"):
+        tabulated(E3, **table)
+
+
 def test_json_declared_singularities_are_validated():
     obj = {"radial": {"expr": "bump", "params": {"amplitude": 1.0, "radius": 1.0},
                       "singularities": [-1.0]}}
