@@ -186,6 +186,13 @@ _DOMAIN = {"oneOf": [
     },
 ]}
 
+# Upper bounds of the count fields, far above any real run: a count such
+# as 1e300 (which JSON Schema reads as an integer) is an invalid config,
+# not hours of work or an impossible allocation.
+_MAX_EIGENVALUES = 10 ** 4
+_MAX_SECTIONS = 10 ** 6
+_MAX_PATHS = 10 ** 7
+
 _COMMON = {
     "seed": {"type": "integer", "minimum": 0},
     "workers": {"type": "integer", "minimum": 1},
@@ -234,13 +241,13 @@ SCHEMAS = {
         "mesh": _MESH,
         "potential_values": _num_array(1),
         "radial_potential": _POTENTIAL,
-        "k": {"type": "integer", "minimum": 1},
+        "k": {"type": "integer", "minimum": 1, "maximum": _MAX_EIGENVALUES},
     }, ["mesh"]),
 
     "check-inequalities": _schema("check-inequalities", {
         "mesh": _MESH,
-        "n_sections": {"type": "integer", "minimum": 1},
-        "n_domination": {"type": "integer", "minimum": 0},
+        "n_sections": {"type": "integer", "minimum": 1, "maximum": _MAX_SECTIONS},
+        "n_domination": {"type": "integer", "minimum": 0, "maximum": _MAX_SECTIONS},
         "domination_times": _num_array(1),
         "form_limit": {"type": "boolean"},
         "tolerances": {
@@ -263,7 +270,7 @@ SCHEMAS = {
                 "start": _POINT,
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
                 "step": {"type": "number", "exclusiveMinimum": 0},
-                "n_paths": {"type": "integer", "minimum": 100},
+                "n_paths": {"type": "integer", "minimum": 100, "maximum": _MAX_PATHS},
                 "domain": _DOMAIN,
             },
             "required": ["space", "start", "horizon", "step", "n_paths"],

@@ -35,7 +35,17 @@ caller's thread: two position buffers and one draw buffer per producer
 thread, 3 x threads batch buffers whatever the number of workers, and
 no freed batch lingers in a producer thread's malloc arena.  A batch's
 arrays are valid until the next batch is requested, when its
-position buffer goes back to its producer; copy what you keep.
+position buffer goes back to its producer; copy what you keep.  Next to
+the pool, each estimator allocates its own per-batch scratch once per
+call (radii and |v| for the Kato integral, step midpoints and increments
+for the transport phase) and writes into it in place; the hyperbolic
+chart works in two planes of the spent draw buffer.
+
+No ufunc loops over the short coordinate axis: an operation that pairs
+a (B, S, ambient) block with one value per coordinate (a start point, a
+per-node scale, a ball centre) runs once per coordinate, as a long
+strided pass.  Sums over coordinates add in np.linalg.norm's order, so
+this changes no estimate in its last bit.
 """
 
 from __future__ import annotations
@@ -56,6 +66,10 @@ from .geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace
 _MAX_BATCH = 1024
 _NODE_BUDGET = 2 ** 17
 _SCAN_NODES = 2 ** 14
+# path nodes (n_paths x (n_steps + 1)) a configuration may ask for: over
+# 20 times the largest run in the tests (10^5 paths of 1001 nodes), a few
+# minutes of sampling
+_MAX_PATH_NODES = 2 ** 31
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +98,16 @@ class KillingRegion:
                 pairing = center[0] * points[:, 0] - points[:, 1:] @ center[1:]
                 d = np.arccosh(np.maximum(pairing, 1.0))
             else:
-                d = np.linalg.norm(points - center[None, :], axis=1)
+                # |points - center| one coordinate at a time, summed in
+                # np.linalg.norm's order
+                d = np.subtract(points[:, 0], center[0])
+                d *= d
+                diff = np.empty_like(d)
+                for i in range(1, len(center)):
+                    np.subtract(points[:, i], center[i], out=diff)
+                    diff *= diff
+                    d += diff
+                np.sqrt(d, out=d)
             return d < self.radius
         if self.kind == "halfspace":
             n = np.asarray(self.normal, dtype=float)
@@ -137,6 +160,9 @@ class PathConfig:
         if not 0.0 < self.step <= self.horizon / 10:
             raise ConfigError("step must be positive and at most horizon/10")
         ratio = self.horizon / self.step
+        if self.n_paths * (ratio + 1.0) > _MAX_PATH_NODES:
+            raise ConfigError(f"n_paths x (n_steps + 1) exceeds the budget of "
+                              f"{_MAX_PATH_NODES} path nodes")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError("step must divide the horizon evenly")
         if self.n_paths < 100:
@@ -252,6 +278,11 @@ def _batch_size(n_steps: int) -> int:
     return min(_MAX_BATCH, max(1, _NODE_BUDGET // (n_steps + 1)))
 
 
+def _pool_rows(config: PathConfig) -> int:
+    """Paths in the largest batch of a configuration: its buffers' first axis."""
+    return min(_batch_size(config.n_steps), -(-config.n_paths // config.workers))
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -302,7 +333,8 @@ def _sample_batch(config: PathConfig, rng: np.random.Generator, pos: np.ndarray,
     if space.kind == EUCLIDEAN:
         np.cumsum(increments, axis=1, out=pos[:, 1:])
         if np.any(start):
-            pos[:, 1:] += start
+            for i, c in enumerate(start):
+                pos[:, 1:, i] += c
     else:
         # chart x = X' y, y = 1/(X0 - Xm) = (X0 + Xm)/(1 + |X'|^2); the
         # X0 column and the spent W_y column serve as scratch
@@ -316,19 +348,33 @@ def _sample_batch(config: PathConfig, rng: np.random.Generator, pos: np.ndarray,
         scale = np.add(sq[:, :-1], sq[:, 1:], out=increments[:, :, -1])
         scale *= 0.5
         np.sqrt(scale, out=scale)
-        increments[:, :, :-1] *= scale[:, :, None]
+        for i in range(space.dim - 1):
+            increments[:, :, i] *= scale
         np.cumsum(increments[:, :, :-1], axis=1, out=x)
-        x += y0 * start[1:-1]
-        # X' = x/y, X0 = ((|x|^2 + 1)/y + y)/2, Xm = X0 - 1/y
+        if np.any(start[1:-1]):
+            for i, c in enumerate(start[1:-1]):
+                x[:, :, i] += y0 * c
+        # X' = x/y, X0 = ((|x|^2 + 1)/y + y)/2, Xm = X0 - 1/y, worked out
+        # in two contiguous (B, S) planes of the spent draw buffer so that
+        # each strided column is read or written as few times as possible
+        B = pos.shape[0]
+        planes = increments.reshape(-1)
+        acc, tmp = planes[:B * S].reshape(B, S), planes[B * S:2 * B * S].reshape(B, S)
         y = y[:, 1:]
-        np.einsum("bki,bki->bk", x, x, out=x0)
-        x /= y[:, :, None]
-        x0 += 1.0
-        x0 /= y
-        x0 += y
-        x0 *= 0.5
-        np.divide(1.0, y, out=y)
-        np.subtract(x0, y, out=y)
+        np.multiply(x[:, :, 0], x[:, :, 0], out=acc)
+        for i in range(1, space.dim - 1):
+            np.multiply(x[:, :, i], x[:, :, i], out=tmp)
+            acc += tmp
+        np.copyto(tmp, y)
+        for i in range(space.dim - 1):
+            x[:, :, i] /= tmp
+        acc += 1.0
+        acc /= tmp
+        acc += tmp
+        acc *= 0.5
+        np.copyto(x0, acc)
+        np.divide(1.0, tmp, out=tmp)
+        np.subtract(acc, tmp, out=y)
         pos[:, 0] = start
     alive, exit_step = _killing_scan(config.domain, space, pos)
     return PathBatch(times=times, positions=pos, alive=alive,
@@ -362,7 +408,7 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
             for w in workers if lo < counts[w]]
     n_threads = min(len(workers), _usable_cpus())
     owner = {w: i % n_threads for i, w in enumerate(workers)}
-    rows = min(size, max(counts))
+    rows = _pool_rows(config)
     nodes, ambient = config.n_steps + 1, len(config.start)
     free = [queue.SimpleQueue() for _ in range(n_threads)]
     filled = [queue.SimpleQueue() for _ in range(n_threads)]
@@ -428,14 +474,21 @@ def _finish(values: np.ndarray, config: PathConfig, n_effective: int,
                     bias_bound=bias_bound, extras=extras or {})
 
 
-def _radial_distances(space: ModelSpace, flat_pos: np.ndarray) -> np.ndarray:
+def _radial_distances(space: ModelSpace, flat_pos: np.ndarray, out: np.ndarray,
+                      tmp: np.ndarray) -> np.ndarray:
+    """Distances of the (N, ambient) nodes from the origin, written into out.
+
+    tmp is (N,) scratch.  Each coordinate is one long strided pass.
+    """
     if space.kind == EUCLIDEAN:
         # sqrt(x0*x0 + x1*x1 + ...), summed in np.linalg.norm's order
-        r = flat_pos[:, 0] * flat_pos[:, 0]
+        np.multiply(flat_pos[:, 0], flat_pos[:, 0], out=out)
         for i in range(1, flat_pos.shape[1]):
-            r += flat_pos[:, i] * flat_pos[:, i]
-        return np.sqrt(r, out=r)
-    return np.arccosh(np.maximum(flat_pos[:, 0], 1.0))
+            np.multiply(flat_pos[:, i], flat_pos[:, i], out=tmp)
+            out += tmp
+        return np.sqrt(out, out=out)
+    np.maximum(flat_pos[:, 0], 1.0, out=out)
+    return np.arccosh(out, out=out)
 
 
 def mc_kato_integral(v, config: PathConfig) -> Estimate:
@@ -456,14 +509,17 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
     wts = np.ones(S + 1)
     wts[0] = wts[-1] = 0.5
     all_vals = np.empty(config.n_paths)
+    # radii and |v| of one batch, written in place
+    radii, values = np.empty((2, _pool_rows(config) * (S + 1)))
     cap_events = 0
     max_seen = 0.0
     with closing(sample_paths(config)) as batches:
         for batch in batches:
             B = batch.positions.shape[0]
-            r = _radial_distances(config.space,
-                                  batch.positions.reshape(-1, batch.positions.shape[-1]))
-            g = np.asarray(v.abs_radial(r), dtype=float).reshape(B, S + 1)
+            r, g = radii[:B * (S + 1)], values[:B * (S + 1)]
+            _radial_distances(config.space,
+                              batch.positions.reshape(-1, batch.positions.shape[-1]), r, g)
+            g = np.asarray(v.abs_radial(r, out=g), dtype=float).reshape(B, S + 1)
             bad = ~np.isfinite(g) | (g > cap)
             start_bad = bad[:, 0]
             if np.any(start_bad):
@@ -546,15 +602,19 @@ def mc_covariant_semigroup(psi: Callable, A: Callable, config: PathConfig) -> Es
         raise DomainError("transport phases are implemented over Euclidean space")
     values = np.zeros(config.n_paths, dtype=complex)
     scalars = np.zeros(config.n_paths)
+    S, ambient = config.n_steps, len(config.start)
+    # step midpoints and increments of one batch, written in place
+    mids_buf, incs_buf = np.empty((2, _pool_rows(config), S, ambient))
     survivors = 0
     with closing(sample_paths(config)) as batches:
         for batch in batches:
             pos = batch.positions
-            mids = 0.5 * (pos[:, 1:] + pos[:, :-1])
-            incs = pos[:, 1:] - pos[:, :-1]
-            B, S = incs.shape[0], incs.shape[1]
-            a_vals = np.asarray(A(mids.reshape(-1, pos.shape[-1])), dtype=float)
-            seg = np.einsum("ki,ki->k", a_vals, incs.reshape(-1, pos.shape[-1])).reshape(B, S)
+            B = pos.shape[0]
+            mids = np.add(pos[:, 1:], pos[:, :-1], out=mids_buf[:B])
+            mids *= 0.5
+            incs = np.subtract(pos[:, 1:], pos[:, :-1], out=incs_buf[:B])
+            a_vals = np.asarray(A(mids.reshape(-1, ambient)), dtype=float)
+            seg = np.einsum("ki,ki->k", a_vals, incs.reshape(-1, ambient)).reshape(B, S)
             if config.domain is not None:
                 # only steps before the exit contribute to the accumulated phase
                 seg *= np.arange(1, S + 1)[None, :] < batch.exit_step[:, None]

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfc, erfcx, exp1, gammaincc, kve
 
 from .errors import DomainError, MonotonicityError, NotFormBoundedError, UndecidedError
@@ -551,6 +550,8 @@ def form_bound_constants(v: Potential, probes, target_c1: float):
                     f"no r below {_R_SEARCH_CAP:.0e} achieves C_r <= {target_c1}")
             c = c_of(r)[0]
         r_hi = r
+    from scipy.optimize import brentq   # about 0.3 s to import, needed only here
+
     x = brentq(lambda x: c_of(math.exp(x))[0] - target_c1, math.log(r_lo), math.log(r_hi),
                xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
     r = math.exp(x)

@@ -330,10 +330,12 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
     Dense Hermitian solve up to 1200 degrees of freedom, in real arithmetic
     when A has no imaginary part.  Beyond that, with k given, shift-invert
     Lanczos finds the k lowest: the shift sits below the Gershgorin lower
-    bound of A by 1e-4 * scale, so A - sigma I is positive definite and its
-    sparse LU exists even when A has a kernel or V is negative, and the k
-    eigenvalues nearest the shift are the k lowest.  Residuals are ||H x - lambda x||_2 for the returned pairs; a
-    residual above 1e-8 * scale raises ConvergenceError.
+    bound of A by 1e-4 * scale, so A - sigma I is positive definite even
+    when A has a kernel or V is negative, and the k eigenvalues nearest the
+    shift are the k lowest.  That matrix is factored once, with a symmetric
+    fill-reducing ordering and no pivoting, which definiteness allows.
+    Residuals are ||H x - lambda x||_2 for the returned pairs; a residual
+    above 1e-8 * scale raises ConvergenceError.
     """
     A, _ = _assemble(mesh, V=V)
     dim = A.shape[0]
@@ -351,8 +353,12 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
         radius = np.asarray(absA.sum(axis=1)).ravel() - np.abs(diag)
         sigma = float(np.min(diag - radius)) - _SHIFT_MARGIN * scale
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
+        lu = spla.splu((A - sigma * sp.identity(dim, dtype=A.dtype, format="csc")).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        OPinv = spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=A.dtype)
         try:
-            lam, Q = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+            lam, Q = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv,
                                 maxiter=max(2000, 40 * dim))
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError("Lanczos did not converge",

@@ -50,9 +50,10 @@ class Potential:
             if not np.allclose(a - b, np.asarray(self.radial(probe)), atol=1e-10):
                 raise DomainError("sign_split does not reproduce the potential")
 
-    def abs_radial(self, r):
+    def abs_radial(self, r, out=None):
+        """|v(r)|, written into ``out`` (an array of r's shape) when given."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(self.radial(np.asarray(r, dtype=float)))
+            return np.abs(self.radial(np.asarray(r, dtype=float)), out=out)
 
     def positive_part(self) -> Callable:
         if self.sign_split is not None:
@@ -146,9 +147,16 @@ def tabulated(space: ModelSpace, radii, values, interpolation: str = "linear") -
 
 
 def _safe_inverse_power(r, p, s):
+    """s / r**p, and sign(s) * inf at r = 0.
+
+    For p > 0 the division reaches that limit by itself (s / 0 is
+    sign(s) * inf, and 0 / 0 the same nan as 0 * inf), and r**1 is r.
+    """
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore"):
-        out = s / np.power(r, p)
+        out = s / (r if p == 1 else np.power(r, p))
+    if p > 0:
+        return out
     return np.where(r == 0.0, np.sign(s) * np.inf, out)
 
 

@@ -33,10 +33,10 @@ def evaluations(monkeypatch):
         counts.quadpack += 1
         return quad(*args, **kwargs)
 
-    def counted_abs_radial(self, r):
+    def counted_abs_radial(self, r, **kwargs):
         counts.radial_calls += 1
         counts.radial_points += int(np.size(r))
-        return abs_radial(self, r)
+        return abs_radial(self, r, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counted_quad)
     for key, module in list(sys.modules.items()):

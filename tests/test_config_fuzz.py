@@ -2,8 +2,9 @@
 
 Every leaf of every bundled config, and of a few inline-form seeds (a
 radial and a tabulated potential, an inline mesh, a ball and a half-space
-killing region), is broken in each of the ways ``MUTATIONS`` lists, and
-the result goes through ``katoform run`` in process.  Each case must exit
+killing region), is broken in each of the ways ``MUTATIONS`` lists, each
+count leaf also in the ways ``COUNT_MUTATIONS`` lists, and the result goes
+through ``katoform run`` in process.  Each case must exit
 0, or exit 2 with an ``invalid config`` diagnostic; an exception escaping
 ``cli.main`` is a traceback and fails the case.  No mutation here leaves
 a valid config whose run breaks a named invariant, so exit 1 (a contract
@@ -90,6 +91,14 @@ MUTATIONS = {
     "empty": lambda v: [],
 }
 
+# a count of 1e300, which JSON Schema reads as an integer, or of 10^12
+# must be refused before any work or allocation sized by it
+COUNT_FIELDS = {"n_sections", "n_domination", "k", "n_paths"}
+COUNT_MUTATIONS = {
+    "huge": lambda v: 1e300,
+    "huge_int": lambda v: 10 ** 12,
+}
+
 
 def _leaves(node, path=()):
     if isinstance(node, dict) and node:
@@ -110,12 +119,14 @@ def _mutated(cfg, path, mutation):
     if mutation == "drop":
         del parent[path[-1]]
     else:
-        parent[path[-1]] = MUTATIONS[mutation](parent[path[-1]])
+        mutate = MUTATIONS.get(mutation) or COUNT_MUTATIONS[mutation]
+        parent[path[-1]] = mutate(parent[path[-1]])
     return out
 
 
 CASES = [(seed, path, mutation) for seed, cfg in SEEDS.items()
-         for path in _leaves(cfg) for mutation in MUTATIONS]
+         for path in _leaves(cfg) for mutation in
+         list(MUTATIONS) + (list(COUNT_MUTATIONS) if path[-1] in COUNT_FIELDS else [])]
 
 
 @pytest.mark.parametrize(

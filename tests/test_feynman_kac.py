@@ -133,6 +133,23 @@ def test_hyperbolic_ball_region():
     assert list(got) == [True, False]
 
 
+@pytest.mark.parametrize("space", [E1, E2, E3])
+def test_euclidean_distances_are_norms_bit_for_bit(space):
+    """The per-coordinate distance kernels against np.linalg.norm over whole rows."""
+    rng = np.random.default_rng(8)
+    points = rng.standard_normal((5000, space.dim)) * np.exp(rng.uniform(-8, 3, (5000, 1)))
+    center = 0.1 * rng.standard_normal(space.dim)
+    r, tmp = np.empty(5000), np.empty(5000)
+    assert np.array_equal(fk._radial_distances(space, points, r, tmp),
+                          np.linalg.norm(points, axis=1))
+    d = np.linalg.norm(points - center, axis=1)
+    # a radius equal to a sample's distance puts that sample on the edge, so
+    # a distance off in its last bit would move it inside
+    for radius in d[:50]:
+        ball = KillingRegion(kind="ball", radius=float(radius), center=tuple(center))
+        assert np.array_equal(ball.inside(space, points), d < radius)
+
+
 # ---------------------------------------------------------------------------
 # sampler law
 
@@ -339,11 +356,11 @@ def test_caller_error_joins_producers(monkeypatch):
     calls = []
     radial = pot.abs_radial
 
-    def abs_radial(r):
+    def abs_radial(r, **kwargs):
         calls.append(threading.get_ident())
         if len(calls) == 3:
             raise RuntimeError("potential failed on the third batch")
-        return radial(r)
+        return radial(r, **kwargs)
 
     monkeypatch.setattr(pot, "abs_radial", abs_radial)
     baseline = threading.active_count()
@@ -427,6 +444,38 @@ def test_pool_keeps_the_estimates():
         0.6985466826787804 - 0.0020716151808224986j, 0.008027173803755585)
 
 
+def test_batch_kernels_keep_the_estimates():
+    """Literals recorded before the per-coordinate batch kernels, compared exactly.
+
+    They cover the H^3 chart with a start off the x = 0 plane and from the
+    origin (where the start node is replaced), the H^2 chart under a ball,
+    an off-origin Euclidean start under a ball, and a shifted start under
+    a half-space.
+    """
+    pot = coulomb(H3)
+    off = mc_kato_integral(pot, econf(space=H3, start=(math.cosh(0.3), 0.0, math.sinh(0.3), 0.0),
+                                      workers=2))
+    assert (off.value, off.std_error, off.cap_events, off.bias_bound) == (
+        0.4649527726914678, 0.0054720010804957895, 0, 0.08944271909999159)
+    origin = mc_kato_integral(pot, hconf(workers=2))
+    assert (origin.value, origin.std_error) == (0.6753446895145091, 0.006921485002493826)
+    ball = KillingRegion(kind="ball", radius=1.0)
+    plane = mc_heat_expectation(lambda p: p[:, 1],
+                                econf(space=H2, start=(math.cosh(0.3), math.sinh(0.3), 0.0),
+                                      workers=2, domain=ball))
+    assert (plane.value, plane.std_error, plane.n_effective) == (
+        0.1724094683865864, 0.01117118574256453, 772)
+    surv = mc_heat_expectation(lambda p: p[:, 0] + 1.0,
+                               econf(start=(0.1, 0.0, -0.2), workers=2, domain=ball))
+    assert (surv.value, surv.std_error, surv.n_effective) == (
+        0.7246876098773832, 0.018199426956879452, 677)
+    half = KillingRegion(kind="halfspace", normal=(0.6, 0.8), offset=0.3)
+    heat = mc_heat_expectation(lambda p: p[:, 1],
+                               econf(space=E2, start=(0.1, -0.2), workers=2, domain=half))
+    assert (heat.value, heat.std_error, heat.n_effective) == (
+        -0.24232494790285933, 0.011346581298059308, 660)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3, 500])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_batches_reuse_two_buffers_per_thread(monkeypatch, workers, cpus):
@@ -457,8 +506,9 @@ def test_traced_memory_is_bounded_by_the_pool(monkeypatch, case, cpus):
     if case == "kato_e3":
         cfg = PathConfig(space=E3, start=(0.0, 0.0, 0.0), horizon=0.1, step=1e-4,
                          n_paths=4000, seed=3, workers=2)
-        # radii, values and the potential's own temporaries: 4-5 floats a node
-        temporaries = 2
+        # the estimator's radii and |v| scratch, the profile's own result and
+        # the cap mask: a little over 3 floats a node, one position buffer
+        temporaries = 1.4
 
         def run():
             mc_kato_integral(coulomb(E3), cfg)

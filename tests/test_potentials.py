@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katoform.errors import DomainError
 from katoform.geometry import EUCLIDEAN, ModelSpace
-from katoform.potentials import (Potential, bump, constant, coulomb,
-                                 inverse_power, inverse_square,
+from katoform.potentials import (Potential, _safe_inverse_power, bump, constant,
+                                 coulomb, inverse_power, inverse_square,
                                  potential_from_json, tabulated)
 
 E3 = ModelSpace(EUCLIDEAN, 3)
@@ -23,6 +25,36 @@ def test_coulomb_values_and_singularity():
     assert v.abs_radial(0.0) == math.inf
     assert coulomb(E3, strength=-1.0).radial(0.0) == -math.inf
     assert coulomb(E3, strength=-1.0).abs_radial(np.array([0.0, 2.0])).tolist() == [math.inf, 0.5]
+
+
+def first_inverse_power(r, p, s):
+    """The profile as first written: a power, a division and a patch at r = 0."""
+    r = np.asarray(r, dtype=float)
+    out = s / np.power(r, p)
+    return np.where(r == 0.0, np.sign(s) * np.inf, out)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+# radii are nonnegative; every draw also carries 0, subnormals, 1 and inf
+RADII = st.lists(st.floats(min_value=0.0, allow_nan=False), max_size=30).map(
+    lambda xs: np.array(xs + [0.0, 5e-324, 2.2e-308, 1.0, math.inf]))
+
+
+@settings(max_examples=300)
+@given(r=RADII, p=st.sampled_from([0, 0.5, 1, 1.0, 2, 2.0, 2.5, -1]),
+       s=st.floats(allow_nan=False, allow_infinity=False))
+def test_safe_inverse_power_is_the_first_formula_bit_for_bit(r, p, s):
+    with np.errstate(all="ignore"):
+        want = first_inverse_power(r, p, s)
+        assert bits(_safe_inverse_power(r, p, s)) == bits(want)
+        assert bits(_safe_inverse_power(float(r[0]), p, s)) == bits(want[0])
+        pot = inverse_power(E3, power=p, strength=s)
+        out = np.empty_like(r)
+        assert pot.abs_radial(r, out=out) is out
+        assert bits(out) == bits(np.abs(want))
 
 
 def test_inverse_power_and_square():

@@ -1,12 +1,19 @@
-"""No module of the package imports scipy.integrate.
+"""What the package's modules import.
 
-Every integral in katoform runs on its own Gauss-Kronrod panels
-(katoform.quadrature); QUADPACK serves only the tests' oracle.  Each
-module is parsed with ast, not imported, so an import inside a function
-body is found too.
+No module imports scipy.integrate: every integral in katoform runs on its
+own Gauss-Kronrod panels (katoform.quadrature); QUADPACK serves only the
+tests' oracle.  Each module is parsed with ast, not imported, so an
+import inside a function body is found too.
+
+Importing the command line front end leaves scipy.optimize unloaded: it
+costs about a third of a second and serves one root find in
+kato.form_bound_constants, which imports it when it runs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "katoform"
@@ -32,3 +39,13 @@ def test_no_module_imports_scipy_integrate():
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert "quadrature.py" in found
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, katoform.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
