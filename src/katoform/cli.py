@@ -188,10 +188,10 @@ _DOMAIN = {"oneOf": [
 
 # Upper bounds of the count fields, far above any real run: a count such
 # as 1e300 (which JSON Schema reads as an integer) is an invalid config,
-# not hours of work or an impossible allocation.
+# not hours of work or an impossible allocation.  The path count has no
+# bound here: PathConfig's path-node budget is the one limit on it.
 _MAX_EIGENVALUES = 10 ** 4
 _MAX_SECTIONS = 10 ** 6
-_MAX_PATHS = 10 ** 7
 
 _COMMON = {
     "seed": {"type": "integer", "minimum": 0},
@@ -270,7 +270,7 @@ SCHEMAS = {
                 "start": _POINT,
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
                 "step": {"type": "number", "exclusiveMinimum": 0},
-                "n_paths": {"type": "integer", "minimum": 100, "maximum": _MAX_PATHS},
+                "n_paths": {"type": "integer", "minimum": 100},
                 "domain": _DOMAIN,
             },
             "required": ["space", "start", "horizon", "step", "n_paths"],

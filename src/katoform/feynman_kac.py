@@ -98,16 +98,8 @@ class KillingRegion:
                 pairing = center[0] * points[:, 0] - points[:, 1:] @ center[1:]
                 d = np.arccosh(np.maximum(pairing, 1.0))
             else:
-                # |points - center| one coordinate at a time, summed in
-                # np.linalg.norm's order
-                d = np.subtract(points[:, 0], center[0])
-                d *= d
-                diff = np.empty_like(d)
-                for i in range(1, len(center)):
-                    np.subtract(points[:, i], center[i], out=diff)
-                    diff *= diff
-                    d += diff
-                np.sqrt(d, out=d)
+                d = _euclidean_norms(points, np.empty(len(points)),
+                                     np.empty(len(points)), center)
             return d < self.radius
         if self.kind == "halfspace":
             n = np.asarray(self.normal, dtype=float)
@@ -160,7 +152,9 @@ class PathConfig:
         if not 0.0 < self.step <= self.horizon / 10:
             raise ConfigError("step must be positive and at most horizon/10")
         ratio = self.horizon / self.step
-        if self.n_paths * (ratio + 1.0) > _MAX_PATH_NODES:
+        # the int comparison first: a huge int times a float overflows
+        if self.n_paths > _MAX_PATH_NODES \
+                or self.n_paths * (ratio + 1.0) > _MAX_PATH_NODES:
             raise ConfigError(f"n_paths x (n_steps + 1) exceeds the budget of "
                               f"{_MAX_PATH_NODES} path nodes")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
@@ -474,6 +468,26 @@ def _finish(values: np.ndarray, config: PathConfig, n_effective: int,
                     bias_bound=bias_bound, extras=extras or {})
 
 
+def _euclidean_norms(points: np.ndarray, out: np.ndarray, tmp: np.ndarray,
+                     center: np.ndarray | None = None) -> np.ndarray:
+    """|points - center| of the (N, ambient) rows, written into out.
+
+    tmp is (N,) scratch; center None means the origin.  Each coordinate is
+    one long strided pass, summed in np.linalg.norm's order, so the norms
+    equal np.linalg.norm's bit for bit.
+    """
+    for i in range(points.shape[1]):
+        dst = out if i == 0 else tmp
+        if center is None:
+            np.multiply(points[:, i], points[:, i], out=dst)
+        else:
+            np.subtract(points[:, i], center[i], out=dst)
+            dst *= dst
+        if i:
+            out += tmp
+    return np.sqrt(out, out=out)
+
+
 def _radial_distances(space: ModelSpace, flat_pos: np.ndarray, out: np.ndarray,
                       tmp: np.ndarray) -> np.ndarray:
     """Distances of the (N, ambient) nodes from the origin, written into out.
@@ -481,12 +495,7 @@ def _radial_distances(space: ModelSpace, flat_pos: np.ndarray, out: np.ndarray,
     tmp is (N,) scratch.  Each coordinate is one long strided pass.
     """
     if space.kind == EUCLIDEAN:
-        # sqrt(x0*x0 + x1*x1 + ...), summed in np.linalg.norm's order
-        np.multiply(flat_pos[:, 0], flat_pos[:, 0], out=out)
-        for i in range(1, flat_pos.shape[1]):
-            np.multiply(flat_pos[:, i], flat_pos[:, i], out=tmp)
-            out += tmp
-        return np.sqrt(out, out=out)
+        return _euclidean_norms(flat_pos, out, tmp)
     np.maximum(flat_pos[:, 0], 1.0, out=out)
     return np.arccosh(out, out=out)
 

@@ -65,6 +65,8 @@ def test_pathconfig_validation():
         econf(step=0.0003)                   # does not divide horizon
     with pytest.raises(ConfigError):
         econf(n_paths=50)
+    with pytest.raises(ConfigError, match="path nodes"):   # past float range
+        econf(n_paths=10 ** 400)
     with pytest.raises(ConfigError):
         econf(horizon=-1.0)
     with pytest.raises(ConfigError):
@@ -135,7 +137,7 @@ def test_hyperbolic_ball_region():
 
 @pytest.mark.parametrize("space", [E1, E2, E3])
 def test_euclidean_distances_are_norms_bit_for_bit(space):
-    """The per-coordinate distance kernels against np.linalg.norm over whole rows."""
+    """The per-coordinate distance kernel against np.linalg.norm over whole rows."""
     rng = np.random.default_rng(8)
     points = rng.standard_normal((5000, space.dim)) * np.exp(rng.uniform(-8, 3, (5000, 1)))
     center = 0.1 * rng.standard_normal(space.dim)
