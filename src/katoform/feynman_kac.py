@@ -70,6 +70,8 @@ _SCAN_NODES = 2 ** 14
 # 20 times the largest run in the tests (10^5 paths of 1001 nodes), a few
 # minutes of sampling
 _MAX_PATH_NODES = 2 ** 31
+# worker streams a configuration may ask for (sample_paths makes lists this long)
+_MAX_WORKERS = 2 ** 10
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +163,8 @@ class PathConfig:
             raise ConfigError("step must divide the horizon evenly")
         if self.n_paths < 100:
             raise ConfigError("need at least 100 paths")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= _MAX_WORKERS:
+            raise ConfigError(f"workers must lie in [1, {_MAX_WORKERS}]")
         start = np.asarray(self.start, dtype=float)
         self.space.validate_point(start)
         object.__setattr__(self, "start", tuple(float(x) for x in start))
@@ -543,13 +545,12 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
             if config.domain is None:
                 vals = np.einsum("bk,k->b", g, wts)
             else:
-                # trapezoid weights, truncated at the exit step
-                live = np.arange(S + 1)[None, :] < batch.exit_step[:, None]
-                trunc = np.where(live, g, 0.0)
+                # trapezoid weights, truncated at the exit step (alive is k < exit_step)
+                trunc = np.where(batch.alive, g, 0.0)
                 # a path killed before the horizon gives its last live node the
                 # trapezoid half weight: one killed at step 1 keeps h * g_0 / 2
                 ends = np.minimum(batch.exit_step, S + 1) - 1
-                w_matrix = np.where(live, wts[None, :], 0.0)
+                w_matrix = np.where(batch.alive, wts[None, :], 0.0)
                 short = ends < S
                 w_matrix[short, ends[short]] = 0.5
                 vals = np.einsum("bk,bk->b", trunc, w_matrix)

@@ -33,9 +33,13 @@ Everywhere else it is geometry.sphere_mean (a reflection pair on R^1,
 graded panels in the polar angle on R^2, R^m with m >= 4 and H^2), one
 call per radial node, whose error estimate joins the reported one.
 
-Every probe takes this one kernel route, and every radial integral is one
-quadrature.radial_integral on graded panels, whose integrand (|v|, the
-ring and the kernel mean) is one array call per round; the nested
+The small-ball functional and the local integrability check take this
+route with the kernel weight(rho) 1{rho < a}, so a singular radius of v
+stays in the radial variable, where its condensation windows classify it.
+
+Every Kato integral takes this one kernel route, and every radial integral
+is one quadrature.radial_integral on graded panels, whose integrand (|v|,
+the ring and the kernel mean) is one array call per round; the nested
 time-and-space quadrature is only the tests' oracle.  The condensation
 windows at each singular radius of v (radius 0 included) and the doubling
 windows of the radial tail are classified as they are read, so a divergent
@@ -55,7 +59,7 @@ from scipy.special import erfc, erfcx, exp1, gammaincc, kve
 
 from .errors import DomainError, MonotonicityError, NotFormBoundedError, UndecidedError
 from .geometry import (_TAIL_LOG, HYPERBOLIC, ModelSpace, _h2_millson, _sphere_means, _split_S,
-                       distance, h_kernel, kernel_tail_radius, ring_area, sphere_area)
+                       distance, h_kernel, kernel_tail_radius, sphere_area)
 from .potentials import Potential
 from .quadrature import _TINY, SPATIAL_REL, radial_integral
 
@@ -104,6 +108,8 @@ class _Kernel:
     # (rho, shift) -> (k(rho) e^shift, error) where k has no closed form (H^2),
     # vectorized like radial
     transform: Callable | None = None
+    # k = 0 for rho >= support (the small-ball kernel); inf for the heat and Green kernels
+    support: float = math.inf
 
 
 def _erfc_pair(rho, t: float, c: float, sign: float = 1.0, shift=0.0):
@@ -249,8 +255,13 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     array of w per round.  A kernel without a chord form takes the generic
     sphere mean, one call per w.  The largest relative error of a sphere
     mean and that of a kernel transform join the reported one.
+
+    With a finite support R the integral ends at b + R, |b - R| and b + R are
+    plain points, no radius s of v with |s - b| > R is declared, no node with
+    |w - b| >= R takes a sphere mean, and each sphere mean is cut at R.
     """
-    space, radial = v.space, kernel.radial
+    space, radial, support = v.space, kernel.radial, kernel.support
+    cut = (support,) if math.isfinite(support) else ()
     m, hyperbolic = space.dim, space.kind == HYPERBOLIC
     # below _TINY / SPATIAL_REL a sphere mean or a transform meets only the
     # absolute floor _TINY, and its relative error says nothing about the integral
@@ -280,12 +291,23 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     else:
         def ring_mean(w):
             nonlocal inner_rel
-            out, rel = _sphere_means(space, radial, w, b, ())
+            out, rel = _sphere_means(space, radial, w, b, cut)
             inner_rel = max(inner_rel, rel)
             return out
 
+    # at the centre the kernel's pole makes 0 a singular radius of the integrand
+    singular, points = ((0.0, *v.singular_radii), []) if b <= _CENTRE else (v.singular_radii, [b])
+    abs_v = v.abs_radial
+    if cut:
+        # |v| reads 0 off the spheres the support meets; a radius on its edge stays declared
+        singular = [s for s in singular if abs(s - b) <= support]
+        points += [abs(b - support), b + support]
+
+        def abs_v(w):
+            return np.where(np.abs(w - b) < support, v.abs_radial(w), 0.0)
+
     def integrand(w):
-        vw = v.abs_radial(w)
+        vw = abs_v(w)
         live = np.isfinite(vw) & (vw != 0.0)
         if live.all():
             return vw * ring_mean(w)
@@ -298,13 +320,12 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     # compactly supported potential is never lost in one wide panel: plain
     # breakpoints up to the reach, radial_integral's tail windows from the
     # first one past it (from the first one, for a kernel that does not decay).
-    # At the centre the kernel's pole makes 0 a singular radius of the integrand
-    singular, points = ((0.0, *v.singular_radii), []) if b <= _CENTRE else (v.singular_radii, [b])
+    # A finite support is its own reach, so its one start is the end b + R
     reach = kernel.reach + b
     starts = [min(reach, max(1.0, 2.0 * max((*singular, *points))))]
     while starts[-1] < reach < math.inf:
         starts.append(2.0 * starts[-1])
-    val, err = radial_integral(integrand, math.inf, singular, points=points + starts)
+    val, err = radial_integral(integrand, support + b, singular, points=points + starts)
     return val, err + (inner_rel + kernel_rel) * val if math.isfinite(val) else err
 
 
@@ -441,38 +462,15 @@ def analytic_kato_functional(v: Potential, radius: float, probes) -> float:
                             dists)[0]
 
 
+def _ball_kernel(radius: float, weight) -> _Kernel:
+    """The kernel weight(rho) for rho < radius, 0 beyond; ``weight`` takes an array of distances."""
+    return _Kernel(lambda rho, shift: np.where(rho < radius, weight(rho), 0.0) * np.exp(shift),
+                   radius, support=radius)
+
+
 def _ball_integral(v: Potential, b: float, radius: float, weight):
-    """(value, error) of integral_{B_radius(x)} |v(y)| weight(d(x, y)) dvol, x at distance b.
-
-    ``weight`` takes an array of distances.  At the centre of v it is one
-    radial integral; off the centre a radial integral about the probe of
-    the weight times geometry.sphere_mean of |v|, one call per radial node,
-    which declares v's singular radii.  The largest relative error of a
-    sphere mean joins the reported one.
-    """
-    space = v.space
-    if b <= _CENTRE:
-        def integrand(w):
-            vw = v.abs_radial(w)
-            return np.where(np.isfinite(vw), vw * ring_area(space, w) * weight(w), math.inf)
-
-        return radial_integral(integrand, radius, singular=(0.0, *v.singular_radii))
-
-    inner_rel = 0.0
-
-    def abs_v(rho, shift):
-        return np.abs(np.asarray(v.radial(rho), dtype=float)) * math.exp(shift)
-
-    def integrand(rho):
-        nonlocal inner_rel
-        out, rel = _sphere_means(space, abs_v, rho, b, v.singular_radii)
-        inner_rel = max(inner_rel, rel)
-        return weight(rho) * out
-
-    breaks = sorted({abs(b - ws) for ws in v.singular_radii} |
-                    {b + ws for ws in v.singular_radii})
-    val, err = radial_integral(integrand, radius, singular=breaks)
-    return val, err + inner_rel * val if math.isfinite(val) else err
+    """(value, error) of integral_{B_radius(x)} |v(y)| weight(d(x, y)) dvol, x at distance b."""
+    return _fubini_b(v, b, _ball_kernel(radius, weight))
 
 
 def lp_kato_classify(p: float, m: int) -> str:
@@ -614,8 +612,8 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
 
     integrable = decided(
         "local integrability",
-        lambda: all(math.isfinite(_ball_integral(v, b, 1.0, lambda rho: 1.0)[0])
-                    for b in dists),
+        lambda: math.isfinite(
+            _max_over_probes(lambda b: _ball_integral(v, b, 1.0, lambda rho: 1.0), dists)[0]),
         True)
 
     eta_rows = []

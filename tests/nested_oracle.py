@@ -262,12 +262,16 @@ def quadpack_fubini_b(v: Potential, b: float, kernel):
     The kato route's radial integral against the sphere mean of the kernel
     (itself at the centre, the chord form in dimension 3, else
     geometry.sphere_mean), on quadpack_radial_tail instead of the graded
-    panels; kernel values are taken one distance at a time.
+    panels; kernel values are taken one distance at a time.  A kernel with
+    a finite support R is one radial_integral up to b + R instead, with
+    plain points at |b - R| and b + R and every sphere mean cut at R.
     """
     space = v.space
     m = space.dim
     hyperbolic = space.kind == HYPERBOLIC
     abs_scalar = _abs_scalar(v)
+    support = kernel.support
+    cut = (support,) if math.isfinite(support) else ()
 
     def radial(rho, shift):
         if kernel.transform is not None:
@@ -283,9 +287,11 @@ def quadpack_fubini_b(v: Potential, b: float, kernel):
             s_b = math.sinh(b) if hyperbolic else b
             return 2.0 * math.pi * scaled * float(kernel.chord(abs(w - b), 2.0 * min(w, b),
                                                                exponent)) / s_b
-        return sphere_mean(space, radial, w, b)[0]
+        return sphere_mean(space, radial, w, b, cut)[0]
 
     def integrand(w):
+        if abs(w - b) >= support:
+            return 0.0
         vw = abs_scalar(w)
         if vw == 0.0:
             return 0.0
@@ -293,8 +299,11 @@ def quadpack_fubini_b(v: Potential, b: float, kernel):
             return math.inf
         return vw * ring_mean(w)
 
-    return quadpack_radial_tail(integrand, kernel.reach + b, v.singular_radii,
-                                [b] if b > 1e-14 else [])
+    points = [b] if b > 1e-14 else []
+    if math.isfinite(support):
+        return radial_integral(integrand, b + support, v.singular_radii,
+                               points=points + [abs(b - support), b + support])
+    return quadpack_radial_tail(integrand, kernel.reach + b, v.singular_radii, points)
 
 
 # ---------------------------------------------------------------------------

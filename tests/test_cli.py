@@ -10,6 +10,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,20 @@ def test_fk_mc_negative_declared_singularity(tmp_path, capsys):
                                     "singularities": [-1.0]}}}
     code, out = run_cli(tmp_path, cfg)
     assert code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_fk_mc_huge_worker_count(tmp_path, capsys, monkeypatch, via):
+    # refused by PathConfig before sample_paths builds any per-worker list
+    huge = str(10 ** 12)
+    extra = ("--workers", huge) if via == "flag" else ()
+    if via == "env":
+        monkeypatch.setenv("KATOFORM_WORKERS", huge)
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, bundled_config("fk_coulomb"), *extra)
+    assert code == 2 and time.perf_counter() - start < 1.0
     assert "invalid config" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 

@@ -1,14 +1,14 @@
 """The config contract under one-field mutations.
 
 Every leaf of every bundled config, and of a few inline-form seeds (a
-radial and a tabulated potential, an inline mesh, a ball and a half-space
-killing region), is broken in each of the ways ``MUTATIONS`` lists, each
-count leaf also in the ways ``COUNT_MUTATIONS`` lists, and the result goes
-through ``katoform run`` in process.  Each case must exit
-0, or exit 2 with an ``invalid config`` diagnostic; an exception escaping
-``cli.main`` is a traceback and fails the case.  No mutation here leaves
-a valid config whose run breaks a named invariant, so exit 1 (a contract
-violation) is never expected.  The enumeration is exhaustive, not
+radial and a tabulated potential, an inline mesh, a ball killing region
+with a worker count and a half-space one), is broken in each of the ways
+``MUTATIONS`` lists, each count leaf also in the ways ``COUNT_MUTATIONS``
+lists, and the result goes through ``katoform run`` in process.  Each
+case must exit 0, or exit 2 with an ``invalid config`` diagnostic; an
+exception escaping ``cli.main`` is a traceback and fails the case.  No
+mutation here leaves a valid config whose run breaks a named invariant,
+so exit 1 (a contract violation) is never expected.  The enumeration is exhaustive, not
 sampled: a case takes a few milliseconds.
 """
 
@@ -49,7 +49,7 @@ INLINE_SEEDS = {
         "k": 1,
     },
     "ball_domain": {
-        "command": "fk-mc", "estimator": "survival",
+        "command": "fk-mc", "estimator": "survival", "workers": 2,
         "path": dict(FAST_PATH, domain={"kind": "ball", "radius": 1.0,
                                         "center": [0.1, 0.0, 0.0]}),
     },
@@ -93,7 +93,7 @@ MUTATIONS = {
 
 # a count of 1e300, which JSON Schema reads as an integer, or of 10^12
 # must be refused before any work or allocation sized by it
-COUNT_FIELDS = {"n_sections", "n_domination", "k", "n_paths"}
+COUNT_FIELDS = {"n_sections", "n_domination", "k", "n_paths", "workers"}
 COUNT_MUTATIONS = {
     "huge": lambda v: 1e300,
     "huge_int": lambda v: 10 ** 12,

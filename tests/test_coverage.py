@@ -2,8 +2,9 @@
 
 For random radial potentials (sums of c_i |r - s_i|^-p_i with every p_i
 below the Kato threshold at its radius, and bumps) on R^1-R^3, H^2 and
-H^3, with probes at the centre and at each s_i, eta(t), C_r and (on
-transient spaces) C_0 from kato._fubini_b must agree with
+H^3, with probes at the centre and at each s_i, eta(t), C_r, (on
+transient spaces) C_0 and the small-ball integral (weight 1, and h_m
+from dimension 2) from kato._fubini_b must agree with
 nested_oracle.quadpack_fubini_b, the same kernel integrated by QUADPACK
 one node at a time, within the sum of both error estimates plus 4 ulp.
 Both routes share the kernel formulas, so this checks the radial
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katoform import kato
-from katoform.geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace
+from katoform.geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace, h_kernel
 from katoform.potentials import Potential, bump
 from nested_oracle import quadpack_fubini_b
 
@@ -51,10 +52,13 @@ def potentials(draw, space):
     return power_sum(space, terms)
 
 
-def kernels(space, t, r):
+def kernels(space, t, r, radius):
     out = [kato._heat_kernel(space, t), kato._green_kernel(space, r)]
     if kato._transient(space):
         out.append(kato._green_kernel(space, 0.0))
+    out.append(kato._ball_kernel(radius, lambda rho: 1.0))
+    if space.dim >= 2:
+        out.append(kato._ball_kernel(radius, lambda rho: h_kernel(space.dim, rho)))
     return out
 
 
@@ -67,11 +71,12 @@ def covered(new, oracle):
 
 @pytest.mark.parametrize("space", SPACES, ids=[f"{sp.kind[0]}{sp.dim}" for sp in SPACES])
 @settings(max_examples=4)
-@given(data=st.data(), t=st.sampled_from([1e-3, 1e-2, 0.1]), r=st.sampled_from([1.0, 8.0]))
-def test_error_bars_cover_the_oracle(space, data, t, r):
+@given(data=st.data(), t=st.sampled_from([1e-3, 1e-2, 0.1]), r=st.sampled_from([1.0, 8.0]),
+       radius=st.sampled_from([0.3, 0.75]))
+def test_error_bars_cover_the_oracle(space, data, t, r, radius):
     v = data.draw(potentials(space))
     for b in {0.0, *v.singular_radii}:
-        for kernel in kernels(space, t, r):
+        for kernel in kernels(space, t, r, radius):
             new = kato._fubini_b(v, b, kernel)
             oracle = quadpack_fubini_b(v, b, kernel)
             assert covered(new, oracle), (v.name, b, kernel.reach, new, oracle)

@@ -69,6 +69,10 @@ def test_pathconfig_validation():
         econf(n_paths=10 ** 400)
     with pytest.raises(ConfigError):
         econf(horizon=-1.0)
+    with pytest.raises(ConfigError, match="workers"):
+        econf(workers=2 ** 10 + 1)
+    with pytest.raises(ConfigError, match="workers"):
+        econf(workers=0)
     with pytest.raises(ConfigError):
         econf(start=(5.0, 0.0, 0.0),
               domain=KillingRegion(kind="ball", radius=1.0))
@@ -444,6 +448,14 @@ def test_pool_keeps_the_estimates():
                                  econf(space=E2, start=(0.1, 0.0), workers=2))
     assert (cov.value, cov.std_error) == (
         0.6985466826787804 - 0.0020716151808224986j, 0.008027173803755585)
+
+
+def test_killed_kato_integral_keeps_the_estimate():
+    """Literals recorded while the truncation recomputed the alive mask from exit_step."""
+    ball = KillingRegion(kind="ball", radius=1.0)
+    est = mc_kato_integral(coulomb(E3), econf(start=(0.1, 0.0, -0.2), workers=2, domain=ball))
+    assert (est.value, est.std_error, est.cap_events, est.bias_bound) == (
+        0.5061238433742112, 0.006570882366689965, 0, 0.08944271909999159)
 
 
 def test_batch_kernels_keep_the_estimates():

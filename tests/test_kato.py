@@ -451,6 +451,32 @@ def test_offcentre_ball_integral_at_a_shell():
     assert abs(value - want) <= err < 1e-6 * value
 
 
+@pytest.mark.parametrize("beta,want", [(-0.9, 58.98352073099464), (-0.99, 624.093212295585)])
+def test_offcentre_ball_integral_at_a_strong_shell(beta, want):
+    # as at beta = -1/2, over caps of spheres about the centre, |w - 1/2|^beta
+    # taken as QUADPACK's algebraic weight on each side of the shell
+    def cap(w):
+        return 4.0 * math.pi * w * w if w <= 0.5 else 2.0 * math.pi * w * (w + 0.75 - w * w)
+
+    truth = (quad(cap, 0.0, 0.5, weight="alg", wvar=(0.0, beta), epsabs=0.0, epsrel=1e-13)[0]
+             + quad(cap, 0.5, 1.5, weight="alg", wvar=(beta, 0.0), epsabs=0.0, epsrel=1e-13)[0])
+    assert truth == pytest.approx(want, rel=1e-12)
+    value, err = kato._ball_integral(shell_potential(beta), 0.5, 1.0, lambda rho: 1.0)
+    assert abs(value - want) <= err < 1e-6 * value
+
+
+# values recorded from the route that took the sphere mean of |v| about
+# the probe: the ball about a probe at b = 2 misses the pole, so the
+# support trims the radial integral to [1, 3] and no singular radius is
+# declared; on R^3 the mean value property gives vol(B_1) / b
+@pytest.mark.parametrize("space,want,want_err", [
+    (E2, 1.6251955458398408, 4.204421729220322e-12),
+    (E3, 2.0943951023931957, 1.5743802721792407e-13)], ids=["R2", "R3"])
+def test_ball_integral_from_a_far_probe(space, want, want_err):
+    value, err = kato._ball_integral(coulomb(space), 2.0, 1.0, lambda rho: 1.0)
+    assert abs(value - want) <= err + want_err
+
+
 def _coulomb_eta_offcentre(t, b):
     # integral_0^t erf(b / sqrt(2s)) / b ds with s = u^2, which removes the
     # s^(-1/2) endpoint: the integrand is sqrt(2) erf(x) / x at
@@ -632,7 +658,7 @@ def test_verdict_evaluation_budget(make, calls, points, evaluations):
 @pytest.mark.xfail(strict=True, reason="FOUND: near a crossing of a strong shell singularity "
                    "(|r - s|^beta, beta <= -0.9) the sphere mean cannot sample |d - s| below "
                    "rounding and has no condensation tail there, so it misses by far more than "
-                   "its error; the off-centre ball integral built on it does too")
+                   "its error")
 def test_sphere_mean_across_a_strong_shell():
     # |d - 1/2|^-0.9 over the sphere of radius 1/4 about a probe on the shell r = 1/2 of R^3:
     # ring(w) mean = 2 pi (w / b) integral_{1/4}^{3/4} |d - 1/2|^-0.9 d dd
