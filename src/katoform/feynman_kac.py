@@ -520,8 +520,11 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
     wts = np.ones(S + 1)
     wts[0] = wts[-1] = 0.5
     all_vals = np.empty(config.n_paths)
-    # radii and |v| of one batch, written in place
+    # radii and |v| of one batch, written in place, and under a killing
+    # region the truncated trapezoid weights
     radii, values = np.empty((2, _pool_rows(config) * (S + 1)))
+    if config.domain is not None:
+        weights = np.empty(_pool_rows(config) * (S + 1))
     cap_events = 0
     max_seen = 0.0
     with closing(sample_paths(config)) as batches:
@@ -546,14 +549,13 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
                 vals = np.einsum("bk,k->b", g, wts)
             else:
                 # trapezoid weights, truncated at the exit step (alive is k < exit_step)
-                trunc = np.where(batch.alive, g, 0.0)
+                np.multiply(g, batch.alive, out=g)
+                w = np.multiply(batch.alive, wts, out=weights[:B * (S + 1)].reshape(B, S + 1))
                 # a path killed before the horizon gives its last live node the
                 # trapezoid half weight: one killed at step 1 keeps h * g_0 / 2
-                ends = np.minimum(batch.exit_step, S + 1) - 1
-                w_matrix = np.where(batch.alive, wts[None, :], 0.0)
-                short = ends < S
-                w_matrix[short, ends[short]] = 0.5
-                vals = np.einsum("bk,bk->b", trunc, w_matrix)
+                short = batch.exit_step <= S
+                w[short, batch.exit_step[short] - 1] = 0.5
+                vals = np.einsum("bk,bk->b", g, w)
             all_vals[batch.first:batch.first + B] = h * vals
     if v.singular_radii:
         bias = 2.0 * math.sqrt(h)
@@ -627,7 +629,7 @@ def mc_covariant_semigroup(psi: Callable, A: Callable, config: PathConfig) -> Es
             seg = np.einsum("ki,ki->k", a_vals, incs.reshape(-1, ambient)).reshape(B, S)
             if config.domain is not None:
                 # only steps before the exit contribute to the accumulated phase
-                seg *= np.arange(1, S + 1)[None, :] < batch.exit_step[:, None]
+                seg *= batch.alive[:, 1:]
             angles = seg.sum(axis=1)
             alive = batch.alive[:, -1]
             if np.any(alive):

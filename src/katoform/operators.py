@@ -14,14 +14,15 @@ is where the kinetic form (1/2) sum_e w ||f_u - U f_v||^2, the potential
 form sum_u mu_u <V_u f_u, f_u>, and the Kato and domination inequalities
 all live.
 
-Every matrix comes from one assembly, ``_assemble``, which broadcasts the
-edge arrays against the fiber indices and lays out the diagonal, transport
-and potential blocks of A as one set of COO triplets.  The section forms
-(``quad_form``, ``kato_inequality_gap``) never build a matrix: each is one
-einsum over the edge transports and a dot with the edge weights, for one
-section (N, n) or a stack (S, N, n).  Spectra are dense up to 1200 degrees
-of freedom, in real arithmetic when A has no imaginary part, and
-shift-invert Lanczos about a shift below the Gershgorin bound beyond that.
+Every matrix comes from one block-to-CSR constructor, ``_block_csr``:
+``_assemble`` broadcasts the edge arrays into one list of the diagonal,
+transport and potential blocks of A, and the KLMN pencil's B is a list of
+diagonal blocks.  The section forms (``quad_form``,
+``kato_inequality_gap``) never build a matrix: each is one einsum over the
+edge transports and a dot with the edge weights, for one section (N, n) or
+a stack (S, N, n).  Spectra are dense up to 1200 degrees of freedom, in
+real arithmetic when A has no imaginary part, and shift-invert Lanczos
+about a shift below the Gershgorin bound beyond that.
 
 The KLMN constant is the top eigenvalue of the pencil B x = lambda A x with
 B = blockdiag(V2) - C2 I.  The mesh is connected and its edge weights are
@@ -55,24 +56,21 @@ _SHIFT_MARGIN = 1e-4
 # ---------------------------------------------------------------------------
 # assembly
 
-def _interior_index(mesh: BundleMesh):
-    idx = np.flatnonzero(mesh.interior)
-    slot = -np.ones(mesh.n_vertices, dtype=int)
-    slot[idx] = np.arange(idx.size)
-    return idx, slot
+def _block_csr(blocks, block_rows, block_cols, k: int) -> sp.csr_matrix:
+    """Canonical CSR of the n x n ``blocks`` at distinct positions of a k x k grid.
 
-
-def _block_coo(n: int, block_rows, block_cols, blocks):
-    """COO entries of the n x n ``blocks`` placed at the given block positions.
-
-    Degree of freedom i of interior slot s is s * n + i; exact zeros are
-    left out of the sparsity pattern.
+    Degree of freedom i of interior slot s is s * n + i.  The blocks go
+    into one BSR matrix in row-major block order; exact zeros are dropped
+    from the pattern when n > 1 (a 1 x 1 block is one entry either way).
     """
-    fiber = np.arange(n)
-    rows = np.broadcast_to(block_rows[:, None, None] * n + fiber[None, :, None], blocks.shape)
-    cols = np.broadcast_to(block_cols[:, None, None] * n + fiber[None, None, :], blocks.shape)
-    keep = blocks != 0.0
-    return rows[keep], cols[keep], blocks[keep]
+    n = blocks.shape[-1]
+    order = np.argsort(block_rows * k + block_cols)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(block_rows, minlength=k))))
+    A = sp.bsr_matrix((blocks[order], block_cols[order], indptr),
+                      shape=(k * n, k * n)).tocsr()
+    if n > 1:
+        A.eliminate_zeros()
+    return A
 
 
 def _assemble(mesh: BundleMesh, scalar: bool = False, V=None):
@@ -80,37 +78,37 @@ def _assemble(mesh: BundleMesh, scalar: bool = False, V=None):
 
     K is the stiffness matrix of the kinetic form on interior DOFs: each
     edge adds w/2 to the diagonal blocks of its interior endpoints and, when
-    both are interior, -w/2 U and -w/2 U^H off the diagonal.  All blocks are
-    laid out in one broadcast pass over the edge arrays; the potential
-    blocks V_u (already in the symmetrized picture, since the potential
-    form carries the weight mu) join the same COO triplets.
+    both are interior, -w/2 U and -w/2 U^H off the diagonal.  All blocks
+    form one list, diagonal blocks first, built in one broadcast pass over
+    the edge arrays and scaled by sqrt(mu) of their block row and column;
+    the potential blocks V_u (already in the symmetrized picture, since the
+    potential form carries the weight mu) are added to the diagonal blocks,
+    and ``_block_csr`` lays the list out.
     """
     n = 1 if scalar else mesh.fiber_dim
-    idx, slot = _interior_index(mesh)
-    dim = idx.size * n
+    interior = mesh.interior
+    k = np.count_nonzero(interior)
+    slot = np.cumsum(interior) - 1
     half_w = 0.5 * mesh.edge_w
     degree = (np.bincount(mesh.edge_u, half_w, mesh.n_vertices)
               + np.bincount(mesh.edge_v, half_w, mesh.n_vertices))
-    su, sv = slot[mesh.edge_u], slot[mesh.edge_v]
-    inner = (su >= 0) & (sv >= 0)
+    inner = interior[mesh.edge_u] & interior[mesh.edge_v]
+    su, sv = slot[mesh.edge_u[inner]], slot[mesh.edge_v[inner]]
     U = np.ones((mesh.n_edges, 1, 1), dtype=complex) if scalar else mesh.transports
     off = -half_w[inner, None, None] * U[inner]
-    root = np.repeat(np.sqrt(mesh.mu[idx]), n)
-    diag = np.arange(dim)
-    parts = [(diag, diag, np.repeat(degree[idx], n).astype(complex)),
-             _block_coo(n, su[inner], sv[inner], off),
-             _block_coo(n, sv[inner], su[inner], off.conj().transpose(0, 2, 1))]
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    vals = vals / root[rows] / root[cols]
+    slots = np.arange(k)
+    rows = np.concatenate((slots, su, sv))
+    cols = np.concatenate((slots, sv, su))
+    blocks = np.concatenate((degree[interior, None, None] * np.eye(n, dtype=complex),
+                             off, off.conj().transpose(0, 2, 1)))
+    root = np.sqrt(mesh.mu[interior])
+    blocks /= root[rows, None, None]
+    blocks /= root[cols, None, None]
     if V is not None:
         if scalar:
             raise MeshError("potentials attach to the bundle picture")
-        slots = np.arange(idx.size)
-        pr, pc, pv = _block_coo(n, slots, slots, _as_matrix_field(mesh, V)[idx])
-        rows, cols, vals = (np.concatenate(x) for x in ((rows, pr), (cols, pc), (vals, pv)))
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    A.sum_duplicates()
-    return A, root
+        blocks[:k] += _as_matrix_field(mesh, V)[interior]
+    return _block_csr(blocks, rows, cols, k), np.repeat(root, n)
 
 
 def _laplacian(mesh: BundleMesh, scalar: bool, symmetrized: bool) -> sp.csr_matrix:
@@ -156,10 +154,15 @@ def _as_matrix_field(mesh: BundleMesh, V) -> np.ndarray:
     if V.shape != (mesh.n_vertices, n, n):
         raise MeshError(f"potential field must have shape ({mesh.n_vertices}, {n}, {n})")
     V = V.astype(complex)
-    herm_defect = np.max(np.abs(V - V.conj().transpose(0, 2, 1)))
-    if herm_defect > _HERMITIAN_TOL:
-        raise MeshError(f"potential field is not Hermitian (defect {herm_defect:.2e})")
+    _check_hermitian(V, "potential field")
     return V
+
+
+def _check_hermitian(V: np.ndarray, what: str) -> None:
+    """Raise MeshError naming ``what`` unless every block of (N, n, n) V is Hermitian."""
+    defect = np.max(np.abs(V - V.conj().transpose(0, 2, 1)), initial=0.0)
+    if defect > _HERMITIAN_TOL:
+        raise MeshError(f"{what} is not Hermitian (defect {defect:.2e})")
 
 
 def _restrict(mesh: BundleMesh, f, scalar: bool = False) -> np.ndarray:
@@ -170,16 +173,14 @@ def _restrict(mesh: BundleMesh, f, scalar: bool = False) -> np.ndarray:
         f = f[:, None]
     if f.shape != (mesh.n_vertices, n):
         raise MeshError(f"section must have shape ({mesh.n_vertices}, {n})")
-    idx, _ = _interior_index(mesh)
-    return f[idx].reshape(-1).astype(complex)
+    return f[mesh.interior].reshape(-1).astype(complex)
 
 
 def _unstack(mesh: BundleMesh, vec, scalar: bool = False) -> np.ndarray:
     """Interior DOF vector back to a full (N, n) array, zeros on Dirichlet."""
     n = 1 if scalar else mesh.fiber_dim
-    idx, _ = _interior_index(mesh)
     out = np.zeros((mesh.n_vertices, n), dtype=complex)
-    out[idx] = np.asarray(vec).reshape(idx.size, n)
+    out[mesh.interior] = np.asarray(vec).reshape(-1, n)
     return out
 
 
@@ -244,9 +245,7 @@ def fiber_split(V) -> tuple[np.ndarray, np.ndarray]:
     V = np.asarray(V, dtype=complex)
     if V.ndim != 3 or V.shape[1] != V.shape[2]:
         raise MeshError("expected an (N, n, n) field")
-    herm_defect = np.max(np.abs(V - V.conj().transpose(0, 2, 1))) if V.size else 0.0
-    if herm_defect > _HERMITIAN_TOL:
-        raise MeshError(f"field is not Hermitian (defect {herm_defect:.2e})")
+    _check_hermitian(V, "field")
     lam, Q = np.linalg.eigh(V)
     plus = np.einsum("uij,uj,ukj->uik", Q, np.maximum(lam, 0.0), Q.conj())
     minus = np.einsum("uij,uj,ukj->uik", Q, np.maximum(-lam, 0.0), Q.conj())
@@ -395,12 +394,9 @@ def klmn_optimal_c1(mesh: BundleMesh, V2, c2: float) -> float:
     if lam_field.min() < -1e-10:
         raise MeshError("V2 must be positive semidefinite")
     A = _assemble(mesh)[0]
-    dim = A.shape[0]
     slots = np.arange(np.count_nonzero(mesh.interior))
-    rows, cols, vals = _block_coo(mesh.fiber_dim, slots, slots, V2[mesh.interior])
-    B = (sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-         - c2 * sp.identity(dim, dtype=complex, format="csr"))
-    if mesh.dirichlet.any() and dim > 2:
+    B = _block_csr(V2[mesh.interior] - c2 * np.eye(mesh.fiber_dim), slots, slots, slots.size)
+    if mesh.dirichlet.any() and A.shape[0] > 2:
         if lam_field[mesh.interior].max() <= c2:
             return 0.0      # B <= 0 and A > 0: the whole pencil is <= 0
         return _klmn_pencil(A, B)

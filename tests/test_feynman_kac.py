@@ -450,6 +450,16 @@ def test_pool_keeps_the_estimates():
         0.6985466826787804 - 0.0020716151808224986j, 0.008027173803755585)
 
 
+def test_killed_covariant_semigroup_keeps_the_estimate():
+    """Literals recorded while the phase mask was recomputed from exit_step."""
+    ball = KillingRegion(kind="ball", radius=0.5)
+    cov = mc_covariant_semigroup(lambda p: np.exp(-np.sum(p * p, axis=1)),
+                                 lambda p: np.stack([-p[:, 1], p[:, 0]], axis=1),
+                                 econf(space=E2, start=(0.1, 0.0), workers=2, domain=ball))
+    assert (cov.value, cov.std_error) == (
+        0.17290410629607897 - 0.000985717905947789j, 0.011441871160192244)
+
+
 def test_killed_kato_integral_keeps_the_estimate():
     """Literals recorded while the truncation recomputed the alive mask from exit_step."""
     ball = KillingRegion(kind="ball", radius=1.0)
@@ -514,15 +524,19 @@ def traced_peak(run) -> int:
 
 
 @pytest.mark.parametrize("case,cpus", [("kato_e3", 2), ("kato_e3", 1),
-                                       ("survival_h3", 2)])
+                                       ("kato_e3_killed", 2), ("survival_h3", 2)])
 def test_traced_memory_is_bounded_by_the_pool(monkeypatch, case, cpus):
     threaded(monkeypatch, cpus)
-    if case == "kato_e3":
+    if case.startswith("kato_e3"):
+        killed = case == "kato_e3_killed"
         cfg = PathConfig(space=E3, start=(0.0, 0.0, 0.0), horizon=0.1, step=1e-4,
-                         n_paths=4000, seed=3, workers=2)
+                         n_paths=4000, seed=3, workers=2,
+                         domain=KillingRegion(kind="ball", radius=1.0) if killed else None)
         # the estimator's radii and |v| scratch, the profile's own result and
-        # the cap mask: a little over 3 floats a node, one position buffer
-        temporaries = 1.4
+        # the cap mask: a little over 3 floats a node, one position buffer;
+        # a killing region adds the truncated weights (one float a node) and
+        # the alive masks of the batches in flight
+        temporaries = 1.8 if killed else 1.4
 
         def run():
             mc_kato_integral(coulomb(E3), cfg)

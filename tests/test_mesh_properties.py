@@ -2,9 +2,14 @@
 
 The per-edge loops below evaluate the kinetic form and the Kato gap one
 edge at a time, the way they were first written; they are the oracle for
-the edge-array passes in ``katoform.operators``.  The dense Schur route of
-the KLMN pencil is the oracle for its sparse route.
+the edge-array passes in ``katoform.operators``.  Another per-edge loop
+builds the dense operator matrices entry by entry, the oracle for the
+block assembly.  The dense Schur route of the KLMN pencil is the oracle
+for its sparse route.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katoform import operators
+from katoform.errors import KernelHandlingError
 from katoform.mesh import gauge_transform, haar_unitary, random_bundle_mesh
 from katoform.operators import (_assemble, _klmn_dense, _restrict,
+                                bochner_laplacian, diagonal_potential,
                                 form_sum_spectrum, kato_inequality_gap,
                                 klmn_optimal_c1, quad_form,
                                 semigroup_domination_gap)
@@ -42,6 +49,40 @@ def loop_kato_gap(mesh, f):
     return loop_kinetic(mesh, f) - scalar
 
 
+def loop_matrices(mesh, scalar=False, V=None):
+    """Dense M^{-1/2} K M^{-1/2} + blockdiag(V) and the generator M^{-1} K, edge by edge."""
+    n = 1 if scalar else mesh.fiber_dim
+    slot = {u: s for s, u in enumerate(np.flatnonzero(mesh.interior))}
+    K = np.zeros((len(slot) * n, len(slot) * n), dtype=complex)
+
+    def block(a, b):
+        return slice(slot[a] * n, slot[a] * n + n), slice(slot[b] * n, slot[b] * n + n)
+
+    for e in range(mesh.n_edges):
+        u, v, w = mesh.edge_u[e], mesh.edge_v[e], mesh.edge_w[e]
+        U = np.eye(1) if scalar else mesh.transports[e]
+        for a in (u, v):
+            if a in slot:
+                K[block(a, a)] += 0.5 * w * np.eye(n)
+        if u in slot and v in slot:
+            K[block(u, v)] -= 0.5 * w * U
+            K[block(v, u)] -= 0.5 * w * U.conj().T
+    mu = np.repeat(mesh.mu[mesh.interior], n)
+    A = K / np.sqrt(mu)[:, None] / np.sqrt(mu)[None, :]
+    if V is not None:
+        for a in slot:
+            A[block(a, a)] += V[a]
+    return A, K / mu[:, None]
+
+
+def assert_matrix(got, want):
+    # the potential can cancel most of a kinetic diagonal entry, so entries
+    # are also compared on the scale of the whole matrix
+    assert got.has_canonical_format
+    np.testing.assert_allclose(got.toarray(), want, rtol=1e-14,
+                               atol=1e-14 * np.abs(want).max())
+
+
 @st.composite
 def meshes(draw, min_dirichlet=0):
     """(mesh, rng): 2-30 vertices, fibre 1-3, ``min_dirichlet``-2 Dirichlet vertices."""
@@ -67,6 +108,21 @@ def test_kinetic_form_matches_assembly_and_loop(case):
         g = _restrict(mesh, f) * root
         assert kinetic == pytest.approx(float(np.real(np.vdot(g, A @ g))), rel=1e-12)
         assert kinetic == pytest.approx(loop_kinetic(mesh, f), rel=1e-12)
+
+
+@given(meshes())
+def test_assembly_matches_loop_entrywise(case):
+    mesh, rng = case
+    n = mesh.fiber_dim
+    g = rng.standard_normal((mesh.n_vertices, n, n)) + 1j * rng.standard_normal((mesh.n_vertices, n, n))
+    herm = g + g.conj().transpose(0, 2, 1)
+    values = rng.standard_normal(mesh.n_vertices)
+    A, L = loop_matrices(mesh)
+    assert_matrix(_assemble(mesh)[0], A)
+    assert_matrix(bochner_laplacian(mesh), L)
+    assert_matrix(_assemble(mesh, scalar=True)[0], loop_matrices(mesh, scalar=True)[0])
+    for V, field in ((herm, herm), (values, diagonal_potential(mesh, values))):
+        assert_matrix(_assemble(mesh, V=V)[0], loop_matrices(mesh, V=field)[0])
 
 
 @given(meshes())
@@ -137,6 +193,28 @@ def test_klmn_pencil_matches_dense_schur(case, c2):
     v2 = psd_field(mesh, rng)
     want = _klmn_dense(*dense_pencil(mesh, v2, c2))
     assert klmn_optimal_c1(mesh, v2, c2) == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+
+@settings(max_examples=30)
+@given(meshes(), st.floats(0.0, 3.0))
+def test_klmn_potential_matrix_is_blockdiag(case, c2):
+    mesh, rng = case
+    v2 = psd_field(mesh, rng)
+    built = []
+    block_csr = operators._block_csr
+
+    def recorded(*args):
+        built.append(block_csr(*args))
+        return built[-1]
+
+    # B is built before the solve, which may find no finite C1
+    with mock.patch.object(operators, "_block_csr", recorded), \
+            contextlib.suppress(KernelHandlingError):
+        klmn_optimal_c1(mesh, v2, c2)
+    B = built[-1]       # the kinetic matrix is built first
+    assert B.has_canonical_format
+    want = sla.block_diag(*(v2[mesh.interior] - c2 * np.eye(mesh.fiber_dim)))
+    assert np.array_equal(B.toarray(), want)
 
 
 def test_dirichlet_free_klmn_takes_dense_route(monkeypatch):
