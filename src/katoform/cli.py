@@ -413,6 +413,8 @@ def _run_spectrum(cfg, ctx):
     mesh = _build_mesh(cfg["mesh"])
     vals = _spectrum_potential(cfg, mesh)
     k = cfg.get("k")
+    if k is not None:
+        k = int(k)      # the schema's integers include 2.0
 
     try:
         spec = form_sum_spectrum(mesh, V=vals, k=k)

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshError
 
@@ -91,9 +89,10 @@ class BundleMesh:
                 raise MeshError("self-loops are not allowed")
             if np.any(self.edge_w <= 0) or not np.all(np.isfinite(self.edge_w)):
                 raise MeshError("edge weights must be positive and finite")
-            pairs = np.stack([np.minimum(self.edge_u, self.edge_v),
-                              np.maximum(self.edge_u, self.edge_v)], axis=1)
-            if len(np.unique(pairs, axis=0)) != E:
+            # one integer key per unordered pair: a repeat sorts next to its twin
+            keys = np.sort(np.minimum(self.edge_u, self.edge_v) * N
+                           + np.maximum(self.edge_u, self.edge_v))
+            if np.any(keys[1:] == keys[:-1]):
                 raise MeshError("duplicate edges are not allowed")
             eye = np.eye(n)
             gram = np.einsum("eij,ekj->eik", self.transports, self.transports.conj())
@@ -109,15 +108,30 @@ class BundleMesh:
         self._check_connected()
 
     def _check_connected(self) -> None:
+        """Raise MeshError unless the edges connect every vertex.
+
+        Label propagation with pointer jumping: each vertex points at the
+        smallest vertex known to share its component.  Every round points
+        the larger label of each edge at the smaller one, then jumps
+        pointers until each vertex points at a root, so the labels of one
+        component fall to its smallest vertex in a few rounds.
+        """
         N = self.n_vertices
         if N == 1:
             return
-        # CSR rows straight from the edge list (edge u -> v in row u): on small
-        # meshes scipy's COO conversion would cost about as much again
-        order = np.argsort(self.edge_u)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_u, minlength=N))))
-        adj = sp.csr_array((np.ones(self.n_edges), self.edge_v[order], indptr), shape=(N, N))
-        if connected_components(adj, directed=False, return_labels=False) > 1:
+        u, v = self.edge_u, self.edge_v
+        label = np.arange(N)
+        while True:
+            lu, lv = label[u], label[v]
+            hi, lo = np.maximum(lu, lv), np.minimum(lu, lv)
+            if (hi == lo).all():
+                break
+            np.minimum.at(label, hi, lo)        # hi is a root: label[hi] == hi
+            jumped = label[label]
+            while (jumped != label).any():
+                label = jumped
+                jumped = label[label]
+        if label.any():
             raise MeshError("graph is disconnected")
 
     # -- transport access ---------------------------------------------------

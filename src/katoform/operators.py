@@ -24,6 +24,13 @@ a stack (S, N, n).  Spectra are dense up to 1200 degrees of freedom, in
 real arithmetic when A has no imaginary part, and shift-invert Lanczos
 about a shift below the Gershgorin bound beyond that.
 
+Every dense Hermitian eigensolve goes through ``_dense_eigh``: one dense
+copy of the matrix, overwritten by LAPACK's MRRR solver, which needs only
+O(n) workspace beside the eigenvectors and computes just the pairs asked
+for.  Residuals are formed through the sparse matrix a block of
+eigenvector columns at a time, so a dense spectrum holds about two n x n
+arrays at its peak.
+
 The KLMN constant is the top eigenvalue of the pencil B x = lambda A x with
 B = blockdiag(V2) - C2 I.  The mesh is connected and its edge weights are
 positive, so a section of zero kinetic energy is parallel along every
@@ -31,12 +38,13 @@ edge, and one Dirichlet vertex, where it vanishes, makes it zero: A is
 positive definite on every mesh with a Dirichlet vertex.  There the pencil
 is solved sparsely, by Lanczos in generalized mode with its residual
 checked; on Dirichlet-free meshes A can have a kernel, which a dense Schur
-reduction handles.
+reduction on the eigenvectors of A handles, with B kept sparse.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +57,7 @@ from .mesh import BundleMesh
 
 _DENSE_EIG_LIMIT = 1200
 _DENSE_EXPM_LIMIT = 400
+_COLUMN_BLOCK = 64
 _HERMITIAN_TOL = 1e-10
 _SHIFT_MARGIN = 1e-4
 
@@ -323,33 +332,64 @@ class SpectrumResult:
         return float(self.eigenvalues[0])
 
 
+def _dense_eigh(M, subset=None):
+    """Ascending eigenpairs of Hermitian M, solved in place of one dense copy.
+
+    Sparse M is laid out once in Fortran order; a dense M is overwritten
+    when it is Fortran-ordered (the caller's scratch) and copied
+    otherwise.  The MRRR solver (?syevr / ?heevr) needs O(n) workspace
+    beside the eigenvectors.  ``subset`` is an inclusive (lo, hi) index
+    range of the ascending spectrum, or None for every pair.
+    """
+    a = M.toarray(order="F") if sp.issparse(M) else np.asfortranarray(M)
+    return scipy.linalg.eigh(a, overwrite_a=True, check_finite=False, driver="evr",
+                             subset_by_index=subset)
+
+
+def _residual_norms(A, lam: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """||A x - lambda x||_2 of each eigenpair, through sparse A, a block of columns at a time."""
+    res = np.empty(lam.size)
+    for start in range(0, lam.size, _COLUMN_BLOCK):
+        b = slice(start, start + _COLUMN_BLOCK)
+        R = A @ Q[:, b]
+        R -= Q[:, b] * lam[b]
+        res[b] = np.linalg.norm(R, axis=0)
+    return res
+
+
 def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> SpectrumResult:
     """Eigenvalues of H(V) = H(0) + V (ascending), with solver residuals.
 
-    Dense Hermitian solve up to 1200 degrees of freedom, in real arithmetic
-    when A has no imaginary part.  Beyond that, with k given, shift-invert
-    Lanczos finds the k lowest: the shift sits below the Gershgorin lower
-    bound of A by 1e-4 * scale, so A - sigma I is positive definite even
-    when A has a kernel or V is negative, and the k eigenvalues nearest the
-    shift are the k lowest.  That matrix is factored once, with a symmetric
-    fill-reducing ordering and no pivoting, which definiteness allows.
-    Residuals are ||H x - lambda x||_2 for the returned pairs; a residual
-    above 1e-8 * scale raises ConvergenceError.
+    ``k`` asks for the k lowest pairs (every pair when k >= the number of
+    degrees of freedom); it must be a positive integer.  Dense Hermitian
+    solve up to 1200 degrees of freedom, in real arithmetic when A has no
+    imaginary part: one dense copy of A is overwritten by the MRRR solver,
+    which computes only the k lowest pairs when k is given.  Beyond that,
+    with k given, shift-invert Lanczos finds the k lowest: the shift sits
+    below the Gershgorin lower bound of A by 1e-4 * scale, so A - sigma I
+    is positive definite even when A has a kernel or V is negative, and
+    the k eigenvalues nearest the shift are the k lowest.  That matrix is
+    factored once, with a symmetric fill-reducing ordering and no
+    pivoting, which definiteness allows, and the factor is freed once
+    Lanczos returns.  Residuals are ||H x - lambda x||_2 for the returned
+    pairs, through the sparse A; a residual above 1e-8 * scale raises
+    ConvergenceError.
     """
     A, _ = _assemble(mesh, V=V)
     dim = A.shape[0]
-    absA = abs(A)
-    scale = max(1.0, float(absA.max()))
+    if k is not None:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise MeshError(f"k must be a positive integer, got {k!r}")
+        k = min(int(k), dim)
+    scale = max(1.0, float(abs(A).max()))
     if k is None or dim <= _DENSE_EIG_LIMIT or k >= dim - 1:
-        dense = (A if np.any(A.data.imag) else A.real).toarray()
-        lam, Q = np.linalg.eigh(dense)
-        if k is not None:
-            lam, Q = lam[:k], Q[:, :k]
-        res = np.linalg.norm(dense @ Q - Q * lam[None, :], axis=0)
+        if not np.any(A.data.imag):
+            A = A.real
+        lam, Q = _dense_eigh(A, None if k is None or k == dim else (0, k - 1))
         method = "dense"
     else:
         diag = A.diagonal().real
-        radius = np.asarray(absA.sum(axis=1)).ravel() - np.abs(diag)
+        radius = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
         sigma = float(np.min(diag - radius)) - _SHIFT_MARGIN * scale
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         lu = spla.splu((A - sigma * sp.identity(dim, dtype=A.dtype, format="csc")).tocsc(),
@@ -362,10 +402,11 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError("Lanczos did not converge",
                                    residual=math.inf) from exc
+        del lu, OPinv
         order = np.argsort(lam.real)
         lam, Q = lam.real[order], Q[:, order]
-        res = np.linalg.norm(A @ Q - Q * lam[None, :], axis=0)
         method = "lanczos"
+    res = _residual_norms(A, lam, Q)
     worst = float(res.max()) if res.size else 0.0
     if worst > 1e-8 * scale:
         raise ConvergenceError(f"eigenpair residual {worst:.2e} too large",
@@ -400,7 +441,7 @@ def klmn_optimal_c1(mesh: BundleMesh, V2, c2: float) -> float:
         if lam_field[mesh.interior].max() <= c2:
             return 0.0      # B <= 0 and A > 0: the whole pencil is <= 0
         return _klmn_pencil(A, B)
-    return _klmn_dense(A.toarray(), B.toarray())
+    return _klmn_dense(A, B)
 
 
 def _klmn_pencil(A: sp.csr_matrix, B: sp.csr_matrix) -> float:
@@ -424,42 +465,59 @@ def _klmn_pencil(A: sp.csr_matrix, B: sp.csr_matrix) -> float:
     return top
 
 
-def _klmn_dense(A: np.ndarray, B: np.ndarray) -> float:
-    """Dense route of ``klmn_optimal_c1`` for Hermitian A >= 0 and B.
+def _klmn_dense(A, B) -> float:
+    """Dense route of ``klmn_optimal_c1`` for Hermitian A >= 0 and B, sparse or dense.
 
     Solves max spec(B, A) on the range of A.  Zero modes of A are handled
     by Schur reduction and must see a nonpositive B block, otherwise no
     finite C1 exists and KernelHandlingError is raised; with no zero modes
-    the Schur term is an exact zero matrix.
+    there is no Schur term.  The eigenvectors Q of A come from one dense
+    copy of A solved in place; the eigenvalues ascend, so the zero modes
+    Q0 and the range Qp are a prefix and a suffix of Q's columns.  B stays
+    sparse: B Qp is formed one block of columns at a time, straight into
+    the reduced pencil W, whose top eigenvalue alone is computed.
     """
-    lam, Q = np.linalg.eigh(A)
+    B = sp.csr_matrix(B)
+    lam, Q = _dense_eigh(A)
     lam_max = float(lam[-1]) if lam.size else 0.0
     cut = max(1e-12 * max(lam_max, 1.0), 1e-14)
-    ker = lam <= cut
-    Q0, Qp = Q[:, ker], Q[:, ~ker]
-    lam_p = lam[~ker]
-    K00 = Q0.conj().T @ B @ Q0
-    K0p = Q0.conj().T @ B @ Qp
-    ker_eigs = np.linalg.eigvalsh(K00)
-    scale = max(1.0, float(np.abs(B).max()))
-    if ker_eigs.size and ker_eigs[-1] > 1e-10 * scale:
-        raise KernelHandlingError(
-            "potential is positive along a kinetic zero mode; no finite C1")
-    # Schur complement onto the range: B_pp + B_p0 (-B_00)^+ B_0p
-    neg = -K00
-    lam0, Q00 = np.linalg.eigh(neg)
-    inv = np.where(lam0 > 1e-12 * scale, 1.0 / np.maximum(lam0, 1e-300), 0.0)
-    # zero modes of the kernel block must not couple to the range
-    null_mask = lam0 <= 1e-12 * scale
-    if np.any(null_mask):
-        coupling = np.abs(Q00[:, null_mask].conj().T @ K0p)
-        if coupling.size and coupling.max() > 1e-8 * scale:
+    m0 = int(np.count_nonzero(lam <= cut))
+    Q0, Qp = Q[:, :m0], Q[:, m0:]
+    lam_p = lam[m0:]
+    p = lam_p.size
+    scale = max(1.0, float(abs(B).max()))
+    if m0:
+        BQ0 = B @ Q0
+        K00 = Q0.conj().T @ BQ0
+        K0p = BQ0.conj().T @ Qp      # Q0^H B Qp, B being Hermitian
+        # Schur complement onto the range: B_pp + B_p0 (-B_00)^+ B_0p
+        lam0, Q00 = _dense_eigh(-K00)
+        if -lam0[0] > 1e-10 * scale:
             raise KernelHandlingError(
-                "kinetic zero mode couples through the potential; no finite C1")
-    pinv = Q00 @ np.diag(inv) @ Q00.conj().T
-    S = Qp.conj().T @ B @ Qp + K0p.conj().T @ pinv @ K0p
-    W = S / np.sqrt(lam_p)[None, :] / np.sqrt(lam_p)[:, None]
-    top = float(np.linalg.eigvalsh(W)[-1]) if W.size else 0.0
+                "potential is positive along a kinetic zero mode; no finite C1")
+        inv = np.where(lam0 > 1e-12 * scale, 1.0 / np.maximum(lam0, 1e-300), 0.0)
+        # zero modes of the kernel block must not couple to the range
+        null_mask = lam0 <= 1e-12 * scale
+        if np.any(null_mask):
+            coupling = np.abs(Q00[:, null_mask].conj().T @ K0p)
+            if coupling.size and coupling.max() > 1e-8 * scale:
+                raise KernelHandlingError(
+                    "kinetic zero mode couples through the potential; no finite C1")
+        G = (Q00 * inv) @ (Q00.conj().T @ K0p)      # (-B_00)^+ B_0p
+    S = np.empty((p, p), dtype=np.result_type(Q, B.dtype))
+    for start in range(0, p, _COLUMN_BLOCK):
+        b = slice(start, start + _COLUMN_BLOCK)
+        # rows b of (B Qp)^H Qp = Qp^H B Qp, which is Hermitian
+        S[b] = (B @ Qp[:, b]).conj().T @ Qp
+        if m0:
+            S[b] += K0p[:, b].conj().T @ G
+    del Q, Q0, Qp
+    if not p:
+        return 0.0
+    S /= np.sqrt(lam_p)[None, :]
+    S /= np.sqrt(lam_p)[:, None]
+    # W = S is Hermitian, so its Fortran-ordered transpose has its spectrum
+    top = float(_dense_eigh(S.T, subset=(p - 1, p - 1))[0][0])
     return max(0.0, top)
 
 

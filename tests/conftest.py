@@ -6,6 +6,7 @@ rather than from a random seed, which keeps a failure reproducible.
 """
 
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,3 +47,18 @@ def evaluations(monkeypatch):
                     monkeypatch.setattr(module, attr, counted_quad)
     monkeypatch.setattr(Potential, "abs_radial", counted_abs_radial)
     return counts
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak traced bytes while run() runs; numpy reports its buffers on every thread."""
+
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -205,6 +205,13 @@ def test_spectrum_inhomogeneous_transports(tmp_path, capsys, transports):
 # ---------------------------------------------------------------------------
 # exit code 0: a passing run, report and table layout
 
+def test_spectrum_k_written_as_float(tmp_path):
+    # JSON Schema counts 2.0 as an integer, so the run must take it as k = 2
+    code, out = run_cli(tmp_path, dict(SPECTRUM_CFG, k=2.0))
+    assert code == 0
+    assert len(load_report(out)["results"]["eigenvalues"]) == 2
+
+
 def test_spectrum_run_report(tmp_path):
     code, out = run_cli(tmp_path, SPECTRUM_CFG)
     assert code == 0

@@ -19,7 +19,6 @@ Frozen references:
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,19 +512,9 @@ def test_batches_reuse_two_buffers_per_thread(monkeypatch, workers, cpus):
     assert len(buffers) <= 2 * min(workers, cpus)
 
 
-def traced_peak(run) -> int:
-    """Peak traced bytes while run() runs; numpy reports its buffers on every thread."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("case,cpus", [("kato_e3", 2), ("kato_e3", 1),
                                        ("kato_e3_killed", 2), ("survival_h3", 2)])
-def test_traced_memory_is_bounded_by_the_pool(monkeypatch, case, cpus):
+def test_traced_memory_is_bounded_by_the_pool(monkeypatch, traced_peak, case, cpus):
     threaded(monkeypatch, cpus)
     if case.startswith("kato_e3"):
         killed = case == "kato_e3_killed"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from katoform import mesh as mesh_mod
 from katoform.errors import MeshError
@@ -209,6 +211,58 @@ def test_rejects_all_dirichlet():
         BundleMesh(fiber_dim=1, mu=[1.0, 1.0], dirichlet=[True, True],
                    edge_u=[0], edge_v=[1], edge_w=[1.0],
                    transports=np.eye(1, dtype=complex)[None])
+
+
+def scalar_graph(n_vertices, edges, dirichlet=(), transports=None, positions=None):
+    """Fibre-1 mesh on ``edges``, unit weights, the vertices in ``dirichlet`` killed."""
+    u, v = (np.array(side, dtype=int) for side in zip(*edges)) if edges else ([], [])
+    if transports is None:
+        transports = np.ones((len(edges), 1, 1), dtype=complex)
+    return BundleMesh(fiber_dim=1, mu=np.ones(n_vertices),
+                      dirichlet=np.isin(np.arange(n_vertices), dirichlet),
+                      edge_u=u, edge_v=v, edge_w=np.ones(len(edges)),
+                      transports=transports, positions=positions)
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    ((3, [(0, 1), (1, 2), (1, 0)]), {}, "duplicate edges"),
+    ((3, [(0, 1), (1, 2), (2, 1)]), {}, "duplicate edges"),
+    ((3, [(0, 1), (0, 1), (1, 2)]), {}, "duplicate edges"),
+    ((2, [(1, 1)]), {}, "self-loops"),
+    ((2, [(0, 2)]), {}, "out of range"),
+    ((2, [(-1, 1)]), {}, "out of range"),
+    ((4, [(0, 1), (2, 3)]), {}, "disconnected"),
+    ((5, [(0, 1), (1, 2), (3, 4)]), {}, "disconnected"),
+    ((3, []), {}, "disconnected"),
+    ((2, [(0, 1)]), {"transports": np.full((1, 1, 1), 1.5 + 0j)}, "unitarity"),
+    ((2, [(0, 1)]), {"dirichlet": (0, 1)}, "non-Dirichlet"),
+    ((3, [(0, 1), (1, 2)]), {"positions": np.zeros((2, 1))}, "cover every vertex"),
+])
+def test_validation_names_each_defect(args, kwargs, message):
+    with pytest.raises(MeshError, match=message):
+        scalar_graph(*args, **kwargs)
+
+
+def test_connectivity_matches_scipy_components():
+    # the label propagation against scipy's components on sparse random
+    # graphs, connected and disconnected
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        keys = np.unique(rng.integers(0, n * n, size=int(rng.integers(0, 2 * n))))
+        u, v = keys // n, keys % n
+        keep = u < v
+        edges = list(zip(u[keep], v[keep]))
+        adj = sp.coo_matrix((np.ones(len(edges)), (u[keep], v[keep])), shape=(n, n))
+        connected = connected_components(adj, directed=False, return_labels=False) == 1
+        verdicts.add(connected)
+        if connected:
+            scalar_graph(n, edges)
+        else:
+            with pytest.raises(MeshError, match="disconnected"):
+                scalar_graph(n, edges)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

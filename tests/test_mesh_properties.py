@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from katoform import operators
 from katoform.errors import KernelHandlingError
-from katoform.mesh import gauge_transform, haar_unitary, random_bundle_mesh
+from katoform.mesh import BundleMesh, gauge_transform, haar_unitary, random_bundle_mesh
 from katoform.operators import (_assemble, _klmn_dense, _restrict,
                                 bochner_laplacian, diagonal_potential,
                                 form_sum_spectrum, kato_inequality_gap,
@@ -230,3 +230,53 @@ def test_dirichlet_free_klmn_takes_dense_route(monkeypatch):
     monkeypatch.setattr(operators, "_klmn_pencil", no_pencil)
     assert want > 0.0
     assert klmn_optimal_c1(mesh, v2, 0.5) == want
+
+
+def test_dirichlet_free_klmn_memory_and_agreement(traced_peak):
+    # 600 DOF and no Dirichlet vertex: the dense route holds one dense copy
+    # of A and its eigenvectors, then the eigenvectors and the reduced
+    # pencil, two n x n arrays at a time besides blocks of columns
+    mesh = random_bundle_mesh(300, fiber_dim=2, seed=2)
+    v2 = psd_field(mesh, np.random.default_rng(2))
+    A, B = dense_pencil(mesh, v2, 0.5)
+    n = A.shape[0]
+    assert n == 600
+    got = []
+    assert traced_peak(lambda: got.append(klmn_optimal_c1(mesh, v2, 0.5))) <= 2.5 * n * n * 16
+    # Haar transports leave A without a kernel, so C1 is the top eigenvalue
+    # of the pencil itself
+    assert np.linalg.eigvalsh(A)[0] > 1e-6
+    assert got[0] == pytest.approx(sla.eigh(B, A, eigvals_only=True)[-1], rel=1e-10)
+
+
+def flat_closed(mesh):
+    """The same weighted graph, identity transports, no Dirichlet vertex: ker A = constants."""
+    return BundleMesh(fiber_dim=mesh.fiber_dim, mu=mesh.mu,
+                      dirichlet=np.zeros(mesh.n_vertices, dtype=bool),
+                      edge_u=mesh.edge_u, edge_v=mesh.edge_v, edge_w=mesh.edge_w,
+                      transports=np.broadcast_to(np.eye(mesh.fiber_dim), mesh.transports.shape))
+
+
+@settings(max_examples=30)
+@given(meshes(), st.floats(0.05, 1.0))
+def test_klmn_schur_route_matches_bisection(case, margin):
+    # on the constants, B is the mu-average of V2 less C2; a C2 just above
+    # its top eigenvalue keeps B negative there but not everywhere, so the
+    # Schur term is nonzero.  C1 is the least c >= 0 with B - c A <= 0.
+    mesh, rng = case
+    mesh = flat_closed(mesh)
+    v2 = psd_field(mesh, rng)
+    mean = np.einsum("u,uij->ij", mesh.mu, v2) / mesh.mu.sum()
+    c2 = float(np.linalg.eigvalsh(mean)[-1]) * (1.0 + margin)
+    A, B = dense_pencil(mesh, v2, c2)
+
+    def top(c):
+        return np.linalg.eigvalsh(B - c * A)[-1]
+
+    lo, hi = 0.0, 1.0
+    while top(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if top(mid) > 0.0 else (lo, mid)
+    assert klmn_optimal_c1(mesh, v2, c2) == pytest.approx(hi, rel=1e-8, abs=1e-10)

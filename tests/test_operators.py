@@ -18,7 +18,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from katoform import bundled
+from katoform import bundled, operators
 from katoform.errors import ConvergenceError, KernelHandlingError, MeshError
 from katoform.mesh import (BundleMesh, cycle_mesh, gauge_transform, grid_mesh_2d,
                            haar_unitary, interval_mesh, random_bundle_mesh)
@@ -131,14 +131,14 @@ def test_real_operator_solves_in_real_arithmetic(monkeypatch):
     # the Coulomb interval carries no phase, so its dense solve runs on the
     # real part; a flux cycle keeps the complex solve and complex eigenvectors
     seen = []
-    eigh = np.linalg.eigh
+    eigh = operators._dense_eigh
 
     def spy(a, *args, **kwargs):
         lam, Q = eigh(a, *args, **kwargs)
         seen.append(Q.dtype)
         return lam, Q
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(operators, "_dense_eigh", spy)
     mesh, values = bundled.coulomb_interval_system()
     spec = form_sum_spectrum(mesh, V=values)
     dense = _assemble(mesh, V=values)[0].toarray()
@@ -152,6 +152,60 @@ def test_real_operator_solves_in_real_arithmetic(monkeypatch):
     flux = form_sum_spectrum(cycle_mesh(7, theta=0.7))
     assert seen[-1] == np.complex128
     assert float(flux.residuals.max()) < 1e-10
+
+
+@pytest.mark.parametrize("case", ["coulomb", "bundle"])
+def test_dense_spectrum_memory_and_agreement(traced_peak, case):
+    # one dense copy of A, overwritten by the solver, and the eigenvectors:
+    # two n x n arrays, the residual taking a block of columns at a time
+    if case == "coulomb":
+        mesh, values = bundled.coulomb_interval_system()
+    else:
+        mesh, values = random_bundle_mesh(400, fiber_dim=2, seed=1, dirichlet_count=1), None
+    dense = _assemble(mesh, V=values)[0].toarray()
+    if not np.any(dense.imag):
+        dense = dense.real
+    n, itemsize = dense.shape[0], dense.itemsize
+    assert (n, itemsize) == ((1022, 8) if case == "coulomb" else (798, 16))
+    out = []
+    assert traced_peak(lambda: out.append(form_sum_spectrum(mesh, V=values))) \
+        <= 2.2 * n * n * itemsize
+    spec = out[0]
+    scale = max(1.0, float(np.abs(dense).max()))
+    assert spec.method == "dense" and spec.eigenvalues.shape == (n,)
+    np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(dense),
+                               rtol=0.0, atol=1e-12 * scale)
+    assert float(spec.residuals.max()) < 1e-8 * scale
+    part = form_sum_spectrum(mesh, V=values, k=5)
+    assert part.method == "dense" and part.eigenvalues.shape == (5,)
+    np.testing.assert_allclose(part.eigenvalues, spec.eigenvalues[:5],
+                               rtol=0.0, atol=1e-12 * scale)
+    assert float(part.residuals.max()) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True, "3"])
+def test_spectrum_rejects_bad_k(k):
+    # unchecked, k = -1 would slice off the top eigenvalue and k = 0 return nothing
+    with pytest.raises(MeshError, match="positive integer"):
+        form_sum_spectrum(cycle_mesh(7, theta=0.7), k=k)
+
+
+def test_lanczos_route_rejects_zero_k():
+    # above the dense cutoff, k = 0 must not reach ARPACK
+    mesh = grid_mesh_2d(1.8, 0.1, b_field=1.0)
+    with pytest.raises(MeshError, match="positive integer"):
+        form_sum_spectrum(mesh, k=0)
+
+
+@pytest.mark.parametrize("k", [3, np.int64(3), 6, 7, 100])
+def test_spectrum_k_lowest_pairs(k):
+    # k >= dim returns every pair
+    mesh = cycle_mesh(7, theta=0.7)
+    full = form_sum_spectrum(mesh)
+    spec = form_sum_spectrum(mesh, k=k)
+    assert spec.eigenvalues.shape == (min(int(k), 7),)
+    np.testing.assert_allclose(spec.eigenvalues, full.eigenvalues[:k],
+                               rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

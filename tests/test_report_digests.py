@@ -36,9 +36,9 @@ DIGESTS = {
         "resolvent.csv": "a0a1cd84da57909f40b4385fdd7413dcaa38c595c92ec8328c06441f645b65e6",
     },
     "spectrum_flux_cycle": {
-        "plot_spectrum.csv": "6c731ad54fe5f66a2a602e6c1707e6137b1e17c28bd9fb97203005482eb93db1",
-        "report.json": "1946b741259b9f8d421b5a5cf3b9214e645c964716dc164338a54d4f34f19040",
-        "spectrum.csv": "a5e64b84a0ea06997d2e273ff296f58d535baadfbf9754756694190294ec7e87",
+        "plot_spectrum.csv": "6058f195bf475fb1bb16c9a8aa9c6a7bfc48d8562f7877300d37f152870983e3",
+        "report.json": "38cd19487494902cfb362ce68ea1c904b8dfeae27f7f4172e208ebf46b5410eb",
+        "spectrum.csv": "cd0dce307d014037ba53a96adf592be912d5121152acd3ff66898b3c2c6aebb2",
     },
 }
 
