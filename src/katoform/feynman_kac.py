@@ -12,34 +12,57 @@ an O(h) weak approximation.  Killing regions (a geodesic ball, or a
 Euclidean half-space) stop a path at the first step that lands outside;
 the exit step is recorded as the lifetime.
 
+Every potential is radial, so mc_kato_integral sees a path only through
+|B_t|.  On R^d, d >= 3, with no killing region or a ball about the
+origin, it samples that radius alone: on the step grid it is the exact
+Markov chain R_{k+1}^2 = (R_k + sqrt(h) Z_k)^2 + h chi^2_{d-1} (the
+Bessel process; Revuz and Yor, ch. XI), with chi^2_{d-1} = 2 (E_1 + ...
++ E_m), plus Z'^2 when d - 1 is odd, for standard normals Z, Z' and
+exponentials E_j.  That is one normal and one exponential a step on R^3
+instead of three normals.  Below d = 3 the radius takes as many draws as
+the path, and half-spaces, off-centre balls and H^m need the path itself,
+so they, mc_heat_expectation and mc_covariant_semigroup take the path
+kernel behind sample_paths.
+
 Streams are counter-based (Philox) keyed by (seed, worker index).  Worker
 w draws a contiguous block of the path indices, worker 0's first; this is
-the reference layout.  Each batch carries the index of its first path
-there (``PathBatch.first``), the estimators write per-path values into
-those slots and reduce the whole array in index order, so the numbers
-depend only on the configuration, that is on (seed, workers), never on
-thread timing.
+the reference layout.  Each batch or chunk carries the index of its first
+path there, the estimators write per-path values into those slots and
+reduce the whole array in index order, so the numbers depend only on the
+configuration, that is on (seed, workers), never on thread timing.
 
-The streams run on min(workers, usable CPUs) producer threads, one
-thread for a single worker or CPU, so drawing overlaps the estimator's
-work: Philox draws and the large ufuncs release the interpreter lock.
-Producers only draw, integrate the increments and run the killing scan;
-potentials and user callbacks run on the caller's thread.  sample_paths
-hands out batches round-robin across the workers.  A batch holds about
-2**17 path nodes (at most 1024 paths), so its arrays stay near cache
-size; draws are path-major within a stream, so the batch size never
-changes the numbers.
+The path kernel draws every increment from the worker's key, path-major,
+so the batch size never changes the numbers; a batch holds about 2**17
+path nodes (at most 1024 paths), so its arrays stay near cache size.  The
+radius kernel fills blocks of a fixed width of 1024 paths (the width sets
+which draws go to which path), each in time chunks of about 2**17 nodes.
+The normals Z and Z' come from the worker's key and the exponentials from
+its ``jumped()`` copy, both step-major, so each stream keeps to one
+distribution and the chunk length never changes the numbers.  A chunk is
+time-major, (nodes, paths): the recursion runs row by row, and a chunk's
+last row is the next chunk's first, so memory does not grow with the
+number of steps.
 
-Batches are written into a pool that sample_paths allocates once on the
-caller's thread: two position buffers and one draw buffer per producer
-thread, 3 x threads batch buffers whatever the number of workers, and
-no freed batch lingers in a producer thread's malloc arena.  A batch's
-arrays are valid until the next batch is requested, when its
-position buffer goes back to its producer; copy what you keep.  Next to
-the pool, each estimator allocates its own per-batch scratch once per
-call (radii and |v| for the Kato integral, step midpoints and increments
-for the transport phase) and writes into it in place; the hyperbolic
-chart works in two planes of the spent draw buffer.
+Both kernels run on one engine: the streams run on min(workers, usable
+CPUs) producer threads, one thread for a single worker or CPU, so drawing
+overlaps the estimator's work: Philox draws and the large ufuncs release
+the interpreter lock.  Producers only draw, integrate the increments or
+the radius chain and run the killing scan; potentials and user callbacks
+run on the caller's thread.  Items are handed out round-robin across the
+workers.
+
+Items are written into a pool that the engine allocates once on the
+caller's thread: two output buffers and one draw buffer per producer
+thread (positions for a batch, radii and alive flags for a chunk),
+whatever the number of workers, and no freed batch lingers in a producer
+thread's malloc arena.  An item's arrays are valid until the next one is
+requested, when its output buffer goes back to its producer; copy what
+you keep.  Next to the pool, each estimator allocates its own per-item
+scratch once per call (radii, |v| and weights for the Kato integral, step
+midpoints and increments for the transport phase) and writes into it in
+place; the hyperbolic chart works in two planes of the spent draw buffer.
+The Kato integral's cap, start-node rule and truncated trapezoid are one
+reduction over node-major blocks, a radius chunk or a transposed batch.
 
 No ufunc loops over the short coordinate axis: an operation that pairs
 a (B, S, ambient) block with one value per coordinate (a start point, a
@@ -64,13 +87,16 @@ from .errors import ConfigError, DomainError
 from .geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace
 
 _MAX_BATCH = 1024
+# paths in a block of the radius kernel: it sets which draws go to which
+# path, so unlike the batch size it is part of the reference numbers
+_BLOCK_WIDTH = 1024
 _NODE_BUDGET = 2 ** 17
 _SCAN_NODES = 2 ** 14
 # path nodes (n_paths x (n_steps + 1)) a configuration may ask for: over
 # 20 times the largest run in the tests (10^5 paths of 1001 nodes), a few
 # minutes of sampling
 _MAX_PATH_NODES = 2 ** 31
-# worker streams a configuration may ask for (sample_paths makes lists this long)
+# worker streams a configuration may ask for (the sampling engine makes lists this long)
 _MAX_WORKERS = 2 ** 10
 
 
@@ -264,9 +290,10 @@ def _worker_counts(n_paths: int, workers: int) -> list[int]:
     return [base + (1 if w < rem else 0) for w in range(workers)]
 
 
-def _worker_rng(seed: int, worker: int) -> np.random.Generator:
+def _worker_bits(seed: int, worker: int) -> np.random.Philox:
     key = np.array([seed % (2 ** 64), worker], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=key)
+
 
 
 def _batch_size(n_steps: int) -> int:
@@ -377,6 +404,104 @@ def _sample_batch(config: PathConfig, rng: np.random.Generator, pos: np.ndarray,
                      exit_step=exit_step, first=first)
 
 
+class _PathKernel:
+    """Whole Brownian paths, one PathBatch of up to _batch_size paths per task."""
+
+    def __init__(self, config: PathConfig):
+        self.config = config
+        self.size = _batch_size(config.n_steps)
+
+    def tasks(self, count: int, first: int) -> list:
+        return [(first + lo, min(self.size, count - lo))
+                for lo in range(0, count, self.size)]
+
+    def buffers(self) -> tuple[list, np.ndarray]:
+        """Two position buffers and one draw buffer."""
+        config = self.config
+        rows, nodes = _pool_rows(config), config.n_steps + 1
+        positions = [np.empty((rows, nodes, len(config.start))) for _ in range(2)]
+        return positions, np.empty((rows, nodes - 1, config.space.dim))
+
+    def open(self, worker: int) -> np.random.Generator:
+        return np.random.Generator(_worker_bits(self.config.seed, worker))
+
+    def fill(self, rng: np.random.Generator, task: tuple, pos: np.ndarray,
+             draws: np.ndarray) -> PathBatch:
+        first, B = task
+        return _sample_batch(self.config, rng, pos[:B], draws[:B], first)
+
+
+def _stream(config: PathConfig, kernel) -> Iterator:
+    """Run a kernel over every worker stream and yield its items.
+
+    The kernel splits worker w's count of paths into tasks, in stream
+    order, and fills one output buffer per task on a producer thread.
+    Items arrive round-robin across the workers (task 0 of every worker,
+    then task 1, ...), an order fixed by the configuration alone.  The
+    streams run on min(workers, usable CPUs) producer threads; worker w
+    belongs to one thread, which keeps the kernel's state for it
+    (``kernel.open(w)``) across its tasks.
+
+    Each producer thread owns two output buffers and one scratch buffer
+    (``kernel.buffers()``), allocated here once, on the caller's thread.
+    An item is valid until the next one is requested, which hands its
+    output buffer back to its producer.  A producer waits for a free
+    buffer, which is the back-pressure.  Closing the generator, or an
+    exception in the caller's loop, stops and joins every producer; a
+    producer's exception is raised here.
+    """
+    counts = _worker_counts(config.n_paths, config.workers)
+    firsts = np.cumsum([0] + counts[:-1]).tolist()
+    workers = [w for w, count in enumerate(counts) if count]
+    tasks = {w: kernel.tasks(counts[w], firsts[w]) for w in workers}
+    plan = [(w, tasks[w][i]) for i in range(max(len(t) for t in tasks.values()))
+            for w in workers if i < len(tasks[w])]
+    n_threads = min(len(workers), _usable_cpus())
+    owner = {w: i % n_threads for i, w in enumerate(workers)}
+    free = [queue.SimpleQueue() for _ in range(n_threads)]
+    filled = [queue.SimpleQueue() for _ in range(n_threads)]
+    scratch = []
+    for t in range(n_threads):
+        outs, spare = kernel.buffers()
+        for out in outs:
+            free[t].put(out)
+        scratch.append(spare)
+    stop = threading.Event()
+
+    def produce(t: int) -> None:
+        states = {}
+        try:
+            for w, task in plan:
+                if owner[w] != t:
+                    continue
+                out = free[t].get()
+                if stop.is_set():
+                    return
+                if w not in states:
+                    states[w] = kernel.open(w)
+                filled[t].put((out, kernel.fill(states[w], task, out, scratch[t])))
+        except BaseException as exc:  # re-raised on the caller's thread
+            filled[t].put((None, exc))
+
+    threads = [threading.Thread(target=produce, args=(t,), daemon=True,
+                                name=f"katoform-paths-{t}")
+               for t in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    try:
+        for w, _ in plan:
+            out, item = filled[owner[w]].get()
+            if out is None:
+                raise item
+            yield item
+            free[owner[w]].put(out)
+    finally:
+        stop.set()
+        for t, thread in enumerate(threads):
+            free[t].put(None)     # wakes a producer waiting for a buffer
+            thread.join()
+
+
 def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
     """Stream batches of Brownian paths for the given configuration.
 
@@ -388,66 +513,136 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
     worker or CPU.
 
     Each producer thread owns two position buffers and one draw buffer,
-    allocated here once, on the caller's thread: 3 x threads batch buffers
-    whatever ``workers`` is.  A batch's arrays are valid until the next
-    batch is requested, which hands its position buffer back to its
+    allocated once per call, on the caller's thread: 3 x threads batch
+    buffers whatever ``workers`` is.  A batch's arrays are valid until the
+    next batch is requested, which hands its position buffer back to its
     producer; copy what you keep.  A producer waits for a free buffer,
     which is the back-pressure.  Closing the generator, or an exception in
     the caller's loop, stops and joins every producer; a producer's
     exception is raised here.
     """
-    counts = _worker_counts(config.n_paths, config.workers)
-    firsts = np.cumsum([0] + counts[:-1]).tolist()
-    size = _batch_size(config.n_steps)
-    workers = [w for w, count in enumerate(counts) if count]
-    plan = [(w, lo) for lo in range(0, max(counts), size)
-            for w in workers if lo < counts[w]]
-    n_threads = min(len(workers), _usable_cpus())
-    owner = {w: i % n_threads for i, w in enumerate(workers)}
-    rows = _pool_rows(config)
-    nodes, ambient = config.n_steps + 1, len(config.start)
-    free = [queue.SimpleQueue() for _ in range(n_threads)]
-    filled = [queue.SimpleQueue() for _ in range(n_threads)]
-    draws = [np.empty((rows, nodes - 1, config.space.dim)) for _ in range(n_threads)]
-    for t in range(n_threads):
-        for _ in range(2):
-            free[t].put(np.empty((rows, nodes, ambient)))
-    stop = threading.Event()
+    return _stream(config, _PathKernel(config))
 
-    def produce(t: int) -> None:
-        rngs = {}
-        try:
-            for w, lo in plan:
-                if owner[w] != t:
-                    continue
-                pos = free[t].get()
-                if stop.is_set():
-                    return
-                if w not in rngs:
-                    rngs[w] = _worker_rng(config.seed, w)
-                B = min(size, counts[w] - lo)
-                filled[t].put((pos, _sample_batch(config, rngs[w], pos[:B],
-                                                  draws[t][:B], firsts[w] + lo)))
-        except BaseException as exc:  # re-raised on the caller's thread
-            filled[t].put((None, exc))
 
-    threads = [threading.Thread(target=produce, args=(t,), daemon=True,
-                                name=f"katoform-paths-{t}")
-               for t in range(n_threads)]
-    for thread in threads:
-        thread.start()
-    try:
-        for w, _ in plan:
-            pos, item = filled[owner[w]].get()
-            if pos is None:
-                raise item
-            yield item
-            free[owner[w]].put(pos)
-    finally:
-        stop.set()
-        for t, thread in enumerate(threads):
-            free[t].put(None)     # wakes a producer waiting for a buffer
-            thread.join()
+# ---------------------------------------------------------------------------
+# radius sampling
+
+@dataclass
+class _RadiusChunk:
+    """|B_t| at nodes k0, k0 + 1, ... of one block of paths, time-major.
+
+    radii has shape (rows, B) and alive the same (None without a region).
+    A chunk that ends before the horizon repeats, in its last row, the
+    first node of the block's next chunk.
+    """
+
+    radii: np.ndarray
+    alive: np.ndarray | None
+    first: int
+    k0: int
+
+
+def _radius_route(config: PathConfig) -> bool:
+    """Whether mc_kato_integral samples the radius alone.
+
+    It does on R^d, d >= 3, with no region or a ball about the origin,
+    which |B_t| alone decides.
+    """
+    space, region = config.space, config.domain
+    if space.kind != EUCLIDEAN or space.dim < 3:
+        return False
+    return region is None or (region.kind == "ball" and not any(region.center or ()))
+
+
+class _RadiusKernel:
+    """The exact Bessel chain of |B_t| on the step grid of R^d, d >= 3.
+
+    Worker w's paths fill blocks of _BLOCK_WIDTH paths (the last one
+    narrower) and each block runs in time chunks of about _NODE_BUDGET
+    nodes, one task per chunk.  The per-worker state keeps the Philox
+    streams and each path's radius and alive flag at the last node made.
+    """
+
+    def __init__(self, config: PathConfig):
+        self.config = config
+        # exponentials, and transverse normals (0 or 1), of chi^2_{d-1} per step
+        self.n_exp, self.odd = divmod(config.space.dim - 1, 2)
+        self.width = min(_BLOCK_WIDTH, -(-config.n_paths // config.workers))
+        self.steps = min(config.n_steps, max(1, _NODE_BUDGET // self.width))
+        self.r0 = float(np.linalg.norm(config.start))
+
+    def tasks(self, count: int, first: int) -> list:
+        return [(first + lo, min(self.width, count - lo), k0)
+                for lo in range(0, count, self.width)
+                for k0 in range(0, self.config.n_steps, self.steps)]
+
+    def buffers(self) -> tuple[list, tuple]:
+        """Two (radii, alive) chunk buffers, and the normal and exponential draws."""
+        nodes = (self.steps + 1) * self.width
+        killed = self.config.domain is not None
+        outs = [(np.empty(nodes), np.empty(nodes, dtype=bool) if killed else None)
+                for _ in range(2)]
+        draws = self.steps * self.width
+        return outs, (np.empty(draws * (1 + self.odd)), np.empty(draws * self.n_exp))
+
+    def open(self, worker: int) -> tuple:
+        bits = _worker_bits(self.config.seed, worker)
+        return (np.random.Generator(bits), np.random.Generator(bits.jumped()),
+                np.empty(self.width), np.empty(self.width, dtype=bool))
+
+    def fill(self, state: tuple, task: tuple, out: tuple, scratch: tuple) -> _RadiusChunk:
+        normal_rng, exp_rng, last_radius, last_alive = state
+        first, B, k0 = task
+        config = self.config
+        steps = min(self.steps, config.n_steps - k0)
+        radii = out[0][:(steps + 1) * B].reshape(steps + 1, B)
+        radii[0] = self.r0 if k0 == 0 else last_radius[:B]
+        normals = scratch[0][:steps * (1 + self.odd) * B].reshape(steps, 1 + self.odd, B)
+        exps = scratch[1][:steps * self.n_exp * B].reshape(steps, self.n_exp, B)
+        _bessel_steps(normal_rng, exp_rng, radii, normals, exps, config.step)
+        np.copyto(last_radius[:B], radii[-1])
+        alive = None
+        if config.domain is not None:
+            alive = out[1][:(steps + 1) * B].reshape(steps + 1, B)
+            alive[0] = True if k0 == 0 else last_alive[:B]
+            np.less(radii[1:], config.domain.radius, out=alive[1:])
+            np.logical_and.accumulate(alive, axis=0, out=alive)
+            np.copyto(last_alive[:B], alive[-1])
+        return _RadiusChunk(radii=radii, alive=alive, first=first, k0=k0)
+
+
+def _bessel_steps(normal_rng: np.random.Generator, exp_rng: np.random.Generator,
+                  radii: np.ndarray, normals: np.ndarray, exps: np.ndarray,
+                  h: float) -> None:
+    """Advance the radii of a (steps + 1, B) chunk from its first row, in place.
+
+    R_{k+1}^2 = (R_k + sqrt(h) Z_k)^2 + h chi^2_{d-1}, exact in law: turn
+    the frame so that B_{t_k} lies on the first axis.  normals is the
+    (steps, 1 + odd, B) draw buffer: the longitudinal Z, and when d - 1 is
+    odd the transverse Z' with chi^2_{d-1} = 2 (E_1 + ... + E_m) + Z'^2.
+    exps is the (steps, m, B) buffer of the E_j, drawn from the jumped
+    stream.  Both fill step-major, so the chunk length never changes the
+    numbers.
+    """
+    normal_rng.standard_normal(out=normals)
+    exp_rng.standard_exponential(out=exps)
+    chi = exps[:, 0]
+    for j in range(1, exps.shape[1]):
+        chi += exps[:, j]
+    chi *= 2.0 * h
+    if normals.shape[1] == 2:
+        transverse = normals[:, 1]
+        transverse *= transverse
+        transverse *= h
+        chi += transverse
+    z = normals[:, 0]
+    z *= math.sqrt(h)
+    for k in range(len(z)):
+        r = radii[k + 1]
+        np.add(radii[k], z[k], out=r)
+        np.multiply(r, r, out=r)
+        r += chi[k]
+        np.sqrt(r, out=r)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +697,63 @@ def _radial_distances(space: ModelSpace, flat_pos: np.ndarray, out: np.ndarray,
     return np.arccosh(out, out=out)
 
 
+class _KatoNodes:
+    """Cap, start-node rule and truncated trapezoid weights of |v| node values.
+
+    Both routes of mc_kato_integral hand it node-major (nodes, paths)
+    blocks: a time-major radius chunk, or a path batch transposed, which
+    is one chunk holding whole paths.  It counts cap events and, for a
+    bounded potential, the largest node value seen.
+    """
+
+    def __init__(self, v, config: PathConfig):
+        self.cap = 1.0 / config.step
+        self.n_steps = config.n_steps
+        self.bounded = not v.singular_radii
+        self.trapezoid = np.ones(config.n_steps + 1)
+        self.trapezoid[0] = self.trapezoid[-1] = 0.5
+        self.cap_events = 0
+        self.max_seen = 0.0
+
+    def weigh(self, g: np.ndarray, alive: np.ndarray | None, k0: int,
+              out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Cap the nodes of g that this chunk reduces; return them and their weights.
+
+        g holds |v| at nodes k0, k0 + 1, ...; alive is its alive mask, or
+        None without a region.  A chunk that ends before the horizon
+        repeats the next chunk's first node in its last row: that row is
+        left to the next chunk, and only its alive flags are read, to find
+        each path's last live node.  The weights are the trapezoid's
+        (nodes,) slice without a region, else they are written into out,
+        laid out like g.
+        """
+        n = len(g) if k0 + len(g) - 1 == self.n_steps else len(g) - 1
+        head = g[:n]
+        bad = ~np.isfinite(head) | (head > self.cap)
+        if k0 == 0:
+            # the shared start: a deterministic cap there would not vanish with h
+            start_bad = bad[0]
+            if np.any(start_bad):
+                head[0, start_bad] = np.minimum(g[1, start_bad], self.cap)
+                bad[0, start_bad] = False
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad:
+            self.cap_events += n_bad
+            head[bad] = self.cap
+        if self.bounded:
+            self.max_seen = max(self.max_seen, float(head.max(initial=0.0)))
+        rows = self.trapezoid[k0:k0 + n]
+        if alive is None:
+            return head, rows
+        # trapezoid weights truncated at the exit: a path killed before the
+        # horizon gives its last live node the half weight, so one killed at
+        # step 1 keeps h * g_0 / 2
+        w = np.multiply(alive[:n], rows[:, None], out=out[:n])
+        last = alive[:-1] & ~alive[1:]
+        w[:len(last)][last] = 0.5
+        return head, w
+
+
 def mc_kato_integral(v, config: PathConfig) -> Estimate:
     """E of the pathwise time integral of |v| up to min(horizon, lifetime).
 
@@ -511,58 +763,60 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
     value instead, because a deterministic cap there would not vanish
     with h.  The reported bias bound is the O(sqrt(h)) envelope 2 sqrt(h)
     for singular potentials and max|v| * h for bounded ones.
+
+    On R^d, d >= 3, with no region or a ball about the origin, the paths
+    are sampled through their radius alone (the Bessel chain); elsewhere
+    as whole paths from sample_paths.
     """
     if v.space != config.space:
         raise DomainError("potential and path configuration disagree on the space")
-    h = config.step
-    cap = 1.0 / h
     S = config.n_steps
-    wts = np.ones(S + 1)
-    wts[0] = wts[-1] = 0.5
-    all_vals = np.empty(config.n_paths)
-    # radii and |v| of one batch, written in place, and under a killing
-    # region the truncated trapezoid weights
-    radii, values = np.empty((2, _pool_rows(config) * (S + 1)))
-    if config.domain is not None:
-        weights = np.empty(_pool_rows(config) * (S + 1))
-    cap_events = 0
-    max_seen = 0.0
-    with closing(sample_paths(config)) as batches:
-        for batch in batches:
-            B = batch.positions.shape[0]
-            r, g = radii[:B * (S + 1)], values[:B * (S + 1)]
-            _radial_distances(config.space,
-                              batch.positions.reshape(-1, batch.positions.shape[-1]), r, g)
-            g = np.asarray(v.abs_radial(r, out=g), dtype=float).reshape(B, S + 1)
-            bad = ~np.isfinite(g) | (g > cap)
-            start_bad = bad[:, 0]
-            if np.any(start_bad):
-                g[start_bad, 0] = np.minimum(g[start_bad, 1], cap)
-                bad[start_bad, 0] = False
-            n_bad = int(np.count_nonzero(bad))
-            if n_bad:
-                cap_events += n_bad
-                g[bad] = cap
-            if not v.singular_radii:
-                max_seen = max(max_seen, float(g.max(initial=0.0)))
-            if config.domain is None:
-                vals = np.einsum("bk,k->b", g, wts)
-            else:
-                # trapezoid weights, truncated at the exit step (alive is k < exit_step)
-                np.multiply(g, batch.alive, out=g)
-                w = np.multiply(batch.alive, wts, out=weights[:B * (S + 1)].reshape(B, S + 1))
-                # a path killed before the horizon gives its last live node the
-                # trapezoid half weight: one killed at step 1 keeps h * g_0 / 2
-                short = batch.exit_step <= S
-                w[short, batch.exit_step[short] - 1] = 0.5
-                vals = np.einsum("bk,bk->b", g, w)
-            all_vals[batch.first:batch.first + B] = h * vals
-    if v.singular_radii:
-        bias = 2.0 * math.sqrt(h)
+    nodes = _KatoNodes(v, config)
+    sums = np.zeros(config.n_paths)
+    killed = config.domain is not None
+    if _radius_route(config):
+        kernel = _RadiusKernel(config)
+        # |v| of one chunk, written in place, and under a region its weights
+        size = (kernel.steps + 1) * kernel.width
+        values = np.empty(size)
+        weights = np.empty(size) if killed else None
+        with closing(_stream(config, kernel)) as chunks:
+            for chunk in chunks:
+                rows, B = chunk.radii.shape
+                g = np.asarray(v.abs_radial(chunk.radii.reshape(-1), out=values[:rows * B]),
+                               dtype=float).reshape(rows, B)
+                out = weights[:rows * B].reshape(rows, B) if killed else None
+                head, w = nodes.weigh(g, chunk.alive, chunk.k0, out)
+                # rows add in node order onto the running sums, so the
+                # chunk length never changes the numbers
+                head *= w.reshape(len(head), -1)
+                acc = sums[chunk.first:chunk.first + B]
+                head[0] += acc
+                np.add.reduce(head, axis=0, out=acc)
     else:
-        bias = max_seen * h
-    return _finish(all_vals, config, n_effective=config.n_paths,
-                   cap_events=cap_events, bias_bound=bias)
+        # radii and |v| of one batch, written in place, and under a killing
+        # region the truncated trapezoid weights
+        size = _pool_rows(config) * (S + 1)
+        radii, values = np.empty((2, size))
+        weights = np.empty(size) if killed else None
+        with closing(sample_paths(config)) as batches:
+            for batch in batches:
+                B = batch.positions.shape[0]
+                r, g = radii[:B * (S + 1)], values[:B * (S + 1)]
+                _radial_distances(config.space,
+                                  batch.positions.reshape(-1, batch.positions.shape[-1]), r, g)
+                g = np.asarray(v.abs_radial(r, out=g), dtype=float).reshape(B, S + 1)
+                # the batch as one chunk of whole paths, node-major views of
+                # path-major arrays: einsum then adds as it always has
+                alive = batch.alive.T if killed else None
+                out = weights[:B * (S + 1)].reshape(B, S + 1).T if killed else None
+                head, w = nodes.weigh(g.T, alive, 0, out)
+                sums[batch.first:batch.first + B] = np.einsum(
+                    "kb,k->b" if w.ndim == 1 else "kb,kb->b", head, w)
+    sums *= config.step
+    bias = nodes.max_seen * config.step if nodes.bounded else 2.0 * math.sqrt(config.step)
+    return _finish(sums, config, n_effective=config.n_paths,
+                   cap_events=nodes.cap_events, bias_bound=bias)
 
 
 def mc_heat_expectation(f: Callable, config: PathConfig) -> Estimate:

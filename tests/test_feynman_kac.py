@@ -1,7 +1,9 @@
 """Path-sampling estimators against closed forms and quadrature oracles.
 
 The sampler is exact in law on Euclidean spaces (independent Gaussian
-increments), so moment tests carry only statistical error.  Hyperbolic
+increments), and so is the radius kernel that mc_kato_integral uses on
+R^d, d >= 3 (the Bessel chain of |B_t| on the step grid), so moment and
+law tests there carry only statistical error.  Hyperbolic
 paths are exact in the upper-half-space height and take the trapezoidal
 variance for the other coordinates; they and the killing scan are O(step)
 weak approximations, so their tests carry an explicit step envelope on
@@ -14,6 +16,8 @@ Frozen references:
   * E cosh d(x, B_t) = exp(m t / 2) on H^m, since Delta cosh d = m cosh d.
   * on H^3 from the origin d(o, B_t) has the law of |W_t + t e| in R^3
     (Rogers and Pitman, Ann. Probab. 9, 1981).
+  * on R^d, |B_T|^2 / T from x_0 is noncentral chi^2 with d degrees of
+    freedom and noncentrality |x_0|^2 / T.
 """
 
 import math
@@ -22,7 +26,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest, ncx2
 
 from katoform import feynman_kac as fk
 from katoform.errors import ConfigError, DomainError, InvalidPointError
@@ -32,13 +36,15 @@ from katoform.feynman_kac import (Estimate, KillingRegion, PathConfig,
                                   transport_phase)
 from katoform.geometry import (EUCLIDEAN, HYPERBOLIC, ModelSpace,
                                geodesic_point, heat_kernel_radial, ring_area)
-from katoform.potentials import constant, coulomb, inverse_power
+from katoform.potentials import bump, constant, coulomb, inverse_power
 from katoform.quadrature import radial_integral
 from katoform.reports import estimate_json
 
 E1 = ModelSpace(EUCLIDEAN, 1)
 E2 = ModelSpace(EUCLIDEAN, 2)
 E3 = ModelSpace(EUCLIDEAN, 3)
+E4 = ModelSpace(EUCLIDEAN, 4)
+E5 = ModelSpace(EUCLIDEAN, 5)
 H2 = ModelSpace(HYPERBOLIC, 2)
 H3 = ModelSpace(HYPERBOLIC, 3)
 
@@ -238,6 +244,80 @@ def test_h3_distance_law_rogers_pitman():
     assert ks_2samp(d, np.linalg.norm(w, axis=1)).pvalue > 0.01
 
 
+def radius_chunks(cfg):
+    """The radius kernel's chunks; a chunk's arrays are reused once the next is requested."""
+    return fk._stream(cfg, fk._RadiusKernel(cfg))
+
+
+def final_radii(cfg):
+    """|B_horizon| of every path, in the reference layout."""
+    out = np.empty(cfg.n_paths)
+    for chunk in radius_chunks(cfg):
+        if chunk.k0 + len(chunk.radii) - 1 == cfg.n_steps:
+            out[chunk.first:chunk.first + chunk.radii.shape[1]] = chunk.radii[-1]
+    return out
+
+
+@pytest.mark.parametrize("space", [E3, E4, E5], ids=["E3", "E4", "E5"])
+@pytest.mark.parametrize("offset", [0.0, 0.7])
+def test_radius_kernel_law_is_noncentral_chi2(monkeypatch, space, offset):
+    """|B_T|^2 / T against ncx2(d, |x_0|^2 / T), with several chunks a block."""
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 3000)
+    start = np.zeros(space.dim)
+    start[-1] = offset
+    cfg = PathConfig(space=space, start=tuple(start), horizon=0.5, step=0.025,
+                     n_paths=4000, seed=31, workers=2)
+    law = ncx2(space.dim, offset ** 2 / cfg.horizon)
+    assert kstest(final_radii(cfg) ** 2 / cfg.horizon, law.cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("domain", [None, KillingRegion(kind="ball", radius=0.6),
+                                    KillingRegion(kind="ball", radius=0.6,
+                                                  center=(0.0, 0.0, 0.0))])
+def test_radius_route_covers_balls_about_the_origin(domain):
+    assert fk._radius_route(econf(domain=domain))
+
+
+@pytest.mark.parametrize("cfg", [
+    econf(domain=KillingRegion(kind="ball", radius=1.0, center=(0.1, 0.0, 0.0))),
+    econf(domain=KillingRegion(kind="halfspace", normal=(1.0, 0.0, 0.0), offset=1.0)),
+    econf(space=E2, start=(0.0, 0.0)),
+    hconf(),
+], ids=["offcentre_ball", "halfspace", "E2", "H3"])
+def test_path_route_elsewhere(cfg):
+    assert not fk._radius_route(cfg)
+
+
+@pytest.mark.parametrize("pot", [coulomb(E3), bump(E3, amplitude=2.0, radius=0.5)],
+                         ids=["coulomb", "bump"])
+@pytest.mark.parametrize("start", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.0)])
+def test_radius_route_agrees_with_path_route(pot, start):
+    """A half-space 10^3 away kills no path but sends the estimate down the path route."""
+    cfg = PathConfig(space=E3, start=start, horizon=0.1, step=1e-3, n_paths=8000,
+                     seed=37, workers=2)
+    far = PathConfig(**{**vars(cfg), "domain": KillingRegion(
+        kind="halfspace", normal=(1.0, 0.0, 0.0), offset=1e3)})
+    assert fk._radius_route(cfg) and not fk._radius_route(far)
+    radius, path = mc_kato_integral(pot, cfg), mc_kato_integral(pot, far)
+    assert abs(radius.value - path.value) <= 4.0 * math.hypot(radius.std_error,
+                                                              path.std_error)
+    assert radius.bias_bound > 0.0 and path.bias_bound > 0.0
+
+
+@pytest.mark.parametrize("space", [E4, E5], ids=["E4", "E5"])
+def test_radius_chunk_length_does_not_change_estimates(monkeypatch, space):
+    """With one or two exponentials and a transverse normal per step."""
+    cfg = PathConfig(space=space, start=(0.1,) + (0.0,) * (space.dim - 1), horizon=0.2,
+                     step=2e-3, n_paths=1000, seed=5, workers=2,
+                     domain=KillingRegion(kind="ball", radius=0.5))
+    pot = coulomb(space)
+    default = vars(mc_kato_integral(pot, cfg))
+    for budget in (600, 20000):
+        with monkeypatch.context() as patch:
+            patch.setattr(fk, "_NODE_BUDGET", budget)
+            assert vars(mc_kato_integral(pot, cfg)) == default
+
+
 # ---------------------------------------------------------------------------
 # worker streams: layout, threads, lifecycle
 
@@ -331,11 +411,16 @@ def test_thread_count_capped_by_cpus():
     assert threading.active_count() == baseline
 
 
-def test_closing_early_joins_producers(monkeypatch):
+# the path kernel through sample_paths, and the radius kernel on R^3
+KERNELS = {"paths": sample_paths, "radii": radius_chunks}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_closing_early_joins_producers(monkeypatch, kernel):
     threaded(monkeypatch, 2)
     monkeypatch.setattr(fk, "_NODE_BUDGET", 2000)
     baseline = threading.active_count()
-    batches = sample_paths(econf(workers=2))
+    batches = KERNELS[kernel](econf(workers=2))
     next(batches)
     assert threading.active_count() == baseline + 2
     batches.close()
@@ -354,9 +439,21 @@ def test_single_worker_draws_on_one_producer(monkeypatch, cpus):
     assert threading.active_count() == baseline
 
 
-def test_caller_error_joins_producers(monkeypatch):
+# a configuration for each kernel: the far half-space kills no path but
+# keeps R^3 on the path route
+KERNEL_CONFIGS = {
+    "paths": econf(workers=2, domain=KillingRegion(kind="halfspace", normal=(1.0, 0.0, 0.0),
+                                                   offset=1e3)),
+    "radii": econf(workers=2),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_CONFIGS))
+def test_caller_error_joins_producers(monkeypatch, kernel):
     threaded(monkeypatch, 2)
     monkeypatch.setattr(fk, "_NODE_BUDGET", 2000)
+    cfg = KERNEL_CONFIGS[kernel]
+    assert fk._radius_route(cfg) == (kernel == "radii")
     pot = coulomb(E3)
     calls = []
     radial = pot.abs_radial
@@ -370,27 +467,31 @@ def test_caller_error_joins_producers(monkeypatch):
     monkeypatch.setattr(pot, "abs_radial", abs_radial)
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="third batch"):
-        mc_kato_integral(pot, econf(workers=2))
+        mc_kato_integral(pot, cfg)
     assert threading.active_count() == baseline
     # potentials run on the caller's thread only
     assert set(calls) == {threading.get_ident()}
 
 
-def test_producer_error_reaches_caller(monkeypatch):
+@pytest.mark.parametrize("space,start,producer_step", [
+    (H3, (1.0, 0.0, 0.0, 0.0), "_killing_scan"),
+    (E3, (0.0, 0.0, 0.0), "_bessel_steps"),
+], ids=["paths", "radii"])
+def test_producer_error_reaches_caller(monkeypatch, space, start, producer_step):
     threaded(monkeypatch, 2)
 
-    def broken(domain, space, positions):
+    def broken(*args):
         raise FloatingPointError("scan failed")
 
-    monkeypatch.setattr(fk, "_killing_scan", broken)
-    cfg = PathConfig(space=H3, start=(1.0, 0.0, 0.0, 0.0), horizon=0.1,
+    monkeypatch.setattr(fk, producer_step, broken)
+    cfg = PathConfig(space=space, start=start, horizon=0.1,
                      step=1e-3, n_paths=400, seed=2, workers=2)
     baseline = threading.active_count()
     outcome = []
 
     def run():
         try:
-            mc_kato_integral(coulomb(H3), cfg)
+            mc_kato_integral(coulomb(space), cfg)
         except FloatingPointError as exc:
             outcome.append(exc)
 
@@ -432,13 +533,43 @@ def test_killing_scan_matches_step_loop(space, start, domain):
     assert 0 < survivors < cfg.n_paths
 
 
+@pytest.mark.parametrize("space", [E3, E4], ids=["E3", "E4"])
+def test_radius_killing_matches_step_loop(monkeypatch, space):
+    """Alive masks of radius chunks against a per-step loop carried across chunks."""
+    threaded(monkeypatch, 2)
+    monkeypatch.setattr(fk, "_NODE_BUDGET", 7000)     # blocks of 300 paths
+    ball = KillingRegion(kind="ball", radius=0.5)
+    cfg = PathConfig(space=space, start=(0.1,) + (0.0,) * (space.dim - 1), horizon=0.2,
+                     step=2e-3, n_paths=600, seed=13, workers=2, domain=ball)
+    alive = np.ones(cfg.n_paths, dtype=bool)
+    exit_step = np.full(cfg.n_paths, cfg.n_steps + 1)
+    chunks = 0
+    for chunk in radius_chunks(cfg):
+        span = slice(chunk.first, chunk.first + chunk.radii.shape[1])
+        assert np.array_equal(chunk.alive[0], alive[span])
+        for j in range(1, len(chunk.radii)):
+            k = chunk.k0 + j
+            dead_now = alive[span] & ~(chunk.radii[j] < ball.radius)
+            exit_step[span][dead_now] = k
+            alive[span] &= ~dead_now
+            assert np.array_equal(chunk.alive[j], alive[span])
+        chunks += 1
+    assert chunks == 2 * 5       # a block per worker, each in chunks of 23 steps
+    assert 0 < int(alive.sum()) < cfg.n_paths
+    assert np.all(exit_step[alive] == cfg.n_steps + 1)
+    assert np.all(exit_step[~alive] <= cfg.n_steps)
+
+
 # ---------------------------------------------------------------------------
 # the batch pool: 2 position buffers and 1 draw buffer per producer thread
 
 def test_pool_keeps_the_estimates():
-    """Literals recorded with a fresh allocation per batch, compared exactly."""
+    """Literals recorded with a fresh allocation per batch, compared exactly.
+
+    The kato line was re-recorded when R^3 moved to the radius kernel.
+    """
     kato = mc_kato_integral(coulomb(E3), econf(start=(0.1, 0.0, -0.2), workers=2))
-    assert (kato.value, kato.std_error) == (0.524359109296196, 0.005986429016069668)
+    assert (kato.value, kato.std_error) == (0.5175003059014031, 0.005734223030106741)
     ball = KillingRegion(kind="ball", radius=1.0)
     heat = mc_heat_expectation(lambda p: p[:, 0], hconf(workers=2, domain=ball))
     assert (heat.value, heat.std_error) == (0.8334576964639766, 0.017973433111592482)
@@ -460,11 +591,24 @@ def test_killed_covariant_semigroup_keeps_the_estimate():
 
 
 def test_killed_kato_integral_keeps_the_estimate():
-    """Literals recorded while the truncation recomputed the alive mask from exit_step."""
+    """Literals recorded when the radius kernel came in, through its killed chunks."""
     ball = KillingRegion(kind="ball", radius=1.0)
     est = mc_kato_integral(coulomb(E3), econf(start=(0.1, 0.0, -0.2), workers=2, domain=ball))
     assert (est.value, est.std_error, est.cap_events, est.bias_bound) == (
-        0.5061238433742112, 0.006570882366689965, 0, 0.08944271909999159)
+        0.500169612920004, 0.006305988588604508, 0, 0.08944271909999159)
+
+
+def test_halfspace_kato_integral_keeps_the_estimate():
+    """Literals recorded before the radius kernel: R^3 under a half-space keeps the path route.
+
+    One start off the origin, and one at it, where the start node is replaced.
+    """
+    half = KillingRegion(kind="halfspace", normal=(0.6, 0.0, 0.8), offset=0.3)
+    off = mc_kato_integral(coulomb(E3), econf(start=(0.1, 0.0, -0.2), workers=2, domain=half))
+    assert (off.value, off.std_error, off.cap_events, off.bias_bound) == (
+        0.4582690855725452, 0.0065612207229207254, 0, 0.08944271909999159)
+    origin = mc_kato_integral(coulomb(E3), econf(workers=2, domain=half))
+    assert (origin.value, origin.std_error) == (0.5661492806387785, 0.008461418743720589)
 
 
 def test_batch_kernels_keep_the_estimates():

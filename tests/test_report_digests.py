@@ -21,7 +21,7 @@ DIGESTS = {
         "report.json": "6c635816f9ae48c54346aeb23aa5d00af852f5e32815f2953babd8053386a15b",
     },
     "fk_coulomb": {
-        "report.json": "62f1b3be4a2085bfc0fb3143152f06d489862d1af39f0514b47687c07077ecb1",
+        "report.json": "856d2194f94b1bf119fd5755913e8f54f6dbcb26ba2f1f23c1e589f085607dbc",
     },
     "form_bounds_coulomb": {
         "plot_resolvent.csv": "e8c101ec02b493345bed923b9631c5386a765743b8ee910e166205ddfc76dc54",
