@@ -31,6 +31,18 @@ for.  Residuals are formed through the sparse matrix a block of
 eigenvector columns at a time, so a dense spectrum holds about two n x n
 arrays at its peak.
 
+The semigroup e^{-tA} g has one route: a Chebyshev expansion of e^{-tx}
+(Tal-Ezer and Kosloff) on a certified interval [lo, hi], with hi the
+Gershgorin bound and lo = 0 without a potential (A >= 0), otherwise
+min(0, min_u lambda_min(V_u)) over interior vertices (Weyl).  Its
+coefficients 2 (-1)^k e^{-t lo} ive(k, t (hi - lo)/2) are applied by the
+three-term recurrence through the CSR A until their tail falls below
+rounding.  Every call computes the error bound e^{-t lo} (tail + n_terms
+eps) ||g|| and raises ConvergenceError when it exceeds 1e-10 max(||g||,
+||e^{-tA} g||), or when e^{-t lo} ||g|| would overflow.  Under a strongly
+negative V, Weyl's lo lies far below the lowest eigenvalue, so at large t
+the bound fails and the call refuses.
+
 The KLMN constant is the top eigenvalue of the pencil B x = lambda A x with
 B = blockdiag(V2) - C2 I.  The mesh is connected and its edge weights are
 positive, so a section of zero kinetic energy is parallel along every
@@ -51,15 +63,18 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+import scipy.special
 
 from .errors import ConvergenceError, KernelHandlingError, MeshError
 from .mesh import BundleMesh
 
 _DENSE_EIG_LIMIT = 1200
-_DENSE_EXPM_LIMIT = 400
 _COLUMN_BLOCK = 64
 _HERMITIAN_TOL = 1e-10
 _SHIFT_MARGIN = 1e-4
+_SEMIGROUP_RTOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(np.finfo(float).max) - 1.0     # an e-fold below overflow
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +293,94 @@ def kato_inequality_gap(mesh: BundleMesh, f) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # semigroups
 
-def _semigroup_apply(A, t: float, g: np.ndarray) -> np.ndarray:
-    """e^{-tA} g for Hermitian sparse A, by Pade below the dense cutoff."""
-    dim = A.shape[0]
-    if dim <= _DENSE_EXPM_LIMIT:
-        return scipy.linalg.expm(-t * A.toarray()) @ g
-    out = spla.expm_multiply(-t * A.tocsc(), g)
-    if not np.all(np.isfinite(out)):
-        raise ConvergenceError("semigroup action overflowed", residual=math.inf)
-    return out
+def _gershgorin(A) -> tuple[float, float]:
+    """Gershgorin bounds (lo, hi) on the spectrum of Hermitian sparse A."""
+    diag = A.diagonal().real
+    radius = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+def _semigroup_interval(mesh: BundleMesh, A, V) -> tuple[float, float]:
+    """Certified [lo, hi] holding the spectrum of A = M^{-1/2} K M^{-1/2} (+ V blocks).
+
+    The kinetic part is >= 0, so by Weyl's inequality the lowest eigenvalue
+    of any interior V_u (or 0) bounds the spectrum below; hi is Gershgorin's.
+    """
+    lo = 0.0
+    if V is not None:
+        lam = np.linalg.eigvalsh(_as_matrix_field(mesh, V)[mesh.interior])
+        lo = min(lo, float(lam.min()))
+    return lo, max(lo, _gershgorin(A)[1])
+
+
+def _chebyshev_coefficients(tau: float) -> tuple[np.ndarray, float]:
+    """Coefficients a_k of e^{-tau (1 + y)} = sum_k a_k T_k(y) on [-1, 1], and their tail.
+
+    a_0 = ive(0, tau) and a_k = 2 (-1)^k ive(k, tau), kept up to the first
+    order N whose tail sum_{k > N} |a_k| is at most eps.  The ratio
+    I_{k+1} / I_k falls as k grows (Turan's inequality), so that tail is at
+    most 2 ive(N + 1) / (1 - ive(N + 2) / ive(N + 1)), the returned bound.
+    """
+    m = 32 + int(10.0 * math.sqrt(tau))
+    while True:
+        c = scipy.special.ive(np.arange(m + 2), tau)
+        ratio = np.divide(c[2:], c[1:-1], out=np.zeros(m), where=c[1:-1] > 0.0)
+        tails = 2.0 * c[1:-1] / (1.0 - ratio)
+        stop = np.flatnonzero(tails <= _EPS)
+        if stop.size:
+            n = int(stop[0])
+            a = 2.0 * c[:n + 1]
+            a[0] = c[0]
+            a[1::2] *= -1.0
+            return a, float(tails[n])
+        m *= 2
+
+
+def _semigroup_apply(A, t: float, g: np.ndarray, lo: float, hi: float):
+    """(e^{-tA} g, error bound) for Hermitian sparse A with spectrum in [lo, hi].
+
+    With x = lo + (hi - lo)(1 + y)/2 and tau = t (hi - lo)/2, e^{-tx} =
+    e^{-t lo} e^{-tau (1 + y)}; the series in T_k(y) is summed by
+    T_{k+1} = 2 y T_k - T_{k-1}.  |T_k| <= 1 on [-1, 1], so truncation costs
+    at most e^{-t lo} tail ||g||, and n_terms eps stands for the rounding of
+    the recurrence.  Norms go through BLAS nrm2, which scales and so neither
+    overflows nor warns.
+
+    The bound is relative to e^{-t lo}, the peak of e^{-tx} on [lo, hi], so
+    a lo far below the lowest eigenvalue costs relative accuracy at large
+    t: on the 1d Coulomb system (lo = -64, ground energy -1/2) t = 0.01 is
+    certified to 3e-14 and t = 1 raises.
+    """
+    half = 0.5 * (hi - lo)
+    tau = t * half
+    norm_g = float(scipy.linalg.norm(g, check_finite=False))
+    if not math.isfinite(tau):
+        raise ConvergenceError("spectral interval is not finite", residual=math.inf)
+    if -t * lo + math.log(max(norm_g, 1.0)) > _LOG_MAX:
+        raise ConvergenceError(f"e^(-t lo) |g| overflows at t lo = {t * lo:.3g}",
+                               residual=math.inf)
+    a, tail = _chebyshev_coefficients(tau)
+    out = a[0] * g
+    if a.size > 1:
+        centre = lo + half
+        prev, cur = g, (A @ g - centre * g) / half      # T_0 g and T_1 g = y g
+        out += a[1] * cur
+        for ak in a[2:]:
+            nxt = A @ cur
+            nxt -= centre * cur
+            nxt *= 2.0 / half
+            nxt -= prev
+            prev, cur = cur, nxt
+            out += ak * cur
+    scale = math.exp(-t * lo)
+    out *= scale
+    norm_out = float(scipy.linalg.norm(out, check_finite=False))
+    bound = scale * (tail + a.size * _EPS) * norm_g
+    if not (math.isfinite(norm_out) and bound <= _SEMIGROUP_RTOL * max(norm_g, norm_out)):
+        raise ConvergenceError(f"semigroup error bound {bound:.2e} misses its target "
+                               f"(|g| = {norm_g:.2e}, t = {t:.3g}, lo = {lo:.3g})",
+                               residual=bound)
+    return out, bound
 
 
 def semigroup_evolve(mesh: BundleMesh, f, t: float, V=None,
@@ -300,7 +394,7 @@ def semigroup_evolve(mesh: BundleMesh, f, t: float, V=None,
         raise MeshError("time must be nonnegative and finite")
     A, root = _assemble(mesh, scalar=scalar, V=V)
     g = _restrict(mesh, f, scalar=scalar) * root
-    out = _semigroup_apply(A, t, g) / root
+    out = _semigroup_apply(A, t, g, *_semigroup_interval(mesh, A, V))[0] / root
     return _unstack(mesh, out, scalar=scalar)
 
 
@@ -388,9 +482,7 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
         lam, Q = _dense_eigh(A, None if k is None or k == dim else (0, k - 1))
         method = "dense"
     else:
-        diag = A.diagonal().real
-        radius = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
-        sigma = float(np.min(diag - radius)) - _SHIFT_MARGIN * scale
+        sigma = _gershgorin(A)[0] - _SHIFT_MARGIN * scale
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         lu = spla.splu((A - sigma * sp.identity(dim, dtype=A.dtype, format="csc")).tocsc(),
                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -541,18 +633,19 @@ def form_limit_check(mesh: BundleMesh, f, t_grid, V=None) -> FormLimitResult:
     """Difference quotients <f, (I - e^{-tH}) f>_mu / t against the form value.
 
     As t decreases to 0 the quotient increases to q(f) = <H f, f>_mu for
-    any self-adjoint H, which is checked on the supplied grid.  The defect
-    is |Q(t_min) - q(f)|.
+    any self-adjoint H, which is checked on the supplied grid, whose times
+    must be positive and finite.  The defect is |Q(t_min) - q(f)|.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0 or t_grid[0] <= 0:
-        raise MeshError("t_grid must be positive")
+    if t_grid.size == 0 or not np.all(np.isfinite(t_grid)) or t_grid[0] <= 0:
+        raise MeshError("t_grid must be positive and finite")
     A, root = _assemble(mesh, V=V)
     g = _restrict(mesh, f) * root
+    interval = _semigroup_interval(mesh, A, V)
     q_exact = float(np.real(np.vdot(g, A @ g)))
     quotients = np.empty_like(t_grid)
     for i, t in enumerate(t_grid):
-        evolved = _semigroup_apply(A, float(t), g)
+        evolved = _semigroup_apply(A, float(t), g, *interval)[0]
         quotients[i] = float(np.real(np.vdot(g, g - evolved))) / float(t)
     # smaller t gives a larger quotient, up to solver noise
     steps = quotients[:-1] - quotients[1:]

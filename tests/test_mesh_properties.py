@@ -5,7 +5,8 @@ edge at a time, the way they were first written; they are the oracle for
 the edge-array passes in ``katoform.operators``.  Another per-edge loop
 builds the dense operator matrices entry by entry, the oracle for the
 block assembly.  The dense Schur route of the KLMN pencil is the oracle
-for its sparse route.
+for its sparse route, and dense Pade ``scipy.linalg.expm`` for the
+Chebyshev semigroup, which must land within the error bound it computes.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from katoform.operators import (_assemble, _klmn_dense, _restrict,
                                 bochner_laplacian, diagonal_potential,
                                 form_sum_spectrum, kato_inequality_gap,
                                 klmn_optimal_c1, quad_form,
-                                semigroup_domination_gap)
+                                semigroup_domination_gap, semigroup_evolve)
 
 STACK = 3
 
@@ -154,6 +155,46 @@ def test_kinetic_form_and_spectrum_gauge_invariant(case):
 def test_semigroup_domination(case, t):
     mesh, rng = case
     assert semigroup_domination_gap(mesh, sections(mesh, rng, 1)[0], t) >= -1e-10
+
+
+@st.composite
+def semigroup_cases(draw):
+    """(mesh, V, rng): a bundle of at most 90 or of 420-540 degrees of freedom and a potential.
+
+    V is None, a PSD field, or a mild negative well with blocks in [-1/2, 0].
+    """
+    large = draw(st.booleans())
+    n_vertices = draw(st.integers(140, 180) if large else st.integers(2, 30))
+    mesh = random_bundle_mesh(n_vertices, fiber_dim=3 if large else draw(st.integers(1, 3)),
+                              seed=draw(st.integers(0, 2 ** 31 - 1)),
+                              dirichlet_count=min(draw(st.integers(0, 2)), n_vertices - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["none", "positive", "well"]))
+    V = None if kind == "none" else psd_field(mesh, rng)
+    if kind == "well":
+        V *= -0.5 / np.linalg.eigvalsh(V).max()
+    return mesh, V, rng
+
+
+@settings(max_examples=30)
+@given(semigroup_cases(), st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+def test_semigroup_evolve_within_its_bound_of_dense_expm(case, t):
+    mesh, V, rng = case
+    f = sections(mesh, rng, 1)[0]
+    bounds = []
+    apply = operators._semigroup_apply
+
+    def recorded(*args):
+        out, bound = apply(*args)
+        bounds.append(bound)
+        return out, bound
+
+    with mock.patch.object(operators, "_semigroup_apply", recorded):
+        got = semigroup_evolve(mesh, f, t, V=V)
+    A, root = _assemble(mesh, V=V)
+    g = _restrict(mesh, f) * root
+    want = sla.expm(-t * A.toarray()) @ g
+    assert np.linalg.norm(_restrict(mesh, got) * root - want) <= bounds[0]
 
 
 @given(meshes())

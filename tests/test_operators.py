@@ -308,6 +308,21 @@ def test_semigroup_evolve_matches_dense_exponential():
     assert np.allclose(got.reshape(-1), expect, atol=1e-10)
 
 
+def test_semigroup_refuses_where_its_bound_fails():
+    # Weyl's floor is min V = -64 at the vertices beside the origin, far
+    # below the ground energy -1/2: at t = 1 the bound carries e^{64} and
+    # the call must raise rather than answer; at t = 0.01 it is certified
+    mesh, values = bundled.coulomb_interval_system()
+    f = np.exp(-mesh.positions[:, :1] ** 2)
+    with pytest.raises(ConvergenceError, match="misses its target"):
+        semigroup_evolve(mesh, f, 1.0, V=values)
+    got = semigroup_evolve(mesh, f, 0.01, V=values)
+    A, root = _assemble(mesh, V=values)
+    g = f[mesh.interior, 0] * root
+    want = sla.expm(-0.01 * A.toarray()) @ g
+    assert np.linalg.norm(got[mesh.interior, 0] * root - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_semigroup_evolve_preserves_positivity_scalar():
     mesh = interval_mesh(0.0, 3.0, 0.25)
     f = np.zeros((mesh.n_vertices, 1))
@@ -382,6 +397,11 @@ def test_klmn_rejects_negative_v2():
 def test_semigroup_evolve_rejects_bad_time(t):
     with pytest.raises(MeshError, match="nonnegative and finite"):
         semigroup_evolve(two_vertex(), np.ones((2, 1)), t)
+    mesh = random_bundle_mesh(8, fiber_dim=2, seed=1)
+    f = random_section(mesh, np.random.default_rng(1))
+    for grid in ([t], [1e-3, t], [t, 1e-3, 1e-2]):
+        with pytest.raises(MeshError, match="positive and finite"):
+            form_limit_check(mesh, f, grid)
 
 
 def test_klmn_kernel_obstruction():

@@ -18,7 +18,7 @@ from katoform import bundled, cli
 
 DIGESTS = {
     "check_random_bundle": {
-        "report.json": "6c635816f9ae48c54346aeb23aa5d00af852f5e32815f2953babd8053386a15b",
+        "report.json": "8e8b68e04d79dba03521a07052810a4d25da392bb61d99612b8b548cdb46a3b1",
     },
     "fk_coulomb": {
         "report.json": "856d2194f94b1bf119fd5755913e8f54f6dbcb26ba2f1f23c1e589f085607dbc",

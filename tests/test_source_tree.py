@@ -5,6 +5,10 @@ own Gauss-Kronrod panels (katoform.quadrature); QUADPACK serves only the
 tests' oracle.  Each module is parsed with ast, not imported, so an
 import inside a function body is found too.
 
+No module imports or names expm or expm_multiply: the semigroup has one
+route, the Chebyshev expansion of katoform.operators with its computed
+error bound, and dense Pade serves only the tests' oracle.
+
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
 kato.form_bound_constants, which imports it when it runs.
@@ -38,6 +42,32 @@ def test_no_module_imports_scipy_integrate():
     found = {path.relative_to(PACKAGE).as_posix(): list(_integrate_imports(path))
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert "quadrature.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+_EXPM_NAMES = {"expm", "expm_multiply"}
+
+
+def _expm_references(path):
+    """Line numbers where one module imports or names expm or expm_multiply."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if _EXPM_NAMES.intersection(names):
+            yield node.lineno
+
+
+def test_no_module_names_expm():
+    found = {path.relative_to(PACKAGE).as_posix(): sorted(_expm_references(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert "operators.py" in found
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
