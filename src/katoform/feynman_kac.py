@@ -8,21 +8,43 @@ increments have variance h per step of size h.
 Euclidean paths use exact Gaussian increments.  Hyperbolic paths are
 cumulative sums in upper-half-space coordinates (x, y): log y is exact in
 law, each x step takes the trapezoidal variance h (y_k^2 + y_{k+1}^2)/2,
-an O(h) weak approximation.  Killing regions (a geodesic ball, or a
-Euclidean half-space) stop a path at the first step that lands outside;
-the exit step is recorded as the lifetime.
+an O(h) weak approximation.  On sampled paths and radius chains, killing
+regions (a geodesic ball, or a Euclidean half-space) stop a path at the
+first step that lands outside, so killing happens at the grid's times;
+the exit step is recorded as the lifetime.  The endpoint route below
+kills in continuous time instead.
 
 Every potential is radial, so mc_kato_integral sees a path only through
 |B_t|.  On R^d, d >= 3, with no killing region or a ball about the
 origin, it samples that radius alone: on the step grid it is the exact
 Markov chain R_{k+1}^2 = (R_k + sqrt(h) Z_k)^2 + h chi^2_{d-1} (the
-Bessel process; Revuz and Yor, ch. XI), with chi^2_{d-1} = 2 (E_1 + ...
-+ E_m), plus Z'^2 when d - 1 is odd, for standard normals Z, Z' and
+Bessel process BES(d); Revuz and Yor, ch. XI), with chi^2_{d-1} = 2 (E_1
++ ... + E_m), plus Z'^2 when d - 1 is odd, for standard normals Z, Z' and
 exponentials E_j.  That is one normal and one exponential a step on R^3
-instead of three normals.  Below d = 3 the radius takes as many draws as
-the path, and half-spaces, off-centre balls and H^m need the path itself,
-so they, mc_heat_expectation and mc_covariant_semigroup take the path
-kernel behind sample_paths.
+instead of three normals.  The radius of H^3 is the Doob transform of
+BES(3) by h(r) = sinh r / r, which solves h''/2 + h'/r = h/2: its law up
+to time s is BES(3)'s weighted by e^{-s/2} h(R_s) / h(R_0).  So H^3 with
+no region or a ball about the origin runs on the same chain, node s
+weighted by e^{-s/2} h(R_s) / h(R_0).  Below d = 3 the radius takes as
+many draws as the path, and half-spaces, off-centre balls, H^2 and H^m,
+m >= 4, need the path itself, so they and mc_covariant_semigroup take the
+path kernel behind sample_paths.
+
+mc_heat_expectation from the origin of R^3 or H^3, with no region or a
+ball about the origin, needs no path at all.  By rotation invariance
+about the start, the endpoint's direction is uniform and independent of
+the whole radius path (the skew product), so one Gaussian 3-vector
+W = sqrt(T) Z gives both: |W| is the exact one-step draw of BES(3) from
+0, and the endpoint is the point at distance |W| in W's direction, for
+any f.  The chance that the radius path stayed inside the ball of radius
+a, given |W|, is the BES(3) bridge's survival from 0 to |W|: BES(3) is
+1-d Brownian motion killed at 0 and h-transformed by r, so its bridges
+are killed Brownian bridges and that chance is an image series, whose
+truncation is computed.  Each path carries it as a weight, and on H^3 also the Doob
+weight e^{-T/2} h(|W|): an h-transform leaves bridges unchanged, so the
+same factor kills there.  Killing is then in continuous time, and the
+configured step does not enter.
+Elsewhere mc_heat_expectation reduces the endpoints of sampled paths.
 
 Streams are counter-based (Philox) keyed by (seed, worker index).  Worker
 w draws a contiguous block of the path indices, worker 0's first; this is
@@ -34,8 +56,10 @@ configuration, that is on (seed, workers), never on thread timing.
 The path kernel draws every increment from the worker's key, path-major,
 so the batch size never changes the numbers; a batch holds about 2**17
 path nodes (at most 1024 paths), so its arrays stay near cache size.  The
-radius kernel fills blocks of a fixed width of 1024 paths (the width sets
-which draws go to which path), each in time chunks of about 2**17 nodes.
+radius kernel fills blocks of a fixed width of 2**14 paths (the width sets
+which draws go to which path), each in time chunks of about 2**17 nodes,
+8 rows: each row of the recursion is then a few ufunc calls over 2**14
+values, and the interpreter lock changes hands once per call.
 The normals Z and Z' come from the worker's key and the exponentials from
 its ``jumped()`` copy, both step-major, so each stream keeps to one
 distribution and the chunk length never changes the numbers.  A chunk is
@@ -43,10 +67,13 @@ time-major, (nodes, paths): the recursion runs row by row, and a chunk's
 last row is the next chunk's first, so memory does not grow with the
 number of steps.
 
-Both kernels run on one engine: the streams run on min(workers, usable
-CPUs) producer threads, one thread for a single worker or CPU, so drawing
-overlaps the estimator's work: Philox draws and the large ufuncs release
-the interpreter lock.  Producers only draw, integrate the increments or
+The endpoint route draws from the same keys, each worker's block
+path-major in blocks of 2**14 endpoints, on the caller's thread: one draw
+a path does not pay for a producer thread.  Both kernels run on one
+engine: the streams run on min(workers, usable CPUs) producer threads,
+one thread for a single worker or CPU, so drawing overlaps the
+estimator's work: Philox draws and the large ufuncs release the
+interpreter lock.  Producers only draw, integrate the increments or
 the radius chain and run the killing scan; potentials and user callbacks
 run on the caller's thread.  Items are handed out round-robin across the
 workers.
@@ -87,9 +114,10 @@ from .errors import ConfigError, DomainError
 from .geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace
 
 _MAX_BATCH = 1024
-# paths in a block of the radius kernel: it sets which draws go to which
-# path, so unlike the batch size it is part of the reference numbers
-_BLOCK_WIDTH = 1024
+# paths in a block of the radius kernel and of the endpoint route: it sets
+# which draws go to which path, so unlike the batch size it is part of the
+# reference numbers; _NODE_BUDGET gives a radius chunk 8 rows of it
+_BLOCK_WIDTH = 2 ** 14
 _NODE_BUDGET = 2 ** 17
 _SCAN_NODES = 2 ** 14
 # path nodes (n_paths x (n_steps + 1)) a configuration may ask for: over
@@ -98,6 +126,7 @@ _SCAN_NODES = 2 ** 14
 _MAX_PATH_NODES = 2 ** 31
 # worker streams a configuration may ask for (the sampling engine makes lists this long)
 _MAX_WORKERS = 2 ** 10
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -542,20 +571,42 @@ class _RadiusChunk:
     k0: int
 
 
+def _about_origin(space: ModelSpace, point) -> bool:
+    return bool(np.array_equal(np.asarray(point, dtype=float), space.origin()))
+
+
+def _centred(config: PathConfig) -> bool:
+    """No killing region, or a ball about the origin: |B_t| alone decides survival."""
+    region = config.domain
+    return region is None or (region.kind == "ball" and (
+        region.center is None or _about_origin(config.space, region.center)))
+
+
 def _radius_route(config: PathConfig) -> bool:
     """Whether mc_kato_integral samples the radius alone.
 
-    It does on R^d, d >= 3, with no region or a ball about the origin,
-    which |B_t| alone decides.
+    It does on R^d, d >= 3, and on H^3 (by the Doob weight), with no
+    region or a ball about the origin, which |B_t| alone decides.
     """
-    space, region = config.space, config.domain
-    if space.kind != EUCLIDEAN or space.dim < 3:
-        return False
-    return region is None or (region.kind == "ball" and not any(region.center or ()))
+    space = config.space
+    radial = space.dim >= 3 if space.kind == EUCLIDEAN else space.dim == 3
+    return radial and _centred(config)
+
+
+def _endpoint_route(config: PathConfig) -> bool:
+    """Whether mc_heat_expectation draws each endpoint in one exact step.
+
+    It does on R^3 and H^3 from the origin, with no region or a ball about it.
+    """
+    return config.space.dim == 3 and _about_origin(config.space, config.start) \
+        and _centred(config)
 
 
 class _RadiusKernel:
-    """The exact Bessel chain of |B_t| on the step grid of R^d, d >= 3.
+    """The exact Bessel chain BES(d) on the step grid, from |start|, d >= 3.
+
+    On R^d it is |B_t|.  On H^3 it is started at d(o, start) and the
+    estimator weighs its nodes into the H^3 radius (the Doob transform).
 
     Worker w's paths fill blocks of _BLOCK_WIDTH paths (the last one
     narrower) and each block runs in time chunks of about _NODE_BUDGET
@@ -569,7 +620,9 @@ class _RadiusKernel:
         self.n_exp, self.odd = divmod(config.space.dim - 1, 2)
         self.width = min(_BLOCK_WIDTH, -(-config.n_paths // config.workers))
         self.steps = min(config.n_steps, max(1, _NODE_BUDGET // self.width))
-        self.r0 = float(np.linalg.norm(config.start))
+        start = config.start
+        self.r0 = float(np.linalg.norm(start)) if config.space.kind == EUCLIDEAN \
+            else math.acosh(max(start[0], 1.0))
 
     def tasks(self, count: int, first: int) -> list:
         return [(first + lo, min(self.width, count - lo), k0)
@@ -643,6 +696,68 @@ def _bessel_steps(normal_rng: np.random.Generator, exp_rng: np.random.Generator,
         np.multiply(r, r, out=r)
         r += chi[k]
         np.sqrt(r, out=r)
+
+
+def _sinh_ratio(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """h(r) = sinh(r) / r of the radii r, 1 at r = 0, written into out."""
+    np.sinh(r, out=out)
+    np.divide(out, r, out=out, where=r > 0.0)
+    # h >= 1 everywhere, and this sets h(0) = 1 where the division was skipped
+    return np.maximum(out, 1.0, out=out)
+
+
+def _bridge_survival(x, y, a: float, t: float,
+                     terms: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """P(a BES(3) bridge from x to y over time t stays below a), and its error bound.
+
+    BES(3) is 1-d Brownian motion killed at 0 and h-transformed by r, so
+    its bridges are those of the killed motion, and their survival below a
+    is the image series of the interval (0, a):
+    sum_n [phi_t(y - x + 2na) - phi_t(y + x + 2na)] / [phi_t(y - x) - phi_t(y + x)].
+    Divided through, the term of u = y + 2na reads
+    sign(u) exp(-(|u| - y)(|u| + y - 2x) / 2t) expm1(-2x|u|/t) / expm1(-2xy/t);
+    its last factor lies in [1, |u|/y] and tends to |u|/y as x -> 0, the
+    value taken at x = 0.  The pairs n = +-k are summed for k up to terms,
+    by default 2 + ceil(sqrt(20 t) / a), past which every term is below
+    e^-40 |u|/y.
+
+    An omitted term is at most b(u) = exp(-(|u| - y)(|u| + y - 2x) / 2t) |u|/y,
+    and b falls faster at each k, so the omitted pairs add up to at most
+    (b_+ + b_-) / (1 - rho) at k = terms + 1, with rho the larger of the
+    two ratios to the next pair.  The returned bound is that tail plus the
+    rounding of the sum, (2 terms + 1) eps times its absolute terms.  The
+    factor is clipped to [0, 1], and it is 0 where x or y is not below a.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if terms is None:
+        terms = 2 + math.ceil(math.sqrt(20.0 * t) / a)
+    factor, bound = np.zeros(y.shape), np.zeros(y.shape)
+    inside = (x < a) & (y > 0.0) & (y < a)
+    x, y = x[inside], y[inside]
+    den = np.expm1(-2.0 * x * y / t)
+
+    def term(u):
+        """The term of |u| = u and its bound b(u)."""
+        decay = np.exp(-(u - y) * (u + y - 2.0 * x) / (2.0 * t))
+        ratio = np.divide(np.expm1(-2.0 * x * u / t), den, out=u / y, where=den != 0.0)
+        return decay * ratio, decay * (u / y)
+
+    total, size = np.ones(y.shape), np.ones(y.shape)
+    for k in range(1, terms + 1):
+        above, below = term(y + 2 * k * a), term(2 * k * a - y)
+        total += above[0] - below[0]
+        size += above[0] + below[0]
+    # the bounds of the first two omitted pairs
+    b_above = [term(y + 2 * k * a)[1] for k in (terms + 1, terms + 2)]
+    b_below = [term(2 * k * a - y)[1] for k in (terms + 1, terms + 2)]
+    rho = np.zeros(y.shape)
+    for b0, b1 in (b_above, b_below):
+        np.maximum(rho, np.divide(b1, b0, out=np.zeros(y.shape), where=b0 > 0.0), out=rho)
+    tail = np.divide(b_above[0] + b_below[0], 1.0 - rho, out=np.full(y.shape, math.inf),
+                     where=rho < 1.0)
+    factor[inside] = np.clip(total, 0.0, 1.0)
+    bound[inside] = tail + (2 * terms + 1) * _EPS * size
+    return factor, bound
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +879,9 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
     with h.  The reported bias bound is the O(sqrt(h)) envelope 2 sqrt(h)
     for singular potentials and max|v| * h for bounded ones.
 
-    On R^d, d >= 3, with no region or a ball about the origin, the paths
-    are sampled through their radius alone (the Bessel chain); elsewhere
-    as whole paths from sample_paths.
+    On R^d, d >= 3, and H^3, with no region or a ball about the origin,
+    the paths are sampled through their radius alone (the Bessel chain,
+    Doob-weighted on H^3); elsewhere as whole paths from sample_paths.
     """
     if v.space != config.space:
         raise DomainError("potential and path configuration disagree on the space")
@@ -776,10 +891,17 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
     killed = config.domain is not None
     if _radius_route(config):
         kernel = _RadiusKernel(config)
-        # |v| of one chunk, written in place, and under a region its weights
+        # |v| of one chunk, written in place, under a region its weights,
+        # and on H^3 its Doob weights
         size = (kernel.steps + 1) * kernel.width
         values = np.empty(size)
         weights = np.empty(size) if killed else None
+        doob = None
+        if config.space.kind == HYPERBOLIC:
+            # node s carries e^{-s/2} h(R_s) / h(R_0), h(r) = sinh r / r
+            doob = np.empty(size)
+            decay = np.exp(-0.5 * config.step * np.arange(S + 1))
+            decay /= _sinh_ratio(np.array(kernel.r0), np.empty(()))
         with closing(_stream(config, kernel)) as chunks:
             for chunk in chunks:
                 rows, B = chunk.radii.shape
@@ -790,6 +912,11 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
                 # rows add in node order onto the running sums, so the
                 # chunk length never changes the numbers
                 head *= w.reshape(len(head), -1)
+                if doob is not None:
+                    n = len(head)
+                    h = _sinh_ratio(chunk.radii[:n], doob[:n * B].reshape(n, B))
+                    h *= decay[chunk.k0:chunk.k0 + n, None]
+                    head *= h
                 acc = sums[chunk.first:chunk.first + B]
                 head[0] += acc
                 np.add.reduce(head, axis=0, out=acc)
@@ -824,7 +951,18 @@ def mc_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
 
     f receives a (B, ambient) block of endpoints and must return (B,)
     values; killed paths contribute zero.
+
+    On R^3 and H^3 from the origin, with no region or a ball about it,
+    each path is one exact endpoint draw with a weight (the bridge
+    survival factor, and the Doob weight on H^3): killing is then in
+    continuous time and the configured step does not enter the estimand.
+    bias_bound is the computed truncation of the bridge series (0 without
+    a region), and n_effective counts the paths of nonzero weight.
+    Elsewhere the paths come from sample_paths and are killed at the step
+    grid's times; n_effective counts the survivors and bias_bound is None.
     """
+    if _endpoint_route(config):
+        return _endpoint_expectation(f, config)
     values = np.zeros(config.n_paths, dtype=complex)
     survivors = 0
     with closing(sample_paths(config)) as batches:
@@ -837,6 +975,62 @@ def mc_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
     if np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
     return _finish(values, config, n_effective=survivors)
+
+
+def _endpoint_expectation(f: Callable, config: PathConfig) -> Estimate:
+    """mc_heat_expectation from the origin of R^3 or H^3, one exact draw a path.
+
+    W = sqrt(T) Z, for a standard normal 3-vector Z, is B_T on R^3.  Its
+    length is the exact one-step draw of the radius chain from 0 and its
+    direction is uniform and independent of the whole radius path (the
+    skew product), so on H^3 the endpoint is (cosh |W|, h(|W|) W), the
+    point at distance |W| in that direction, weighted by e^{-T/2} h(|W|).
+    Under a ball of radius a each path also carries the bridge survival
+    factor from 0 to |W|.  Worker w draws its block of the reference
+    layout from its own key, path-major, on the caller's thread: there is
+    one draw a path, so no producer thread would pay for itself.
+    """
+    space, T = config.space, config.horizon
+    hyperbolic = space.kind == HYPERBOLIC
+    counts = _worker_counts(config.n_paths, config.workers)
+    width = min(_BLOCK_WIDTH, counts[0])
+    gauss, radii, tmp = np.empty((width, 3)), np.empty(width), np.empty(width)
+    points = np.empty((width, 4)) if hyperbolic else gauss
+    values = np.zeros(config.n_paths, dtype=complex)
+    first, n_effective, bias = 0, 0, 0.0
+    for worker, count in enumerate(counts):
+        rng = np.random.Generator(_worker_bits(config.seed, worker))
+        for lo in range(first, first + count, width):
+            B = min(width, first + count - lo)
+            w = rng.standard_normal(out=gauss[:B])
+            w *= math.sqrt(T)
+            r = _euclidean_norms(w, radii[:B], tmp[:B])
+            weight, tail = np.ones(B), np.zeros(B)
+            if config.domain is not None:
+                weight, tail = _bridge_survival(0.0, r, config.domain.radius, T)
+            if hyperbolic:
+                h = _sinh_ratio(r, tmp[:B])
+                np.cosh(r, out=points[:B, 0])
+                for i in range(3):
+                    np.multiply(w[:, i], h, out=points[:B, i + 1])
+                h *= math.exp(-0.5 * T)
+                weight *= h
+            live = weight > 0.0
+            n_live = int(np.count_nonzero(live))
+            if n_live:
+                fx = np.asarray(f(points[:B][live]))
+                values[lo:lo + B][live] = fx * weight[live]
+                # the series truncation of each path, times |f| and the Doob weight
+                err = np.abs(fx) * tail[live]
+                if hyperbolic:
+                    err *= h[live]
+                bias += float(err.sum())
+            n_effective += n_live
+        first += count
+    if np.max(np.abs(values.imag), initial=0.0) == 0.0:
+        values = values.real
+    return _finish(values, config, n_effective=n_effective,
+                   bias_bound=bias / config.n_paths)
 
 
 def transport_phase(path: np.ndarray, A: Callable) -> complex:

@@ -41,7 +41,10 @@ rounding.  Every call computes the error bound e^{-t lo} (tail + n_terms
 eps) ||g|| and raises ConvergenceError when it exceeds 1e-10 max(||g||,
 ||e^{-tA} g||), or when e^{-t lo} ||g|| would overflow.  Under a strongly
 negative V, Weyl's lo lies far below the lowest eigenvalue, so at large t
-the bound fails and the call refuses.
+the bound fails and the call refuses.  The expansion needs about
+8.2 sqrt(t (hi - lo)/2) terms, one matvec each; past 2**16 terms the call
+raises ConvergenceError too, before it computes a coefficient when the
+estimate alone is over.
 
 The KLMN constant is the top eigenvalue of the pencil B x = lambda A x with
 B = blockdiag(V2) - C2 I.  The mesh is connected and its edge weights are
@@ -75,6 +78,9 @@ _SHIFT_MARGIN = 1e-4
 _SEMIGROUP_RTOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max) - 1.0     # an e-fold below overflow
+# Chebyshev terms a semigroup call may take, one sparse matvec each; the
+# rounding term n eps of its bound stays below 1.5e-11, under _SEMIGROUP_RTOL
+_CHEBYSHEV_TERMS = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +326,18 @@ def _chebyshev_coefficients(tau: float) -> tuple[np.ndarray, float]:
     order N whose tail sum_{k > N} |a_k| is at most eps.  The ratio
     I_{k+1} / I_k falls as k grows (Turan's inequality), so that tail is at
     most 2 ive(N + 1) / (1 - ive(N + 2) / ive(N + 1)), the returned bound.
+
+    N grows like 8.2 sqrt(tau) (it lies below 32 + 10 sqrt(tau) at every
+    tau), so an order past _CHEBYSHEV_TERMS raises ConvergenceError: at
+    once when 8 sqrt(tau) already exceeds it, else once the coefficients
+    up to the budget are spent.
     """
-    m = 32 + int(10.0 * math.sqrt(tau))
+    root = math.sqrt(tau)
+    if 8.0 * root > _CHEBYSHEV_TERMS:
+        raise ConvergenceError(f"tau = {tau:.3g} needs about {8.2 * root:.3g} Chebyshev "
+                               f"terms, over the budget of {_CHEBYSHEV_TERMS}",
+                               residual=math.inf)
+    m = min(32 + int(10.0 * root), _CHEBYSHEV_TERMS)
     while True:
         c = scipy.special.ive(np.arange(m + 2), tau)
         ratio = np.divide(c[2:], c[1:-1], out=np.zeros(m), where=c[1:-1] > 0.0)
@@ -333,7 +349,10 @@ def _chebyshev_coefficients(tau: float) -> tuple[np.ndarray, float]:
             a[0] = c[0]
             a[1::2] *= -1.0
             return a, float(tails[n])
-        m *= 2
+        if m == _CHEBYSHEV_TERMS:
+            raise ConvergenceError(f"tau = {tau:.3g} needs over {_CHEBYSHEV_TERMS} "
+                                   "Chebyshev terms", residual=float(tails[-1]))
+        m = min(2 * m, _CHEBYSHEV_TERMS)
 
 
 def _semigroup_apply(A, t: float, g: np.ndarray, lo: float, hi: float):

@@ -2,12 +2,14 @@
 
 The sampler is exact in law on Euclidean spaces (independent Gaussian
 increments), and so is the radius kernel that mc_kato_integral uses on
-R^d, d >= 3 (the Bessel chain of |B_t| on the step grid), so moment and
-law tests there carry only statistical error.  Hyperbolic
-paths are exact in the upper-half-space height and take the trapezoidal
-variance for the other coordinates; they and the killing scan are O(step)
-weak approximations, so their tests carry an explicit step envelope on
-top of 3 sigma.
+R^d, d >= 3, and H^3 (the Bessel chain of |B_t| on the step grid, with
+the Doob weight on H^3), so moment and law tests there carry only
+statistical error.  So does mc_heat_expectation from the origin of R^3
+and H^3, one exact endpoint draw a path with the Bessel-bridge killing
+factor.  Hyperbolic paths are exact in the upper-half-space height and
+take the trapezoidal variance for the other coordinates; they and the
+killing scan are O(step) weak approximations, so their tests carry an
+explicit step envelope on top of 3 sigma.
 
 Frozen references:
   * Coulomb running integral from the origin: 2 sqrt(2 t / pi).
@@ -26,6 +28,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstest, ncx2
 
 from katoform import feynman_kac as fk
@@ -279,13 +283,30 @@ def test_radius_route_covers_balls_about_the_origin(domain):
 
 
 @pytest.mark.parametrize("cfg", [
+    hconf(),
+    hconf(domain=KillingRegion(kind="ball", radius=0.6, center=(1.0, 0.0, 0.0, 0.0))),
+    econf(space=H3, start=tuple(geodesic_point(H3, 0.3)),
+          domain=KillingRegion(kind="ball", radius=0.6)),
+], ids=["origin", "centred_ball", "offorigin_start"])
+def test_radius_route_covers_h3(cfg):
+    assert fk._radius_route(cfg)
+
+
+# an H^3 ball about a point off the origin, far too large to kill a path
+# within the horizons used here: it sends H^3 down the path route
+FAR_H3_BALL = KillingRegion(kind="ball", radius=50.0, center=tuple(geodesic_point(H3, 1.0)))
+
+
+@pytest.mark.parametrize("cfg", [
     econf(domain=KillingRegion(kind="ball", radius=1.0, center=(0.1, 0.0, 0.0))),
     econf(domain=KillingRegion(kind="halfspace", normal=(1.0, 0.0, 0.0), offset=1.0)),
     econf(space=E2, start=(0.0, 0.0)),
-    hconf(),
-], ids=["offcentre_ball", "halfspace", "E2", "H3"])
+    hconf(domain=FAR_H3_BALL),
+    econf(space=H2, start=(1.0, 0.0, 0.0)),
+], ids=["offcentre_ball", "halfspace", "E2", "H3_offcentre_ball", "H2"])
 def test_path_route_elsewhere(cfg):
     assert not fk._radius_route(cfg)
+    assert not fk._endpoint_route(cfg)
 
 
 @pytest.mark.parametrize("pot", [coulomb(E3), bump(E3, amplitude=2.0, radius=0.5)],
@@ -327,9 +348,15 @@ def threaded(monkeypatch, cpus):
 
 
 def all_estimates(cfg):
-    """Every Estimate field of the three estimators on one configuration."""
+    """Every Estimate field of the three estimators on one configuration.
+
+    The killed heat expectation runs from the start (the endpoint route
+    from the origin) and from a point off it (the path route).
+    """
     ball = KillingRegion(kind="ball", radius=0.5)
     killed = PathConfig(**{**vars(cfg), "domain": ball})
+    shifted = PathConfig(**{**vars(killed),
+                            "start": tuple(geodesic_point(cfg.space, 0.2, (1.0, 0.0, -1.0)))})
     plane = PathConfig(**{**vars(cfg), "space": E2, "start": (0.1, 0.0)})
 
     def gauss(p):
@@ -341,6 +368,7 @@ def all_estimates(cfg):
     pot = coulomb(cfg.space)
     ests = [mc_kato_integral(pot, cfg), mc_kato_integral(pot, killed),
             mc_heat_expectation(lambda p: p[:, 0] + 1j * p[:, 1], killed),
+            mc_heat_expectation(lambda p: p[:, 0] + 1j * p[:, 1], shifted),
             mc_covariant_semigroup(gauss, A, plane)]
     return [vars(e) for e in ests]
 
@@ -474,7 +502,7 @@ def test_caller_error_joins_producers(monkeypatch, kernel):
 
 
 @pytest.mark.parametrize("space,start,producer_step", [
-    (H3, (1.0, 0.0, 0.0, 0.0), "_killing_scan"),
+    (H2, (1.0, 0.0, 0.0), "_killing_scan"),
     (E3, (0.0, 0.0, 0.0), "_bessel_steps"),
 ], ids=["paths", "radii"])
 def test_producer_error_reaches_caller(monkeypatch, space, start, producer_step):
@@ -566,13 +594,17 @@ def test_radius_killing_matches_step_loop(monkeypatch, space):
 def test_pool_keeps_the_estimates():
     """Literals recorded with a fresh allocation per batch, compared exactly.
 
-    The kato line was re-recorded when R^3 moved to the radius kernel.
+    The kato line was re-recorded when R^3 moved to the radius kernel, and
+    the heat line when the H^3 origin moved to the endpoint route: its
+    start is now off the origin, on the path route.
     """
     kato = mc_kato_integral(coulomb(E3), econf(start=(0.1, 0.0, -0.2), workers=2))
     assert (kato.value, kato.std_error) == (0.5175003059014031, 0.005734223030106741)
     ball = KillingRegion(kind="ball", radius=1.0)
-    heat = mc_heat_expectation(lambda p: p[:, 0], hconf(workers=2, domain=ball))
-    assert (heat.value, heat.std_error) == (0.8334576964639766, 0.017973433111592482)
+    heat = mc_heat_expectation(lambda p: p[:, 0],
+                               econf(space=H3, start=(math.cosh(0.3), 0.0, math.sinh(0.3), 0.0),
+                                     workers=2, domain=ball))
+    assert (heat.value, heat.std_error) == (0.7482302663258076, 0.018850513768837854)
     cov = mc_covariant_semigroup(lambda p: np.exp(-np.sum(p * p, axis=1)),
                                  lambda p: np.stack([-p[:, 1], p[:, 0]], axis=1),
                                  econf(space=E2, start=(0.1, 0.0), workers=2))
@@ -615,16 +647,19 @@ def test_batch_kernels_keep_the_estimates():
     """Literals recorded before the per-coordinate batch kernels, compared exactly.
 
     They cover the H^3 chart with a start off the x = 0 plane and from the
-    origin (where the start node is replaced), the H^2 chart under a ball,
+    origin (where the start node is replaced), under a far ball that keeps
+    them on the path route, the H^2 chart under a ball,
     an off-origin Euclidean start under a ball, and a shifted start under
     a half-space.
     """
     pot = coulomb(H3)
+    # the far ball kills no path but keeps H^3 on the path route, which
+    # leaves the literals as they were without a region
     off = mc_kato_integral(pot, econf(space=H3, start=(math.cosh(0.3), 0.0, math.sinh(0.3), 0.0),
-                                      workers=2))
+                                      workers=2, domain=FAR_H3_BALL))
     assert (off.value, off.std_error, off.cap_events, off.bias_bound) == (
         0.4649527726914678, 0.0054720010804957895, 0, 0.08944271909999159)
-    origin = mc_kato_integral(pot, hconf(workers=2))
+    origin = mc_kato_integral(pot, hconf(workers=2, domain=FAR_H3_BALL))
     assert (origin.value, origin.std_error) == (0.6753446895145091, 0.006921485002493826)
     ball = KillingRegion(kind="ball", radius=1.0)
     plane = mc_heat_expectation(lambda p: p[:, 1],
@@ -657,7 +692,8 @@ def test_batches_reuse_two_buffers_per_thread(monkeypatch, workers, cpus):
 
 
 @pytest.mark.parametrize("case,cpus", [("kato_e3", 2), ("kato_e3", 1),
-                                       ("kato_e3_killed", 2), ("survival_h3", 2)])
+                                       ("kato_e3_killed", 2), ("survival_h3", 2),
+                                       ("survival_h3_origin", 2)])
 def test_traced_memory_is_bounded_by_the_pool(monkeypatch, traced_peak, case, cpus):
     threaded(monkeypatch, cpus)
     if case.startswith("kato_e3"):
@@ -674,7 +710,10 @@ def test_traced_memory_is_bounded_by_the_pool(monkeypatch, traced_peak, case, cp
         def run():
             mc_kato_integral(coulomb(E3), cfg)
     else:
-        cfg = PathConfig(space=H3, start=tuple(H3.origin()), horizon=0.1, step=1e-4,
+        # off the origin the paths are sampled; from it (the endpoint route)
+        # no path is, and no pool is allocated
+        start = H3.origin() if case.endswith("origin") else geodesic_point(H3, 0.3)
+        cfg = PathConfig(space=H3, start=tuple(start), horizon=0.1, step=1e-4,
                          n_paths=4000, seed=3, workers=2,
                          domain=KillingRegion(kind="ball", radius=1.0))
         # alive masks in flight and one killing-scan chunk per thread
@@ -686,6 +725,9 @@ def test_traced_memory_is_bounded_by_the_pool(monkeypatch, traced_peak, case, cp
     positions = 8 * B * (S + 1) * len(cfg.start)
     draws = 8 * B * S * cfg.space.dim
     pool = min(cfg.workers, cpus) * (2 * positions + draws)
+    if case.endswith("origin"):
+        assert fk._endpoint_route(cfg)
+        pool = 0
     assert traced_peak(run) <= pool + temporaries * positions
 
 
@@ -749,8 +791,9 @@ def test_ball_survival_against_eigen_series():
                      n_paths=20000, seed=7,
                      domain=KillingRegion(kind="ball", radius=1.0))
     est = mc_heat_expectation(lambda p: np.ones(p.shape[0]), cfg)
-    # boundary-crossing discretization adds an O(sqrt(step)) bias
-    tol = 3.0 * est.std_error + 0.4 * math.sqrt(1e-3)
+    # from the origin killing is in continuous time: no step envelope, only
+    # the reported truncation of the bridge series
+    tol = 3.0 * est.std_error + est.bias_bound
     assert abs(est.value - series) <= tol
     assert est.n_effective < cfg.n_paths
 
@@ -761,6 +804,148 @@ def test_survivors_counted():
     est = mc_heat_expectation(lambda p: np.ones(p.shape[0]), cfg)
     assert 0 < est.n_effective < cfg.n_paths
     assert 0.0 < est.value < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the exact routes from the origin: one endpoint draw, bridge killing and the
+# Doob weight; the radius chain on H^3
+
+def ball_survival_series(space, t):
+    """P(tau > t) in the unit ball from its centre, by the Dirichlet eigen series.
+
+    On H^3, u = v / sinh r turns (1/2) Delta into (1/2)(d^2/dr^2 - 1), and
+    sinh r on (0, 1) expands in sin(n pi r).
+    """
+    total = 0.0
+    for n in range(1, 200):
+        k2 = (n * math.pi) ** 2
+        if space.kind == EUCLIDEAN:
+            total += (-1) ** (n + 1) * math.exp(-k2 * t / 2)
+        else:
+            total += (-1) ** (n + 1) * math.sinh(1.0) * k2 / (1.0 + k2) \
+                * math.exp(-(k2 + 1.0) * t / 2)
+    return 2.0 * total
+
+
+@settings(max_examples=300)
+@given(fx=st.floats(0.0, 0.999), fy=st.floats(1e-3, 0.999), a=st.floats(0.2, 3.0),
+       s=st.floats(0.01, 4.0), grow=st.floats(1e-3, 1.0))
+def test_bridge_factor_properties(fx, fy, a, s, grow):
+    """In [0, 1], monotone in a, continuous as x -> 0+, and within its bound of 200 terms."""
+    x, y, t = fx * a, np.array([fy * a]), s * a * a
+    factor, bound = fk._bridge_survival(x, y, a, t)
+    assert 0.0 <= factor[0] <= 1.0 and 0.0 <= bound[0] < 1e-9
+    wider, wider_bound = fk._bridge_survival(x, y, a * (1.0 + grow), t)
+    assert wider[0] >= factor[0] - (bound[0] + wider_bound[0])
+    many, many_bound = fk._bridge_survival(x, y, a, t, terms=200)
+    assert abs(factor[0] - many[0]) <= bound[0] + many_bound[0]
+    at_zero = fk._bridge_survival(0.0, y, a, t)[0]
+    assert abs(fk._bridge_survival(1e-9 * a, y, a, t)[0][0] - at_zero[0]) <= 1e-8
+
+
+def test_bridge_factor_outside_the_ball_is_zero():
+    factor, bound = fk._bridge_survival(0.0, np.array([1.0, 1.5, 0.5]), 1.0, 0.25)
+    assert factor[0] == factor[1] == bound[0] == bound[1] == 0.0
+    assert 0.0 < factor[2] < 1.0
+
+
+@pytest.mark.parametrize("space", [E3, H3], ids=["E3", "H3"])
+def test_origin_survival_against_the_eigen_series(space):
+    """Exact at every step: 10, 40 and 160 steps (a configuration takes at least 10)."""
+    t = 0.25
+    ball = KillingRegion(kind="ball", radius=1.0)
+    ests = [mc_heat_expectation(lambda p: np.ones(p.shape[0]),
+                                PathConfig(space=space, start=tuple(space.origin()), horizon=t,
+                                           step=t / n, n_paths=20000, seed=41, workers=2,
+                                           domain=ball))
+            for n in (10, 40, 160)]
+    want = ball_survival_series(space, t)
+    for est in ests:
+        assert abs(est.value - want) <= 4.0 * est.std_error
+        assert 0.0 < est.bias_bound < 1e-12
+        assert 0 < est.n_effective < est.n_paths
+    # the step does not enter the estimand
+    assert len({(e.value, e.std_error, e.n_effective) for e in ests}) == 1
+
+
+@pytest.mark.parametrize("space,f,want", [
+    (E3, lambda p: np.exp(p[:, 0]), lambda t: math.exp(t / 2)),
+    # each hyperboloid coordinate is an eigenfunction of Delta/2 with
+    # eigenvalue 3/2, and x_1 adds 0 from the origin
+    (H3, lambda p: p[:, 0] + p[:, 1], lambda t: math.exp(1.5 * t)),
+], ids=["E3", "H3"])
+def test_non_radial_endpoint_mean_from_the_origin(space, f, want):
+    cfg = PathConfig(space=space, start=tuple(space.origin()), horizon=0.5, step=0.05,
+                     n_paths=20000, seed=43, workers=2)
+    assert fk._endpoint_route(cfg)
+    est = mc_heat_expectation(f, cfg)
+    assert abs(est.value - want(cfg.horizon)) <= 4.0 * est.std_error
+    assert est.bias_bound == 0.0 and est.n_effective == cfg.n_paths
+
+
+@pytest.mark.parametrize("pot", [coulomb(H3), bump(H3, amplitude=2.0, radius=0.5)],
+                         ids=["coulomb", "bump"])
+@pytest.mark.parametrize("start,domain", [
+    (H3.origin(), None),
+    (geodesic_point(H3, 0.3, (1.0, 2.0, 0.0)), None),
+    (H3.origin(), KillingRegion(kind="ball", radius=0.3)),
+], ids=["origin", "offorigin", "ball"])
+def test_h3_radius_route_agrees_with_path_route(pot, start, domain):
+    """The path route is forced by a far ball, or by a ball 1e-12 off the origin.
+
+    Both routes kill at the grid's times, so the ball case compares the
+    same estimand.
+    """
+    cfg = PathConfig(space=H3, start=tuple(start), horizon=0.1, step=1e-3, n_paths=8000,
+                     seed=37, workers=2, domain=domain)
+    forced = FAR_H3_BALL if domain is None else KillingRegion(
+        kind="ball", radius=domain.radius, center=tuple(geodesic_point(H3, 1e-12)))
+    path = PathConfig(**{**vars(cfg), "domain": forced})
+    assert fk._radius_route(cfg) and not fk._radius_route(path)
+    radius, paths = mc_kato_integral(pot, cfg), mc_kato_integral(pot, path)
+    assert abs(radius.value - paths.value) <= 4.0 * math.hypot(radius.std_error,
+                                                               paths.std_error)
+
+
+class PathsDrawn(Exception):
+    pass
+
+
+def test_origin_routes_draw_no_path(monkeypatch):
+    def refuse(config):
+        raise PathsDrawn
+
+    monkeypatch.setattr(fk, "sample_paths", refuse)
+    ball = KillingRegion(kind="ball", radius=1.0)
+    for space in (E3, H3):
+        for domain in (None, ball):
+            cfg = PathConfig(space=space, start=tuple(space.origin()), horizon=0.1,
+                             step=1e-2, n_paths=400, seed=2, workers=2, domain=domain)
+            mc_heat_expectation(lambda p: np.ones(p.shape[0]), cfg)
+            mc_kato_integral(coulomb(space), cfg)
+    off = PathConfig(space=H3, start=tuple(geodesic_point(H3, 0.3)), horizon=0.1,
+                     step=1e-2, n_paths=400, seed=2, workers=2, domain=ball)
+    mc_kato_integral(coulomb(H3), off)
+    with pytest.raises(PathsDrawn):
+        mc_heat_expectation(lambda p: np.ones(p.shape[0]), off)
+
+
+def test_origin_routes_keep_the_estimates():
+    """Literals recorded when the H^3 origin left the path route, compared exactly.
+
+    The twins of the path-route literals above: H^3 heat from the origin
+    under a ball, and the H^3 Coulomb integral from the origin and off it.
+    """
+    ball = KillingRegion(kind="ball", radius=1.0)
+    heat = mc_heat_expectation(lambda p: p[:, 0], hconf(workers=2, domain=ball))
+    assert (heat.value, heat.std_error, heat.n_effective) == (
+        0.8148381764322128, 0.012901953408624824, 827)
+    pot = coulomb(H3)
+    origin = mc_kato_integral(pot, hconf(workers=2))
+    assert (origin.value, origin.std_error) == (0.6715859186359358, 0.006208449430437561)
+    off = mc_kato_integral(pot, econf(space=H3, start=(math.cosh(0.3), 0.0, math.sinh(0.3), 0.0),
+                                      workers=2))
+    assert (off.value, off.std_error) == (0.4558343352189976, 0.004821753145561073)
 
 
 # ---------------------------------------------------------------------------

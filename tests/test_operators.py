@@ -323,6 +323,31 @@ def test_semigroup_refuses_where_its_bound_fails():
     assert np.linalg.norm(got[mesh.interior, 0] * root - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def test_semigroup_refuses_a_huge_time_before_any_coefficient(monkeypatch):
+    # t = 1e13 would need about 5e7 Chebyshev terms: refused before a
+    # single Bessel coefficient (or any array of them) is computed
+    def refuse(*args):
+        raise AssertionError("coefficients computed")
+
+    monkeypatch.setattr(operators.scipy.special, "ive", refuse)
+    mesh = random_bundle_mesh(8, fiber_dim=2, seed=1)
+    ones = np.ones((mesh.n_vertices, mesh.fiber_dim))
+    with pytest.raises(ConvergenceError, match="budget"):
+        semigroup_evolve(mesh, ones, 1e13)
+
+
+def test_chebyshev_term_budget_bounds_the_order(monkeypatch):
+    """At a budget one below the order tau = 100 needs, the doubling search raises."""
+    a, tail = operators._chebyshev_coefficients(100.0)
+    order = a.size - 1
+    monkeypatch.setattr(operators, "_CHEBYSHEV_TERMS", order + 1)
+    b, same_tail = operators._chebyshev_coefficients(100.0)
+    assert np.array_equal(a, b) and tail == same_tail
+    monkeypatch.setattr(operators, "_CHEBYSHEV_TERMS", order - 1)
+    with pytest.raises(ConvergenceError, match="Chebyshev terms"):
+        operators._chebyshev_coefficients(100.0)
+
+
 def test_semigroup_evolve_preserves_positivity_scalar():
     mesh = interval_mesh(0.0, 3.0, 0.25)
     f = np.zeros((mesh.n_vertices, 1))
