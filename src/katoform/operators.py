@@ -22,14 +22,24 @@ diagonal blocks.  The section forms (``quad_form``,
 edge transports and a dot with the edge weights, for one section (N, n) or
 a stack (S, N, n).  Spectra are dense up to 1200 degrees of freedom, in
 real arithmetic when A has no imaginary part, and shift-invert Lanczos
-about a shift below the Gershgorin bound beyond that.
+about a shift below the Gershgorin bound beyond that; a real tridiagonal
+A (a chain of fibre 1 with real transports) is dense at any size, since
+its solve makes no dense copy.
 
-Every dense Hermitian eigensolve goes through ``_dense_eigh``: one dense
-copy of the matrix, overwritten by LAPACK's MRRR solver, which needs only
-O(n) workspace beside the eigenvectors and computes just the pairs asked
-for.  Residuals are formed through the sparse matrix a block of
-eigenvector columns at a time, so a dense spectrum holds about two n x n
-arrays at its peak.
+Every dense Hermitian eigensolve goes through ``_dense_eigh``, a direct
+LAPACK solve of every pair asked for, which is what method "dense"
+reports.  A real tridiagonal sparse matrix goes to the tridiagonal
+solvers as its diagonal and subdiagonal: MRRR (?stemr) for every pair,
+bisection and inverse iteration (?stebz, ?stein) for an index range.
+Those are the kernels that the dense ?syevr ends in, and its reduction
+of a tridiagonal matrix is exact, so the pairs are the dense solve's (bit
+for bit on the bundled 1-D Coulomb system).  Any other matrix is one
+dense copy, overwritten by LAPACK's MRRR solver (?syevr / ?heevr), which
+needs only O(n) workspace beside the eigenvectors and computes just the
+pairs asked for.  Residuals are formed through the sparse matrix a block
+of eigenvector columns at a time, so a dense spectrum holds about one
+n x n array (the eigenvectors) at its peak on the tridiagonal route and
+two otherwise.
 
 The semigroup e^{-tA} g has one route: a Chebyshev expansion of e^{-tx}
 (Tal-Ezer and Kosloff) on a certified interval [lo, hi], with hi the
@@ -37,14 +47,16 @@ Gershgorin bound and lo = 0 without a potential (A >= 0), otherwise
 min(0, min_u lambda_min(V_u)) over interior vertices (Weyl).  Its
 coefficients 2 (-1)^k e^{-t lo} ive(k, t (hi - lo)/2) are applied by the
 three-term recurrence through the CSR A until their tail falls below
-rounding.  Every call computes the error bound e^{-t lo} (tail + n_terms
-eps) ||g|| and raises ConvergenceError when it exceeds 1e-10 max(||g||,
-||e^{-tA} g||), or when e^{-t lo} ||g|| would overflow.  Under a strongly
-negative V, Weyl's lo lies far below the lowest eigenvalue, so at large t
-the bound fails and the call refuses.  The expansion needs about
-8.2 sqrt(t (hi - lo)/2) terms, one matvec each; past 2**16 terms the call
-raises ConvergenceError too, before it computes a coefficient when the
-estimate alone is over.
+rounding; ``form_limit_check`` runs the recurrence once, to the order its
+largest time needs, and sums every time from it.  Every time computes the
+error bound e^{-t lo} (tail + n_terms eps) ||g|| and raises
+ConvergenceError when it exceeds 1e-10 max(||g||, ||e^{-tA} g||), or when
+e^{-t lo} ||g|| would overflow.  Under a strongly negative V, Weyl's lo
+lies far below the lowest eigenvalue, so at large t the bound fails and
+the call refuses.  The expansion needs about 8.2 sqrt(t (hi - lo)/2)
+terms, one matvec each; past 2**16 terms the call raises
+ConvergenceError too, before it computes a coefficient when the estimate
+alone is over.
 
 The KLMN constant is the top eigenvalue of the pencil B x = lambda A x with
 B = blockdiag(V2) - C2 I.  The mesh is connected and its edge weights are
@@ -370,36 +382,56 @@ def _semigroup_apply(A, t: float, g: np.ndarray, lo: float, hi: float):
     t: on the 1d Coulomb system (lo = -64, ground energy -1/2) t = 0.01 is
     certified to 3e-14 and t = 1 raises.
     """
+    return _semigroup_series(A, (t,), g, lo, hi)[0]
+
+
+def _semigroup_series(A, times, g: np.ndarray, lo: float, hi: float) -> list:
+    """``_semigroup_apply`` at each of ``times``, from one Chebyshev recurrence.
+
+    The vectors T_k(y) g depend on A, g and [lo, hi] but not on t, so the
+    recurrence runs once, to the largest order any time needs, and each
+    time's sum takes its terms in the same order as a call of its own:
+    every result and bound is bit for bit that call's.  Each time is
+    checked in turn, and the first one that fails raises.
+    """
     half = 0.5 * (hi - lo)
-    tau = t * half
     norm_g = float(scipy.linalg.norm(g, check_finite=False))
-    if not math.isfinite(tau):
-        raise ConvergenceError("spectral interval is not finite", residual=math.inf)
-    if -t * lo + math.log(max(norm_g, 1.0)) > _LOG_MAX:
-        raise ConvergenceError(f"e^(-t lo) |g| overflows at t lo = {t * lo:.3g}",
-                               residual=math.inf)
-    a, tail = _chebyshev_coefficients(tau)
-    out = a[0] * g
-    if a.size > 1:
+    series = []
+    for t in times:
+        tau = t * half
+        if not math.isfinite(tau):
+            raise ConvergenceError("spectral interval is not finite", residual=math.inf)
+        if -t * lo + math.log(max(norm_g, 1.0)) > _LOG_MAX:
+            raise ConvergenceError(f"e^(-t lo) |g| overflows at t lo = {t * lo:.3g}",
+                                   residual=math.inf)
+        series.append(_chebyshev_coefficients(tau))
+    outs = [a[0] * g for a, _ in series]
+    order = max(a.size for a, _ in series)
+    if order > 1:
         centre = lo + half
         prev, cur = g, (A @ g - centre * g) / half      # T_0 g and T_1 g = y g
-        out += a[1] * cur
-        for ak in a[2:]:
-            nxt = A @ cur
-            nxt -= centre * cur
-            nxt *= 2.0 / half
-            nxt -= prev
-            prev, cur = cur, nxt
-            out += ak * cur
-    scale = math.exp(-t * lo)
-    out *= scale
-    norm_out = float(scipy.linalg.norm(out, check_finite=False))
-    bound = scale * (tail + a.size * _EPS) * norm_g
-    if not (math.isfinite(norm_out) and bound <= _SEMIGROUP_RTOL * max(norm_g, norm_out)):
-        raise ConvergenceError(f"semigroup error bound {bound:.2e} misses its target "
-                               f"(|g| = {norm_g:.2e}, t = {t:.3g}, lo = {lo:.3g})",
-                               residual=bound)
-    return out, bound
+        for k in range(1, order):
+            if k > 1:
+                nxt = A @ cur
+                nxt -= centre * cur
+                nxt *= 2.0 / half
+                nxt -= prev
+                prev, cur = cur, nxt
+            for out, (a, _) in zip(outs, series):
+                if k < a.size:
+                    out += a[k] * cur
+    results = []
+    for t, out, (a, tail) in zip(times, outs, series):
+        scale = math.exp(-t * lo)
+        out *= scale
+        norm_out = float(scipy.linalg.norm(out, check_finite=False))
+        bound = scale * (tail + a.size * _EPS) * norm_g
+        if not (math.isfinite(norm_out) and bound <= _SEMIGROUP_RTOL * max(norm_g, norm_out)):
+            raise ConvergenceError(f"semigroup error bound {bound:.2e} misses its target "
+                                   f"(|g| = {norm_g:.2e}, t = {t:.3g}, lo = {lo:.3g})",
+                                   residual=bound)
+        results.append((out, bound))
+    return results
 
 
 def semigroup_evolve(mesh: BundleMesh, f, t: float, V=None,
@@ -445,15 +477,34 @@ class SpectrumResult:
         return float(self.eigenvalues[0])
 
 
-def _dense_eigh(M, subset=None):
-    """Ascending eigenpairs of Hermitian M, solved in place of one dense copy.
+def _tridiagonal(M) -> bool:
+    """Whether every stored entry of sparse M lies within one place of the diagonal."""
+    C = M.tocsr()
+    rows = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    return bool(np.all(np.abs(C.indices - rows) <= 1))
 
-    Sparse M is laid out once in Fortran order; a dense M is overwritten
+
+def _dense_eigh(M, subset=None):
+    """Ascending eigenpairs of Hermitian M by a direct LAPACK solve.
+
+    A real tridiagonal sparse M goes straight to the tridiagonal solvers
+    on its diagonal and subdiagonal, with no n x n copy: MRRR (?stemr) for
+    every pair, bisection and inverse iteration (?stebz, ?stein) for an
+    index range, the kernels that the dense ?syevr ends in.  Any other
+    sparse M is laid out once in Fortran order; a dense M is overwritten
     when it is Fortran-ordered (the caller's scratch) and copied
     otherwise.  The MRRR solver (?syevr / ?heevr) needs O(n) workspace
     beside the eigenvectors.  ``subset`` is an inclusive (lo, hi) index
     range of the ascending spectrum, or None for every pair.
     """
+    if sp.issparse(M) and M.dtype.kind == "f" and _tridiagonal(M):
+        # the lower triangle, which the dense solve reads too
+        d, e = M.diagonal(), M.diagonal(-1)
+        if subset is None:
+            return scipy.linalg.eigh_tridiagonal(d, e, check_finite=False,
+                                                 lapack_driver="stemr")
+        return scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=subset,
+                                             check_finite=False, lapack_driver="stebz")
     a = M.toarray(order="F") if sp.issparse(M) else np.asfortranarray(M)
     return scipy.linalg.eigh(a, overwrite_a=True, check_finite=False, driver="evr",
                              subset_by_index=subset)
@@ -475,10 +526,13 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
 
     ``k`` asks for the k lowest pairs (every pair when k >= the number of
     degrees of freedom); it must be a positive integer.  Dense Hermitian
-    solve up to 1200 degrees of freedom, in real arithmetic when A has no
-    imaginary part: one dense copy of A is overwritten by the MRRR solver,
-    which computes only the k lowest pairs when k is given.  Beyond that,
-    with k given, shift-invert Lanczos finds the k lowest: the shift sits
+    solve (``_dense_eigh``, method "dense") up to 1200 degrees of freedom,
+    in real arithmetic when A has no imaginary part, computing only the k
+    lowest pairs when k is given: a real tridiagonal A goes to the
+    tridiagonal solvers on its two diagonals with no dense copy, at any
+    size, and any other A is one dense copy overwritten by the MRRR
+    solver.  Beyond that, with k given and A not real tridiagonal,
+    shift-invert Lanczos finds the k lowest: the shift sits
     below the Gershgorin lower bound of A by 1e-4 * scale, so A - sigma I
     is positive definite even when A has a kernel or V is negative, and
     the k eigenvalues nearest the shift are the k lowest.  That matrix is
@@ -495,8 +549,10 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
             raise MeshError(f"k must be a positive integer, got {k!r}")
         k = min(int(k), dim)
     scale = max(1.0, float(abs(A).max()))
-    if k is None or dim <= _DENSE_EIG_LIMIT or k >= dim - 1:
-        if not np.any(A.data.imag):
+    real = not np.any(A.data.imag)
+    if (k is None or dim <= _DENSE_EIG_LIMIT or k >= dim - 1
+            or (real and _tridiagonal(A))):
+        if real:
             A = A.real
         lam, Q = _dense_eigh(A, None if k is None or k == dim else (0, k - 1))
         method = "dense"
@@ -653,7 +709,9 @@ def form_limit_check(mesh: BundleMesh, f, t_grid, V=None) -> FormLimitResult:
 
     As t decreases to 0 the quotient increases to q(f) = <H f, f>_mu for
     any self-adjoint H, which is checked on the supplied grid, whose times
-    must be positive and finite.  The defect is |Q(t_min) - q(f)|.
+    must be positive and finite.  The defect is |Q(t_min) - q(f)|.  Every
+    time comes from one Chebyshev recurrence (``_semigroup_series``), with
+    the result and error bound of a semigroup call of its own.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0 or not np.all(np.isfinite(t_grid)) or t_grid[0] <= 0:
@@ -662,10 +720,10 @@ def form_limit_check(mesh: BundleMesh, f, t_grid, V=None) -> FormLimitResult:
     g = _restrict(mesh, f) * root
     interval = _semigroup_interval(mesh, A, V)
     q_exact = float(np.real(np.vdot(g, A @ g)))
-    quotients = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        evolved = _semigroup_apply(A, float(t), g, *interval)[0]
-        quotients[i] = float(np.real(np.vdot(g, g - evolved))) / float(t)
+    times = t_grid.tolist()
+    evolved = _semigroup_series(A, times, g, *interval)
+    quotients = np.array([float(np.real(np.vdot(g, g - out))) / t
+                          for t, (out, _) in zip(times, evolved)])
     # smaller t gives a larger quotient, up to solver noise
     steps = quotients[:-1] - quotients[1:]
     floor = -1e-12 * max(1.0, abs(q_exact))

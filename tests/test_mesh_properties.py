@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katoform import operators
-from katoform.errors import KernelHandlingError
+from katoform.errors import ConvergenceError, KernelHandlingError
 from katoform.mesh import BundleMesh, gauge_transform, haar_unitary, random_bundle_mesh
 from katoform.operators import (_assemble, _klmn_dense, _restrict,
                                 bochner_laplacian, diagonal_potential,
@@ -195,6 +195,78 @@ def test_semigroup_evolve_within_its_bound_of_dense_expm(case, t):
     g = _restrict(mesh, f) * root
     want = sla.expm(-t * A.toarray()) @ g
     assert np.linalg.norm(_restrict(mesh, got) * root - want) <= bounds[0]
+
+
+@settings(max_examples=40)
+@given(semigroup_cases(), st.lists(st.sampled_from([1e-6, 1e-4, 1e-3, 0.1, 1.0, 10.0]),
+                                   min_size=1, max_size=5))
+def test_semigroup_series_equals_single_calls(case, times):
+    # one recurrence for every time gives each time's sum and bound bit for
+    # bit, and refuses when any one time's call would
+    mesh, V, rng = case
+    A, root = _assemble(mesh, V=V)
+    g = _restrict(mesh, sections(mesh, rng, 1)[0]) * root
+    interval = operators._semigroup_interval(mesh, A, V)
+    singles = []
+    try:
+        for t in times:
+            singles.append(operators._semigroup_apply(A, t, g, *interval))
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            operators._semigroup_series(A, times, g, *interval)
+        return
+    series = operators._semigroup_series(A, times, g, *interval)
+    assert len(series) == len(times)
+    for (out, bound), (want, want_bound) in zip(series, singles):
+        assert np.array_equal(out, want) and bound == want_bound
+
+
+@st.composite
+def real_chains(draw):
+    """(mesh, V, rng): a path of 1-400 vertices with real transports +-1.
+
+    mu and w are log-uniform over two decades, and Dirichlet vertices fall
+    anywhere, ends and interior splits alike, with at least one vertex left
+    free; V is None or random vertex values.
+    """
+    n_vertices = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dirichlet = np.zeros(n_vertices, dtype=bool)
+    killed = rng.choice(n_vertices, size=draw(st.integers(0, min(8, n_vertices - 1))),
+                        replace=False)
+    dirichlet[killed] = True
+    edges = np.arange(n_vertices - 1)
+    mesh = BundleMesh(fiber_dim=1, mu=10.0 ** rng.uniform(-1.0, 1.0, n_vertices),
+                      dirichlet=dirichlet, edge_u=edges, edge_v=edges + 1,
+                      edge_w=10.0 ** rng.uniform(-1.0, 1.0, edges.size),
+                      transports=rng.choice([-1.0, 1.0], size=(edges.size, 1, 1)))
+    V = rng.standard_normal(n_vertices) * 10.0 ** rng.uniform(-1.0, 1.0) \
+        if draw(st.booleans()) else None
+    return mesh, V, rng
+
+
+@settings(max_examples=60)
+@given(real_chains(), st.booleans())
+def test_tridiagonal_route_matches_dense_solve(case, subset):
+    mesh, V, rng = case
+    A = _assemble(mesh, V=V)[0]
+    dense = A.toarray().real
+    n = dense.shape[0]
+    scale = max(1.0, float(np.abs(dense).max()))
+    lo = int(rng.integers(0, n)) if subset else 0
+    hi = int(rng.integers(lo, n)) if subset else n - 1
+    want = sla.eigh(dense, driver="evr", eigvals_only=True)
+    tridiagonal = sla.eigh_tridiagonal
+    with mock.patch.object(sla, "eigh_tridiagonal", wraps=tridiagonal) as spy:
+        lam, Q = operators._dense_eigh(A.real, (lo, hi) if subset else None)
+        k = int(rng.integers(1, n + 1))
+        spec = form_sum_spectrum(mesh, V=V, k=k)
+    assert spy.call_count == 2 and Q.dtype == np.float64
+    np.testing.assert_allclose(lam, want[lo:hi + 1], rtol=0.0, atol=1e-13 * scale)
+    assert float(operators._residual_norms(A.real, lam, Q).max()) < 1e-8 * scale
+    assert spec.method == "dense"
+    np.testing.assert_allclose(spec.eigenvalues, want[:k], rtol=0.0, atol=1e-13 * scale)
+    assert float(spec.residuals.max()) < 1e-8 * scale
 
 
 @given(meshes())

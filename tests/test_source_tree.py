@@ -9,6 +9,11 @@ No module imports or names expm or expm_multiply: the semigroup has one
 route, the Chebyshev expansion of katoform.operators with its computed
 error bound, and dense Pade serves only the tests' oracle.
 
+No module calls scipy.linalg's Hermitian eigensolvers (eigh,
+eigh_tridiagonal, eigvalsh, eig_banded) outside operators._dense_eigh:
+every dense Hermitian eigensolve has one route.  numpy's batched
+(N, n, n) per-vertex solves are not scipy's and stay free.
+
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
 kato.form_bound_constants, which imports it when it runs.
@@ -69,6 +74,57 @@ def test_no_module_names_expm():
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert "operators.py" in found
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+_EIGH_NAMES = {f"scipy.linalg.{name}"
+               for name in ("eigh", "eigh_tridiagonal", "eigvalsh", "eig_banded")}
+
+
+def _eigh_references(path):
+    """(function, line) of each place where one module names a scipy.linalg eigensolver.
+
+    Import aliases are resolved, so ``sla.eigh`` after ``import scipy.linalg
+    as sla`` and ``eigh`` after ``from scipy.linalg import eigh`` count;
+    function is the enclosing top-level definition, or None.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    aliases[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    for top in tree.body:
+        function = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            names = ([f"{node.module}.{alias.name}" for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) and node.module
+                     else [dotted(node)])
+            if _EIGH_NAMES.intersection(names):
+                yield function, node.lineno
+
+
+def test_one_dense_hermitian_eigensolve():
+    found = {path.relative_to(PACKAGE).as_posix(): sorted(_eigh_references(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    # the walk sees the solves it allows
+    assert {function for function, _ in found.pop("operators.py")} == {"_dense_eigh"}
+    assert {name: refs for name, refs in found.items() if refs} == {}
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
