@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Monte Carlo path estimators as an independent cross-check.
 
-None of these numbers reuse the quadrature code: paths are sampled with
-counter-based RNG streams and the estimators carry standard errors plus an
-explicit discretization bias bound, so agreement is a genuine two-route
-test.
+None of these numbers reuse the quadrature code: paths and exact
+positions are sampled with counter-based RNG streams and the estimators
+carry standard errors plus a bias bound (the computed truncation of a
+series, or an explicit discretization envelope), so agreement is a
+genuine two-route test.
 """
 
 import math
@@ -26,6 +27,8 @@ H3 = ModelSpace(HYPERBOLIC, 3)
 print("running Coulomb integral E int_0^t 1/|X_s| ds from the origin")
 cfg = PathConfig(space=E3, start=(0.0, 0.0, 0.0), horizon=0.01, step=1e-4,
                  n_paths=20000, seed=42)
+# by randomized time: each sample is one time s = t U^2, weighted by
+# 2 sqrt(st), and one exact position, so no step enters and the bias bound is 0
 est = mc_kato_integral(coulomb(E3), cfg)
 want = 2.0 * math.sqrt(2.0 * 0.01 / math.pi)
 print(f"  estimate {est.value:.6f} +/- {est.std_error:.6f} "

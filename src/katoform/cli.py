@@ -44,7 +44,7 @@ from .feynman_kac import (PathConfig, mc_covariant_semigroup, mc_heat_expectatio
 from .geometry import EUCLIDEAN, ModelSpace
 from .kato import _resolvent_with_error, form_bound_constants, kato_verdict, sandwich_check
 from .mesh import BundleMesh
-from .operators import (bochner_laplacian, form_limit_check, form_sum_spectrum,
+from .operators import (_dense_eigh, bochner_laplacian, form_limit_check, form_sum_spectrum,
                         kato_inequality_gap, quad_form, semigroup_domination_gap)
 from .potentials import potential_from_json
 
@@ -482,8 +482,8 @@ def _run_check_inequalities(cfg, ctx):
     ]
 
     if cfg.get("form_limit", True):
-        a_sym = bochner_laplacian(mesh, symmetrized=True).toarray()
-        lam_max = float(np.linalg.eigvalsh(a_sym)[-1])
+        a_sym = bochner_laplacian(mesh, symmetrized=True)
+        lam_max = float(_dense_eigh(a_sym, subset=(a_sym.shape[0] - 1,) * 2)[0][0])
         t_grid = [1e-6, 1e-5, 1e-4, 1e-3]
         defect_tol = max(float(tol.get("form_limit_defect", 1e-8)),
                          t_grid[0] * lam_max * lam_max)

@@ -8,88 +8,90 @@ increments have variance h per step of size h.
 Euclidean paths use exact Gaussian increments.  Hyperbolic paths are
 cumulative sums in upper-half-space coordinates (x, y): log y is exact in
 law, each x step takes the trapezoidal variance h (y_k^2 + y_{k+1}^2)/2,
-an O(h) weak approximation.  On sampled paths and radius chains, killing
-regions (a geodesic ball, or a Euclidean half-space) stop a path at the
-first step that lands outside, so killing happens at the grid's times;
-the exit step is recorded as the lifetime.  The endpoint route below
-kills in continuous time instead.
+an O(h) weak approximation.  On sampled paths, killing regions (a
+geodesic ball, or a Euclidean half-space) stop a path at the first step
+that lands outside, so killing happens at the grid's times; the exit step
+is recorded as the lifetime.  The exact routes below kill in continuous
+time instead.
 
-Every potential is radial, so mc_kato_integral sees a path only through
-|B_t|.  On R^d, d >= 3, with no killing region or a ball about the
-origin, it samples that radius alone: on the step grid it is the exact
-Markov chain R_{k+1}^2 = (R_k + sqrt(h) Z_k)^2 + h chi^2_{d-1} (the
-Bessel process BES(d); Revuz and Yor, ch. XI), with chi^2_{d-1} = 2 (E_1
-+ ... + E_m), plus Z'^2 when d - 1 is odd, for standard normals Z, Z' and
-exponentials E_j.  That is one normal and one exponential a step on R^3
-instead of three normals.  The radius of H^3 is the Doob transform of
-BES(3) by h(r) = sinh r / r, which solves h''/2 + h'/r = h/2: its law up
-to time s is BES(3)'s weighted by e^{-s/2} h(R_s) / h(R_0).  So H^3 with
-no region or a ball about the origin runs on the same chain, node s
-weighted by e^{-s/2} h(R_s) / h(R_0).  Below d = 3 the radius takes as
-many draws as the path, and half-spaces, off-centre balls, H^2 and H^m,
-m >= 4, need the path itself, so they and mc_covariant_semigroup take the
-path kernel behind sample_paths.
+Every potential is radial about the origin.  By Fubini, mc_kato_integral's
+E_x int_0^T |v(B_s)| ds is int_0^T E_x |v(B_s)| ds, the Brownian form of
+the Kato functional (Aizenman and Simon, Comm. Pure Appl. Math. 35,
+1982), so a sample needs one random time and one exact position, not a
+path.  It draws s = T U^2 for a uniform U, whose density is
+1 / (2 sqrt(sT)), and weights the sample by 2 sqrt(sT) = 2 T U.  The
+position at time s is exact in law:
+
+* R^d from x_0: x_0 + sqrt(s) Z, for a standard normal d-vector Z.
+* H^3 from x_0: only the radius matters.  It is the Doob transform of
+  BES(3) by h(r) = sinh r / r, which solves h''/2 + h'/r = h/2, so
+  R_s = |R_0 e_1 + sqrt(s) Z|, the BES(3) draw from R_0 = d(o, x_0), with
+  the weight e^{-s/2} h(R_s) / h(R_0) (Revuz and Yor, ch. XI).
+* Under a ball of radius a about the origin of R^3 or H^3, also the
+  chance that the radius path stayed below a given its two ends: the
+  BES(3) bridge's survival from R_0 to R_s, an image series (below) whose
+  computed truncation is the reported bias_bound.  An h-transform leaves
+  bridges unchanged, so the same factor serves H^3.
+* Under a Euclidean half-space, also 1 - exp(-2 d_0 d_s / s), with d the
+  distance to the plane (0 outside): the chance that a Brownian bridge
+  from d_0 to d_s stays positive, exact, so bias_bound is 0.
+
+A draw with U = 0 adds 0.  The sample's second moment is finite when |v|
+is bounded, or when its only singular radius is 0 with a declared power p,
+|v| <= C r^-p, and 2p < min(d, 3): E|v(B_s)|^2 is then finite and at most
+of order s^-p, which the weight 2 sqrt(sT) integrates.  Every other case
+(H^m with m != 3, off-centre balls, balls on R^d with d != 3, other
+singular potentials) takes the path route: the trapezoid in time along
+sampled paths, with node values capped at 1/h and the asserted bias
+bound 2 sqrt(h) (max|v| h for a bounded potential).
 
 mc_heat_expectation from the origin of R^3 or H^3, with no region or a
 ball about the origin, needs no path at all.  By rotation invariance
 about the start, the endpoint's direction is uniform and independent of
 the whole radius path (the skew product), so one Gaussian 3-vector
-W = sqrt(T) Z gives both: |W| is the exact one-step draw of BES(3) from
-0, and the endpoint is the point at distance |W| in W's direction, for
-any f.  The chance that the radius path stayed inside the ball of radius
-a, given |W|, is the BES(3) bridge's survival from 0 to |W|: BES(3) is
-1-d Brownian motion killed at 0 and h-transformed by r, so its bridges
-are killed Brownian bridges and that chance is an image series, whose
-truncation is computed.  Each path carries it as a weight, and on H^3 also the Doob
-weight e^{-T/2} h(|W|): an h-transform leaves bridges unchanged, so the
-same factor kills there.  Killing is then in continuous time, and the
-configured step does not enter.
-Elsewhere mc_heat_expectation reduces the endpoints of sampled paths.
+W = sqrt(T) Z gives both: |W| is the exact draw of BES(3) from 0, and
+the endpoint is the point at distance |W| in W's direction, for any f.
+The chance that the radius path stayed inside the ball of radius a,
+given |W|, is the BES(3) bridge's survival from 0 to |W|: BES(3) is 1-d
+Brownian motion killed at 0 and h-transformed by r, so its bridges are
+killed Brownian bridges and that chance is an image series, whose
+truncation is computed.  Each path carries it as a weight, and on H^3
+also the Doob weight e^{-T/2} h(|W|).  Killing is then in continuous
+time, and the configured step does not enter.  Elsewhere
+mc_heat_expectation reduces the endpoints of sampled paths.
 
 Streams are counter-based (Philox) keyed by (seed, worker index).  Worker
 w draws a contiguous block of the path indices, worker 0's first; this is
-the reference layout.  Each batch or chunk carries the index of its first
+the reference layout.  Each batch or block carries the index of its first
 path there, the estimators write per-path values into those slots and
 reduce the whole array in index order, so the numbers depend only on the
 configuration, that is on (seed, workers), never on thread timing.
 
-The path kernel draws every increment from the worker's key, path-major,
-so the batch size never changes the numbers; a batch holds about 2**17
-path nodes (at most 1024 paths), so its arrays stay near cache size.  The
-radius kernel fills blocks of a fixed width of 2**14 paths (the width sets
-which draws go to which path), each in time chunks of about 2**17 nodes,
-8 rows: each row of the recursion is then a few ufunc calls over 2**14
-values, and the interpreter lock changes hands once per call.
-The normals Z and Z' come from the worker's key and the exponentials from
-its ``jumped()`` copy, both step-major, so each stream keeps to one
-distribution and the chunk length never changes the numbers.  A chunk is
-time-major, (nodes, paths): the recursion runs row by row, and a chunk's
-last row is the next chunk's first, so memory does not grow with the
-number of steps.
+The exact routes draw each worker's block of the layout from its key, in
+blocks of 2**14 samples, on the caller's thread (_exact_blocks): one draw
+a sample does not pay for a producer thread.  The block width sets which
+draws go to which sample, so it is part of the reference numbers.
 
-The endpoint route draws from the same keys, each worker's block
-path-major in blocks of 2**14 endpoints, on the caller's thread: one draw
-a path does not pay for a producer thread.  Both kernels run on one
-engine: the streams run on min(workers, usable CPUs) producer threads,
-one thread for a single worker or CPU, so drawing overlaps the
-estimator's work: Philox draws and the large ufuncs release the
-interpreter lock.  Producers only draw, integrate the increments or
-the radius chain and run the killing scan; potentials and user callbacks
-run on the caller's thread.  Items are handed out round-robin across the
-workers.
+Sampled paths draw every increment from the worker's key, path-major, so
+the batch size never changes the numbers; a batch holds about 2**17 path
+nodes (at most 1024 paths), so its arrays stay near cache size.  The
+streams run on min(workers, usable CPUs) producer threads, one thread for
+a single worker or CPU, so drawing overlaps the estimator's work: Philox
+draws and the large ufuncs release the interpreter lock.  Producers only
+draw, integrate the increments and run the killing scan; potentials and
+user callbacks run on the caller's thread.  Batches are handed out
+round-robin across the workers.
 
-Items are written into a pool that the engine allocates once on the
-caller's thread: two output buffers and one draw buffer per producer
-thread (positions for a batch, radii and alive flags for a chunk),
-whatever the number of workers, and no freed batch lingers in a producer
-thread's malloc arena.  An item's arrays are valid until the next one is
-requested, when its output buffer goes back to its producer; copy what
-you keep.  Next to the pool, each estimator allocates its own per-item
-scratch once per call (radii, |v| and weights for the Kato integral, step
-midpoints and increments for the transport phase) and writes into it in
-place; the hyperbolic chart works in two planes of the spent draw buffer.
-The Kato integral's cap, start-node rule and truncated trapezoid are one
-reduction over node-major blocks, a radius chunk or a transposed batch.
+Batches are written into a pool that the engine allocates once on the
+caller's thread: two position buffers and one draw buffer per producer
+thread, whatever the number of workers, and no freed batch lingers in a
+producer thread's malloc arena.  A batch's arrays are valid until the
+next one is requested, when its position buffer goes back to its
+producer; copy what you keep.  Next to the pool, each estimator allocates
+its own per-batch scratch once per call (radii, |v| and weights for the
+Kato integral, step midpoints and increments for the transport phase)
+and writes into it in place; the hyperbolic chart works in two planes of
+the spent draw buffer.
 
 No ufunc loops over the short coordinate axis: an operation that pairs
 a (B, S, ambient) block with one value per coordinate (a start point, a
@@ -114,9 +116,8 @@ from .errors import ConfigError, DomainError
 from .geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace
 
 _MAX_BATCH = 1024
-# paths in a block of the radius kernel and of the endpoint route: it sets
-# which draws go to which path, so unlike the batch size it is part of the
-# reference numbers; _NODE_BUDGET gives a radius chunk 8 rows of it
+# samples in a block of the exact routes: it sets which draws go to which
+# sample, so unlike the batch size it is part of the reference numbers
 _BLOCK_WIDTH = 2 ** 14
 _NODE_BUDGET = 2 ** 17
 _SCAN_NODES = 2 ** 14
@@ -278,7 +279,9 @@ class Estimate:
 
     std_error is the sample standard deviation over paths divided by
     sqrt(n_paths); for complex values it uses |X - mean|^2.  bias_bound is
-    the reported step-discretization envelope (estimator-specific), and
+    estimator-specific: on the exact routes the computed truncation of the
+    bridge series (0 with no ball), on the Kato integral's path route the
+    asserted step envelope, and None where no bound is reported.
     cap_events counts capped singular evaluations.
     """
 
@@ -554,22 +557,7 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
 
 
 # ---------------------------------------------------------------------------
-# radius sampling
-
-@dataclass
-class _RadiusChunk:
-    """|B_t| at nodes k0, k0 + 1, ... of one block of paths, time-major.
-
-    radii has shape (rows, B) and alive the same (None without a region).
-    A chunk that ends before the horizon repeats, in its last row, the
-    first node of the block's next chunk.
-    """
-
-    radii: np.ndarray
-    alive: np.ndarray | None
-    first: int
-    k0: int
-
+# exact draws
 
 def _about_origin(space: ModelSpace, point) -> bool:
     return bool(np.array_equal(np.asarray(point, dtype=float), space.origin()))
@@ -582,15 +570,25 @@ def _centred(config: PathConfig) -> bool:
         region.center is None or _about_origin(config.space, region.center)))
 
 
-def _radius_route(config: PathConfig) -> bool:
-    """Whether mc_kato_integral samples the radius alone.
+def _exact_route(v, config: PathConfig) -> bool:
+    """Whether mc_kato_integral takes one exact position a sample at a random time.
 
-    It does on R^d, d >= 3, and on H^3 (by the Doob weight), with no
-    region or a ball about the origin, which |B_t| alone decides.
+    The position's law is exact on R^d and H^3, and survival has an exact
+    weight under a half-space and under a ball about the origin of R^3 or
+    H^3.  The sample's second moment is finite when |v| is bounded, or
+    blows up only at the origin like r^-p with a declared p and
+    2p < min(d, 3).
     """
-    space = config.space
-    radial = space.dim >= 3 if space.kind == EUCLIDEAN else space.dim == 3
-    return radial and _centred(config)
+    space, region = config.space, config.domain
+    if space.kind == HYPERBOLIC and space.dim != 3:
+        return False
+    if region is not None and region.kind == "ball" and not (
+            space.dim == 3 and _centred(config)):
+        return False
+    if not v.singular_radii:
+        return True
+    p = v.singular_power
+    return v.singular_radii == (0.0,) and p is not None and 2.0 * p < min(space.dim, 3)
 
 
 def _endpoint_route(config: PathConfig) -> bool:
@@ -602,100 +600,25 @@ def _endpoint_route(config: PathConfig) -> bool:
         and _centred(config)
 
 
-class _RadiusKernel:
-    """The exact Bessel chain BES(d) on the step grid, from |start|, d >= 3.
+def _block_width(config: PathConfig) -> int:
+    """Samples in the largest block of the exact routes."""
+    return min(_BLOCK_WIDTH, -(-config.n_paths // config.workers))
 
-    On R^d it is |B_t|.  On H^3 it is started at d(o, start) and the
-    estimator weighs its nodes into the H^3 radius (the Doob transform).
 
-    Worker w's paths fill blocks of _BLOCK_WIDTH paths (the last one
-    narrower) and each block runs in time chunks of about _NODE_BUDGET
-    nodes, one task per chunk.  The per-worker state keeps the Philox
-    streams and each path's radius and alive flag at the last node made.
+def _exact_blocks(config: PathConfig) -> Iterator[tuple[np.random.Generator, int, int]]:
+    """(rng, lo, B) for each block of samples [lo, lo + B) of the reference layout.
+
+    Worker w's block of the layout is cut into blocks of _block_width
+    samples, drawn in order from the worker's key on the caller's thread,
+    so the numbers depend only on (seed, workers).
     """
-
-    def __init__(self, config: PathConfig):
-        self.config = config
-        # exponentials, and transverse normals (0 or 1), of chi^2_{d-1} per step
-        self.n_exp, self.odd = divmod(config.space.dim - 1, 2)
-        self.width = min(_BLOCK_WIDTH, -(-config.n_paths // config.workers))
-        self.steps = min(config.n_steps, max(1, _NODE_BUDGET // self.width))
-        start = config.start
-        self.r0 = float(np.linalg.norm(start)) if config.space.kind == EUCLIDEAN \
-            else math.acosh(max(start[0], 1.0))
-
-    def tasks(self, count: int, first: int) -> list:
-        return [(first + lo, min(self.width, count - lo), k0)
-                for lo in range(0, count, self.width)
-                for k0 in range(0, self.config.n_steps, self.steps)]
-
-    def buffers(self) -> tuple[list, tuple]:
-        """Two (radii, alive) chunk buffers, and the normal and exponential draws."""
-        nodes = (self.steps + 1) * self.width
-        killed = self.config.domain is not None
-        outs = [(np.empty(nodes), np.empty(nodes, dtype=bool) if killed else None)
-                for _ in range(2)]
-        draws = self.steps * self.width
-        return outs, (np.empty(draws * (1 + self.odd)), np.empty(draws * self.n_exp))
-
-    def open(self, worker: int) -> tuple:
-        bits = _worker_bits(self.config.seed, worker)
-        return (np.random.Generator(bits), np.random.Generator(bits.jumped()),
-                np.empty(self.width), np.empty(self.width, dtype=bool))
-
-    def fill(self, state: tuple, task: tuple, out: tuple, scratch: tuple) -> _RadiusChunk:
-        normal_rng, exp_rng, last_radius, last_alive = state
-        first, B, k0 = task
-        config = self.config
-        steps = min(self.steps, config.n_steps - k0)
-        radii = out[0][:(steps + 1) * B].reshape(steps + 1, B)
-        radii[0] = self.r0 if k0 == 0 else last_radius[:B]
-        normals = scratch[0][:steps * (1 + self.odd) * B].reshape(steps, 1 + self.odd, B)
-        exps = scratch[1][:steps * self.n_exp * B].reshape(steps, self.n_exp, B)
-        _bessel_steps(normal_rng, exp_rng, radii, normals, exps, config.step)
-        np.copyto(last_radius[:B], radii[-1])
-        alive = None
-        if config.domain is not None:
-            alive = out[1][:(steps + 1) * B].reshape(steps + 1, B)
-            alive[0] = True if k0 == 0 else last_alive[:B]
-            np.less(radii[1:], config.domain.radius, out=alive[1:])
-            np.logical_and.accumulate(alive, axis=0, out=alive)
-            np.copyto(last_alive[:B], alive[-1])
-        return _RadiusChunk(radii=radii, alive=alive, first=first, k0=k0)
-
-
-def _bessel_steps(normal_rng: np.random.Generator, exp_rng: np.random.Generator,
-                  radii: np.ndarray, normals: np.ndarray, exps: np.ndarray,
-                  h: float) -> None:
-    """Advance the radii of a (steps + 1, B) chunk from its first row, in place.
-
-    R_{k+1}^2 = (R_k + sqrt(h) Z_k)^2 + h chi^2_{d-1}, exact in law: turn
-    the frame so that B_{t_k} lies on the first axis.  normals is the
-    (steps, 1 + odd, B) draw buffer: the longitudinal Z, and when d - 1 is
-    odd the transverse Z' with chi^2_{d-1} = 2 (E_1 + ... + E_m) + Z'^2.
-    exps is the (steps, m, B) buffer of the E_j, drawn from the jumped
-    stream.  Both fill step-major, so the chunk length never changes the
-    numbers.
-    """
-    normal_rng.standard_normal(out=normals)
-    exp_rng.standard_exponential(out=exps)
-    chi = exps[:, 0]
-    for j in range(1, exps.shape[1]):
-        chi += exps[:, j]
-    chi *= 2.0 * h
-    if normals.shape[1] == 2:
-        transverse = normals[:, 1]
-        transverse *= transverse
-        transverse *= h
-        chi += transverse
-    z = normals[:, 0]
-    z *= math.sqrt(h)
-    for k in range(len(z)):
-        r = radii[k + 1]
-        np.add(radii[k], z[k], out=r)
-        np.multiply(r, r, out=r)
-        r += chi[k]
-        np.sqrt(r, out=r)
+    first = 0
+    width = _block_width(config)
+    for worker, count in enumerate(_worker_counts(config.n_paths, config.workers)):
+        rng = np.random.Generator(_worker_bits(config.seed, worker))
+        for lo in range(first, first + count, width):
+            yield rng, lo, min(width, first + count - lo)
+        first += count
 
 
 def _sinh_ratio(r: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -706,9 +629,11 @@ def _sinh_ratio(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.maximum(out, 1.0, out=out)
 
 
-def _bridge_survival(x, y, a: float, t: float,
+def _bridge_survival(x, y, a: float, t,
                      terms: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """P(a BES(3) bridge from x to y over time t stays below a), and its error bound.
+
+    x, y and t broadcast together; a bridge over no time stays at x.
 
     BES(3) is 1-d Brownian motion killed at 0 and h-transformed by r, so
     its bridges are those of the killed motion, and their survival below a
@@ -718,8 +643,8 @@ def _bridge_survival(x, y, a: float, t: float,
     sign(u) exp(-(|u| - y)(|u| + y - 2x) / 2t) expm1(-2x|u|/t) / expm1(-2xy/t);
     its last factor lies in [1, |u|/y] and tends to |u|/y as x -> 0, the
     value taken at x = 0.  The pairs n = +-k are summed for k up to terms,
-    by default 2 + ceil(sqrt(20 t) / a), past which every term is below
-    e^-40 |u|/y.
+    by default 2 + ceil(sqrt(20 t) / a) at the largest t, past which every
+    term is below e^-40 |u|/y.
 
     An omitted term is at most b(u) = exp(-(|u| - y)(|u| + y - 2x) / 2t) |u|/y,
     and b falls faster at each k, so the omitted pairs add up to at most
@@ -728,12 +653,14 @@ def _bridge_survival(x, y, a: float, t: float,
     rounding of the sum, (2 terms + 1) eps times its absolute terms.  The
     factor is clipped to [0, 1], and it is 0 where x or y is not below a.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x, y, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                                  np.asarray(t, dtype=float))
     if terms is None:
-        terms = 2 + math.ceil(math.sqrt(20.0 * t) / a)
+        terms = 2 + math.ceil(math.sqrt(20.0 * float(t.max(initial=0.0))) / a)
     factor, bound = np.zeros(y.shape), np.zeros(y.shape)
-    inside = (x < a) & (y > 0.0) & (y < a)
-    x, y = x[inside], y[inside]
+    factor[(t == 0.0) & (x < a)] = 1.0
+    inside = (x < a) & (y > 0.0) & (y < a) & (t > 0.0)
+    x, y, t = x[inside], y[inside], t[inside]
     den = np.expm1(-2.0 * x * y / t)
 
     def term(u):
@@ -812,138 +739,150 @@ def _radial_distances(space: ModelSpace, flat_pos: np.ndarray, out: np.ndarray,
     return np.arccosh(out, out=out)
 
 
-class _KatoNodes:
-    """Cap, start-node rule and truncated trapezoid weights of |v| node values.
-
-    Both routes of mc_kato_integral hand it node-major (nodes, paths)
-    blocks: a time-major radius chunk, or a path batch transposed, which
-    is one chunk holding whole paths.  It counts cap events and, for a
-    bounded potential, the largest node value seen.
-    """
-
-    def __init__(self, v, config: PathConfig):
-        self.cap = 1.0 / config.step
-        self.n_steps = config.n_steps
-        self.bounded = not v.singular_radii
-        self.trapezoid = np.ones(config.n_steps + 1)
-        self.trapezoid[0] = self.trapezoid[-1] = 0.5
-        self.cap_events = 0
-        self.max_seen = 0.0
-
-    def weigh(self, g: np.ndarray, alive: np.ndarray | None, k0: int,
-              out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Cap the nodes of g that this chunk reduces; return them and their weights.
-
-        g holds |v| at nodes k0, k0 + 1, ...; alive is its alive mask, or
-        None without a region.  A chunk that ends before the horizon
-        repeats the next chunk's first node in its last row: that row is
-        left to the next chunk, and only its alive flags are read, to find
-        each path's last live node.  The weights are the trapezoid's
-        (nodes,) slice without a region, else they are written into out,
-        laid out like g.
-        """
-        n = len(g) if k0 + len(g) - 1 == self.n_steps else len(g) - 1
-        head = g[:n]
-        bad = ~np.isfinite(head) | (head > self.cap)
-        if k0 == 0:
-            # the shared start: a deterministic cap there would not vanish with h
-            start_bad = bad[0]
-            if np.any(start_bad):
-                head[0, start_bad] = np.minimum(g[1, start_bad], self.cap)
-                bad[0, start_bad] = False
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad:
-            self.cap_events += n_bad
-            head[bad] = self.cap
-        if self.bounded:
-            self.max_seen = max(self.max_seen, float(head.max(initial=0.0)))
-        rows = self.trapezoid[k0:k0 + n]
-        if alive is None:
-            return head, rows
-        # trapezoid weights truncated at the exit: a path killed before the
-        # horizon gives its last live node the half weight, so one killed at
-        # step 1 keeps h * g_0 / 2
-        w = np.multiply(alive[:n], rows[:, None], out=out[:n])
-        last = alive[:-1] & ~alive[1:]
-        w[:len(last)][last] = 0.5
-        return head, w
-
-
 def mc_kato_integral(v, config: PathConfig) -> Estimate:
-    """E of the pathwise time integral of |v| up to min(horizon, lifetime).
+    """E of the time integral of |v(B_s)| up to min(horizon, lifetime).
 
-    Trapezoidal in time along each path.  Node values above 1/h (or non
-    finite) are capped at 1/h and counted as cap events; a non-finite
-    value at the shared start point is replaced by each path's first-step
-    value instead, because a deterministic cap there would not vanish
-    with h.  The reported bias bound is the O(sqrt(h)) envelope 2 sqrt(h)
-    for singular potentials and max|v| * h for bounded ones.
+    Where the law is exact and the variance finite (see _exact_route),
+    each sample is one draw: a time s = T U^2, weighted by 2 sqrt(sT), and
+    one exact position at s, weighted on H^3 by the Doob factor and under
+    a region by the bridge's survival.  No step enters the estimand;
+    bias_bound is the computed truncation of the BES(3) bridge series
+    under a ball and 0 otherwise, and cap_events is 0.
 
-    On R^d, d >= 3, and H^3, with no region or a ball about the origin,
-    the paths are sampled through their radius alone (the Bessel chain,
-    Doob-weighted on H^3); elsewhere as whole paths from sample_paths.
+    Elsewhere (H^m with m != 3, off-centre balls, balls on R^d with d != 3,
+    potentials whose variance is not known to be finite) the integral is
+    trapezoidal in time along paths from sample_paths, killed at the
+    grid's times.  Node values above 1/h (or non finite) are capped at 1/h
+    and counted as cap events; a non-finite value at the shared start
+    point is replaced by each path's first-step value instead, because a
+    deterministic cap there would not vanish with h.  The reported bias
+    bound is the O(sqrt(h)) envelope 2 sqrt(h) for singular potentials and
+    max|v| * h for bounded ones.
     """
     if v.space != config.space:
         raise DomainError("potential and path configuration disagree on the space")
-    S = config.n_steps
-    nodes = _KatoNodes(v, config)
+    if _exact_route(v, config):
+        return _exact_kato_integral(v, config)
+    return _path_kato_integral(v, config)
+
+
+def _exact_kato_integral(v, config: PathConfig) -> Estimate:
+    """mc_kato_integral by randomized time: one uniform and one normal vector a sample.
+
+    Each block draws its uniforms, then its normals, one row a sample.
+    The position x_0 + sqrt(s) Z (R^d) or the radius |R_0 e_1 + sqrt(s) Z|
+    (H^3) is one strided pass per coordinate.  A sample's value is |v|
+    times its weight, and 0 where the weight is 0: a draw with U = 0 from
+    the origin adds 0, not 0 * inf.
+    """
+    space, T, region = config.space, config.horizon, config.domain
+    hyperbolic = space.kind == HYPERBOLIC
+    start = np.asarray(config.start, dtype=float)
+    base = np.array([math.acosh(max(start[0], 1.0)), 0.0, 0.0]) if hyperbolic else start
+    r0 = float(np.linalg.norm(base))
+    h0 = float(_sinh_ratio(np.array(r0), np.empty(())))
+    halfspace = region is not None and region.kind == "halfspace"
+    if halfspace:
+        normal = np.asarray(region.normal, dtype=float)
+        size = float(np.linalg.norm(normal))
+        unit, level = normal / size, region.offset / size
+        d0 = level - float(start @ unit)
+    width = _block_width(config)
+    gauss = np.empty((width, space.dim))
+    uniform, roots, radii, values, weights, tmp = np.empty((6, width))
     sums = np.zeros(config.n_paths)
+    bias = 0.0
+    for rng, lo, B in _exact_blocks(config):
+        u = rng.random(out=uniform[:B])
+        x = rng.standard_normal(out=gauss[:B])
+        root = np.multiply(u, math.sqrt(T), out=roots[:B])        # sqrt(s)
+        for i, c in enumerate(base):
+            x[:, i] *= root
+            if c:
+                x[:, i] += c
+        r = _euclidean_norms(x, radii[:B], tmp[:B])
+        s = np.square(root, out=tmp[:B])
+        w = np.multiply(u, 2.0 * T, out=weights[:B])                # 2 sqrt(sT)
+        if hyperbolic:
+            # e^{-s/2} h(R_s) / h(R_0), h(r) = sinh r / r
+            doob = np.exp(-0.5 * s)
+            doob *= _sinh_ratio(r, np.empty(B))
+            doob /= h0
+            w *= doob
+        g = np.asarray(v.abs_radial(r, out=values[:B]), dtype=float)
+        if halfspace:
+            # the chance that the normal coordinate's bridge from d_0 to d_s
+            # stays positive; at s = 0 the path has not moved
+            ds = np.multiply(x[:, 0], unit[0])
+            for i in range(1, space.dim):
+                ds += x[:, i] * unit[i]
+            np.subtract(level, ds, out=ds)
+            np.maximum(ds, 0.0, out=ds)
+            ds *= 2.0 * d0
+            q = np.divide(ds, s, out=np.full(B, math.inf), where=s > 0.0)
+            w *= -np.expm1(-q)
+        elif region is not None:
+            factor, tail = _bridge_survival(r0, r, region.radius, s)
+            # the series truncation of each sample, times |v| and its weight
+            err = w * tail
+            np.multiply(g, err, out=err, where=err > 0.0)
+            bias += float(err.sum())
+            w *= factor
+        np.multiply(g, w, out=sums[lo:lo + B], where=w > 0.0)
+    return _finish(sums, config, n_effective=config.n_paths, bias_bound=bias / config.n_paths)
+
+
+def _path_kato_integral(v, config: PathConfig) -> Estimate:
+    """mc_kato_integral by the trapezoid in time along sampled paths."""
+    S, h = config.n_steps, config.step
+    cap = 1.0 / h
+    bounded = not v.singular_radii
+    trapezoid = np.ones(S + 1)
+    trapezoid[0] = trapezoid[-1] = 0.5
+    cap_events, max_seen = 0, 0.0
     killed = config.domain is not None
-    if _radius_route(config):
-        kernel = _RadiusKernel(config)
-        # |v| of one chunk, written in place, under a region its weights,
-        # and on H^3 its Doob weights
-        size = (kernel.steps + 1) * kernel.width
-        values = np.empty(size)
-        weights = np.empty(size) if killed else None
-        doob = None
-        if config.space.kind == HYPERBOLIC:
-            # node s carries e^{-s/2} h(R_s) / h(R_0), h(r) = sinh r / r
-            doob = np.empty(size)
-            decay = np.exp(-0.5 * config.step * np.arange(S + 1))
-            decay /= _sinh_ratio(np.array(kernel.r0), np.empty(()))
-        with closing(_stream(config, kernel)) as chunks:
-            for chunk in chunks:
-                rows, B = chunk.radii.shape
-                g = np.asarray(v.abs_radial(chunk.radii.reshape(-1), out=values[:rows * B]),
-                               dtype=float).reshape(rows, B)
-                out = weights[:rows * B].reshape(rows, B) if killed else None
-                head, w = nodes.weigh(g, chunk.alive, chunk.k0, out)
-                # rows add in node order onto the running sums, so the
-                # chunk length never changes the numbers
-                head *= w.reshape(len(head), -1)
-                if doob is not None:
-                    n = len(head)
-                    h = _sinh_ratio(chunk.radii[:n], doob[:n * B].reshape(n, B))
-                    h *= decay[chunk.k0:chunk.k0 + n, None]
-                    head *= h
-                acc = sums[chunk.first:chunk.first + B]
-                head[0] += acc
-                np.add.reduce(head, axis=0, out=acc)
-    else:
-        # radii and |v| of one batch, written in place, and under a killing
-        # region the truncated trapezoid weights
-        size = _pool_rows(config) * (S + 1)
-        radii, values = np.empty((2, size))
-        weights = np.empty(size) if killed else None
-        with closing(sample_paths(config)) as batches:
-            for batch in batches:
-                B = batch.positions.shape[0]
-                r, g = radii[:B * (S + 1)], values[:B * (S + 1)]
-                _radial_distances(config.space,
-                                  batch.positions.reshape(-1, batch.positions.shape[-1]), r, g)
-                g = np.asarray(v.abs_radial(r, out=g), dtype=float).reshape(B, S + 1)
-                # the batch as one chunk of whole paths, node-major views of
-                # path-major arrays: einsum then adds as it always has
-                alive = batch.alive.T if killed else None
-                out = weights[:B * (S + 1)].reshape(B, S + 1).T if killed else None
-                head, w = nodes.weigh(g.T, alive, 0, out)
-                sums[batch.first:batch.first + B] = np.einsum(
-                    "kb,k->b" if w.ndim == 1 else "kb,kb->b", head, w)
-    sums *= config.step
-    bias = nodes.max_seen * config.step if nodes.bounded else 2.0 * math.sqrt(config.step)
+    # radii and |v| of one batch, written in place, and under a killing
+    # region the truncated trapezoid weights
+    size = _pool_rows(config) * (S + 1)
+    radii, values = np.empty((2, size))
+    weights = np.empty(size) if killed else None
+    sums = np.zeros(config.n_paths)
+    with closing(sample_paths(config)) as batches:
+        for batch in batches:
+            B = batch.positions.shape[0]
+            r, g = radii[:B * (S + 1)], values[:B * (S + 1)]
+            _radial_distances(config.space,
+                              batch.positions.reshape(-1, batch.positions.shape[-1]), r, g)
+            # node-major views of the path-major arrays: einsum then adds
+            # as it always has
+            g = np.asarray(v.abs_radial(r, out=g), dtype=float).reshape(B, S + 1).T
+            bad = ~np.isfinite(g) | (g > cap)
+            # the shared start: a deterministic cap there would not vanish with h
+            start_bad = bad[0]
+            if np.any(start_bad):
+                g[0, start_bad] = np.minimum(g[1, start_bad], cap)
+                bad[0, start_bad] = False
+            n_bad = int(np.count_nonzero(bad))
+            if n_bad:
+                cap_events += n_bad
+                g[bad] = cap
+            if bounded:
+                max_seen = max(max_seen, float(g.max(initial=0.0)))
+            if killed:
+                # trapezoid weights truncated at the exit: a path killed
+                # before the horizon gives its last live node the half
+                # weight, so one killed at step 1 keeps h * g_0 / 2
+                alive = batch.alive.T
+                w = np.multiply(alive, trapezoid[:, None],
+                                out=weights[:B * (S + 1)].reshape(B, S + 1).T)
+                w[:-1][alive[:-1] & ~alive[1:]] = 0.5
+                sums[batch.first:batch.first + B] = np.einsum("kb,kb->b", g, w)
+            else:
+                sums[batch.first:batch.first + B] = np.einsum("kb,k->b", g, trapezoid)
+    sums *= h
+    bias = max_seen * h if bounded else 2.0 * math.sqrt(h)
     return _finish(sums, config, n_effective=config.n_paths,
-                   cap_events=nodes.cap_events, bias_bound=bias)
+                   cap_events=cap_events, bias_bound=bias)
 
 
 def mc_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
@@ -981,52 +920,45 @@ def _endpoint_expectation(f: Callable, config: PathConfig) -> Estimate:
     """mc_heat_expectation from the origin of R^3 or H^3, one exact draw a path.
 
     W = sqrt(T) Z, for a standard normal 3-vector Z, is B_T on R^3.  Its
-    length is the exact one-step draw of the radius chain from 0 and its
-    direction is uniform and independent of the whole radius path (the
+    length is the exact draw of BES(3) at T from 0 and its direction is uniform and independent of the whole radius path (the
     skew product), so on H^3 the endpoint is (cosh |W|, h(|W|) W), the
     point at distance |W| in that direction, weighted by e^{-T/2} h(|W|).
     Under a ball of radius a each path also carries the bridge survival
-    factor from 0 to |W|.  Worker w draws its block of the reference
-    layout from its own key, path-major, on the caller's thread: there is
-    one draw a path, so no producer thread would pay for itself.
+    factor from 0 to |W|.  The draws are _exact_blocks', one normal
+    3-vector a path.
     """
     space, T = config.space, config.horizon
     hyperbolic = space.kind == HYPERBOLIC
-    counts = _worker_counts(config.n_paths, config.workers)
-    width = min(_BLOCK_WIDTH, counts[0])
+    width = _block_width(config)
     gauss, radii, tmp = np.empty((width, 3)), np.empty(width), np.empty(width)
     points = np.empty((width, 4)) if hyperbolic else gauss
     values = np.zeros(config.n_paths, dtype=complex)
-    first, n_effective, bias = 0, 0, 0.0
-    for worker, count in enumerate(counts):
-        rng = np.random.Generator(_worker_bits(config.seed, worker))
-        for lo in range(first, first + count, width):
-            B = min(width, first + count - lo)
-            w = rng.standard_normal(out=gauss[:B])
-            w *= math.sqrt(T)
-            r = _euclidean_norms(w, radii[:B], tmp[:B])
-            weight, tail = np.ones(B), np.zeros(B)
-            if config.domain is not None:
-                weight, tail = _bridge_survival(0.0, r, config.domain.radius, T)
+    n_effective, bias = 0, 0.0
+    for rng, lo, B in _exact_blocks(config):
+        w = rng.standard_normal(out=gauss[:B])
+        w *= math.sqrt(T)
+        r = _euclidean_norms(w, radii[:B], tmp[:B])
+        weight, tail = np.ones(B), np.zeros(B)
+        if config.domain is not None:
+            weight, tail = _bridge_survival(0.0, r, config.domain.radius, T)
+        if hyperbolic:
+            h = _sinh_ratio(r, tmp[:B])
+            np.cosh(r, out=points[:B, 0])
+            for i in range(3):
+                np.multiply(w[:, i], h, out=points[:B, i + 1])
+            h *= math.exp(-0.5 * T)
+            weight *= h
+        live = weight > 0.0
+        n_live = int(np.count_nonzero(live))
+        if n_live:
+            fx = np.asarray(f(points[:B][live]))
+            values[lo:lo + B][live] = fx * weight[live]
+            # the series truncation of each path, times |f| and the Doob weight
+            err = np.abs(fx) * tail[live]
             if hyperbolic:
-                h = _sinh_ratio(r, tmp[:B])
-                np.cosh(r, out=points[:B, 0])
-                for i in range(3):
-                    np.multiply(w[:, i], h, out=points[:B, i + 1])
-                h *= math.exp(-0.5 * T)
-                weight *= h
-            live = weight > 0.0
-            n_live = int(np.count_nonzero(live))
-            if n_live:
-                fx = np.asarray(f(points[:B][live]))
-                values[lo:lo + B][live] = fx * weight[live]
-                # the series truncation of each path, times |f| and the Doob weight
-                err = np.abs(fx) * tail[live]
-                if hyperbolic:
-                    err *= h[live]
-                bias += float(err.sum())
-            n_effective += n_live
-        first += count
+                err *= h[live]
+            bias += float(err.sum())
+        n_effective += n_live
     if np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
     return _finish(values, config, n_effective=n_effective,

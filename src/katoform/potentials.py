@@ -25,6 +25,9 @@ class Potential:
 
     ``radial`` must accept and return numpy arrays.  ``singular_radii``
     lists radii where |v| is unbounded; 0.0 is the usual entry.
+    ``singular_power`` declares, when known, the power p of the blow-up
+    |v| <= C r^-p at the origin; Monte Carlo reads it to tell a finite
+    variance from an infinite one.
     ``sign_split`` optionally carries a decomposition (v1, v2) with
     v = v1 - v2 and both parts nonnegative; when absent the canonical
     split max(v, 0) / max(-v, 0) is used.
@@ -36,6 +39,7 @@ class Potential:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     sign_split: tuple | None = None
+    singular_power: float | None = None
 
     def __post_init__(self):
         self.singular_radii = tuple(float(r) for r in self.singular_radii)
@@ -83,7 +87,7 @@ def coulomb(space: ModelSpace, strength: float = 1.0) -> Potential:
     return Potential(space=space,
                      radial=lambda r: _safe_inverse_power(r, 1, s),
                      singular_radii=(0.0,), name="coulomb",
-                     params={"strength": s})
+                     params={"strength": s}, singular_power=1.0)
 
 
 def inverse_square(space: ModelSpace, strength: float = 1.0) -> Potential:
@@ -92,7 +96,7 @@ def inverse_square(space: ModelSpace, strength: float = 1.0) -> Potential:
     return Potential(space=space,
                      radial=lambda r: _safe_inverse_power(r, 2, s),
                      singular_radii=(0.0,), name="inverse_square",
-                     params={"strength": s})
+                     params={"strength": s}, singular_power=2.0)
 
 
 def inverse_power(space: ModelSpace, power: float, strength: float = 1.0) -> Potential:
@@ -101,7 +105,7 @@ def inverse_power(space: ModelSpace, power: float, strength: float = 1.0) -> Pot
     return Potential(space=space,
                      radial=lambda r: _safe_inverse_power(r, p, s),
                      singular_radii=(0.0,), name="inverse_power",
-                     params={"strength": s, "power": p})
+                     params={"strength": s, "power": p}, singular_power=p)
 
 
 def constant(space: ModelSpace, value: float) -> Potential:

@@ -21,7 +21,7 @@ DIGESTS = {
         "report.json": "8e8b68e04d79dba03521a07052810a4d25da392bb61d99612b8b548cdb46a3b1",
     },
     "fk_coulomb": {
-        "report.json": "0915d79565c77fded838070327f4b40d7a1883a9b5a8da9b98f19883103a307b",
+        "report.json": "b654d87b76aaf8f5d8c1b4fcd808f43e978bf3af5af439be850e7317373c2f26",
     },
     "form_bounds_coulomb": {
         "plot_resolvent.csv": "e8c101ec02b493345bed923b9631c5386a765743b8ee910e166205ddfc76dc54",

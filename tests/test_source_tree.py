@@ -11,8 +11,9 @@ error bound, and dense Pade serves only the tests' oracle.
 
 No module calls scipy.linalg's Hermitian eigensolvers (eigh,
 eigh_tridiagonal, eigvalsh, eig_banded) outside operators._dense_eigh:
-every dense Hermitian eigensolve has one route.  numpy's batched
-(N, n, n) per-vertex solves are not scipy's and stay free.
+every dense Hermitian eigensolve has one route.  numpy's eigh and
+eigvalsh serve only the batched (N, n, n) per-vertex solves of the fibre
+helpers in operators.py.
 
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
@@ -78,10 +79,13 @@ def test_no_module_names_expm():
 
 _EIGH_NAMES = {f"scipy.linalg.{name}"
                for name in ("eigh", "eigh_tridiagonal", "eigvalsh", "eig_banded")}
+_NUMPY_EIGH_NAMES = {f"numpy.linalg.{name}" for name in ("eigh", "eigvalsh")}
+# the per-vertex fibre helpers, each a batched solve of (N, n, n) blocks
+_FIBRE_HELPERS = {"fiber_split", "_semigroup_interval", "klmn_optimal_c1"}
 
 
-def _eigh_references(path):
-    """(function, line) of each place where one module names a scipy.linalg eigensolver.
+def _eigh_references(path, names=_EIGH_NAMES):
+    """(function, line) of each place where one module names one of these eigensolvers.
 
     Import aliases are resolved, so ``sla.eigh`` after ``import scipy.linalg
     as sla`` and ``eigh`` after ``from scipy.linalg import eigh`` count;
@@ -112,10 +116,10 @@ def _eigh_references(path):
     for top in tree.body:
         function = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
         for node in ast.walk(top):
-            names = ([f"{node.module}.{alias.name}" for alias in node.names]
-                     if isinstance(node, ast.ImportFrom) and node.module
-                     else [dotted(node)])
-            if _EIGH_NAMES.intersection(names):
+            here = ([f"{node.module}.{alias.name}" for alias in node.names]
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    else [dotted(node)])
+            if names.intersection(here):
                 yield function, node.lineno
 
 
@@ -124,6 +128,12 @@ def test_one_dense_hermitian_eigensolve():
              for path in sorted(PACKAGE.rglob("*.py"))}
     # the walk sees the solves it allows
     assert {function for function, _ in found.pop("operators.py")} == {"_dense_eigh"}
+    assert {name: refs for name, refs in found.items() if refs} == {}
+    # numpy's solvers serve only the batched per-vertex fibre helpers
+    found = {path.relative_to(PACKAGE).as_posix():
+             sorted(_eigh_references(path, _NUMPY_EIGH_NAMES))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {function for function, _ in found.pop("operators.py")} == _FIBRE_HELPERS
     assert {name: refs for name, refs in found.items() if refs} == {}
 
 
