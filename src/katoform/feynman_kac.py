@@ -62,36 +62,19 @@ mc_heat_expectation reduces the endpoints of sampled paths.
 
 Streams are counter-based (Philox) keyed by (seed, worker index).  Worker
 w draws a contiguous block of the path indices, worker 0's first; this is
-the reference layout.  Each batch or block carries the index of its first
-path there, the estimators write per-path values into those slots and
-reduce the whole array in index order, so the numbers depend only on the
-configuration, that is on (seed, workers), never on thread timing.
-
-The exact routes draw each worker's block of the layout from its key, in
-blocks of 2**14 samples, on the caller's thread (_exact_blocks): one draw
-a sample does not pay for a producer thread.  The block width sets which
-draws go to which sample, so it is part of the reference numbers.
+the reference layout (_blocks).  Each batch or block carries the index of
+its first path there, the estimators write per-path values into those
+slots and reduce the whole array in index order, so the numbers depend
+only on the configuration, that is on (seed, workers), never on thread
+timing.
 
 Sampled paths draw every increment from the worker's key, path-major, so
-the batch size never changes the numbers; a batch holds about 2**17 path
-nodes (at most 1024 paths), so its arrays stay near cache size.  The
-streams run on min(workers, usable CPUs) producer threads, one thread for
-a single worker or CPU, so drawing overlaps the estimator's work: Philox
-draws and the large ufuncs release the interpreter lock.  Producers only
-draw, integrate the increments and run the killing scan; potentials and
-user callbacks run on the caller's thread.  Batches are handed out
-round-robin across the workers.
-
-Batches are written into a pool that the engine allocates once on the
-caller's thread: two position buffers and one draw buffer per producer
-thread, whatever the number of workers, and no freed batch lingers in a
-producer thread's malloc arena.  A batch's arrays are valid until the
-next one is requested, when its position buffer goes back to its
-producer; copy what you keep.  Next to the pool, each estimator allocates
-its own per-batch scratch once per call (radii, |v| and weights for the
-Kato integral, step midpoints and increments for the transport phase)
-and writes into it in place; the hyperbolic chart works in two planes of
-the spent draw buffer.
+the batch size never changes the numbers; sample_paths describes its
+producer threads and their buffers.  The exact routes draw each worker's
+block of the layout from its key, in blocks of 2**14 samples, on the
+caller's thread (_exact_blocks): one draw a sample does not pay for a
+producer thread.  The block width sets which draws go to which sample, so
+it is part of the reference numbers.
 
 No ufunc loops over the short coordinate axis: an operation that pairs
 a (B, S, ambient) block with one value per coordinate (a start point, a
@@ -317,9 +300,21 @@ class PathBatch:
     first: int
 
 
-def _worker_counts(n_paths: int, workers: int) -> list[int]:
-    base, rem = divmod(n_paths, workers)
-    return [base + (1 if w < rem else 0) for w in range(workers)]
+def _blocks(config: PathConfig, width: int) -> list[list[tuple[int, int]]]:
+    """Each worker stream's (first, size) blocks of the reference layout, in stream order.
+
+    Worker w draws a contiguous block of the n_paths indices, worker 0's
+    first, and the first n_paths % workers workers one index more; each
+    worker's block is cut into blocks of at most width.  Worker 0's first
+    block is therefore the largest, which sizes the buffers.
+    """
+    base, rem = divmod(config.n_paths, config.workers)
+    layout, first = [], 0
+    for w in range(config.workers):
+        end = first + base + (w < rem)
+        layout.append([(lo, min(width, end - lo)) for lo in range(first, end, width)])
+        first = end
+    return layout
 
 
 def _worker_bits(seed: int, worker: int) -> np.random.Philox:
@@ -327,15 +322,17 @@ def _worker_bits(seed: int, worker: int) -> np.random.Philox:
     return np.random.Philox(key=key)
 
 
-
 def _batch_size(n_steps: int) -> int:
-    """Paths per batch: about _NODE_BUDGET path nodes, at most _MAX_BATCH paths."""
+    """Paths per batch: about _NODE_BUDGET path nodes, at most _MAX_BATCH paths.
+
+    A batch's arrays then stay near cache size.
+    """
     return min(_MAX_BATCH, max(1, _NODE_BUDGET // (n_steps + 1)))
 
 
 def _pool_rows(config: PathConfig) -> int:
     """Paths in the largest batch of a configuration: its buffers' first axis."""
-    return min(_batch_size(config.n_steps), -(-config.n_paths // config.workers))
+    return _blocks(config, _batch_size(config.n_steps))[0][0][1]
 
 
 def _usable_cpus() -> int:
@@ -436,82 +433,57 @@ def _sample_batch(config: PathConfig, rng: np.random.Generator, pos: np.ndarray,
                      exit_step=exit_step, first=first)
 
 
-class _PathKernel:
-    """Whole Brownian paths, one PathBatch of up to _batch_size paths per task."""
+def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
+    """Stream batches of Brownian paths for the given configuration.
 
-    def __init__(self, config: PathConfig):
-        self.config = config
-        self.size = _batch_size(config.n_steps)
+    Worker w's Philox stream covers its block of the reference layout in
+    batches of _batch_size paths, and each batch's ``first`` says where it
+    sits there.  Batches arrive round-robin across the workers (batch 0 of
+    every worker, then batch 1, ...), an order fixed by the configuration
+    alone.  The streams run on min(workers, usable CPUs) producer threads,
+    one for a single worker or CPU, so drawing overlaps the caller's work:
+    Philox draws and the large ufuncs release the interpreter lock.
+    Worker w belongs to one thread, which keeps its generator across its
+    batches.  Producers only draw, integrate the increments and run the
+    killing scan; potentials and user callbacks run on the caller's thread.
 
-    def tasks(self, count: int, first: int) -> list:
-        return [(first + lo, min(self.size, count - lo))
-                for lo in range(0, count, self.size)]
-
-    def buffers(self) -> tuple[list, np.ndarray]:
-        """Two position buffers and one draw buffer."""
-        config = self.config
-        rows, nodes = _pool_rows(config), config.n_steps + 1
-        positions = [np.empty((rows, nodes, len(config.start))) for _ in range(2)]
-        return positions, np.empty((rows, nodes - 1, config.space.dim))
-
-    def open(self, worker: int) -> np.random.Generator:
-        return np.random.Generator(_worker_bits(self.config.seed, worker))
-
-    def fill(self, rng: np.random.Generator, task: tuple, pos: np.ndarray,
-             draws: np.ndarray) -> PathBatch:
-        first, B = task
-        return _sample_batch(self.config, rng, pos[:B], draws[:B], first)
-
-
-def _stream(config: PathConfig, kernel) -> Iterator:
-    """Run a kernel over every worker stream and yield its items.
-
-    The kernel splits worker w's count of paths into tasks, in stream
-    order, and fills one output buffer per task on a producer thread.
-    Items arrive round-robin across the workers (task 0 of every worker,
-    then task 1, ...), an order fixed by the configuration alone.  The
-    streams run on min(workers, usable CPUs) producer threads; worker w
-    belongs to one thread, which keeps the kernel's state for it
-    (``kernel.open(w)``) across its tasks.
-
-    Each producer thread owns two output buffers and one scratch buffer
-    (``kernel.buffers()``), allocated here once, on the caller's thread.
-    An item is valid until the next one is requested, which hands its
-    output buffer back to its producer.  A producer waits for a free
-    buffer, which is the back-pressure.  Closing the generator, or an
-    exception in the caller's loop, stops and joins every producer; a
-    producer's exception is raised here.
+    Each producer thread owns two position buffers and one draw buffer,
+    allocated once per call, on the caller's thread: 3 x threads batch
+    buffers whatever ``workers`` is, and no freed batch lingers in a
+    producer thread's malloc arena.  A batch's arrays are valid until the
+    next batch is requested, which hands its position buffer back to its
+    producer; copy what you keep.  A producer waits for a free buffer,
+    which is the back-pressure.  Closing the generator, or an exception in
+    the caller's loop, stops and joins every producer; a producer's
+    exception is raised here.
     """
-    counts = _worker_counts(config.n_paths, config.workers)
-    firsts = np.cumsum([0] + counts[:-1]).tolist()
-    workers = [w for w, count in enumerate(counts) if count]
-    tasks = {w: kernel.tasks(counts[w], firsts[w]) for w in workers}
-    plan = [(w, tasks[w][i]) for i in range(max(len(t) for t in tasks.values()))
-            for w in workers if i < len(tasks[w])]
-    n_threads = min(len(workers), _usable_cpus())
-    owner = {w: i % n_threads for i, w in enumerate(workers)}
+    layout = _blocks(config, _batch_size(config.n_steps))
+    # worker 0 has the most batches, and the workers with any paths come first
+    plan = [(w, blocks[i]) for i in range(len(layout[0]))
+            for w, blocks in enumerate(layout) if i < len(blocks)]
+    active = sum(1 for blocks in layout if blocks)
+    n_threads = min(active, _usable_cpus())
+    rngs = [np.random.Generator(_worker_bits(config.seed, w)) for w in range(active)]
+    rows, nodes = layout[0][0][1], config.n_steps + 1
     free = [queue.SimpleQueue() for _ in range(n_threads)]
     filled = [queue.SimpleQueue() for _ in range(n_threads)]
-    scratch = []
+    draws = []
     for t in range(n_threads):
-        outs, spare = kernel.buffers()
-        for out in outs:
-            free[t].put(out)
-        scratch.append(spare)
+        for _ in range(2):
+            free[t].put(np.empty((rows, nodes, len(config.start))))
+        draws.append(np.empty((rows, nodes - 1, config.space.dim)))
     stop = threading.Event()
 
     def produce(t: int) -> None:
-        states = {}
         try:
-            for w, task in plan:
-                if owner[w] != t:
+            for w, (first, B) in plan:
+                if w % n_threads != t:
                     continue
-                out = free[t].get()
+                pos = free[t].get()
                 if stop.is_set():
                     return
-                if w not in states:
-                    states[w] = kernel.open(w)
-                filled[t].put((out, kernel.fill(states[w], task, out, scratch[t])))
+                filled[t].put((pos, _sample_batch(config, rngs[w], pos[:B],
+                                                  draws[t][:B], first)))
         except BaseException as exc:  # re-raised on the caller's thread
             filled[t].put((None, exc))
 
@@ -522,38 +494,16 @@ def _stream(config: PathConfig, kernel) -> Iterator:
         thread.start()
     try:
         for w, _ in plan:
-            out, item = filled[owner[w]].get()
-            if out is None:
-                raise item
-            yield item
-            free[owner[w]].put(out)
+            pos, batch = filled[w % n_threads].get()
+            if pos is None:
+                raise batch
+            yield batch
+            free[w % n_threads].put(pos)
     finally:
         stop.set()
         for t, thread in enumerate(threads):
             free[t].put(None)     # wakes a producer waiting for a buffer
             thread.join()
-
-
-def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
-    """Stream batches of Brownian paths for the given configuration.
-
-    Worker w's Philox stream covers a contiguous block of the reference
-    layout, and each batch's ``first`` says where it sits there.  Batches
-    arrive round-robin across the workers (batch 0 of every worker, then
-    batch 1, ...), an order fixed by the configuration alone.  The streams
-    run on min(workers, usable CPUs) producer threads, one for a single
-    worker or CPU.
-
-    Each producer thread owns two position buffers and one draw buffer,
-    allocated once per call, on the caller's thread: 3 x threads batch
-    buffers whatever ``workers`` is.  A batch's arrays are valid until the
-    next batch is requested, which hands its position buffer back to its
-    producer; copy what you keep.  A producer waits for a free buffer,
-    which is the back-pressure.  Closing the generator, or an exception in
-    the caller's loop, stops and joins every producer; a producer's
-    exception is raised here.
-    """
-    return _stream(config, _PathKernel(config))
 
 
 # ---------------------------------------------------------------------------
@@ -602,23 +552,19 @@ def _endpoint_route(config: PathConfig) -> bool:
 
 def _block_width(config: PathConfig) -> int:
     """Samples in the largest block of the exact routes."""
-    return min(_BLOCK_WIDTH, -(-config.n_paths // config.workers))
+    return _blocks(config, _BLOCK_WIDTH)[0][0][1]
 
 
 def _exact_blocks(config: PathConfig) -> Iterator[tuple[np.random.Generator, int, int]]:
     """(rng, lo, B) for each block of samples [lo, lo + B) of the reference layout.
 
-    Worker w's block of the layout is cut into blocks of _block_width
-    samples, drawn in order from the worker's key on the caller's thread,
-    so the numbers depend only on (seed, workers).
+    Worker w's blocks are drawn in order from the worker's key on the
+    caller's thread, so the numbers depend only on (seed, workers).
     """
-    first = 0
-    width = _block_width(config)
-    for worker, count in enumerate(_worker_counts(config.n_paths, config.workers)):
+    for worker, blocks in enumerate(_blocks(config, _BLOCK_WIDTH)):
         rng = np.random.Generator(_worker_bits(config.seed, worker))
-        for lo in range(first, first + count, width):
-            yield rng, lo, min(width, first + count - lo)
-        first += count
+        for lo, B in blocks:
+            yield rng, lo, B
 
 
 def _sinh_ratio(r: np.ndarray, out: np.ndarray) -> np.ndarray:

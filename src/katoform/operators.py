@@ -525,14 +525,14 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
     """Eigenvalues of H(V) = H(0) + V (ascending), with solver residuals.
 
     ``k`` asks for the k lowest pairs (every pair when k >= the number of
-    degrees of freedom); it must be a positive integer.  Dense Hermitian
+    degrees of freedom); it must be a positive integer.  Both routes run
+    in real arithmetic when A has no imaginary part.  Dense Hermitian
     solve (``_dense_eigh``, method "dense") up to 1200 degrees of freedom,
-    in real arithmetic when A has no imaginary part, computing only the k
-    lowest pairs when k is given: a real tridiagonal A goes to the
-    tridiagonal solvers on its two diagonals with no dense copy, at any
-    size, and any other A is one dense copy overwritten by the MRRR
-    solver.  Beyond that, with k given and A not real tridiagonal,
-    shift-invert Lanczos finds the k lowest: the shift sits
+    computing only the k lowest pairs when k is given: a real tridiagonal
+    A goes to the tridiagonal solvers on its two diagonals with no dense
+    copy, at any size, and any other A is one dense copy overwritten by
+    the MRRR solver.  Beyond that, with k given and A not real
+    tridiagonal, shift-invert Lanczos finds the k lowest: the shift sits
     below the Gershgorin lower bound of A by 1e-4 * scale, so A - sigma I
     is positive definite even when A has a kernel or V is negative, and
     the k eigenvalues nearest the shift are the k lowest.  That matrix is
@@ -550,10 +550,10 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
         k = min(int(k), dim)
     scale = max(1.0, float(abs(A).max()))
     real = not np.any(A.data.imag)
+    if real:
+        A = A.real
     if (k is None or dim <= _DENSE_EIG_LIMIT or k >= dim - 1
             or (real and _tridiagonal(A))):
-        if real:
-            A = A.real
         lam, Q = _dense_eigh(A, None if k is None or k == dim else (0, k - 1))
         method = "dense"
     else:

@@ -548,6 +548,25 @@ def test_batches_tile_the_reference_layout(monkeypatch, workers, cpus):
     assert spans[-1][0] + spans[-1][1] == cfg.n_paths
 
 
+@settings(max_examples=200)
+@given(n_paths=st.integers(100, 10 ** 5), workers=st.integers(1, 1024),
+       width=st.integers(1, 2 ** 14))
+def test_blocks_tile_the_layout(n_paths, workers, width):
+    """The reference layout: one function, pure, so no thread starts here."""
+    layout = fk._blocks(econf(n_paths=n_paths, workers=workers), width)
+    assert len(layout) == workers
+    spans = [span for blocks in layout for span in blocks]
+    assert spans[0][0] == 0
+    for (lo, size), (nxt, _) in zip(spans, spans[1:]):
+        assert lo + size == nxt
+    assert spans[-1][0] + spans[-1][1] == n_paths
+    assert all(1 <= size <= width for _, size in spans)
+    counts = [sum(size for _, size in blocks) for blocks in layout]
+    assert max(counts) - min(counts) <= 1
+    # the pool and the exact routes' scratch are sized by this block
+    assert layout[0][0][1] == max(size for _, size in spans)
+
+
 def test_batch_order_does_not_depend_on_threads(monkeypatch):
     monkeypatch.setattr(fk, "_NODE_BUDGET", 4000)
     cfg = econf(n_paths=1001, workers=3)

@@ -153,6 +153,21 @@ def test_real_operator_solves_in_real_arithmetic(monkeypatch):
     assert seen[-1] == np.complex128
     assert float(flux.residuals.max()) < 1e-10
 
+    # Lanczos too: the field-free grid factors and iterates in float64, a
+    # Peierls grid stays complex
+    eigsh, lanczos = spla.eigsh, []
+
+    def eigsh_spy(A, *args, **kwargs):
+        lanczos.append((A.dtype, kwargs["OPinv"].dtype))
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh_spy)
+    free = form_sum_spectrum(grid_mesh_2d(1.7, 0.1, dirichlet_boundary=False), k=5)
+    peierls = form_sum_spectrum(grid_mesh_2d(1.8, 0.1, b_field=1.0), k=6)
+    assert free.method == peierls.method == "lanczos"
+    assert lanczos == [(np.float64, np.float64), (np.complex128, np.complex128)]
+    assert abs(free.lowest) < 1e-9 and peierls.lowest > 0.0
+
 
 @pytest.mark.parametrize("case", ["coulomb", "bundle"])
 def test_dense_spectrum_memory_and_agreement(traced_peak, case):

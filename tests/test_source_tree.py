@@ -15,6 +15,10 @@ every dense Hermitian eigensolve has one route.  numpy's eigh and
 eigvalsh serve only the batched (N, n, n) per-vertex solves of the fibre
 helpers in operators.py.
 
+Only feynman_kac.py imports threading or queue, and it constructs
+threading.Thread at one site, inside sample_paths: the producer threads
+of the path sampler are the package's only threads.
+
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
 kato.form_bound_constants, which imports it when it runs.
@@ -29,8 +33,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "katoform"
 
 
-def _integrate_imports(path):
-    """Line numbers of the imports of scipy.integrate (or anything in it) in one module."""
+def _imports(path, modules):
+    """Line numbers of the imports of these modules (or anything in them) in one module."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -39,13 +43,13 @@ def _integrate_imports(path):
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
-               for name in names):
+        if any(name == module or name.startswith(module + ".")
+               for name in names for module in modules):
             yield node.lineno
 
 
 def test_no_module_imports_scipy_integrate():
-    found = {path.relative_to(PACKAGE).as_posix(): list(_integrate_imports(path))
+    found = {path.relative_to(PACKAGE).as_posix(): list(_imports(path, ["scipy.integrate"]))
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert "quadrature.py" in found
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -84,8 +88,8 @@ _NUMPY_EIGH_NAMES = {f"numpy.linalg.{name}" for name in ("eigh", "eigvalsh")}
 _FIBRE_HELPERS = {"fiber_split", "_semigroup_interval", "klmn_optimal_c1"}
 
 
-def _eigh_references(path, names=_EIGH_NAMES):
-    """(function, line) of each place where one module names one of these eigensolvers.
+def _references(path, names):
+    """(function, line) of each place where one module names one of these objects.
 
     Import aliases are resolved, so ``sla.eigh`` after ``import scipy.linalg
     as sla`` and ``eigh`` after ``from scipy.linalg import eigh`` count;
@@ -124,16 +128,26 @@ def _eigh_references(path, names=_EIGH_NAMES):
 
 
 def test_one_dense_hermitian_eigensolve():
-    found = {path.relative_to(PACKAGE).as_posix(): sorted(_eigh_references(path))
+    found = {path.relative_to(PACKAGE).as_posix(): sorted(_references(path, _EIGH_NAMES))
              for path in sorted(PACKAGE.rglob("*.py"))}
     # the walk sees the solves it allows
     assert {function for function, _ in found.pop("operators.py")} == {"_dense_eigh"}
     assert {name: refs for name, refs in found.items() if refs} == {}
     # numpy's solvers serve only the batched per-vertex fibre helpers
     found = {path.relative_to(PACKAGE).as_posix():
-             sorted(_eigh_references(path, _NUMPY_EIGH_NAMES))
+             sorted(_references(path, _NUMPY_EIGH_NAMES))
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {function for function, _ in found.pop("operators.py")} == _FIBRE_HELPERS
+    assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def test_one_thread_site():
+    found = {path.relative_to(PACKAGE).as_posix(): list(_imports(path, ["threading", "queue"]))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"feynman_kac.py"}
+    found = {path.relative_to(PACKAGE).as_posix(): sorted(_references(path, {"threading.Thread"}))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert [function for function, _ in found.pop("feynman_kac.py")] == ["sample_paths"]
     assert {name: refs for name, refs in found.items() if refs} == {}
 
 
