@@ -941,8 +941,9 @@ def mc_covariant_semigroup(psi: Callable, A: Callable, config: PathConfig) -> Es
     values = np.zeros(config.n_paths, dtype=complex)
     scalars = np.zeros(config.n_paths)
     S, ambient = config.n_steps, len(config.start)
-    # step midpoints and increments of one batch, written in place
+    # step midpoints, increments and A . dX of one batch, written in place
     mids_buf, incs_buf = np.empty((2, _pool_rows(config), S, ambient))
+    seg_buf = np.empty(_pool_rows(config) * S)
     survivors = 0
     with closing(sample_paths(config)) as batches:
         for batch in batches:
@@ -952,7 +953,15 @@ def mc_covariant_semigroup(psi: Callable, A: Callable, config: PathConfig) -> Es
             mids *= 0.5
             incs = np.subtract(pos[:, 1:], pos[:, :-1], out=incs_buf[:B])
             a_vals = np.asarray(A(mids.reshape(-1, ambient)), dtype=float)
-            seg = np.einsum("ki,ki->k", a_vals, incs.reshape(-1, ambient)).reshape(B, S)
+            # the products overwrite the increments, then one strided pass
+            # per coordinate adds them in coordinate order
+            flat = incs.reshape(-1, ambient)
+            flat *= a_vals
+            seg = seg_buf[:B * S]
+            np.copyto(seg, flat[:, 0])
+            for i in range(1, ambient):
+                seg += flat[:, i]
+            seg = seg.reshape(B, S)
             if config.domain is not None:
                 # only steps before the exit contribute to the accumulated phase
                 seg *= batch.alive[:, 1:]

@@ -359,6 +359,17 @@ def gauge_transform(mesh: BundleMesh, gauges) -> BundleMesh:
     )
 
 
+def _trivial_line(mesh: BundleMesh) -> BundleMesh:
+    """The trivial line bundle on the graph of ``mesh``: fibre 1, unit transports.
+
+    Its sections are the functions on the mesh's weighted graph, with the
+    mesh's Dirichlet flags: the scalar picture of Kato's inequality.
+    """
+    return BundleMesh(fiber_dim=1, mu=mesh.mu, dirichlet=mesh.dirichlet,
+                      edge_u=mesh.edge_u, edge_v=mesh.edge_v, edge_w=mesh.edge_w,
+                      transports=np.ones((mesh.n_edges, 1, 1), dtype=complex))
+
+
 def random_bundle_mesh(n_vertices: int, fiber_dim: int = 2, seed: int = 0,
                        extra_edge_prob: float = 0.3,
                        dirichlet_count: int = 0,
@@ -372,33 +383,23 @@ def random_bundle_mesh(n_vertices: int, fiber_dim: int = 2, seed: int = 0,
         raise MeshError("need at least two vertices")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_vertices)
-    pairs = set()
-    eu, ev = [], []
-    for idx in range(1, n_vertices):
-        a = int(order[idx])
-        b = int(order[rng.integers(0, idx)])
-        key = (min(a, b), max(a, b))
-        pairs.add(key)
-        eu.append(a)
-        ev.append(b)
+    # vertex order[i] hangs from one of the i vertices before it
+    eu = order[1:].tolist()
+    ev = order[rng.integers(0, np.arange(1, n_vertices))].tolist()
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(eu, ev)}
     n_extra = rng.binomial(n_vertices, extra_edge_prob)
     for _ in range(n_extra * 3):
         if len(pairs) - (n_vertices - 1) >= n_extra:
             break
-        a, b = rng.integers(0, n_vertices, size=2)
-        a, b = int(a), int(b)
-        if a == b:
-            continue
+        a, b = map(int, rng.integers(0, n_vertices, size=2))
         key = (min(a, b), max(a, b))
-        if key in pairs:
-            continue
-        pairs.add(key)
-        eu.append(a)
-        ev.append(b)
-    E = len(eu)
+        if a != b and key not in pairs:
+            pairs.add(key)
+            eu.append(a)
+            ev.append(b)
     mu = rng.uniform(mu_range[0], mu_range[1], size=n_vertices)
-    w = rng.uniform(w_range[0], w_range[1], size=E)
-    mats = _haar_block(E, fiber_dim, rng)
+    w = rng.uniform(w_range[0], w_range[1], size=len(eu))
+    mats = _haar_block(len(eu), fiber_dim, rng)
     dirichlet = np.zeros(n_vertices, dtype=bool)
     if dirichlet_count > 0:
         if dirichlet_count >= n_vertices:

@@ -9,22 +9,28 @@ pictures are used:
 * its symmetrization A = M^{-1/2} K M^{-1/2} (K the stiffness matrix,
   M = diag(mu)), a genuinely Hermitian matrix with the same spectrum.
 
+The scalar picture of Kato's inequality and semigroup domination is the
+trivial line bundle on the same graph (fibre 1, unit transports), a mesh
+of its own, to which ``scalar_laplacian`` and ``semigroup_evolve(...,
+scalar=True)`` apply the bundle code.
+
 Quadratic forms are reported against the mu-weighted inner product, which
 is where the kinetic form (1/2) sum_e w ||f_u - U f_v||^2, the potential
 form sum_u mu_u <V_u f_u, f_u>, and the Kato and domination inequalities
 all live.
 
-Every matrix comes from one block-to-CSR constructor, ``_block_csr``:
-``_assemble`` broadcasts the edge arrays into one list of the diagonal,
-transport and potential blocks of A, and the KLMN pencil's B is a list of
-diagonal blocks.  The section forms (``quad_form``,
-``kato_inequality_gap``) never build a matrix: each is one einsum over the
-edge transports and a dot with the edge weights, for one section (N, n) or
-a stack (S, N, n).  Spectra are dense up to 1200 degrees of freedom, in
-real arithmetic when A has no imaginary part, and shift-invert Lanczos
-about a shift below the Gershgorin bound beyond that; a real tridiagonal
-A (a chain of fibre 1 with real transports) is dense at any size, since
-its solve makes no dense copy.
+Every matrix comes from one block-to-CSR constructor, ``_block_csr``,
+which sorts the rows of the blocks into CSR order and builds the CSR
+arrays from them directly: ``_assemble`` broadcasts the edge arrays into
+one list of the diagonal, transport and potential blocks of A, and the
+KLMN pencil's B is a list of diagonal blocks.  The section forms
+(``quad_form``, ``kato_inequality_gap``) never build a matrix: each is one
+einsum over the edge transports and a dot with the edge weights, for one
+section (N, n) or a stack (S, N, n).  Spectra are dense up to 1200 degrees
+of freedom, in real arithmetic when A has no imaginary part, and
+shift-invert Lanczos about a shift below the Gershgorin bound beyond that;
+a real tridiagonal A (a chain of fibre 1 with real transports) is dense at
+any size, since its solve makes no dense copy.
 
 Every dense Hermitian eigensolve goes through ``_dense_eigh``, a direct
 LAPACK solve of every pair asked for, which is what method "dense"
@@ -81,10 +87,14 @@ import scipy.sparse.linalg as spla
 import scipy.special
 
 from .errors import ConvergenceError, KernelHandlingError, MeshError
-from .mesh import BundleMesh
+from .mesh import BundleMesh, _trivial_line
 
 _DENSE_EIG_LIMIT = 1200
 _COLUMN_BLOCK = 64
+# eigenvector columns per residual block: a block and each of its
+# temporaries take 16 n values (0.13 MB at n = 1022, real), small enough for
+# freed heap to hold, so residuals do not grow the heap above the eigenvectors
+_RESIDUAL_BLOCK = 16
 _HERMITIAN_TOL = 1e-10
 _SHIFT_MARGIN = 1e-4
 _SEMIGROUP_RTOL = 1e-10
@@ -101,21 +111,27 @@ _CHEBYSHEV_TERMS = 2 ** 16
 def _block_csr(blocks, block_rows, block_cols, k: int) -> sp.csr_matrix:
     """Canonical CSR of the n x n ``blocks`` at distinct positions of a k x k grid.
 
-    Degree of freedom i of interior slot s is s * n + i.  The blocks go
-    into one BSR matrix in row-major block order; exact zeros are dropped
-    from the pattern when n > 1 (a 1 x 1 block is one entry either way).
+    Degree of freedom i of interior slot s is s * n + i, so DOF row s * n + i
+    holds row i of each block of block row s by block column: one sort of
+    the blocks' rows lays out the data and the column indices.  Exact zeros
+    are dropped when n > 1 (a 1 x 1 block is one entry either way).
     """
     n = blocks.shape[-1]
-    order = np.argsort(block_rows * k + block_cols)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(block_rows, minlength=k))))
-    A = sp.bsr_matrix((blocks[order], block_cols[order], indptr),
-                      shape=(k * n, k * n)).tocsr()
+    # row i of block b is row b * n + i of blocks.reshape(-1, n): sort by (DOF row, column)
+    order = np.argsort((n * block_rows[:, None] + np.arange(n)) * k + block_cols[:, None],
+                       axis=None)
+    data = blocks.reshape(-1, n)[order].ravel()
+    indices = (n * block_cols[order // n, None] + np.arange(n)).ravel()
+    counts = np.repeat(n * np.bincount(block_rows, minlength=k), n)     # entries per DOF row
+    indptr = np.concatenate(([0], np.cumsum(counts)))
     if n > 1:
-        A.eliminate_zeros()
-    return A
+        keep = data != 0
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        data, indices = data[keep], indices[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=(k * n, k * n))
 
 
-def _assemble(mesh: BundleMesh, scalar: bool = False, V=None):
+def _assemble(mesh: BundleMesh, V=None):
     """Hermitian A = M^{-1/2} K M^{-1/2} (+ V blocks) and sqrt(mu) per DOF.
 
     K is the stiffness matrix of the kinetic form on interior DOFs: each
@@ -127,7 +143,7 @@ def _assemble(mesh: BundleMesh, scalar: bool = False, V=None):
     potential form carries the weight mu) are added to the diagonal blocks,
     and ``_block_csr`` lays the list out.
     """
-    n = 1 if scalar else mesh.fiber_dim
+    n = mesh.fiber_dim
     interior = mesh.interior
     k = np.count_nonzero(interior)
     slot = np.cumsum(interior) - 1
@@ -136,8 +152,7 @@ def _assemble(mesh: BundleMesh, scalar: bool = False, V=None):
               + np.bincount(mesh.edge_v, half_w, mesh.n_vertices))
     inner = interior[mesh.edge_u] & interior[mesh.edge_v]
     su, sv = slot[mesh.edge_u[inner]], slot[mesh.edge_v[inner]]
-    U = np.ones((mesh.n_edges, 1, 1), dtype=complex) if scalar else mesh.transports
-    off = -half_w[inner, None, None] * U[inner]
+    off = -half_w[inner, None, None] * mesh.transports[inner]
     slots = np.arange(k)
     rows = np.concatenate((slots, su, sv))
     cols = np.concatenate((slots, sv, su))
@@ -147,19 +162,8 @@ def _assemble(mesh: BundleMesh, scalar: bool = False, V=None):
     blocks /= root[rows, None, None]
     blocks /= root[cols, None, None]
     if V is not None:
-        if scalar:
-            raise MeshError("potentials attach to the bundle picture")
         blocks[:k] += _as_matrix_field(mesh, V)[interior]
     return _block_csr(blocks, rows, cols, k), np.repeat(root, n)
-
-
-def _laplacian(mesh: BundleMesh, scalar: bool, symmetrized: bool) -> sp.csr_matrix:
-    A, root = _assemble(mesh, scalar=scalar)
-    if not symmetrized:
-        # the generator L = M^{-1} K = M^{-1/2} A M^{1/2}, entry by entry
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        A.data *= root[A.indices] / root[rows]
-    return A
 
 
 def bochner_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_matrix:
@@ -169,12 +173,17 @@ def bochner_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_mat
     ``symmetrized=True`` the unitarily equivalent Hermitian form
     M^{-1/2} K M^{-1/2} is returned instead.  Spectra agree.
     """
-    return _laplacian(mesh, scalar=False, symmetrized=symmetrized)
+    A, root = _assemble(mesh)
+    if not symmetrized:
+        # the generator L = M^{-1} K = M^{-1/2} A M^{1/2}, entry by entry
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        A.data *= root[A.indices] / root[rows]
+    return A
 
 
 def scalar_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_matrix:
-    """Same operator with the fibers and transports forgotten (functions)."""
-    return _laplacian(mesh, scalar=True, symmetrized=symmetrized)
+    """Same operator with the fibers and transports forgotten: the trivial line bundle's."""
+    return bochner_laplacian(_trivial_line(mesh), symmetrized=symmetrized)
 
 
 def diagonal_potential(mesh: BundleMesh, values) -> np.ndarray:
@@ -207,23 +216,15 @@ def _check_hermitian(V: np.ndarray, what: str) -> None:
         raise MeshError(f"{what} is not Hermitian (defect {defect:.2e})")
 
 
-def _restrict(mesh: BundleMesh, f, scalar: bool = False) -> np.ndarray:
+def _restrict(mesh: BundleMesh, f) -> np.ndarray:
     """Stack a full-mesh section (N, n) into the interior DOF vector."""
-    n = 1 if scalar else mesh.fiber_dim
+    n = mesh.fiber_dim
     f = np.asarray(f)
     if f.shape == (mesh.n_vertices,) and n == 1:
         f = f[:, None]
     if f.shape != (mesh.n_vertices, n):
         raise MeshError(f"section must have shape ({mesh.n_vertices}, {n})")
     return f[mesh.interior].reshape(-1).astype(complex)
-
-
-def _unstack(mesh: BundleMesh, vec, scalar: bool = False) -> np.ndarray:
-    """Interior DOF vector back to a full (N, n) array, zeros on Dirichlet."""
-    n = 1 if scalar else mesh.fiber_dim
-    out = np.zeros((mesh.n_vertices, n), dtype=complex)
-    out[mesh.interior] = np.asarray(vec).reshape(-1, n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +368,8 @@ def _chebyshev_coefficients(tau: float) -> tuple[np.ndarray, float]:
         m = min(2 * m, _CHEBYSHEV_TERMS)
 
 
-def _semigroup_apply(A, t: float, g: np.ndarray, lo: float, hi: float):
-    """(e^{-tA} g, error bound) for Hermitian sparse A with spectrum in [lo, hi].
+def _semigroup_series(A, times, g: np.ndarray, lo: float, hi: float) -> list:
+    """(e^{-tA} g, error bound) for each of ``times``; A Hermitian sparse, spectrum in [lo, hi].
 
     With x = lo + (hi - lo)(1 + y)/2 and tau = t (hi - lo)/2, e^{-tx} =
     e^{-t lo} e^{-tau (1 + y)}; the series in T_k(y) is summed by
@@ -377,22 +378,15 @@ def _semigroup_apply(A, t: float, g: np.ndarray, lo: float, hi: float):
     the recurrence.  Norms go through BLAS nrm2, which scales and so neither
     overflows nor warns.
 
+    The vectors T_k(y) g do not depend on t, so the recurrence runs once,
+    to the largest order any time needs; each time adds its terms in the
+    order of a call with that time alone, bit for bit, and the first time
+    that fails its check raises.
+
     The bound is relative to e^{-t lo}, the peak of e^{-tx} on [lo, hi], so
     a lo far below the lowest eigenvalue costs relative accuracy at large
     t: on the 1d Coulomb system (lo = -64, ground energy -1/2) t = 0.01 is
     certified to 3e-14 and t = 1 raises.
-    """
-    return _semigroup_series(A, (t,), g, lo, hi)[0]
-
-
-def _semigroup_series(A, times, g: np.ndarray, lo: float, hi: float) -> list:
-    """``_semigroup_apply`` at each of ``times``, from one Chebyshev recurrence.
-
-    The vectors T_k(y) g depend on A, g and [lo, hi] but not on t, so the
-    recurrence runs once, to the largest order any time needs, and each
-    time's sum takes its terms in the same order as a call of its own:
-    every result and bound is bit for bit that call's.  Each time is
-    checked in turn, and the first one that fails raises.
     """
     half = 0.5 * (hi - lo)
     norm_g = float(scipy.linalg.norm(g, check_finite=False))
@@ -439,14 +433,21 @@ def semigroup_evolve(mesh: BundleMesh, f, t: float, V=None,
     """Apply e^{-t H(V)} to a section, returned on the full vertex set.
 
     The evolution runs in the symmetrized picture and is mapped back, so
-    the result is the mu-space semigroup applied to f.
+    the result is the mu-space semigroup applied to f.  ``scalar=True``
+    evolves a function on the trivial line bundle, which takes no V.
     """
     if not 0 <= t < math.inf:
         raise MeshError("time must be nonnegative and finite")
-    A, root = _assemble(mesh, scalar=scalar, V=V)
-    g = _restrict(mesh, f, scalar=scalar) * root
-    out = _semigroup_apply(A, t, g, *_semigroup_interval(mesh, A, V))[0] / root
-    return _unstack(mesh, out, scalar=scalar)
+    if scalar:
+        if V is not None:
+            raise MeshError("potentials attach to the bundle picture")
+        mesh = _trivial_line(mesh)
+    A, root = _assemble(mesh, V=V)
+    g = _restrict(mesh, f) * root
+    out, _ = _semigroup_series(A, (t,), g, *_semigroup_interval(mesh, A, V))[0]
+    full = np.zeros((mesh.n_vertices, mesh.fiber_dim), dtype=complex)   # 0 on Dirichlet vertices
+    full[mesh.interior] = (out / root).reshape(-1, mesh.fiber_dim)
+    return full
 
 
 def semigroup_domination_gap(mesh: BundleMesh, f, t: float) -> float:
@@ -459,8 +460,7 @@ def semigroup_domination_gap(mesh: BundleMesh, f, t: float) -> float:
     norms_after = np.linalg.norm(evolved, axis=1)
     start_norms = np.linalg.norm(_sections(mesh, f)[0], axis=1)
     scalar_after = semigroup_evolve(mesh, start_norms, t, scalar=True).real[:, 0]
-    interior = mesh.interior
-    return float(np.min(scalar_after[interior] - norms_after[interior]))
+    return float(np.min((scalar_after - norms_after)[mesh.interior]))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +513,8 @@ def _dense_eigh(M, subset=None):
 def _residual_norms(A, lam: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """||A x - lambda x||_2 of each eigenpair, through sparse A, a block of columns at a time."""
     res = np.empty(lam.size)
-    for start in range(0, lam.size, _COLUMN_BLOCK):
-        b = slice(start, start + _COLUMN_BLOCK)
+    for start in range(0, lam.size, _RESIDUAL_BLOCK):
+        b = slice(start, start + _RESIDUAL_BLOCK)
         R = A @ Q[:, b]
         R -= Q[:, b] * lam[b]
         res[b] = np.linalg.norm(R, axis=0)
@@ -729,7 +729,5 @@ def form_limit_check(mesh: BundleMesh, f, t_grid, V=None) -> FormLimitResult:
     floor = -1e-12 * max(1.0, abs(q_exact))
     monotone = bool(np.all(steps >= floor))
     defect = abs(quotients[0] - q_exact)
-    result = FormLimitResult(times=t_grid, quotients=quotients,
-                             form_value=q_exact, monotone=monotone,
-                             defect=defect)
-    return result
+    return FormLimitResult(times=t_grid, quotients=quotients, form_value=q_exact,
+                           monotone=monotone, defect=defect)

@@ -1,5 +1,6 @@
 """Bundle meshes: construction, validation, holonomy, serialization."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -126,6 +127,27 @@ def test_random_bundle_mesh_properties():
     assert np.allclose(mesh.mu, again.mu)
     other = random_bundle_mesh(15, fiber_dim=2, seed=4, dirichlet_count=2)
     assert not np.allclose(mesh.mu, other.mu)
+
+
+# sha256 of mu, dirichlet, edge_u, edge_v, edge_w and transports, as the
+# per-vertex spanning-tree loop built them
+RANDOM_MESH_DIGESTS = {
+    (2, 1, 0, 0): "bb0b85ef32ba8fd8",
+    (12, 2, 3, 1): "c81e19ea6fb4278d",
+    (30, 3, 11, 2): "9fc2aef0e708f062",
+    (100, 2, 7, 0): "00def94035e13741",
+}
+
+
+@pytest.mark.parametrize("n_vertices, fiber_dim, seed, dirichlet_count", RANDOM_MESH_DIGESTS)
+def test_random_bundle_mesh_keeps_its_arrays(n_vertices, fiber_dim, seed, dirichlet_count):
+    mesh = random_bundle_mesh(n_vertices, fiber_dim=fiber_dim, seed=seed,
+                              dirichlet_count=dirichlet_count)
+    h = hashlib.sha256()
+    for a in (mesh.mu, mesh.dirichlet, mesh.edge_u, mesh.edge_v, mesh.edge_w, mesh.transports):
+        h.update(a.tobytes())
+    assert h.hexdigest()[:16] == RANDOM_MESH_DIGESTS[n_vertices, fiber_dim, seed,
+                                                     dirichlet_count]
 
 
 def test_haar_unitary():

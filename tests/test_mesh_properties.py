@@ -4,9 +4,11 @@ The per-edge loops below evaluate the kinetic form and the Kato gap one
 edge at a time, the way they were first written; they are the oracle for
 the edge-array passes in ``katoform.operators``.  Another per-edge loop
 builds the dense operator matrices entry by entry, the oracle for the
-block assembly.  The dense Schur route of the KLMN pencil is the oracle
-for its sparse route, and dense Pade ``scipy.linalg.expm`` for the
-Chebyshev semigroup, which must land within the error bound it computes.
+block assembly, and a scipy BSR matrix converted to CSR is the oracle
+for the CSR layout of ``_block_csr``, bit for bit.  The dense Schur route
+of the KLMN pencil is the oracle for its sparse route, and dense Pade
+``scipy.linalg.expm`` for the Chebyshev semigroup, which must land within
+the error bound it computes.
 """
 
 import contextlib
@@ -15,12 +17,14 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katoform import operators
 from katoform.errors import ConvergenceError, KernelHandlingError
-from katoform.mesh import BundleMesh, gauge_transform, haar_unitary, random_bundle_mesh
+from katoform.mesh import (BundleMesh, _trivial_line, gauge_transform, haar_unitary,
+                           random_bundle_mesh)
 from katoform.operators import (_assemble, _klmn_dense, _restrict,
                                 bochner_laplacian, diagonal_potential,
                                 form_sum_spectrum, kato_inequality_gap,
@@ -121,7 +125,7 @@ def test_assembly_matches_loop_entrywise(case):
     A, L = loop_matrices(mesh)
     assert_matrix(_assemble(mesh)[0], A)
     assert_matrix(bochner_laplacian(mesh), L)
-    assert_matrix(_assemble(mesh, scalar=True)[0], loop_matrices(mesh, scalar=True)[0])
+    assert_matrix(_assemble(_trivial_line(mesh))[0], loop_matrices(mesh, scalar=True)[0])
     for V, field in ((herm, herm), (values, diagonal_potential(mesh, values))):
         assert_matrix(_assemble(mesh, V=V)[0], loop_matrices(mesh, V=field)[0])
 
@@ -182,14 +186,14 @@ def test_semigroup_evolve_within_its_bound_of_dense_expm(case, t):
     mesh, V, rng = case
     f = sections(mesh, rng, 1)[0]
     bounds = []
-    apply = operators._semigroup_apply
+    series = operators._semigroup_series
 
     def recorded(*args):
-        out, bound = apply(*args)
-        bounds.append(bound)
-        return out, bound
+        results = series(*args)
+        bounds.extend(bound for _, bound in results)
+        return results
 
-    with mock.patch.object(operators, "_semigroup_apply", recorded):
+    with mock.patch.object(operators, "_semigroup_series", recorded):
         got = semigroup_evolve(mesh, f, t, V=V)
     A, root = _assemble(mesh, V=V)
     g = _restrict(mesh, f) * root
@@ -210,7 +214,7 @@ def test_semigroup_series_equals_single_calls(case, times):
     singles = []
     try:
         for t in times:
-            singles.append(operators._semigroup_apply(A, t, g, *interval))
+            singles.append(operators._semigroup_series(A, (t,), g, *interval)[0])
     except ConvergenceError:
         with pytest.raises(ConvergenceError):
             operators._semigroup_series(A, times, g, *interval)
@@ -283,6 +287,47 @@ def test_stacked_call_equals_single_calls(case):
                                rtol=1e-14, atol=1e-14 * np.abs(V).max())
     np.testing.assert_allclose(gaps, [kato_inequality_gap(mesh, f) for f in fs],
                                rtol=0.0, atol=1e-14 * float(stacked.kinetic.max()))
+
+
+def bsr_block_csr(blocks, block_rows, block_cols, k):
+    """``_block_csr`` through scipy: one BSR matrix, converted to CSR, exact zeros dropped."""
+    n = blocks.shape[-1]
+    order = np.argsort(block_rows * k + block_cols)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(block_rows, minlength=k))))
+    A = sp.bsr_matrix((blocks[order], block_cols[order], indptr),
+                      shape=(k * n, k * n)).tocsr()
+    if n > 1:
+        A.eliminate_zeros()
+    return A
+
+
+@given(meshes(), st.floats(0.1, 3.0))
+def test_block_csr_equals_bsr_construction(case, c2):
+    mesh, rng = case
+    v2 = psd_field(mesh, rng)
+    # V2 = C2 I at one interior vertex: an all-zero block of B, so empty rows
+    v2[rng.choice(np.flatnonzero(mesh.interior))] = c2 * np.eye(mesh.fiber_dim)
+    built = []
+    block_csr = operators._block_csr
+
+    def recorded(*args):
+        built.append(args)
+        return block_csr(*args)
+
+    # the kinetic matrix, with and without a potential, and on the trivial line
+    with mock.patch.object(operators, "_block_csr", recorded):
+        for m, V in ((mesh, None), (mesh, v2), (_trivial_line(mesh), None)):
+            _assemble(m, V=V)
+    slots = np.arange(np.count_nonzero(mesh.interior))
+    built.append((v2[mesh.interior] - c2 * np.eye(mesh.fiber_dim), slots, slots, slots.size))
+    for args in built:
+        got, want = block_csr(*args), bsr_block_csr(*args)
+        assert got.shape == want.shape
+        assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.dtype == want.data.dtype and np.array_equal(got.data, want.data)
+        assert got.has_canonical_format and want.has_canonical_format
 
 
 def psd_field(mesh, rng):

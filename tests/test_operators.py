@@ -428,6 +428,13 @@ def test_semigroup_evolve_preserves_positivity_scalar():
     assert np.all(np.real(out[live]) >= -1e-14)
 
 
+def test_scalar_semigroup_takes_no_potential():
+    mesh = interval_mesh(0.0, 3.0, 0.25)
+    with pytest.raises(MeshError, match="bundle picture"):
+        semigroup_evolve(mesh, np.ones(mesh.n_vertices), 0.5,
+                         V=np.ones(mesh.n_vertices), scalar=True)
+
+
 # ---------------------------------------------------------------------------
 # KLMN pencil
 

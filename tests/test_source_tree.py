@@ -15,6 +15,12 @@ every dense Hermitian eigensolve has one route.  numpy's eigh and
 eigvalsh serve only the batched (N, n, n) per-vertex solves of the fibre
 helpers in operators.py.
 
+No module names bsr_matrix or eliminate_zeros: every mesh matrix is laid
+out as CSR once, by operators._block_csr.  The scalar picture is the
+trivial line bundle on the mesh's graph, a mesh of its own, so in
+operators.py only the public semigroup_evolve keeps a ``scalar``
+parameter.
+
 Only feynman_kac.py imports threading or queue, and it constructs
 threading.Thread at one site, inside sample_paths: the producer threads
 of the path sampler are the package's only threads.
@@ -58,8 +64,8 @@ def test_no_module_imports_scipy_integrate():
 _EXPM_NAMES = {"expm", "expm_multiply"}
 
 
-def _expm_references(path):
-    """Line numbers where one module imports or names expm or expm_multiply."""
+def _name_references(path, sought):
+    """Line numbers where one module imports or names one of the ``sought`` names."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -70,12 +76,12 @@ def _expm_references(path):
             names = [node.attr]
         else:
             continue
-        if _EXPM_NAMES.intersection(names):
+        if sought.intersection(names):
             yield node.lineno
 
 
 def test_no_module_names_expm():
-    found = {path.relative_to(PACKAGE).as_posix(): sorted(_expm_references(path))
+    found = {path.relative_to(PACKAGE).as_posix(): sorted(_name_references(path, _EXPM_NAMES))
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert "operators.py" in found
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -139,6 +145,19 @@ def test_one_dense_hermitian_eigensolve():
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {function for function, _ in found.pop("operators.py")} == _FIBRE_HELPERS
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def test_one_csr_layout_and_no_scalar_flag():
+    found = {path.relative_to(PACKAGE).as_posix():
+             sorted(_name_references(path, {"bsr_matrix", "eliminate_zeros"}))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert "operators.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    tree = ast.parse((PACKAGE / "operators.py").read_text())
+    flagged = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and "scalar" in {arg.arg for arg in ast.walk(node.args)
+                                if isinstance(arg, ast.arg)}}
+    assert flagged == {"semigroup_evolve"}
 
 
 def test_one_thread_site():
