@@ -69,12 +69,14 @@ only on the configuration, that is on (seed, workers), never on thread
 timing.
 
 Sampled paths draw every increment from the worker's key, path-major, so
-the batch size never changes the numbers; sample_paths describes its
-producer threads and their buffers.  The exact routes draw each worker's
-block of the layout from its key, in blocks of 2**14 samples, on the
-caller's thread (_exact_blocks): one draw a sample does not pay for a
-producer thread.  The block width sets which draws go to which sample, so
-it is part of the reference numbers.
+the batch size never changes the numbers.  sample_paths runs the streams
+on producer threads, each with one position buffer and one draw buffer: a
+producer draws its next batch's normals while the caller still holds the
+position buffer, and only integrates them once the buffer comes back.
+The exact routes draw each worker's block of the layout from its key, in
+blocks of 2**14 samples, on the caller's thread (_exact_blocks): one draw
+a sample does not pay for a producer thread.  The block width sets which
+draws go to which sample, so it is part of the reference numbers.
 
 No ufunc loops over the short coordinate axis: an operation that pairs
 a (B, S, ambient) block with one value per coordinate (a start point, a
@@ -365,14 +367,26 @@ def _killing_scan(domain: KillingRegion | None, space: ModelSpace,
     return alive, exit_step
 
 
-def _sample_batch(config: PathConfig, rng: np.random.Generator, pos: np.ndarray,
-                  increments: np.ndarray, first: int) -> PathBatch:
-    """Draw the next pos.shape[0] paths of a stream into pos.
+def _draw_increments(config: PathConfig, rng: np.random.Generator,
+                     increments: np.ndarray) -> None:
+    """Draw the next increments.shape[0] paths' Brownian increments of a stream.
 
-    increments is the (B, S, dim) draw buffer, overwritten.  Draws are
-    path-major, so the batch size never changes the numbers.  Only draws,
-    array arithmetic and the killing scan run here, never a potential or a
-    user callback: this runs on a producer thread.
+    increments is the (B, S, dim) draw buffer, overwritten with standard
+    normals scaled by sqrt(step).  Draws are path-major, so the batch size
+    never changes the numbers.
+    """
+    rng.standard_normal(increments.shape, out=increments)
+    increments *= math.sqrt(config.step)
+
+
+def _sample_batch(config: PathConfig, pos: np.ndarray, increments: np.ndarray,
+                  first: int) -> PathBatch:
+    """Integrate a batch's drawn increments into the paths in pos.
+
+    increments is the (B, S, dim) draw buffer of ``_draw_increments``,
+    spent here as scratch.  Only array arithmetic and the killing scan run
+    here, never a potential or a user callback: this runs on a producer
+    thread.
     """
     space = config.space
     S = config.n_steps
@@ -380,8 +394,6 @@ def _sample_batch(config: PathConfig, rng: np.random.Generator, pos: np.ndarray,
     start = np.asarray(config.start, dtype=float)
     times = h * np.arange(S + 1)
     pos[:, 0] = start
-    rng.standard_normal(increments.shape, out=increments)
-    increments *= math.sqrt(h)
     if space.kind == EUCLIDEAN:
         np.cumsum(increments, axis=1, out=pos[:, 1:])
         if np.any(start):
@@ -447,15 +459,18 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
     batches.  Producers only draw, integrate the increments and run the
     killing scan; potentials and user callbacks run on the caller's thread.
 
-    Each producer thread owns two position buffers and one draw buffer,
-    allocated once per call, on the caller's thread: 3 x threads batch
+    Each producer thread owns one position buffer and one draw buffer,
+    allocated once per call, on the caller's thread: 2 x threads batch
     buffers whatever ``workers`` is, and no freed batch lingers in a
     producer thread's malloc arena.  A batch's arrays are valid until the
     next batch is requested, which hands its position buffer back to its
-    producer; copy what you keep.  A producer waits for a free buffer,
-    which is the back-pressure.  Closing the generator, or an exception in
-    the caller's loop, stops and joins every producer; a producer's
-    exception is raised here.
+    producer; copy what you keep.  A producer draws its next batch's
+    normals into its draw buffer before it waits for the position buffer,
+    so the draw, most of a batch's cost, still overlaps the caller's work
+    on the batch before; only the integration into the positions and the
+    killing scan wait.  The wait is the back-pressure.  Closing the
+    generator, or an exception in the caller's loop, stops and joins
+    every producer; a producer's exception is raised here.
     """
     layout = _blocks(config, _batch_size(config.n_steps))
     # worker 0 has the most batches, and the workers with any paths come first
@@ -469,8 +484,7 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
     filled = [queue.SimpleQueue() for _ in range(n_threads)]
     draws = []
     for t in range(n_threads):
-        for _ in range(2):
-            free[t].put(np.empty((rows, nodes, len(config.start))))
+        free[t].put(np.empty((rows, nodes, len(config.start))))
         draws.append(np.empty((rows, nodes - 1, config.space.dim)))
     stop = threading.Event()
 
@@ -479,11 +493,11 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
             for w, (first, B) in plan:
                 if w % n_threads != t:
                     continue
+                _draw_increments(config, rngs[w], draws[t][:B])
                 pos = free[t].get()
                 if stop.is_set():
                     return
-                filled[t].put((pos, _sample_batch(config, rngs[w], pos[:B],
-                                                  draws[t][:B], first)))
+                filled[t].put((pos, _sample_batch(config, pos[:B], draws[t][:B], first)))
         except BaseException as exc:  # re-raised on the caller's thread
             filled[t].put((None, exc))
 

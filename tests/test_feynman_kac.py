@@ -736,7 +736,8 @@ def test_killing_scan_matches_step_loop(space, start, domain):
 
 
 # ---------------------------------------------------------------------------
-# the batch pool: 2 position buffers and 1 draw buffer per producer thread
+# the batch pool: 1 position buffer and 1 draw buffer per producer thread,
+# which draws a batch's normals before it waits for the position buffer
 
 def test_pool_keeps_the_estimates():
     """Literals recorded with a fresh allocation per batch, compared exactly.
@@ -831,7 +832,7 @@ def test_batch_kernels_keep_the_estimates():
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 500])
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_batches_reuse_two_buffers_per_thread(monkeypatch, workers, cpus):
+def test_batches_reuse_one_position_buffer_per_thread(monkeypatch, workers, cpus):
     threaded(monkeypatch, cpus)
     monkeypatch.setattr(fk, "_NODE_BUDGET", 4000)      # 39 paths per batch
     cfg = econf(n_paths=1000, workers=workers)
@@ -839,7 +840,7 @@ def test_batches_reuse_two_buffers_per_thread(monkeypatch, workers, cpus):
     for batch in sample_paths(cfg):
         if not any(np.shares_memory(batch.positions, buf) for buf in buffers):
             buffers.append(batch.positions)
-    assert len(buffers) <= 2 * min(workers, cpus)
+    assert len(buffers) <= min(workers, cpus)
 
 
 @pytest.mark.parametrize("case,cpus", [("kato_e3", 2), ("kato_e3", 1),
@@ -879,7 +880,7 @@ def test_traced_memory_is_bounded_by_the_pool(monkeypatch, traced_peak, case, cp
     B, S = fk._batch_size(cfg.n_steps), cfg.n_steps
     positions = 8 * B * (S + 1) * len(cfg.start)
     draws = 8 * B * S * cfg.space.dim
-    pool = min(cfg.workers, cpus) * (2 * positions + draws)
+    pool = min(cfg.workers, cpus) * (positions + draws)
     if case.endswith("origin"):
         assert fk._endpoint_route(cfg)
         pool = 0

@@ -154,19 +154,31 @@ def test_real_operator_solves_in_real_arithmetic(monkeypatch):
     assert float(flux.residuals.max()) < 1e-10
 
     # Lanczos too: the field-free grid factors and iterates in float64, a
-    # Peierls grid stays complex
-    eigsh, lanczos = spla.eigsh, []
+    # Peierls grid stays complex.  Its memory is one SuperLU factor, made
+    # in 4-column panels, and a Krylov basis of 2k + 1 vectors
+    eigsh, splu, lanczos, panels = spla.eigsh, spla.splu, [], []
 
     def eigsh_spy(A, *args, **kwargs):
-        lanczos.append((A.dtype, kwargs["OPinv"].dtype))
+        lanczos.append((A.dtype, kwargs["OPinv"].dtype, kwargs["k"], kwargs["ncv"]))
         return eigsh(A, *args, **kwargs)
 
+    def splu_spy(M, *args, **kwargs):
+        panels.append(kwargs["panel_size"])
+        return splu(M, *args, **kwargs)
+
     monkeypatch.setattr(spla, "eigsh", eigsh_spy)
+    monkeypatch.setattr(spla, "splu", splu_spy)
     free = form_sum_spectrum(grid_mesh_2d(1.7, 0.1, dirichlet_boundary=False), k=5)
-    peierls = form_sum_spectrum(grid_mesh_2d(1.8, 0.1, b_field=1.0), k=6)
+    grid = grid_mesh_2d(1.8, 0.1, b_field=1.0)
+    peierls = form_sum_spectrum(grid, k=6)
     assert free.method == peierls.method == "lanczos"
-    assert lanczos == [(np.float64, np.float64), (np.complex128, np.complex128)]
+    assert lanczos == [(np.float64, np.float64, 5, 11), (np.complex128, np.complex128, 6, 13)]
+    assert panels == [4, 4]
     assert abs(free.lowest) < 1e-9 and peierls.lowest > 0.0
+    A = _assemble(grid)[0]
+    assert (grid.n_vertices, A.shape) == (1369, (1225, 1225))    # the wall is Dirichlet
+    np.testing.assert_allclose(peierls.eigenvalues, operators._dense_eigh(A, (0, 5))[0],
+                               rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("case", ["coulomb", "bundle"])

@@ -21,6 +21,12 @@ trivial line bundle on the mesh's graph, a mesh of its own, so in
 operators.py only the public semigroup_evolve keeps a ``scalar``
 parameter.
 
+No module calls scipy's splu outside operators._definite_solver, and
+every eigsh call that inverts a matrix (shift-invert, or a generalized
+pencil) hands eigsh that solver: one sparse factorization, with a
+symmetric ordering, no pivoting and small panels, and none of scipy's
+default ones.
+
 Only feynman_kac.py imports threading or queue, and it constructs
 threading.Thread at one site, inside sample_paths: the producer threads
 of the path sampler are the package's only threads.
@@ -145,6 +151,21 @@ def test_one_dense_hermitian_eigensolve():
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {function for function, _ in found.pop("operators.py")} == _FIBRE_HELPERS
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def test_one_sparse_factorization():
+    found = {path.relative_to(PACKAGE).as_posix():
+             sorted(_references(path, {"scipy.sparse.linalg.splu"}))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert [function for function, _ in found.pop("operators.py")] == ["_definite_solver"]
+    assert {name: refs for name, refs in found.items() if refs} == {}
+    tree = ast.parse((PACKAGE / "operators.py").read_text())
+    calls = [{kw.arg for kw in node.keywords} for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "eigsh"]
+    inverting = [kws for kws in calls if kws & {"sigma", "M"}]
+    assert len(inverting) == 2
+    assert all(kws & {"OPinv", "Minv"} for kws in inverting)
 
 
 def test_one_csr_layout_and_no_scalar_flag():
