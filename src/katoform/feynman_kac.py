@@ -367,24 +367,13 @@ def _killing_scan(domain: KillingRegion | None, space: ModelSpace,
     return alive, exit_step
 
 
-def _draw_increments(config: PathConfig, rng: np.random.Generator,
-                     increments: np.ndarray) -> None:
-    """Draw the next increments.shape[0] paths' Brownian increments of a stream.
-
-    increments is the (B, S, dim) draw buffer, overwritten with standard
-    normals scaled by sqrt(step).  Draws are path-major, so the batch size
-    never changes the numbers.
-    """
-    rng.standard_normal(increments.shape, out=increments)
-    increments *= math.sqrt(config.step)
-
-
 def _sample_batch(config: PathConfig, pos: np.ndarray, increments: np.ndarray,
                   first: int) -> PathBatch:
     """Integrate a batch's drawn increments into the paths in pos.
 
-    increments is the (B, S, dim) draw buffer of ``_draw_increments``,
-    spent here as scratch.  Only array arithmetic and the killing scan run
+    increments is the (B, S, dim) draw buffer, holding the batch's
+    Brownian increments (standard normals scaled by sqrt(step)) and spent
+    here as scratch.  Only array arithmetic and the killing scan run
     here, never a potential or a user callback: this runs on a producer
     thread.
     """
@@ -466,9 +455,11 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
     next batch is requested, which hands its position buffer back to its
     producer; copy what you keep.  A producer draws its next batch's
     normals into its draw buffer before it waits for the position buffer,
-    so the draw, most of a batch's cost, still overlaps the caller's work
-    on the batch before; only the integration into the positions and the
-    killing scan wait.  The wait is the back-pressure.  Closing the
+    so the draw overlaps the caller's work on the batch before.  The
+    integration into the positions and the killing scan wait for that
+    buffer: with one producer thread the caller waits for them on every
+    batch, and on H^m paths or under a killing region they take about as
+    long as the draw.  The wait is the back-pressure.  Closing the
     generator, or an exception in the caller's loop, stops and joins
     every producer; a producer's exception is raised here.
     """
@@ -493,7 +484,8 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
             for w, (first, B) in plan:
                 if w % n_threads != t:
                     continue
-                _draw_increments(config, rngs[w], draws[t][:B])
+                rngs[w].standard_normal(draws[t][:B].shape, out=draws[t][:B])
+                draws[t][:B] *= math.sqrt(config.step)
                 pos = free[t].get()
                 if stop.is_set():
                     return

@@ -168,7 +168,8 @@ def test_real_operator_solves_in_real_arithmetic(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", eigsh_spy)
     monkeypatch.setattr(spla, "splu", splu_spy)
-    free = form_sum_spectrum(grid_mesh_2d(1.7, 0.1, dirichlet_boundary=False), k=5)
+    free_grid = grid_mesh_2d(1.7, 0.1, dirichlet_boundary=False)
+    free = form_sum_spectrum(free_grid, k=5)
     grid = grid_mesh_2d(1.8, 0.1, b_field=1.0)
     peierls = form_sum_spectrum(grid, k=6)
     assert free.method == peierls.method == "lanczos"
@@ -177,8 +178,22 @@ def test_real_operator_solves_in_real_arithmetic(monkeypatch):
     assert abs(free.lowest) < 1e-9 and peierls.lowest > 0.0
     A = _assemble(grid)[0]
     assert (grid.n_vertices, A.shape) == (1369, (1225, 1225))    # the wall is Dirichlet
-    np.testing.assert_allclose(peierls.eigenvalues, operators._dense_eigh(A, (0, 5))[0],
-                               rtol=1e-10, atol=0.0)
+    want = operators._dense_eigh(A, (0, 5))[0]
+    np.testing.assert_allclose(peierls.eigenvalues, want, rtol=1e-10, atol=0.0)
+
+    # the smallest bases, 3 to 7 vectors, still find the k lowest: on the
+    # Peierls grid, and across the field-free grid's degenerate pair
+    # 0.4026 (twice), which k = 2 splits and k = 3 holds whole
+    for k in (1, 2, 3):
+        part = form_sum_spectrum(grid, k=k)
+        assert lanczos[-1][2:] == (k, 2 * k + 1)
+        np.testing.assert_allclose(part.eigenvalues, want[:k], rtol=1e-10, atol=0.0)
+    want = operators._dense_eigh(_assemble(free_grid)[0], (0, 2))[0]
+    assert want[2] - want[1] < 1e-12 < want[1] - want[0]
+    for k in (2, 3):
+        part = form_sum_spectrum(free_grid, k=k)
+        assert lanczos[-1][2:] == (k, 2 * k + 1)
+        np.testing.assert_allclose(part.eigenvalues, want[:k], rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("case", ["coulomb", "bundle"])
