@@ -51,7 +51,9 @@ print(f"  eigenfunction series      {series:.5f}")
 
 print("\nE cosh d(x, B_t) on H^3 from a point x at distance 1 from the origin")
 # Delta cosh d = 3 cosh d on H^3, so the mean grows like exp(3t/2); the
-# Minkowski pairing with the start is cosh d
+# Minkowski pairing with the start is cosh d.  With no killing region each
+# path is one exact endpoint: drawn at the origin with the Doob weight and
+# moved to x by the Lorentz boost, so the step does not enter
 x = geodesic_point(H3, 1.0)
 for t in (0.25, 0.5, 1.0):
     cfg = PathConfig(space=H3, start=tuple(x), horizon=t, step=t / 64,

@@ -14,51 +14,41 @@ that lands outside, so killing happens at the grid's times; the exit step
 is recorded as the lifetime.  The exact routes below kill in continuous
 time instead.
 
-Every potential is radial about the origin.  By Fubini, mc_kato_integral's
-E_x int_0^T |v(B_s)| ds is int_0^T E_x |v(B_s)| ds, the Brownian form of
-the Kato functional (Aizenman and Simon, Comm. Pure Appl. Math. 35,
-1982), so a sample needs one random time and one exact position, not a
-path.  It draws s = T U^2 for a uniform U, whose density is
-1 / (2 sqrt(sT)), and weights the sample by 2 sqrt(sT) = 2 T U.  The
-position at time s is exact in law:
+Every potential is radial about the origin.  Where the law is exact, one
+core, _exact_marginal, draws each sample of both estimators in one step:
+a time s, and Y = base + sqrt(s) Z for a standard normal vector Z, with a
+weight.  By Fubini, E_x int_0^T |v(B_s)| ds is int_0^T E_x |v(B_s)| ds,
+the Brownian form of the Kato functional (Aizenman and Simon, Comm. Pure
+Appl. Math. 35, 1982), so mc_kato_integral draws s = T U^2 for a uniform
+U, whose density is 1 / (2 sqrt(sT)), with the weight 2 sqrt(sT) = 2 T U
+(the Kato law); mc_heat_expectation's E_x[f(B_T); T < tau] takes s = T.
 
-* R^d from x_0: x_0 + sqrt(s) Z, for a standard normal d-vector Z.
-* H^3 from x_0: only the radius matters.  It is the Doob transform of
-  BES(3) by h(r) = sinh r / r, which solves h''/2 + h'/r = h/2, so
-  R_s = |R_0 e_1 + sqrt(s) Z|, the BES(3) draw from R_0 = d(o, x_0), with
-  the weight e^{-s/2} h(R_s) / h(R_0) (Revuz and Yor, ch. XI).
-* Under a ball of radius a about the origin of R^3 or H^3, also the
-  chance that the radius path stayed below a given its two ends: the
-  BES(3) bridge's survival from R_0 to R_s, an image series (below) whose
-  computed truncation is the reported bias_bound.  An h-transform leaves
-  bridges unchanged, so the same factor serves H^3.
-* Under a Euclidean half-space, also 1 - exp(-2 d_0 d_s / s), with d the
-  distance to the plane (0 outside): the chance that a Brownian bridge
-  from d_0 to d_s stays positive, exact, so bias_bound is 0.
+* R^d: base = x_0, and Y is B_s.
+* H^3: the radius is the Doob transform of BES(3) by h(r) = sinh r / r,
+  which solves h''/2 + h'/r = h/2, so |Y| is the BES(3) draw from |base|
+  with the weight e^{-s/2} h(|Y|) / h(|base|) (Revuz and Yor, ch. XI).
+  The Kato integral takes base = (d(o, x_0), 0, 0).  The heat expectation
+  draws at the origin, base = 0, where the endpoint's direction is
+  uniform and independent of the radius path (the skew product): the
+  point at distance |Y| in Y's direction, moved by the boost that takes
+  the origin to x_0 (the heat kernel is isotropic about every point).
+* Under a ball of radius a about the origin of R^3 or H^3, the weight
+  also carries the chance that the radius path stayed below a given its
+  ends: the BES(3) bridge's survival from |base| to |Y|, an image series
+  (below) whose computed truncation is the reported bias_bound.  An
+  h-transform leaves bridges unchanged, so it serves H^3 too.  Only from
+  the origin is the endpoint's direction independent of it, so the heat
+  expectation takes a ball from there alone.
+* Under a Euclidean half-space, it carries 1 - exp(-2 d_0 d_s / s), with
+  d the distance to the plane (0 outside): the chance that the normal
+  coordinate's Brownian bridge from d_0 to d_s stays positive.  That is
+  exact, so bias_bound is 0, and independent of the other coordinates.
 
-A draw with U = 0 adds 0.  The sample's second moment is finite when |v|
-is bounded, or when its only singular radius is 0 with a declared power p,
-|v| <= C r^-p, and 2p < min(d, 3): E|v(B_s)|^2 is then finite and at most
-of order s^-p, which the weight 2 sqrt(sT) integrates.  Every other case
-(H^m with m != 3, off-centre balls, balls on R^d with d != 3, other
-singular potentials) takes the path route: the trapezoid in time along
-sampled paths, with node values capped at 1/h and the asserted bias
-bound 2 sqrt(h) (max|v| h for a bounded potential).
-
-mc_heat_expectation from the origin of R^3 or H^3, with no region or a
-ball about the origin, needs no path at all.  By rotation invariance
-about the start, the endpoint's direction is uniform and independent of
-the whole radius path (the skew product), so one Gaussian 3-vector
-W = sqrt(T) Z gives both: |W| is the exact draw of BES(3) from 0, and
-the endpoint is the point at distance |W| in W's direction, for any f.
-The chance that the radius path stayed inside the ball of radius a,
-given |W|, is the BES(3) bridge's survival from 0 to |W|: BES(3) is 1-d
-Brownian motion killed at 0 and h-transformed by r, so its bridges are
-killed Brownian bridges and that chance is an image series, whose
-truncation is computed.  Each path carries it as a weight, and on H^3
-also the Doob weight e^{-T/2} h(|W|).  Killing is then in continuous
-time, and the configured step does not enter.  Elsewhere
-mc_heat_expectation reduces the endpoints of sampled paths.
+No step enters these draws.  The Kato sample's second moment is finite
+when |v| is bounded, or when its only singular radius is 0 with a
+declared power p, |v| <= C r^-p, and 2p < min(d, 3): E|v(B_s)|^2 is then
+at most of order s^-p, which the weight 2 sqrt(sT) integrates.  Every
+other case takes the path route (see the estimators).
 
 Streams are counter-based (Philox) keyed by (seed, worker index).  Worker
 w draws a contiguous block of the path indices, worker 0's first; this is
@@ -73,7 +63,7 @@ the batch size never changes the numbers.  sample_paths runs the streams
 on producer threads, each with one position buffer and one draw buffer: a
 producer draws its next batch's normals while the caller still holds the
 position buffer, and only integrates them once the buffer comes back.
-The exact routes draw each worker's block of the layout from its key, in
+_exact_marginal draws each worker's block of the layout from its key, in
 blocks of 2**14 samples, on the caller's thread (_exact_blocks): one draw
 a sample does not pay for a producer thread.  The block width sets which
 draws go to which sample, so it is part of the reference numbers.
@@ -221,6 +211,8 @@ class PathConfig:
                         or not np.all(np.isfinite(normal)):
                     raise ConfigError("halfspace normal must be a finite nonzero "
                                       f"vector of length {self.space.dim}")
+                if not math.isfinite(region.offset):
+                    raise ConfigError("halfspace offset must be finite")
             inside = region.inside(self.space, np.asarray([self.start]))
             if not bool(inside[0]):
                 raise ConfigError("start point lies outside the killing region")
@@ -519,41 +511,36 @@ def _about_origin(space: ModelSpace, point) -> bool:
     return bool(np.array_equal(np.asarray(point, dtype=float), space.origin()))
 
 
-def _centred(config: PathConfig) -> bool:
-    """No killing region, or a ball about the origin: |B_t| alone decides survival."""
-    region = config.domain
-    return region is None or (region.kind == "ball" and (
-        region.center is None or _about_origin(config.space, region.center)))
+def _exact_law(config: PathConfig) -> bool:
+    """Whether the position has an exact law (R^d, H^3) and survival an exact weight.
 
-
-def _exact_route(v, config: PathConfig) -> bool:
-    """Whether mc_kato_integral takes one exact position a sample at a random time.
-
-    The position's law is exact on R^d and H^3, and survival has an exact
-    weight under a half-space and under a ball about the origin of R^3 or
-    H^3.  The sample's second moment is finite when |v| is bounded, or
-    blows up only at the origin like r^-p with a declared p and
-    2p < min(d, 3).
+    Survival has one with no region, under a half-space, and under a ball
+    about the origin of R^3 or H^3.
     """
     space, region = config.space, config.domain
     if space.kind == HYPERBOLIC and space.dim != 3:
         return False
-    if region is not None and region.kind == "ball" and not (
-            space.dim == 3 and _centred(config)):
-        return False
-    if not v.singular_radii:
-        return True
-    p = v.singular_power
-    return v.singular_radii == (0.0,) and p is not None and 2.0 * p < min(space.dim, 3)
+    return region is None or region.kind == "halfspace" or space.dim == 3 and (
+        region.center is None or _about_origin(space, region.center))
 
 
-def _endpoint_route(config: PathConfig) -> bool:
-    """Whether mc_heat_expectation draws each endpoint in one exact step.
+def _exact_route(v, config: PathConfig) -> bool:
+    """Whether mc_kato_integral takes _exact_marginal: an exact law, and a finite variance.
 
-    It does on R^3 and H^3 from the origin, with no region or a ball about it.
+    The sample's second moment is finite when |v| is bounded, or blows up
+    only at the origin like r^-p with a declared p and 2p < min(d, 3).
     """
-    return config.space.dim == 3 and _about_origin(config.space, config.start) \
-        and _centred(config)
+    p = v.singular_power
+    finite = not v.singular_radii or (v.singular_radii == (0.0,) and p is not None
+                                      and 2.0 * p < min(config.space.dim, 3))
+    return _exact_law(config) and finite
+
+
+def _exact_heat_route(config: PathConfig) -> bool:
+    """Whether mc_heat_expectation takes _exact_marginal; a ball needs the start at its centre."""
+    region = config.domain
+    return _exact_law(config) and (region is None or region.kind == "halfspace"
+                                   or _about_origin(config.space, config.start))
 
 
 def _block_width(config: PathConfig) -> int:
@@ -639,6 +626,98 @@ def _bridge_survival(x, y, a: float, t,
     return factor, bound
 
 
+def _exact_marginal(config: PathConfig, base: np.ndarray, random_time: bool) -> Iterator[
+        tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """(lo, Y, |Y|, weight, tail) for each block of samples [lo, lo + B) of _exact_blocks.
+
+    The Kato law (random_time) draws a block's uniforms, then its normals,
+    one row a sample; the fixed law s = T its normals only.  weight is the
+    product of the time weight (2 sqrt(sT), or 1), the Doob weight on H^3
+    and the survival weight; tail is each sample's bridge truncation times
+    the rest of its weight, None where no ball truncates.  The arrays are
+    valid until the next block.
+    """
+    space, T, region = config.space, config.horizon, config.domain
+    r0 = float(np.linalg.norm(base))
+    h0 = float(_sinh_ratio(np.array(r0), np.empty(())))
+    halfspace = region is not None and region.kind == "halfspace"
+    if halfspace:
+        normal = np.asarray(region.normal, dtype=float)
+        size = float(np.linalg.norm(normal))
+        unit, level = normal / size, region.offset / size
+        d0 = level - float(base @ unit)
+    width = _block_width(config)
+    gauss = np.empty((width, len(base)))
+    radii, tmp, *kato = np.empty((5 if random_time else 2, width))
+    for rng, lo, B in _exact_blocks(config):
+        root = math.sqrt(T)
+        if random_time:
+            uniform, roots, weights = kato
+            u = rng.random(out=uniform[:B])
+            root = np.multiply(u, root, out=roots[:B])                # sqrt(s)
+        y = rng.standard_normal(out=gauss[:B])
+        for i, c in enumerate(base):
+            y[:, i] *= root
+            if c:
+                y[:, i] += c
+        r = _euclidean_norms(y, radii[:B], tmp[:B])
+        s, w = (np.square(root, out=tmp[:B]), weights[:B]) if random_time else (T, tmp[:B])
+        if space.kind == HYPERBOLIC:
+            # e^{-s/2} h(|Y|) / h(|base|), h(r) = sinh r / r
+            _sinh_ratio(r, w)
+            w *= np.exp(-0.5 * s) if random_time else math.exp(-0.5 * s)
+            w /= h0
+        else:
+            w.fill(1.0)
+        if random_time:
+            # 2 sqrt(sT), written over the roots, which s has used up
+            w *= np.multiply(u, 2.0 * T, out=roots[:B])
+        tail = None
+        if halfspace:
+            # the chance that the normal coordinate's bridge from d_0 to d_s
+            # stays positive; at s = 0 the path has not moved
+            ds = np.multiply(y[:, 0], unit[0])
+            for i in range(1, space.dim):
+                ds += y[:, i] * unit[i]
+            np.subtract(level, ds, out=ds)
+            np.maximum(ds, 0.0, out=ds)
+            ds *= 2.0 * d0
+            q = np.divide(ds, s, out=np.full(B, math.inf), where=np.greater(s, 0.0))
+            w *= -np.expm1(-q)
+        elif region is not None:
+            factor, tail = _bridge_survival(r0, r, region.radius, s)
+            tail *= w
+            w *= factor
+        yield lo, y, r, w, tail
+
+
+def _h3_points(y: np.ndarray, r: np.ndarray, x0: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The points of H^3 at distance r = |y| from x0, written into the (N, 4) out.
+
+    The point at distance r from the origin in y's direction is
+    (cosh r, y sinh r / r), and the boost that takes the origin to x0 maps
+    (p_0, p') to (x_0 p_0 + x'.p', p' + (p_0 + x'.p' / (1 + x_0)) x') and
+    fixes the rest.  Each coordinate is one strided pass.
+    """
+    h = _sinh_ratio(r, np.empty(r.size))
+    np.cosh(r, out=out[:, 0])
+    for i in range(3):
+        np.multiply(y[:, i], h, out=out[:, i + 1])
+    if not np.any(x0[1:]):
+        return out
+    dot = out[:, 1] * x0[1]
+    for i in (2, 3):
+        dot += out[:, i] * x0[i]
+    p0 = out[:, 0].copy()
+    np.multiply(p0, x0[0], out=out[:, 0])
+    out[:, 0] += dot
+    dot /= 1.0 + x0[0]
+    dot += p0
+    for i in (1, 2, 3):
+        out[:, i] += dot * x0[i]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -694,93 +773,37 @@ def _radial_distances(space: ModelSpace, flat_pos: np.ndarray, out: np.ndarray,
 def mc_kato_integral(v, config: PathConfig) -> Estimate:
     """E of the time integral of |v(B_s)| up to min(horizon, lifetime).
 
-    Where the law is exact and the variance finite (see _exact_route),
-    each sample is one draw: a time s = T U^2, weighted by 2 sqrt(sT), and
-    one exact position at s, weighted on H^3 by the Doob factor and under
-    a region by the bridge's survival.  No step enters the estimand;
-    bias_bound is the computed truncation of the BES(3) bridge series
-    under a ball and 0 otherwise, and cap_events is 0.
+    Where _exact_route holds, each sample is one draw of _exact_marginal
+    under the Kato law, and its value is |v| times its weight (0 where the
+    weight is 0: a draw with U = 0 from the origin adds 0, not 0 * inf).
+    bias_bound is the bridge series' computed truncation under a ball and
+    0 otherwise, and cap_events is 0.
 
-    Elsewhere (H^m with m != 3, off-centre balls, balls on R^d with d != 3,
-    potentials whose variance is not known to be finite) the integral is
-    trapezoidal in time along paths from sample_paths, killed at the
-    grid's times.  Node values above 1/h (or non finite) are capped at 1/h
-    and counted as cap events; a non-finite value at the shared start
-    point is replaced by each path's first-step value instead, because a
-    deterministic cap there would not vanish with h.  The reported bias
-    bound is the O(sqrt(h)) envelope 2 sqrt(h) for singular potentials and
-    max|v| * h for bounded ones.
+    Elsewhere the integral is trapezoidal in time along paths from
+    sample_paths, killed at the grid's times.  Node values above 1/h (or
+    non finite) are capped at 1/h and counted as cap events; a non-finite
+    value at the shared start point is replaced by each path's first-step
+    value instead, because a deterministic cap there would not vanish
+    with h.  The reported bias bound is the O(sqrt(h)) envelope 2 sqrt(h)
+    for singular potentials and max|v| * h for bounded ones.
     """
     if v.space != config.space:
         raise DomainError("potential and path configuration disagree on the space")
-    if _exact_route(v, config):
-        return _exact_kato_integral(v, config)
-    return _path_kato_integral(v, config)
-
-
-def _exact_kato_integral(v, config: PathConfig) -> Estimate:
-    """mc_kato_integral by randomized time: one uniform and one normal vector a sample.
-
-    Each block draws its uniforms, then its normals, one row a sample.
-    The position x_0 + sqrt(s) Z (R^d) or the radius |R_0 e_1 + sqrt(s) Z|
-    (H^3) is one strided pass per coordinate.  A sample's value is |v|
-    times its weight, and 0 where the weight is 0: a draw with U = 0 from
-    the origin adds 0, not 0 * inf.
-    """
-    space, T, region = config.space, config.horizon, config.domain
-    hyperbolic = space.kind == HYPERBOLIC
+    if not _exact_route(v, config):
+        return _path_kato_integral(v, config)
     start = np.asarray(config.start, dtype=float)
-    base = np.array([math.acosh(max(start[0], 1.0)), 0.0, 0.0]) if hyperbolic else start
-    r0 = float(np.linalg.norm(base))
-    h0 = float(_sinh_ratio(np.array(r0), np.empty(())))
-    halfspace = region is not None and region.kind == "halfspace"
-    if halfspace:
-        normal = np.asarray(region.normal, dtype=float)
-        size = float(np.linalg.norm(normal))
-        unit, level = normal / size, region.offset / size
-        d0 = level - float(start @ unit)
-    width = _block_width(config)
-    gauss = np.empty((width, space.dim))
-    uniform, roots, radii, values, weights, tmp = np.empty((6, width))
-    sums = np.zeros(config.n_paths)
-    bias = 0.0
-    for rng, lo, B in _exact_blocks(config):
-        u = rng.random(out=uniform[:B])
-        x = rng.standard_normal(out=gauss[:B])
-        root = np.multiply(u, math.sqrt(T), out=roots[:B])        # sqrt(s)
-        for i, c in enumerate(base):
-            x[:, i] *= root
-            if c:
-                x[:, i] += c
-        r = _euclidean_norms(x, radii[:B], tmp[:B])
-        s = np.square(root, out=tmp[:B])
-        w = np.multiply(u, 2.0 * T, out=weights[:B])                # 2 sqrt(sT)
-        if hyperbolic:
-            # e^{-s/2} h(R_s) / h(R_0), h(r) = sinh r / r
-            doob = np.exp(-0.5 * s)
-            doob *= _sinh_ratio(r, np.empty(B))
-            doob /= h0
-            w *= doob
-        g = np.asarray(v.abs_radial(r, out=values[:B]), dtype=float)
-        if halfspace:
-            # the chance that the normal coordinate's bridge from d_0 to d_s
-            # stays positive; at s = 0 the path has not moved
-            ds = np.multiply(x[:, 0], unit[0])
-            for i in range(1, space.dim):
-                ds += x[:, i] * unit[i]
-            np.subtract(level, ds, out=ds)
-            np.maximum(ds, 0.0, out=ds)
-            ds *= 2.0 * d0
-            q = np.divide(ds, s, out=np.full(B, math.inf), where=s > 0.0)
-            w *= -np.expm1(-q)
-        elif region is not None:
-            factor, tail = _bridge_survival(r0, r, region.radius, s)
-            # the series truncation of each sample, times |v| and its weight
-            err = w * tail
-            np.multiply(g, err, out=err, where=err > 0.0)
-            bias += float(err.sum())
-            w *= factor
-        np.multiply(g, w, out=sums[lo:lo + B], where=w > 0.0)
+    # on H^3 only the distance to the origin matters
+    base = np.array([math.acosh(max(start[0], 1.0)), 0.0, 0.0]) \
+        if config.space.kind == HYPERBOLIC else start
+    values = np.empty(_block_width(config))
+    sums, bias = np.zeros(config.n_paths), 0.0
+    for lo, _, r, w, tail in _exact_marginal(config, base, random_time=True):
+        g = np.asarray(v.abs_radial(r, out=values[:r.size]), dtype=float)
+        if tail is not None:
+            # the series truncation of each sample, times |v|
+            np.multiply(g, tail, out=tail, where=tail > 0.0)
+            bias += float(tail.sum())
+        np.multiply(g, w, out=sums[lo:lo + r.size], where=w > 0.0)
     return _finish(sums, config, n_effective=config.n_paths, bias_bound=bias / config.n_paths)
 
 
@@ -843,17 +866,43 @@ def mc_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
     f receives a (B, ambient) block of endpoints and must return (B,)
     values; killed paths contribute zero.
 
-    On R^3 and H^3 from the origin, with no region or a ball about it,
-    each path is one exact endpoint draw with a weight (the bridge
-    survival factor, and the Doob weight on H^3): killing is then in
-    continuous time and the configured step does not enter the estimand.
-    bias_bound is the computed truncation of the bridge series (0 without
-    a region), and n_effective counts the paths of nonzero weight.
-    Elsewhere the paths come from sample_paths and are killed at the step
-    grid's times; n_effective counts the survivors and bias_bound is None.
+    Where _exact_heat_route holds (R^d and H^3 with no region and a
+    half-space from any start, a ball about the origin of R^3 or H^3 from
+    the origin), each path is one exact endpoint of _exact_marginal with
+    its weight, and the step does not enter the estimand.  bias_bound is
+    the computed truncation of the bridge series under a ball and 0
+    otherwise; n_effective counts the paths of nonzero weight.  Elsewhere
+    the paths come from sample_paths and are killed at the step grid's
+    times; n_effective counts the survivors and bias_bound is None.
     """
-    if _endpoint_route(config):
-        return _endpoint_expectation(f, config)
+    if not _exact_heat_route(config):
+        return _path_heat_expectation(f, config)
+    start = np.asarray(config.start, dtype=float)
+    hyperbolic = config.space.kind == HYPERBOLIC
+    points = np.empty((_block_width(config), 4)) if hyperbolic else None
+    values = np.zeros(config.n_paths, dtype=complex)
+    n_effective, bias = 0, 0.0
+    for lo, y, r, w, tail in _exact_marginal(config, np.zeros(3) if hyperbolic else start,
+                                             random_time=False):
+        B = r.size
+        if hyperbolic:
+            y = _h3_points(y, r, start, points[:B])
+        live = w > 0.0
+        n_live = int(np.count_nonzero(live))
+        if n_live:
+            fx = np.asarray(f(y[live]))
+            values[lo:lo + B][live] = fx * w[live]
+            if tail is not None:
+                # the series truncation of each path, times |f|
+                bias += float((np.abs(fx) * tail[live]).sum())
+        n_effective += n_live
+    values = values.real if np.max(np.abs(values.imag), initial=0.0) == 0.0 else values
+    return _finish(values, config, n_effective=n_effective,
+                   bias_bound=bias / config.n_paths)
+
+
+def _path_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
+    """mc_heat_expectation on the endpoints of sampled paths, killed at the grid's times."""
     values = np.zeros(config.n_paths, dtype=complex)
     survivors = 0
     with closing(sample_paths(config)) as batches:
@@ -863,58 +912,8 @@ def mc_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
                 out = values[batch.first:batch.first + alive.size]
                 out[alive] = np.asarray(f(batch.positions[alive, -1]))
             survivors += int(alive.sum())
-    if np.max(np.abs(values.imag), initial=0.0) == 0.0:
-        values = values.real
+    values = values.real if np.max(np.abs(values.imag), initial=0.0) == 0.0 else values
     return _finish(values, config, n_effective=survivors)
-
-
-def _endpoint_expectation(f: Callable, config: PathConfig) -> Estimate:
-    """mc_heat_expectation from the origin of R^3 or H^3, one exact draw a path.
-
-    W = sqrt(T) Z, for a standard normal 3-vector Z, is B_T on R^3.  Its
-    length is the exact draw of BES(3) at T from 0 and its direction is uniform and independent of the whole radius path (the
-    skew product), so on H^3 the endpoint is (cosh |W|, h(|W|) W), the
-    point at distance |W| in that direction, weighted by e^{-T/2} h(|W|).
-    Under a ball of radius a each path also carries the bridge survival
-    factor from 0 to |W|.  The draws are _exact_blocks', one normal
-    3-vector a path.
-    """
-    space, T = config.space, config.horizon
-    hyperbolic = space.kind == HYPERBOLIC
-    width = _block_width(config)
-    gauss, radii, tmp = np.empty((width, 3)), np.empty(width), np.empty(width)
-    points = np.empty((width, 4)) if hyperbolic else gauss
-    values = np.zeros(config.n_paths, dtype=complex)
-    n_effective, bias = 0, 0.0
-    for rng, lo, B in _exact_blocks(config):
-        w = rng.standard_normal(out=gauss[:B])
-        w *= math.sqrt(T)
-        r = _euclidean_norms(w, radii[:B], tmp[:B])
-        weight, tail = np.ones(B), np.zeros(B)
-        if config.domain is not None:
-            weight, tail = _bridge_survival(0.0, r, config.domain.radius, T)
-        if hyperbolic:
-            h = _sinh_ratio(r, tmp[:B])
-            np.cosh(r, out=points[:B, 0])
-            for i in range(3):
-                np.multiply(w[:, i], h, out=points[:B, i + 1])
-            h *= math.exp(-0.5 * T)
-            weight *= h
-        live = weight > 0.0
-        n_live = int(np.count_nonzero(live))
-        if n_live:
-            fx = np.asarray(f(points[:B][live]))
-            values[lo:lo + B][live] = fx * weight[live]
-            # the series truncation of each path, times |f| and the Doob weight
-            err = np.abs(fx) * tail[live]
-            if hyperbolic:
-                err *= h[live]
-            bias += float(err.sum())
-        n_effective += n_live
-    if np.max(np.abs(values.imag), initial=0.0) == 0.0:
-        values = values.real
-    return _finish(values, config, n_effective=n_effective,
-                   bias_bound=bias / config.n_paths)
 
 
 def transport_phase(path: np.ndarray, A: Callable) -> complex:

@@ -2,12 +2,15 @@
 
 The sampler is exact in law on Euclidean spaces (independent Gaussian
 increments), so moment and law tests there carry only statistical error.
-So do mc_kato_integral's randomized-time route (one time s = T U^2 and
-one exact position a sample, on R^d and H^3, with the Doob weight on H^3,
-the Bessel-bridge factor under a ball about the origin and the Brownian
-bridge factor under a half-space) and mc_heat_expectation from the
-origin of R^3 and H^3, one exact endpoint draw a path.  Hyperbolic paths
-are exact in the upper-half-space height and take the trapezoidal
+So do the estimators' exact routes, two reductions over one draw core
+on R^d and H^3, with the Doob weight on H^3, the Bessel-bridge factor
+under a ball about the origin and the Brownian bridge factor under a
+half-space: mc_kato_integral's randomized time (one time s = T U^2 and
+one exact position a sample), and mc_heat_expectation's one exact
+endpoint a path, from any start with no region or under a half-space,
+and from the origin under a ball about it (on H^3 off the origin the
+endpoint is drawn at the origin and boosted to the start).  Hyperbolic
+paths are exact in the upper-half-space height and take the trapezoidal
 variance for the other coordinates; they and the killing scan are
 O(step) weak approximations, so their tests carry an explicit step
 envelope on top of 3 sigma.
@@ -16,7 +19,10 @@ Frozen references:
   * Coulomb running integral from the origin: 2 sqrt(2 t / pi).
   * survival in the unit ball at t = 0.1 against the Dirichlet eigenfunction
     series 2 sum_n (-1)^(n+1) exp(-n^2 pi^2 t / 2) = 0.96599...
-  * E cosh d(x, B_t) = exp(m t / 2) on H^m, since Delta cosh d = m cosh d.
+  * E cosh d(x, B_t) = exp(m t / 2) on H^m, since Delta cosh d = m cosh d;
+    more generally E <B_t, y> = exp(m t / 2) <x, y> for the Minkowski
+    pairing, since each hyperboloid coordinate is an eigenfunction.
+  * E exp(-|B_t|^2 / 2) from x in R^d is (1 + t)^(-d/2) exp(-|x|^2 / (2 (1 + t))).
   * on H^3 from the origin d(o, B_t) has the law of |W_t + t e| in R^3
     (Rogers and Pitman, Ann. Probab. 9, 1981).
   * int_0^t E|B_s|^-p ds from the origin of R^3 is
@@ -118,9 +124,14 @@ def test_pathconfig_rejects_non_finite_times(field, bad):
         econf(**{field: bad})
 
 
-def test_pathconfig_rejects_non_finite_halfspace_normal():
-    with pytest.raises(ConfigError, match="finite nonzero"):
-        econf(domain=KillingRegion(kind="halfspace", normal=(math.nan, 0.0, 0.0)))
+@pytest.mark.parametrize("normal,offset,match", [
+    ((math.nan, 0.0, 0.0), 0.0, "finite nonzero"),
+    ((1.0, 0.0, 0.0), math.inf, "offset"),
+    ((1.0, 0.0, 0.0), math.nan, "offset"),
+], ids=["nan_normal", "inf_offset", "nan_offset"])
+def test_pathconfig_rejects_non_finite_halfspace_normal(normal, offset, match):
+    with pytest.raises(ConfigError, match=match):
+        econf(domain=KillingRegion(kind="halfspace", normal=normal, offset=offset))
 
 
 def test_pathconfig_json_round_trip():
@@ -317,9 +328,13 @@ FAR_H3_BALL = KillingRegion(kind="ball", radius=50.0, center=tuple(geodesic_poin
     econf(space=H2, start=(1.0, 0.0, 0.0)),
 ], ids=["offcentre_ball", "E2", "E4_ball", "H3_offcentre_ball", "H2"])
 def test_path_route_elsewhere(cfg):
-    """Coulomb on R^2 has 2p = d: its variance is infinite."""
+    """Coulomb on R^2 has 2p = d: its variance is infinite.
+
+    The heat expectation on R^2 with no region is one Gaussian draw; the
+    balls and H^2 keep their paths.
+    """
     assert not fk._exact_route(coulomb(cfg.space), cfg)
-    assert not fk._endpoint_route(cfg)
+    assert fk._exact_heat_route(cfg) == (cfg.space == E2)
 
 
 @pytest.mark.parametrize("pot,exact", [
@@ -509,8 +524,8 @@ def threaded(monkeypatch, cpus):
 def all_estimates(cfg):
     """Every Estimate field of the three estimators on one configuration.
 
-    The killed heat expectation runs from the start (the endpoint route
-    from the origin) and from a point off it (the path route); the Kato
+    The killed heat expectation runs from the start (the exact route from
+    the origin) and from a point off it (the path route); the Kato
     integral runs Coulomb on the exact route and a heavier power on the
     path route.
     """
@@ -802,7 +817,8 @@ def test_batch_kernels_keep_the_estimates():
     origin (where the start node is replaced), under a far ball that keeps
     them on the path route, the H^2 chart under a ball,
     an off-origin Euclidean start under a ball, and a shifted start under
-    a half-space.
+    a half-space, which mc_heat_expectation now draws exactly: that line
+    calls the path route directly.
     """
     pot = coulomb(H3)
     # the far ball kills no path but keeps H^3 on the path route, which
@@ -824,8 +840,8 @@ def test_batch_kernels_keep_the_estimates():
     assert (surv.value, surv.std_error, surv.n_effective) == (
         0.7246876098773832, 0.018199426956879452, 677)
     half = KillingRegion(kind="halfspace", normal=(0.6, 0.8), offset=0.3)
-    heat = mc_heat_expectation(lambda p: p[:, 1],
-                               econf(space=E2, start=(0.1, -0.2), workers=2, domain=half))
+    heat = fk._path_heat_expectation(lambda p: p[:, 1],
+                                     econf(space=E2, start=(0.1, -0.2), workers=2, domain=half))
     assert (heat.value, heat.std_error, heat.n_effective) == (
         -0.24232494790285933, 0.011346581298059308, 660)
 
@@ -866,8 +882,8 @@ def test_traced_memory_is_bounded_by_the_pool(monkeypatch, traced_peak, case, cp
         def run():
             mc_kato_integral(pot, cfg)
     else:
-        # off the origin the paths are sampled; from it (the endpoint route)
-        # no path is, and no pool is allocated
+        # off the origin the paths are sampled; from it (the exact route) no
+        # path is, and no pool is allocated
         start = H3.origin() if case.endswith("origin") else geodesic_point(H3, 0.3)
         cfg = PathConfig(space=H3, start=tuple(start), horizon=0.1, step=1e-4,
                          n_paths=4000, seed=3, workers=2,
@@ -882,7 +898,7 @@ def test_traced_memory_is_bounded_by_the_pool(monkeypatch, traced_peak, case, cp
     draws = 8 * B * S * cfg.space.dim
     pool = min(cfg.workers, cpus) * (positions + draws)
     if case.endswith("origin"):
-        assert fk._endpoint_route(cfg)
+        assert fk._exact_heat_route(cfg)
         pool = 0
     if case.endswith("exact"):
         # no pool: a block's draws and scratch, and the per-sample values
@@ -975,8 +991,7 @@ def test_survivors_counted():
 
 
 # ---------------------------------------------------------------------------
-# the endpoint route from the origin: one endpoint draw, bridge killing and
-# the Doob weight
+# the exact heat route: one endpoint draw, bridge killing and the Doob weight
 
 def ball_survival_series(space, t):
     """P(tau > t) in the unit ball from its centre, by the Dirichlet eigen series.
@@ -1055,10 +1070,80 @@ def test_origin_survival_against_the_eigen_series(space):
 def test_non_radial_endpoint_mean_from_the_origin(space, f, want):
     cfg = PathConfig(space=space, start=tuple(space.origin()), horizon=0.5, step=0.05,
                      n_paths=20000, seed=43, workers=2)
-    assert fk._endpoint_route(cfg)
+    assert fk._exact_heat_route(cfg)
     est = mc_heat_expectation(f, cfg)
     assert abs(est.value - want(cfg.horizon)) <= 4.0 * est.std_error
     assert est.bias_bound == 0.0 and est.n_effective == cfg.n_paths
+
+
+HALFSPACE_SURVIVAL = dict(space=E3, start=(0.3, 0.0, 0.0), horizon=0.25, n_paths=20000,
+                          seed=61, workers=2,
+                          domain=KillingRegion(kind="halfspace", normal=(1.0, 0.0, 0.0),
+                                               offset=0.5))
+
+
+def halfspace_survival():
+    """P(tau > T) 0.2 from the plane x_1 = 0.5, T = 0.25: erf(0.2 / sqrt(2T))."""
+    return erf(0.2 / math.sqrt(2.0 * HALFSPACE_SURVIVAL["horizon"]))
+
+
+def test_halfspace_survival_is_exact():
+    """One endpoint a path with the Brownian bridge factor: within 3 SE, and exactly no bias."""
+    cfg = PathConfig(step=0.025, **HALFSPACE_SURVIVAL)
+    assert fk._exact_heat_route(cfg)
+    est = mc_heat_expectation(lambda p: np.ones(p.shape[0]), cfg)
+    assert est.bias_bound == 0.0
+    assert abs(est.value - halfspace_survival()) <= 3.0 * est.std_error + est.bias_bound
+    assert 0 < est.n_effective < cfg.n_paths
+
+
+def test_halfspace_survival_path_bias_shrinks_with_the_step():
+    """The path route kills at grid times only: its gap to erf is upward and shrinks with h."""
+    gaps = []
+    for step in (0.0025, 0.000625):
+        est = fk._path_heat_expectation(lambda p: np.ones(p.shape[0]),
+                                        PathConfig(step=step, **HALFSPACE_SURVIVAL))
+        assert est.bias_bound is None
+        gaps.append(est.value - halfspace_survival())
+    assert 0.0 < gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("space,start", [(E2, (0.4, -0.3)), (E3, (0.4, -0.3, 0.2))],
+                         ids=["E2", "E3"])
+def test_gaussian_heat_from_off_the_origin(space, start):
+    """E exp(-|B_T|^2 / 2) from x: (1 + T)^(-d/2) exp(-|x|^2 / (2 (1 + T))), within 3 SE."""
+    cfg = PathConfig(space=space, start=start, horizon=0.5, step=0.05, n_paths=20000,
+                     seed=67, workers=2)
+    assert fk._exact_heat_route(cfg)
+    est = mc_heat_expectation(lambda p: np.exp(-0.5 * np.sum(p * p, axis=1)), cfg)
+    t = cfg.horizon
+    want = (1.0 + t) ** (-space.dim / 2) * math.exp(-np.dot(start, start) / (2.0 * (1.0 + t)))
+    assert abs(est.value - want) <= 3.0 * est.std_error
+    assert est.bias_bound == 0.0 and est.n_effective == cfg.n_paths
+
+
+def test_h3_heat_from_off_the_origin_is_boosted():
+    """E <B_T, y> = exp(3T/2) <x_0, y> from a start at distance 1, within 3 SE, on the sheet.
+
+    The draw is made at the origin and moved by the boost that takes the
+    origin to x_0; the pairing with y = x_0 is cosh d(x_0, B_T).
+    """
+    x0 = geodesic_point(H3, 1.0, (1.0, 2.0, -1.0))
+    cfg = PathConfig(space=H3, start=tuple(x0), horizon=0.5, step=0.05, n_paths=20000,
+                     seed=71, workers=2)
+    assert fk._exact_heat_route(cfg)
+    seen = []
+    for y in (np.array([1.5, 0.2, -0.4, 0.7]), x0):
+        def pairing(p):
+            seen.append(p.copy())
+            return p[:, 0] * y[0] - p[:, 1:] @ y[1:]
+
+        est = mc_heat_expectation(pairing, cfg)
+        want = math.exp(1.5 * cfg.horizon) * (x0[0] * y[0] - x0[1:] @ y[1:])
+        assert abs(est.value - want) <= 3.0 * est.std_error
+        assert est.bias_bound == 0.0 and est.n_effective == cfg.n_paths
+    points = np.concatenate(seen)
+    assert np.max(np.abs(points[:, 0] ** 2 - np.sum(points[:, 1:] ** 2, axis=1) - 1.0)) < 1e-9
 
 
 class PathsDrawn(Exception):
@@ -1071,24 +1156,38 @@ def test_origin_routes_draw_no_path(monkeypatch):
 
     monkeypatch.setattr(fk, "sample_paths", refuse)
     ball = KillingRegion(kind="ball", radius=1.0)
+
+    def ones(p):
+        return np.ones(p.shape[0])
+
     for space in (E3, H3):
         for domain in (None, ball):
             cfg = PathConfig(space=space, start=tuple(space.origin()), horizon=0.1,
                              step=1e-2, n_paths=400, seed=2, workers=2, domain=domain)
-            mc_heat_expectation(lambda p: np.ones(p.shape[0]), cfg)
+            mc_heat_expectation(ones, cfg)
             mc_kato_integral(coulomb(space), cfg)
-            # off the origin only the Kato integral has an exact route
             off = PathConfig(**{**vars(cfg), "start": tuple(geodesic_point(space, 0.3))})
             mc_kato_integral(coulomb(space), off)
-            with pytest.raises(PathsDrawn):
-                mc_heat_expectation(lambda p: np.ones(p.shape[0]), off)
+            if domain is None:
+                mc_heat_expectation(ones, off)
+            else:
+                # off the origin a ball leaves only the Kato integral exact
+                with pytest.raises(PathsDrawn):
+                    mc_heat_expectation(ones, off)
     for start in ((0.0, 0.0, 0.0), (0.1, 0.0, -0.2)):
         half = PathConfig(space=E3, start=start, horizon=0.1, step=1e-2, n_paths=400,
                           seed=2, workers=2, domain=HALF)
         mc_kato_integral(coulomb(E3), half)
         mc_kato_integral(bump(E3), half)
+        mc_heat_expectation(ones, half)
     with pytest.raises(PathsDrawn):
         mc_kato_integral(inverse_power(E3, HEAVY), half)
+    # balls on R^2, R^4 and H^2 keep their paths
+    for space in (E2, E4, H2):
+        cfg = PathConfig(space=space, start=tuple(space.origin()), horizon=0.1, step=1e-2,
+                         n_paths=400, seed=2, workers=2, domain=ball)
+        with pytest.raises(PathsDrawn):
+            mc_heat_expectation(ones, cfg)
 
 
 def test_origin_routes_keep_the_estimates():

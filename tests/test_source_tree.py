@@ -31,6 +31,10 @@ Only feynman_kac.py imports threading or queue, and it constructs
 threading.Thread at one site, inside sample_paths: the producer threads
 of the path sampler are the package's only threads.
 
+In feynman_kac.py one function, _exact_marginal, calls _exact_blocks:
+the exact routes of mc_kato_integral and mc_heat_expectation are two
+reductions over one draw core, and both public estimators reach it.
+
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
 kato.form_bound_constants, which imports it when it runs.
@@ -189,6 +193,23 @@ def test_one_thread_site():
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert [function for function, _ in found.pop("feynman_kac.py")] == ["sample_paths"]
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def test_one_exact_draw_core():
+    tree = ast.parse((PACKAGE / "feynman_kac.py").read_text())
+    # the names each top-level function refers to, calls or not
+    names = {top.name: {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+             for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert {name for name, used in names.items() if "_exact_blocks" in used} \
+        == {"_exact_marginal"}
+    for public in ("mc_kato_integral", "mc_heat_expectation"):
+        reached, todo = set(), [public]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(names.get(name, set()) & names.keys())
+        assert "_exact_marginal" in reached, public
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
