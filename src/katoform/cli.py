@@ -325,10 +325,11 @@ def _run_kato_test(cfg, ctx):
     pot = _build_potential(cfg["potential"], space)
     probes = _probes(cfg, space)
     t_grid = [float(t) for t in cfg["t_grid"]]
-    r_grid = tuple(float(r) for r in cfg.get("r_grid", (1.0, 8.0, 64.0)))
+    # kato_verdict's r_grid default is the only one
+    grid = {} if "r_grid" not in cfg else {"r_grid": [float(r) for r in cfg["r_grid"]]}
 
     try:
-        report = kato_verdict(pot, t_grid, probes, r_grid=r_grid)
+        report = kato_verdict(pot, t_grid, probes, **grid)
     except MonotonicityError as exc:
         raise ContractViolation("eta_monotonicity", str(exc)) from exc
 

@@ -10,9 +10,8 @@ cumulative sums in upper-half-space coordinates (x, y): log y is exact in
 law, each x step takes the trapezoidal variance h (y_k^2 + y_{k+1}^2)/2,
 an O(h) weak approximation.  On sampled paths, killing regions (a
 geodesic ball, or a Euclidean half-space) stop a path at the first step
-that lands outside, so killing happens at the grid's times; the exit step
-is recorded as the lifetime.  The exact routes below kill in continuous
-time instead.
+that lands outside, so killing happens at the grid's times.  The exact
+routes below kill in continuous time instead.
 
 Every potential is radial about the origin.  Where the law is exact, one
 core, _exact_marginal, draws each sample of both estimators in one step:
@@ -114,7 +113,9 @@ class KillingRegion:
 
     Balls are centered on the space origin unless a center is given and
     work on every model space; half-spaces {x . normal < offset} are
-    Euclidean only.
+    Euclidean only, and read as {x . unit < level}, unit = normal / |n| and
+    level = offset / |n|.  A region checks itself when it is built: radius,
+    |n|, offset and level are finite, radius and |n| positive.
     """
 
     kind: str
@@ -122,54 +123,61 @@ class KillingRegion:
     center: tuple | None = None
     normal: tuple | None = None
     offset: float = 0.0
+    unit: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    level: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "ball":
+            if not 0.0 < self.radius < math.inf:
+                raise ConfigError("ball region needs a positive finite radius")
+            return
+        if self.kind != "halfspace":
+            raise ConfigError(f"unknown killing region kind {self.kind!r}")
+        # a missing normal reads as nan; a non-finite entry gives a non-finite |n|
+        normal = np.asarray(self.normal, dtype=float)
+        with np.errstate(all="ignore"):
+            size = float(np.linalg.norm(normal))
+        if not 0.0 < size < math.inf:
+            raise ConfigError("halfspace normal must be a finite nonzero vector of finite "
+                              f"nonzero length (its length is {size})")
+        level = self.offset / size
+        if not (math.isfinite(self.offset) and math.isfinite(level)):
+            raise ConfigError("halfspace offset and offset / |normal| must be finite")
+        object.__setattr__(self, "unit", normal / size)
+        object.__setattr__(self, "level", level)
 
     def inside(self, space: ModelSpace, points: np.ndarray) -> np.ndarray:
-        if self.kind == "ball":
-            center = np.asarray(self.center, dtype=float) if self.center is not None \
-                else space.origin()
-            if space.kind == HYPERBOLIC:
-                pairing = center[0] * points[:, 0] - points[:, 1:] @ center[1:]
-                d = np.arccosh(np.maximum(pairing, 1.0))
-            else:
-                d = _euclidean_norms(points, np.empty(len(points)),
-                                     np.empty(len(points)), center)
-            return d < self.radius
         if self.kind == "halfspace":
-            n = np.asarray(self.normal, dtype=float)
-            return points @ n < self.offset
-        raise ConfigError(f"unknown killing region kind {self.kind!r}")
+            return points @ self.unit < self.level
+        center = None if self.center is None else np.asarray(self.center, dtype=float)
+        return _distances(space, points, *np.empty((2, len(points))), center) < self.radius
 
     def to_json_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "ball":
-            out["radius"] = self.radius
-            if self.center is not None:
-                out["center"] = list(self.center)
-        else:
-            out["normal"] = list(self.normal)
-            out["offset"] = self.offset
+        if self.kind == "halfspace":
+            return {"kind": self.kind, "normal": list(self.normal), "offset": self.offset}
+        out = {"kind": self.kind, "radius": self.radius}
+        if self.center is not None:
+            out["center"] = list(self.center)
         return out
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "KillingRegion":
-        kind = obj.get("kind")
-        if kind == "ball":
-            radius = float(obj.get("radius", 0.0))
-            if not 0.0 < radius < math.inf:
-                raise ConfigError("ball region needs a positive finite radius")
-            center = obj.get("center")
-            return cls(kind="ball", radius=radius,
+        center, normal = obj.get("center"), obj.get("normal")
+        if obj.get("kind") == "ball":
+            return cls(kind="ball", radius=float(obj.get("radius", 0.0)),
                        center=None if center is None else tuple(center))
-        if kind == "halfspace":
-            if "normal" not in obj:
-                raise ConfigError("halfspace region needs a normal vector")
-            return cls(kind="halfspace", normal=tuple(obj["normal"]),
-                       offset=float(obj.get("offset", 0.0)))
-        raise ConfigError(f"unknown killing region kind {kind!r}")
+        return cls(kind=obj.get("kind"), normal=None if normal is None else tuple(normal),
+                   offset=float(obj.get("offset", 0.0)))
 
 
 @dataclass(frozen=True)
 class PathConfig:
+    """A path run: its space, start, horizon, step grid, paths, streams and region.
+
+    Of a region it checks what needs the space: a ball's centre lies on it,
+    a half-space is Euclidean with a normal of length dim, the start inside.
+    """
+
     space: ModelSpace
     start: tuple
     horizon: float
@@ -199,22 +207,16 @@ class PathConfig:
         start = np.asarray(self.start, dtype=float)
         self.space.validate_point(start)
         object.__setattr__(self, "start", tuple(float(x) for x in start))
-        if self.domain is not None:
-            region = self.domain
+        region = self.domain
+        if region is not None:
             if region.kind == "ball" and region.center is not None:
                 self.space.validate_point(region.center)
             elif region.kind == "halfspace":
                 if self.space.kind != EUCLIDEAN:
                     raise ConfigError("halfspace regions are Euclidean only")
-                normal = np.asarray(region.normal, dtype=float)
-                if normal.shape != (self.space.dim,) or not np.any(normal) \
-                        or not np.all(np.isfinite(normal)):
-                    raise ConfigError("halfspace normal must be a finite nonzero "
-                                      f"vector of length {self.space.dim}")
-                if not math.isfinite(region.offset):
-                    raise ConfigError("halfspace offset must be finite")
-            inside = region.inside(self.space, np.asarray([self.start]))
-            if not bool(inside[0]):
+                if region.unit.shape != (self.space.dim,):
+                    raise ConfigError(f"halfspace normal must have length {self.space.dim}")
+            if not bool(region.inside(self.space, np.asarray([start]))[0]):
                 raise ConfigError("start point lies outside the killing region")
 
     @property
@@ -279,18 +281,16 @@ class Estimate:
 class PathBatch:
     """One batch of sampled paths.
 
-    positions has shape (B, S+1, ambient); alive[b, k] says the path was
-    still inside the region at step k (alive[:, 0] is True by config
-    validation).  exit_step[b] is the first dead index, or S+1 if the path
-    survived the whole horizon.  first is the index of the batch's first
-    path in the reference layout, so the batch holds paths
-    [first, first + B) of the configuration's n_paths.
+    positions has shape (B, S+1, ambient), node k at time k * step;
+    alive[b, k] says the path was still inside the region at step k
+    (alive[:, 0] is True by config validation), so alive[b].sum() is the
+    first dead index, or S+1 if the path survived the whole horizon.
+    first is the index of the batch's first path in the reference layout,
+    so the batch holds paths [first, first + B) of the configuration's n_paths.
     """
 
-    times: np.ndarray
     positions: np.ndarray
     alive: np.ndarray
-    exit_step: np.ndarray
     first: int
 
 
@@ -337,15 +337,15 @@ def _usable_cpus() -> int:
 
 
 def _killing_scan(domain: KillingRegion | None, space: ModelSpace,
-                  positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """alive and exit_step of a (B, S+1, ambient) block of paths.
+                  positions: np.ndarray) -> np.ndarray:
+    """alive of a (B, S+1, ambient) block of paths.
 
     The region test runs on row chunks of at most _SCAN_NODES nodes, so
     its temporaries stay small whatever the batch size.
     """
     B, nodes = positions.shape[:2]
     if domain is None:
-        return np.ones((B, nodes), dtype=bool), np.full(B, nodes, dtype=int)
+        return np.ones((B, nodes), dtype=bool)
     inside = np.empty((B, nodes), dtype=bool)
     rows = max(1, _SCAN_NODES // nodes)
     for lo in range(0, B, rows):
@@ -354,9 +354,7 @@ def _killing_scan(domain: KillingRegion | None, space: ModelSpace,
             space, chunk.reshape(-1, chunk.shape[-1])).reshape(-1, nodes)
     # the start is inside (PathConfig checks it); the scan starts at step 1
     inside[:, 0] = True
-    alive = np.logical_and.accumulate(inside, axis=1)
-    exit_step = np.where(alive[:, -1], nodes, np.argmin(alive, axis=1))
-    return alive, exit_step
+    return np.logical_and.accumulate(inside, axis=1)
 
 
 def _sample_batch(config: PathConfig, pos: np.ndarray, increments: np.ndarray,
@@ -373,7 +371,6 @@ def _sample_batch(config: PathConfig, pos: np.ndarray, increments: np.ndarray,
     S = config.n_steps
     h = config.step
     start = np.asarray(config.start, dtype=float)
-    times = h * np.arange(S + 1)
     pos[:, 0] = start
     if space.kind == EUCLIDEAN:
         np.cumsum(increments, axis=1, out=pos[:, 1:])
@@ -387,7 +384,7 @@ def _sample_batch(config: PathConfig, pos: np.ndarray, increments: np.ndarray,
         y, x, x0 = pos[:, :, -1], pos[:, 1:, 1:-1], pos[:, 1:, 0]
         y[:, 0] = 0.0
         np.cumsum(increments[:, :, -1], axis=1, out=y[:, 1:])
-        y += math.log(y0) - 0.5 * (space.dim - 1) * times
+        y += math.log(y0) - 0.5 * (space.dim - 1) * (h * np.arange(S + 1))
         np.exp(y, out=y)
         sq = np.square(y, out=pos[:, :, 0])
         scale = np.add(sq[:, :-1], sq[:, 1:], out=increments[:, :, -1])
@@ -421,9 +418,7 @@ def _sample_batch(config: PathConfig, pos: np.ndarray, increments: np.ndarray,
         np.divide(1.0, tmp, out=tmp)
         np.subtract(acc, tmp, out=y)
         pos[:, 0] = start
-    alive, exit_step = _killing_scan(config.domain, space, pos)
-    return PathBatch(times=times, positions=pos, alive=alive,
-                     exit_step=exit_step, first=first)
+    return PathBatch(pos, _killing_scan(config.domain, space, pos), first)
 
 
 def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
@@ -568,6 +563,7 @@ def _sinh_ratio(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.maximum(out, 1.0, out=out)
 
 
+@np.errstate(over="ignore", invalid="ignore")     # see term
 def _bridge_survival(x, y, a: float, t,
                      terms: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """P(a BES(3) bridge from x to y over time t stays below a), and its error bound.
@@ -603,10 +599,13 @@ def _bridge_survival(x, y, a: float, t,
     den = np.expm1(-2.0 * x * y / t)
 
     def term(u):
-        """The term of |u| = u and its bound b(u)."""
+        """The term of |u| = u and its bound b(u), both 0 where the decay is."""
         decay = np.exp(-(u - y) * (u + y - 2.0 * x) / (2.0 * t))
         ratio = np.divide(np.expm1(-2.0 * x * u / t), den, out=u / y, where=den != 0.0)
-        return decay * ratio, decay * (u / y)
+        value, bound = decay * ratio, decay * (u / y)
+        if decay.min(initial=1.0) == 0.0:     # u / y may overflow there: 0 * inf is nan
+            value[decay == 0.0] = bound[decay == 0.0] = 0.0
+        return value, bound
 
     total, size = np.ones(y.shape), np.ones(y.shape)
     for k in range(1, terms + 1):
@@ -638,14 +637,10 @@ def _exact_marginal(config: PathConfig, base: np.ndarray, random_time: bool) -> 
     valid until the next block.
     """
     space, T, region = config.space, config.horizon, config.domain
-    r0 = float(np.linalg.norm(base))
+    r0 = math.sqrt(base.dot(base))     # np.linalg.norm's sum, bit for bit
     h0 = float(_sinh_ratio(np.array(r0), np.empty(())))
     halfspace = region is not None and region.kind == "halfspace"
-    if halfspace:
-        normal = np.asarray(region.normal, dtype=float)
-        size = float(np.linalg.norm(normal))
-        unit, level = normal / size, region.offset / size
-        d0 = level - float(base @ unit)
+    d0 = region.level - float(base @ region.unit) if halfspace else None
     width = _block_width(config)
     gauss = np.empty((width, len(base)))
     radii, tmp, *kato = np.empty((5 if random_time else 2, width))
@@ -676,10 +671,10 @@ def _exact_marginal(config: PathConfig, base: np.ndarray, random_time: bool) -> 
         if halfspace:
             # the chance that the normal coordinate's bridge from d_0 to d_s
             # stays positive; at s = 0 the path has not moved
-            ds = np.multiply(y[:, 0], unit[0])
+            ds = np.multiply(y[:, 0], region.unit[0])
             for i in range(1, space.dim):
-                ds += y[:, i] * unit[i]
-            np.subtract(level, ds, out=ds)
+                ds += y[:, i] * region.unit[i]
+            np.subtract(region.level, ds, out=ds)
             np.maximum(ds, 0.0, out=ds)
             ds *= 2.0 * d0
             q = np.divide(ds, s, out=np.full(B, math.inf), where=np.greater(s, 0.0))
@@ -729,10 +724,7 @@ def _finish(values: np.ndarray, config: PathConfig, n_effective: int,
     spread = np.abs(values - mean) ** 2
     var = spread.sum() / max(n - 1, 1)
     se = math.sqrt(var / n)
-    if np.iscomplexobj(values):
-        value = complex(mean)
-    else:
-        value = float(mean.real if np.iscomplexobj(mean) else mean)
+    value = complex(mean) if np.iscomplexobj(values) else float(mean)
     return Estimate(value=value, std_error=se, n_effective=n_effective,
                     n_paths=n, step=config.step, cap_events=cap_events,
                     bias_bound=bias_bound, extras=extras or {})
@@ -758,15 +750,22 @@ def _euclidean_norms(points: np.ndarray, out: np.ndarray, tmp: np.ndarray,
     return np.sqrt(out, out=out)
 
 
-def _radial_distances(space: ModelSpace, flat_pos: np.ndarray, out: np.ndarray,
-                      tmp: np.ndarray) -> np.ndarray:
-    """Distances of the (N, ambient) nodes from the origin, written into out.
+def _distances(space: ModelSpace, points: np.ndarray, out: np.ndarray, tmp: np.ndarray,
+               center: np.ndarray | None = None) -> np.ndarray:
+    """Geodesic distances of the (N, ambient) points from center, written into out.
 
-    tmp is (N,) scratch.  Each coordinate is one long strided pass.
+    tmp is (N,) scratch; center None means the origin.  On R^d these are
+    _euclidean_norms; on H^m, arccosh of the Minkowski pairing
+    c_0 x_0 - c'.x' (x_0 about the origin), raised to 1 against rounding.
     """
     if space.kind == EUCLIDEAN:
-        return _euclidean_norms(flat_pos, out, tmp)
-    np.maximum(flat_pos[:, 0], 1.0, out=out)
+        return _euclidean_norms(points, out, tmp, center)
+    if center is None:
+        pairing = points[:, 0]
+    else:
+        pairing = np.multiply(points[:, 0], center[0], out=out)
+        pairing -= points[:, 1:] @ center[1:]
+    np.maximum(pairing, 1.0, out=out)
     return np.arccosh(out, out=out)
 
 
@@ -826,8 +825,8 @@ def _path_kato_integral(v, config: PathConfig) -> Estimate:
         for batch in batches:
             B = batch.positions.shape[0]
             r, g = radii[:B * (S + 1)], values[:B * (S + 1)]
-            _radial_distances(config.space,
-                              batch.positions.reshape(-1, batch.positions.shape[-1]), r, g)
+            _distances(config.space, batch.positions.reshape(-1, batch.positions.shape[-1]),
+                       r, g)
             # node-major views of the path-major arrays: einsum then adds
             # as it always has
             g = np.asarray(v.abs_radial(r, out=g), dtype=float).reshape(B, S + 1).T

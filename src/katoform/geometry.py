@@ -89,7 +89,7 @@ class ModelSpace:
 
         Euclidean points are any finite vector of length m.  Hyperbolic
         points must satisfy x_0^2 - |x_rest|^2 = 1 (to POINT_TOL, relative
-        to x_0^2) with x_0 > 0.
+        to x_0^2) with x_0 > 0, checked in a form that cannot overflow.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dim,):
@@ -98,8 +98,14 @@ class ModelSpace:
         if not np.all(np.isfinite(x)):
             raise InvalidPointError("point has a non-finite coordinate")
         if self.kind == HYPERBOLIC:
-            q = x[0] * x[0] - float(np.dot(x[1:], x[1:]))
-            if x[0] <= 0.0 or abs(q - 1.0) > POINT_TOL * max(1.0, x[0] * x[0]):
+            # q - 1 over max(1, x_0^2), worked out on x / max(1, x_0); an
+            # overflow leaves the gap infinite
+            x0 = float(x[0])
+            scale = max(x0, 1.0)
+            rest = x[1:] / scale
+            with np.errstate(over="ignore"):
+                gap = (x0 / scale) ** 2 - float(np.dot(rest, rest)) - (1.0 / scale) ** 2
+            if x0 <= 0.0 or not abs(gap) <= POINT_TOL:
                 raise InvalidPointError("point is not on the hyperboloid sheet")
         return x
 

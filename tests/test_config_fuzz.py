@@ -9,7 +9,8 @@ case must exit 0, or exit 2 with an ``invalid config`` diagnostic; an
 exception escaping ``cli.main`` is a traceback and fails the case.  No
 mutation here leaves a valid config whose run breaks a named invariant,
 so exit 1 (a contract violation) is never expected.  The enumeration is exhaustive, not
-sampled: a case takes a few milliseconds.
+sampled: a case takes a few milliseconds.  A few whole configs in ``INVALID`` must
+exit 2 as they stand.
 """
 
 import copy
@@ -139,6 +140,41 @@ def test_mutated_config_exits_cleanly(tmp_path, capsys, seed, path, mutation):
     code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 0 or (code == 2 and "invalid config" in err), err
+
+
+# configs refused as a whole: a half-space normal whose length overflows or
+# underflows (the plane x_1 + x_2 < 0.5 either way), and a kato-test probe
+# off the hyperboloid whose x_0^2 overflows
+H3 = {"kind": "hyperbolic", "dim": 3}
+INVALID = {
+    "huge_normal": {
+        "command": "fk-mc", "estimator": "survival",
+        "path": dict(FAST_PATH, start=[0.3, 0.0, 0.0],
+                     domain={"kind": "halfspace", "normal": [1e200, 1e200, 0.0],
+                             "offset": 5e199}),
+    },
+    "tiny_normal": {
+        "command": "fk-mc", "estimator": "survival",
+        "path": dict(FAST_PATH, start=[0.3, 0.0, 0.0],
+                     domain={"kind": "halfspace", "normal": [1e-200, 1e-200, 0.0],
+                             "offset": 5e-201}),
+    },
+    "far_probe": {
+        "command": "kato-test", "space": H3,
+        "potential": {"radial": {"expr": "coulomb", "params": {"strength": 1.0},
+                                 "singularities": [0.0]}},
+        "t_grid": [0.001, 0.01, 0.1, 1.0], "probes": [[1e200, 0.0, 0.0, 0.0]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_invalid_config_exits_2(tmp_path, capsys, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(INVALID[name]))
+    code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and "invalid config" in err and "Traceback" not in err, err
 
 
 def test_seeds_cover_every_bundled_config():

@@ -128,7 +128,13 @@ def test_pathconfig_rejects_non_finite_times(field, bad):
     ((math.nan, 0.0, 0.0), 0.0, "finite nonzero"),
     ((1.0, 0.0, 0.0), math.inf, "offset"),
     ((1.0, 0.0, 0.0), math.nan, "offset"),
-], ids=["nan_normal", "inf_offset", "nan_offset"])
+    # |n| overflows, or underflows to 0: the plane x_1 + x_2 < 0.5 either way
+    ((1e200, 1e200, 0.0), 5e199, "finite nonzero length"),
+    ((1e-200, 1e-200, 0.0), 5e-201, "finite nonzero length"),
+    # offset / |n| overflows
+    ((1e-150, 0.0, 0.0), 1e300, "offset"),
+], ids=["nan_normal", "inf_offset", "nan_offset", "huge_normal", "tiny_normal",
+        "huge_level"])
 def test_pathconfig_rejects_non_finite_halfspace_normal(normal, offset, match):
     with pytest.raises(ConfigError, match=match):
         econf(domain=KillingRegion(kind="halfspace", normal=normal, offset=offset))
@@ -160,6 +166,24 @@ def test_killing_region_json_rejects_non_finite_radius(radius):
         KillingRegion.from_json_dict({"kind": "ball", "radius": radius})
 
 
+@pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+def test_killing_region_rejects_bad_radius(radius):
+    """A ball built in Python is checked as one read from JSON."""
+    with pytest.raises(ConfigError, match="positive finite radius"):
+        KillingRegion(kind="ball", radius=radius)
+
+
+def test_halfspace_keeps_its_unit_normal_and_level():
+    """The half-space {x . n < c} is {x . n / |n| < c / |n|}; neither enters == or the JSON."""
+    half = KillingRegion(kind="halfspace", normal=(0.0, 3.0, 4.0), offset=2.5)
+    assert np.array_equal(half.unit, [0.0, 0.6, 0.8]) and half.level == 0.5
+    assert half == KillingRegion(kind="halfspace", normal=(0.0, 3.0, 4.0), offset=2.5)
+    assert half.to_json_dict() == {"kind": "halfspace", "normal": [0.0, 3.0, 4.0],
+                                   "offset": 2.5}
+    with pytest.raises(ConfigError, match="unknown killing region kind"):
+        KillingRegion(kind="torus")
+
+
 def test_hyperbolic_ball_region():
     reg = KillingRegion(kind="ball", radius=1.0)
     inside = np.array([1.0, 0.0, 0.0, 0.0])
@@ -175,7 +199,7 @@ def test_euclidean_distances_are_norms_bit_for_bit(space):
     points = rng.standard_normal((5000, space.dim)) * np.exp(rng.uniform(-8, 3, (5000, 1)))
     center = 0.1 * rng.standard_normal(space.dim)
     r, tmp = np.empty(5000), np.empty(5000)
-    assert np.array_equal(fk._radial_distances(space, points, r, tmp),
+    assert np.array_equal(fk._distances(space, points, r, tmp),
                           np.linalg.norm(points, axis=1))
     d = np.linalg.norm(points - center, axis=1)
     # a radius equal to a sample's distance puts that sample on the edge, so
@@ -211,7 +235,6 @@ def test_batches_expose_geometry():
     cfg = econf(n_paths=256)
     batch = next(iter(sample_paths(cfg)))
     assert batch.positions.shape == (256, cfg.n_steps + 1, 3)
-    assert batch.times.shape == (cfg.n_steps + 1,)
     assert np.all(batch.alive)
 
 
@@ -745,7 +768,7 @@ def test_killing_scan_matches_step_loop(space, start, domain):
     for batch in sample_paths(cfg):
         alive, exit_step = loop_killing_scan(domain, space, batch.positions)
         assert np.array_equal(batch.alive, alive)
-        assert np.array_equal(batch.exit_step, exit_step)
+        assert np.array_equal(batch.alive.sum(axis=1), exit_step)
         survivors += int(alive[:, -1].sum())
     assert 0 < survivors < cfg.n_paths
 
@@ -1040,6 +1063,20 @@ def test_bridge_factor_over_array_times():
     for i in (1, 2):
         single, single_bound = fk._bridge_survival(0.3, y[i:i + 1], 1.0, t[i], terms=200)
         assert abs(factor[i] - single[0]) <= bound[i] + single_bound[0]
+
+
+@pytest.mark.parametrize("radius", [1e307, 1e308])
+@pytest.mark.parametrize("space", [E3, H3], ids=["E3", "H3"])
+def test_huge_ball_reads_as_no_region(space, radius):
+    """Every image term's decay underflows to 0 there, and u / y overflows: the terms are 0."""
+    free = econf(space=space, start=tuple(space.origin()), n_paths=2000, seed=17)
+    killed = replace(free, domain=KillingRegion(kind="ball", radius=radius))
+    one = lambda p: np.ones(p.shape[0])
+    for run in (lambda cfg: mc_heat_expectation(one, cfg),
+                lambda cfg: mc_kato_integral(coulomb(space, 1.0), cfg)):
+        want, got = run(free), run(killed)
+        assert got.value == want.value and got.std_error == want.std_error
+        assert math.isfinite(got.bias_bound) and got.bias_bound < 1e-12
 
 
 @pytest.mark.parametrize("space", [E3, H3], ids=["E3", "H3"])

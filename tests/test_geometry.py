@@ -46,6 +46,18 @@ def test_validate_point_rejects_non_finite(space, bad):
         space.validate_point(x)
 
 
+@pytest.mark.parametrize("x", [(1e200, 0.0, 0.0, 0.0), (1e200, 5e199, 0.0, 0.0)])
+def test_validate_point_rejects_far_points_off_the_sheet(x):
+    """x_0^2 overflows here; the check relative to x_0^2 must not."""
+    with pytest.raises(InvalidPointError, match="hyperboloid"):
+        H3.validate_point(x)
+
+
+def test_validate_point_accepts_far_points_on_the_sheet():
+    x = geodesic_point(H3, 400.0)        # x_0 about 2.6e173
+    assert np.array_equal(H3.validate_point(x), x)
+
+
 def test_unsupported_spaces_rejected():
     with pytest.raises(DomainError):
         ModelSpace("hyperbolic", 1)

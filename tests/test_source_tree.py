@@ -35,6 +35,12 @@ In feynman_kac.py one function, _exact_marginal, calls _exact_blocks:
 the exact routes of mc_kato_integral and mc_heat_expectation are two
 reductions over one draw core, and both public estimators reach it.
 
+In feynman_kac.py a killing region has one definition: only class
+KillingRegion reads a region's normal and offset (everything else reads
+the unit normal and level it derives once), and one function, _distances,
+calls arccosh: the killing scan and the path route's radii share one
+distance kernel.
+
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
 kato.form_bound_constants, which imports it when it runs.
@@ -210,6 +216,18 @@ def test_one_exact_draw_core():
                 reached.add(name)
                 todo.extend(names.get(name, set()) & names.keys())
         assert "_exact_marginal" in reached, public
+
+
+def test_one_killing_region_definition():
+    path = PACKAGE / "feynman_kac.py"
+    tree = ast.parse(path.read_text())
+    readers = {top.name for top in tree.body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+               for node in ast.walk(top) if isinstance(node, ast.Attribute)
+               and node.attr in {"normal", "offset"} and isinstance(node.ctx, ast.Load)}
+    assert readers == {"KillingRegion"}
+    assert {function for function, _ in _references(path, {"numpy.arccosh"})} \
+        == {"_distances"}
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
