@@ -86,7 +86,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, InvalidPointError
 from .geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace
 
 _MAX_BATCH = 1024
@@ -239,6 +239,12 @@ class PathConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PathConfig":
+        """Decode a configuration; only a decoding fault is reported as malformed.
+
+        A missing key, a wrong type or a failed number conversion raises
+        ConfigError "malformed path configuration"; the checks of the space,
+        the point and the region raise their own errors unchanged.
+        """
         try:
             space = ModelSpace.from_json_dict(obj["space"])
             domain = obj.get("domain")
@@ -248,6 +254,8 @@ class PathConfig:
                        workers=int(obj.get("workers", 1)),
                        domain=None if domain is None else
                        KillingRegion.from_json_dict(domain))
+        except (ConfigError, DomainError, InvalidPointError):
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed path configuration: {exc}") from exc
 
@@ -626,15 +634,16 @@ def _bridge_survival(x, y, a: float, t,
 
 
 def _exact_marginal(config: PathConfig, base: np.ndarray, random_time: bool) -> Iterator[
-        tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """(lo, Y, |Y|, weight, tail) for each block of samples [lo, lo + B) of _exact_blocks.
+        tuple[int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]]:
+    """(lo, Y, |Y|, h, weight, tail) for each block of samples [lo, lo + B) of _exact_blocks.
 
     The Kato law (random_time) draws a block's uniforms, then its normals,
-    one row a sample; the fixed law s = T its normals only.  weight is the
-    product of the time weight (2 sqrt(sT), or 1), the Doob weight on H^3
-    and the survival weight; tail is each sample's bridge truncation times
-    the rest of its weight, None where no ball truncates.  The arrays are
-    valid until the next block.
+    one row a sample; the fixed law s = T its normals only.  h is
+    sinh|Y| / |Y| on H^3 and None on R^d.  weight is the product of the
+    time weight (2 sqrt(sT), or 1), the Doob weight on H^3 and the survival
+    weight; tail is each sample's bridge truncation times the rest of its
+    weight, None where no ball truncates.  The arrays are valid until the
+    next block.
     """
     space, T, region = config.space, config.horizon, config.domain
     r0 = math.sqrt(base.dot(base))     # np.linalg.norm's sum, bit for bit
@@ -644,6 +653,7 @@ def _exact_marginal(config: PathConfig, base: np.ndarray, random_time: bool) -> 
     width = _block_width(config)
     gauss = np.empty((width, len(base)))
     radii, tmp, *kato = np.empty((5 if random_time else 2, width))
+    ratios = np.empty(width) if space.kind == HYPERBOLIC else None
     for rng, lo, B in _exact_blocks(config):
         root = math.sqrt(T)
         if random_time:
@@ -657,10 +667,11 @@ def _exact_marginal(config: PathConfig, base: np.ndarray, random_time: bool) -> 
                 y[:, i] += c
         r = _euclidean_norms(y, radii[:B], tmp[:B])
         s, w = (np.square(root, out=tmp[:B]), weights[:B]) if random_time else (T, tmp[:B])
+        h = None
         if space.kind == HYPERBOLIC:
             # e^{-s/2} h(|Y|) / h(|base|), h(r) = sinh r / r
-            _sinh_ratio(r, w)
-            w *= np.exp(-0.5 * s) if random_time else math.exp(-0.5 * s)
+            h = _sinh_ratio(r, ratios[:B])
+            np.multiply(h, np.exp(-0.5 * s) if random_time else math.exp(-0.5 * s), out=w)
             w /= h0
         else:
             w.fill(1.0)
@@ -683,18 +694,19 @@ def _exact_marginal(config: PathConfig, base: np.ndarray, random_time: bool) -> 
             factor, tail = _bridge_survival(r0, r, region.radius, s)
             tail *= w
             w *= factor
-        yield lo, y, r, w, tail
+        yield lo, y, r, h, w, tail
 
 
-def _h3_points(y: np.ndarray, r: np.ndarray, x0: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _h3_points(y: np.ndarray, r: np.ndarray, h: np.ndarray, x0: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
     """The points of H^3 at distance r = |y| from x0, written into the (N, 4) out.
 
     The point at distance r from the origin in y's direction is
-    (cosh r, y sinh r / r), and the boost that takes the origin to x0 maps
-    (p_0, p') to (x_0 p_0 + x'.p', p' + (p_0 + x'.p' / (1 + x_0)) x') and
-    fixes the rest.  Each coordinate is one strided pass.
+    (cosh r, y h) with h = sinh r / r, which the caller has computed, and
+    the boost that takes the origin to x0 maps (p_0, p') to
+    (x_0 p_0 + x'.p', p' + (p_0 + x'.p' / (1 + x_0)) x') and fixes the
+    rest.  Each coordinate is one strided pass.
     """
-    h = _sinh_ratio(r, np.empty(r.size))
     np.cosh(r, out=out[:, 0])
     for i in range(3):
         np.multiply(y[:, i], h, out=out[:, i + 1])
@@ -796,7 +808,7 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
         if config.space.kind == HYPERBOLIC else start
     values = np.empty(_block_width(config))
     sums, bias = np.zeros(config.n_paths), 0.0
-    for lo, _, r, w, tail in _exact_marginal(config, base, random_time=True):
+    for lo, _, r, _, w, tail in _exact_marginal(config, base, random_time=True):
         g = np.asarray(v.abs_radial(r, out=values[:r.size]), dtype=float)
         if tail is not None:
             # the series truncation of each sample, times |v|
@@ -881,11 +893,11 @@ def mc_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
     points = np.empty((_block_width(config), 4)) if hyperbolic else None
     values = np.zeros(config.n_paths, dtype=complex)
     n_effective, bias = 0, 0.0
-    for lo, y, r, w, tail in _exact_marginal(config, np.zeros(3) if hyperbolic else start,
-                                             random_time=False):
+    for lo, y, r, h, w, tail in _exact_marginal(config, np.zeros(3) if hyperbolic else start,
+                                                random_time=False):
         B = r.size
         if hyperbolic:
-            y = _h3_points(y, r, start, points[:B])
+            y = _h3_points(y, r, h, start, points[:B])
         live = w > 0.0
         n_live = int(np.count_nonzero(live))
         if n_live:

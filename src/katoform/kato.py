@@ -587,14 +587,16 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
     The verdict is 'nonmember' when eta diverges or |v| fails a local
     integrability spot check, 'member' when the power-law fit through the
     three smallest times has exponent above 0.05 (so the extrapolated
-    t -> 0 limit vanishes), and 'inconclusive' otherwise.  An integral the
-    condensation windows cannot decide (UndecidedError) is never read as
-    divergence: its row holds nan, ``reason`` names it, and unless another
-    row diverges the verdict is 'inconclusive'.
+    t -> 0 limit vanishes), and 'inconclusive' otherwise.  A repeated time
+    counts once, and the grid needs at least 4 distinct times, so the fit
+    runs through three.  An integral the condensation windows cannot
+    decide (UndecidedError) is never read as divergence: its row holds
+    nan, ``reason`` names it, and unless another row diverges the verdict
+    is 'inconclusive'.
     """
-    t_grid = sorted(float(t) for t in t_grid)
+    t_grid = sorted({float(t) for t in t_grid})
     if len(t_grid) < 4:
-        raise DomainError("t_grid needs at least 4 points")
+        raise DomainError("t_grid needs at least 4 distinct times")
     for t in t_grid:
         _check_time(t)
     r_grid = sorted(float(r) for r in r_grid)

@@ -19,6 +19,10 @@ is where the kinetic form (1/2) sum_e w ||f_u - U f_v||^2, the potential
 form sum_u mu_u <V_u f_u, f_u>, and the Kato and domination inequalities
 all live.
 
+Each public call converts its potential once (``_as_matrix_field``: real
+values or Hermitian blocks, finite at interior vertices) and checks its
+section once (``_sections``); evolutions take one section, not a stack.
+
 Every matrix comes from one block-to-CSR constructor, ``_block_csr``,
 which sorts the rows of the blocks into CSR order and builds the CSR
 arrays from them directly: ``_assemble`` broadcasts the edge arrays into
@@ -143,17 +147,17 @@ def _block_csr(blocks, block_rows, block_cols, k: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(k * n, k * n))
 
 
-def _assemble(mesh: BundleMesh, V=None):
-    """Hermitian A = M^{-1/2} K M^{-1/2} (+ V blocks) and sqrt(mu) per DOF.
+def _assemble(mesh: BundleMesh, field=None):
+    """Hermitian A = M^{-1/2} K M^{-1/2} (+ field blocks) and sqrt(mu) per DOF.
 
     K is the stiffness matrix of the kinetic form on interior DOFs: each
     edge adds w/2 to the diagonal blocks of its interior endpoints and, when
     both are interior, -w/2 U and -w/2 U^H off the diagonal.  All blocks
     form one list, diagonal blocks first, built in one broadcast pass over
     the edge arrays and scaled by sqrt(mu) of their block row and column;
-    the potential blocks V_u (already in the symmetrized picture, since the
-    potential form carries the weight mu) are added to the diagonal blocks,
-    and ``_block_csr`` lays the list out.
+    the blocks V_u of the converted potential ``field`` (already in the
+    symmetrized picture, since the potential form carries the weight mu)
+    are added to the diagonal blocks, and ``_block_csr`` lays the list out.
     """
     n = mesh.fiber_dim
     interior = mesh.interior
@@ -173,8 +177,8 @@ def _assemble(mesh: BundleMesh, V=None):
     root = np.sqrt(mesh.mu[interior])
     blocks /= root[rows, None, None]
     blocks /= root[cols, None, None]
-    if V is not None:
-        blocks[:k] += _as_matrix_field(mesh, V)[interior]
+    if field is not None:
+        blocks[:k] += field[interior]
     return _block_csr(blocks, rows, cols, k), np.repeat(root, n)
 
 
@@ -199,44 +203,39 @@ def scalar_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_matr
 
 
 def diagonal_potential(mesh: BundleMesh, values) -> np.ndarray:
-    """Lift scalar vertex values to the (N, n, n) Hermitian field v_u * I."""
-    values = np.asarray(values, dtype=float)
+    """Lift real vertex values to the (N, n, n) field v_u * I; a complex value raises MeshError."""
+    values = np.asarray(values)
     if values.shape != (mesh.n_vertices,):
         raise MeshError("need one scalar per vertex")
+    if np.iscomplexobj(values) and np.any(values.imag):
+        raise MeshError("scalar potential values must be real")
     n = mesh.fiber_dim
     out = np.zeros((mesh.n_vertices, n, n), dtype=complex)
-    out[:, np.arange(n), np.arange(n)] = values[:, None]
+    out[:, np.arange(n), np.arange(n)] = np.asarray(values.real, dtype=float)[:, None]
     return out
 
 
 def _as_matrix_field(mesh: BundleMesh, V) -> np.ndarray:
-    V = np.asarray(V)
-    if V.ndim == 1:
-        return diagonal_potential(mesh, V.real)
-    n = mesh.fiber_dim
-    if V.shape != (mesh.n_vertices, n, n):
+    """The one conversion of a potential V (real values or blocks) to its (N, n, n) field.
+
+    Interior blocks must be finite and Hermitian; Dirichlet blocks enter no form.
+    """
+    V, n = np.asarray(V), mesh.fiber_dim
+    field = diagonal_potential(mesh, V) if V.ndim == 1 else V.astype(complex)
+    if field.shape != (mesh.n_vertices, n, n):
         raise MeshError(f"potential field must have shape ({mesh.n_vertices}, {n}, {n})")
-    V = V.astype(complex)
-    _check_hermitian(V, "potential field")
-    return V
+    _check_hermitian(field[mesh.interior], "potential at the interior vertices")
+    return field
 
 
 def _check_hermitian(V: np.ndarray, what: str) -> None:
-    """Raise MeshError naming ``what`` unless every block of (N, n, n) V is Hermitian."""
-    defect = np.max(np.abs(V - V.conj().transpose(0, 2, 1)), initial=0.0)
-    if defect > _HERMITIAN_TOL:
+    """Raise MeshError naming ``what`` unless each (N, n, n) block of V is finite and Hermitian."""
+    with np.errstate(invalid="ignore", over="ignore"):     # a non-finite entry: inf or nan
+        defect = np.max(np.abs(V - V.conj().transpose(0, 2, 1)), initial=0.0)
+    if not defect <= _HERMITIAN_TOL:
+        if not np.all(np.isfinite(V)):
+            raise MeshError(f"{what} is not finite")
         raise MeshError(f"{what} is not Hermitian (defect {defect:.2e})")
-
-
-def _restrict(mesh: BundleMesh, f) -> np.ndarray:
-    """Stack a full-mesh section (N, n) into the interior DOF vector."""
-    n = mesh.fiber_dim
-    f = np.asarray(f)
-    if f.shape == (mesh.n_vertices,) and n == 1:
-        f = f[:, None]
-    if f.shape != (mesh.n_vertices, n):
-        raise MeshError(f"section must have shape ({mesh.n_vertices}, {n})")
-    return f[mesh.interior].reshape(-1).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +260,13 @@ def _sections(mesh: BundleMesh, f) -> np.ndarray:
     if f.ndim not in (2, 3) or f.shape[-2:] != (N, n):
         raise MeshError(f"section must have shape ({N}, {n}) or (S, {N}, {n})")
     return np.where(mesh.dirichlet[:, None], 0.0, f.reshape(-1, N, n))
+
+
+def _section_dofs(mesh: BundleMesh, f) -> np.ndarray:
+    """One section (N, n), checked by ``_sections``, as its interior DOF vector; a stack raises."""
+    if np.ndim(f) == 3:
+        raise MeshError("an evolution takes one section, not a stack")
+    return _sections(mesh, f)[0, mesh.interior].reshape(-1)
 
 
 def _edge_energies(mesh: BundleMesh, f: np.ndarray) -> np.ndarray:
@@ -329,19 +335,6 @@ def _gershgorin(A) -> tuple[float, float]:
     diag = A.diagonal().real
     radius = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
     return float(np.min(diag - radius)), float(np.max(diag + radius))
-
-
-def _semigroup_interval(mesh: BundleMesh, A, V) -> tuple[float, float]:
-    """Certified [lo, hi] holding the spectrum of A = M^{-1/2} K M^{-1/2} (+ V blocks).
-
-    The kinetic part is >= 0, so by Weyl's inequality the lowest eigenvalue
-    of any interior V_u (or 0) bounds the spectrum below; hi is Gershgorin's.
-    """
-    lo = 0.0
-    if V is not None:
-        lam = np.linalg.eigvalsh(_as_matrix_field(mesh, V)[mesh.interior])
-        lo = min(lo, float(lam.min()))
-    return lo, max(lo, _gershgorin(A)[1])
 
 
 def _chebyshev_coefficients(tau: float) -> tuple[np.ndarray, float]:
@@ -440,23 +433,37 @@ def _semigroup_series(A, times, g: np.ndarray, lo: float, hi: float) -> list:
     return results
 
 
+def _flow(mesh: BundleMesh, x: np.ndarray, field, times) -> tuple:
+    """(A, sqrt(mu) per DOF, g = sqrt(mu) x, [(e^{-tA} g, bound) per time]), x interior DOFs.
+
+    A carries the converted ``field``, and the series runs on [lo, hi]: the
+    kinetic part is >= 0, so by Weyl lo = min(0, the lowest eigenvalue of
+    any interior V_u), and hi is Gershgorin's.
+    """
+    if not all(0 <= t < math.inf for t in times):
+        raise MeshError("time must be nonnegative and finite")
+    A, root = _assemble(mesh, field)
+    lo = 0.0
+    if field is not None:
+        lo = min(lo, float(np.linalg.eigvalsh(field[mesh.interior]).min()))
+    g = x * root
+    return A, root, g, _semigroup_series(A, times, g, lo, max(lo, _gershgorin(A)[1]))
+
+
 def semigroup_evolve(mesh: BundleMesh, f, t: float, V=None,
                      scalar: bool = False) -> np.ndarray:
-    """Apply e^{-t H(V)} to a section, returned on the full vertex set.
+    """Apply e^{-t H(V)} to one section (N, n), returned on the full vertex set.
 
     The evolution runs in the symmetrized picture and is mapped back, so
-    the result is the mu-space semigroup applied to f.  ``scalar=True``
-    evolves a function on the trivial line bundle, which takes no V.
+    the result is the mu-space semigroup applied to f, V converted once;
+    ``scalar=True`` evolves on the trivial line bundle, which takes no V.
     """
-    if not 0 <= t < math.inf:
-        raise MeshError("time must be nonnegative and finite")
     if scalar:
         if V is not None:
             raise MeshError("potentials attach to the bundle picture")
         mesh = _trivial_line(mesh)
-    A, root = _assemble(mesh, V=V)
-    g = _restrict(mesh, f) * root
-    out, _ = _semigroup_series(A, (t,), g, *_semigroup_interval(mesh, A, V))[0]
+    field = None if V is None else _as_matrix_field(mesh, V)
+    _, root, _, [(out, _)] = _flow(mesh, _section_dofs(mesh, f), field, (t,))
     full = np.zeros((mesh.n_vertices, mesh.fiber_dim), dtype=complex)   # 0 on Dirichlet vertices
     full[mesh.interior] = (out / root).reshape(-1, mesh.fiber_dim)
     return full
@@ -466,13 +473,14 @@ def semigroup_domination_gap(mesh: BundleMesh, f, t: float) -> float:
     """min_u [ (e^{-t H_scalar} |f|)_u - |(e^{-t H_bundle} f)_u| ].
 
     Nonnegative by semigroup domination: the scalar flow of the pointwise
-    norm dominates the norm of the bundle flow.
+    norm dominates the norm of the bundle flow.  f is checked once.
     """
-    evolved = semigroup_evolve(mesh, f, t)
-    norms_after = np.linalg.norm(evolved, axis=1)
-    start_norms = np.linalg.norm(_sections(mesh, f)[0], axis=1)
-    scalar_after = semigroup_evolve(mesh, start_norms, t, scalar=True).real[:, 0]
-    return float(np.min((scalar_after - norms_after)[mesh.interior]))
+    x = _section_dofs(mesh, f)
+    _, root, _, [(out, _)] = _flow(mesh, x, None, (t,))
+    norms_after = np.linalg.norm((out / root).reshape(-1, mesh.fiber_dim), axis=1)
+    start_norms = np.linalg.norm(x.reshape(-1, mesh.fiber_dim), axis=1).astype(complex)
+    _, root, _, [(out, _)] = _flow(_trivial_line(mesh), start_norms, None, (t,))
+    return float(np.min((out / root).real - norms_after))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +572,7 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
     Residuals are ||H x - lambda x||_2 for the returned pairs, through
     the sparse A; a residual above 1e-8 * scale raises ConvergenceError.
     """
-    A, _ = _assemble(mesh, V=V)
+    A, _ = _assemble(mesh, None if V is None else _as_matrix_field(mesh, V))
     dim = A.shape[0]
     if k is not None:
         if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
@@ -614,17 +622,19 @@ def klmn_optimal_c1(mesh: BundleMesh, V2, c2: float) -> float:
     unit vector x must stay below 1e-8 * scale or ConvergenceError is
     raised.  Dirichlet-free meshes, where A can have a kernel, and pencils
     of at most two DOFs (too small for ARPACK) take the dense route,
-    ``_klmn_dense``.
+    ``_klmn_dense``.  V2 must be PSD at every interior vertex, C2 finite.
     """
-    V2 = _as_matrix_field(mesh, V2)
+    if not math.isfinite(c2):
+        raise MeshError(f"C2 must be finite, got {c2!r}")
+    V2 = _as_matrix_field(mesh, V2)[mesh.interior]
     lam_field = np.linalg.eigvalsh(V2)
     if lam_field.min() < -1e-10:
         raise MeshError("V2 must be positive semidefinite")
     A = _assemble(mesh)[0]
-    slots = np.arange(np.count_nonzero(mesh.interior))
-    B = _block_csr(V2[mesh.interior] - c2 * np.eye(mesh.fiber_dim), slots, slots, slots.size)
+    slots = np.arange(V2.shape[0])
+    B = _block_csr(V2 - c2 * np.eye(mesh.fiber_dim), slots, slots, slots.size)
     if mesh.dirichlet.any() and A.shape[0] > 2:
-        if lam_field[mesh.interior].max() <= c2:
+        if lam_field.max() <= c2:
             return 0.0      # B <= 0 and A > 0: the whole pencil is <= 0
         return _klmn_pencil(A, B)
     return _klmn_dense(A, B)
@@ -727,20 +737,18 @@ def form_limit_check(mesh: BundleMesh, f, t_grid, V=None) -> FormLimitResult:
     """Difference quotients <f, (I - e^{-tH}) f>_mu / t against the form value.
 
     As t decreases to 0 the quotient increases to q(f) = <H f, f>_mu for
-    any self-adjoint H, which is checked on the supplied grid, whose times
-    must be positive and finite.  The defect is |Q(t_min) - q(f)|.  Every
-    time comes from one Chebyshev recurrence (``_semigroup_series``), with
-    the result and error bound of a semigroup call of its own.
+    any self-adjoint H, which is checked on the supplied grid of positive
+    finite times, with V converted once.  The defect is |Q(t_min) - q(f)|.
+    Every time comes from one Chebyshev recurrence (``_semigroup_series``),
+    with the result and error bound of a semigroup call of its own.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0 or not np.all(np.isfinite(t_grid)) or t_grid[0] <= 0:
         raise MeshError("t_grid must be positive and finite")
-    A, root = _assemble(mesh, V=V)
-    g = _restrict(mesh, f) * root
-    interval = _semigroup_interval(mesh, A, V)
-    q_exact = float(np.real(np.vdot(g, A @ g)))
     times = t_grid.tolist()
-    evolved = _semigroup_series(A, times, g, *interval)
+    field = None if V is None else _as_matrix_field(mesh, V)
+    A, _, g, evolved = _flow(mesh, _section_dofs(mesh, f), field, times)
+    q_exact = float(np.real(np.vdot(g, A @ g)))
     quotients = np.array([float(np.real(np.vdot(g, g - out))) / t
                           for t, (out, _) in zip(times, evolved)])
     # smaller t gives a larger quotient, up to solver noise

@@ -162,6 +162,25 @@ def test_fk_mc_malformed_domain(tmp_path, capsys, space, domain):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("space,start,domain,message", [
+    (E3_SPACE, [0.3, 0.0, 0.0],
+     {"kind": "halfspace", "normal": [1e200, 1e200, 0.0], "offset": 5e199},
+     "invalid config: halfspace normal must be"),
+    (H3_SPACE, [1.0, 0.0, 0.0, 0.0],
+     {"kind": "ball", "radius": 1.0, "center": [1.0, 0.5, 0.0, 0.0]},
+     "invalid config: point is not on the hyperboloid sheet"),
+], ids=["halfspace_normal_overflows", "ball_center_off_h3"])
+def test_fk_mc_region_check_keeps_its_message(tmp_path, capsys, space, start, domain, message):
+    # a failed check of a decoded region is not a malformed configuration
+    cfg = {"command": "fk-mc", "estimator": "survival",
+           "path": {"space": space, "start": start, "horizon": 0.01,
+                    "step": 0.001, "n_paths": 100, "domain": domain}}
+    code, out = run_cli(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2 and message in err and "malformed" not in err, err
+    assert not (out / "report.json").exists()
+
+
 def test_fk_mc_negative_declared_singularity(tmp_path, capsys):
     cfg = {"command": "fk-mc", "estimator": "kato-integral",
            "path": {"space": E3_SPACE, "start": [0.2, 0.0, 0.0], "horizon": 0.01,

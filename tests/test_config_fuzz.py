@@ -143,8 +143,9 @@ def test_mutated_config_exits_cleanly(tmp_path, capsys, seed, path, mutation):
 
 
 # configs refused as a whole: a half-space normal whose length overflows or
-# underflows (the plane x_1 + x_2 < 0.5 either way), and a kato-test probe
-# off the hyperboloid whose x_0^2 overflows
+# underflows (the plane x_1 + x_2 < 0.5 either way), a kato-test probe off
+# the hyperboloid whose x_0^2 overflows, and a kato-test t_grid of two
+# distinct times, one of them repeated
 H3 = {"kind": "hyperbolic", "dim": 3}
 INVALID = {
     "huge_normal": {
@@ -164,6 +165,10 @@ INVALID = {
         "potential": {"radial": {"expr": "coulomb", "params": {"strength": 1.0},
                                  "singularities": [0.0]}},
         "t_grid": [0.001, 0.01, 0.1, 1.0], "probes": [[1e200, 0.0, 0.0, 0.0]],
+    },
+    "repeated_times": {
+        "command": "kato-test", "space": E3, "potential": {"bundled": "coulomb_r3"},
+        "t_grid": [0.01, 0.01, 0.01, 0.1],
     },
 }
 

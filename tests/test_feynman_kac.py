@@ -147,6 +147,21 @@ def test_pathconfig_json_round_trip():
     assert clone.n_steps == 100
 
 
+def test_pathconfig_json_reports_only_decoding_as_malformed():
+    obj = hconf().to_json_dict()
+    off_sheet = dict(obj, domain={"kind": "ball", "radius": 1.0, "center": [1.0, 0.5, 0.0, 0.0]})
+    with pytest.raises(InvalidPointError, match="hyperboloid"):
+        PathConfig.from_json_dict(off_sheet)
+    obj = econf().to_json_dict()
+    huge = dict(obj, start=[0.3, 0.0, 0.0],
+                domain={"kind": "halfspace", "normal": [1e200, 1e200, 0.0], "offset": 5e199})
+    with pytest.raises(ConfigError, match="^halfspace normal must be"):
+        PathConfig.from_json_dict(huge)
+    for broken in ({k: v for k, v in obj.items() if k != "seed"}, dict(obj, horizon="soon")):
+        with pytest.raises(ConfigError, match="^malformed path configuration"):
+            PathConfig.from_json_dict(broken)
+
+
 def test_killing_region_json():
     ball = KillingRegion.from_json_dict({"kind": "ball", "radius": 1.5})
     assert ball.radius == 1.5
@@ -1181,6 +1196,31 @@ def test_h3_heat_from_off_the_origin_is_boosted():
         assert est.bias_bound == 0.0 and est.n_effective == cfg.n_paths
     points = np.concatenate(seen)
     assert np.max(np.abs(points[:, 0] ** 2 - np.sum(points[:, 1:] ** 2, axis=1) - 1.0)) < 1e-9
+
+
+def test_h3_heat_route_computes_the_sinh_ratio_once_a_block(monkeypatch):
+    # the Doob weight and the boosted points share one sinh|Y| / |Y| a block;
+    # the one 0-d call is h(|base|), once per run
+    sinh_ratio, blocks = fk._sinh_ratio, fk._exact_blocks
+    calls, drawn = [], []
+
+    def counted_ratio(r, out):
+        calls.append(np.ndim(r))
+        return sinh_ratio(r, out)
+
+    def counted_blocks(config):
+        for block in blocks(config):
+            drawn.append(block)
+            yield block
+
+    monkeypatch.setattr(fk, "_sinh_ratio", counted_ratio)
+    monkeypatch.setattr(fk, "_exact_blocks", counted_blocks)
+    cfg = PathConfig(space=H3, start=tuple(geodesic_point(H3, 1.0, (1.0, 2.0, -1.0))),
+                     horizon=0.5, step=0.05, n_paths=40000, seed=71, workers=2)
+    assert fk._exact_heat_route(cfg)
+    est = mc_heat_expectation(lambda p: p[:, 0], cfg)
+    assert math.isfinite(est.value) and len(drawn) >= 4
+    assert calls == [0] + [1] * len(drawn)
 
 
 class PathsDrawn(Exception):

@@ -294,6 +294,15 @@ def test_verdict_needs_four_times():
         kato_verdict(COULOMB, [0.1, 0.2], ORIGIN3)
 
 
+def test_verdict_needs_four_distinct_times():
+    # the fit through the three smallest times would run through one time
+    with pytest.raises(DomainError, match="4 distinct times"):
+        kato_verdict(COULOMB, [0.01, 0.01, 0.01, 0.1], ORIGIN3)
+    # a repeated time counts once
+    rep = kato_verdict(constant(E3, 1.0), T_GRID + T_GRID[1:3], ORIGIN3)
+    assert [row[0] for row in rep.eta_grid] == T_GRID
+
+
 @pytest.mark.parametrize("space,r_grid", [(E3, (-1.0, 8.0)), (E3, (math.nan,)),
                                           (E3, (math.inf,)), (E1, (0.0,)), (E2, (0.0, 1.0))],
                          ids=["negative", "nan", "inf", "r0_on_R1", "r0_on_R2"])

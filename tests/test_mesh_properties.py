@@ -25,7 +25,7 @@ from katoform import operators
 from katoform.errors import ConvergenceError, KernelHandlingError
 from katoform.mesh import (BundleMesh, _trivial_line, gauge_transform, haar_unitary,
                            random_bundle_mesh)
-from katoform.operators import (_assemble, _klmn_dense, _restrict,
+from katoform.operators import (_as_matrix_field, _assemble, _klmn_dense, _section_dofs,
                                 bochner_laplacian, diagonal_potential,
                                 form_sum_spectrum, kato_inequality_gap,
                                 klmn_optimal_c1, quad_form,
@@ -99,6 +99,11 @@ def meshes(draw, min_dirichlet=0):
     return mesh, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
 
+def converted(mesh, V):
+    """The field a public call hands to the private helpers: None stays None."""
+    return None if V is None else _as_matrix_field(mesh, V)
+
+
 def sections(mesh, rng, count=STACK):
     shape = (count, mesh.n_vertices, mesh.fiber_dim)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -110,7 +115,7 @@ def test_kinetic_form_matches_assembly_and_loop(case):
     A, root = _assemble(mesh)
     for f in sections(mesh, rng):
         kinetic = quad_form(mesh, f).kinetic
-        g = _restrict(mesh, f) * root
+        g = _section_dofs(mesh, f) * root
         assert kinetic == pytest.approx(float(np.real(np.vdot(g, A @ g))), rel=1e-12)
         assert kinetic == pytest.approx(loop_kinetic(mesh, f), rel=1e-12)
 
@@ -127,7 +132,8 @@ def test_assembly_matches_loop_entrywise(case):
     assert_matrix(bochner_laplacian(mesh), L)
     assert_matrix(_assemble(_trivial_line(mesh))[0], loop_matrices(mesh, scalar=True)[0])
     for V, field in ((herm, herm), (values, diagonal_potential(mesh, values))):
-        assert_matrix(_assemble(mesh, V=V)[0], loop_matrices(mesh, V=field)[0])
+        assert_matrix(_assemble(mesh, _as_matrix_field(mesh, V))[0],
+                      loop_matrices(mesh, V=field)[0])
 
 
 @given(meshes())
@@ -195,10 +201,10 @@ def test_semigroup_evolve_within_its_bound_of_dense_expm(case, t):
 
     with mock.patch.object(operators, "_semigroup_series", recorded):
         got = semigroup_evolve(mesh, f, t, V=V)
-    A, root = _assemble(mesh, V=V)
-    g = _restrict(mesh, f) * root
+    A, root = _assemble(mesh, converted(mesh, V))
+    g = _section_dofs(mesh, f) * root
     want = sla.expm(-t * A.toarray()) @ g
-    assert np.linalg.norm(_restrict(mesh, got) * root - want) <= bounds[0]
+    assert np.linalg.norm(_section_dofs(mesh, got) * root - want) <= bounds[0]
 
 
 @settings(max_examples=40)
@@ -208,18 +214,17 @@ def test_semigroup_series_equals_single_calls(case, times):
     # one recurrence for every time gives each time's sum and bound bit for
     # bit, and refuses when any one time's call would
     mesh, V, rng = case
-    A, root = _assemble(mesh, V=V)
-    g = _restrict(mesh, sections(mesh, rng, 1)[0]) * root
-    interval = operators._semigroup_interval(mesh, A, V)
+    field = converted(mesh, V)
+    x = _section_dofs(mesh, sections(mesh, rng, 1)[0])
     singles = []
     try:
         for t in times:
-            singles.append(operators._semigroup_series(A, (t,), g, *interval)[0])
+            singles.append(operators._flow(mesh, x, field, (t,))[3][0])
     except ConvergenceError:
         with pytest.raises(ConvergenceError):
-            operators._semigroup_series(A, times, g, *interval)
+            operators._flow(mesh, x, field, times)
         return
-    series = operators._semigroup_series(A, times, g, *interval)
+    series = operators._flow(mesh, x, field, times)[3]
     assert len(series) == len(times)
     for (out, bound), (want, want_bound) in zip(series, singles):
         assert np.array_equal(out, want) and bound == want_bound
@@ -253,7 +258,7 @@ def real_chains(draw):
 @given(real_chains(), st.booleans())
 def test_tridiagonal_route_matches_dense_solve(case, subset):
     mesh, V, rng = case
-    A = _assemble(mesh, V=V)[0]
+    A = _assemble(mesh, converted(mesh, V))[0]
     dense = A.toarray().real
     n = dense.shape[0]
     scale = max(1.0, float(np.abs(dense).max()))
@@ -317,7 +322,7 @@ def test_block_csr_equals_bsr_construction(case, c2):
     # the kinetic matrix, with and without a potential, and on the trivial line
     with mock.patch.object(operators, "_block_csr", recorded):
         for m, V in ((mesh, None), (mesh, v2), (_trivial_line(mesh), None)):
-            _assemble(m, V=V)
+            _assemble(m, converted(m, V))
     slots = np.arange(np.count_nonzero(mesh.interior))
     built.append((v2[mesh.interior] - c2 * np.eye(mesh.fiber_dim), slots, slots, slots.size))
     for args in built:

@@ -22,8 +22,9 @@ from katoform import bundled, operators
 from katoform.errors import ConvergenceError, KernelHandlingError, MeshError
 from katoform.mesh import (BundleMesh, cycle_mesh, gauge_transform, grid_mesh_2d,
                            haar_unitary, interval_mesh, random_bundle_mesh)
-from katoform.operators import (_assemble, bochner_laplacian, fiber_split,
-                                form_limit_check, form_sum_spectrum,
+from katoform.operators import (_as_matrix_field, _assemble, bochner_laplacian,
+                                diagonal_potential, fiber_split, form_limit_check,
+                                form_sum_spectrum,
                                 kato_inequality_gap, klmn_optimal_c1,
                                 quad_form, scalar_laplacian,
                                 semigroup_domination_gap, semigroup_evolve)
@@ -141,7 +142,7 @@ def test_real_operator_solves_in_real_arithmetic(monkeypatch):
     monkeypatch.setattr(operators, "_dense_eigh", spy)
     mesh, values = bundled.coulomb_interval_system()
     spec = form_sum_spectrum(mesh, V=values)
-    dense = _assemble(mesh, V=values)[0].toarray()
+    dense = _assemble(mesh, _as_matrix_field(mesh, values))[0].toarray()
     forced = np.linalg.eigvalsh(dense)      # complex128 input, complex solver
     scale = max(1.0, float(np.abs(dense).max()))
     assert dense.dtype == np.complex128 and spec.method == "dense"
@@ -204,9 +205,11 @@ def test_dense_spectrum_memory_and_agreement(traced_peak, case):
     # eigenvectors alone: 1.20 n^2 measured.
     if case == "coulomb":
         mesh, values = bundled.coulomb_interval_system()
+        field = _as_matrix_field(mesh, values)
     else:
         mesh, values = random_bundle_mesh(400, fiber_dim=2, seed=1, dirichlet_count=1), None
-    dense = _assemble(mesh, V=values)[0].toarray()
+        field = None
+    dense = _assemble(mesh, field)[0].toarray()
     if not np.any(dense.imag):
         dense = dense.real
     n, itemsize = dense.shape[0], dense.itemsize
@@ -244,7 +247,7 @@ def test_tridiagonal_route_matches_dense_solve_bit_for_bit(k):
     # its reduction of a tridiagonal matrix is exact
     mesh, values = bundled.coulomb_interval_system()
     spec = form_sum_spectrum(mesh, V=values, k=k)
-    A = _assemble(mesh, V=values)[0].real
+    A = _assemble(mesh, _as_matrix_field(mesh, values))[0].real
     lam, Q = sla.eigh(A.toarray(), driver="evr",
                       subset_by_index=None if k is None else (0, k - 1))
     assert spec.method == "dense"
@@ -415,7 +418,7 @@ def test_semigroup_refuses_where_its_bound_fails():
     with pytest.raises(ConvergenceError, match="misses its target"):
         semigroup_evolve(mesh, f, 1.0, V=values)
     got = semigroup_evolve(mesh, f, 0.01, V=values)
-    A, root = _assemble(mesh, V=values)
+    A, root = _assemble(mesh, _as_matrix_field(mesh, values))
     g = f[mesh.interior, 0] * root
     want = sla.expm(-0.01 * A.toarray()) @ g
     assert np.linalg.norm(got[mesh.interior, 0] * root - want) <= 1e-13 * np.linalg.norm(want)
@@ -637,3 +640,143 @@ def test_form_limit_quotients_increase_as_t_shrinks():
     assert all(qs[i] >= qs[i + 1] - 1e-12 for i in range(len(qs) - 1))
     assert res.defect < 1e-8
     assert res.converged
+
+
+# ---------------------------------------------------------------------------
+# checked input: one conversion per potential, one section check
+
+def nan_chain():
+    """The chain on [0, 1] at spacing 1/4, a potential with a NaN inside, and a section."""
+    mesh = interval_mesh(0.0, 1.0, 0.25)
+    return mesh, np.array([0.0, math.nan, 1.0, 1.0, 0.0]), np.array([0.0, 0.3, 1.0, -0.5, 0.0])
+
+
+# every public call that takes a potential (klmn_optimal_c1's V2 must be PSD)
+POTENTIAL_CALLS = {
+    "quad_form": lambda mesh, f, V: quad_form(mesh, f, V=V),
+    "semigroup_evolve": lambda mesh, f, V: semigroup_evolve(mesh, f, 0.1, V=V),
+    "form_limit_check": lambda mesh, f, V: form_limit_check(mesh, f, [1e-3, 1e-2], V=V),
+    "form_sum_spectrum": lambda mesh, f, V: form_sum_spectrum(mesh, V=V),
+    "klmn_optimal_c1": lambda mesh, f, V: klmn_optimal_c1(mesh, V, 1.0),
+}
+
+
+def psd_field(mesh, rng):
+    n = mesh.fiber_dim
+    B = (rng.standard_normal((mesh.n_vertices, n, n))
+         + 1j * rng.standard_normal((mesh.n_vertices, n, n)))
+    return np.einsum("uij,ukj->uik", B, B.conj())
+
+
+@pytest.mark.parametrize("call", sorted(POTENTIAL_CALLS))
+@pytest.mark.parametrize("bad", ["nan", "complex"])
+def test_bad_potential_raises_before_any_solve(monkeypatch, call, bad):
+    # a NaN once reached LAPACK's tridiagonal solver, which never returned,
+    # or made Weyl's interval [0, 0] and the evolution the identity; a
+    # complex 1-D potential lost its imaginary part
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve ran on a bad potential")
+
+    monkeypatch.setattr(operators, "_dense_eigh", unreachable)
+    monkeypatch.setattr(operators, "_semigroup_series", unreachable)
+    monkeypatch.setattr(operators, "_klmn_pencil", unreachable)
+    mesh, V, f = nan_chain()
+    if bad == "complex":
+        V = np.array([0.0, 1 + 2j, 1.0, 1 - 1j, 0.0])
+    with pytest.raises(MeshError, match="not finite" if bad == "nan" else "must be real"):
+        POTENTIAL_CALLS[call](mesh, f, V)
+
+
+@pytest.mark.parametrize("c2", [math.nan, math.inf, -math.inf])
+def test_klmn_rejects_non_finite_c2(c2):
+    # C2 = inf once took the B <= 0 shortcut to C1 = 0, and nan reached ARPACK
+    mesh, _, _ = nan_chain()
+    with pytest.raises(MeshError, match="C2 must be finite"):
+        klmn_optimal_c1(mesh, np.ones(mesh.n_vertices), c2)
+
+
+def test_field_checks_name_their_fault():
+    mesh = random_bundle_mesh(7, fiber_dim=2, seed=3, dirichlet_count=1)
+    rng = np.random.default_rng(3)
+    u = int(np.flatnonzero(mesh.interior)[0])
+    field = psd_field(mesh, rng)
+    for entry, match in ((math.nan, "not finite"), (math.inf, "not finite"),
+                         (complex(0.0, math.inf), "not finite"), (5.0, "not Hermitian")):
+        bad = field.copy()
+        bad[u, 0, 1] = entry
+        with pytest.raises(MeshError, match=match):
+            form_sum_spectrum(mesh, V=bad)
+        with pytest.raises(MeshError, match=match):
+            fiber_split(bad)
+    with pytest.raises(MeshError, match="block is not finite"):
+        operators._check_hermitian(np.full((1, 2, 2), math.nan), "block")
+    values = np.zeros(mesh.n_vertices, dtype=complex)
+    values[u] = 1j
+    with pytest.raises(MeshError, match="must be real"):
+        diagonal_potential(mesh, values)
+    # a complex array with no imaginary part is real
+    assert np.array_equal(diagonal_potential(mesh, values.real + 0j),
+                          diagonal_potential(mesh, values.real))
+
+
+def test_non_finite_potential_at_dirichlet_vertices_runs():
+    # Dirichlet blocks never enter a form and are not checked: the results
+    # are those of the potential that is zero there, bit for bit
+    mesh, _, f = nan_chain()
+    bundle = random_bundle_mesh(8, fiber_dim=2, seed=4, dirichlet_count=2)
+    rng = np.random.default_rng(4)
+    clean_field = psd_field(bundle, rng)
+    clean_field[bundle.dirichlet] = 0.0
+    dirty_field = clean_field.copy()
+    dirty_field[bundle.dirichlet] = math.nan
+    clean = np.array([0.0, 0.5, 1.0, 1.0, 0.0])
+    cases = ((mesh, f, clean, np.array([math.nan, 0.5, 1.0, 1.0, math.inf])),
+             (bundle, random_section(bundle, rng), clean_field, dirty_field))
+    for m, g, V, dirty in cases:
+        for name, call in POTENTIAL_CALLS.items():
+            want, got = call(m, g, V), call(m, g, dirty)
+            fields = vars(want) if hasattr(want, "__dict__") else {"value": want}
+            for key, value in fields.items():
+                assert np.array_equal(getattr(got, key, got), value), (name, key)
+
+
+def test_each_call_converts_its_potential_once_and_checks_its_section_once(monkeypatch):
+    counts = {}
+    for name in ("_as_matrix_field", "_sections", "diagonal_potential"):
+        def spy(mesh, x, _real=getattr(operators, name), _name=name):
+            if x is not None:       # None, no potential, passes through
+                counts[_name] = counts.get(_name, 0) + 1
+            return _real(mesh, x)
+
+        monkeypatch.setattr(operators, name, spy)
+    mesh = random_bundle_mesh(8, fiber_dim=2, seed=4, dirichlet_count=1)
+    rng = np.random.default_rng(4)
+    f = random_section(mesh, rng)
+    checks_section = {"quad_form", "semigroup_evolve", "form_limit_check"}
+    for V, lifts in ((psd_field(mesh, rng), 0), (rng.random(mesh.n_vertices), 1)):
+        for name, call in POTENTIAL_CALLS.items():
+            counts.clear()
+            call(mesh, f, V)
+            want = {"_as_matrix_field": 1, "_sections": int(name in checks_section),
+                    "diagonal_potential": lifts}
+            assert counts == {k: v for k, v in want.items() if v}, name
+    for call in (lambda: semigroup_domination_gap(mesh, f, 0.1),
+                 lambda: kato_inequality_gap(mesh, f),
+                 lambda: semigroup_evolve(mesh, np.abs(f[:, 0]), 0.1, scalar=True)):
+        counts.clear()
+        call()
+        assert counts == {"_sections": 1}
+
+
+def test_evolutions_take_one_section():
+    mesh = random_bundle_mesh(8, fiber_dim=2, seed=4, dirichlet_count=1)
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_section(mesh, rng) for _ in range(2)])
+    calls = (lambda g: semigroup_evolve(mesh, g, 0.1),
+             lambda g: semigroup_domination_gap(mesh, g, 0.1),
+             lambda g: form_limit_check(mesh, g, [1e-3]))
+    for call in calls:
+        for g in (stack, stack[:1]):
+            with pytest.raises(MeshError, match="one section, not a stack"):
+                call(g)
+        call(stack[0])

@@ -41,6 +41,11 @@ the unit normal and level it derives once), and one function, _distances,
 calls arccosh: the killing scan and the path route's radii share one
 distance kernel.
 
+In operators.py each input has one check: only the public functions that
+take a potential call _as_matrix_field, once each, and only it calls
+diagonal_potential; _sections is the one section check, which the
+evolutions reach through _section_dofs.
+
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
 kato.form_bound_constants, which imports it when it runs.
@@ -107,7 +112,7 @@ _EIGH_NAMES = {f"scipy.linalg.{name}"
                for name in ("eigh", "eigh_tridiagonal", "eigvalsh", "eig_banded")}
 _NUMPY_EIGH_NAMES = {f"numpy.linalg.{name}" for name in ("eigh", "eigvalsh")}
 # the per-vertex fibre helpers, each a batched solve of (N, n, n) blocks
-_FIBRE_HELPERS = {"fiber_split", "_semigroup_interval", "klmn_optimal_c1"}
+_FIBRE_HELPERS = {"fiber_split", "_flow", "klmn_optimal_c1"}
 
 
 def _references(path, names):
@@ -228,6 +233,29 @@ def test_one_killing_region_definition():
     assert readers == {"KillingRegion"}
     assert {function for function, _ in _references(path, {"numpy.arccosh"})} \
         == {"_distances"}
+
+
+def test_one_potential_conversion_and_section_check():
+    tree = ast.parse((PACKAGE / "operators.py").read_text())
+    functions = [top for top in tree.body if isinstance(top, ast.FunctionDef)]
+    calls = {top.name: [node.func.id for node in ast.walk(top) if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)] for top in functions}
+
+    def callers(name):
+        return {function: called.count(name) for function, called in calls.items()
+                if name in called}
+
+    # the public functions that take a mesh and a potential on it
+    takers = {top.name for top in functions if not top.name.startswith("_")
+              and {arg.arg for arg in top.args.args} >= {"mesh"}
+              and {arg.arg for arg in top.args.args} & {"V", "V2"}}
+    assert takers == {"quad_form", "semigroup_evolve", "form_sum_spectrum",
+                      "klmn_optimal_c1", "form_limit_check"}
+    assert callers("_as_matrix_field") == dict.fromkeys(takers, 1)
+    assert callers("diagonal_potential") == {"_as_matrix_field": 1}
+    assert "_restrict" not in calls
+    assert callers("_sections") == {"quad_form": 1, "kato_inequality_gap": 1,
+                                    "_section_dofs": 1}
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
