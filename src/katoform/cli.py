@@ -99,7 +99,6 @@ _POTENTIAL = {"oneOf": [
                 "properties": {
                     "expr": {"type": "string"},
                     "params": {"type": "object"},
-                    "singularities": _num_array(),
                 },
                 "required": ["expr"],
                 "additionalProperties": False,
@@ -381,33 +380,19 @@ def _run_form_bounds(cfg, ctx):
 
 
 def _spectrum_potential(cfg, mesh):
-    has_values = "potential_values" in cfg
-    has_radial = "radial_potential" in cfg
-    if has_values and has_radial:
+    """The config's vertex values, unchecked: form_sum_spectrum checks them once."""
+    if "potential_values" in cfg and "radial_potential" in cfg:
         raise ConfigError(
             "give either potential_values or radial_potential, not both")
-    if has_values:
-        vals = np.asarray(cfg["potential_values"], dtype=float)
-        if vals.shape != (mesh.n_vertices,):
-            raise ConfigError(
-                f"potential_values has length {vals.size}, mesh has "
-                f"{mesh.n_vertices} vertices")
-    elif has_radial:
-        if mesh.positions is None:
-            raise ConfigError(
-                "radial_potential needs a mesh with vertex positions")
-        pos_dim = mesh.positions.shape[1]
-        pot = _build_potential(cfg["radial_potential"],
-                               ModelSpace(EUCLIDEAN, min(pos_dim, 3)))
-        radii = np.linalg.norm(mesh.positions, axis=1)
-        vals = np.asarray(pot.radial(radii), dtype=float)
-        vals[mesh.dirichlet] = 0.0
-    else:
+    if "potential_values" in cfg:
+        return np.asarray(cfg["potential_values"], dtype=float)
+    if "radial_potential" not in cfg:
         return None
-    live = ~mesh.dirichlet
-    if not np.all(np.isfinite(vals[live])):
-        raise ConfigError("potential is not finite at a live vertex")
-    return vals
+    if mesh.positions is None:
+        raise ConfigError("radial_potential needs a mesh with vertex positions")
+    pot = _build_potential(cfg["radial_potential"],
+                           ModelSpace(EUCLIDEAN, min(mesh.positions.shape[1], 3)))
+    return np.asarray(pot.radial(np.linalg.norm(mesh.positions, axis=1)), dtype=float)
 
 
 def _run_spectrum(cfg, ctx):

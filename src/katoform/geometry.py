@@ -122,8 +122,8 @@ def geodesic_point(space: ModelSpace, r: float, direction=None) -> np.ndarray:
 
     ``direction`` is a unit vector in R^m (defaults to the first axis).
     """
-    if r < 0.0:
-        raise DomainError("radius must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise DomainError("radius must be nonnegative and finite")
     if direction is None:
         u = np.zeros(space.dim)
         u[0] = 1.0
@@ -318,8 +318,8 @@ def heat_kernel_radial(space: ModelSpace, t: float, d):
     1e-8 min(sqrt t, 1) the kernel, even and smooth in d, is its value
     there to rounding, which keeps the transform's d > 0.
     """
-    if t <= 0.0:
-        raise DomainError("time must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("time must be positive and finite")
     d = np.asarray(d, dtype=float)
     if np.any(d < 0.0):
         raise DomainError("distance must be nonnegative")
@@ -443,8 +443,8 @@ def chapman_kolmogorov_residual(space: ModelSpace, s: float, t: float, x, y) -> 
     and at each of its radii rho the ring times the mean of p_s(., y) over
     the sphere of radius rho is one sphere_mean (_sphere_means).
     """
-    if s <= 0.0 or t <= 0.0:
-        raise DomainError("times must be positive")
+    if not (0.0 < s < math.inf and 0.0 < t < math.inf):
+        raise DomainError("times must be positive and finite")
     x = space.validate_point(x)
     y = space.validate_point(y)
     d = distance(space, x, y)

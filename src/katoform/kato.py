@@ -453,8 +453,8 @@ def analytic_kato_functional(v: Potential, radius: float, probes) -> float:
     m = space.dim
     if m == 1:
         raise DomainError("the small-ball functional is undefined in dimension 1")
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise DomainError("radius must be positive and finite")
     if m == 2 and radius >= 1.0:
         raise DomainError("log weight needs radius < 1")
     dists = _probe_distances(v, probes)

@@ -572,11 +572,11 @@ def form_sum_spectrum(mesh: BundleMesh, V=None, k: int | None = None) -> Spectru
     Residuals are ||H x - lambda x||_2 for the returned pairs, through
     the sparse A; a residual above 1e-8 * scale raises ConvergenceError.
     """
+    if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1):
+        raise MeshError(f"k must be a positive integer, got {k!r}")
     A, _ = _assemble(mesh, None if V is None else _as_matrix_field(mesh, V))
     dim = A.shape[0]
     if k is not None:
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise MeshError(f"k must be a positive integer, got {k!r}")
         k = min(int(k), dim)
     scale = max(1.0, float(np.abs(A.data).max(initial=0.0)))
     real = not np.any(A.data.imag)

@@ -3,9 +3,10 @@
 A potential here is a radial profile v(r) around the space origin together
 with its list of singular radii, at which the quadrature layer reads
 condensation windows.  Constants and tabulated profiles are special cases of the
-same container.  Values may be signed; the Kato functionals always consume
-|v|, while the sign decomposition v = v_plus - v_minus feeds the form-bound
-machinery.
+same container.  Everything a potential declares, its singular radii and
+their power included, is a fact of its expression, set by its constructor.
+Values may be signed; the Kato functionals always consume |v|, while the
+canonical parts v = v_plus - v_minus feed the form-bound machinery.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ class Potential:
     ``singular_power`` declares, when known, the power p of the blow-up
     |v| <= C r^-p at the origin; Monte Carlo reads it to tell a finite
     variance from an infinite one.
-    ``sign_split`` optionally carries a decomposition (v1, v2) with
-    v = v1 - v2 and both parts nonnegative; when absent the canonical
-    split max(v, 0) / max(-v, 0) is used.
     """
 
     space: ModelSpace
@@ -38,21 +36,12 @@ class Potential:
     singular_radii: tuple = ()
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    sign_split: tuple | None = None
     singular_power: float | None = None
 
     def __post_init__(self):
         self.singular_radii = tuple(float(r) for r in self.singular_radii)
         if any(r < 0 for r in self.singular_radii):
             raise DomainError("singular radii must be nonnegative")
-        if self.sign_split is not None:
-            v1, v2 = self.sign_split
-            probe = np.array([0.3, 1.1, 2.7])
-            a, b = np.asarray(v1(probe)), np.asarray(v2(probe))
-            if np.any(a < -1e-12) or np.any(b < -1e-12):
-                raise DomainError("sign_split parts must be nonnegative")
-            if not np.allclose(a - b, np.asarray(self.radial(probe)), atol=1e-10):
-                raise DomainError("sign_split does not reproduce the potential")
 
     def abs_radial(self, r, out=None):
         """|v(r)|, written into ``out`` (an array of r's shape) when given."""
@@ -60,52 +49,54 @@ class Potential:
             return np.abs(self.radial(np.asarray(r, dtype=float)), out=out)
 
     def positive_part(self) -> Callable:
-        if self.sign_split is not None:
-            return self.sign_split[0]
+        """v_plus = max(v, 0), the V1 of the weakest split v = V1 - V2.
+
+        Any split with V1, V2 >= 0 has v_plus <= V1 and v_minus <= V2, and
+        both local integrability and the Kato class are solid (a function
+        below a member in absolute value is a member), so every split that
+        qualifies makes the canonical one qualify too.
+        """
         return lambda r: np.maximum(self.radial(np.asarray(r, dtype=float)), 0.0)
 
     def negative_part(self) -> Callable:
-        if self.sign_split is not None:
-            return self.sign_split[1]
+        """v_minus = max(-v, 0), the V2 of the weakest split (see ``positive_part``)."""
         return lambda r: np.maximum(-self.radial(np.asarray(r, dtype=float)), 0.0)
 
     def scaled(self, alpha: float) -> "Potential":
         fn = self.radial
-        return replace(self, radial=lambda r: alpha * fn(r), name=f"{alpha}*{self.name}",
-                       sign_split=None)
+        return replace(self, radial=lambda r: alpha * fn(r), name=f"{alpha}*{self.name}")
 
     def to_json_dict(self) -> dict:
         if self.name in _EXPR_BUILDERS:
-            return {"radial": {"expr": self.name, "params": dict(self.params),
-                               "singularities": list(self.singular_radii)}}
+            return {"radial": {"expr": self.name, "params": dict(self.params)}}
         raise DomainError(f"potential {self.name!r} has no JSON form")
 
 
 def coulomb(space: ModelSpace, strength: float = 1.0) -> Potential:
-    """v(r) = strength / r, singular at the origin."""
-    s = float(strength)
-    return Potential(space=space,
-                     radial=lambda r: _safe_inverse_power(r, 1, s),
-                     singular_radii=(0.0,), name="coulomb",
-                     params={"strength": s}, singular_power=1.0)
+    """v(r) = strength / r: ``inverse_power`` at p = 1."""
+    return replace(inverse_power(space, 1.0, strength), name="coulomb",
+                   params={"strength": float(strength)})
 
 
 def inverse_square(space: ModelSpace, strength: float = 1.0) -> Potential:
-    """v(r) = strength / r^2; borderline-critical scaling at the origin."""
-    s = float(strength)
-    return Potential(space=space,
-                     radial=lambda r: _safe_inverse_power(r, 2, s),
-                     singular_radii=(0.0,), name="inverse_square",
-                     params={"strength": s}, singular_power=2.0)
+    """v(r) = strength / r^2, borderline-critical at the origin: ``inverse_power`` at p = 2."""
+    return replace(inverse_power(space, 2.0, strength), name="inverse_square",
+                   params={"strength": float(strength)})
 
 
 def inverse_power(space: ModelSpace, power: float, strength: float = 1.0) -> Potential:
-    """v(r) = strength / r^power."""
+    """v(r) = strength / r^power, which at r = 0 reads its limit there.
+
+    The origin is singular, with ``singular_power`` = power, exactly when
+    power > 0 and strength != 0; otherwise v is bounded near it.
+    """
     s, p = float(strength), float(power)
+    singular = p > 0 and s != 0
     return Potential(space=space,
                      radial=lambda r: _safe_inverse_power(r, p, s),
-                     singular_radii=(0.0,), name="inverse_power",
-                     params={"strength": s, "power": p}, singular_power=p)
+                     singular_radii=(0.0,) if singular else (), name="inverse_power",
+                     params={"strength": s, "power": p},
+                     singular_power=p if singular else None)
 
 
 def constant(space: ModelSpace, value: float) -> Potential:
@@ -151,49 +142,46 @@ def tabulated(space: ModelSpace, radii, values, interpolation: str = "linear") -
 
 
 def _safe_inverse_power(r, p, s):
-    """s / r**p, and sign(s) * inf at r = 0.
+    """s / r**p, and at r = 0 its limit: sign(s) * inf for p > 0, s for p = 0, else 0.
 
-    For p > 0 the division reaches that limit by itself (s / 0 is
-    sign(s) * inf, and 0 / 0 the same nan as 0 * inf), and r**1 is r.
+    The division reaches each limit by itself (s / 0 is sign(s) * inf,
+    0**0 is 1, and 0**p for p < 0 is inf, so s / 0**p is 0), and r**1 is
+    r.  Only s = 0 needs its own line: 0 / 0**p would be nan, and the zero
+    potential is 0 everywhere.
     """
     r = np.asarray(r, dtype=float)
+    if s == 0.0:
+        return np.zeros_like(r)
     with np.errstate(divide="ignore"):
-        out = s / (r if p == 1 else np.power(r, p))
-    if p > 0:
-        return out
-    return np.where(r == 0.0, np.sign(s) * np.inf, out)
+        return s / (r if p == 1 else np.power(r, p))
 
 
-_EXPR_BUILDERS = {
-    "coulomb": lambda space, params: coulomb(space, **params),
-    "inverse_square": lambda space, params: inverse_square(space, **params),
-    "inverse_power": lambda space, params: inverse_power(space, **params),
-    "constant": lambda space, params: constant(space, **params),
-    "bump": lambda space, params: bump(space, **params),
-}
+_EXPR_BUILDERS = {"coulomb": coulomb, "inverse_square": inverse_square,
+                  "inverse_power": inverse_power, "constant": constant, "bump": bump}
 
 
 def potential_from_json(space: ModelSpace, obj: dict) -> Potential:
     """Build a potential from its wire form.
 
-    Either {"radial": {"expr": ..., "params": {...}, "singularities": [...]}}
-    or {"tabulated": {"radii": [...], "values": [...], "interpolation": ...}}.
+    Either {"radial": {"expr": ..., "params": {...}}} or
+    {"tabulated": {"radii": [...], "values": [...], "interpolation": ...}}.
+    A radial potential takes no other key: what it declares, its singular
+    radii included, follows from its expression.
     """
     if "radial" in obj:
         spec = obj["radial"]
-        expr = spec["expr"]
+        unknown = sorted(set(spec) - {"expr", "params"})
+        if unknown:
+            raise DomainError(f"radial potential takes only 'expr' and 'params', got {unknown}")
+        expr = spec.get("expr")
         if expr not in _EXPR_BUILDERS:
             raise DomainError(f"unknown radial expression {expr!r}")
         try:
-            pot = _EXPR_BUILDERS[expr](space, spec.get("params", {}))
+            pot = _EXPR_BUILDERS[expr](space, **spec.get("params", {}))
         except (TypeError, ValueError) as exc:
             raise DomainError(f"bad params for radial expression {expr!r}: {exc}") from exc
         if not np.all(np.isfinite(list(pot.params.values()))):
             raise DomainError(f"params of radial expression {expr!r} must be finite")
-        declared = spec.get("singularities")
-        if declared is not None:
-            # through __post_init__, which validates the declared radii
-            pot = replace(pot, singular_radii=tuple(declared))
         return pot
     if "tabulated" in obj:
         spec = obj["tabulated"]

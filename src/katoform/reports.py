@@ -68,22 +68,11 @@ def dump_json(path: str, obj) -> None:
         fh.write(text)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
-
-
 def dump_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)
 
 
 def write_table(out_dir: str, stem: str, header, rows) -> None:

@@ -181,16 +181,30 @@ def test_fk_mc_region_check_keeps_its_message(tmp_path, capsys, space, start, do
     assert not (out / "report.json").exists()
 
 
-def test_fk_mc_negative_declared_singularity(tmp_path, capsys):
-    cfg = {"command": "fk-mc", "estimator": "kato-integral",
-           "path": {"space": E3_SPACE, "start": [0.2, 0.0, 0.0], "horizon": 0.01,
-                    "step": 0.001, "n_paths": 100},
-           "potential": {"radial": {"expr": "bump", "params": {"radius": 1.0},
-                                    "singularities": [-1.0]}}}
+INVERSE_SQUARE_MC = {
+    "command": "fk-mc", "estimator": "kato-integral",
+    "path": {"space": E3_SPACE, "start": [0.0, 0.0, 0.0], "horizon": 0.01,
+             "step": 0.001, "n_paths": 100},
+    "potential": {"radial": {"expr": "inverse_square"}}}
+
+
+@pytest.mark.parametrize("declared", [[], [-1.0]], ids=["empty", "negative"])
+def test_fk_mc_declared_singularities_are_refused(tmp_path, capsys, declared):
+    # the singular set is the expression's: an empty list once sent the
+    # inverse square to the exact route, which reported a finite integral
+    cfg = json.loads(json.dumps(INVERSE_SQUARE_MC))
+    cfg["potential"]["radial"]["singularities"] = declared
     code, out = run_cli(tmp_path, cfg)
-    assert code == 2
-    assert "invalid config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert code == 2 and "schema violations" in err and "singularities" in err, err
     assert not (out / "report.json").exists()
+
+
+def test_fk_mc_inverse_square_takes_the_path_route(tmp_path):
+    # 2p = 4 >= 3: an infinite second moment, so the capped trapezoid along paths
+    code, out = run_cli(tmp_path, INVERSE_SQUARE_MC)
+    assert code == 0
+    assert load_report(out)["results"]["estimate"]["cap_events"] > 0
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
@@ -221,8 +235,32 @@ def test_spectrum_inhomogeneous_transports(tmp_path, capsys, transports):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("potential", [
+    {"potential_values": [0.0, 1.0]},
+    {"radial_potential": {"radial": {"expr": "coulomb"}}},
+], ids=["wrong_length", "coulomb_at_a_live_origin"])
+def test_spectrum_potential_checked_by_the_operator(tmp_path, capsys, potential):
+    # peierls_grid has a live vertex at the origin, where 1/r is infinite
+    cfg = {"command": "spectrum", "mesh": {"bundled": "peierls_grid"}, "k": 3, **potential}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit code 0: a passing run, report and table layout
+
+def test_spectrum_smooth_power_at_a_live_origin(tmp_path):
+    # r^2 reads its limit 0 at the origin vertex, which needs no probe
+    cfg = {"command": "spectrum", "mesh": {"bundled": "peierls_grid"}, "k": 3,
+           "radial_potential": {"radial": {"expr": "inverse_power",
+                                           "params": {"power": -2.0}}}}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert len(load_report(out)["results"]["eigenvalues"]) == 3
+    assert len((out / "spectrum.csv").read_text().splitlines()) == 4
+
 
 def test_spectrum_k_written_as_float(tmp_path):
     # JSON Schema counts 2.0 as an integer, so the run must take it as k = 2

@@ -28,8 +28,7 @@ FAST_PATH = {"space": E3, "start": [0.0, 0.0, 0.0], "horizon": 0.01,
 INLINE_SEEDS = {
     "radial_potential": {
         "command": "kato-test", "space": E3,
-        "potential": {"radial": {"expr": "coulomb", "params": {"strength": 1.0},
-                                 "singularities": [0.0]}},
+        "potential": {"radial": {"expr": "coulomb", "params": {"strength": 1.0}}},
         "t_grid": [0.001, 0.01, 0.1, 1.0],
     },
     "tabulated_potential": {
@@ -162,8 +161,7 @@ INVALID = {
     },
     "far_probe": {
         "command": "kato-test", "space": H3,
-        "potential": {"radial": {"expr": "coulomb", "params": {"strength": 1.0},
-                                 "singularities": [0.0]}},
+        "potential": {"radial": {"expr": "coulomb", "params": {"strength": 1.0}}},
         "t_grid": [0.001, 0.01, 0.1, 1.0], "probes": [[1e200, 0.0, 0.0, 0.0]],
     },
     "repeated_times": {

@@ -20,6 +20,8 @@ from katoform.geometry import (EUCLIDEAN, HYPERBOLIC, ModelSpace,
                                distance, geodesic_point, h_kernel,
                                heat_kernel, heat_kernel_radial, heat_mass,
                                law_of_cosines, model_ball_volume, ring_area)
+from katoform.kato import analytic_kato_functional
+from katoform.potentials import coulomb
 
 E1, E2, E3 = (ModelSpace(EUCLIDEAN, m) for m in (1, 2, 3))
 H2, H3 = (ModelSpace(HYPERBOLIC, m) for m in (2, 3))
@@ -209,6 +211,26 @@ def test_kernel_rejects_bad_time():
         heat_kernel_radial(E3, 0.0, np.array([1.0]))
     with pytest.raises(DomainError):
         heat_kernel_radial(E3, -1.0, np.array([1.0]))
+
+
+# a NaN passes a `<= 0` test, so each check reads `not 0 < x < inf`
+NON_FINITE_ARGUMENT = {
+    "analytic_kato_functional": lambda x: analytic_kato_functional(coulomb(E3), x, [E3.origin()]),
+    "heat_kernel_radial_E3": lambda x: heat_kernel_radial(E3, x, 0.5),
+    "heat_kernel_radial_H2": lambda x: heat_kernel_radial(H2, x, 0.5),
+    "chapman_kolmogorov_s": lambda x: chapman_kolmogorov_residual(
+        E3, x, 0.5, E3.origin(), geodesic_point(E3, 0.5)),
+    "chapman_kolmogorov_t": lambda x: chapman_kolmogorov_residual(
+        E3, 0.5, x, E3.origin(), geodesic_point(E3, 0.5)),
+    "geodesic_point": lambda x: geodesic_point(E3, x),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_ARGUMENT))
+def test_non_finite_radius_or_time_is_a_domain_error(call, x):
+    with pytest.raises(DomainError):
+        NON_FINITE_ARGUMENT[call](x)
 
 
 # ---------------------------------------------------------------------------

@@ -285,8 +285,13 @@ def test_tridiagonal_route_beyond_the_dense_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True, "3"])
-def test_spectrum_rejects_bad_k(k):
-    # unchecked, k = -1 would slice off the top eigenvalue and k = 0 return nothing
+def test_spectrum_rejects_bad_k(monkeypatch, k):
+    # unchecked, k = -1 would slice off the top eigenvalue and k = 0 return
+    # nothing; checked before any assembly, a bad k costs no matrix
+    def unreachable(*args, **kwargs):
+        raise AssertionError("assembled before checking k")
+
+    monkeypatch.setattr(operators, "_assemble", unreachable)
     with pytest.raises(MeshError, match="positive integer"):
         form_sum_spectrum(cycle_mesh(7, theta=0.7), k=k)
 

@@ -46,6 +46,12 @@ take a potential call _as_matrix_field, once each, and only it calls
 diagonal_potential; _sections is the one section check, which the
 evolutions reach through _section_dofs.
 
+A potential declares only what its expression implies: one function,
+inverse_power, calls _safe_inverse_power (coulomb and inverse_square are
+inverse_power at p = 1 and 2), no module names sign_split (the canonical
+parts are the weakest split), and no module, potentials.py and cli.py
+included, holds a "singularities" key (no config overrides a singular set).
+
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
 kato.form_bound_constants, which imports it when it runs.
@@ -256,6 +262,35 @@ def test_one_potential_conversion_and_section_check():
     assert "_restrict" not in calls
     assert callers("_sections") == {"quad_form": 1, "kato_inequality_gap": 1,
                                     "_section_dofs": 1}
+
+
+def _identifiers(path):
+    """Each name one module binds or reads, and each of its string constants."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_potentials_declare_only_what_their_expression_implies():
+    tree = ast.parse((PACKAGE / "potentials.py").read_text())
+    callers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+               for node in ast.walk(top) if isinstance(node, ast.Name)
+               and node.id == "_safe_inverse_power"}
+    assert callers == {"inverse_power"}
+    found = {path.relative_to(PACKAGE).as_posix(): set(_identifiers(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name for name, ids in found.items() if "_safe_inverse_power" in ids} \
+        == {"potentials.py"}
+    assert {name for name, ids in found.items() if "sign_split" in ids} == set()
+    assert {name for name, ids in found.items() if "singularities" in ids} == set()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
