@@ -17,10 +17,21 @@ Exit status: 0 on success, 1 when a computation violates one of its named
 invariants (the invariant is printed to stderr), 2 when the configuration is
 invalid (schema diagnostics on stderr).  Invalid includes a non-finite
 number anywhere in the file (NaN, Infinity, or a literal that overflows a
-float) and potential params that the named expression does not take, or
-takes with the wrong type.  Reference mode pins workers to 1;
-a repeated reference run with the same config and seed writes a
-byte-identical report.json.  Reports never contain timestamps or paths.
+float) and potential params that the named expression does not take,
+takes with the wrong type or refuses (a bump radius <= 0).  Reference mode
+pins workers to 1; a repeated reference run with the same config and seed
+writes a byte-identical report.json.  Reports never contain timestamps or paths.
+
+This is the one module that reads the config format: the library takes
+Python values, and the _build_* helpers below decode a config's spaces,
+potentials, meshes and path runs into them.  An inline mesh reads
+
+    {"fiber_dim": n,
+     "vertices": [{"mu": 1.0, "dirichlet": false}, ...],
+     "edges": [{"u": 0, "v": 1, "w": 1.0, "U": [[[re, im], ...], ...]}, ...]}
+
+where each transport U is n x n, row-major, with complex entries as
+[re, im] pairs, and maps the fibre over v into the fibre over u.
 """
 
 from __future__ import annotations
@@ -39,14 +50,14 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      InvalidPointError, KernelHandlingError, MeshError,
                      MonotonicityError, NotFormBoundedError, QuadratureError,
                      UndecidedError)
-from .feynman_kac import (PathConfig, mc_covariant_semigroup, mc_heat_expectation,
-                          mc_kato_integral)
+from .feynman_kac import (KillingRegion, PathConfig, mc_covariant_semigroup,
+                          mc_heat_expectation, mc_kato_integral)
 from .geometry import EUCLIDEAN, ModelSpace
 from .kato import _resolvent_with_error, form_bound_constants, kato_verdict, sandwich_check
 from .mesh import BundleMesh
 from .operators import (_dense_eigh, bochner_laplacian, form_limit_check, form_sum_spectrum,
                         kato_inequality_gap, quad_form, semigroup_domination_gap)
-from .potentials import potential_from_json
+from .potentials import bump, constant, coulomb, inverse_power, inverse_square, tabulated
 
 ENV_PREFIX = "KATOFORM_"
 
@@ -115,7 +126,7 @@ _POTENTIAL = {"oneOf": [
                 "properties": {
                     "radii": _num_array(2),
                     "values": _num_array(2),
-                    "interpolation": {"type": "string"},
+                    "interpolation": {"const": "linear"},
                 },
                 "required": ["radii", "values"],
                 "additionalProperties": False,
@@ -125,6 +136,9 @@ _POTENTIAL = {"oneOf": [
         "additionalProperties": False,
     },
 ]}
+
+# a complex entry as its [re, im] pair
+_COMPLEX = dict(_num_array(2), maxItems=2)
 
 _MESH = {"oneOf": [
     _BUNDLED_REF,
@@ -149,7 +163,8 @@ _MESH = {"oneOf": [
                     "properties": {"u": {"type": "integer"},
                                    "v": {"type": "integer"},
                                    "w": {"type": "number"},
-                                   "U": {"type": "array"}},
+                                   "U": {"type": "array", "items": {
+                                       "type": "array", "items": _COMPLEX}}},
                     "required": ["u", "v", "w", "U"],
                     "additionalProperties": False,
                 },
@@ -288,7 +303,11 @@ SCHEMAS = {
 def _build_space(obj) -> ModelSpace:
     if "bundled" in obj:
         return bundled.get_space(obj["bundled"])
-    return ModelSpace.from_json_dict(obj)
+    return ModelSpace(obj["kind"], int(obj["dim"]))
+
+
+_RADIAL = {make.__name__: make
+           for make in (coulomb, inverse_square, inverse_power, constant, bump)}
 
 
 def _build_potential(obj, space: ModelSpace):
@@ -300,13 +319,50 @@ def _build_potential(obj, space: ModelSpace):
                 f"{pot.space.kind} m={pot.space.dim}, config space is "
                 f"{space.kind} m={space.dim}")
         return pot
-    return potential_from_json(space, obj)
+    if "tabulated" in obj:
+        return tabulated(space, obj["tabulated"]["radii"], obj["tabulated"]["values"])
+    expr = obj["radial"]["expr"]
+    if expr not in _RADIAL:
+        raise ConfigError(f"unknown radial expression {expr!r}")
+    try:
+        return _RADIAL[expr](space, **obj["radial"].get("params", {}))
+    except (TypeError, ValueError, DomainError) as exc:
+        raise ConfigError(f"bad params for radial expression {expr!r}: {exc}") from exc
 
 
 def _build_mesh(obj) -> BundleMesh:
     if "bundled" in obj:
         return bundled.get_mesh(obj["bundled"])
-    return BundleMesh.from_json_dict(obj)
+    n, verts, edges = int(obj["fiber_dim"]), obj["vertices"], obj["edges"]
+    try:
+        transports = np.array([[[complex(re, im) for re, im in row] for row in e["U"]]
+                               for e in edges], dtype=complex)
+    except ValueError as exc:
+        # numpy's inhomogeneous shape, from ragged rows of a transport or from
+        # transports of different shapes: the schema checks only each entry
+        raise MeshError(f"malformed mesh JSON: {exc}") from exc
+    return BundleMesh(fiber_dim=n, mu=[v["mu"] for v in verts],
+                      dirichlet=[v.get("dirichlet", False) for v in verts],
+                      edge_u=[e["u"] for e in edges], edge_v=[e["v"] for e in edges],
+                      edge_w=[e["w"] for e in edges],
+                      transports=transports if edges else np.zeros((0, n, n), complex))
+
+
+def _build_path(obj, ctx) -> PathConfig:
+    domain = obj.get("domain")
+    if domain is None:
+        region = None
+    elif domain["kind"] == "ball":
+        center = domain.get("center")
+        region = KillingRegion(kind="ball", radius=float(domain["radius"]),
+                               center=None if center is None else tuple(center))
+    else:
+        region = KillingRegion(kind="halfspace", normal=tuple(domain["normal"]),
+                               offset=float(domain.get("offset", 0.0)))
+    return PathConfig(space=_build_space(obj["space"]), start=tuple(obj["start"]),
+                      horizon=float(obj["horizon"]), step=float(obj["step"]),
+                      n_paths=int(obj["n_paths"]), seed=ctx.seed, workers=ctx.workers,
+                      domain=region)
 
 
 def _probes(cfg, space: ModelSpace):
@@ -491,10 +547,7 @@ def _run_check_inequalities(cfg, ctx):
 
 
 def _run_fk_mc(cfg, ctx):
-    path = dict(cfg["path"], seed=ctx.seed, workers=ctx.workers)
-    if "bundled" in path["space"]:
-        path["space"] = bundled.get_space(path["space"]["bundled"]).to_json_dict()
-    pcfg = PathConfig.from_json_dict(path)
+    pcfg = _build_path(cfg["path"], ctx)
     estimator = cfg["estimator"]
     checks = []
 

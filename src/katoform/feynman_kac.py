@@ -86,7 +86,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InvalidPointError
+from .errors import ConfigError, DomainError
 from .geometry import EUCLIDEAN, HYPERBOLIC, ModelSpace
 
 _MAX_BATCH = 1024
@@ -152,23 +152,6 @@ class KillingRegion:
         center = None if self.center is None else np.asarray(self.center, dtype=float)
         return _distances(space, points, *np.empty((2, len(points))), center) < self.radius
 
-    def to_json_dict(self) -> dict:
-        if self.kind == "halfspace":
-            return {"kind": self.kind, "normal": list(self.normal), "offset": self.offset}
-        out = {"kind": self.kind, "radius": self.radius}
-        if self.center is not None:
-            out["center"] = list(self.center)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "KillingRegion":
-        center, normal = obj.get("center"), obj.get("normal")
-        if obj.get("kind") == "ball":
-            return cls(kind="ball", radius=float(obj.get("radius", 0.0)),
-                       center=None if center is None else tuple(center))
-        return cls(kind=obj.get("kind"), normal=None if normal is None else tuple(normal),
-                   offset=float(obj.get("offset", 0.0)))
-
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -222,42 +205,6 @@ class PathConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.step))
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "space": self.space.to_json_dict(),
-            "start": list(self.start),
-            "horizon": self.horizon,
-            "step": self.step,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "workers": self.workers,
-        }
-        if self.domain is not None:
-            out["domain"] = self.domain.to_json_dict()
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PathConfig":
-        """Decode a configuration; only a decoding fault is reported as malformed.
-
-        A missing key, a wrong type or a failed number conversion raises
-        ConfigError "malformed path configuration"; the checks of the space,
-        the point and the region raise their own errors unchanged.
-        """
-        try:
-            space = ModelSpace.from_json_dict(obj["space"])
-            domain = obj.get("domain")
-            return cls(space=space, start=tuple(obj["start"]),
-                       horizon=float(obj["horizon"]), step=float(obj["step"]),
-                       n_paths=int(obj["n_paths"]), seed=int(obj["seed"]),
-                       workers=int(obj.get("workers", 1)),
-                       domain=None if domain is None else
-                       KillingRegion.from_json_dict(domain))
-        except (ConfigError, DomainError, InvalidPointError):
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed path configuration: {exc}") from exc
 
 
 @dataclass

@@ -109,13 +109,6 @@ class ModelSpace:
                 raise InvalidPointError("point is not on the hyperboloid sheet")
         return x
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim}
-
-    @staticmethod
-    def from_json_dict(obj) -> "ModelSpace":
-        return ModelSpace(kind=obj["kind"], dim=int(obj["dim"]))
-
 
 def geodesic_point(space: ModelSpace, r: float, direction=None) -> np.ndarray:
     """Point at geodesic distance r from the origin.

@@ -9,12 +9,6 @@ the operators built on top.
 Transport orientation: for the edge record (u, v, w, U) the matrix U maps
 the fiber over v into the fiber over u.  The reverse direction is U^dagger,
 which is what ``transport_into`` returns when asked to move u -> v.
-
-The JSON form encodes complex entries as [re, im] pairs, row-major:
-
-    {"fiber_dim": n,
-     "vertices": [{"mu": 1.0, "dirichlet": false}, ...],
-     "edges": [{"u": 0, "v": 1, "w": 1.0, "U": [[[re, im], ...], ...]}, ...]}
 """
 
 from __future__ import annotations
@@ -164,46 +158,6 @@ class BundleMesh:
                 raise MeshError(f"no edge between {a} and {b}")
             out = self.transport_into(e, int(b)) @ out
         return out
-
-    # -- wire form ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        def encode_u(U):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in U]
-
-        return {
-            "fiber_dim": int(self.fiber_dim),
-            "vertices": [{"mu": float(m), "dirichlet": bool(d)}
-                         for m, d in zip(self.mu, self.dirichlet)],
-            "edges": [{"u": int(a), "v": int(b), "w": float(w), "U": encode_u(U)}
-                      for a, b, w, U in zip(self.edge_u, self.edge_v,
-                                            self.edge_w, self.transports)],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BundleMesh":
-        try:
-            n = int(obj["fiber_dim"])
-            verts = obj["vertices"]
-            edges = obj["edges"]
-            mu = [v["mu"] for v in verts]
-            dirichlet = [bool(v.get("dirichlet", False)) for v in verts]
-            eu = [e["u"] for e in edges]
-            ev = [e["v"] for e in edges]
-            ew = [e["w"] for e in edges]
-            mats = []
-            for e in edges:
-                U = e["U"]
-                mat = np.array([[complex(cell[0], cell[1]) for cell in row]
-                                for row in U], dtype=complex)
-                mats.append(mat)
-            mats = np.array(mats, dtype=complex) if mats else np.zeros((0, n, n), complex)
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            # ValueError: numpy's inhomogeneous shape, from ragged rows of a
-            # transport or from transports of different shapes
-            raise MeshError(f"malformed mesh JSON: {exc}") from exc
-        return cls(fiber_dim=n, mu=mu, dirichlet=dirichlet,
-                   edge_u=eu, edge_v=ev, edge_w=ew, transports=mats)
 
 
 # ---------------------------------------------------------------------------

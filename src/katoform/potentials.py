@@ -4,13 +4,16 @@ A potential here is a radial profile v(r) around the space origin together
 with its list of singular radii, at which the quadrature layer reads
 condensation windows.  Constants and tabulated profiles are special cases of the
 same container.  Everything a potential declares, its singular radii and
-their power included, is a fact of its expression, set by its constructor.
+their power included, is a fact of its expression, set by its constructor,
+which refuses params that give the expression no meaning: a non-finite
+one, or a bump radius <= 0.
 Values may be signed; the Kato functionals always consume |v|, while the
 canonical parts v = v_plus - v_minus feed the form-bound machinery.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -62,15 +65,6 @@ class Potential:
         """v_minus = max(-v, 0), the V2 of the weakest split (see ``positive_part``)."""
         return lambda r: np.maximum(-self.radial(np.asarray(r, dtype=float)), 0.0)
 
-    def scaled(self, alpha: float) -> "Potential":
-        fn = self.radial
-        return replace(self, radial=lambda r: alpha * fn(r), name=f"{alpha}*{self.name}")
-
-    def to_json_dict(self) -> dict:
-        if self.name in _EXPR_BUILDERS:
-            return {"radial": {"expr": self.name, "params": dict(self.params)}}
-        raise DomainError(f"potential {self.name!r} has no JSON form")
-
 
 def coulomb(space: ModelSpace, strength: float = 1.0) -> Potential:
     """v(r) = strength / r: ``inverse_power`` at p = 1."""
@@ -88,9 +82,12 @@ def inverse_power(space: ModelSpace, power: float, strength: float = 1.0) -> Pot
     """v(r) = strength / r^power, which at r = 0 reads its limit there.
 
     The origin is singular, with ``singular_power`` = power, exactly when
-    power > 0 and strength != 0; otherwise v is bounded near it.
+    power > 0 and strength != 0; otherwise v is bounded near it.  Both
+    params must be finite.
     """
     s, p = float(strength), float(power)
+    if not (math.isfinite(s) and math.isfinite(p)):
+        raise DomainError(f"inverse_power needs a finite power and strength, got {p} and {s}")
     singular = p > 0 and s != 0
     return Potential(space=space,
                      radial=lambda r: _safe_inverse_power(r, p, s),
@@ -101,14 +98,23 @@ def inverse_power(space: ModelSpace, power: float, strength: float = 1.0) -> Pot
 
 def constant(space: ModelSpace, value: float) -> Potential:
     c = float(value)
+    if not math.isfinite(c):
+        raise DomainError(f"constant value must be finite, got {c}")
     return Potential(space=space,
                      radial=lambda r: np.full_like(np.asarray(r, dtype=float), c),
                      singular_radii=(), name="constant", params={"value": c})
 
 
 def bump(space: ModelSpace, amplitude: float = 1.0, radius: float = 1.0) -> Potential:
-    """Compactly supported bump a (1 - (r/R)^2)^2 on r < R; bounded, in L^2."""
+    """Compactly supported bump a (1 - (r/R)^2)^2 on r < R; bounded, in L^2.
+
+    The amplitude must be finite and the radius positive and finite: a
+    radius R <= 0 would leave no support, the zero potential in disguise.
+    """
     a, rad = float(amplitude), float(radius)
+    if not (math.isfinite(a) and 0.0 < rad < math.inf):
+        raise DomainError("bump needs a finite amplitude and a positive finite radius, "
+                          f"got {a} and {rad}")
 
     def profile(r):
         r = np.asarray(r, dtype=float)
@@ -119,7 +125,7 @@ def bump(space: ModelSpace, amplitude: float = 1.0, radius: float = 1.0) -> Pote
                      name="bump", params={"amplitude": a, "radius": rad})
 
 
-def tabulated(space: ModelSpace, radii, values, interpolation: str = "linear") -> Potential:
+def tabulated(space: ModelSpace, radii, values) -> Potential:
     """Potential from radial samples; linear interpolation, clamped ends."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -129,16 +135,13 @@ def tabulated(space: ModelSpace, radii, values, interpolation: str = "linear") -
         raise DomainError("tabulated radii and values must be finite")
     if np.any(np.diff(radii) <= 0):
         raise DomainError("tabulated radii must be strictly increasing")
-    if interpolation != "linear":
-        raise DomainError("only linear interpolation is implemented")
 
     def profile(r):
         return np.interp(np.asarray(r, dtype=float), radii, values)
 
     return Potential(space=space, radial=profile, singular_radii=(),
                      name="tabulated",
-                     params={"radii": radii.tolist(), "values": values.tolist(),
-                             "interpolation": interpolation})
+                     params={"radii": radii.tolist(), "values": values.tolist()})
 
 
 def _safe_inverse_power(r, p, s):
@@ -154,37 +157,3 @@ def _safe_inverse_power(r, p, s):
         return np.zeros_like(r)
     with np.errstate(divide="ignore"):
         return s / (r if p == 1 else np.power(r, p))
-
-
-_EXPR_BUILDERS = {"coulomb": coulomb, "inverse_square": inverse_square,
-                  "inverse_power": inverse_power, "constant": constant, "bump": bump}
-
-
-def potential_from_json(space: ModelSpace, obj: dict) -> Potential:
-    """Build a potential from its wire form.
-
-    Either {"radial": {"expr": ..., "params": {...}}} or
-    {"tabulated": {"radii": [...], "values": [...], "interpolation": ...}}.
-    A radial potential takes no other key: what it declares, its singular
-    radii included, follows from its expression.
-    """
-    if "radial" in obj:
-        spec = obj["radial"]
-        unknown = sorted(set(spec) - {"expr", "params"})
-        if unknown:
-            raise DomainError(f"radial potential takes only 'expr' and 'params', got {unknown}")
-        expr = spec.get("expr")
-        if expr not in _EXPR_BUILDERS:
-            raise DomainError(f"unknown radial expression {expr!r}")
-        try:
-            pot = _EXPR_BUILDERS[expr](space, **spec.get("params", {}))
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"bad params for radial expression {expr!r}: {exc}") from exc
-        if not np.all(np.isfinite(list(pot.params.values()))):
-            raise DomainError(f"params of radial expression {expr!r} must be finite")
-        return pot
-    if "tabulated" in obj:
-        spec = obj["tabulated"]
-        return tabulated(space, spec["radii"], spec["values"],
-                         spec.get("interpolation", "linear"))
-    raise DomainError("potential JSON needs a 'radial' or 'tabulated' key")

@@ -15,8 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from katoform import bundled, cli, kato
+from katoform import bundled, cli, kato, reports
 from katoform.errors import ConvergenceError, UndecidedError
+from katoform.feynman_kac import KillingRegion, PathConfig, mc_heat_expectation
+from katoform.geometry import EUCLIDEAN, ModelSpace
+from katoform.mesh import random_bundle_mesh
+from katoform.operators import form_sum_spectrum
+from katoform.potentials import inverse_power
 from katoform.reports import PROVENANCES
 
 
@@ -103,6 +108,43 @@ def test_bad_potential_params_rejected(tmp_path, capsys):
     code, _ = run_cli(tmp_path, cfg)
     assert code == 2
     assert "invalid config: bad params for radial expression 'coulomb'" in capsys.readouterr().err
+
+
+# test_bad_potential_params_rejected takes {"nonsense": 1}
+@pytest.mark.parametrize("radial", [
+    {"expr": "coulomb", "params": {"strength": "x"}},
+    {"expr": "coulomb", "params": {"strength": {}}},
+    {"expr": "mystery"},
+], ids=["string", "object", "unknown_expression"])
+def test_bad_radial_potential_rejected(tmp_path, capsys, radial):
+    cfg = {"command": "kato-test", "space": E3_SPACE, "t_grid": [1e-3, 1e-2, 1e-1, 1.0],
+           "potential": {"radial": radial}}
+    code, out = run_cli(tmp_path, cfg)
+    err = capsys.readouterr().err
+    want = ("unknown radial expression 'mystery'" if radial["expr"] == "mystery"
+            else "bad params for radial expression 'coulomb'")
+    assert code == 2 and f"invalid config: {want}" in err, err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,potential,message", [
+    ("kato-test", {"radial": {"expr": "bump", "params": {"amplitude": 1, "radius": -1}}},
+     "bad params for radial expression 'bump'"),
+    ("form-bounds", {"radial": {"expr": "bump", "params": {"amplitude": 1, "radius": 0}}},
+     "bad params for radial expression 'bump'"),
+    ("kato-test", {"tabulated": {"radii": [0.0, 1.0], "values": [1.0, 0.0],
+                                 "interpolation": "cubic"}},
+     "schema violations"),
+], ids=["bump_negative_radius", "bump_zero_radius", "cubic_interpolation"])
+def test_potential_with_no_meaning_is_refused(tmp_path, capsys, command, potential, message):
+    # a bump of radius <= 0 once ran as the zero potential, verdict member
+    cfg = {"command": command, "space": E3_SPACE, "potential": potential}
+    if command == "kato-test":
+        cfg["t_grid"] = [1e-3, 1e-2, 1e-1, 1.0]
+    code, out = run_cli(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2 and f"invalid config: {message}" in err, err
+    assert not (out / "report.json").exists()
 
 
 def test_empty_config(tmp_path, capsys):
@@ -235,6 +277,18 @@ def test_spectrum_inhomogeneous_transports(tmp_path, capsys, transports):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("cell", [[1.0, 0.0, 99.0], [1.0], ["1", 0.0], [1.0, None]],
+                         ids=["three_parts", "one_part", "string", "null"])
+def test_spectrum_transport_entry_is_an_re_im_pair(tmp_path, capsys, cell):
+    # an entry [1, 0, 99, ...] once read as 1 + 0j, its tail ignored
+    mesh = {"fiber_dim": 1, "vertices": [{"mu": 1.0}, {"mu": 1.0}],
+            "edges": [{"u": 0, "v": 1, "w": 1.0, "U": [[cell]]}]}
+    code, out = run_cli(tmp_path, dict(SPECTRUM_CFG, k=1, mesh=mesh))
+    err = capsys.readouterr().err
+    assert code == 2 and "invalid config: schema violations" in err, err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("potential", [
     {"potential_values": [0.0, 1.0]},
     {"radial_potential": {"radial": {"expr": "coulomb"}}},
@@ -326,6 +380,64 @@ def test_kato_run_tables(tmp_path):
     res_csv = (out / "resolvent.csv").read_text().splitlines()
     assert res_csv[0] == "r,C_r,err"
     assert (out / "plot_eta.csv").read_text().splitlines()[0] == "x,y"
+
+
+# ---------------------------------------------------------------------------
+# decoding: an inline config builds the objects Python would, bit for bit
+
+def encode_mesh(mesh):
+    """The inline mesh form of a BundleMesh, transports as [re, im] pairs."""
+    return {
+        "fiber_dim": mesh.fiber_dim,
+        "vertices": [{"mu": float(m), "dirichlet": bool(d)}
+                     for m, d in zip(mesh.mu, mesh.dirichlet)],
+        "edges": [{"u": int(a), "v": int(b), "w": float(w),
+                   "U": [[[float(z.real), float(z.imag)] for z in row] for row in U]}
+                  for a, b, w, U in zip(mesh.edge_u, mesh.edge_v, mesh.edge_w,
+                                        mesh.transports)],
+    }
+
+
+def test_inline_mesh_spectrum_matches_python(tmp_path):
+    mesh = random_bundle_mesh(8, fiber_dim=2, seed=9, dirichlet_count=1)
+    code, out = run_cli(tmp_path, {"command": "spectrum", "mesh": encode_mesh(mesh)})
+    assert code == 0
+    spec = form_sum_spectrum(mesh)
+    rows = load_report(out)["results"]["eigenvalues"]
+    assert [row["value"] for row in rows] == spec.eigenvalues.tolist()
+    assert [row["error"] for row in rows] == spec.residuals.tolist()
+
+
+def test_inline_halfspace_survival_matches_python(tmp_path):
+    path = {"space": E3_SPACE, "start": [0.3, 0.0, 0.0], "horizon": 0.25, "step": 0.0025,
+            "n_paths": 1000, "domain": {"kind": "halfspace", "normal": [1.0, 0.0, 0.0],
+                                        "offset": 0.5}}
+    code, out = run_cli(tmp_path, {"command": "fk-mc", "estimator": "survival",
+                                   "path": path, "seed": 7})
+    assert code == 0
+    pcfg = PathConfig(space=ModelSpace(EUCLIDEAN, 3), start=(0.3, 0.0, 0.0), horizon=0.25,
+                      step=0.0025, n_paths=1000, seed=7,
+                      domain=KillingRegion(kind="halfspace", normal=(1.0, 0.0, 0.0),
+                                           offset=0.5))
+    est = mc_heat_expectation(lambda X: np.ones(len(X)), pcfg)
+    got = load_report(out)["results"]["estimate"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(
+        reports.sanitize(reports.estimate_json(est)), sort_keys=True)
+
+
+def test_inline_radial_kato_test_matches_python(tmp_path):
+    t_grid = [1e-4, 1e-3, 1e-2, 1e-1]
+    cfg = {"command": "kato-test", "space": E3_SPACE, "t_grid": t_grid, "r_grid": [1.0],
+           "potential": {"radial": {"expr": "inverse_power",
+                                    "params": {"power": 1.5, "strength": 2.0}}}}
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    space = ModelSpace(EUCLIDEAN, 3)
+    report = kato.kato_verdict(inverse_power(space, 1.5, 2.0), t_grid, [space.origin()],
+                               r_grid=[1.0])
+    got = load_report(out)["results"]["kato"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(
+        reports.sanitize(reports.kato_report_json(report)), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

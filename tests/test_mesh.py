@@ -1,4 +1,4 @@
-"""Bundle meshes: construction, validation, holonomy, serialization."""
+"""Bundle meshes: construction, validation, holonomy, gauge moves."""
 
 import hashlib
 import math
@@ -308,33 +308,7 @@ def test_holonomy_requires_existing_edges():
 
 
 # ---------------------------------------------------------------------------
-# serialization and gauge moves
-
-def test_json_round_trip_preserves_forms():
-    mesh = random_bundle_mesh(8, fiber_dim=2, seed=9, dirichlet_count=1)
-    clone = BundleMesh.from_json_dict(mesh.to_json_dict())
-    rng = np.random.default_rng(1)
-    f = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    a = quad_form(mesh, f)
-    b = quad_form(clone, f)
-    assert a.kinetic == pytest.approx(b.kinetic, rel=1e-13)
-
-
-def test_json_rejects_malformed():
-    with pytest.raises(MeshError):
-        BundleMesh.from_json_dict({"fiber_dim": 1, "vertices": []})
-
-
-@pytest.mark.parametrize("transports", [
-    [[[[1, 0], [0, 0]], [[0, 0]]]],
-    [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0]]]],
-], ids=["ragged_rows", "shapes_differ"])
-def test_json_rejects_inhomogeneous_transports(transports):
-    verts = [{"mu": 1.0} for _ in range(len(transports) + 1)]
-    edges = [{"u": j, "v": j + 1, "w": 1.0, "U": U} for j, U in enumerate(transports)]
-    with pytest.raises(MeshError):
-        BundleMesh.from_json_dict({"fiber_dim": 2, "vertices": verts, "edges": edges})
-
+# gauge moves
 
 def test_gauge_transform_preserves_kinetic_form():
     mesh = random_bundle_mesh(8, fiber_dim=2, seed=11)

@@ -1,4 +1,4 @@
-"""Radial potential wrappers: values, splits, serialization."""
+"""Radial potential constructors: values, declared singularities, sign parts, param checks."""
 
 import math
 
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from katoform.errors import DomainError
 from katoform.geometry import EUCLIDEAN, ModelSpace
 from katoform.potentials import (Potential, _safe_inverse_power, bump, constant,
-                                 coulomb, inverse_power, inverse_square,
-                                 potential_from_json, tabulated)
+                                 coulomb, inverse_power, inverse_square, tabulated)
 
 E3 = ModelSpace(EUCLIDEAN, 3)
 
@@ -98,8 +97,6 @@ def test_named_powers_are_inverse_power():
         assert bits(v.radial(r)) == bits(w.radial(r))
         assert (v.singular_radii, v.singular_power) == (w.singular_radii, w.singular_power)
         assert v.params == {"strength": -1.5}
-        assert v.to_json_dict() == {"radial": {"expr": make.__name__,
-                                               "params": {"strength": -1.5}}}
 
 
 def test_inverse_power_and_square():
@@ -130,14 +127,6 @@ def test_abs_and_sign_parts():
     assert np.allclose(v.negative_part()(r), 3.0)
 
 
-def test_scaled_keeps_structure():
-    v = coulomb(E3).scaled(-0.5)
-    assert v.radial(np.array([2.0]))[0] == pytest.approx(-0.25)
-    assert v.singular_radii == (0.0,)
-    assert v.radial(2.0) == pytest.approx(-0.25)
-    assert v.abs_radial(2.0) == pytest.approx(0.25)
-
-
 def test_tabulated_interpolation():
     v = tabulated(E3, radii=[0.0, 1.0, 2.0], values=[5.0, 3.0, 1.0])
     r = np.array([0.0, 0.5, 1.5, 2.0])
@@ -146,31 +135,33 @@ def test_tabulated_interpolation():
     assert v.radial(np.array([3.0]))[0] == 1.0
 
 
-def test_json_round_trip():
-    v = coulomb(E3, strength=2.5)
-    obj = v.to_json_dict()
-    w = potential_from_json(E3, obj)
-    r = np.array([0.4, 1.1, 6.0])
-    assert np.allclose(w.radial(r), v.radial(r))
-    assert w.singular_radii == v.singular_radii
+# each scalar constructor with valid params, and the names of those params
+CONSTRUCTORS = {
+    "coulomb": (coulomb, {"strength": 1.0}),
+    "inverse_square": (inverse_square, {"strength": 1.0}),
+    "inverse_power": (inverse_power, {"power": 1.5, "strength": 1.0}),
+    "constant": (constant, {"value": 1.0}),
+    "bump": (bump, {"amplitude": 1.0, "radius": 1.0}),
+}
+NON_FINITE_CASES = [(name, param, bad) for name, (_, params) in CONSTRUCTORS.items()
+                    for param in params for bad in (math.nan, math.inf, -math.inf)]
 
 
-def test_json_tabulated_and_errors():
-    w = potential_from_json(E3, {"tabulated": {"radii": [0.0, 1.0],
-                                               "values": [1.0, 0.0]}})
-    assert w.radial(np.array([0.5]))[0] == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        potential_from_json(E3, {"radial": {"expr": "mystery"}})
-    with pytest.raises(DomainError):
-        potential_from_json(E3, {"nonsense": 1})
+@pytest.mark.parametrize("name,param,bad", NON_FINITE_CASES,
+                         ids=[f"{n}-{p}-{b}" for n, p, b in NON_FINITE_CASES])
+def test_constructors_refuse_non_finite_params(name, param, bad):
+    # a nan strength once built a potential whose Kato functional read +inf
+    make, params = CONSTRUCTORS[name]
+    make(E3, **params)
+    with pytest.raises(DomainError, match="finite"):
+        make(E3, **dict(params, **{param: bad}))
 
 
-@pytest.mark.parametrize("params", [{"nonsense": 1}, {"strength": "x"}, {"strength": {}},
-                                    {"strength": math.nan}, {"strength": math.inf}],
-                         ids=["unknown", "string", "object", "nan", "inf"])
-def test_json_bad_params_are_domain_errors(params):
-    with pytest.raises(DomainError, match="params"):
-        potential_from_json(E3, {"radial": {"expr": "coulomb", "params": params}})
+@pytest.mark.parametrize("radius", [0.0, -1.0, -0.0])
+def test_bump_refuses_a_radius_that_leaves_no_support(radius):
+    # r < R holds nowhere, so the bump would be the zero potential
+    with pytest.raises(DomainError, match="positive finite radius"):
+        bump(E3, amplitude=1.0, radius=radius)
 
 
 @pytest.mark.parametrize("field", ["radii", "values"])
@@ -179,15 +170,6 @@ def test_tabulated_rejects_non_finite(field):
     table[field][1] = math.nan
     with pytest.raises(DomainError, match="finite"):
         tabulated(E3, **table)
-
-
-@pytest.mark.parametrize("key", ["singularities", "sign_split", "nonsense"])
-def test_json_radial_takes_only_expr_and_params(key):
-    # what a radial potential declares follows from its expression
-    obj = {"radial": {"expr": "bump", "params": {"amplitude": 1.0, "radius": 1.0},
-                      key: [0.5]}}
-    with pytest.raises(DomainError, match=key):
-        potential_from_json(E3, obj)
 
 
 def test_negative_singular_radius_rejected():

@@ -52,6 +52,12 @@ inverse_power at p = 1 and 2), no module names sign_split (the canonical
 parts are the weakest split), and no module, potentials.py and cli.py
 included, holds a "singularities" key (no config overrides a singular set).
 
+One module reads the config format and one writes the output format:
+only cli.py and reports.py import json or jsonschema or define a function
+whose name says json, and no module names a JSON codec of a library
+object (from_json_dict, to_json_dict, potential_from_json).  The library
+takes Python values; cli.py alone decodes a config into them.
+
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
 kato.form_bound_constants, which imports it when it runs.
@@ -291,6 +297,24 @@ def test_potentials_declare_only_what_their_expression_implies():
         == {"potentials.py"}
     assert {name for name, ids in found.items() if "sign_split" in ids} == set()
     assert {name for name, ids in found.items() if "singularities" in ids} == set()
+
+
+def test_only_cli_and_reports_know_json():
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        json_functions = [node.lineno for node in ast.walk(tree)
+                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and "json" in node.name.lower()]
+        found[path.relative_to(PACKAGE).as_posix()] = \
+            list(_imports(path, ["json", "jsonschema"])) + json_functions
+    # the walk sees what it allows
+    assert found["cli.py"] and found["reports.py"]
+    assert {name for name, lines in found.items() if lines} == {"cli.py", "reports.py"}
+    codecs = {"from_json_dict", "to_json_dict", "potential_from_json"}
+    named = {path.relative_to(PACKAGE).as_posix(): codecs.intersection(_identifiers(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: names for name, names in named.items() if names} == {}
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
