@@ -9,7 +9,8 @@ The package has four computational layers plus a batch front end:
   membership verdicts, and the relative form-bound pair (C1, C2) they
   induce.
 * ``mesh`` / ``operators``: weighted graphs carrying unitary edge
-  transports, the covariant and scalar graph Laplacians, quadratic forms,
+  transports, the trivial line bundle on a graph as the scalar picture (a
+  mesh like any other), the covariant graph Laplacian, quadratic forms,
   pointwise kinetic comparison and semigroup domination checks, optimal
   form-bound pencils, and spectra of the perturbed operators.
 * ``feynman_kac``: path-sampling estimators that reproduce the same
@@ -49,6 +50,7 @@ from .mesh import (
     grid_mesh_2d,
     interval_mesh,
     random_bundle_mesh,
+    trivial_line,
 )
 from .operators import (
     FormValue,
@@ -59,7 +61,6 @@ from .operators import (
     kato_inequality_gap,
     klmn_optimal_c1,
     quad_form,
-    scalar_laplacian,
     semigroup_domination_gap,
 )
 from .feynman_kac import (
@@ -86,8 +87,8 @@ __all__ = [
     "sandwich_check", "analytic_kato_functional", "lp_kato_classify",
     "form_bound_constants", "kato_verdict",
     "BundleMesh", "interval_mesh", "grid_mesh_2d", "cycle_mesh",
-    "random_bundle_mesh",
-    "FormValue", "bochner_laplacian", "scalar_laplacian", "fiber_split",
+    "random_bundle_mesh", "trivial_line",
+    "FormValue", "bochner_laplacian", "fiber_split",
     "quad_form", "kato_inequality_gap", "semigroup_domination_gap",
     "form_limit_check", "klmn_optimal_c1", "form_sum_spectrum",
     "PathConfig", "KillingRegion", "Estimate", "sample_paths",

@@ -7,11 +7,10 @@ complete, reproducible description of a run:
     katoform --config run.json --out results/
     katoform list-bundled
 
-Flags: --config PATH, --out DIR, --seed N, --workers N, --reference.  Each
-flag can also be supplied through the environment with the KATOFORM_ prefix
-(KATOFORM_CONFIG, KATOFORM_OUT, KATOFORM_SEED, KATOFORM_WORKERS,
-KATOFORM_REFERENCE).  Precedence: command line flag, then environment
-variable, then the config file, then the built-in default.
+Flags: --config PATH, --out DIR, --seed N, --workers N, --reference.  The
+config file's "output", "seed", "workers" and "reference" keys set the last
+four too.  Precedence: command line flag, then the config file, then the
+built-in default.  No setting is read from the environment.
 
 Exit status: 0 on success, 1 when a computation violates one of its named
 invariants (the invariant is printed to stderr), 2 when the configuration is
@@ -58,8 +57,6 @@ from .mesh import BundleMesh
 from .operators import (_dense_eigh, bochner_laplacian, form_limit_check, form_sum_spectrum,
                         kato_inequality_gap, quad_form, semigroup_domination_gap)
 from .potentials import bump, constant, coulomb, inverse_power, inverse_square, tabulated
-
-ENV_PREFIX = "KATOFORM_"
 
 COMMANDS = ("kato-test", "form-bounds", "spectrum", "check-inequalities", "fk-mc")
 
@@ -608,32 +605,6 @@ class _RunContext:
         self.out_dir = out_dir
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _env_int(name: str):
-    raw = _env(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{ENV_PREFIX}{name} must be an integer, got {raw!r}")
-
-
-def _env_bool(name: str):
-    raw = _env(name)
-    if raw is None:
-        return None
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{ENV_PREFIX}{name} must be a boolean flag, got {raw!r}")
-
-
 def _first(*values):
     for v in values:
         if v is not None:
@@ -642,11 +613,10 @@ def _first(*values):
 
 
 def _resolve_context(args, cfg) -> _RunContext:
-    seed = _first(args.seed, _env_int("SEED"), cfg.get("seed"), 0)
-    workers = _first(args.workers, _env_int("WORKERS"), cfg.get("workers"), 1)
-    reference = _first(args.reference, _env_bool("REFERENCE"),
-                       cfg.get("reference"), False)
-    out_dir = _first(args.out, _env("OUT"), cfg.get("output"), "katoform-out")
+    seed = _first(args.seed, cfg.get("seed"), 0)
+    workers = _first(args.workers, cfg.get("workers"), 1)
+    reference = _first(args.reference, cfg.get("reference"), False)
+    out_dir = _first(args.out, cfg.get("output"), "katoform-out")
     if reference:
         workers = 1
     if seed < 0:
@@ -679,10 +649,9 @@ def _fail(code: int, message: str) -> int:
 
 
 def _run(args) -> int:
-    cfg_path = _first(args.config, _env("CONFIG"))
+    cfg_path = args.config
     if cfg_path is None:
-        return _fail(2, "invalid config: no --config file given "
-                        f"(or {ENV_PREFIX}CONFIG)")
+        return _fail(2, "invalid config: no --config file given")
     try:
         with open(cfg_path) as fh:
             cfg = json.load(fh, parse_float=_finite, parse_int=_finite,

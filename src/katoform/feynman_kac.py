@@ -214,8 +214,10 @@ class Estimate:
     std_error is the sample standard deviation over paths divided by
     sqrt(n_paths); for complex values it uses |X - mean|^2.  bias_bound is
     estimator-specific: on the exact routes the computed truncation of the
-    bridge series (0 with no ball), on the Kato integral's path route the
-    asserted step envelope, and None where no bound is reported.
+    bridge series (0 with no ball), on the Kato integral's path route
+    max|v| * h for a bounded potential, and None where no bound is
+    computed: the heat expectation's path route, and the Kato integral's
+    path route for a singular potential.
     cap_events counts capped singular evaluations.
     """
 
@@ -742,8 +744,10 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
     non finite) are capped at 1/h and counted as cap events; a non-finite
     value at the shared start point is replaced by each path's first-step
     value instead, because a deterministic cap there would not vanish
-    with h.  The reported bias bound is the O(sqrt(h)) envelope 2 sqrt(h)
-    for singular potentials and max|v| * h for bounded ones.
+    with h.  The reported bias bound is max|v| * h for bounded potentials
+    and None for singular ones: near a singularity the capped trapezoid's
+    bias has no computed bound (an R^3 power p = 1.6 from the origin misses
+    its integral by far more than any O(sqrt(h)) envelope).
     """
     if v.space != config.space:
         raise DomainError("potential and path configuration disagree on the space")
@@ -813,7 +817,8 @@ def _path_kato_integral(v, config: PathConfig) -> Estimate:
             else:
                 sums[batch.first:batch.first + B] = np.einsum("kb,k->b", g, trapezoid)
     sums *= h
-    bias = max_seen * h if bounded else 2.0 * math.sqrt(h)
+    # nothing bounds the capped trapezoid's bias at a singularity
+    bias = max_seen * h if bounded else None
     return _finish(sums, config, n_effective=config.n_paths,
                    cap_events=cap_events, bias_bound=bias)
 
@@ -874,19 +879,46 @@ def _path_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
     return _finish(values, config, n_effective=survivors)
 
 
+def _midpoint_phases(pos: np.ndarray, A: Callable, alive, mids: np.ndarray,
+                     incs: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Stratonovich sums sum_k A(midpoint_k) . (X_{k+1} - X_k) of a (B, S+1, d) block.
+
+    The one kernel of the transport phase.  mids and incs are (B, S, d) and
+    seg (B S,) scratch of the caller's, overwritten.  Under a killing
+    region, alive is the block's (B, S+1) mask, and only the steps before a
+    path's exit add to its sum; with no region it is None.
+    """
+    B, S, ambient = mids.shape
+    np.add(pos[:, 1:], pos[:, :-1], out=mids)
+    mids *= 0.5
+    np.subtract(pos[:, 1:], pos[:, :-1], out=incs)
+    a_vals = np.asarray(A(mids.reshape(-1, ambient)), dtype=float)
+    # the products overwrite the increments, then one strided pass per
+    # coordinate adds them in coordinate order
+    flat = incs.reshape(-1, ambient)
+    flat *= a_vals
+    np.copyto(seg, flat[:, 0])
+    for i in range(1, ambient):
+        seg += flat[:, i]
+    seg = seg.reshape(B, S)
+    if alive is not None:
+        seg *= alive[:, 1:]
+    return seg.sum(axis=1)
+
+
 def transport_phase(path: np.ndarray, A: Callable) -> complex:
     """exp(-i sum A(midpoint) . increment) along one discrete path.
 
     The Stratonovich midpoint sum is the discrete line integral of the
-    connection form; the result has modulus exactly 1.
+    connection form, by _midpoint_phases on a block of one path; the result
+    has modulus exactly 1.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[0] < 2:
         raise DomainError("a path needs at least two points")
-    mids = 0.5 * (path[1:] + path[:-1])
-    incs = path[1:] - path[:-1]
-    a_vals = np.asarray(A(mids), dtype=float)
-    total = float(np.einsum("ki,ki->", a_vals, incs))
+    S, ambient = path.shape[0] - 1, path.shape[1]
+    mids, incs = np.empty((2, 1, S, ambient))
+    total = float(_midpoint_phases(path[None], A, None, mids, incs, np.empty(S))[0])
     return complex(math.cos(-total), math.sin(-total))
 
 
@@ -912,23 +944,8 @@ def mc_covariant_semigroup(psi: Callable, A: Callable, config: PathConfig) -> Es
         for batch in batches:
             pos = batch.positions
             B = pos.shape[0]
-            mids = np.add(pos[:, 1:], pos[:, :-1], out=mids_buf[:B])
-            mids *= 0.5
-            incs = np.subtract(pos[:, 1:], pos[:, :-1], out=incs_buf[:B])
-            a_vals = np.asarray(A(mids.reshape(-1, ambient)), dtype=float)
-            # the products overwrite the increments, then one strided pass
-            # per coordinate adds them in coordinate order
-            flat = incs.reshape(-1, ambient)
-            flat *= a_vals
-            seg = seg_buf[:B * S]
-            np.copyto(seg, flat[:, 0])
-            for i in range(1, ambient):
-                seg += flat[:, i]
-            seg = seg.reshape(B, S)
-            if config.domain is not None:
-                # only steps before the exit contribute to the accumulated phase
-                seg *= batch.alive[:, 1:]
-            angles = seg.sum(axis=1)
+            angles = _midpoint_phases(pos, A, None if config.domain is None else batch.alive,
+                                      mids_buf[:B], incs_buf[:B], seg_buf[:B * S])
             alive = batch.alive[:, -1]
             if np.any(alive):
                 psi_vals = np.asarray(psi(pos[alive, -1]), dtype=complex)

@@ -313,11 +313,13 @@ def gauge_transform(mesh: BundleMesh, gauges) -> BundleMesh:
     )
 
 
-def _trivial_line(mesh: BundleMesh) -> BundleMesh:
+def trivial_line(mesh: BundleMesh) -> BundleMesh:
     """The trivial line bundle on the graph of ``mesh``: fibre 1, unit transports.
 
     Its sections are the functions on the mesh's weighted graph, with the
-    mesh's Dirichlet flags: the scalar picture of Kato's inequality.
+    mesh's Dirichlet flags: the scalar picture of Kato's inequality and of
+    semigroup domination.  It is a mesh like any other, so every operator,
+    with or without a potential, applies to it.
     """
     return BundleMesh(fiber_dim=1, mu=mesh.mu, dirichlet=mesh.dirichlet,
                       edge_u=mesh.edge_u, edge_v=mesh.edge_v, edge_w=mesh.edge_w,

@@ -10,9 +10,9 @@ pictures are used:
   M = diag(mu)), a genuinely Hermitian matrix with the same spectrum.
 
 The scalar picture of Kato's inequality and semigroup domination is the
-trivial line bundle on the same graph (fibre 1, unit transports), a mesh
-of its own, to which ``scalar_laplacian`` and ``semigroup_evolve(...,
-scalar=True)`` apply the bundle code.
+trivial line bundle on the same graph (fibre 1, unit transports), the mesh
+``katoform.mesh.trivial_line`` builds: every operator here applies to it
+as to any other mesh, potentials included.
 
 Quadratic forms are reported against the mu-weighted inner product, which
 is where the kinetic form (1/2) sum_e w ||f_u - U f_v||^2, the potential
@@ -98,7 +98,7 @@ import scipy.sparse.linalg as spla
 import scipy.special
 
 from .errors import ConvergenceError, KernelHandlingError, MeshError
-from .mesh import BundleMesh, _trivial_line
+from .mesh import BundleMesh, trivial_line
 
 _DENSE_EIG_LIMIT = 1200
 _COLUMN_BLOCK = 64
@@ -195,11 +195,6 @@ def bochner_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_mat
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         A.data *= root[A.indices] / root[rows]
     return A
-
-
-def scalar_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_matrix:
-    """Same operator with the fibers and transports forgotten: the trivial line bundle's."""
-    return bochner_laplacian(_trivial_line(mesh), symmetrized=symmetrized)
 
 
 def diagonal_potential(mesh: BundleMesh, values) -> np.ndarray:
@@ -450,18 +445,12 @@ def _flow(mesh: BundleMesh, x: np.ndarray, field, times) -> tuple:
     return A, root, g, _semigroup_series(A, times, g, lo, max(lo, _gershgorin(A)[1]))
 
 
-def semigroup_evolve(mesh: BundleMesh, f, t: float, V=None,
-                     scalar: bool = False) -> np.ndarray:
+def semigroup_evolve(mesh: BundleMesh, f, t: float, V=None) -> np.ndarray:
     """Apply e^{-t H(V)} to one section (N, n), returned on the full vertex set.
 
     The evolution runs in the symmetrized picture and is mapped back, so
-    the result is the mu-space semigroup applied to f, V converted once;
-    ``scalar=True`` evolves on the trivial line bundle, which takes no V.
+    the result is the mu-space semigroup applied to f, V converted once.
     """
-    if scalar:
-        if V is not None:
-            raise MeshError("potentials attach to the bundle picture")
-        mesh = _trivial_line(mesh)
     field = None if V is None else _as_matrix_field(mesh, V)
     _, root, _, [(out, _)] = _flow(mesh, _section_dofs(mesh, f), field, (t,))
     full = np.zeros((mesh.n_vertices, mesh.fiber_dim), dtype=complex)   # 0 on Dirichlet vertices
@@ -473,13 +462,14 @@ def semigroup_domination_gap(mesh: BundleMesh, f, t: float) -> float:
     """min_u [ (e^{-t H_scalar} |f|)_u - |(e^{-t H_bundle} f)_u| ].
 
     Nonnegative by semigroup domination: the scalar flow of the pointwise
-    norm dominates the norm of the bundle flow.  f is checked once.
+    norm, on ``trivial_line(mesh)``, dominates the norm of the bundle flow.
+    f is checked once.
     """
     x = _section_dofs(mesh, f)
     _, root, _, [(out, _)] = _flow(mesh, x, None, (t,))
     norms_after = np.linalg.norm((out / root).reshape(-1, mesh.fiber_dim), axis=1)
     start_norms = np.linalg.norm(x.reshape(-1, mesh.fiber_dim), axis=1).astype(complex)
-    _, root, _, [(out, _)] = _flow(_trivial_line(mesh), start_norms, None, (t,))
+    _, root, _, [(out, _)] = _flow(trivial_line(mesh), start_norms, None, (t,))
     return float(np.min((out / root).real - norms_after))
 
 

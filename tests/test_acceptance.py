@@ -6,6 +6,7 @@ expected values are closed forms or independently computed references;
 statistical checks carry explicit confidence envelopes.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -154,8 +155,9 @@ def test_criterion_06_kato_inequality(capsys):
             rel = gap / scale
             worst_rel = min(worst_rel, rel)
             ok = ok and rel >= -1e-12
-    eq_mesh = random_bundle_mesh(15, fiber_dim=1, seed=911)
-    eq_mesh.transports = np.ones_like(eq_mesh.transports)
+    # a new, validated mesh: the same graph with unit transports
+    base = random_bundle_mesh(15, fiber_dim=1, seed=911)
+    eq_mesh = dataclasses.replace(base, transports=np.ones_like(base.transports))
     worst_eq = 0.0
     for _ in range(100):
         f = np.abs(rng.standard_normal((eq_mesh.n_vertices, 1)))

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 from katoform import operators
 from katoform.errors import ConvergenceError, KernelHandlingError
-from katoform.mesh import (BundleMesh, _trivial_line, gauge_transform, haar_unitary,
-                           random_bundle_mesh)
+from katoform.mesh import (BundleMesh, gauge_transform, haar_unitary, random_bundle_mesh,
+                           trivial_line)
 from katoform.operators import (_as_matrix_field, _assemble, _klmn_dense, _section_dofs,
                                 bochner_laplacian, diagonal_potential,
                                 form_sum_spectrum, kato_inequality_gap,
@@ -130,7 +130,7 @@ def test_assembly_matches_loop_entrywise(case):
     A, L = loop_matrices(mesh)
     assert_matrix(_assemble(mesh)[0], A)
     assert_matrix(bochner_laplacian(mesh), L)
-    assert_matrix(_assemble(_trivial_line(mesh))[0], loop_matrices(mesh, scalar=True)[0])
+    assert_matrix(_assemble(trivial_line(mesh))[0], loop_matrices(mesh, scalar=True)[0])
     for V, field in ((herm, herm), (values, diagonal_potential(mesh, values))):
         assert_matrix(_assemble(mesh, _as_matrix_field(mesh, V))[0],
                       loop_matrices(mesh, V=field)[0])
@@ -321,7 +321,7 @@ def test_block_csr_equals_bsr_construction(case, c2):
 
     # the kinetic matrix, with and without a potential, and on the trivial line
     with mock.patch.object(operators, "_block_csr", recorded):
-        for m, V in ((mesh, None), (mesh, v2), (_trivial_line(mesh), None)):
+        for m, V in ((mesh, None), (mesh, v2), (trivial_line(mesh), None)):
             _assemble(m, converted(m, V))
     slots = np.arange(np.count_nonzero(mesh.interior))
     built.append((v2[mesh.interior] - c2 * np.eye(mesh.fiber_dim), slots, slots, slots.size))

@@ -21,12 +21,12 @@ import scipy.sparse.linalg as spla
 from katoform import bundled, operators
 from katoform.errors import ConvergenceError, KernelHandlingError, MeshError
 from katoform.mesh import (BundleMesh, cycle_mesh, gauge_transform, grid_mesh_2d,
-                           haar_unitary, interval_mesh, random_bundle_mesh)
+                           haar_unitary, interval_mesh, random_bundle_mesh, trivial_line)
 from katoform.operators import (_as_matrix_field, _assemble, bochner_laplacian,
                                 diagonal_potential, fiber_split, form_limit_check,
                                 form_sum_spectrum,
                                 kato_inequality_gap, klmn_optimal_c1,
-                                quad_form, scalar_laplacian,
+                                quad_form,
                                 semigroup_domination_gap, semigroup_evolve)
 
 
@@ -320,7 +320,7 @@ def test_spectrum_k_lowest_pairs(k):
 def test_scalar_equals_bundle_for_trivial_line():
     mesh = interval_mesh(0.0, 2.0, 0.5)
     a = bochner_laplacian(mesh).toarray()
-    b = scalar_laplacian(mesh).toarray()
+    b = bochner_laplacian(trivial_line(mesh)).toarray()
     assert np.allclose(a, b)
 
 
@@ -458,16 +458,21 @@ def test_semigroup_evolve_preserves_positivity_scalar():
     mesh = interval_mesh(0.0, 3.0, 0.25)
     f = np.zeros((mesh.n_vertices, 1))
     f[5, 0] = 1.0
-    out = semigroup_evolve(mesh, f, 0.5, scalar=True)
+    out = semigroup_evolve(trivial_line(mesh), f, 0.5)
     live = ~mesh.dirichlet
     assert np.all(np.real(out[live]) >= -1e-14)
 
 
-def test_scalar_semigroup_takes_no_potential():
-    mesh = interval_mesh(0.0, 3.0, 0.25)
-    with pytest.raises(MeshError, match="bundle picture"):
-        semigroup_evolve(mesh, np.ones(mesh.n_vertices), 0.5,
-                         V=np.ones(mesh.n_vertices), scalar=True)
+@pytest.mark.parametrize("c", [1.5, -0.7])
+def test_scalar_semigroup_with_a_constant_potential(c):
+    """On the trivial line, V = c commutes with H(0): e^{-t H(c)} = e^{-ct} e^{-t H(0)}."""
+    line = trivial_line(random_bundle_mesh(12, fiber_dim=2, seed=3, dirichlet_count=2))
+    f = np.abs(np.random.default_rng(3).standard_normal((line.n_vertices, 1)))
+    t = 0.4
+    free = semigroup_evolve(line, f, t)
+    shifted = semigroup_evolve(line, f, t, V=np.full(line.n_vertices, c))
+    np.testing.assert_allclose(shifted, math.exp(-c * t) * free, rtol=0.0,
+                               atol=1e-12 * np.linalg.norm(free))
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +772,7 @@ def test_each_call_converts_its_potential_once_and_checks_its_section_once(monke
             assert counts == {k: v for k, v in want.items() if v}, name
     for call in (lambda: semigroup_domination_gap(mesh, f, 0.1),
                  lambda: kato_inequality_gap(mesh, f),
-                 lambda: semigroup_evolve(mesh, np.abs(f[:, 0]), 0.1, scalar=True)):
+                 lambda: semigroup_evolve(trivial_line(mesh), np.abs(f[:, 0]), 0.1)):
         counts.clear()
         call()
         assert counts == {"_sections": 1}

@@ -17,9 +17,8 @@ helpers in operators.py.
 
 No module names bsr_matrix or eliminate_zeros: every mesh matrix is laid
 out as CSR once, by operators._block_csr.  The scalar picture is the
-trivial line bundle on the mesh's graph, a mesh of its own, so in
-operators.py only the public semigroup_evolve keeps a ``scalar``
-parameter.
+trivial line bundle on the mesh's graph, mesh.trivial_line, a mesh of its
+own, so no function in operators.py takes a ``scalar`` parameter.
 
 No module calls scipy's splu outside operators._definite_solver, and
 every eigsh call that inverts a matrix (shift-invert, or a generalized
@@ -34,6 +33,10 @@ of the path sampler are the package's only threads.
 In feynman_kac.py one function, _exact_marginal, calls _exact_blocks:
 the exact routes of mc_kato_integral and mc_heat_expectation are two
 reductions over one draw core, and both public estimators reach it.
+
+In feynman_kac.py the Stratonovich midpoint sum of the transport phase
+has one kernel: only _midpoint_phases calls the connection A, and both
+transport_phase and mc_covariant_semigroup call it.
 
 In feynman_kac.py a killing region has one definition: only class
 KillingRegion reads a region's normal and offset (everything else reads
@@ -57,6 +60,9 @@ only cli.py and reports.py import json or jsonschema or define a function
 whose name says json, and no module names a JSON codec of a library
 object (from_json_dict, to_json_dict, potential_from_json).  The library
 takes Python values; cli.py alone decodes a config into them.
+
+No module reads the environment (os.environ, os.getenv): a run's
+settings come from its flags and its config file.
 
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
@@ -205,7 +211,9 @@ def test_one_csr_layout_and_no_scalar_flag():
     flagged = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                and "scalar" in {arg.arg for arg in ast.walk(node.args)
                                 if isinstance(arg, ast.arg)}}
-    assert flagged == {"semigroup_evolve"}
+    assert "semigroup_evolve" in {node.name for node in ast.walk(tree)
+                                  if isinstance(node, ast.FunctionDef)}
+    assert flagged == set()
 
 
 def test_one_thread_site():
@@ -233,6 +241,17 @@ def test_one_exact_draw_core():
                 reached.add(name)
                 todo.extend(names.get(name, set()) & names.keys())
         assert "_exact_marginal" in reached, public
+
+
+def test_one_midpoint_phase_kernel():
+    tree = ast.parse((PACKAGE / "feynman_kac.py").read_text())
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    calls = {name: {node.func.id for node in ast.walk(top) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)} for name, top in functions.items()}
+    # the connection is the parameter A: one function evaluates it
+    assert {name for name, called in calls.items() if "A" in called} == {"_midpoint_phases"}
+    assert {name for name, called in calls.items() if "_midpoint_phases" in called} \
+        == {"transport_phase", "mc_covariant_semigroup"}
 
 
 def test_one_killing_region_definition():
@@ -315,6 +334,15 @@ def test_only_cli_and_reports_know_json():
     named = {path.relative_to(PACKAGE).as_posix(): codecs.intersection(_identifiers(path))
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: names for name, names in named.items() if names} == {}
+
+
+def test_no_module_reads_the_environment():
+    found = {path.relative_to(PACKAGE).as_posix():
+             sorted(_references(path, {"os.environ", "os.getenv", "os.environb",
+                                       "os.getenvb"}))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert "cli.py" in found
+    assert {name: refs for name, refs in found.items() if refs} == {}
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
