@@ -17,9 +17,9 @@ invariants (the invariant is printed to stderr), 2 when the configuration is
 invalid (schema diagnostics on stderr).  Invalid includes a non-finite
 number anywhere in the file (NaN, Infinity, or a literal that overflows a
 float) and potential params that the named expression does not take,
-takes with the wrong type or refuses (a bump radius <= 0).  Reference mode
-pins workers to 1; a repeated reference run with the same config and seed
-writes a byte-identical report.json.  Reports never contain timestamps or paths.
+takes with the wrong type or refuses (a bump radius <= 0).  A rerun with
+the same config, seed and workers writes a byte-identical report.json;
+reference mode only pins workers to 1.  Reports never contain timestamps or paths.
 
 This is the one module that reads the config format: the library takes
 Python values, and the _build_* helpers below decode a config's spaces,

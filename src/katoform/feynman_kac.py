@@ -884,7 +884,8 @@ def _midpoint_phases(pos: np.ndarray, A: Callable, alive, mids: np.ndarray,
     """Stratonovich sums sum_k A(midpoint_k) . (X_{k+1} - X_k) of a (B, S+1, d) block.
 
     The one kernel of the transport phase.  mids and incs are (B, S, d) and
-    seg (B S,) scratch of the caller's, overwritten.  Under a killing
+    seg (B S,) scratch of the caller's, overwritten.  A must return one
+    d-vector a midpoint, (B S, d), else DomainError.  Under a killing
     region, alive is the block's (B, S+1) mask, and only the steps before a
     path's exit add to its sum; with no region it is None.
     """
@@ -893,6 +894,9 @@ def _midpoint_phases(pos: np.ndarray, A: Callable, alive, mids: np.ndarray,
     mids *= 0.5
     np.subtract(pos[:, 1:], pos[:, :-1], out=incs)
     a_vals = np.asarray(A(mids.reshape(-1, ambient)), dtype=float)
+    if a_vals.shape != (B * S, ambient):
+        raise DomainError(f"the connection must return shape ({B * S}, {ambient}), "
+                          f"one vector a midpoint, not {a_vals.shape}")
     # the products overwrite the increments, then one strided pass per
     # coordinate adds them in coordinate order
     flat = incs.reshape(-1, ambient)

@@ -407,16 +407,15 @@ def heat_kernel(space: ModelSpace, t: float, x, y) -> float:
     return float(heat_kernel_radial(space, t, distance(space, x, y)))
 
 
-def heat_mass(space: ModelSpace, t: float, x=None) -> float:
+def heat_mass(space: ModelSpace, t: float) -> float:
     """Total kernel mass integral p_t(x, y) vol(dy), by radial quadrature.
 
-    Equals 1 on these stochastically complete spaces; computing it rather
-    than asserting it is the point, since it exercises the kernel and the
-    cutoff machinery end to end.  The kernel times the ring area is one
-    array integrand of quadrature.radial_integral.
+    The same from every point x of a model space.  Equals 1 on these
+    stochastically complete spaces; computing it rather than asserting it
+    is the point, since it exercises the kernel and the cutoff machinery
+    end to end.  The kernel times the ring area is one array integrand of
+    quadrature.radial_integral.
     """
-    if x is not None:
-        space.validate_point(x)
     r_max = kernel_tail_radius(space, t)
 
     def integrand(r):

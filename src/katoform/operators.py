@@ -21,7 +21,8 @@ all live.
 
 Each public call converts its potential once (``_as_matrix_field``: real
 values or Hermitian blocks, finite at interior vertices) and checks its
-section once (``_sections``); evolutions take one section, not a stack.
+section once (``_section``): one section (N, n), not a stack, finite at
+interior vertices, with its Dirichlet entries zeroed.
 
 Every matrix comes from one block-to-CSR constructor, ``_block_csr``,
 which sorts the rows of the blocks into CSR order and builds the CSR
@@ -29,12 +30,12 @@ arrays from them directly: ``_assemble`` broadcasts the edge arrays into
 one list of the diagonal, transport and potential blocks of A, and the
 KLMN pencil's B is a list of diagonal blocks.  The section forms
 (``quad_form``, ``kato_inequality_gap``) never build a matrix: each is one
-einsum over the edge transports and a dot with the edge weights, for one
-section (N, n) or a stack (S, N, n).  Spectra are dense up to 1200 degrees
-of freedom, in real arithmetic when A has no imaginary part, and
-shift-invert Lanczos about a shift below the Gershgorin bound beyond that;
-a real tridiagonal A (a chain of fibre 1 with real transports) is dense at
-any size, since its solve makes no dense copy.  Lanczos for the k lowest
+einsum over the edge transports and a dot with the edge weights, and
+returns floats.  Spectra are dense up to 1200 degrees of freedom, in real
+arithmetic when A has no imaginary part, and shift-invert Lanczos about a
+shift below the Gershgorin bound beyond that; a real tridiagonal A (a
+chain of fibre 1 with real transports) is dense at any size, since its
+solve makes no dense copy.  Lanczos for the k lowest
 pairs holds one sparse LU factor of the shifted A and a Krylov basis of
 2k + 1 vectors, the smallest with more than 2k, as ARPACK recommends
 (scipy's default is at least 20).  Every sparse factorization, of the
@@ -238,58 +239,50 @@ def _check_hermitian(V: np.ndarray, what: str) -> None:
 
 @dataclass
 class FormValue:
-    kinetic: float | np.ndarray      # arrays of length S for a section stack
-    potential: float | np.ndarray
-
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.potential
+    kinetic: float
+    potential: float
 
 
-def _sections(mesh: BundleMesh, f) -> np.ndarray:
-    """Validated (S, N, n) copy of one section or a stack, zero on Dirichlet."""
+def _section(mesh: BundleMesh, f) -> np.ndarray:
+    """Validated (N, n) copy of one section, zero on Dirichlet and finite elsewhere."""
     N, n = mesh.n_vertices, mesh.fiber_dim
     f = np.asarray(f, dtype=complex)
     if f.shape == (N,) and n == 1:
         f = f[:, None]
-    if f.ndim not in (2, 3) or f.shape[-2:] != (N, n):
-        raise MeshError(f"section must have shape ({N}, {n}) or (S, {N}, {n})")
-    return np.where(mesh.dirichlet[:, None], 0.0, f.reshape(-1, N, n))
+    if f.shape != (N, n):
+        raise MeshError(f"section must have shape ({N}, {n}): one section, not a stack")
+    f = np.where(mesh.dirichlet[:, None], 0.0, f)
+    if not np.isfinite(f).all():
+        raise MeshError("section is not finite at the interior vertices")
+    return f
 
 
 def _section_dofs(mesh: BundleMesh, f) -> np.ndarray:
-    """One section (N, n), checked by ``_sections``, as its interior DOF vector; a stack raises."""
-    if np.ndim(f) == 3:
-        raise MeshError("an evolution takes one section, not a stack")
-    return _sections(mesh, f)[0, mesh.interior].reshape(-1)
+    """One section (N, n), checked by ``_section``, as its interior DOF vector."""
+    return _section(mesh, f)[mesh.interior].reshape(-1)
 
 
 def _edge_energies(mesh: BundleMesh, f: np.ndarray) -> np.ndarray:
-    """(S, E) squared norms ||f_u - U_e f_v||^2 of a section stack."""
-    diff = f[:, mesh.edge_u] - np.einsum("eij,sej->sei", mesh.transports, f[:, mesh.edge_v])
-    return np.sum(diff.real ** 2 + diff.imag ** 2, axis=2)
+    """(E,) squared norms ||f_u - U_e f_v||^2 of one section."""
+    diff = f[mesh.edge_u] - np.einsum("eij,ej->ei", mesh.transports, f[mesh.edge_v])
+    return np.sum(diff.real ** 2 + diff.imag ** 2, axis=1)
 
 
 def quad_form(mesh: BundleMesh, f, V=None) -> FormValue:
-    """Evaluate the energy form at a section (Dirichlet values forced to 0).
+    """Evaluate the energy form at one section (N, n) (Dirichlet values forced to 0).
 
     kinetic = (1/2) sum_e w_e ||f_u - U_e f_v||^2,
     potential = sum_u mu_u <V_u f_u, f_u>.
-
-    ``f`` is one (N, n) section, or an (S, N, n) stack for which both
-    fields come back as length-S arrays.
     """
-    g = _sections(mesh, f)
-    kinetic = 0.5 * (_edge_energies(mesh, g) @ mesh.edge_w)
-    potential = np.zeros(g.shape[0])
+    g = _section(mesh, f)
+    kinetic = 0.5 * float(_edge_energies(mesh, g) @ mesh.edge_w)
+    potential = 0.0
     if V is not None:
         idx = np.flatnonzero(mesh.interior)
         V = _as_matrix_field(mesh, V)[idx]
-        gi = g[:, idx]
-        potential = np.einsum("sui,uij,suj->su", gi.conj(), V, gi).real @ mesh.mu[idx]
-    if np.ndim(f) == 3:
-        return FormValue(kinetic=kinetic, potential=potential)
-    return FormValue(kinetic=float(kinetic[0]), potential=float(potential[0]))
+        gi = g[idx]
+        potential = float(np.einsum("ui,uij,uj->u", gi.conj(), V, gi).real @ mesh.mu[idx])
+    return FormValue(kinetic=kinetic, potential=potential)
 
 
 def fiber_split(V) -> tuple[np.ndarray, np.ndarray]:
@@ -308,18 +301,17 @@ def fiber_split(V) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def kato_inequality_gap(mesh: BundleMesh, f) -> float | np.ndarray:
-    """Kinetic energy of the section minus that of its pointwise norm.
+def kato_inequality_gap(mesh: BundleMesh, f) -> float:
+    """Kinetic energy of one section (N, n) minus that of its pointwise norm.
 
     The discrete Kato inequality says this is nonnegative: taking |f|
     vertexwise can only lower the energy, by the reverse triangle
-    inequality on every edge.  A stack (S, N, n) gives one gap per section.
+    inequality on every edge.
     """
-    g = _sections(mesh, f)
-    norms = np.linalg.norm(g, axis=2)
-    d = norms[:, mesh.edge_u] - norms[:, mesh.edge_v]
-    gap = 0.5 * ((_edge_energies(mesh, g) - d * d) @ mesh.edge_w)
-    return gap if np.ndim(f) == 3 else float(gap[0])
+    g = _section(mesh, f)
+    norms = np.linalg.norm(g, axis=1)
+    d = norms[mesh.edge_u] - norms[mesh.edge_v]
+    return 0.5 * float((_edge_energies(mesh, g) - d * d) @ mesh.edge_w)
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +709,6 @@ class FormLimitResult:
     form_value: float
     monotone: bool
     defect: float
-
-    @property
-    def converged(self) -> bool:
-        return math.isfinite(self.defect)
 
 
 def form_limit_check(mesh: BundleMesh, f, t_grid, V=None) -> FormLimitResult:

@@ -1335,3 +1335,16 @@ def test_covariant_requires_euclidean():
     with pytest.raises(DomainError):
         mc_covariant_semigroup(lambda p: np.ones(p.shape[0]),
                                lambda p: np.zeros((p.shape[0], 3)), cfg)
+
+
+@pytest.mark.parametrize("A", [lambda p: np.ones((p.shape[0], 1)), lambda p: np.ones(p.shape[0])],
+                         ids=["one-column", "one-dimensional"])
+def test_connection_of_the_wrong_shape_raises(A):
+    # one value a midpoint on a 2-D path is no connection form: a column
+    # must not be broadcast over both coordinates as A = (1, 1)
+    path = square_loop()
+    with pytest.raises(DomainError, match="one vector a midpoint"):
+        transport_phase(path, A)
+    cfg = PathConfig(space=E2, start=(0.0, 0.0), horizon=0.1, step=1e-2, n_paths=100, seed=1)
+    with pytest.raises(DomainError, match="one vector a midpoint"):
+        mc_covariant_semigroup(lambda p: np.ones(p.shape[0]), A, cfg)

@@ -278,22 +278,6 @@ def test_tridiagonal_route_matches_dense_solve(case, subset):
     assert float(spec.residuals.max()) < 1e-8 * scale
 
 
-@given(meshes())
-def test_stacked_call_equals_single_calls(case):
-    mesh, rng = case
-    fs = sections(mesh, rng)
-    V = rng.standard_normal(mesh.n_vertices)
-    stacked = quad_form(mesh, fs, V=V)
-    singles = [quad_form(mesh, f, V=V) for f in fs]
-    gaps = kato_inequality_gap(mesh, fs)
-    assert stacked.kinetic.shape == stacked.potential.shape == gaps.shape == (STACK,)
-    np.testing.assert_allclose(stacked.kinetic, [s.kinetic for s in singles], rtol=1e-14)
-    np.testing.assert_allclose(stacked.potential, [s.potential for s in singles],
-                               rtol=1e-14, atol=1e-14 * np.abs(V).max())
-    np.testing.assert_allclose(gaps, [kato_inequality_gap(mesh, f) for f in fs],
-                               rtol=0.0, atol=1e-14 * float(stacked.kinetic.max()))
-
-
 def bsr_block_csr(blocks, block_rows, block_cols, k):
     """``_block_csr`` through scipy: one BSR matrix, converted to CSR, exact zeros dropped."""
     n = blocks.shape[-1]

@@ -346,7 +346,6 @@ def test_quad_form_potential_term():
     vals = np.array([3.0, -1.0])
     fv = quad_form(mesh, f, V=vals)
     assert fv.potential == pytest.approx(3.0 * 1.0 - 1.0 * 4.0)
-    assert fv.total == pytest.approx(fv.kinetic + fv.potential)
 
 
 def test_fiber_split():
@@ -649,7 +648,6 @@ def test_form_limit_quotients_increase_as_t_shrinks():
     qs = res.quotients
     assert all(qs[i] >= qs[i + 1] - 1e-12 for i in range(len(qs) - 1))
     assert res.defect < 1e-8
-    assert res.converged
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +727,13 @@ def test_field_checks_name_their_fault():
                           diagonal_potential(mesh, values.real))
 
 
+def assert_same_result(got, want, name):
+    """Every field of a result object, or the plain result, equal bit for bit."""
+    fields = vars(want) if hasattr(want, "__dict__") else {"value": want}
+    for key, value in fields.items():
+        assert np.array_equal(getattr(got, key, got), value), (name, key)
+
+
 def test_non_finite_potential_at_dirichlet_vertices_runs():
     # Dirichlet blocks never enter a form and are not checked: the results
     # are those of the potential that is zero there, bit for bit
@@ -744,15 +749,12 @@ def test_non_finite_potential_at_dirichlet_vertices_runs():
              (bundle, random_section(bundle, rng), clean_field, dirty_field))
     for m, g, V, dirty in cases:
         for name, call in POTENTIAL_CALLS.items():
-            want, got = call(m, g, V), call(m, g, dirty)
-            fields = vars(want) if hasattr(want, "__dict__") else {"value": want}
-            for key, value in fields.items():
-                assert np.array_equal(getattr(got, key, got), value), (name, key)
+            assert_same_result(call(m, g, dirty), call(m, g, V), name)
 
 
 def test_each_call_converts_its_potential_once_and_checks_its_section_once(monkeypatch):
     counts = {}
-    for name in ("_as_matrix_field", "_sections", "diagonal_potential"):
+    for name in ("_as_matrix_field", "_section", "diagonal_potential"):
         def spy(mesh, x, _real=getattr(operators, name), _name=name):
             if x is not None:       # None, no potential, passes through
                 counts[_name] = counts.get(_name, 0) + 1
@@ -767,7 +769,7 @@ def test_each_call_converts_its_potential_once_and_checks_its_section_once(monke
         for name, call in POTENTIAL_CALLS.items():
             counts.clear()
             call(mesh, f, V)
-            want = {"_as_matrix_field": 1, "_sections": int(name in checks_section),
+            want = {"_as_matrix_field": 1, "_section": int(name in checks_section),
                     "diagonal_potential": lifts}
             assert counts == {k: v for k, v in want.items() if v}, name
     for call in (lambda: semigroup_domination_gap(mesh, f, 0.1),
@@ -775,7 +777,7 @@ def test_each_call_converts_its_potential_once_and_checks_its_section_once(monke
                  lambda: semigroup_evolve(trivial_line(mesh), np.abs(f[:, 0]), 0.1)):
         counts.clear()
         call()
-        assert counts == {"_sections": 1}
+        assert counts == {"_section": 1}
 
 
 def test_evolutions_take_one_section():
@@ -790,3 +792,47 @@ def test_evolutions_take_one_section():
             with pytest.raises(MeshError, match="one section, not a stack"):
                 call(g)
         call(stack[0])
+
+
+def test_forms_take_one_section():
+    # a stack (S, N, n) once gave arrays of S values; now every
+    # section-taking call refuses it with the evolutions' error
+    mesh = random_bundle_mesh(8, fiber_dim=2, seed=4, dirichlet_count=1)
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_section(mesh, rng) for _ in range(2)])
+    for call in (quad_form, kato_inequality_gap):
+        for g in (stack, stack[:1]):
+            with pytest.raises(MeshError, match="one section, not a stack"):
+                call(mesh, g)
+    for V in (None, rng.random(mesh.n_vertices)):
+        fv = quad_form(mesh, stack[0], V=V)
+        assert type(fv.kinetic) is float and type(fv.potential) is float
+    assert type(kato_inequality_gap(mesh, stack[0])) is float
+
+
+SECTION_CALLS = {
+    "quad_form": lambda mesh, f: quad_form(mesh, f, V=np.ones(mesh.n_vertices)),
+    "kato_inequality_gap": kato_inequality_gap,
+    "semigroup_evolve": lambda mesh, f: semigroup_evolve(mesh, f, 0.1),
+    "semigroup_domination_gap": lambda mesh, f: semigroup_domination_gap(mesh, f, 0.1),
+    "form_limit_check": lambda mesh, f: form_limit_check(mesh, f, [1e-3, 1e-2]),
+}
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_section_raises_at_interior_vertices(entry):
+    # a NaN inside once gave nan forms, and a misleading ConvergenceError
+    # ("semigroup error bound nan") from the evolutions; at a Dirichlet
+    # vertex it is zeroed first, and the results are those of the section
+    # that is zero there, bit for bit
+    mesh = random_bundle_mesh(8, fiber_dim=2, seed=4, dirichlet_count=2)
+    rng = np.random.default_rng(4)
+    clean = random_section(mesh, rng)
+    clean[mesh.dirichlet] = 0.0
+    inside, dirty = clean.copy(), clean.copy()
+    inside[np.flatnonzero(mesh.interior)[1], 1] = entry
+    dirty[mesh.dirichlet] = entry
+    for name, call in SECTION_CALLS.items():
+        with pytest.raises(MeshError, match="section is not finite"):
+            call(mesh, inside)
+        assert_same_result(call(mesh, dirty), call(mesh, clean), name)

@@ -46,7 +46,7 @@ distance kernel.
 
 In operators.py each input has one check: only the public functions that
 take a potential call _as_matrix_field, once each, and only it calls
-diagonal_potential; _sections is the one section check, which the
+diagonal_potential; _section is the one section check, which the
 evolutions reach through _section_dofs.
 
 A potential declares only what its expression implies: one function,
@@ -285,8 +285,8 @@ def test_one_potential_conversion_and_section_check():
     assert callers("_as_matrix_field") == dict.fromkeys(takers, 1)
     assert callers("diagonal_potential") == {"_as_matrix_field": 1}
     assert "_restrict" not in calls
-    assert callers("_sections") == {"quad_form": 1, "kato_inequality_gap": 1,
-                                    "_section_dofs": 1}
+    assert callers("_section") == {"quad_form": 1, "kato_inequality_gap": 1,
+                                   "_section_dofs": 1}
 
 
 def _identifiers(path):
