@@ -1256,6 +1256,152 @@ def test_origin_routes_keep_the_estimates():
     assert (off.value, off.std_error) == (0.4514339763119145, 0.011693550726529979)
 
 
+# Every exact route, pinned bit for bit: value, std_error, n_effective and
+# bias_bound at one block and at more than one block of _BLOCK_WIDTH a
+# worker, with one worker and with three.  The floats are float.hex strings.
+
+def _ball():
+    return KillingRegion(kind="ball", radius=1.0)
+
+
+OFF3 = (0.1, 0.0, -0.2)
+H3_OFF = (math.cosh(0.3), 0.0, math.sinh(0.3), 0.0)
+EXACT_ROUTES = {
+    "kato_r3_origin": dict(space=E3, start=(0.0, 0.0, 0.0)),
+    "kato_r4_off": dict(space=E4, start=(0.1, 0.0, -0.2, 0.3)),
+    "kato_r3_ball": dict(space=E3, start=OFF3, domain=_ball()),
+    "kato_r3_halfspace": dict(space=E3, start=OFF3, domain=HALF),
+    "heat_r2_halfspace": dict(space=E2, start=(0.1, -0.2), domain=KillingRegion(
+        kind="halfspace", normal=(0.6, 0.8), offset=0.3)),
+    "heat_r3": dict(space=E3, start=OFF3),
+    "heat_r3_ball": dict(space=E3, start=(0.0, 0.0, 0.0), domain=_ball()),
+    "heat_h3_ball": dict(space=H3, start=tuple(H3.origin()), domain=_ball()),
+    "kato_h3_origin": dict(space=H3, start=tuple(H3.origin())),
+    "kato_h3_off": dict(space=H3, start=H3_OFF),
+    "heat_h3_off": dict(space=H3, start=H3_OFF),
+}
+# one block a worker, and more than one with three workers
+EXACT_SIZES = (1000, 3 * fk._BLOCK_WIDTH + 1000)
+
+
+def _heat_f(p):
+    """A non-radial test function: on H^3 it sees the boost, on R^d the shift."""
+    return np.exp(-0.5 * p[:, 0]) + 0.25 * p[:, -1]
+
+
+def _exact_run(route, n_paths, workers):
+    """The route's estimator and its configuration, at seed 17 over a horizon of 0.2."""
+    cfg = PathConfig(horizon=0.2, step=2e-3, n_paths=n_paths, seed=17, workers=workers,
+                     **EXACT_ROUTES[route])
+    if route.startswith("kato"):
+        return (lambda: mc_kato_integral(coulomb(cfg.space), cfg)), cfg
+    return (lambda: mc_heat_expectation(_heat_f, cfg)), cfg
+
+
+EXACT_PINS = {
+    ("heat_h3_ball", 1000, 1): (
+        "0x1.866a2a3681197p-2", "0x1.c2353203f9eb8p-8", 823, "0x1.1af5781142404p-50"),
+    ("heat_h3_ball", 1000, 3): (
+        "0x1.8735f8b4452a9p-2", "0x1.b41ead8fcb1dbp-8", 845, "0x1.234a4b1d3eb4cp-50"),
+    ("heat_h3_ball", 50152, 1): (
+        "0x1.80567046f6e0dp-2", "0x1.f24080d16869fp-11", 41669, "0x1.1fe2429336137p-50"),
+    ("heat_h3_ball", 50152, 3): (
+        "0x1.80a909f2173c2p-2", "0x1.f28c77f87d2b0p-11", 41608, "0x1.1f4045300473ep-50"),
+    ("heat_h3_off", 1000, 1): (
+        "0x1.023cf9a6275c5p-1", "0x1.38f37f6f70d83p-8", 1000, "0x0.0p+0"),
+    ("heat_h3_off", 1000, 3): (
+        "0x1.0005a9282d38ep-1", "0x1.46f335ed39438p-8", 1000, "0x0.0p+0"),
+    ("heat_h3_off", 50152, 1): (
+        "0x1.00d89321c7c90p-1", "0x1.63f172075e793p-11", 50152, "0x0.0p+0"),
+    ("heat_h3_off", 50152, 3): (
+        "0x1.010c8681253ecp-1", "0x1.6617151c8670fp-11", 50152, "0x0.0p+0"),
+    ("heat_r2_halfspace", 1000, 1): (
+        "0x1.42ffb98b6ca0ap-1", "0x1.a3a5d82701370p-7", 842, "0x0.0p+0"),
+    ("heat_r2_halfspace", 1000, 3): (
+        "0x1.362530626a945p-1", "0x1.aa54c00dd77b3p-7", 816, "0x0.0p+0"),
+    ("heat_r2_halfspace", 50152, 1): (
+        "0x1.3062764cd1908p-1", "0x1.dc4afb45875a8p-10", 40732, "0x0.0p+0"),
+    ("heat_r2_halfspace", 50152, 3): (
+        "0x1.30dcf9f276482p-1", "0x1.da228b7463971p-10", 40852, "0x0.0p+0"),
+    ("heat_r3", 1000, 1): (
+        "0x1.dc2d4ac17c3b7p-1", "0x1.fcccd0a43671cp-8", 1000, "0x0.0p+0"),
+    ("heat_r3", 1000, 3): (
+        "0x1.d7d72be874d0ep-1", "0x1.ed337a842120bp-8", 1000, "0x0.0p+0"),
+    ("heat_r3", 50152, 1): (
+        "0x1.da54f8d42714ap-1", "0x1.2269075fab795p-10", 50152, "0x0.0p+0"),
+    ("heat_r3", 50152, 3): (
+        "0x1.daa650823113ep-1", "0x1.21a3ed483e66dp-10", 50152, "0x0.0p+0"),
+    ("heat_r3_ball", 1000, 1): (
+        "0x1.75614eba9b36ep-1", "0x1.ac06caac8fc50p-7", 823, "0x1.1223594f986d9p-49"),
+    ("heat_r3_ball", 1000, 3): (
+        "0x1.753114f41153bp-1", "0x1.9ff9b01875d26p-7", 845, "0x1.1b028ce8a8d90p-49"),
+    ("heat_r3_ball", 50152, 1): (
+        "0x1.70a08e03f9f16p-1", "0x1.dca2161ae1f80p-10", 41669, "0x1.180ea4c947fb2p-49"),
+    ("heat_r3_ball", 50152, 3): (
+        "0x1.70a6ce6e06ad4p-1", "0x1.dbe059bdd6b65p-10", 41608, "0x1.1764413177663p-49"),
+    ("kato_h3_off", 1000, 1): (
+        "0x1.e5ea088fb20d7p-2", "0x1.8697ceaf05ebcp-7", 1000, "0x0.0p+0"),
+    ("kato_h3_off", 1000, 3): (
+        "0x1.dffc238980183p-2", "0x1.597ad855da0fcp-7", 1000, "0x0.0p+0"),
+    ("kato_h3_off", 50152, 1): (
+        "0x1.d5b7e9f0ad170p-2", "0x1.c11161e21fb5fp-10", 50152, "0x0.0p+0"),
+    ("kato_h3_off", 50152, 3): (
+        "0x1.d24fca476f51bp-2", "0x1.b08b6cd8fa984p-10", 50152, "0x0.0p+0"),
+    ("kato_h3_origin", 1000, 1): (
+        "0x1.65594e9f9329ep-1", "0x1.f0c6f3e0dbd0dp-7", 1000, "0x0.0p+0"),
+    ("kato_h3_origin", 1000, 3): (
+        "0x1.76409968d6c04p-1", "0x1.aec4ea71beda9p-6", 1000, "0x0.0p+0"),
+    ("kato_h3_origin", 50152, 1): (
+        "0x1.693ecc2fdd8c0p-1", "0x1.260d7fa28401fp-9", 50152, "0x0.0p+0"),
+    ("kato_h3_origin", 50152, 3): (
+        "0x1.6949bcdc1bb2cp-1", "0x1.4048ff999a538p-9", 50152, "0x0.0p+0"),
+    ("kato_r3_ball", 1000, 1): (
+        "0x1.f1ffab27e25d0p-2", "0x1.8f7e0cc50d8bbp-7", 1000, "0x1.23e57b60fd51dp-50"),
+    ("kato_r3_ball", 1000, 3): (
+        "0x1.ffd889f1dd334p-2", "0x1.acf4f4d03e165p-7", 1000, "0x1.2ca7d3d2c6302p-50"),
+    ("kato_r3_ball", 50152, 1): (
+        "0x1.fd4315f44955bp-2", "0x1.00cffbb2668a4p-9", 50152, "0x1.2a58e9ae49793p-50"),
+    ("kato_r3_ball", 50152, 3): (
+        "0x1.fca9d25c2b6e9p-2", "0x1.051d06aa627aep-9", 50152, "0x1.2a5be1736bce5p-50"),
+    ("kato_r3_halfspace", 1000, 1): (
+        "0x1.c38708541d6fcp-2", "0x1.71ac2a8e5239bp-7", 1000, "0x0.0p+0"),
+    ("kato_r3_halfspace", 1000, 3): (
+        "0x1.c75c4b8b957fep-2", "0x1.86ee7f822e629p-7", 1000, "0x0.0p+0"),
+    ("kato_r3_halfspace", 50152, 1): (
+        "0x1.c6c388cfc8ca9p-2", "0x1.d66eb5ec99983p-10", 50152, "0x0.0p+0"),
+    ("kato_r3_halfspace", 50152, 3): (
+        "0x1.c554812c54b99p-2", "0x1.d7fae908633bdp-10", 50152, "0x0.0p+0"),
+    ("kato_r3_origin", 1000, 1): (
+        "0x1.691870a3b5c4cp-1", "0x1.03392e8cffdfap-6", 1000, "0x0.0p+0"),
+    ("kato_r3_origin", 1000, 3): (
+        "0x1.7b1078a0ab6a6p-1", "0x1.be5a3ac68f3e8p-6", 1000, "0x0.0p+0"),
+    ("kato_r3_origin", 50152, 1): (
+        "0x1.6d41587a93574p-1", "0x1.329b687712415p-9", 50152, "0x0.0p+0"),
+    ("kato_r3_origin", 50152, 3): (
+        "0x1.6d4ffd89e277ap-1", "0x1.4f8ff732dc16bp-9", 50152, "0x0.0p+0"),
+    ("kato_r4_off", 1000, 1): (
+        "0x1.667f34a04b3c5p-2", "0x1.f09c019f53d49p-8", 1000, "0x0.0p+0"),
+    ("kato_r4_off", 1000, 3): (
+        "0x1.775774d99b886p-2", "0x1.fb261f709f817p-8", 1000, "0x0.0p+0"),
+    ("kato_r4_off", 50152, 1): (
+        "0x1.6f043f43d50a4p-2", "0x1.22b2850a0160fp-10", 50152, "0x0.0p+0"),
+    ("kato_r4_off", 50152, 3): (
+        "0x1.6ded8a8678254p-2", "0x1.1bde335df7517p-10", 50152, "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_paths", EXACT_SIZES)
+@pytest.mark.parametrize("route", sorted(EXACT_ROUTES))
+def test_exact_routes_keep_every_bit(route, n_paths, workers):
+    run, cfg = _exact_run(route, n_paths, workers)
+    assert fk._exact_route(coulomb(cfg.space), cfg) if route.startswith("kato") \
+        else fk._exact_heat_route(cfg)
+    est = run()
+    got = (est.value.hex(), est.std_error.hex(), est.n_effective, est.bias_bound.hex())
+    assert got == EXACT_PINS[route, n_paths, workers]
+
+
 # ---------------------------------------------------------------------------
 # transport phases and the covariant estimator
 
