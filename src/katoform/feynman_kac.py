@@ -14,40 +14,37 @@ that lands outside, so killing happens at the grid's times.  The exact
 routes below kill in continuous time instead.
 
 Every potential is radial about the origin.  Where the law is exact, one
-core, _exact_marginal, draws each sample of both estimators in one step:
-a time s, and Y = base + sqrt(s) Z for a standard normal vector Z, with a
-weight.  By Fubini, E_x int_0^T |v(B_s)| ds is int_0^T E_x |v(B_s)| ds,
-the Brownian form of the Kato functional (Aizenman and Simon, Comm. Pure
-Appl. Math. 35, 1982), so mc_kato_integral draws s = T U^2 for a uniform
-U, whose density is 1 / (2 sqrt(sT)), with the weight 2 sqrt(sT) = 2 T U
-(the Kato law); mc_heat_expectation's E_x[f(B_T); T < tau] takes s = T.
+core, _exact_samples, draws each sample in one step, Y = base + sqrt(s) Z
+for a standard normal vector Z, weighted by the product of a space, a time
+and a survival weight, in that order.  Each estimator picks the three laws
+once a call; where one has no exact law (None), it takes the path route.
 
-* R^d: base = x_0, and Y is B_s.
-* H^3: the radius is the Doob transform of BES(3) by h(r) = sinh r / r,
-  which solves h''/2 + h'/r = h/2, so |Y| is the BES(3) draw from |base|
-  with the weight e^{-s/2} h(|Y|) / h(|base|) (Revuz and Yor, ch. XI).
-  The Kato integral takes base = (d(o, x_0), 0, 0).  The heat expectation
-  draws at the origin, base = 0, where the endpoint's direction is
-  uniform and independent of the radius path (the skew product): the
-  point at distance |Y| in Y's direction, moved by the boost that takes
-  the origin to x_0 (the heat kernel is isotropic about every point).
-* Under a ball of radius a about the origin of R^3 or H^3, the weight
-  also carries the chance that the radius path stayed below a given its
-  ends: the BES(3) bridge's survival from |base| to |Y|, an image series
-  (below) whose computed truncation is the reported bias_bound.  An
-  h-transform leaves bridges unchanged, so it serves H^3 too.  Only from
-  the origin is the endpoint's direction independent of it, so the heat
-  expectation takes a ball from there alone.
-* Under a Euclidean half-space, it carries 1 - exp(-2 d_0 d_s / s), with
-  d the distance to the plane (0 outside): the chance that the normal
-  coordinate's Brownian bridge from d_0 to d_s stays positive.  That is
-  exact, so bias_bound is 0, and independent of the other coordinates.
-
-No step enters these draws.  The Kato sample's second moment is finite
-when |v| is bounded, or when its only singular radius is 0 with a
-declared power p, |v| <= C r^-p, and 2p < min(d, 3): E|v(B_s)|^2 is then
-at most of order s^-p, which the weight 2 sqrt(sT) integrates.  Every
-other case takes the path route (see the estimators).
+* Time.  By Fubini, E_x int_0^T |v(B_s)| ds = int_0^T E_x |v(B_s)| ds, the
+  Brownian form of the Kato functional (Aizenman and Simon, Comm. Pure
+  Appl. Math. 35, 1982): mc_kato_integral takes the Kato law s = T U^2 for
+  a uniform U, of density 1 / (2 sqrt(sT)) and weight 2 sqrt(sT) = 2 T U,
+  whose second moment is finite when |v| is bounded, or when its only
+  singular radius is 0 with a declared power p, |v| <= C r^-p, and
+  2p < min(d, 3) (the variance rule).  mc_heat_expectation takes s = T.
+* Space.  On R^d, base = x_0 and Y is B_s.  On H^3 the radius is the Doob
+  transform of BES(3) by h(r) = sinh r / r, which solves h''/2 + h'/r =
+  h/2: |Y| is the BES(3) draw from |base|, weighted e^{-s/2} h(|Y|) /
+  h(|base|) (Revuz and Yor, ch. XI).  H^m, m != 3, has no exact law.  The
+  Kato integral's sample is |Y|, from base = (d(o, x_0), 0, 0) on H^3.  The
+  heat expectation's is the endpoint; on H^3 it draws at the origin, where
+  the direction is uniform and independent of the radius path (the skew
+  product), and boosts the point at distance |Y| in Y's direction to x_0
+  (the heat kernel is isotropic about every point).
+* Survival: 1 with no region.  Under a ball of radius a about the origin
+  of R^3 or H^3, the chance that the radius path stayed below a given its
+  ends, the BES(3) bridge's survival from |base| to |Y| (an h-transform
+  leaves bridges unchanged): an image series whose computed truncation is
+  the bias_bound.  Only from the origin is the endpoint's direction
+  independent of the ball, so the heat expectation takes one from there
+  alone.  Under a Euclidean half-space, 1 - exp(-2 d_0 d_s / s), d the
+  distance to the plane (0 outside): the chance that the normal
+  coordinate's Brownian bridge from d_0 to d_s stays positive, exact and
+  independent of the other coordinates.
 
 Streams are counter-based (Philox) keyed by (seed, worker index).  Worker
 w draws a contiguous block of the path indices, worker 0's first; this is
@@ -58,14 +55,12 @@ only on the configuration, that is on (seed, workers), never on thread
 timing.
 
 Sampled paths draw every increment from the worker's key, path-major, so
-the batch size never changes the numbers.  sample_paths runs the streams
-on producer threads, each with one position buffer and one draw buffer: a
-producer draws its next batch's normals while the caller still holds the
-position buffer, and only integrates them once the buffer comes back.
-_exact_marginal draws each worker's block of the layout from its key, in
-blocks of 2**14 samples, on the caller's thread (_exact_blocks): one draw
-a sample does not pay for a producer thread.  The block width sets which
-draws go to which sample, so it is part of the reference numbers.
+the batch size never changes the numbers; sample_paths runs the streams on
+producer threads.  _exact_samples draws each worker's block of the layout
+from its key, in blocks of 2**14 samples, on the caller's thread
+(_exact_blocks): one draw a sample does not pay for a producer thread.
+The block width sets which draws go to which sample, so it is part of the
+reference numbers.
 
 No ufunc loops over the short coordinate axis: an operation that pairs
 a (B, S, ambient) block with one value per coordinate (a start point, a
@@ -77,6 +72,7 @@ this changes no estimate in its last bit.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import queue
 import threading
@@ -171,6 +167,12 @@ class PathConfig:
     domain: KillingRegion | None = None
 
     def __post_init__(self):
+        for name, low, high in (("n_paths", 100, math.inf), ("seed", 0, 2 ** 64 - 1),
+                                ("workers", 1, _MAX_WORKERS)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or not low <= value <= high:
+                raise ConfigError(f"{name} must be an integer in [{low}, {high}], not {value!r}")
         if not 0.0 < self.horizon < math.inf:
             raise ConfigError("horizon must be positive and finite")
         if not 0.0 < self.step <= self.horizon / 10:
@@ -183,10 +185,6 @@ class PathConfig:
                               f"{_MAX_PATH_NODES} path nodes")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError("step must divide the horizon evenly")
-        if self.n_paths < 100:
-            raise ConfigError("need at least 100 paths")
-        if not 1 <= self.workers <= _MAX_WORKERS:
-            raise ConfigError(f"workers must lie in [1, {_MAX_WORKERS}]")
         start = np.asarray(self.start, dtype=float)
         self.space.validate_point(start)
         object.__setattr__(self, "start", tuple(float(x) for x in start))
@@ -213,12 +211,8 @@ class Estimate:
 
     std_error is the sample standard deviation over paths divided by
     sqrt(n_paths); for complex values it uses |X - mean|^2.  bias_bound is
-    estimator-specific: on the exact routes the computed truncation of the
-    bridge series (0 with no ball), on the Kato integral's path route
-    max|v| * h for a bounded potential, and None where no bound is
-    computed: the heat expectation's path route, and the Kato integral's
-    path route for a singular potential.
-    cap_events counts capped singular evaluations.
+    each estimator's computed bound on its bias, None where it computes
+    none (see the estimators).  cap_events counts capped singular values.
     """
 
     value: complex | float
@@ -269,7 +263,7 @@ def _blocks(config: PathConfig, width: int) -> list[list[tuple[int, int]]]:
 
 
 def _worker_bits(seed: int, worker: int) -> np.random.Philox:
-    key = np.array([seed % (2 ** 64), worker], dtype=np.uint64)
+    key = np.array([seed, worker], dtype=np.uint64)
     return np.random.Philox(key=key)
 
 
@@ -457,59 +451,75 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
 
 
 # ---------------------------------------------------------------------------
-# exact draws
+# exact draws: a time law, a space law and a survival weight
 
-def _about_origin(space: ModelSpace, point) -> bool:
-    return bool(np.array_equal(np.asarray(point, dtype=float), space.origin()))
+class _KatoTime:
+    """The Kato law: its rows hold U (then 2 T U), sqrt(s) and s."""
+
+    rows = 3
+
+    def __call__(self, rng, rows: np.ndarray, T: float) -> tuple:
+        """(sqrt(s), s, weight) of a block, whose uniforms come before its normals."""
+        u = rng.random(out=rows[0])
+        root = np.multiply(u, math.sqrt(T), out=rows[1])
+        return root, np.square(root, out=rows[2]), np.multiply(u, 2.0 * T, out=u)
 
 
-def _exact_law(config: PathConfig) -> bool:
-    """Whether the position has an exact law (R^d, H^3) and survival an exact weight.
+class _FixedTime:
+    """The fixed law s = T, of weight 1."""
 
-    Survival has one with no region, under a half-space, and under a ball
-    about the origin of R^3 or H^3.
+    rows = 0
+
+    def __call__(self, rng, rows: np.ndarray, T: float) -> tuple:
+        return math.sqrt(T), T, 1.0
+
+
+class _SpaceLaw:
+    """Y = base + sqrt(s) Z with its weight (1, or Doob's on H^3) and the sample it gives."""
+
+    def __init__(self, space: ModelSpace, base: np.ndarray, sample: Callable, extra: int):
+        self.base, self.sample = base, sample
+        self.r0 = math.sqrt(base.dot(base))     # np.linalg.norm's sum, bit for bit
+        self.h0 = float(_sinh_ratio(np.array(self.r0), np.empty(()))) \
+            if space.kind == HYPERBOLIC else None
+        self.rows = extra if self.h0 is None else extra + 1
+
+    def __call__(self, y: np.ndarray, r: np.ndarray, s, w: np.ndarray, rows) -> np.ndarray:
+        """A block's sample; the weight goes into w, and on H^3 h(|Y|) into rows[0]."""
+        if self.h0 is None:
+            w.fill(1.0)
+            return self.sample(y, r, None, rows)
+        h = _sinh_ratio(r, rows[0])
+        # libm's exp for one s, as the reference numbers take it
+        np.multiply(h, np.exp(-0.5 * s) if np.ndim(s) else math.exp(-0.5 * s), out=w)
+        w /= self.h0
+        return self.sample(y, r, h, rows)
+
+
+def _h3_points(y: np.ndarray, r: np.ndarray, h: np.ndarray, x0: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """The points of H^3 at distance r = |y| from x0, written into the (N, 4) out.
+
+    The point at distance r from the origin in y's direction is
+    (cosh r, y h), h = sinh r / r, and the boost that takes the origin to
+    x0 maps (p_0, p') to (x_0 p_0 + x'.p', p' + (p_0 + x'.p' / (1 + x_0)) x').
     """
-    space, region = config.space, config.domain
-    if space.kind == HYPERBOLIC and space.dim != 3:
-        return False
-    return region is None or region.kind == "halfspace" or space.dim == 3 and (
-        region.center is None or _about_origin(space, region.center))
-
-
-def _exact_route(v, config: PathConfig) -> bool:
-    """Whether mc_kato_integral takes _exact_marginal: an exact law, and a finite variance.
-
-    The sample's second moment is finite when |v| is bounded, or blows up
-    only at the origin like r^-p with a declared p and 2p < min(d, 3).
-    """
-    p = v.singular_power
-    finite = not v.singular_radii or (v.singular_radii == (0.0,) and p is not None
-                                      and 2.0 * p < min(config.space.dim, 3))
-    return _exact_law(config) and finite
-
-
-def _exact_heat_route(config: PathConfig) -> bool:
-    """Whether mc_heat_expectation takes _exact_marginal; a ball needs the start at its centre."""
-    region = config.domain
-    return _exact_law(config) and (region is None or region.kind == "halfspace"
-                                   or _about_origin(config.space, config.start))
-
-
-def _block_width(config: PathConfig) -> int:
-    """Samples in the largest block of the exact routes."""
-    return _blocks(config, _BLOCK_WIDTH)[0][0][1]
-
-
-def _exact_blocks(config: PathConfig) -> Iterator[tuple[np.random.Generator, int, int]]:
-    """(rng, lo, B) for each block of samples [lo, lo + B) of the reference layout.
-
-    Worker w's blocks are drawn in order from the worker's key on the
-    caller's thread, so the numbers depend only on (seed, workers).
-    """
-    for worker, blocks in enumerate(_blocks(config, _BLOCK_WIDTH)):
-        rng = np.random.Generator(_worker_bits(config.seed, worker))
-        for lo, B in blocks:
-            yield rng, lo, B
+    np.cosh(r, out=out[:, 0])
+    for i in range(3):
+        np.multiply(y[:, i], h, out=out[:, i + 1])
+    if not np.any(x0[1:]):
+        return out
+    dot = out[:, 1] * x0[1]
+    for i in (2, 3):
+        dot += out[:, i] * x0[i]
+    p0 = out[:, 0].copy()
+    np.multiply(p0, x0[0], out=out[:, 0])
+    out[:, 0] += dot
+    dot /= 1.0 + x0[0]
+    dot += p0
+    for i in (1, 2, 3):
+        out[:, i] += dot * x0[i]
+    return out
 
 
 def _sinh_ratio(r: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -518,6 +528,7 @@ def _sinh_ratio(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.divide(out, r, out=out, where=r > 0.0)
     # h >= 1 everywhere, and this sets h(0) = 1 where the division was skipped
     return np.maximum(out, 1.0, out=out)
+
 
 
 @np.errstate(over="ignore", invalid="ignore")     # see term
@@ -582,96 +593,99 @@ def _bridge_survival(x, y, a: float, t,
     return factor, bound
 
 
-def _exact_marginal(config: PathConfig, base: np.ndarray, random_time: bool) -> Iterator[
-        tuple[int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]]:
-    """(lo, Y, |Y|, h, weight, tail) for each block of samples [lo, lo + B) of _exact_blocks.
+def _laws(config: PathConfig, base: np.ndarray, sample: Callable, extra: int = 0):
+    """(space law from base, survival weight), or None where either has no exact law.
 
-    The Kato law (random_time) draws a block's uniforms, then its normals,
-    one row a sample; the fixed law s = T its normals only.  h is
-    sinh|Y| / |Y| on H^3 and None on R^d.  weight is the product of the
-    time weight (2 sqrt(sT), or 1), the Doob weight on H^3 and the survival
-    weight; tail is each sample's bridge truncation times the rest of its
-    weight, None where no ball truncates.  The arrays are valid until the
-    next block.
+    H^m with m != 3 has none; a ball needs a 3-space and the origin as its
+    centre.  The survival weight multiplies a block's weights w in place,
+    given (Y, |Y|, s, w), and returns its tail, None where no ball truncates.
     """
-    space, T, region = config.space, config.horizon, config.domain
-    r0 = math.sqrt(base.dot(base))     # np.linalg.norm's sum, bit for bit
-    h0 = float(_sinh_ratio(np.array(r0), np.empty(())))
-    halfspace = region is not None and region.kind == "halfspace"
-    d0 = region.level - float(base @ region.unit) if halfspace else None
-    width = _block_width(config)
-    gauss = np.empty((width, len(base)))
-    radii, tmp, *kato = np.empty((5 if random_time else 2, width))
-    ratios = np.empty(width) if space.kind == HYPERBOLIC else None
-    for rng, lo, B in _exact_blocks(config):
-        root = math.sqrt(T)
-        if random_time:
-            uniform, roots, weights = kato
-            u = rng.random(out=uniform[:B])
-            root = np.multiply(u, root, out=roots[:B])                # sqrt(s)
-        y = rng.standard_normal(out=gauss[:B])
-        for i, c in enumerate(base):
-            y[:, i] *= root
-            if c:
-                y[:, i] += c
-        r = _euclidean_norms(y, radii[:B], tmp[:B])
-        s, w = (np.square(root, out=tmp[:B]), weights[:B]) if random_time else (T, tmp[:B])
-        h = None
-        if space.kind == HYPERBOLIC:
-            # e^{-s/2} h(|Y|) / h(|base|), h(r) = sinh r / r
-            h = _sinh_ratio(r, ratios[:B])
-            np.multiply(h, np.exp(-0.5 * s) if random_time else math.exp(-0.5 * s), out=w)
-            w /= h0
-        else:
-            w.fill(1.0)
-        if random_time:
-            # 2 sqrt(sT), written over the roots, which s has used up
-            w *= np.multiply(u, 2.0 * T, out=roots[:B])
-        tail = None
-        if halfspace:
-            # the chance that the normal coordinate's bridge from d_0 to d_s
-            # stays positive; at s = 0 the path has not moved
+    space, region = config.space, config.domain
+    if space.kind == HYPERBOLIC and space.dim != 3:
+        return None
+    law = _SpaceLaw(space, base, sample, extra)
+    if region is None:
+        return law, lambda y, r, s, w: None
+    if region.kind == "halfspace":
+        d0 = region.level - float(base @ region.unit)
+
+        def halfspace(y, r, s, w):
             ds = np.multiply(y[:, 0], region.unit[0])
-            for i in range(1, space.dim):
+            for i in range(1, y.shape[1]):
                 ds += y[:, i] * region.unit[i]
             np.subtract(region.level, ds, out=ds)
             np.maximum(ds, 0.0, out=ds)
             ds *= 2.0 * d0
-            q = np.divide(ds, s, out=np.full(B, math.inf), where=np.greater(s, 0.0))
+            # at s = 0 the path has not moved
+            q = np.divide(ds, s, out=np.full(len(w), math.inf), where=np.greater(s, 0.0))
             w *= -np.expm1(-q)
-        elif region is not None:
-            factor, tail = _bridge_survival(r0, r, region.radius, s)
-            tail *= w
-            w *= factor
-        yield lo, y, r, h, w, tail
+        return law, halfspace
+    if space.dim != 3 or not (region.center is None
+                              or np.array_equal(region.center, space.origin())):
+        return None
+
+    def ball(y, r, s, w):
+        factor, tail = _bridge_survival(law.r0, r, region.radius, s)
+        tail *= w
+        w *= factor
+        return tail
+    return law, ball
 
 
-def _h3_points(y: np.ndarray, r: np.ndarray, h: np.ndarray, x0: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """The points of H^3 at distance r = |y| from x0, written into the (N, 4) out.
+def _exact_route(v, config: PathConfig) -> tuple | None:
+    """mc_kato_integral's exact law, (space law, survival weight), or None (the variance rule)."""
+    p = v.singular_power
+    if v.singular_radii and not (v.singular_radii == (0.0,) and p is not None
+                                 and 2.0 * p < min(config.space.dim, 3)):
+        return None
+    start = np.asarray(config.start, dtype=float)
+    base = np.array([math.acosh(max(start[0], 1.0)), 0.0, 0.0]) \
+        if config.space.kind == HYPERBOLIC else start
+    return _laws(config, base, lambda y, r, h, rows: r)
 
-    The point at distance r from the origin in y's direction is
-    (cosh r, y h) with h = sinh r / r, which the caller has computed, and
-    the boost that takes the origin to x0 maps (p_0, p') to
-    (x_0 p_0 + x'.p', p' + (p_0 + x'.p' / (1 + x_0)) x') and fixes the
-    rest.  Each coordinate is one strided pass.
+
+def _exact_heat_route(config: PathConfig) -> tuple | None:
+    """mc_heat_expectation's exact law, (space law, survival weight), or None."""
+    start = np.asarray(config.start, dtype=float)
+    region, space = config.domain, config.space
+    # under a ball, only from its centre
+    if region is not None and region.kind == "ball" and not np.array_equal(start, space.origin()):
+        return None
+    if space.kind == EUCLIDEAN:
+        return _laws(config, start, lambda y, r, h, rows: y)
+    # drawn at the origin and boosted to the start, into the law's rows 1 to 4
+    return _laws(config, np.zeros(3), extra=4,
+                 sample=lambda y, r, h, rows: _h3_points(y, r, h, start, rows[1:5].T))
+
+
+def _exact_blocks(config: PathConfig) -> Iterator[tuple[np.random.Generator, int, int]]:
+    """(rng, lo, B) for each block of samples [lo, lo + B) of the reference layout, in order."""
+    for worker, blocks in enumerate(_blocks(config, _BLOCK_WIDTH)):
+        rng = np.random.Generator(_worker_bits(config.seed, worker))
+        for lo, B in blocks:
+            yield rng, lo, B
+
+
+def _exact_samples(config: PathConfig, time, space: _SpaceLaw, survival) -> Iterator[tuple]:
+    """(lo, sample, weight, tail) for each block of samples [lo, lo + B) of _exact_blocks.
+
+    The radii, the weights (the norms' scratch first) and the laws' rows
+    share one block a call; the arrays are valid until the next block.
     """
-    np.cosh(r, out=out[:, 0])
-    for i in range(3):
-        np.multiply(y[:, i], h, out=out[:, i + 1])
-    if not np.any(x0[1:]):
-        return out
-    dot = out[:, 1] * x0[1]
-    for i in (2, 3):
-        dot += out[:, i] * x0[i]
-    p0 = out[:, 0].copy()
-    np.multiply(p0, x0[0], out=out[:, 0])
-    out[:, 0] += dot
-    dot /= 1.0 + x0[0]
-    dot += p0
-    for i in (1, 2, 3):
-        out[:, i] += dot * x0[i]
-    return out
+    width = _blocks(config, _BLOCK_WIDTH)[0][0][1]      # worker 0's first block
+    gauss = np.empty((width, len(space.base)))
+    block = np.empty((2 + time.rows + space.rows, width))
+    for rng, lo, B in _exact_blocks(config):
+        root, s, weight = time(rng, block[2:2 + time.rows, :B], config.horizon)
+        y = rng.standard_normal(out=gauss[:B])
+        for i, c in enumerate(space.base):
+            y[:, i] *= root
+            if c:
+                y[:, i] += c
+        r, w = _euclidean_norms(y, block[0, :B], block[1, :B]), block[1, :B]
+        sample = space(y, r, s, w, block[2 + time.rows:, :B])
+        w *= weight
+        yield lo, sample, w, survival(y, r, s, w)
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +747,10 @@ def _distances(space: ModelSpace, points: np.ndarray, out: np.ndarray, tmp: np.n
 def mc_kato_integral(v, config: PathConfig) -> Estimate:
     """E of the time integral of |v(B_s)| up to min(horizon, lifetime).
 
-    Where _exact_route holds, each sample is one draw of _exact_marginal
-    under the Kato law, and its value is |v| times its weight (0 where the
-    weight is 0: a draw with U = 0 from the origin adds 0, not 0 * inf).
-    bias_bound is the bridge series' computed truncation under a ball and
-    0 otherwise, and cap_events is 0.
+    Where _exact_route gives a law, each sample's value is |v| of its
+    radius times its weight, 0 where the weight is (a draw with U = 0 from
+    the origin adds 0, not 0 * inf); bias_bound is the bridge series'
+    computed truncation under a ball and 0 otherwise.
 
     Elsewhere the integral is trapezoidal in time along paths from
     sample_paths, killed at the grid's times.  Node values above 1/h (or
@@ -751,16 +764,12 @@ def mc_kato_integral(v, config: PathConfig) -> Estimate:
     """
     if v.space != config.space:
         raise DomainError("potential and path configuration disagree on the space")
-    if not _exact_route(v, config):
+    law = _exact_route(v, config)
+    if law is None:
         return _path_kato_integral(v, config)
-    start = np.asarray(config.start, dtype=float)
-    # on H^3 only the distance to the origin matters
-    base = np.array([math.acosh(max(start[0], 1.0)), 0.0, 0.0]) \
-        if config.space.kind == HYPERBOLIC else start
-    values = np.empty(_block_width(config))
     sums, bias = np.zeros(config.n_paths), 0.0
-    for lo, _, r, _, w, tail in _exact_marginal(config, base, random_time=True):
-        g = np.asarray(v.abs_radial(r, out=values[:r.size]), dtype=float)
+    for lo, r, w, tail in _exact_samples(config, _KatoTime(), *law):
+        g = np.asarray(v.abs_radial(r, out=r), dtype=float)     # over the radii
         if tail is not None:
             # the series truncation of each sample, times |v|
             np.multiply(g, tail, out=tail, where=tail > 0.0)
@@ -829,32 +838,23 @@ def mc_heat_expectation(f: Callable, config: PathConfig) -> Estimate:
     f receives a (B, ambient) block of endpoints and must return (B,)
     values; killed paths contribute zero.
 
-    Where _exact_heat_route holds (R^d and H^3 with no region and a
-    half-space from any start, a ball about the origin of R^3 or H^3 from
-    the origin), each path is one exact endpoint of _exact_marginal with
-    its weight, and the step does not enter the estimand.  bias_bound is
-    the computed truncation of the bridge series under a ball and 0
-    otherwise; n_effective counts the paths of nonzero weight.  Elsewhere
-    the paths come from sample_paths and are killed at the step grid's
-    times; n_effective counts the survivors and bias_bound is None.
+    Where _exact_heat_route gives a law, each path is one exact endpoint
+    with its weight; bias_bound is as for mc_kato_integral, and n_effective
+    counts the paths of nonzero weight.  Elsewhere the paths come from
+    sample_paths, killed at the grid's times; n_effective counts the
+    survivors and bias_bound is None.
     """
-    if not _exact_heat_route(config):
+    law = _exact_heat_route(config)
+    if law is None:
         return _path_heat_expectation(f, config)
-    start = np.asarray(config.start, dtype=float)
-    hyperbolic = config.space.kind == HYPERBOLIC
-    points = np.empty((_block_width(config), 4)) if hyperbolic else None
     values = np.zeros(config.n_paths, dtype=complex)
     n_effective, bias = 0, 0.0
-    for lo, y, r, h, w, tail in _exact_marginal(config, np.zeros(3) if hyperbolic else start,
-                                                random_time=False):
-        B = r.size
-        if hyperbolic:
-            y = _h3_points(y, r, h, start, points[:B])
+    for lo, x, w, tail in _exact_samples(config, _FixedTime(), *law):
         live = w > 0.0
         n_live = int(np.count_nonzero(live))
         if n_live:
-            fx = np.asarray(f(y[live]))
-            values[lo:lo + B][live] = fx * w[live]
+            fx = np.asarray(f(x[live]))
+            values[lo:lo + w.size][live] = fx * w[live]
             if tail is not None:
                 # the series truncation of each path, times |f|
                 bias += float((np.abs(fx) * tail[live]).sum())

@@ -113,7 +113,9 @@ class ModelSpace:
 def geodesic_point(space: ModelSpace, r: float, direction=None) -> np.ndarray:
     """Point at geodesic distance r from the origin.
 
-    ``direction`` is a unit vector in R^m (defaults to the first axis).
+    ``direction`` is a vector in R^m, normalised here (defaults to the
+    first axis); it must be finite with a finite nonzero length.  On H^m,
+    cosh r must be finite too.
     """
     if not 0.0 <= r < math.inf:
         raise DomainError("radius must be nonnegative and finite")
@@ -122,14 +124,20 @@ def geodesic_point(space: ModelSpace, r: float, direction=None) -> np.ndarray:
         u[0] = 1.0
     else:
         u = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            raise DomainError("direction must be nonzero")
+        # nan for a wrong shape or a nan entry, inf for an inf entry or an overflow
+        with np.errstate(all="ignore"):
+            norm = float(np.linalg.norm(u)) if u.shape == (space.dim,) else math.nan
+        if not 0.0 < norm < math.inf:
+            raise DomainError(f"direction must be a finite vector of length {space.dim} "
+                              f"with a finite nonzero norm, not {direction!r}")
         u = u / norm
     if space.kind == EUCLIDEAN:
         return r * u
     x = np.empty(space.dim + 1)
-    x[0] = math.cosh(r)
+    try:
+        x[0] = math.cosh(r)
+    except OverflowError:
+        raise DomainError(f"cosh of the radius {r} overflows") from None
     x[1:] = math.sinh(r) * u
     return x
 

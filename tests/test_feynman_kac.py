@@ -117,6 +117,24 @@ def test_pathconfig_validation():
     econf(domain=KillingRegion(kind="ball", radius=1.0, center=(0.1, 0.0, 0.0)))
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("seed", -1), ("seed", 2 ** 64), ("seed", 3.7), ("seed", True), ("seed", 3.0),
+    ("workers", 2.0), ("workers", True), ("n_paths", 200.5), ("n_paths", 1000.0),
+    ("n_paths", True),
+])
+def test_pathconfig_checks_its_integers(field, bad):
+    """A seed outside [0, 2^64) once wrapped onto another (-1 ran as 2^64 - 1), a
+    float seed ran truncated and True as 1; float workers or n_paths died in sampling."""
+    with pytest.raises(ConfigError, match=field):
+        econf(**{field: bad})
+
+
+def test_pathconfig_takes_any_integer_type():
+    cfg = econf(seed=np.uint64(2 ** 64 - 1), workers=np.int32(3), n_paths=np.int64(300))
+    assert math.isfinite(mc_heat_expectation(lambda p: p[:, 0], cfg).value)
+    assert math.isfinite(mc_heat_expectation(lambda p: p[:, 0], econf(seed=0)).value)
+
+
 @pytest.mark.parametrize("field,bad", [("horizon", math.nan), ("horizon", math.inf),
                                        ("step", math.nan)])
 def test_pathconfig_rejects_non_finite_times(field, bad):
@@ -334,7 +352,7 @@ def test_path_route_elsewhere(cfg):
     balls and H^2 keep their paths.
     """
     assert not fk._exact_route(coulomb(cfg.space), cfg)
-    assert fk._exact_heat_route(cfg) == (cfg.space == E2)
+    assert (fk._exact_heat_route(cfg) is not None) == (cfg.space == E2)
 
 
 @pytest.mark.parametrize("pot,exact", [
@@ -351,7 +369,7 @@ def test_path_route_elsewhere(cfg):
 ], ids=["coulomb", "power_1.2", "power_1.6", "inverse_square", "constant", "bump",
         "undeclared_power", "second_singular_radius"])
 def test_route_follows_the_variance_rule(pot, exact):
-    assert fk._exact_route(pot, econf()) == exact
+    assert (fk._exact_route(pot, econf()) is not None) == exact
 
 
 def test_infinite_variance_takes_the_path_route():
@@ -678,7 +696,7 @@ def test_caller_error_joins_producers(monkeypatch, route):
     threaded(monkeypatch, 2)
     monkeypatch.setattr(fk, "_NODE_BUDGET", 2000)
     cfg = ROUTE_CONFIGS[route]
-    assert fk._exact_route(coulomb(E3), cfg) == (route == "exact")
+    assert (fk._exact_route(coulomb(E3), cfg) is not None) == (route == "exact")
     pot = coulomb(E3)
     calls = []
     radial = pot.abs_radial
@@ -885,7 +903,7 @@ def test_traced_memory_is_bounded_by_the_pool(monkeypatch, traced_peak, case, cp
         temporaries = 1.8 if killed else 1.4
         # Coulomb with its power undeclared keeps the path route
         pot = coulomb(E3) if case.endswith("exact") else replace(coulomb(E3), singular_power=None)
-        assert fk._exact_route(pot, cfg) == case.endswith("exact")
+        assert (fk._exact_route(pot, cfg) is not None) == case.endswith("exact")
 
         def run():
             mc_kato_integral(pot, cfg)
@@ -1170,7 +1188,10 @@ def test_h3_heat_from_off_the_origin_is_boosted():
 
 def test_h3_heat_route_computes_the_sinh_ratio_once_a_block(monkeypatch):
     # the Doob weight and the boosted points share one sinh|Y| / |Y| a block;
-    # the one 0-d call is h(|base|), once per run
+    # the one 0-d call is h(|base|), once per run, when the space law is built
+    cfg = PathConfig(space=H3, start=tuple(geodesic_point(H3, 1.0, (1.0, 2.0, -1.0))),
+                     horizon=0.5, step=0.05, n_paths=40000, seed=71, workers=2)
+    assert fk._exact_heat_route(cfg)
     sinh_ratio, blocks = fk._sinh_ratio, fk._exact_blocks
     calls, drawn = [], []
 
@@ -1185,9 +1206,6 @@ def test_h3_heat_route_computes_the_sinh_ratio_once_a_block(monkeypatch):
 
     monkeypatch.setattr(fk, "_sinh_ratio", counted_ratio)
     monkeypatch.setattr(fk, "_exact_blocks", counted_blocks)
-    cfg = PathConfig(space=H3, start=tuple(geodesic_point(H3, 1.0, (1.0, 2.0, -1.0))),
-                     horizon=0.5, step=0.05, n_paths=40000, seed=71, workers=2)
-    assert fk._exact_heat_route(cfg)
     est = mc_heat_expectation(lambda p: p[:, 0], cfg)
     assert math.isfinite(est.value) and len(drawn) >= 4
     assert calls == [0] + [1] * len(drawn)

@@ -76,6 +76,30 @@ def test_geodesic_point_distance_round_trip():
             assert distance(space, space.origin(), x) == pytest.approx(r, abs=1e-12)
 
 
+@pytest.mark.parametrize("space,direction", [
+    (E3, [1.0, 0.0]),                    # once returned the 2-D point (0.5, 0)
+    (E3, [math.nan, 0.0, 0.0]),          # once a nan point with a RuntimeWarning
+    (E3, [math.inf, 1.0, 0.0]),
+    (E3, [0.0, 0.0, 0.0]),
+    (E3, [1e200, 1e200, 0.0]),           # finite, but its norm overflows
+    (E3, [[1.0, 0.0, 0.0]]),
+    (H3, [1.0, 0.0]),                    # once a bare numpy ValueError
+    (H3, [math.nan, 1.0, 0.0]),
+], ids=["E3_short", "E3_nan", "E3_inf", "E3_zero", "E3_overflow", "E3_row", "H3_short",
+        "H3_nan"])
+def test_geodesic_point_refuses_a_bad_direction(space, direction):
+    with pytest.raises(DomainError, match="direction"):
+        geodesic_point(space, 0.5, direction)
+
+
+def test_geodesic_point_refuses_an_overflowing_cosh():
+    # once a bare OverflowError; R^3 takes the same radius
+    with pytest.raises(DomainError, match="overflows"):
+        geodesic_point(H3, 800.0)
+    assert np.isfinite(geodesic_point(H3, 710.0)).all()
+    assert np.array_equal(geodesic_point(E3, 800.0, (0.0, 2.0, 0.0)), [0.0, 800.0, 0.0])
+
+
 def test_hyperboloid_geodesic_matches_ode_oracle():
     # Minkowski geodesics on the hyperboloid satisfy x'' = x (unit speed).
     r = 1.3

@@ -1,11 +1,15 @@
 """Every katoform name the demos import, and every name in katoform.__all__, exists.
 
 The demos are scripts, not tests, so a removed public name would otherwise
-break one of them silently.  Each demo is parsed with ast, not run.
+break one of them silently.  Each demo is parsed with ast, and run end to
+end in a fresh interpreter with warnings as errors.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +54,15 @@ def test_demo_imports_resolve(demo):
     assert imports, f"{demo.name} imports nothing from katoform"
     missing = [f"{module}.{name}" for module, name in imports if not _resolves(module, name)]
     assert not missing, f"{demo.name} imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs_clean(demo, tmp_path):
+    path = [str(demo.parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_all_names_resolve():

@@ -30,9 +30,13 @@ Only feynman_kac.py imports threading or queue, and it constructs
 threading.Thread at one site, inside sample_paths: the producer threads
 of the path sampler are the package's only threads.
 
-In feynman_kac.py one function, _exact_marginal, calls _exact_blocks:
+In feynman_kac.py one function, _exact_samples, calls _exact_blocks:
 the exact routes of mc_kato_integral and mc_heat_expectation are two
-reductions over one draw core, and both public estimators reach it.
+reductions over one draw core composed of a time law, a space law and a
+survival weight, and both public estimators reach it.  No function there
+takes a boolean parameter, such as a flag that selects a law, and
+_exact_law, which once decided part of what the pieces' constructors
+decide, is gone.
 
 In feynman_kac.py the Stratonovich midpoint sum of the transport phase
 has one kernel: only _midpoint_phases calls the connection A, and both
@@ -228,11 +232,12 @@ def test_one_thread_site():
 
 def test_one_exact_draw_core():
     tree = ast.parse((PACKAGE / "feynman_kac.py").read_text())
-    # the names each top-level function refers to, calls or not
+    # the names each function refers to, calls or not, methods and closures included
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     names = {top.name: {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
-             for top in tree.body if isinstance(top, ast.FunctionDef)}
+             for top in functions}
     assert {name for name, used in names.items() if "_exact_blocks" in used} \
-        == {"_exact_marginal"}
+        == {"_exact_samples"}
     for public in ("mc_kato_integral", "mc_heat_expectation"):
         reached, todo = set(), [public]
         while todo:
@@ -240,7 +245,22 @@ def test_one_exact_draw_core():
             if name not in reached:
                 reached.add(name)
                 todo.extend(names.get(name, set()) & names.keys())
-        assert "_exact_marginal" in reached, public
+        assert "_exact_samples" in reached, public
+    # no parameter is a boolean, by annotation or by default
+    flags = {(function.name, arg.arg) for function in functions
+             for arg, default in _defaults(function.args)
+             if isinstance(arg.annotation, ast.Name) and arg.annotation.id == "bool"
+             or isinstance(default, ast.Constant) and isinstance(default.value, bool)}
+    assert flags == set()
+    assert "_exact_law" not in names and not any("_exact_law" in used for used in names.values())
+
+
+def _defaults(args: ast.arguments):
+    """(arg, its default or None) for every parameter of a signature."""
+    positional = args.posonlyargs + args.args
+    padded = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    yield from zip(positional, padded)
+    yield from zip(args.kwonlyargs, args.kw_defaults)
 
 
 def test_one_midpoint_phase_kernel():
