@@ -530,7 +530,6 @@ def _sinh_ratio(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.maximum(out, 1.0, out=out)
 
 
-
 @np.errstate(over="ignore", invalid="ignore")     # see term
 def _bridge_survival(x, y, a: float, t,
                      terms: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -593,7 +592,7 @@ def _bridge_survival(x, y, a: float, t,
     return factor, bound
 
 
-def _laws(config: PathConfig, base: np.ndarray, sample: Callable, extra: int = 0):
+def _laws(config: PathConfig, base: np.ndarray, sample: Callable, extra: int = 0) -> tuple | None:
     """(space law from base, survival weight), or None where either has no exact law.
 
     H^m with m != 3 has none; a ball needs a 3-space and the origin as its
