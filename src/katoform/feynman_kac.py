@@ -456,7 +456,7 @@ def sample_paths(config: PathConfig) -> Iterator[PathBatch]:
 class _KatoTime:
     """The Kato law: its rows hold U (then 2 T U), sqrt(s) and s."""
 
-    rows = 3
+    n_rows = 3
 
     def __call__(self, rng, rows: np.ndarray, T: float) -> tuple:
         """(sqrt(s), s, weight) of a block, whose uniforms come before its normals."""
@@ -468,7 +468,7 @@ class _KatoTime:
 class _FixedTime:
     """The fixed law s = T, of weight 1."""
 
-    rows = 0
+    n_rows = 0
 
     def __call__(self, rng, rows: np.ndarray, T: float) -> tuple:
         return math.sqrt(T), T, 1.0
@@ -482,7 +482,7 @@ class _SpaceLaw:
         self.r0 = math.sqrt(base.dot(base))     # np.linalg.norm's sum, bit for bit
         self.h0 = float(_sinh_ratio(np.array(self.r0), np.empty(()))) \
             if space.kind == HYPERBOLIC else None
-        self.rows = extra if self.h0 is None else extra + 1
+        self.n_rows = extra if self.h0 is None else extra + 1
 
     def __call__(self, y: np.ndarray, r: np.ndarray, s, w: np.ndarray, rows) -> np.ndarray:
         """A block's sample; the weight goes into w, and on H^3 h(|Y|) into rows[0]."""
@@ -673,16 +673,16 @@ def _exact_samples(config: PathConfig, time, space: _SpaceLaw, survival) -> Iter
     """
     width = _blocks(config, _BLOCK_WIDTH)[0][0][1]      # worker 0's first block
     gauss = np.empty((width, len(space.base)))
-    block = np.empty((2 + time.rows + space.rows, width))
+    block = np.empty((2 + time.n_rows + space.n_rows, width))
     for rng, lo, B in _exact_blocks(config):
-        root, s, weight = time(rng, block[2:2 + time.rows, :B], config.horizon)
+        root, s, weight = time(rng, block[2:2 + time.n_rows, :B], config.horizon)
         y = rng.standard_normal(out=gauss[:B])
         for i, c in enumerate(space.base):
             y[:, i] *= root
             if c:
                 y[:, i] += c
         r, w = _euclidean_norms(y, block[0, :B], block[1, :B]), block[1, :B]
-        sample = space(y, r, s, w, block[2 + time.rows:, :B])
+        sample = space(y, r, s, w, block[2 + time.n_rows:, :B])
         w *= weight
         yield lo, sample, w, survival(y, r, s, w)
 
