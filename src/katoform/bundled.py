@@ -36,61 +36,35 @@ _POTENTIALS = {
 }
 
 
-def _named(mesh: BundleMesh, name: str) -> BundleMesh:
-    mesh.name = name
-    return mesh
-
-
-def _coulomb_interval() -> BundleMesh:
-    return _named(interval_mesh(-8.0, 8.0, 1.0 / 64.0,
-                                dirichlet_at=(-8.0, 0.0, 8.0)),
-                  "coulomb_interval_1d")
-
-
-def _flux_cycle() -> BundleMesh:
-    return _named(cycle_mesh(3, theta=math.pi / 3.0), "flux_cycle_3")
-
-
-def _random_bundle() -> BundleMesh:
-    return _named(random_bundle_mesh(20, fiber_dim=2, seed=2024,
-                                     extra_edge_prob=0.25, dirichlet_count=2),
-                  "random_bundle_20")
-
-
-def _peierls_grid() -> BundleMesh:
-    return _named(grid_mesh_2d(1.0, 0.25, b_field=1.0), "peierls_grid")
-
-
 _MESHES = {
-    "flux_cycle_3": _flux_cycle,
-    "random_bundle_20": _random_bundle,
-    "coulomb_interval_1d": _coulomb_interval,
-    "peierls_grid": _peierls_grid,
+    "flux_cycle_3": lambda: cycle_mesh(3, theta=math.pi / 3.0),
+    "random_bundle_20": lambda: random_bundle_mesh(20, fiber_dim=2, seed=2024,
+                                                   extra_edge_prob=0.25, dirichlet_count=2),
+    "coulomb_interval_1d": lambda: interval_mesh(-8.0, 8.0, 1.0 / 64.0,
+                                                 dirichlet_at=(-8.0, 0.0, 8.0)),
+    "peierls_grid": lambda: grid_mesh_2d(1.0, 0.25, b_field=1.0),
 }
 
 
+def _lookup(kind: str, catalog: dict, name: str):
+    """A fresh object of the catalog's ``name``, or ConfigError listing the known names."""
+    if name not in catalog:
+        raise ConfigError(f"unknown bundled {kind} {name!r}; known: {sorted(catalog)}")
+    return catalog[name]()
+
+
 def get_space(name: str) -> ModelSpace:
-    try:
-        return _SPACES[name]()
-    except KeyError:
-        raise ConfigError(f"unknown bundled space {name!r}; "
-                          f"known: {sorted(_SPACES)}") from None
+    return _lookup("space", _SPACES, name)
 
 
 def get_potential(name: str) -> Potential:
-    try:
-        return _POTENTIALS[name]()
-    except KeyError:
-        raise ConfigError(f"unknown bundled potential {name!r}; "
-                          f"known: {sorted(_POTENTIALS)}") from None
+    return _lookup("potential", _POTENTIALS, name)
 
 
 def get_mesh(name: str) -> BundleMesh:
-    try:
-        return _MESHES[name]()
-    except KeyError:
-        raise ConfigError(f"unknown bundled mesh {name!r}; "
-                          f"known: {sorted(_MESHES)}") from None
+    mesh = _lookup("mesh", _MESHES, name)
+    mesh.name = name        # a bundled mesh carries its catalog id
+    return mesh
 
 
 def coulomb_interval_system():
@@ -102,7 +76,7 @@ def coulomb_interval_system():
     vertices; those entries never enter any form because Dirichlet blocks
     are dropped.
     """
-    mesh = _coulomb_interval()
+    mesh = get_mesh("coulomb_interval_1d")
     x = mesh.positions[:, 0]
     values = np.zeros(len(x))
     live = ~mesh.dirichlet

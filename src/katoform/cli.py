@@ -10,10 +10,12 @@ complete, reproducible description of a run:
 Flags: --config PATH, --out DIR, --seed N, --workers N, --reference.  The
 config file's "output", "seed", "workers" and "reference" keys set the last
 four too.  Precedence: command line flag, then the config file, then the
-built-in default.  No setting is read from the environment.
+built-in default (_DEFAULTS); a seed lies in [0, 2^64 - 1] from either
+source.  No setting is read from the environment.
 
 Exit status: 0 on success, 1 when a computation violates one of its named
-invariants (the invariant is printed to stderr), 2 when the configuration is
+invariants (the invariant is printed to stderr; _VIOLATIONS names the
+invariant each library error breaks), 2 when the configuration is
 invalid (schema diagnostics on stderr).  Invalid includes a non-finite
 number anywhere in the file (NaN, Infinity, or a literal that overflows a
 float) and potential params that the named expression does not take,
@@ -23,7 +25,9 @@ reference mode only pins workers to 1.  Reports never contain timestamps or path
 
 This is the one module that reads the config format: the library takes
 Python values, and the _build_* helpers below decode a config's spaces,
-potentials, meshes and path runs into them.  An inline mesh reads
+potentials, meshes and path runs into them.  _COMMAND_TABLE gives each
+command its runner and its schema; a runner builds its results from the
+report forms of katoform.reports and its own fields.  An inline mesh reads
 
     {"fiber_dim": n,
      "vertices": [{"mu": 1.0, "dirichlet": false}, ...],
@@ -49,7 +53,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      InvalidPointError, KernelHandlingError, MeshError,
                      MonotonicityError, NotFormBoundedError, QuadratureError,
                      UndecidedError)
-from .feynman_kac import (KillingRegion, PathConfig, mc_covariant_semigroup,
+from .feynman_kac import (_MAX_SEED, KillingRegion, PathConfig, mc_covariant_semigroup,
                           mc_heat_expectation, mc_kato_integral)
 from .geometry import EUCLIDEAN, ModelSpace
 from .kato import _resolvent_with_error, form_bound_constants, kato_verdict, sandwich_check
@@ -58,16 +62,19 @@ from .operators import (_dense_eigh, bochner_laplacian, form_limit_check, form_s
                         kato_inequality_gap, quad_form, semigroup_domination_gap)
 from .potentials import bump, constant, coulomb, inverse_power, inverse_square, tabulated
 
-COMMANDS = ("kato-test", "form-bounds", "spectrum", "check-inequalities", "fk-mc")
-
-
-class ContractViolation(Exception):
-    """A named computational invariant failed at run time."""
-
-    def __init__(self, invariant: str, detail: str):
-        super().__init__(f"{invariant}: {detail}")
-        self.invariant = invariant
-        self.detail = detail
+# Which library error breaks which named invariant: (error, the one command
+# the row is confined to or None, invariant), read in order, so a subclass
+# comes before its base.  A run exits 1 and prints the first matching row.
+_VIOLATIONS = (
+    (MonotonicityError, None, "eta_monotonicity"),
+    (UndecidedError, None, "divergence_undecided"),
+    (QuadratureError, None, "quadrature_accuracy"),
+    (NotFormBoundedError, None, "form_boundedness"),
+    (KernelHandlingError, None, "kernel_reduction"),
+    (ConvergenceError, "spectrum", "eigensolver_convergence"),
+    (ConvergenceError, None, "convergence"),
+)
+_VIOLATION_ERRORS = tuple(error for error, _, _ in _VIOLATIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -205,93 +212,21 @@ _MAX_EIGENVALUES = 10 ** 4
 _MAX_SECTIONS = 10 ** 6
 
 _COMMON = {
-    "seed": {"type": "integer", "minimum": 0},
+    "seed": {"type": "integer", "minimum": 0, "maximum": _MAX_SEED},
     "workers": {"type": "integer", "minimum": 1},
     "output": {"type": "string"},
     "reference": {"type": "boolean"},
 }
 
 
-def _schema(command: str, extra_properties: dict, required: list) -> dict:
-    props = {"command": {"const": command}}
-    props.update(_COMMON)
-    props.update(extra_properties)
+def _schema(command: str, properties: dict, required: list) -> dict:
     return {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "type": "object",
-        "properties": props,
+        "properties": {"command": {"const": command}, **_COMMON, **properties},
         "required": ["command"] + required,
         "additionalProperties": False,
     }
-
-
-SCHEMAS = {
-    "kato-test": _schema("kato-test", {
-        "space": _SPACE,
-        "potential": _POTENTIAL,
-        "t_grid": _num_array(4),
-        "r_grid": _num_array(1),
-        "probes": {"type": "array", "items": _POINT, "minItems": 1},
-        "sandwich": {
-            "type": "object",
-            "properties": {"r": {"type": "number", "exclusiveMinimum": 0},
-                           "t": {"type": "number", "exclusiveMinimum": 0}},
-            "required": ["r", "t"],
-            "additionalProperties": False,
-        },
-    }, ["space", "potential", "t_grid"]),
-
-    "form-bounds": _schema("form-bounds", {
-        "space": _SPACE,
-        "potential": _POTENTIAL,
-        "target_c1": {"type": "number", "exclusiveMinimum": 0},
-        "probes": {"type": "array", "items": _POINT, "minItems": 1},
-    }, ["space", "potential"]),
-
-    "spectrum": _schema("spectrum", {
-        "mesh": _MESH,
-        "potential_values": _num_array(1),
-        "radial_potential": _POTENTIAL,
-        "k": {"type": "integer", "minimum": 1, "maximum": _MAX_EIGENVALUES},
-    }, ["mesh"]),
-
-    "check-inequalities": _schema("check-inequalities", {
-        "mesh": _MESH,
-        "n_sections": {"type": "integer", "minimum": 1, "maximum": _MAX_SECTIONS},
-        "n_domination": {"type": "integer", "minimum": 0, "maximum": _MAX_SECTIONS},
-        "domination_times": _num_array(1),
-        "form_limit": {"type": "boolean"},
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "kato_gap_floor": {"type": "number"},
-                "domination_floor": {"type": "number"},
-                "form_limit_defect": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-    }, ["mesh"]),
-
-    "fk-mc": _schema("fk-mc", {
-        "estimator": {"enum": ["kato-integral", "survival", "covariant"]},
-        "path": {
-            "type": "object",
-            "properties": {
-                "space": _SPACE,
-                "start": _POINT,
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-                "n_paths": {"type": "integer", "minimum": 100},
-                "domain": _DOMAIN,
-            },
-            "required": ["space", "start", "horizon", "step", "n_paths"],
-            "additionalProperties": False,
-        },
-        "potential": _POTENTIAL,
-        "b_field": {"type": "number"},
-        "psi_width": {"type": "number", "exclusiveMinimum": 0},
-    }, ["estimator", "path"]),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +280,7 @@ def _build_mesh(obj) -> BundleMesh:
                       transports=transports if edges else np.zeros((0, n, n), complex))
 
 
-def _build_path(obj, ctx) -> PathConfig:
+def _build_path(obj, opts) -> PathConfig:
     domain = obj.get("domain")
     if domain is None:
         region = None
@@ -358,7 +293,7 @@ def _build_path(obj, ctx) -> PathConfig:
                                offset=float(domain.get("offset", 0.0)))
     return PathConfig(space=_build_space(obj["space"]), start=tuple(obj["start"]),
                       horizon=float(obj["horizon"]), step=float(obj["step"]),
-                      n_paths=int(obj["n_paths"]), seed=ctx.seed, workers=ctx.workers,
+                      n_paths=int(obj["n_paths"]), seed=opts.seed, workers=opts.workers,
                       domain=region)
 
 
@@ -370,9 +305,10 @@ def _probes(cfg, space: ModelSpace):
 
 
 # ---------------------------------------------------------------------------
-# command runners; each returns (results, checks) and writes its CSVs
+# command runners; each takes the config and the resolved options (see
+# _resolve_options), returns (results, checks) and writes its CSVs
 
-def _run_kato_test(cfg, ctx):
+def _run_kato_test(cfg, opts):
     space = _build_space(cfg["space"])
     pot = _build_potential(cfg["potential"], space)
     probes = _probes(cfg, space)
@@ -380,13 +316,9 @@ def _run_kato_test(cfg, ctx):
     # kato_verdict's r_grid default is the only one
     grid = {} if "r_grid" not in cfg else {"r_grid": [float(r) for r in cfg["r_grid"]]}
 
-    try:
-        report = kato_verdict(pot, t_grid, probes, **grid)
-    except MonotonicityError as exc:
-        raise ContractViolation("eta_monotonicity", str(exc)) from exc
-
-    reports.write_table(ctx.out_dir, "eta", ("t", "eta", "err"), report.eta_grid)
-    reports.write_table(ctx.out_dir, "resolvent", ("r", "C_r", "err"),
+    report = kato_verdict(pot, t_grid, probes, **grid)
+    reports.write_table(opts.output, "eta", ("t", "eta", "err"), report.eta_grid)
+    reports.write_table(opts.output, "resolvent", ("r", "C_r", "err"),
                         report.resolvent_grid)
 
     results = {"kato": reports.kato_report_json(report)}
@@ -408,7 +340,7 @@ def _run_kato_test(cfg, ctx):
     return results, checks
 
 
-def _run_form_bounds(cfg, ctx):
+def _run_form_bounds(cfg, opts):
     space = _build_space(cfg["space"])
     pot = _build_potential(cfg["potential"], space)
     probes = _probes(cfg, space)
@@ -424,7 +356,7 @@ def _run_form_bounds(cfg, ctx):
         r = centre * mult
         curve.append((r, *_resolvent_with_error(pot, r, probes)))
     curve.sort()
-    reports.write_table(ctx.out_dir, "resolvent", ("r", "C_r", "err"), curve)
+    reports.write_table(opts.output, "resolvent", ("r", "C_r", "err"), curve)
 
     results = {"target_c1": target, "klmn": reports.klmn_json(bound)}
     checks = [("c1_within_target", c1 <= target * (1.0 + 1e-6),
@@ -448,19 +380,15 @@ def _spectrum_potential(cfg, mesh):
     return np.asarray(pot.radial(np.linalg.norm(mesh.positions, axis=1)), dtype=float)
 
 
-def _run_spectrum(cfg, ctx):
+def _run_spectrum(cfg, opts):
     mesh = _build_mesh(cfg["mesh"])
     vals = _spectrum_potential(cfg, mesh)
     k = cfg.get("k")
     if k is not None:
         k = int(k)      # the schema's integers include 2.0
 
-    try:
-        spec = form_sum_spectrum(mesh, V=vals, k=k)
-    except ConvergenceError as exc:
-        raise ContractViolation("eigensolver_convergence", str(exc)) from exc
-
-    reports.write_table(ctx.out_dir, "spectrum", ("index", "eigenvalue", "residual"),
+    spec = form_sum_spectrum(mesh, V=vals, k=k)
+    reports.write_table(opts.output, "spectrum", ("index", "eigenvalue", "residual"),
                         [(i, float(lam), float(res)) for i, (lam, res) in
                          enumerate(zip(spec.eigenvalues, spec.residuals))])
     scale = max(1.0, float(np.max(np.abs(spec.eigenvalues), initial=0.0)))
@@ -484,7 +412,7 @@ def _random_sections(mesh, count, rng):
         yield f / norm
 
 
-def _run_check_inequalities(cfg, ctx):
+def _run_check_inequalities(cfg, opts):
     mesh = _build_mesh(cfg["mesh"])
     tol = cfg.get("tolerances", {})
     gap_floor = float(tol.get("kato_gap_floor", -1e-12))
@@ -492,7 +420,7 @@ def _run_check_inequalities(cfg, ctx):
     n_sections = int(cfg.get("n_sections", 100))
     n_dom = int(cfg.get("n_domination", 20))
     dom_times = [float(t) for t in cfg.get("domination_times", (0.1, 1.0, 10.0))]
-    rng = np.random.default_rng(ctx.seed)
+    rng = np.random.default_rng(opts.seed)
 
     min_gap, min_gap_rel = math.inf, math.inf
     for f in _random_sections(mesh, n_sections, rng):
@@ -543,8 +471,8 @@ def _run_check_inequalities(cfg, ctx):
     return results, checks
 
 
-def _run_fk_mc(cfg, ctx):
-    pcfg = _build_path(cfg["path"], ctx)
+def _run_fk_mc(cfg, opts):
+    pcfg = _build_path(cfg["path"], opts)
     estimator = cfg["estimator"]
     checks = []
 
@@ -585,45 +513,103 @@ def _run_fk_mc(cfg, ctx):
     return results, checks
 
 
-_RUNNERS = {
-    "kato-test": _run_kato_test,
-    "form-bounds": _run_form_bounds,
-    "spectrum": _run_spectrum,
-    "check-inequalities": _run_check_inequalities,
-    "fk-mc": _run_fk_mc,
+# ---------------------------------------------------------------------------
+# the commands: each name once, with its runner and its config's own properties
+
+_COMMAND_TABLE = {
+    "kato-test": (_run_kato_test, {
+        "space": _SPACE,
+        "potential": _POTENTIAL,
+        "t_grid": _num_array(4),
+        "r_grid": _num_array(1),
+        "probes": {"type": "array", "items": _POINT, "minItems": 1},
+        "sandwich": {
+            "type": "object",
+            "properties": {"r": {"type": "number", "exclusiveMinimum": 0},
+                           "t": {"type": "number", "exclusiveMinimum": 0}},
+            "required": ["r", "t"],
+            "additionalProperties": False,
+        },
+    }, ["space", "potential", "t_grid"]),
+
+    "form-bounds": (_run_form_bounds, {
+        "space": _SPACE,
+        "potential": _POTENTIAL,
+        "target_c1": {"type": "number", "exclusiveMinimum": 0},
+        "probes": {"type": "array", "items": _POINT, "minItems": 1},
+    }, ["space", "potential"]),
+
+    "spectrum": (_run_spectrum, {
+        "mesh": _MESH,
+        "potential_values": _num_array(1),
+        "radial_potential": _POTENTIAL,
+        "k": {"type": "integer", "minimum": 1, "maximum": _MAX_EIGENVALUES},
+    }, ["mesh"]),
+
+    "check-inequalities": (_run_check_inequalities, {
+        "mesh": _MESH,
+        "n_sections": {"type": "integer", "minimum": 1, "maximum": _MAX_SECTIONS},
+        "n_domination": {"type": "integer", "minimum": 0, "maximum": _MAX_SECTIONS},
+        "domination_times": _num_array(1),
+        "form_limit": {"type": "boolean"},
+        "tolerances": {
+            "type": "object",
+            "properties": {
+                "kato_gap_floor": {"type": "number"},
+                "domination_floor": {"type": "number"},
+                "form_limit_defect": {"type": "number", "exclusiveMinimum": 0},
+            },
+            "additionalProperties": False,
+        },
+    }, ["mesh"]),
+
+    "fk-mc": (_run_fk_mc, {
+        "estimator": {"enum": ["kato-integral", "survival", "covariant"]},
+        "path": {
+            "type": "object",
+            "properties": {
+                "space": _SPACE,
+                "start": _POINT,
+                "horizon": {"type": "number", "exclusiveMinimum": 0},
+                "step": {"type": "number", "exclusiveMinimum": 0},
+                "n_paths": {"type": "integer", "minimum": 100},
+                "domain": _DOMAIN,
+            },
+            "required": ["space", "start", "horizon", "step", "n_paths"],
+            "additionalProperties": False,
+        },
+        "potential": _POTENTIAL,
+        "b_field": {"type": "number"},
+        "psi_width": {"type": "number", "exclusiveMinimum": 0},
+    }, ["estimator", "path"]),
 }
+SCHEMAS = {command: _schema(command, properties, required)
+           for command, (_, properties, required) in _COMMAND_TABLE.items()}
+COMMANDS = tuple(SCHEMAS)
 
 
 # ---------------------------------------------------------------------------
 # option resolution and entry point
 
-class _RunContext:
-    def __init__(self, seed, workers, reference, out_dir):
-        self.seed = seed
-        self.workers = workers
-        self.reference = reference
-        self.out_dir = out_dir
+# the options a flag or the config file's key of the same name sets, with their defaults
+_DEFAULTS = {"seed": 0, "workers": 1, "reference": False, "output": "katoform-out"}
 
 
-def _first(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
-
-
-def _resolve_context(args, cfg) -> _RunContext:
-    seed = _first(args.seed, cfg.get("seed"), 0)
-    workers = _first(args.workers, cfg.get("workers"), 1)
-    reference = _first(args.reference, cfg.get("reference"), False)
-    out_dir = _first(args.out, cfg.get("output"), "katoform-out")
-    if reference:
-        workers = 1
-    if seed < 0:
+def _resolve_options(args, cfg) -> None:
+    """Set each option the command line left unset from the config file, else its default."""
+    for key, default in _DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, cfg.get(key, default))
+    if args.reference:
+        args.workers = 1
+    if args.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if workers < 1:
+    if args.seed > _MAX_SEED:
+        raise ConfigError(f"seed must be at most {_MAX_SEED}")
+    if args.workers < 1:
         raise ConfigError("workers must be at least 1")
-    return _RunContext(int(seed), int(workers), bool(reference), out_dir)
+    # the schema's integers include 2.0
+    args.seed, args.workers = int(args.seed), int(args.workers)
 
 
 def _schema_diagnostics(command, cfg) -> list[str]:
@@ -660,6 +646,8 @@ def _run(args) -> int:
         return _fail(2, f"invalid config: cannot read {cfg_path}: {exc}")
     except json.JSONDecodeError as exc:
         return _fail(2, f"invalid config: {cfg_path} is not valid JSON: {exc}")
+    except ConfigError as exc:      # _finite's
+        return _fail(2, f"invalid config: {exc}")
 
     if not isinstance(cfg, dict):
         return _fail(2, "invalid config: top level must be a JSON object")
@@ -673,28 +661,18 @@ def _run(args) -> int:
                      + "\n".join(diagnostics))
 
     try:
-        ctx = _resolve_context(args, cfg)
-        os.makedirs(ctx.out_dir, exist_ok=True)
-        results, checks = _RUNNERS[command](cfg, ctx)
+        _resolve_options(args, cfg)
+        os.makedirs(args.output, exist_ok=True)
+        results, checks = _COMMAND_TABLE[command][0](cfg, args)
     except (ConfigError, MeshError, DomainError, InvalidPointError) as exc:
         return _fail(2, f"invalid config: {exc}")
-    except ContractViolation as exc:
-        return _fail(1, f"contract violation: {exc.invariant}: {exc.detail}")
-    except NotFormBoundedError as exc:
-        return _fail(1, f"contract violation: form_boundedness: {exc}")
-    except KernelHandlingError as exc:
-        return _fail(1, f"contract violation: kernel_reduction: {exc}")
-    except ConvergenceError as exc:
-        return _fail(1, f"contract violation: convergence: {exc}")
-    except UndecidedError as exc:
-        return _fail(1, f"contract violation: divergence_undecided: {exc}")
-    except QuadratureError as exc:
-        return _fail(1, f"contract violation: quadrature_accuracy: {exc}")
+    except _VIOLATION_ERRORS as exc:
+        invariant = next(name for error, only, name in _VIOLATIONS
+                         if isinstance(exc, error) and only in (None, command))
+        return _fail(1, f"contract violation: {invariant}: {exc}")
 
     parameters = {k: v for k, v in cfg.items() if k != "output"}
-    parameters["seed"] = ctx.seed
-    parameters["workers"] = ctx.workers
-    parameters["reference"] = ctx.reference
+    parameters.update(seed=args.seed, workers=args.workers, reference=args.reference)
     failed = [name for name, passed, _ in checks if not passed]
     report = {
         "schema_version": 1,
@@ -705,8 +683,8 @@ def _run(args) -> int:
                    for n, p, d in checks],
         "status": "fail" if failed else "pass",
     }
-    reports.dump_json(os.path.join(ctx.out_dir, "report.json"), report)
-    print(f"report written: {os.path.join(ctx.out_dir, 'report.json')} "
+    reports.dump_json(os.path.join(args.output, "report.json"), report)
+    print(f"report written: {os.path.join(args.output, 'report.json')} "
           f"(status {report['status']})")
     if failed:
         for name in failed:
@@ -726,7 +704,8 @@ def main(argv=None) -> int:
                              "'list-bundled' prints the catalog of bundled "
                              "spaces, potentials, meshes, and configs")
     parser.add_argument("--config", help="path to a run configuration JSON")
-    parser.add_argument("--out", help="output directory for reports")
+    parser.add_argument("--out", dest="output", metavar="DIR",
+                        help="output directory for reports")
     parser.add_argument("--seed", type=int, help="seed override")
     parser.add_argument("--workers", type=int, help="worker count override")
     parser.add_argument("--reference", action="store_true", default=None,
@@ -736,10 +715,7 @@ def main(argv=None) -> int:
     if args.action == "list-bundled":
         print(json.dumps(bundled.list_bundled(), indent=2, sort_keys=True))
         return 0
-    try:
-        return _run(args)
-    except ConfigError as exc:
-        return _fail(2, f"invalid config: {exc}")
+    return _run(args)
 
 
 if __name__ == "__main__":

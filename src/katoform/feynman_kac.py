@@ -97,6 +97,8 @@ _SCAN_NODES = 2 ** 14
 _MAX_PATH_NODES = 2 ** 31
 # worker streams a configuration may ask for (the sampling engine makes lists this long)
 _MAX_WORKERS = 2 ** 10
+# the largest seed: a seed is one uint64 word of each worker's Philox key
+_MAX_SEED = 2 ** 64 - 1
 _EPS = float(np.finfo(float).eps)
 
 
@@ -167,7 +169,7 @@ class PathConfig:
     domain: KillingRegion | None = None
 
     def __post_init__(self):
-        for name, low, high in (("n_paths", 100, math.inf), ("seed", 0, 2 ** 64 - 1),
+        for name, low, high in (("n_paths", 100, math.inf), ("seed", 0, _MAX_SEED),
                                 ("workers", 1, _MAX_WORKERS)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) \

@@ -298,17 +298,15 @@ def _sphere_means(space: ModelSpace, f, w, b: float, singular):
     return out, rel
 
 
-def kernel_tail_radius(space: ModelSpace, t: float, extra: float = 0.0) -> float:
+def kernel_tail_radius(space: ModelSpace, t: float) -> float:
     """Radius beyond which the heat kernel's radial mass is negligible.
 
     Solves r^2/(2t) - (m-1) r = TAIL_LOG (the hyperbolic ring area grows
     like e^{(m-1) r}, the Euclidean one polynomially, so the linear term
-    covers both).  ``extra`` shifts the cutoff outward, e.g. by a base-point
-    separation.
+    covers both).
     """
     growth = (space.dim - 1) * t
-    r = growth + math.sqrt(growth * growth + 2.0 * t * _TAIL_LOG)
-    return r + extra
+    return growth + math.sqrt(growth * growth + 2.0 * t * _TAIL_LOG)
 
 
 def heat_kernel_radial(space: ModelSpace, t: float, d):

@@ -51,6 +51,7 @@ with a reason, never as divergence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -479,10 +480,10 @@ def lp_kato_classify(p: float, m: int) -> str:
     'sufficient' when p >= 1 for m = 1, or p > m/2 for m >= 2 (under the
     standard on-diagonal kernel bound); 'not_covered' otherwise.
     """
-    if p < 1.0:
+    if not p >= 1.0:        # NaN too
         raise DomainError("p must be >= 1")
-    if m < 1:
-        raise DomainError("dimension must be >= 1")
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise DomainError("dimension must be an integer >= 1")
     if m == 1:
         return "sufficient"
     return "sufficient" if p > m / 2.0 else "not_covered"

@@ -328,11 +328,11 @@ def trivial_line(mesh: BundleMesh) -> BundleMesh:
 
 def random_bundle_mesh(n_vertices: int, fiber_dim: int = 2, seed: int = 0,
                        extra_edge_prob: float = 0.3,
-                       dirichlet_count: int = 0,
-                       mu_range=(0.5, 2.0), w_range=(0.5, 2.0)) -> BundleMesh:
+                       dirichlet_count: int = 0, w_range=(0.5, 2.0)) -> BundleMesh:
     """Random connected mesh: spanning tree plus extra edges, Haar transports.
 
-    Deterministic in the seed.  ``dirichlet_count`` vertices (chosen at
+    Deterministic in the seed.  Vertex masses are uniform on [0.5, 2), edge
+    weights on ``w_range``.  ``dirichlet_count`` vertices (chosen at
     random, never all of them) are flagged as killed.
     """
     if n_vertices < 2:
@@ -353,7 +353,7 @@ def random_bundle_mesh(n_vertices: int, fiber_dim: int = 2, seed: int = 0,
             pairs.add(key)
             eu.append(a)
             ev.append(b)
-    mu = rng.uniform(mu_range[0], mu_range[1], size=n_vertices)
+    mu = rng.uniform(0.5, 2.0, size=n_vertices)
     w = rng.uniform(w_range[0], w_range[1], size=len(eu))
     mats = _haar_block(len(eu), fiber_dim, rng)
     dirichlet = np.zeros(n_vertices, dtype=bool)

@@ -225,13 +225,23 @@ def _as_matrix_field(mesh: BundleMesh, V) -> np.ndarray:
 
 
 def _check_hermitian(V: np.ndarray, what: str) -> None:
-    """Raise MeshError naming ``what`` unless each (N, n, n) block of V is finite and Hermitian."""
-    with np.errstate(invalid="ignore", over="ignore"):     # a non-finite entry: inf or nan
+    """Raise MeshError naming ``what`` unless each (N, n, n) block of V is finite and Hermitian.
+
+    The defect is relative to _size(V): rounding leaves a Q D Q^H of size
+    10^6 a defect above 1e-10.
+    """
+    if not np.all(np.isfinite(V)):
+        raise MeshError(f"{what} is not finite")
+    with np.errstate(over="ignore"):
         defect = np.max(np.abs(V - V.conj().transpose(0, 2, 1)), initial=0.0)
-    if not defect <= _HERMITIAN_TOL:
-        if not np.all(np.isfinite(V)):
-            raise MeshError(f"{what} is not finite")
+    if not defect <= _HERMITIAN_TOL * _size(V):
         raise MeshError(f"{what} is not Hermitian (defect {defect:.2e})")
+
+
+def _size(V: np.ndarray) -> float:
+    """max(1, max |V_u|) within a factor sqrt 2, from the parts: |V_u| itself can overflow."""
+    return max(1.0, float(np.max(np.abs(V.real), initial=0.0)),
+               float(np.max(np.abs(V.imag), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +620,7 @@ def klmn_optimal_c1(mesh: BundleMesh, V2, c2: float) -> float:
         raise MeshError(f"C2 must be finite, got {c2!r}")
     V2 = _as_matrix_field(mesh, V2)[mesh.interior]
     lam_field = np.linalg.eigvalsh(V2)
-    if lam_field.min() < -1e-10:
+    if lam_field.min() < -_HERMITIAN_TOL * _size(V2):
         raise MeshError("V2 must be positive semidefinite")
     A = _assemble(mesh)[0]
     slots = np.arange(V2.shape[0])

@@ -2,14 +2,18 @@
 
 Reports must be byte-identical across runs with the same configuration and
 seed, so everything here avoids timestamps, absolute paths, dict-order
-dependence, and locale-dependent formatting.  Floats go through repr-style
-shortest round-trip formatting; non-finite values are encoded as strings
+dependence, and locale-dependent formatting.  sanitize() is the one
+conversion of a reported structure to strict JSON: floats keep repr-style
+shortest round-trip formatting, and non-finite values become strings
 because strict JSON has no spelling for them.
 
 Every computed number is wrapped by pnum() with an error estimate and a
-provenance tag saying which engine produced it.  This is the one module
-that knows the output format: the report forms of the result objects and
-the table-plus-plot CSV pair live here and nowhere else.
+provenance tag saying which engine produced it.  This module holds the
+writers (report.json and the table-plus-plot CSV pair) and the report forms
+of the library's result objects: KatoReport, the KLMN triple and Estimate.
+cli.py assembles each command's results from them, and builds the
+sandwich, spectrum and check-inequalities results, which no other command
+shares, in its runners.
 """
 
 from __future__ import annotations
@@ -26,34 +30,29 @@ def pnum(value, error, provenance: str) -> dict:
     """A number as reported: value, error estimate, producing engine."""
     if provenance not in PROVENANCES:
         raise ValueError(f"unknown provenance {provenance!r}")
-    return {"value": _jsonable(value), "error": _jsonable(error),
-            "provenance": provenance}
-
-
-def _jsonable(x):
-    if isinstance(x, complex):
-        return {"re": _jsonable(x.real), "im": _jsonable(x.imag)}
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    return x
+    return sanitize({"value": value, "error": error, "provenance": provenance})
 
 
 def sanitize(obj):
-    """Recursively make a structure strict-JSON safe (non-finite -> strings)."""
+    """A structure as strict JSON holds it: the one conversion of a reported number.
+
+    A non-finite float becomes "nan", "inf" or "-inf", a complex number its
+    {"re", "im"} pair, and a numpy scalar or array its Python value.
+    """
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if obj is None or isinstance(obj, (int, str)):      # bool is an int
         return obj
     if isinstance(obj, complex):
-        return _jsonable(obj)
+        return {"re": sanitize(obj.real), "im": sanitize(obj.imag)}
     if isinstance(obj, float):
-        return _jsonable(obj)
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj
     if hasattr(obj, "item"):  # numpy scalars
         return sanitize(obj.item())
     if hasattr(obj, "tolist"):
@@ -110,20 +109,16 @@ def klmn_json(bound) -> dict:
 
 def estimate_json(est) -> dict:
     """A feynman_kac.Estimate with its run accounting and extras for report.json."""
-    if isinstance(est.value, complex):
-        val = {"re": est.value.real, "im": est.value.imag}
-    else:
-        val = float(est.value)
     out = {
-        "value": val,
-        "std_error": float(est.std_error),
-        "n_effective": int(est.n_effective),
-        "n_paths": int(est.n_paths),
-        "step": float(est.step),
-        "cap_events": int(est.cap_events),
+        "value": est.value,
+        "std_error": est.std_error,
+        "n_effective": est.n_effective,
+        "n_paths": est.n_paths,
+        "step": est.step,
+        "cap_events": est.cap_events,
         "provenance": "monte_carlo",
     }
     if est.bias_bound is not None:
-        out["bias_bound"] = float(est.bias_bound)
+        out["bias_bound"] = est.bias_bound
     out.update(est.extras)
-    return out
+    return sanitize(out)

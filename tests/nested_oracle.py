@@ -537,7 +537,7 @@ def average_b(v: Potential, b: float, s: float):
     """(value, error) of integral p_s(x, .) |v| dvol for a probe at distance b."""
     space = v.space
     abs_scalar = _abs_scalar(v)
-    r_hi = kernel_tail_radius(space, s, extra=b)
+    r_hi = kernel_tail_radius(space, s) + b
 
     def integrand(w):
         ring = float(ring_area(space, w))

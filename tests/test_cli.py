@@ -541,6 +541,27 @@ def test_seed_precedence(tmp_path):
     assert load_report(out)["parameters"]["seed"] == 0   # the default
 
 
+@pytest.mark.parametrize("seed,code", [(2 ** 64, 2), (2 ** 64 - 1, 0)], ids=["2^64", "2^64-1"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cfg", [KATO_CFG, INVERSE_SQUARE_MC], ids=["kato-test", "fk-mc"])
+def test_seed_range_from_both_sources(tmp_path, capsys, cfg, source, seed, code):
+    # a kato-test run once took --seed 2^64 to status pass; fk-mc refused it
+    # with PathConfig's message, as if the config file held it
+    if source == "flag":
+        got, out = run_cli(tmp_path, cfg, "--seed", str(seed))
+    else:
+        got, out = run_cli(tmp_path, dict(cfg, seed=seed))
+    err = capsys.readouterr().err
+    assert got == code, err
+    if code == 2:
+        want = ("seed must be at most 18446744073709551615" if source == "flag"
+                else "at seed: 18446744073709551616 is greater than the maximum")
+        assert "invalid config: " in err and want in err, err
+        assert not (out / "report.json").exists()
+    else:
+        assert load_report(out)["parameters"]["seed"] == seed
+
+
 def test_config_output_and_out_flag(tmp_path):
     cfg = write_config(tmp_path, dict(SPECTRUM_CFG, output=str(tmp_path / "cfgout")))
     assert cli.main(["run", "--config", cfg]) == 0

@@ -385,6 +385,14 @@ def test_infinite_variance_takes_the_path_route():
     assert math.isfinite(est.value) and est.value > 0.0
 
 
+@pytest.mark.xfail(strict=True, reason="FOUND, ROADMAP item 25: from the origin the path "
+                   "route's capped trapezoid reads 0.90 +- 0.004 against 1.67")
+def test_path_route_heavy_power_meets_its_closed_form():
+    cfg = econf(horizon=0.01, step=0.0005, n_paths=20_000, seed=11)
+    est = mc_kato_integral(inverse_power(E3, HEAVY), cfg)
+    assert abs(est.value - power_integral_r3(HEAVY, cfg.horizon)) <= 3.0 * est.std_error
+
+
 def test_finite_variance_power_from_the_origin():
     """|x|^-1.2 on R^3 from the origin: the exact route covers its closed form."""
     cfg = econf(horizon=0.05, step=5e-3, n_paths=20000, seed=51, workers=2)

@@ -229,6 +229,14 @@ def test_lp_rule():
         lp_kato_classify(0.5, 3)
 
 
+@pytest.mark.parametrize("p,m", [(math.nan, 3), (2.0, math.nan), (2.0, 2.5)],
+                         ids=["nan_p", "nan_m", "fractional_m"])
+def test_lp_rule_refuses_what_it_cannot_classify(p, m):
+    # NaN once failed neither "p < 1" nor "m < 1" and read not_covered
+    with pytest.raises(DomainError):
+        lp_kato_classify(p, m)
+
+
 # ---------------------------------------------------------------------------
 # form bounds
 

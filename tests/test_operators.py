@@ -20,8 +20,9 @@ import scipy.sparse.linalg as spla
 
 from katoform import bundled, operators
 from katoform.errors import ConvergenceError, KernelHandlingError, MeshError
-from katoform.mesh import (BundleMesh, cycle_mesh, gauge_transform, grid_mesh_2d,
-                           haar_unitary, interval_mesh, random_bundle_mesh, trivial_line)
+from katoform.mesh import (BundleMesh, _haar_block, cycle_mesh, gauge_transform,
+                           grid_mesh_2d, haar_unitary, interval_mesh, random_bundle_mesh,
+                           trivial_line)
 from katoform.operators import (_as_matrix_field, _assemble, bochner_laplacian,
                                 diagonal_potential, fiber_split, form_limit_check,
                                 form_sum_spectrum,
@@ -527,6 +528,53 @@ def test_klmn_matches_bisection_oracle():
         else:
             lo = mid
     assert got == pytest.approx(hi, abs=1e-6)
+
+
+SCALE_VERTICES = 12
+
+
+def rotated_field(diagonal):
+    """Q diag(d) Q^H at each vertex, Q Haar: Hermitian up to rounding relative to |d|."""
+    Q = _haar_block(SCALE_VERTICES, 3, np.random.default_rng(1))
+    d = np.broadcast_to(np.asarray(diagonal, dtype=float), (SCALE_VERTICES, 3))
+    return np.einsum("uij,uj,ukj->uik", Q, d, Q.conj())
+
+
+def scale_mesh():
+    return random_bundle_mesh(SCALE_VERTICES, fiber_dim=3, seed=3, dirichlet_count=1)
+
+
+@pytest.mark.parametrize("s", [1e6, 1e8])
+def test_potential_checks_are_relative_to_its_size(s):
+    # at s = 1e6 the rounding of Q D Q^H once broke the absolute 1e-10 of the
+    # Hermitian check (defect 1.16e-10) and of klmn_optimal_c1's PSD check
+    mesh = scale_mesh()
+    spec = form_sum_spectrum(mesh, V=rotated_field([s, -0.3 * s, 0.0]), k=2)
+    assert np.all(np.isfinite(spec.eigenvalues)) and spec.eigenvalues[0] < 0.0
+
+    def c1(scale):
+        V2 = rotated_field([scale, 0.0, 0.0])
+        return klmn_optimal_c1(mesh, 0.5 * (V2 + V2.conj().transpose(0, 2, 1)), scale / 2)
+
+    assert c1(s) == pytest.approx(s * c1(1.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e4, 1e6, 1e8])
+def test_relative_hermitian_defect_is_refused_at_every_size(s):
+    mesh = scale_mesh()
+    V = rotated_field([s, -0.3 * s, 0.0])
+    V[np.flatnonzero(mesh.interior)[0], 0, 1] += 1e-6 * s
+    with pytest.raises(MeshError, match="not Hermitian"):
+        form_sum_spectrum(mesh, V=V, k=2)
+
+
+def test_hermitian_check_survives_an_overflowing_size():
+    # |1.5e308 (1 + i)| overflows: a size read from it would accept any defect
+    V = np.zeros((2, 2, 2), dtype=complex)
+    V[0, 0, 1], V[0, 1, 0] = 1.5e308 * (1 + 1j), 1.5e308 * (1 - 1j)
+    V[1, 0, 1], V[1, 1, 0] = 1e308, -1e308
+    with pytest.raises(MeshError, match="not Hermitian"):
+        fiber_split(V)
 
 
 def test_klmn_rejects_negative_v2():

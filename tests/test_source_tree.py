@@ -65,6 +65,12 @@ whose name says json, and no module names a JSON codec of a library
 object (from_json_dict, to_json_dict, potential_from_json).  The library
 takes Python values; cli.py alone decodes a config into them.
 
+The front end states each rule once: cli.py defines no exception class,
+and one except clause, reading one table from library error to named
+invariant, turns every contract violation into exit status 1.  Only
+reports.sanitize spells "nan", "inf" and "-inf": it is the one conversion
+of a reported number to strict JSON.
+
 No module reads the environment (os.environ, os.getenv): a run's
 settings come from its flags and its config file.
 
@@ -354,6 +360,31 @@ def test_only_cli_and_reports_know_json():
     named = {path.relative_to(PACKAGE).as_posix(): codecs.intersection(_identifiers(path))
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: names for name, names in named.items() if names} == {}
+
+
+def _returns_exit(handler: ast.ExceptHandler, code: int) -> bool:
+    """Whether an except clause returns _fail(code, ...)."""
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_fail" and isinstance(node.args[0], ast.Constant)
+               and node.args[0].value == code for node in ast.walk(handler))
+
+
+def test_front_end_states_each_rule_once():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    exception_classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                         and any(isinstance(base, ast.Name)
+                                 and base.id.endswith(("Error", "Exception"))
+                                 for base in node.bases)]
+    assert exception_classes == []
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    # the walk sees the invalid-config clauses, which exit 2
+    assert any(_returns_exit(handler, 2) for handler in handlers)
+    assert len([handler for handler in handlers if _returns_exit(handler, 1)]) == 1
+    spellers = {(path.name, getattr(top, "name", None))
+                for path in sorted(PACKAGE.rglob("*.py"))
+                for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+                if isinstance(node, ast.Constant) and node.value in ("nan", "inf", "-inf")}
+    assert spellers == {("reports.py", "sanitize")}
 
 
 def test_no_module_reads_the_environment():
