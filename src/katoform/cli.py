@@ -10,8 +10,9 @@ complete, reproducible description of a run:
 Flags: --config PATH, --out DIR, --seed N, --workers N, --reference.  The
 config file's "output", "seed", "workers" and "reference" keys set the last
 four too.  Precedence: command line flag, then the config file, then the
-built-in default (_DEFAULTS); a seed lies in [0, 2^64 - 1] from either
-source.  No setting is read from the environment.
+built-in default (_DEFAULTS); a seed lies in [0, 2^64 - 1] and a worker
+count in [1, 1024] from either source.  No setting is read from the
+environment.
 
 Exit status: 0 on success, 1 when a computation violates one of its named
 invariants (the invariant is printed to stderr; _VIOLATIONS names the
@@ -53,10 +54,11 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      InvalidPointError, KernelHandlingError, MeshError,
                      MonotonicityError, NotFormBoundedError, QuadratureError,
                      UndecidedError)
-from .feynman_kac import (_MAX_SEED, KillingRegion, PathConfig, mc_covariant_semigroup,
-                          mc_heat_expectation, mc_kato_integral)
+from .feynman_kac import (_MAX_SEED, _MAX_WORKERS, KillingRegion, PathConfig,
+                          mc_covariant_semigroup, mc_heat_expectation, mc_kato_integral)
 from .geometry import EUCLIDEAN, ModelSpace
-from .kato import _resolvent_with_error, form_bound_constants, kato_verdict, sandwich_check
+from .kato import (_green_kernel, _probe_distances, _sup, form_bound_constants, kato_verdict,
+                   sandwich_check)
 from .mesh import BundleMesh
 from .operators import (_dense_eigh, bochner_laplacian, form_limit_check, form_sum_spectrum,
                         kato_inequality_gap, quad_form, semigroup_domination_gap)
@@ -213,7 +215,7 @@ _MAX_SECTIONS = 10 ** 6
 
 _COMMON = {
     "seed": {"type": "integer", "minimum": 0, "maximum": _MAX_SEED},
-    "workers": {"type": "integer", "minimum": 1},
+    "workers": {"type": "integer", "minimum": 1, "maximum": _MAX_WORKERS},
     "output": {"type": "string"},
     "reference": {"type": "boolean"},
 }
@@ -352,9 +354,10 @@ def _run_form_bounds(cfg, opts):
     curve = []
     # r* = 0 when the Green potential C_0 already meets the target
     centre = r_star if r_star > 0.0 else 1.0
+    dists = _probe_distances(pot, probes)
     for mult in (0.25, 0.5, 1.0, 2.0, 4.0):
         r = centre * mult
-        curve.append((r, *_resolvent_with_error(pot, r, probes)))
+        curve.append((r, *_sup(pot, _green_kernel(space, r), dists)[:2]))
     curve.sort()
     reports.write_table(opts.output, "resolvent", ("r", "C_r", "err"), curve)
 
@@ -608,6 +611,8 @@ def _resolve_options(args, cfg) -> None:
         raise ConfigError(f"seed must be at most {_MAX_SEED}")
     if args.workers < 1:
         raise ConfigError("workers must be at least 1")
+    if args.workers > _MAX_WORKERS:
+        raise ConfigError(f"workers must be at most {_MAX_WORKERS}")
     # the schema's integers include 2.0
     args.seed, args.workers = int(args.seed), int(args.workers)
 

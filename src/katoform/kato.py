@@ -13,9 +13,9 @@ bound C_r and offset r*C_r, which is what form_bound_constants returns.
 On transient spaces (R^m with m >= 3, H^2, H^3) r = 0 is allowed: C_0 is
 the sup of the Green potential of |v|.
 
-Each "sup" is a max over the caller-supplied probe points, which must
-include a point at every singular radius of v; the returned argmax says
-which probe attained it.
+Each "sup" is _sup, a max over the caller-supplied probe points (they
+must include a point at every singular radius of v) of one kernel, which
+checks its own t or r when built; the argmax says which probe attained it.
 
 By Fubini both functionals are one spatial integral of |v| against a
 radial kernel, K_t = integral_0^t p_s ds for eta and the resolvent kernel
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -140,6 +141,8 @@ _H2_MAX_T = 4000.0
 
 def _heat_kernel(space: ModelSpace, t: float) -> _Kernel:
     """K_t(rho) = integral_0^t p_s(rho) ds."""
+    if not 0.0 < t < math.inf:
+        raise DomainError("time horizon must be positive and finite")
     m = space.dim
     hyperbolic = space.kind == HYPERBOLIC
     sigma = math.sqrt(2.0 * t)
@@ -204,6 +207,10 @@ def _green_kernel(space: ModelSpace, r: float) -> _Kernel:
     With c = (m - 1)/2 on H^m and 0 on R^m it decays like e^{-k rho},
     k = sqrt(2r + c^2), against a ring area growing like e^{2c rho}.
     """
+    if not 0.0 <= r < math.inf:
+        raise DomainError("resolvent parameter must be finite and nonnegative")
+    if r == 0.0 and not _transient(space):
+        raise DomainError("C_0 needs a transient space (R^m with m >= 3, H^2 or H^3)")
     m = space.dim
     hyperbolic = space.kind == HYPERBOLIC
     c = (m - 1) / 2.0 if hyperbolic else 0.0
@@ -330,39 +337,19 @@ def _fubini_b(v: Potential, b: float, kernel: _Kernel):
     return val, err + (inner_rel + kernel_rel) * val if math.isfinite(val) else err
 
 
-def _eta_b(v: Potential, b: float, t: float):
-    return _fubini_b(v, b, _heat_kernel(v.space, t))
-
-
-def _resolvent_b(v: Potential, b: float, r: float):
-    return _fubini_b(v, b, _green_kernel(v.space, r))
-
-
-def _max_over_probes(fn, dists):
-    """(value, error, argmax index) of fn(b) -> (value, error) over the probe distances.
+def _sup(v: Potential, kernel: _Kernel, dists):
+    """(value, error, argmax index) of _fubini_b over the probe distances.
 
     Stops at the first +inf, which no later probe can exceed.
     """
     best, best_err, best_i = -math.inf, math.inf, 0
     for i, b in enumerate(dists):
-        val, err = fn(b)
+        val, err = _fubini_b(v, b, kernel)
         if val > best:
             best, best_err, best_i = val, err, i
         if math.isinf(best):
             break
     return float(best), best_err, best_i
-
-
-def _check_time(t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise DomainError("time horizon must be positive and finite")
-
-
-def _check_resolvent_parameter(space: ModelSpace, r: float) -> None:
-    if not 0.0 <= r < math.inf:
-        raise DomainError("resolvent parameter must be finite and nonnegative")
-    if r == 0.0 and not _transient(space):
-        raise DomainError("C_0 needs a transient space (R^m with m >= 3, H^2 or H^3)")
 
 
 def _transient(space: ModelSpace) -> bool:
@@ -378,9 +365,7 @@ def kato_eta(v: Potential, t: float, probes):
     Returns (value, probe) where probe attains the maximum.  The value is
     +inf when the integral diverges at some probe.
     """
-    _check_time(t)
-    dists = _probe_distances(v, probes)
-    best, _, best_idx = _max_over_probes(lambda b: _eta_b(v, b, t), dists)
+    best, _, best_idx = _sup(v, _heat_kernel(v.space, t), _probe_distances(v, probes))
     return best, probes[best_idx]
 
 
@@ -389,14 +374,7 @@ def resolvent_constant(v: Potential, r: float, probes) -> float:
 
     r = 0 gives the Green potential C_0 on transient spaces.
     """
-    return _resolvent_with_error(v, r, probes)[0]
-
-
-def _resolvent_with_error(v: Potential, r: float, probes):
-    """(C_r, its error estimate) as a max over probes."""
-    _check_resolvent_parameter(v.space, r)
-    dists = _probe_distances(v, probes)
-    return _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)[:2]
+    return _sup(v, _green_kernel(v.space, r), _probe_distances(v, probes))[0]
 
 
 @dataclass
@@ -427,15 +405,14 @@ def sandwich_check(v: Potential, r: float, t: float, probes) -> SandwichResult:
     The slack is twice the combined quadrature error estimate of the three
     quantities involved.
     """
-    _check_resolvent_parameter(v.space, r)
-    _check_time(t)
+    green, heat = _green_kernel(v.space, r), _heat_kernel(v.space, t)
     try:
         growth = math.exp(r * t)
     except OverflowError:
         raise DomainError(f"e^(r t) overflows at r t = {r * t:.6g}") from None
     dists = _probe_distances(v, probes)
-    eta_val, eta_err, _ = _max_over_probes(lambda b: _eta_b(v, b, t), dists)
-    cr_val, cr_err, _ = _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)
+    eta_val, eta_err, _ = _sup(v, heat, dists)
+    cr_val, cr_err, _ = _sup(v, green, dists)
     if math.isinf(eta_val) or math.isinf(cr_val):
         raise DomainError("sandwich check needs finite eta and C_r")
     lower = -math.expm1(-r * t) * cr_val
@@ -450,28 +427,21 @@ def analytic_kato_functional(v: Potential, radius: float, probes) -> float:
     h_m is the Green-type radial weight (r^{2-m} for m > 2, log(1/r) for
     m = 2); it vanishes as a criterion in dimension 1, which raises.
     """
-    space = v.space
-    m = space.dim
+    m = v.space.dim
     if m == 1:
         raise DomainError("the small-ball functional is undefined in dimension 1")
     if not 0.0 < radius < math.inf:
         raise DomainError("radius must be positive and finite")
     if m == 2 and radius >= 1.0:
         raise DomainError("log weight needs radius < 1")
-    dists = _probe_distances(v, probes)
-    return _max_over_probes(lambda b: _ball_integral(v, b, radius, lambda rho: h_kernel(m, rho)),
-                            dists)[0]
+    return _sup(v, _ball_kernel(radius, lambda rho: h_kernel(m, rho)),
+                _probe_distances(v, probes))[0]
 
 
 def _ball_kernel(radius: float, weight) -> _Kernel:
     """The kernel weight(rho) for rho < radius, 0 beyond; ``weight`` takes an array of distances."""
     return _Kernel(lambda rho, shift: np.where(rho < radius, weight(rho), 0.0) * np.exp(shift),
                    radius, support=radius)
-
-
-def _ball_integral(v: Potential, b: float, radius: float, weight):
-    """(value, error) of integral_{B_radius(x)} |v(y)| weight(d(x, y)) dvol, x at distance b."""
-    return _fubini_b(v, b, _ball_kernel(radius, weight))
 
 
 def lp_kato_classify(p: float, m: int) -> str:
@@ -511,18 +481,19 @@ def form_bound_constants(v: Potential, probes, target_c1: float):
     C_0 comes first: when C_0 <= target_c1 the answer is (0, C_0, 0).
     Otherwise C_r decreases continuously in r from C_0 (or +inf) to 0, so
     the crossing C_r = target_c1 is bracketed by factors of 4 from r = 1
-    and located by Brent's method on log r.  Raises NotFormBoundedError
-    when no r below 1e12 achieves the target (including divergent C_r).
-    The triple carries its errors as ``errors``: r's is the width
-    r expm1(2 (xtol + rtol |log r|)) that Brent's tolerance leaves, C1's is
-    C_r's own at r, and C2's is r times that.
+    and located by Brent's method on log r, or ends at the smallest normal
+    r if C_r still meets the target there (r's error is then r).  Raises
+    NotFormBoundedError when no r below 1e12 achieves the target (including
+    divergent C_r).  The triple carries its errors as ``errors``: r's is the
+    width r expm1(2 (xtol + rtol |log r|)) that Brent's tolerance leaves,
+    C1's is C_r's own at r, and C2's is r times that.
     """
     if not (0.0 < target_c1 < 1.0):
         raise DomainError("target_c1 must lie in (0, 1)")
     dists = _probe_distances(v, probes)
 
     def c_of(r):
-        return _max_over_probes(lambda b: _resolvent_b(v, b, r), dists)[:2]
+        return _sup(v, _green_kernel(v.space, r), dists)[:2]
 
     if _transient(v.space):
         c0, c0_err = c_of(0.0)
@@ -538,8 +509,11 @@ def form_bound_constants(v: Potential, probes, target_c1: float):
     if c <= target_c1:
         # C_r grows to C_0 > target_c1 (or without bound) as r -> 0
         while c <= target_c1:
+            if 0.25 * r < sys.float_info.min:
+                # on R^2 C_r may grow only like log(1/r): r is a bound, the crossing in (0, r]
+                return _FormBound((r, c, r * c), (r, c_err, r * c_err))
             r_hi, r = r, 0.25 * r
-            c = c_of(r)[0]
+            c, c_err = c_of(r)
         r_lo = r
     else:
         while c > target_c1:
@@ -598,11 +572,10 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
     t_grid = sorted({float(t) for t in t_grid})
     if len(t_grid) < 4:
         raise DomainError("t_grid needs at least 4 distinct times")
-    for t in t_grid:
-        _check_time(t)
+    # every kernel is built, and so its parameter checked, before the first integral
+    heat = [_heat_kernel(v.space, t) for t in t_grid]
     r_grid = sorted(float(r) for r in r_grid)
-    for r in r_grid:
-        _check_resolvent_parameter(v.space, r)
+    green = [_green_kernel(v.space, r) for r in r_grid]
     dists = _probe_distances(v, probes)
     undecided = []
 
@@ -615,24 +588,18 @@ def kato_verdict(v: Potential, t_grid, probes, r_grid=(1.0, 8.0, 64.0)) -> KatoR
 
     integrable = decided(
         "local integrability",
-        lambda: math.isfinite(
-            _max_over_probes(lambda b: _ball_integral(v, b, 1.0, lambda rho: 1.0), dists)[0]),
-        True)
+        lambda: math.isfinite(_sup(v, _ball_kernel(1.0, lambda rho: 1.0), dists)[0]), True)
 
     eta_rows = []
     argmax_idx = 0
-    for t in t_grid:
-        best, best_err, argmax_idx = decided(
-            f"eta({t!r})", lambda: _max_over_probes(lambda b: _eta_b(v, b, t), dists),
-            (math.nan, math.nan, argmax_idx))
+    for t, kernel in zip(t_grid, heat):
+        best, best_err, argmax_idx = decided(f"eta({t!r})", lambda: _sup(v, kernel, dists),
+                                             (math.nan, math.nan, argmax_idx))
         eta_rows.append((t, best, best_err))
 
-    resolvent_rows = []
-    for r in r_grid:
-        best, best_err, _ = decided(
-            f"C_{r!r}", lambda: _max_over_probes(lambda b: _resolvent_b(v, b, r), dists),
-            (math.nan, math.nan, 0))
-        resolvent_rows.append((r, best, best_err))
+    resolvent_rows = [(r, *decided(f"C_{r!r}", lambda: _sup(v, kernel, dists),
+                                   (math.nan, math.nan, 0))[:2])
+                      for r, kernel in zip(r_grid, green)]
 
     any_inf = any(math.isinf(row[1]) for row in eta_rows)
     fit_b = fit_err = None

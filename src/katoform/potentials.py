@@ -118,7 +118,8 @@ def bump(space: ModelSpace, amplitude: float = 1.0, radius: float = 1.0) -> Pote
 
     def profile(r):
         r = np.asarray(r, dtype=float)
-        core = 1.0 - (r / rad) ** 2
+        # clipped at R, so (r/R)^2 cannot overflow where the profile reads 0
+        core = 1.0 - (np.minimum(r, rad) / rad) ** 2
         return np.where(r < rad, a * core * core, 0.0)
 
     return Potential(space=space, radial=profile, singular_radii=(),

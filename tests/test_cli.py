@@ -479,10 +479,10 @@ KATO_CFG = {
 
 def test_kato_solver_failure_is_a_convergence_violation(tmp_path, capsys, monkeypatch):
     # a ConvergenceError is a RuntimeError, but not a monotonicity failure
-    def fail(v, b, t):
+    def fail(v, b, kernel):
         raise ConvergenceError("inner quadrature missed its tolerance")
 
-    monkeypatch.setattr(kato, "_eta_b", fail)
+    monkeypatch.setattr(kato, "_fubini_b", fail)
     code, _ = run_cli(tmp_path, KATO_CFG)
     assert code == 1
     err = capsys.readouterr().err
@@ -495,8 +495,10 @@ def undecided(*args):
 
 
 def test_kato_undecided_eta_is_an_inconclusive_report(tmp_path, monkeypatch):
-    real = kato._eta_b
-    monkeypatch.setattr(kato, "_eta_b", lambda v, b, t: undecided() if t < 1e-2 else real(v, b, t))
+    # below t = 1e-2 every value of the kernel is undecided
+    real = kato._heat_kernel
+    monkeypatch.setattr(kato, "_heat_kernel", lambda space, t:
+                        kato._Kernel(undecided, math.inf) if t < 1e-2 else real(space, t))
     code, out = run_cli(tmp_path, KATO_CFG)
     assert code == 0
     res = load_report(out)["results"]["kato"]
@@ -506,7 +508,7 @@ def test_kato_undecided_eta_is_an_inconclusive_report(tmp_path, monkeypatch):
 
 
 def test_form_bounds_undecided_is_a_contract_violation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(kato, "_resolvent_b", undecided)
+    monkeypatch.setattr(kato, "_fubini_b", undecided)
     cfg = bundled_config("form_bounds_coulomb")
     code, _ = run_cli(tmp_path, cfg)
     assert code == 1
@@ -516,7 +518,9 @@ def test_form_bounds_undecided_is_a_contract_violation(tmp_path, capsys, monkeyp
 
 
 def test_kato_decreasing_eta_is_a_monotonicity_violation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(kato, "_eta_b", lambda v, b, t: (1.0 / t, 0.0))
+    # eta(t) = integral_{B_1} |v| / t
+    monkeypatch.setattr(kato, "_heat_kernel",
+                        lambda space, t: kato._ball_kernel(1.0, lambda rho: 1.0 / t))
     code, _ = run_cli(tmp_path, KATO_CFG)
     assert code == 1
     assert "contract violation: eta_monotonicity" in capsys.readouterr().err
@@ -560,6 +564,46 @@ def test_seed_range_from_both_sources(tmp_path, capsys, cfg, source, seed, code)
         assert not (out / "report.json").exists()
     else:
         assert load_report(out)["parameters"]["seed"] == seed
+
+
+@pytest.mark.parametrize("cfg,workers,code", [
+    (KATO_CFG, 1025, 2), (INVERSE_SQUARE_MC, 1025, 2), (KATO_CFG, 1024, 0)],
+    ids=["kato-test-1025", "fk-mc-1025", "kato-test-1024"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_worker_range_from_both_sources(tmp_path, capsys, cfg, workers, code, source):
+    # a kato-test run once took --workers 10^12 to status pass; fk-mc refused
+    # it with PathConfig's message, as if the config file held it.  fk-mc is
+    # not run at a large worker count: it would start that many streams
+    if source == "flag":
+        got, out = run_cli(tmp_path, cfg, "--workers", str(workers))
+    else:
+        got, out = run_cli(tmp_path, dict(cfg, workers=workers))
+    err = capsys.readouterr().err
+    assert got == code, err
+    if code == 2:
+        want = ("workers must be at most 1024" if source == "flag"
+                else "at workers: 1025 is greater than the maximum of 1024")
+        assert "invalid config: " in err and want in err, err
+        assert not (out / "report.json").exists()
+    else:
+        assert load_report(out)["parameters"]["workers"] == workers
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 4e-3])
+@pytest.mark.parametrize("command", ["form-bounds", "kato-test"])
+def test_weak_bump_on_the_plane_gets_a_form_bound(tmp_path, command, amplitude):
+    # C_r stays below 1/2 down to the smallest normal r, where the search once
+    # reached r = 0 and exited 1 with a traceback
+    cfg = {"command": command, "space": {"kind": "euclidean", "dim": 2},
+           "potential": {"radial": {"expr": "bump", "params": {"amplitude": amplitude}}}}
+    cfg.update({"target_c1": 0.5} if command == "form-bounds"
+               else {"t_grid": [1e-4, 1e-3, 1e-2, 1e-1]})
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    report = load_report(out)
+    assert report["status"] == "pass"
+    klmn = (report["results"] if command == "form-bounds" else report["results"]["kato"])["klmn"]
+    assert klmn["r"]["value"] == sys.float_info.min
 
 
 def test_config_output_and_out_flag(tmp_path):

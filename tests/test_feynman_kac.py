@@ -454,7 +454,8 @@ def test_exact_route_against_quadrature_eta(pot, space):
     cfg = PathConfig(space=space, start=tuple(start), horizon=t, step=t / 10, n_paths=20000,
                      seed=53, workers=2, domain=domain)
     assert fk._exact_route(v, cfg)
-    want = kato._eta_b(v, distance(space, space.origin(), start), t)[0]
+    want = kato._fubini_b(v, distance(space, space.origin(), start),
+                          kato._heat_kernel(space, t))[0]
     est = mc_kato_integral(v, cfg)
     assert est.bias_bound == 0.0
     assert abs(est.value - want) <= 4.0 * est.std_error

@@ -79,7 +79,7 @@ def test_heat_kernel_is_vectorized():
 
 def test_transform_error_reaches_eta(monkeypatch):
     v = coulomb(H2)
-    value, err = kato._eta_b(v, 0.0, 0.01)
+    value, err = kato._fubini_b(v, 0.0, kato._heat_kernel(H2, 0.01))
     assert err < 1e-7 * value
     transform = kato._h2_millson
 
@@ -88,7 +88,7 @@ def test_transform_error_reaches_eta(monkeypatch):
         return val, np.maximum(e, 1e-6 * np.abs(val))
 
     monkeypatch.setattr(kato, "_h2_millson", inflated)
-    inflated_value, inflated_err = kato._eta_b(v, 0.0, 0.01)
+    inflated_value, inflated_err = kato._fubini_b(v, 0.0, kato._heat_kernel(H2, 0.01))
     assert inflated_value == value
     assert inflated_err >= 1e-6 * value
 

@@ -19,6 +19,7 @@ Frozen reference values (all derived independently of the implementation):
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ def test_form_bounds_trivial_potential():
     assert c1 == 0.0 and c2 == 0.0
 
 
+@pytest.mark.parametrize("amplitude,want", [(1e-3, 0.1182947446193924),
+                                            (4e-3, 0.4731789784775696)])
+def test_form_bounds_stop_at_the_smallest_normal_r(amplitude, want):
+    # on R^2, C_r of a compactly supported |v| grows only like log(1/r), so
+    # the bracket r -> r/4 once ran into r = 0, where G_0 does not exist
+    bound = form_bound_constants(bump(E2, amplitude=amplitude), [E2.origin()], 0.5)
+    r = sys.float_info.min
+    assert bound[0] == r and bound[2] == r * bound[1]
+    assert bound[1] == pytest.approx(want, rel=1e-9) and bound[1] <= 0.5
+    assert bound.errors[0] == r
+
+
+def test_form_bounds_keep_a_crossing_at_tiny_r():
+    r, c1, c2 = form_bound_constants(bump(E2, amplitude=1e-2), [E2.origin()], 0.5)
+    assert r == pytest.approx(2.0301532307156365e-130, rel=1e-9)
+    assert c1 == pytest.approx(0.5, rel=1e-9) and c2 == pytest.approx(r * c1, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -352,26 +371,55 @@ def test_probes_must_cover_singularities():
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_kernel_route_matches_nested(space, make, b):
     v = make(space)
-    eta, _ = kato._eta_b(v, b, 0.01)
+    eta, _ = kato._fubini_b(v, b, kato._heat_kernel(v.space, 0.01))
     assert eta == pytest.approx(nested_eta_b(v, b, 0.01)[0], rel=1e-7)
-    c_r, _ = kato._resolvent_b(v, b, 2.0)
+    c_r, _ = kato._fubini_b(v, b, kato._green_kernel(v.space, 2.0))
     assert c_r == pytest.approx(nested_resolvent_b(v, b, 2.0)[0], rel=1e-7)
 
 
 def test_kernel_route_matches_nested_h2_origin():
     v = coulomb(H2)
-    eta, _ = kato._eta_b(v, 0.0, 0.01)
+    eta, _ = kato._fubini_b(v, 0.0, kato._heat_kernel(H2, 0.01))
     assert eta == pytest.approx(nested_eta_b(v, 0.0, 0.01)[0], rel=1e-7)
-    c_r, _ = kato._resolvent_b(v, 0.0, 8.0)
+    c_r, _ = kato._fubini_b(v, 0.0, kato._green_kernel(H2, 8.0))
     assert c_r == pytest.approx(nested_resolvent_b(v, 0.0, 8.0)[0], rel=1e-7)
 
 
 def test_kernel_route_matches_nested_r4_offcentre():
     v = coulomb(E4)
-    eta, _ = kato._eta_b(v, 0.5, 0.01)
+    eta, _ = kato._fubini_b(v, 0.5, kato._heat_kernel(E4, 0.01))
     assert eta == pytest.approx(nested_eta_b(v, 0.5, 0.01)[0], rel=1e-7)
-    c_r, _ = kato._resolvent_b(v, 0.5, 2.0)
+    c_r, _ = kato._fubini_b(v, 0.5, kato._green_kernel(E4, 2.0))
     assert c_r == pytest.approx(nested_resolvent_b(v, 0.5, 2.0)[0], rel=1e-7)
+
+
+def spy(monkeypatch, name, seen):
+    """Record the arguments of each call of kato.<name> in ``seen``."""
+    real = getattr(kato, name)
+
+    def recorded(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kato, name, recorded)
+
+
+def test_eta_builds_one_kernel_for_every_probe(monkeypatch):
+    built, integrals = [], []
+    spy(monkeypatch, "_heat_kernel", built)
+    spy(monkeypatch, "_fubini_b", integrals)
+    kato_eta(COULOMB, 0.01, [E3.origin(), geodesic_point(E3, 0.5)])
+    assert built == [(E3, 0.01)]
+    assert [b for _, b, _ in integrals] == pytest.approx([0.0, 0.5])
+
+
+def test_eta_stops_at_the_first_divergent_probe(monkeypatch):
+    integrals = []
+    spy(monkeypatch, "_fubini_b", integrals)
+    origin = E3.origin()
+    value, probe = kato_eta(inverse_square(E3), 0.1, [origin, geodesic_point(E3, 0.5)])
+    assert value == math.inf and probe is origin
+    assert len(integrals) == 1
 
 
 # the generic sphere mean also holds in dimension 3, where it must agree
@@ -422,7 +470,7 @@ def test_sphere_mean_matches_qaws_and_chords(space, kernel, b):
 def test_offcentre_eta_at_small_t(space):
     # the sphere of radius w ~ 1e-16 next to the probe once made the mean nan;
     # for small t, eta(t) is about t v(b) = 2e-4
-    eta, err = kato._eta_b(coulomb(space), 0.5, 1e-4)
+    eta, err = kato._fubini_b(coulomb(space), 0.5, kato._heat_kernel(space, 1e-4))
     assert math.isfinite(eta) and math.isfinite(err)
     assert eta == pytest.approx(2e-4, rel=1e-3)
 
@@ -438,8 +486,8 @@ def test_offcentre_probe_verdict_at_small_t():
 # and from Gauss's law (R^3: the mean of 1/|y| over a sphere through 0)
 @pytest.mark.parametrize("space,want", [(E2, 2.2447017075301), (E3, math.pi)], ids=["R2", "R3"])
 def test_offcentre_ball_integral_covers_truth(space, want):
-    value, err = kato._ball_integral(coulomb(space), 0.5, 0.5,
-                                     lambda rho: h_kernel(space.dim, rho))
+    value, err = kato._fubini_b(coulomb(space), 0.5,
+                                kato._ball_kernel(0.5, lambda rho: h_kernel(space.dim, rho)))
     assert abs(value - want) <= err
 
 
@@ -448,7 +496,7 @@ def test_ball_integral_on_the_line():
     # is the two points b -+ rho
     v = inverse_power(E1, power=0.5)
     for b, want in ((0.0, 4.0), (0.5, 2.0 * (math.sqrt(0.5) + math.sqrt(1.5)))):
-        value, err = kato._ball_integral(v, b, 1.0, lambda rho: 1.0)
+        value, err = kato._fubini_b(v, b, kato._ball_kernel(1.0, lambda rho: 1.0))
         assert abs(value - want) <= err < 1e-7 * want
 
 
@@ -464,7 +512,7 @@ def test_offcentre_ball_integral_at_a_shell():
     want = sum(quad(lambda x: 2.0 * cap(0.5 + side * x * x), 0.0, top,
                     epsabs=0.0, epsrel=1e-13)[0]
                for side, top in ((-1.0, math.sqrt(0.5)), (1.0, 1.0)))
-    value, err = kato._ball_integral(shell_potential(-0.5), 0.5, 1.0, lambda rho: 1.0)
+    value, err = kato._fubini_b(shell_potential(-0.5), 0.5, kato._ball_kernel(1.0, lambda rho: 1.0))
     assert abs(value - want) <= err < 1e-6 * value
 
 
@@ -478,7 +526,7 @@ def test_offcentre_ball_integral_at_a_strong_shell(beta, want):
     truth = (quad(cap, 0.0, 0.5, weight="alg", wvar=(0.0, beta), epsabs=0.0, epsrel=1e-13)[0]
              + quad(cap, 0.5, 1.5, weight="alg", wvar=(beta, 0.0), epsabs=0.0, epsrel=1e-13)[0])
     assert truth == pytest.approx(want, rel=1e-12)
-    value, err = kato._ball_integral(shell_potential(beta), 0.5, 1.0, lambda rho: 1.0)
+    value, err = kato._fubini_b(shell_potential(beta), 0.5, kato._ball_kernel(1.0, lambda rho: 1.0))
     assert abs(value - want) <= err < 1e-6 * value
 
 
@@ -490,7 +538,7 @@ def test_offcentre_ball_integral_at_a_strong_shell(beta, want):
     (E2, 1.6251955458398408, 4.204421729220322e-12),
     (E3, 2.0943951023931957, 1.5743802721792407e-13)], ids=["R2", "R3"])
 def test_ball_integral_from_a_far_probe(space, want, want_err):
-    value, err = kato._ball_integral(coulomb(space), 2.0, 1.0, lambda rho: 1.0)
+    value, err = kato._fubini_b(coulomb(space), 2.0, kato._ball_kernel(1.0, lambda rho: 1.0))
     assert abs(value - want) <= err + want_err
 
 
@@ -523,7 +571,7 @@ def _coulomb_eta_offcentre(t, b):
 @given(t=st.floats(min_value=1e-4, max_value=1.0),
        b=st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
 def test_coulomb_eta_offcentre_closed_form(t, b):
-    eta, _ = kato._eta_b(COULOMB, b, t)
+    eta, _ = kato._fubini_b(COULOMB, b, kato._heat_kernel(E3, t))
     assert eta == pytest.approx(_coulomb_eta_offcentre(t, b), rel=1e-9)
 
 
@@ -614,7 +662,7 @@ def test_log_sq_member_small_ball_closed_form(gamma):
     v = log_sq(gamma)
     for radius in (1e-1, 1e-6):
         want = 4.0 * math.pi * math.log(1.0 / radius) ** (1.0 - gamma) / (gamma - 1.0)
-        value, err = kato._ball_integral(v, 0.0, radius, ball_weight)
+        value, err = kato._fubini_b(v, 0.0, kato._ball_kernel(radius, ball_weight))
         assert abs(value - want) <= err
         assert analytic_kato_functional(v, radius, ORIGIN3) == value
 
@@ -644,7 +692,7 @@ def decaying(p):
 @pytest.mark.parametrize("p", [2.2, 2.5, 3.0])
 def test_green_potential_of_slow_tail(p):
     # C_0 of (1 + |x|)^{-p} at the centre of R^3 is 2 integral w (1 + w)^{-p} dw
-    value, err = kato._resolvent_b(decaying(p), 0.0, 0.0)
+    value, err = kato._fubini_b(decaying(p), 0.0, kato._green_kernel(E3, 0.0))
     exact = 2.0 / ((p - 2.0) * (p - 1.0))
     assert abs(value - exact) <= min(err, 1e-7 * exact)
 

@@ -119,6 +119,12 @@ def test_constant_and_bump():
     assert b.singular_radii == ()
 
 
+def test_bump_is_zero_far_outside_its_support():
+    # (r/R)^2 once overflowed past r = 1e154, which the form-bound search reaches on R^2
+    b = bump(E3, amplitude=2.0, radius=1.5)
+    assert b.radial(np.array([1e155, 1e300, math.inf])).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_abs_and_sign_parts():
     v = constant(E3, value=-3.0)
     r = np.array([1.0, 2.0])

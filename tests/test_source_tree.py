@@ -71,6 +71,11 @@ invariant, turns every contract violation into exit status 1.  Only
 reports.sanitize spells "nan", "inf" and "-inf": it is the one conversion
 of a reported number to strict JSON.
 
+Every Kato functional is one sup over probes: only kato._sup calls
+kato._fubini_b, the radial integral against one kernel, and each kernel
+checks its own parameter, so the messages that refuse a time horizon and
+a resolvent parameter are each spelled once.
+
 No module reads the environment (os.environ, os.getenv): a run's
 settings come from its flags and its config file.
 
@@ -385,6 +390,22 @@ def test_front_end_states_each_rule_once():
                 for top in ast.parse(path.read_text()).body for node in ast.walk(top)
                 if isinstance(node, ast.Constant) and node.value in ("nan", "inf", "-inf")}
     assert spellers == {("reports.py", "sanitize")}
+
+
+def test_one_probe_sup_and_kernel_owned_checks():
+    callers, spelled = set(), {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_fubini_b" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add((path.name, getattr(top, "name", None)))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    spelled[node.value] = spelled.get(node.value, 0) + 1
+    assert callers == {("kato.py", "_sup")}
+    for message in ("time horizon must be positive and finite",
+                    "resolvent parameter must be finite and nonnegative"):
+        assert spelled.get(message) == 1, message
 
 
 def test_no_module_reads_the_environment():
