@@ -27,7 +27,6 @@ from .geometry import (
     distance,
     geodesic_point,
     h_kernel,
-    heat_kernel,
     heat_kernel_radial,
     heat_mass,
     model_ball_volume,
@@ -55,7 +54,6 @@ from .mesh import (
 from .operators import (
     FormValue,
     bochner_laplacian,
-    fiber_split,
     form_limit_check,
     form_sum_spectrum,
     kato_inequality_gap,
@@ -71,7 +69,6 @@ from .feynman_kac import (
     mc_heat_expectation,
     mc_kato_integral,
     sample_paths,
-    transport_phase,
 )
 from .bundled import list_bundled
 
@@ -80,7 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EUCLIDEAN", "HYPERBOLIC",
     "ModelSpace", "VolumeProfile", "distance", "geodesic_point",
-    "heat_kernel", "heat_kernel_radial", "heat_mass", "model_ball_volume",
+    "heat_kernel_radial", "heat_mass", "model_ball_volume",
     "sphere_area", "h_kernel", "chapman_kolmogorov_residual",
     "Potential", "coulomb", "inverse_square", "constant", "bump", "tabulated",
     "KatoReport", "kato_eta", "resolvent_constant",
@@ -88,11 +85,11 @@ __all__ = [
     "form_bound_constants", "kato_verdict",
     "BundleMesh", "interval_mesh", "grid_mesh_2d", "cycle_mesh",
     "random_bundle_mesh", "trivial_line",
-    "FormValue", "bochner_laplacian", "fiber_split",
+    "FormValue", "bochner_laplacian",
     "quad_form", "kato_inequality_gap", "semigroup_domination_gap",
     "form_limit_check", "klmn_optimal_c1", "form_sum_spectrum",
     "PathConfig", "KillingRegion", "Estimate", "sample_paths",
-    "mc_kato_integral", "mc_heat_expectation", "transport_phase",
+    "mc_kato_integral", "mc_heat_expectation",
     "mc_covariant_semigroup",
     "list_bundled",
     "__version__",

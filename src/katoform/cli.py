@@ -60,7 +60,7 @@ from .geometry import EUCLIDEAN, ModelSpace
 from .kato import (_green_kernel, _probe_distances, _sup, form_bound_constants, kato_verdict,
                    sandwich_check)
 from .mesh import BundleMesh
-from .operators import (_dense_eigh, bochner_laplacian, form_limit_check, form_sum_spectrum,
+from .operators import (_assemble, _dense_eigh, form_limit_check, form_sum_spectrum,
                         kato_inequality_gap, quad_form, semigroup_domination_gap)
 from .potentials import bump, constant, coulomb, inverse_power, inverse_square, tabulated
 
@@ -452,7 +452,7 @@ def _run_check_inequalities(cfg, opts):
     ]
 
     if cfg.get("form_limit", True):
-        a_sym = bochner_laplacian(mesh, symmetrized=True)
+        a_sym = _assemble(mesh)[0]
         lam_max = float(_dense_eigh(a_sym, subset=(a_sym.shape[0] - 1,) * 2)[0][0])
         t_grid = [1e-6, 1e-5, 1e-4, 1e-3]
         defect_tol = max(float(tol.get("form_limit_defect", 1e-8)),

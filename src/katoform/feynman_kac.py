@@ -693,8 +693,7 @@ def _exact_samples(config: PathConfig, time, space: _SpaceLaw, survival) -> Iter
 # estimators
 
 def _finish(values: np.ndarray, config: PathConfig, n_effective: int,
-            cap_events: int = 0, bias_bound: float | None = None,
-            extras: dict | None = None) -> Estimate:
+            cap_events: int = 0, bias_bound: float | None = None) -> Estimate:
     n = config.n_paths
     mean = values.sum() / n
     spread = np.abs(values - mean) ** 2
@@ -703,7 +702,7 @@ def _finish(values: np.ndarray, config: PathConfig, n_effective: int,
     value = complex(mean) if np.iscomplexobj(values) else float(mean)
     return Estimate(value=value, std_error=se, n_effective=n_effective,
                     n_paths=n, step=config.step, cap_events=cap_events,
-                    bias_bound=bias_bound, extras=extras or {})
+                    bias_bound=bias_bound)
 
 
 def _euclidean_norms(points: np.ndarray, out: np.ndarray, tmp: np.ndarray,
@@ -909,22 +908,6 @@ def _midpoint_phases(pos: np.ndarray, A: Callable, alive, mids: np.ndarray,
     if alive is not None:
         seg *= alive[:, 1:]
     return seg.sum(axis=1)
-
-
-def transport_phase(path: np.ndarray, A: Callable) -> complex:
-    """exp(-i sum A(midpoint) . increment) along one discrete path.
-
-    The Stratonovich midpoint sum is the discrete line integral of the
-    connection form, by _midpoint_phases on a block of one path; the result
-    has modulus exactly 1.
-    """
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 2 or path.shape[0] < 2:
-        raise DomainError("a path needs at least two points")
-    S, ambient = path.shape[0] - 1, path.shape[1]
-    mids, incs = np.empty((2, 1, S, ambient))
-    total = float(_midpoint_phases(path[None], A, None, mids, incs, np.empty(S))[0])
-    return complex(math.cos(-total), math.sin(-total))
 
 
 def mc_covariant_semigroup(psi: Callable, A: Callable, config: PathConfig) -> Estimate:

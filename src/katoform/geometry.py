@@ -24,6 +24,7 @@ with quadrature.radial_integral on the same rule; no QUADPACK call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +49,12 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
+def _check_dimension(m) -> None:
+    """Raise DomainError unless m is an integer >= 1; a bool is not one."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise DomainError("dimension must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class ModelSpace:
     """A Euclidean or unit-curvature hyperbolic model space.
@@ -64,14 +71,9 @@ class ModelSpace:
     def __post_init__(self):
         if self.kind not in (EUCLIDEAN, HYPERBOLIC):
             raise DomainError(f"unknown model space kind {self.kind!r}")
-        if self.dim < 1:
-            raise DomainError("dimension must be >= 1")
+        _check_dimension(self.dim)
         if self.kind == HYPERBOLIC and self.dim not in (2, 3):
             raise DomainError("hyperbolic model spaces are implemented for dim 2 and 3")
-
-    @property
-    def curvature(self) -> float:
-        return 0.0 if self.kind == EUCLIDEAN else -1.0
 
     @property
     def ambient_dim(self) -> int:
@@ -408,11 +410,6 @@ def _h2_millson(f, d, s_max, shift: float = 0.0):
     return val, err
 
 
-def heat_kernel(space: ModelSpace, t: float, x, y) -> float:
-    """Heat kernel p_t(x, y); symmetric and positive."""
-    return float(heat_kernel_radial(space, t, distance(space, x, y)))
-
-
 def heat_mass(space: ModelSpace, t: float) -> float:
     """Total kernel mass integral p_t(x, y) vol(dy), by radial quadrature.
 
@@ -462,14 +459,15 @@ def chapman_kolmogorov_residual(space: ModelSpace, s: float, t: float, x, y) -> 
 
 @dataclass(frozen=True)
 class VolumeProfile:
-    """Ball-volume comparison profile l_{m,kappa} for arbitrary kappa."""
+    """Ball-volume comparison profile l_{m,kappa} for any finite kappa."""
 
     dim: int
     kappa: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError("dimension must be >= 1")
+        _check_dimension(self.dim)
+        if not math.isfinite(self.kappa):
+            raise DomainError("curvature must be finite")
 
 
 def _int_sinh_pow(n: int, x: float) -> float:
@@ -501,8 +499,8 @@ def model_ball_volume(profile: VolumeProfile, r: float) -> float:
     kappa-rescaled sin / identity / sinh.  Positive curvature restricts r to
     (0, pi/sqrt(kappa)].
     """
-    if r < 0.0:
-        raise DomainError("radius must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise DomainError("radius must be nonnegative and finite")
     m, kappa = profile.dim, profile.kappa
     c = sphere_area(m)
     if r == 0.0:

@@ -51,7 +51,6 @@ with a reason, never as divergence.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -60,8 +59,8 @@ import numpy as np
 from scipy.special import erfc, erfcx, exp1, gammaincc, kve
 
 from .errors import DomainError, MonotonicityError, NotFormBoundedError, UndecidedError
-from .geometry import (_TAIL_LOG, HYPERBOLIC, ModelSpace, _h2_millson, _sphere_means, _split_S,
-                       distance, h_kernel, kernel_tail_radius, sphere_area)
+from .geometry import (_TAIL_LOG, HYPERBOLIC, ModelSpace, _check_dimension, _h2_millson,
+                       _sphere_means, _split_S, distance, h_kernel, kernel_tail_radius, sphere_area)
 from .potentials import Potential
 from .quadrature import _TINY, SPATIAL_REL, radial_integral
 
@@ -452,8 +451,7 @@ def lp_kato_classify(p: float, m: int) -> str:
     """
     if not p >= 1.0:        # NaN too
         raise DomainError("p must be >= 1")
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise DomainError("dimension must be an integer >= 1")
+    _check_dimension(m)
     if m == 1:
         return "sufficient"
     return "sufficient" if p > m / 2.0 else "not_covered"
@@ -481,10 +479,10 @@ def form_bound_constants(v: Potential, probes, target_c1: float):
     C_0 comes first: when C_0 <= target_c1 the answer is (0, C_0, 0).
     Otherwise C_r decreases continuously in r from C_0 (or +inf) to 0, so
     the crossing C_r = target_c1 is bracketed by factors of 4 from r = 1
-    and located by Brent's method on log r, or ends at the smallest normal
-    r if C_r still meets the target there (r's error is then r).  Raises
-    NotFormBoundedError when no r below 1e12 achieves the target (including
-    divergent C_r).  The triple carries its errors as ``errors``: r's is the
+    (squares of r below 2^-16) and located by Brent's method on log r, or
+    ends at the smallest normal r if C_r still meets the target there (r's
+    error is then r).  Raises NotFormBoundedError when no r below 1e12
+    achieves the target (including divergent C_r).  The triple carries its errors as ``errors``: r's is the
     width r expm1(2 (xtol + rtol |log r|)) that Brent's tolerance leaves,
     C1's is C_r's own at r, and C2's is r times that.
     """
@@ -507,12 +505,13 @@ def form_bound_constants(v: Potential, probes, target_c1: float):
     if c <= 1e-300:
         return _FormBound((1.0, 0.0, 0.0), (0.0, c_err, c_err))
     if c <= target_c1:
-        # C_r grows to C_0 > target_c1 (or without bound) as r -> 0
+        # C_r grows to C_0 > target_c1 (or without bound) as r -> 0; below 2^-16
+        # r is squared, so the smallest normal r is 6 steps further
         while c <= target_c1:
-            if 0.25 * r < sys.float_info.min:
+            if r == sys.float_info.min:
                 # on R^2 C_r may grow only like log(1/r): r is a bound, the crossing in (0, r]
                 return _FormBound((r, c, r * c), (r, c_err, r * c_err))
-            r_hi, r = r, 0.25 * r
+            r_hi, r = r, 0.25 * r if r > 2.0 ** -16 else max(r * r, sys.float_info.min)
             c, c_err = c_of(r)
         r_lo = r
     else:

@@ -13,6 +13,8 @@ which is what ``transport_into`` returns when asked to move u -> v.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,17 +165,18 @@ class BundleMesh:
 # ---------------------------------------------------------------------------
 # generators
 
-def interval_mesh(a: float, b: float, h: float, dirichlet_at=None,
-                  fiber_dim: int = 1) -> BundleMesh:
+def interval_mesh(a: float, b: float, h: float, dirichlet_at=None) -> BundleMesh:
     """Uniform chain on [a, b] with spacing h; mu = h, w = 1/h.
 
     With those weights the vertex operator is the standard second
     difference (2 f_u - f_{u-1} - f_{u+1}) / (2 h^2).  ``dirichlet_at``
     lists x-values of killed vertices (default: both endpoints); each must
-    land on a grid point.
+    land on a grid point.  a, b and the step count (b - a)/h must be
+    finite, and h positive.
     """
-    span = b - a
-    k = span / h
+    k = (b - a) / h if 0.0 < h < math.inf else math.nan
+    if not math.isfinite(k):
+        raise MeshError("an interval needs finite ends and a positive finite spacing")
     K = int(round(k))
     if K < 2 or abs(k - K) > 1e-9 * max(1.0, abs(k)):
         raise MeshError("interval length must be an integral number of steps")
@@ -187,16 +190,15 @@ def interval_mesh(a: float, b: float, h: float, dirichlet_at=None,
         if idx < 0 or idx > K or abs(xs[idx] - x0) > 1e-9 * max(1.0, abs(x0)):
             raise MeshError(f"dirichlet point {x0} is not a grid vertex")
         dirichlet[idx] = True
-    eye = np.eye(fiber_dim, dtype=complex)
     E = K
     return BundleMesh(
-        fiber_dim=fiber_dim,
+        fiber_dim=1,
         mu=np.full(N, h),
         dirichlet=dirichlet,
         edge_u=np.arange(E),
         edge_v=np.arange(1, E + 1),
         edge_w=np.full(E, 1.0 / h),
-        transports=np.broadcast_to(eye, (E, fiber_dim, fiber_dim)).copy(),
+        transports=np.ones((E, 1, 1), dtype=complex),
         positions=xs[:, None],
         name="interval",
         metadata={"a": a, "b": b, "h": h},
@@ -209,10 +211,13 @@ def grid_mesh_2d(half_width: float, spacing: float, b_field: float = 0.0,
 
     The edge phase is exp(-i integral A . dl) with the symmetric gauge
     A = (B/2) (-y, x), evaluated by the midpoint rule (exact for linear A).
-    Vertex operator: (1 / 2 a^2) sum over the four neighbors.
+    Vertex operator: (1 / 2 a^2) sum over the four neighbors.  L and the
+    spacing count 2L/a must be finite, and a positive.
     """
     L, a = float(half_width), float(spacing)
-    k = 2.0 * L / a
+    k = 2.0 * L / a if 0.0 < a < math.inf else math.nan
+    if not math.isfinite(k):
+        raise MeshError("a grid needs a finite half-width and a positive finite spacing")
     K = int(round(k))
     if K < 2 or abs(k - K) > 1e-9 * max(1.0, k):
         raise MeshError("grid width must be an integral number of spacings")
@@ -274,11 +279,6 @@ def cycle_mesh(k: int, theta: float = 0.0) -> BundleMesh:
     )
 
 
-def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-distributed U(n) sample (QR of a complex Gaussian, phase-fixed)."""
-    return _haar_block(1, n, rng)[0]
-
-
 def _haar_block(count: int, n: int, rng) -> np.ndarray:
     """count Haar U(n) samples with one batched QR and phase fix.
 
@@ -333,10 +333,15 @@ def random_bundle_mesh(n_vertices: int, fiber_dim: int = 2, seed: int = 0,
 
     Deterministic in the seed.  Vertex masses are uniform on [0.5, 2), edge
     weights on ``w_range``.  ``dirichlet_count`` vertices (chosen at
-    random, never all of them) are flagged as killed.
+    random, never all of them) are flagged as killed.  The three counts
+    must be integers (a bool is not one).
     """
-    if n_vertices < 2:
-        raise MeshError("need at least two vertices")
+    for count, low, what in ((n_vertices, 2, "n_vertices"), (fiber_dim, 1, "fiber_dim"),
+                             (dirichlet_count, 0, "dirichlet_count")):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < low:
+            raise MeshError(f"{what} must be an integer >= {low}")
+    if dirichlet_count >= n_vertices:
+        raise MeshError("cannot kill every vertex")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_vertices)
     # vertex order[i] hangs from one of the i vertices before it
@@ -358,8 +363,6 @@ def random_bundle_mesh(n_vertices: int, fiber_dim: int = 2, seed: int = 0,
     mats = _haar_block(len(eu), fiber_dim, rng)
     dirichlet = np.zeros(n_vertices, dtype=bool)
     if dirichlet_count > 0:
-        if dirichlet_count >= n_vertices:
-            raise MeshError("cannot kill every vertex")
         killed = rng.choice(n_vertices, size=dirichlet_count, replace=False)
         dirichlet[killed] = True
     return BundleMesh(

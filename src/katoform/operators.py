@@ -183,41 +183,36 @@ def _assemble(mesh: BundleMesh, field=None):
     return _block_csr(blocks, rows, cols, k), np.repeat(root, n)
 
 
-def bochner_laplacian(mesh: BundleMesh, symmetrized: bool = False) -> sp.csr_matrix:
-    """Matrix of the bundle vertex operator on interior degrees of freedom.
+def bochner_laplacian(mesh: BundleMesh) -> sp.csr_matrix:
+    """Matrix of the bundle vertex operator L on interior degrees of freedom.
 
-    Default is the generator L itself (mu-symmetric); with
-    ``symmetrized=True`` the unitarily equivalent Hermitian form
-    M^{-1/2} K M^{-1/2} is returned instead.  Spectra agree.
+    L is mu-symmetric; it is unitarily equivalent to the Hermitian
+    M^{-1/2} K M^{-1/2} of ``_assemble``, so the spectra agree.
     """
     A, root = _assemble(mesh)
-    if not symmetrized:
-        # the generator L = M^{-1} K = M^{-1/2} A M^{1/2}, entry by entry
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        A.data *= root[A.indices] / root[rows]
+    # the generator L = M^{-1} K = M^{-1/2} A M^{1/2}, entry by entry
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    A.data *= root[A.indices] / root[rows]
     return A
-
-
-def diagonal_potential(mesh: BundleMesh, values) -> np.ndarray:
-    """Lift real vertex values to the (N, n, n) field v_u * I; a complex value raises MeshError."""
-    values = np.asarray(values)
-    if values.shape != (mesh.n_vertices,):
-        raise MeshError("need one scalar per vertex")
-    if np.iscomplexobj(values) and np.any(values.imag):
-        raise MeshError("scalar potential values must be real")
-    n = mesh.fiber_dim
-    out = np.zeros((mesh.n_vertices, n, n), dtype=complex)
-    out[:, np.arange(n), np.arange(n)] = np.asarray(values.real, dtype=float)[:, None]
-    return out
 
 
 def _as_matrix_field(mesh: BundleMesh, V) -> np.ndarray:
     """The one conversion of a potential V (real values or blocks) to its (N, n, n) field.
 
-    Interior blocks must be finite and Hermitian; Dirichlet blocks enter no form.
+    Real vertex values v_u lift to v_u * I; a complex value raises
+    MeshError.  Interior blocks must be finite and Hermitian; Dirichlet
+    blocks enter no form.
     """
     V, n = np.asarray(V), mesh.fiber_dim
-    field = diagonal_potential(mesh, V) if V.ndim == 1 else V.astype(complex)
+    if V.ndim == 1:
+        if V.shape != (mesh.n_vertices,):
+            raise MeshError("need one scalar per vertex")
+        if np.iscomplexobj(V) and np.any(V.imag):
+            raise MeshError("scalar potential values must be real")
+        field = np.zeros((mesh.n_vertices, n, n), dtype=complex)
+        field[:, np.arange(n), np.arange(n)] = np.asarray(V.real, dtype=float)[:, None]
+    else:
+        field = V.astype(complex)
     if field.shape != (mesh.n_vertices, n, n):
         raise MeshError(f"potential field must have shape ({mesh.n_vertices}, {n}, {n})")
     _check_hermitian(field[mesh.interior], "potential at the interior vertices")
@@ -293,22 +288,6 @@ def quad_form(mesh: BundleMesh, f, V=None) -> FormValue:
         gi = g[idx]
         potential = float(np.einsum("ui,uij,uj->u", gi.conj(), V, gi).real @ mesh.mu[idx])
     return FormValue(kinetic=kinetic, potential=potential)
-
-
-def fiber_split(V) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise decomposition V = V1 - V2 with both parts PSD.
-
-    Works fiberwise through the eigendecomposition of each Hermitian V_u;
-    zero eigenvalues sit in V1 (and contribute nothing either way).
-    """
-    V = np.asarray(V, dtype=complex)
-    if V.ndim != 3 or V.shape[1] != V.shape[2]:
-        raise MeshError("expected an (N, n, n) field")
-    _check_hermitian(V, "field")
-    lam, Q = np.linalg.eigh(V)
-    plus = np.einsum("uij,uj,ukj->uik", Q, np.maximum(lam, 0.0), Q.conj())
-    minus = np.einsum("uij,uj,ukj->uik", Q, np.maximum(-lam, 0.0), Q.conj())
-    return plus, minus
 
 
 def kato_inequality_gap(mesh: BundleMesh, f) -> float:

@@ -7,8 +7,7 @@ same container.  Everything a potential declares, its singular radii and
 their power included, is a fact of its expression, set by its constructor,
 which refuses params that give the expression no meaning: a non-finite
 one, or a bump radius <= 0.
-Values may be signed; the Kato functionals always consume |v|, while the
-canonical parts v = v_plus - v_minus feed the form-bound machinery.
+Values may be signed; the Kato functionals always consume |v|.
 """
 
 from __future__ import annotations
@@ -50,20 +49,6 @@ class Potential:
         """|v(r)|, written into ``out`` (an array of r's shape) when given."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.abs(self.radial(np.asarray(r, dtype=float)), out=out)
-
-    def positive_part(self) -> Callable:
-        """v_plus = max(v, 0), the V1 of the weakest split v = V1 - V2.
-
-        Any split with V1, V2 >= 0 has v_plus <= V1 and v_minus <= V2, and
-        both local integrability and the Kato class are solid (a function
-        below a member in absolute value is a member), so every split that
-        qualifies makes the canonical one qualify too.
-        """
-        return lambda r: np.maximum(self.radial(np.asarray(r, dtype=float)), 0.0)
-
-    def negative_part(self) -> Callable:
-        """v_minus = max(-v, 0), the V2 of the weakest split (see ``positive_part``)."""
-        return lambda r: np.maximum(-self.radial(np.asarray(r, dtype=float)), 0.0)
 
 
 def coulomb(space: ModelSpace, strength: float = 1.0) -> Potential:

@@ -50,8 +50,7 @@ from katoform import kato
 from katoform.errors import ConfigError, DomainError, InvalidPointError
 from katoform.feynman_kac import (Estimate, KillingRegion, PathConfig,
                                   mc_covariant_semigroup, mc_heat_expectation,
-                                  mc_kato_integral, sample_paths,
-                                  transport_phase)
+                                  mc_kato_integral, sample_paths)
 from katoform.geometry import (EUCLIDEAN, HYPERBOLIC, ModelSpace, distance,
                                geodesic_point, heat_kernel_radial, ring_area)
 from katoform.potentials import (Potential, bump, constant, coulomb, inverse_power,
@@ -1442,15 +1441,23 @@ def square_loop(n=50):
     return np.array(fine)
 
 
+def one_path_phase(path, A):
+    """exp(-i sum A(midpoint) . increment) along one path: _midpoint_phases on a block of one."""
+    S, ambient = path.shape[0] - 1, path.shape[1]
+    mids, incs = np.empty((2, 1, S, ambient))
+    total = float(fk._midpoint_phases(path[None], A, None, mids, incs, np.empty(S))[0])
+    return complex(math.cos(-total), math.sin(-total))
+
+
 def test_transport_phase_zero_field():
     loop = square_loop()
-    assert transport_phase(loop, lambda p: np.zeros_like(p)) == 1.0 + 0.0j
+    assert one_path_phase(loop, lambda p: np.zeros_like(p)) == 1.0 + 0.0j
 
 
 def test_transport_phase_stokes():
     b_field = 0.9
     loop = square_loop()
-    ph = transport_phase(
+    ph = one_path_phase(
         loop, lambda p: 0.5 * b_field * np.stack([-p[:, 1], p[:, 0]], axis=1))
     want = complex(math.cos(-b_field), math.sin(-b_field))  # unit area
     assert abs(ph - want) < 1e-12
@@ -1465,8 +1472,8 @@ def test_transport_phase_gauge_shift():
         return 0.5 * np.stack([-p[:, 1], p[:, 0]], axis=1)
 
     grad_chi = np.array([0.7, 0.2])
-    ph1 = transport_phase(path, A0)
-    ph2 = transport_phase(path, lambda p: A0(p) + grad_chi[None, :])
+    ph1 = one_path_phase(path, A0)
+    ph2 = one_path_phase(path, lambda p: A0(p) + grad_chi[None, :])
     shift = grad_chi @ (path[-1] - path[0])
     assert abs(ph2 - ph1 * np.exp(-1j * shift)) < 1e-12
 
@@ -1517,7 +1524,7 @@ def test_connection_of_the_wrong_shape_raises(A):
     # must not be broadcast over both coordinates as A = (1, 1)
     path = square_loop()
     with pytest.raises(DomainError, match="one vector a midpoint"):
-        transport_phase(path, A)
+        one_path_phase(path, A)
     cfg = PathConfig(space=E2, start=(0.0, 0.0), horizon=0.1, step=1e-2, n_paths=100, seed=1)
     with pytest.raises(DomainError, match="one vector a midpoint"):
         mc_covariant_semigroup(lambda p: np.ones(p.shape[0]), A, cfg)

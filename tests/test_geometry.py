@@ -18,7 +18,7 @@ from katoform.errors import DomainError, InvalidPointError
 from katoform.geometry import (EUCLIDEAN, HYPERBOLIC, ModelSpace,
                                VolumeProfile, chapman_kolmogorov_residual,
                                distance, geodesic_point, h_kernel,
-                               heat_kernel, heat_kernel_radial, heat_mass,
+                               heat_kernel_radial, heat_mass,
                                law_of_cosines, model_ball_volume, ring_area)
 from katoform.kato import analytic_kato_functional
 from katoform.potentials import coulomb
@@ -191,7 +191,7 @@ def test_heat_kernel_point_form_matches_radial():
     x = geodesic_point(H3, 0.9)
     y = geodesic_point(H3, 1.4, direction=np.array([0.0, 1.0, 0.0]))
     d = distance(H3, x, y)
-    assert heat_kernel(H3, 0.6, x, y) == pytest.approx(
+    assert heat_kernel_radial(H3, 0.6, distance(H3, x, y)) == pytest.approx(
         heat_kernel_radial(H3, 0.6, np.array([d]))[0], rel=1e-13)
 
 
@@ -296,6 +296,30 @@ def test_ball_volume_kappa_scaling():
     expect = 2 * math.pi * quad(
         lambda s: (math.sin(math.sqrt(kap) * s) / math.sqrt(kap)), 0, r)[0]
     assert direct == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ModelSpace(EUCLIDEAN, 2.5), id="space-fractional-dim"),
+    pytest.param(lambda: ModelSpace(EUCLIDEAN, True), id="space-bool-dim"),
+    pytest.param(lambda: ModelSpace(HYPERBOLIC, 0), id="space-dim-0"),
+    pytest.param(lambda: VolumeProfile(3, math.nan), id="profile-nan-kappa"),
+    pytest.param(lambda: VolumeProfile(3, -math.inf), id="profile-inf-kappa"),
+    pytest.param(lambda: VolumeProfile(2.5, -1.0), id="profile-fractional-dim"),
+    pytest.param(lambda: VolumeProfile(True, 0.0), id="profile-bool-dim"),
+    pytest.param(lambda: model_ball_volume(VolumeProfile(3, -1.0), math.nan), id="volume-nan-r"),
+    pytest.param(lambda: model_ball_volume(VolumeProfile(3, 0.0), math.inf), id="volume-inf-r"),
+    pytest.param(lambda: model_ball_volume(VolumeProfile(3, 0.0), -1.0), id="volume-negative-r"),
+])
+def test_constructors_refuse_what_they_cannot_mean(build):
+    # each once returned nan, raised a TypeError, or was accepted
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_dimension_may_be_any_integer_type():
+    assert ModelSpace(EUCLIDEAN, np.int64(3)) == E3
+    assert model_ball_volume(VolumeProfile(np.int32(3), 0.0), 1.0) == pytest.approx(
+        4.0 * math.pi / 3.0, abs=1e-10)
 
 
 def test_positive_curvature_radius_cap():

@@ -157,6 +157,21 @@ def test_resolvent_constant_at_r_zero():
             resolvent_constant(constant(space, 1.0), 0.0, [space.origin()])
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 2.5])
+def test_green_potential_of_a_bump_on_r4(amplitude):
+    # G_0 = rho^-2 / (2 pi^2) on R^4, ring 2 pi^2 rho^3: a int_0^1 (1 - rho^2)^2 rho = a/6
+    value, err, _ = kato._sup(bump(E4, amplitude), kato._green_kernel(E4, 0.0), [0.0])
+    assert abs(value - amplitude / 6.0) <= err
+
+
+def test_green_potential_of_a_bump_on_h2():
+    # G_0 = log coth(rho/2) / pi on H^2, ring 2 pi sinh rho
+    value, err, _ = kato._sup(bump(H2), kato._green_kernel(H2, 0.0), [0.0])
+    want, want_err = quad(lambda rho: (1.0 - rho * rho) ** 2 * math.log(1.0 / math.tanh(rho / 2.0))
+                          * 2.0 * math.sinh(rho), 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert abs(value - want) <= err + want_err
+
+
 def test_eta_rejects_bad_time():
     with pytest.raises(DomainError):
         kato_eta(COULOMB, 0.0, ORIGIN3)
@@ -230,8 +245,8 @@ def test_lp_rule():
         lp_kato_classify(0.5, 3)
 
 
-@pytest.mark.parametrize("p,m", [(math.nan, 3), (2.0, math.nan), (2.0, 2.5)],
-                         ids=["nan_p", "nan_m", "fractional_m"])
+@pytest.mark.parametrize("p,m", [(math.nan, 3), (2.0, math.nan), (2.0, 2.5), (2.0, True)],
+                         ids=["nan_p", "nan_m", "fractional_m", "bool_m"])
 def test_lp_rule_refuses_what_it_cannot_classify(p, m):
     # NaN once failed neither "p < 1" nor "m < 1" and read not_covered
     with pytest.raises(DomainError):
@@ -276,6 +291,17 @@ def test_form_bounds_stop_at_the_smallest_normal_r(amplitude, want):
     assert bound[0] == r and bound[2] == r * bound[1]
     assert bound[1] == pytest.approx(want, rel=1e-9) and bound[1] <= 0.5
     assert bound.errors[0] == r
+
+
+def test_form_bounds_square_r_below_two_to_the_minus_16(monkeypatch):
+    # factors of 4 took 512 sups to reach the smallest normal r; squares take 15
+    sups = []
+    spy(monkeypatch, "_sup", sups)
+    bound = form_bound_constants(bump(E2, amplitude=1e-3), [E2.origin()], 0.5)
+    assert len(sups) <= 30
+    assert [x.hex() for x in bound + bound.errors] == [
+        "0x1.0000000000000p-1022", "0x1.e48907b6dd07ap-4", "0x0.1e48907b6dd08p-1022",
+        "0x1.0000000000000p-1022", "0x1.a2232226b2acdp-50", "0x0.0000000000007p-1022"]
 
 
 def test_form_bounds_keep_a_crossing_at_tiny_r():

@@ -10,9 +10,8 @@ from scipy.sparse.csgraph import connected_components
 
 from katoform import mesh as mesh_mod
 from katoform.errors import MeshError
-from katoform.mesh import (BundleMesh, cycle_mesh, gauge_transform,
-                           grid_mesh_2d, haar_unitary, interval_mesh,
-                           random_bundle_mesh)
+from katoform.mesh import (BundleMesh, _haar_block, cycle_mesh, gauge_transform,
+                           grid_mesh_2d, interval_mesh, random_bundle_mesh)
 from katoform.operators import quad_form
 
 
@@ -152,7 +151,7 @@ def test_random_bundle_mesh_keeps_its_arrays(n_vertices, fiber_dim, seed, dirich
 
 def test_haar_unitary():
     rng = np.random.default_rng(0)
-    U = haar_unitary(3, rng)
+    U = _haar_block(1, 3, rng)[0]
     assert np.allclose(U.conj().T @ U, np.eye(3), atol=1e-12)
 
 
@@ -171,8 +170,8 @@ def loop_haar(count, n, rng):
 def test_haar_samples_match_loop(n):
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(mesh_mod._haar_block(25, n, rng), loop_haar(25, n, ref_rng))
-        assert np.array_equal(haar_unitary(n, rng), loop_haar(1, n, ref_rng)[0])
+        assert np.array_equal(_haar_block(25, n, rng), loop_haar(25, n, ref_rng))
+        assert np.array_equal(_haar_block(1, n, rng), loop_haar(1, n, ref_rng))
         # the stream is left where the loop leaves it
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -187,6 +186,30 @@ def test_random_bundle_mesh_transports_match_loop(monkeypatch, n):
         assert np.array_equal(mesh.transports, ref.transports)
         assert np.array_equal(mesh.dirichlet, ref.dirichlet)
         assert np.array_equal(mesh.edge_w, ref.edge_w)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: interval_mesh(0.0, 1.0, 0.0), id="interval-zero-spacing"),
+    pytest.param(lambda: interval_mesh(0.0, 1.0, math.nan), id="interval-nan-spacing"),
+    pytest.param(lambda: interval_mesh(0.0, 1.0, math.inf), id="interval-inf-spacing"),
+    pytest.param(lambda: interval_mesh(0.0, math.inf, 0.25), id="interval-inf-end"),
+    pytest.param(lambda: interval_mesh(-1e308, 1e308, 1.0), id="interval-overflowing-count"),
+    pytest.param(lambda: grid_mesh_2d(1.0, 0.0), id="grid-zero-spacing"),
+    pytest.param(lambda: grid_mesh_2d(1.0, math.nan), id="grid-nan-spacing"),
+    pytest.param(lambda: grid_mesh_2d(math.inf, 0.5), id="grid-inf-width"),
+    pytest.param(lambda: grid_mesh_2d(math.nan, 0.5), id="grid-nan-width"),
+    pytest.param(lambda: random_bundle_mesh(4, dirichlet_count=-1), id="random-negative-kill"),
+    pytest.param(lambda: random_bundle_mesh(4, dirichlet_count=4), id="random-kill-all"),
+    pytest.param(lambda: random_bundle_mesh(2.5), id="random-fractional-vertices"),
+    pytest.param(lambda: random_bundle_mesh(4, fiber_dim=0), id="random-fibre-0"),
+    pytest.param(lambda: random_bundle_mesh(4, fiber_dim=2.0), id="random-float-fibre"),
+    pytest.param(lambda: random_bundle_mesh(4, fiber_dim=True), id="random-bool-fibre"),
+])
+def test_generators_refuse_what_they_cannot_mean(build):
+    # each once raised ZeroDivisionError, ValueError, OverflowError or
+    # AxisError, or was accepted (a negative kill count as 0)
+    with pytest.raises(MeshError):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +314,7 @@ def test_connectivity_matches_scipy_components():
 # transport bookkeeping
 
 def test_transport_into_directions():
-    U = haar_unitary(2, np.random.default_rng(5))
+    U = _haar_block(1, 2, np.random.default_rng(5))[0]
     mesh = BundleMesh(fiber_dim=2, mu=[1.0, 1.0], dirichlet=[False, False],
                       edge_u=[0], edge_v=[1], edge_w=[1.0],
                       transports=np.array([U]))
@@ -313,7 +336,7 @@ def test_holonomy_requires_existing_edges():
 def test_gauge_transform_preserves_kinetic_form():
     mesh = random_bundle_mesh(8, fiber_dim=2, seed=11)
     rng = np.random.default_rng(2)
-    gauges = np.array([haar_unitary(2, rng) for _ in range(8)])
+    gauges = _haar_block(8, 2, rng)
     gauged = gauge_transform(mesh, gauges)
     f = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     gf = np.einsum("vij,vj->vi", gauges, f)
@@ -325,7 +348,7 @@ def test_gauge_transform_preserves_kinetic_form():
 def test_gauge_transform_matches_edge_loop():
     mesh = random_bundle_mesh(12, fiber_dim=3, seed=21, dirichlet_count=1)
     rng = np.random.default_rng(9)
-    gauges = np.array([haar_unitary(3, rng) for _ in range(12)])
+    gauges = _haar_block(12, 3, rng)
     got = gauge_transform(mesh, gauges).transports
     for e in range(mesh.n_edges):
         u, v = mesh.edge_u[e], mesh.edge_v[e]

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 
 from katoform import operators
 from katoform.errors import ConvergenceError, KernelHandlingError
-from katoform.mesh import (BundleMesh, gauge_transform, haar_unitary, random_bundle_mesh,
+from katoform.mesh import (BundleMesh, _haar_block, gauge_transform, random_bundle_mesh,
                            trivial_line)
 from katoform.operators import (_as_matrix_field, _assemble, _klmn_dense, _section_dofs,
-                                bochner_laplacian, diagonal_potential,
+                                bochner_laplacian,
                                 form_sum_spectrum, kato_inequality_gap,
                                 klmn_optimal_c1, quad_form,
                                 semigroup_domination_gap, semigroup_evolve)
@@ -131,7 +131,7 @@ def test_assembly_matches_loop_entrywise(case):
     assert_matrix(_assemble(mesh)[0], A)
     assert_matrix(bochner_laplacian(mesh), L)
     assert_matrix(_assemble(trivial_line(mesh))[0], loop_matrices(mesh, scalar=True)[0])
-    for V, field in ((herm, herm), (values, diagonal_potential(mesh, values))):
+    for V, field in ((herm, herm), (values, values[:, None, None] * np.eye(n))):
         assert_matrix(_assemble(mesh, _as_matrix_field(mesh, V))[0],
                       loop_matrices(mesh, V=field)[0])
 
@@ -150,7 +150,7 @@ def test_kato_gap_nonnegative_and_matches_loop(case):
 @given(meshes())
 def test_kinetic_form_and_spectrum_gauge_invariant(case):
     mesh, rng = case
-    gauges = np.array([haar_unitary(mesh.fiber_dim, rng) for _ in range(mesh.n_vertices)])
+    gauges = _haar_block(mesh.n_vertices, mesh.fiber_dim, rng)
     moved = gauge_transform(mesh, gauges)
     f = sections(mesh, rng, 1)[0]
     assert quad_form(moved, np.einsum("uij,uj->ui", gauges, f)).kinetic == pytest.approx(

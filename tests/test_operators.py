@@ -21,10 +21,10 @@ import scipy.sparse.linalg as spla
 from katoform import bundled, operators
 from katoform.errors import ConvergenceError, KernelHandlingError, MeshError
 from katoform.mesh import (BundleMesh, _haar_block, cycle_mesh, gauge_transform,
-                           grid_mesh_2d, haar_unitary, interval_mesh, random_bundle_mesh,
+                           grid_mesh_2d, interval_mesh, random_bundle_mesh,
                            trivial_line)
 from katoform.operators import (_as_matrix_field, _assemble, bochner_laplacian,
-                                diagonal_potential, fiber_split, form_limit_check,
+                                form_limit_check,
                                 form_sum_spectrum,
                                 kato_inequality_gap, klmn_optimal_c1,
                                 quad_form,
@@ -87,7 +87,7 @@ def test_interval_spacing_scaling():
 def test_gauge_invariant_spectrum():
     mesh = random_bundle_mesh(9, fiber_dim=2, seed=4, dirichlet_count=1)
     rng = np.random.default_rng(8)
-    gauges = np.array([haar_unitary(2, rng) for _ in range(9)])
+    gauges = _haar_block(9, 2, rng)
     a = form_sum_spectrum(mesh).eigenvalues
     b = form_sum_spectrum(gauge_transform(mesh, gauges)).eigenvalues
     assert np.allclose(a, b, atol=1e-10)
@@ -349,17 +349,6 @@ def test_quad_form_potential_term():
     assert fv.potential == pytest.approx(3.0 * 1.0 - 1.0 * 4.0)
 
 
-def test_fiber_split():
-    rng = np.random.default_rng(11)
-    base = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-    V = 0.5 * (base + np.conj(np.transpose(base, (0, 2, 1))))
-    plus, minus = fiber_split(V)
-    assert np.allclose(plus - minus, V, atol=1e-12)
-    for block in (plus, minus):
-        for M in block:
-            assert np.min(np.linalg.eigvalsh(M)) >= -1e-12
-
-
 # ---------------------------------------------------------------------------
 # kinetic comparison and domination
 
@@ -488,7 +477,7 @@ def test_klmn_definite_identity_shift():
     mesh = interval_mesh(0.0, 3.0, 1.0)   # two interior vertices
     c2 = 0.5
     v2 = np.full(mesh.n_vertices, 1.0 + c2)
-    a_sym = bochner_laplacian(mesh, symmetrized=True).toarray()
+    a_sym = _assemble(mesh)[0].toarray()
     lam_min = float(np.linalg.eigvalsh(a_sym)[0])
     assert klmn_optimal_c1(mesh, v2, c2) == pytest.approx(1.0 / lam_min,
                                                           rel=1e-10)
@@ -510,7 +499,7 @@ def test_klmn_matches_bisection_oracle():
     c2 = 0.3
     got = klmn_optimal_c1(mesh, v2, c2)
 
-    a_sym = bochner_laplacian(mesh, symmetrized=True).toarray()
+    a_sym = _assemble(mesh)[0].toarray()
     live = np.repeat(~mesh.dirichlet, mesh.fiber_dim)
     blocks = sla.block_diag(*[v2[i] for i in range(9)])
     w = (blocks - c2 * np.eye(18))[np.ix_(live, live)]
@@ -574,7 +563,7 @@ def test_hermitian_check_survives_an_overflowing_size():
     V[0, 0, 1], V[0, 1, 0] = 1.5e308 * (1 + 1j), 1.5e308 * (1 - 1j)
     V[1, 0, 1], V[1, 1, 0] = 1e308, -1e308
     with pytest.raises(MeshError, match="not Hermitian"):
-        fiber_split(V)
+        operators._check_hermitian(V, "field")
 
 
 def test_klmn_rejects_negative_v2():
@@ -671,7 +660,7 @@ def test_form_limit_matches_spectral_oracle():
     res = form_limit_check(mesh, f, t_grid)
 
     # spectral route: Q(t) = sum |c_i|^2 lambda_i h(t lambda_i)
-    a_sym = bochner_laplacian(mesh, symmetrized=True).toarray()
+    a_sym = _assemble(mesh)[0].toarray()
     lam, vecs = np.linalg.eigh(a_sym)
     root_mu = np.sqrt(np.repeat(mesh.mu, mesh.fiber_dim))
     coeff = vecs.conj().T @ (root_mu * f.reshape(-1))
@@ -762,17 +751,15 @@ def test_field_checks_name_their_fault():
         bad[u, 0, 1] = entry
         with pytest.raises(MeshError, match=match):
             form_sum_spectrum(mesh, V=bad)
-        with pytest.raises(MeshError, match=match):
-            fiber_split(bad)
     with pytest.raises(MeshError, match="block is not finite"):
         operators._check_hermitian(np.full((1, 2, 2), math.nan), "block")
     values = np.zeros(mesh.n_vertices, dtype=complex)
     values[u] = 1j
     with pytest.raises(MeshError, match="must be real"):
-        diagonal_potential(mesh, values)
+        _as_matrix_field(mesh, values)
     # a complex array with no imaginary part is real
-    assert np.array_equal(diagonal_potential(mesh, values.real + 0j),
-                          diagonal_potential(mesh, values.real))
+    assert np.array_equal(_as_matrix_field(mesh, values.real + 0j),
+                          _as_matrix_field(mesh, values.real))
 
 
 def assert_same_result(got, want, name):
@@ -802,7 +789,7 @@ def test_non_finite_potential_at_dirichlet_vertices_runs():
 
 def test_each_call_converts_its_potential_once_and_checks_its_section_once(monkeypatch):
     counts = {}
-    for name in ("_as_matrix_field", "_section", "diagonal_potential"):
+    for name in ("_as_matrix_field", "_section"):
         def spy(mesh, x, _real=getattr(operators, name), _name=name):
             if x is not None:       # None, no potential, passes through
                 counts[_name] = counts.get(_name, 0) + 1
@@ -813,12 +800,11 @@ def test_each_call_converts_its_potential_once_and_checks_its_section_once(monke
     rng = np.random.default_rng(4)
     f = random_section(mesh, rng)
     checks_section = {"quad_form", "semigroup_evolve", "form_limit_check"}
-    for V, lifts in ((psd_field(mesh, rng), 0), (rng.random(mesh.n_vertices), 1)):
+    for V in (psd_field(mesh, rng), rng.random(mesh.n_vertices)):
         for name, call in POTENTIAL_CALLS.items():
             counts.clear()
             call(mesh, f, V)
-            want = {"_as_matrix_field": 1, "_section": int(name in checks_section),
-                    "diagonal_potential": lifts}
+            want = {"_as_matrix_field": 1, "_section": int(name in checks_section)}
             assert counts == {k: v for k, v in want.items() if v}, name
     for call in (lambda: semigroup_domination_gap(mesh, f, 0.1),
                  lambda: kato_inequality_gap(mesh, f),

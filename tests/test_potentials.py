@@ -125,12 +125,10 @@ def test_bump_is_zero_far_outside_its_support():
     assert b.radial(np.array([1e155, 1e300, math.inf])).tolist() == [0.0, 0.0, 0.0]
 
 
-def test_abs_and_sign_parts():
+def test_abs_radial():
     v = constant(E3, value=-3.0)
     r = np.array([1.0, 2.0])
     assert np.allclose(v.abs_radial(r), 3.0)
-    assert np.allclose(v.positive_part()(r), 0.0)
-    assert np.allclose(v.negative_part()(r), 3.0)
 
 
 def test_tabulated_interpolation():

@@ -39,8 +39,8 @@ _exact_law, which once decided part of what the pieces' constructors
 decide, is gone.
 
 In feynman_kac.py the Stratonovich midpoint sum of the transport phase
-has one kernel: only _midpoint_phases calls the connection A, and both
-transport_phase and mc_covariant_semigroup call it.
+has one kernel: only _midpoint_phases calls the connection A, and
+mc_covariant_semigroup calls it.
 
 In feynman_kac.py a killing region has one definition: only class
 KillingRegion reads a region's normal and offset (everything else reads
@@ -49,8 +49,8 @@ calls arccosh: the killing scan and the path route's radii share one
 distance kernel.
 
 In operators.py each input has one check: only the public functions that
-take a potential call _as_matrix_field, once each, and only it calls
-diagonal_potential; _section is the one section check, which the
+take a potential call _as_matrix_field, once each, and it lifts real
+vertex values itself; _section is the one section check, which the
 evolutions reach through _section_dofs.
 
 A potential declares only what its expression implies: one function,
@@ -82,6 +82,13 @@ settings come from its flags and its config file.
 Importing the command line front end leaves scipy.optimize unloaded: it
 costs about a third of a second and serves one root find in
 kato.form_bound_constants, which imports it when it runs.
+
+Every public name serves an answer: each name in katoform.__all__ and
+each module-level public function or class of the package is read
+somewhere other than its own definition and __init__.py, in the
+package, bench/, demos/ or tests/test_acceptance.py; a name only its own
+tests read is not kept.  The one exemption is analytic_kato_functional,
+which kato_verdict is to read for its reason (ROADMAP item 12).
 """
 
 import ast
@@ -90,7 +97,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "katoform"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "katoform"
 
 
 def _imports(path, modules):
@@ -145,7 +153,7 @@ _EIGH_NAMES = {f"scipy.linalg.{name}"
                for name in ("eigh", "eigh_tridiagonal", "eigvalsh", "eig_banded")}
 _NUMPY_EIGH_NAMES = {f"numpy.linalg.{name}" for name in ("eigh", "eigvalsh")}
 # the per-vertex fibre helpers, each a batched solve of (N, n, n) blocks
-_FIBRE_HELPERS = {"fiber_split", "_flow", "klmn_optimal_c1"}
+_FIBRE_HELPERS = {"_flow", "klmn_optimal_c1"}
 
 
 def _references(path, names):
@@ -282,7 +290,7 @@ def test_one_midpoint_phase_kernel():
     # the connection is the parameter A: one function evaluates it
     assert {name for name, called in calls.items() if "A" in called} == {"_midpoint_phases"}
     assert {name for name, called in calls.items() if "_midpoint_phases" in called} \
-        == {"transport_phase", "mc_covariant_semigroup"}
+        == {"mc_covariant_semigroup"}
 
 
 def test_one_killing_region_definition():
@@ -314,8 +322,7 @@ def test_one_potential_conversion_and_section_check():
     assert takers == {"quad_form", "semigroup_evolve", "form_sum_spectrum",
                       "klmn_optimal_c1", "form_limit_check"}
     assert callers("_as_matrix_field") == dict.fromkeys(takers, 1)
-    assert callers("diagonal_potential") == {"_as_matrix_field": 1}
-    assert "_restrict" not in calls
+    assert "diagonal_potential" not in calls and "_restrict" not in calls
     assert callers("_section") == {"quad_form": 1, "kato_inequality_gap": 1,
                                    "_section_dofs": 1}
 
@@ -425,3 +432,37 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# read by kato_verdict for its reason once ROADMAP item 12 lands
+_UNREAD_PUBLIC = {"analytic_kato_functional"}
+
+
+def _reads(path):
+    """{top-level definition (None outside one): the names it reads, bare or as an attribute}."""
+    reads = {}
+    for top in ast.parse(path.read_text()).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        reads.setdefault(name, set()).update(
+            node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+    return reads
+
+
+def test_every_public_name_is_read():
+    init = PACKAGE / "__init__.py"
+    exported = next(ast.literal_eval(node.value) for node in ast.parse(init.read_text()).body
+                    if isinstance(node, ast.Assign)
+                    and [target.id for target in node.targets] == ["__all__"])
+    home = {top.name: path for path in sorted(PACKAGE.rglob("*.py"))
+            for top in ast.parse(path.read_text()).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")}
+    # the walk sees the names it checks
+    assert {"kato_verdict", "ModelSpace", "sphere_mean"} <= home.keys()
+    readers = sorted(set(PACKAGE.rglob("*.py")) - {init}) + sorted(ROOT.glob("bench/*.py")) \
+        + sorted(ROOT.glob("demos/*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    read = set()
+    for path in readers:
+        for top, names in _reads(path).items():
+            read.update(name for name in names if not (path == home.get(name) and top == name))
+    assert (set(exported) | home.keys()) - read == _UNREAD_PUBLIC
